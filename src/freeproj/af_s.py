@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import LevelDecrease, NotIdempotent, ZeroElement
+from .errors import LevelDecrease, NotIdempotent, ParseError, ZeroElement
 from .fields import QQ
 from .linalg import (
     dense_add,
@@ -25,7 +25,7 @@ from .linalg import (
     dense_rank,
     dense_scale,
     dense_sub,
-    rank_factorization,
+    generalized_inverse,
 )
 
 
@@ -192,15 +192,16 @@ class AFMatrix:
         return QgrClass.from_fraction(value, self.d)
 
     def vn_regular_witness(self) -> "AFMatrix":
-        """An x with a*x*a = a, from a rank factorization and one-sided inverses."""
-        if self.is_zero():
-            return AFMatrix.zero(self.d, self.level, self.field)
+        """An x with a*x*a = a, from one elimination of a.
+
+        With T*a = [C; 0] in reduced row echelon form, x = Q*T_k: row c of x
+        is the transform row of the pivot in column c, all other rows zero.
+        a*Q is the pivot columns of a and C writes every column of a over
+        them, so a*x*a = (a*Q)*C = a.
+        """
         F = self.field
-        A = [list(r) for r in self.entries]
-        B, C = rank_factorization(F, A)
-        L = _left_inverse(F, B)
-        Rinv = _right_inverse(F, C)
-        return AFMatrix(self.d, self.level, dense_mul(F, Rinv, L), F)
+        x = generalized_inverse(F, [list(r) for r in self.entries])
+        return AFMatrix(self.d, self.level, x, F)
 
     def simplicity_witness(self):
         """Rows (u_i), (v_i) with sum u_i * a * v_i = 1, witnessing simplicity.
@@ -243,7 +244,10 @@ class AFMatrix:
         n = d**level
         rows = [[field.zero] * n for _ in range(n)]
         for i, j, s in data["entries"]:
-            rows[int(i)][int(j)] = field.from_str(str(s))
+            i, j = int(i), int(j)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ParseError(f"entry [{i}, {j}] lies outside the {n}x{n} matrix at level {level}")
+            rows[i][j] = field.from_str(str(s))
         return cls(d, level, rows, field)
 
 
@@ -263,31 +267,6 @@ def word_unrank(d: int, rank: int, length: int):
         rank, i = divmod(rank, d)
         digits.append(i)
     return tuple(reversed(digits))
-
-
-def _left_inverse(field, B):
-    """L with L*B = I for a full-column-rank B."""
-    n, k = len(B), len(B[0])
-    # reduce [B | I_n]; the transform rows at the pivot positions invert B
-    from .linalg import SparseMatrix, row_reduce
-
-    mat = SparseMatrix.from_dense(field, B)
-    pivots, reduced, trans = row_reduce(mat, want_transform=True)
-    if len(pivots) != k:
-        raise ValueError("matrix does not have full column rank")
-    z = field.zero
-    L = []
-    for col in range(k):
-        ri = next(r for r, c in pivots if c == col)
-        L.append([trans[ri].get(j, z) for j in range(n)])
-    return L
-
-
-def _right_inverse(field, C):
-    """X with C*X = I for a full-row-rank C."""
-    Ct = [list(r) for r in zip(*C)]
-    Lt = _left_inverse(field, Ct)
-    return [list(r) for r in zip(*Lt)]
 
 
 def embed(a: AFMatrix, level: int) -> AFMatrix:

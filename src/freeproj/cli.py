@@ -245,7 +245,6 @@ def cmd_verify(args) -> dict:
             "suite": args.suite,
             "seed": args.seed,
             "d": args.d,
-            "max_degree": args.max_degree,
         },
         "result": {
             "criteria": entries,
@@ -320,7 +319,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
     p.set_defaults(fn=cmd_verify)
 
     return parser

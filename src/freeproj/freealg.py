@@ -94,20 +94,6 @@ class FreeAlgebra:
     def word_count(self, length: int) -> int:
         return self.d**length if length >= 0 else 0
 
-    def word_rank(self, w) -> int:
-        """Lex rank among words of the same length (first letter most significant)."""
-        r = 0
-        for i in w:
-            r = r * self.d + i
-        return r
-
-    def word_unrank(self, rank: int, length: int):
-        digits = []
-        for _ in range(length):
-            rank, i = divmod(rank, self.d)
-            digits.append(i)
-        return tuple(reversed(digits))
-
     def free_module(self, shifts) -> "GradedFreeModule":
         return GradedFreeModule(self, shifts)
 

@@ -17,7 +17,7 @@ algebra, matching the limit-algebra picture unit by unit.
 
 from __future__ import annotations
 
-from .af_s import AFMatrix, word_unrank
+from .af_s import AFMatrix, word_rank, word_unrank
 from .errors import (
     CertificateMismatch,
     LevelDecrease,
@@ -276,7 +276,7 @@ def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
     n = A.d**r
     rows = [[A.field.zero] * n for _ in range(n)]
     for (w, v), c in b.terms.items():
-        rows[A.word_rank(w)][A.word_rank(v)] = c
+        rows[word_rank(A.d, w)][word_rank(A.d, v)] = c
     return AFMatrix(A.d, r, rows, A.field).canonical()
 
 

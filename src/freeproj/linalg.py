@@ -1,7 +1,16 @@
 """Exact linear algebra over a coefficient field.
 
-Everything here is plain Gauss-Jordan elimination, kept exact by working
-with the field's own arithmetic.  Two representations are used:
+One kernel does all the elimination: `row_reduce`, plain Gauss-Jordan kept
+exact by working with the field's own arithmetic, optionally recording the
+transform T with T*A = RREF(A).  Everything else is a view of it:
+
+* `rank` counts its pivots;
+* `left_kernel` reads the transform rows of the zero rows;
+* `solve_left` reduces each target against the pivot rows;
+* `generalized_inverse` places the pivot transform rows at the pivot columns.
+
+`_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
+sparse product.  Two representations are used:
 
 * sparse: a matrix is a list of rows, each row a dict {column: nonzero value},
   plus an explicit column count.  All degreewise module computations use this
@@ -154,12 +163,7 @@ def solve_left(mat: SparseMatrix, targets) -> list:
             if c in res:
                 coef = res[c]
                 _row_axpy(F, res, coef, reduced[ri])
-                for j, v in trans[ri].items():
-                    s = F.add(x.get(j, F.zero), F.mul(coef, v))
-                    if s == 0:
-                        x.pop(j, None)
-                    else:
-                        x[j] = s
+                _row_axpy(F, x, F.neg(coef), trans[ri])
         out.append(None if res else x)
     return out
 
@@ -229,36 +233,18 @@ def dense_rank(field, A) -> int:
     return rank(SparseMatrix.from_dense(field, A))
 
 
-def dense_rref(field, A):
-    """Returns (pivot columns, rref rows as dense lists)."""
-    if not A:
-        return [], []
-    m = SparseMatrix.from_dense(field, A)
-    pivots, reduced, _ = row_reduce(m)
-    z = field.zero
-    dense = [[r.get(j, z) for j in range(m.ncols)] for r in reduced]
-    return [c for _, c in pivots], dense
+def generalized_inverse(field, A):
+    """X with A*X*A = A, from one elimination with transform.
 
-
-def rank_factorization(field, A):
-    """A = B*C with B of full column rank and C of full row rank.
-
-    C is the nonzero part of the RREF of A and B the pivot columns of A;
-    the factorization is exact over the field.
+    T*A = [C; 0] with C the k nonzero RREF rows.  Row c of X is transform
+    row r for each pivot (r, c), every other row is zero: X = Q*T_k with Q
+    selecting the pivot columns.  Then A*X*A = (A*Q)*C = A, because A*Q
+    holds the pivot columns of A and C expresses every column over them.
     """
-    pivcols, rref_rows = dense_rref(field, A)
-    k = len(pivcols)
-    C = rref_rows[:k]
-    B = [[A[i][c] for c in pivcols] for i in range(len(A))]
-    return B, C
-
-
-def dense_solve_left(field, A, b):
-    """One row solve: x with x*A = b, or None."""
-    m = SparseMatrix.from_dense(field, A)
-    brow = {j: v for j, v in enumerate(b) if v != 0}
-    (x,) = solve_left(m, [brow])
-    if x is None:
-        return None
-    z = field.zero
-    return [x.get(i, z) for i in range(len(A))]
+    mat = SparseMatrix.from_dense(field, A)
+    pivots, _, trans = row_reduce(mat, want_transform=True)
+    X = [[field.zero] * mat.nrows for _ in range(mat.ncols)]
+    for r, c in pivots:
+        for j, v in trans[r].items():
+            X[c][j] = v
+    return X

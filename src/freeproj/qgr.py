@@ -15,6 +15,7 @@ object.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .af_s import AFMatrix, word_rank
 from .errors import (
@@ -61,7 +62,7 @@ class QgrClass:
         i = 0
         den = value.denominator
         while den > 1:
-            g = _gcd(den, d)
+            g = gcd(den, d)
             if g == 1:
                 raise ValueError(f"{value} is not in Z[1/{d}]")
             num = value * d
@@ -121,7 +122,7 @@ class QgrClass:
         """Does this value lie in Z[1/e]?"""
         den = self.value.denominator
         while den > 1:
-            g = _gcd(den, e)
+            g = gcd(den, e)
             if g == 1:
                 return False
             den //= g
@@ -141,12 +142,6 @@ class QgrClass:
 
     def __repr__(self):
         return f"QgrClass({self.t}*{self.d}^-{self.i})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class QgrObject:
@@ -406,45 +401,25 @@ class GammaElement:
         p = self.parent
         if s.level > p.r:
             raise ValueError("algebra element lives above the module level")
-        s = s.embed(p.r)
         F = p.module.algebra.field
-        out = []
-        for v in range(p.word_count):
-            acc: dict = {}
-            for u in range(p.word_count):
-                c = s.entries[u][v]
-                if c == 0:
-                    continue
-                for col, val in self.rows[u].items():
-                    t = F.add(acc.get(col, F.zero), F.mul(c, val))
-                    if t == 0:
-                        acc.pop(col, None)
-                    else:
-                        acc[col] = t
-            out.append(acc)
-        return GammaElement(p, out)
+        St = SparseMatrix.from_dense(F, s.embed(p.r).entries).transpose()
+        return GammaElement(p, St.mul(self._matrix()).rows)
 
     def transition(self) -> "GammaElement":
         """The image at level r+1: the new first letter acts through M."""
         p = self.parent
-        nxt = GammaModule(p.module, p.r + 1)
-        d = p.module.algebra.d
+        rows = self._matrix()
         out = []
-        for i in range(d):
-            letter = p.module.letter_matrix(i, p.r)
-            for u in range(p.word_count):
-                row = self.rows[u]
-                acc: dict = {}
-                F = p.module.algebra.field
-                for col, val in row.items():
-                    for c2, v2 in letter.rows[col].items():
-                        t = F.add(acc.get(c2, F.zero), F.mul(val, v2))
-                        if t == 0:
-                            acc.pop(c2, None)
-                        else:
-                            acc[c2] = t
-                out.append(acc)
-        return GammaElement(nxt, out)
+        for i in range(p.module.algebra.d):
+            out.extend(rows.mul(p.module.letter_matrix(i, p.r)).rows)
+        return GammaElement(GammaModule(p.module, p.r + 1), out)
+
+    def _matrix(self) -> SparseMatrix:
+        """The word rows as a word_count x dim M_r matrix."""
+        p = self.parent
+        return SparseMatrix(
+            p.module.algebra.field, p.word_count, p.module.hilbert(p.r), self.rows
+        )
 
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
@@ -578,7 +553,7 @@ class DecompositionPair:
         tgt_index = self.source.basis_index(j)
         rows = []
         for _, w in self.target.monomial_basis(j):
-            alpha = word_rank_of(self.algebra, w[len(w) - self.r:])
+            alpha = word_rank(self.algebra.d, w[len(w) - self.r:])
             rows.append({tgt_index[(alpha, w[: len(w) - self.r])]: F.one})
         return SparseMatrix(F, len(rows), len(tgt_index), rows)
 
@@ -594,10 +569,6 @@ class DecompositionPair:
             if V.mul(U) != SparseMatrix.identity(self.algebra.field, n_tgt):
                 return False
         return True
-
-
-def word_rank_of(algebra: FreeAlgebra, w) -> int:
-    return algebra.word_rank(w)
 
 
 # ---------------------------------------------------------------------------
@@ -673,43 +644,23 @@ def split_sequence(
     lifts = solve_left(Gi, units)
     if any(x is None for x in lifts):
         raise NotExactInput("could not lift the degree-i basis through g")
+    lift_mat = SparseMatrix(field, t, M.hilbert(i), lifts)
 
     matrices = {}
     for j in range(i, hi + 1):
         rows_T = []
         rows_img = []
         for w in M.algebra.words(j - i):
-            WN = N.word_matrix(w, i)
-            WM = M.word_matrix(w, i)
-            for l in range(t):
-                rows_T.append(WN.rows[l])
-                lift_row = lifts[l]
-                acc: dict = {}
-                for col, val in lift_row.items():
-                    for c2, v2 in WM.rows[col].items():
-                        s = field.add(acc.get(c2, field.zero), field.mul(val, v2))
-                        if s == 0:
-                            acc.pop(c2, None)
-                        else:
-                            acc[c2] = s
-                rows_img.append(acc)
+            rows_T.extend(N.word_matrix(w, i).rows)
+            rows_img.extend(lift_mat.mul(M.word_matrix(w, i)).rows)
         T = SparseMatrix(field, len(rows_T), N.hilbert(j), rows_T)
         targets = [{l: field.one} for l in range(N.hilbert(j))]
         coords = solve_left(T, targets)
         if any(c is None for c in coords):
             raise TruncationNotFree(f"quotient tail is not free at degree {j}")
-        sig_rows = []
-        for c in coords:
-            acc = {}
-            for idx, coef in c.items():
-                for c2, v2 in rows_img[idx].items():
-                    s = field.add(acc.get(c2, field.zero), field.mul(coef, v2))
-                    if s == 0:
-                        acc.pop(c2, None)
-                    else:
-                        acc[c2] = s
-            sig_rows.append(acc)
-        sigma = SparseMatrix(field, N.hilbert(j), M.hilbert(j), sig_rows)
+        sigma = SparseMatrix(field, len(coords), len(rows_img), coords).mul(
+            SparseMatrix(field, len(rows_img), M.hilbert(j), rows_img)
+        )
         if sigma.mul(g.matrix_in_degree(j)) != SparseMatrix.identity(field, N.hilbert(j)):
             raise CertificateMismatch(f"constructed section fails in degree {j}")
         matrices[j] = sigma

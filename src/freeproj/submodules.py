@@ -263,17 +263,7 @@ def _syzygy_basis(images, ambient, cover):
     rows = []
     one = A.one()
     for i in range(len(images)):
-        acc: dict = {i: one}
-        if i in Q:
-            for j, q in Q[i].items():
-                for l, p in P[j].items():
-                    prod = q * p
-                    cur = acc.get(l)
-                    total = (-prod) if cur is None else cur - prod
-                    if total.is_zero():
-                        acc.pop(l, None)
-                    else:
-                        acc[l] = total
+        acc = _combine_cofactors(A, {i: one}, Q.get(i, {}), P)
         terms = {}
         for l, p in acc.items():
             for w, c in p.terms.items():

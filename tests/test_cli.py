@@ -96,6 +96,22 @@ def test_s_calc_roundtrip(tmp_path, capsys):
     assert report["result"]["element"]["level"] == 2
 
 
+@pytest.mark.parametrize("entry", [[-1, 0, "1"], [5, 0, "1"], [0, 2, "1"]])
+@pytest.mark.parametrize("sub", ["canonical", "k0"])
+def test_s_calc_rejects_entry_outside_matrix(tmp_path, capsys, sub, entry):
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps({"d": 2, "level": 1, "entries": [entry]}))
+    code, report = run(capsys, "s-calc", sub, str(e))
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert f"[{entry[0]}, {entry[1]}]" in report["error"]
+
+
+def test_verify_has_no_max_degree_option(capsys):
+    assert main(["verify", "--suite", "ext1", "--max-degree", "3"]) == 2
+    capsys.readouterr()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.pres"
     bad.write_text("field: QQ\nd: 2\ngens: [0]\nrels:\nx0 + 1\n")

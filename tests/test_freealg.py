@@ -3,6 +3,7 @@ import random
 import pytest
 
 from freeproj import FreeAlgebra
+from freeproj.af_s import word_rank, word_unrank
 from freeproj.freealg import ModuleMap
 from freeproj.linalg import SparseMatrix
 
@@ -114,10 +115,11 @@ def test_reversal_is_an_antiautomorphism(A2):
 
 
 def test_word_rank_unrank(A3):
+    # af_s.word_rank is the one word index; it must follow the enumeration order
     words = list(A3.words(3))
     for k, w in enumerate(words):
-        assert A3.word_rank(w) == k
-        assert A3.word_unrank(k, 3) == w
+        assert word_rank(A3.d, w) == k
+        assert word_unrank(A3.d, k, 3) == w
 
 
 def test_element_degree_and_leading_term(A2):

@@ -7,8 +7,8 @@ from freeproj.linalg import (
     dense_rank,
     kron,
     left_kernel,
+    generalized_inverse,
     rank,
-    rank_factorization,
     row_reduce,
     solve_left,
 )
@@ -58,15 +58,21 @@ def test_row_reduce_transform_reproduces_rref():
         assert len(pivots) == rank(a)
 
 
-def test_rank_factorization():
+def test_generalized_inverse():
     rng = random.Random(3)
-    for _ in range(20):
-        dense = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-        B, C = rank_factorization(QQ, dense)
-        assert dense_mul(QQ, B, C) == [[QQ.coerce(v) for v in row] for row in dense]
-        assert dense_rank(QQ, dense) == len(C)
-
-
+    for field in (QQ, GF(10007)):
+        cases = [[[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)] for _ in range(20)]
+        for k in range(1, 4):
+            # rank-deficient: a 4x5 product through a k-dimensional space
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(4)]
+            right = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(k)]
+            cases.append(dense_mul(QQ, left, right))
+        cases.append([[0] * 3 for _ in range(3)])
+        for dense in cases:
+            a = [[field.coerce(v) for v in row] for row in dense]
+            x = generalized_inverse(field, a)
+            assert len(x) == len(a[0]) and len(x[0]) == len(a)
+            assert dense_mul(field, dense_mul(field, a, x), a) == a
 def test_kron_block_structure():
     a = [[1, 2], [3, 4]]
     b = [[0, 1], [1, 0]]
