@@ -239,16 +239,38 @@ class AFMatrix:
 
     @classmethod
     def from_json(cls, data: dict, field=QQ) -> "AFMatrix":
-        d = int(data["d"])
-        level = int(data["level"])
+        """Read {"d", "level", "entries": [[i, j, value], ...]}; malformed
+        input raises a ParseError naming the offending field."""
+        if not isinstance(data, dict):
+            raise ParseError(f"AF matrix JSON must be an object, not {type(data).__name__}")
+        for key in ("d", "level", "entries"):
+            if key not in data:
+                raise ParseError(f"AF matrix JSON lacks the field {key!r}")
+        d = _json_int(data["d"], "d")
+        level = _json_int(data["level"], "level")
+        if d < 1 or level < 0:
+            raise ParseError(f"need d >= 1 and level >= 0, got d={d}, level={level}")
+        if not isinstance(data["entries"], (list, tuple)):
+            raise ParseError("field 'entries' must be a list of [i, j, value] entries")
         n = d**level
         rows = [[field.zero] * n for _ in range(n)]
-        for i, j, s in data["entries"]:
-            i, j = int(i), int(j)
+        for k, entry in enumerate(data["entries"]):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ParseError(f"entries[{k}] must be a list [i, j, value], got {entry!r}")
+            i = _json_int(entry[0], f"entries[{k}][0]")
+            j = _json_int(entry[1], f"entries[{k}][1]")
+            s = entry[2]
             if not (0 <= i < n and 0 <= j < n):
                 raise ParseError(f"entry [{i}, {j}] lies outside the {n}x{n} matrix at level {level}")
             rows[i][j] = field.from_str(str(s))
         return cls(d, level, rows, field)
+
+
+def _json_int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"field {name!r} must be an integer, got {value!r}") from None
 
 
 def word_rank(d: int, w) -> int:

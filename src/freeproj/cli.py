@@ -215,8 +215,6 @@ def cmd_s_calc(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    if args.d is not None and args.d < 1:
-        raise ParseError("d must be at least 1")
     if args.suite == "all":
         numbers = None
     elif args.suite in SUITE_NAMES:
@@ -241,11 +239,7 @@ def cmd_verify(args) -> dict:
         entries.append(entry)
     return {
         "command": "verify",
-        "inputs": {
-            "suite": args.suite,
-            "seed": args.seed,
-            "d": args.d,
-        },
+        "inputs": {"suite": args.suite, "seed": args.seed},
         "result": {
             "criteria": entries,
             "all_passed": all(r.passed for r in results),
@@ -263,9 +257,19 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="freeproj", description=__doc__)
-    parser.add_argument("--d", type=int, default=2, help="number of generators (for expression commands)")
+    parser.add_argument("--d", type=_positive_int, default=2, help="number of generators (for expression commands)")
     parser.add_argument("--field", default="QQ", help="QQ or GF:p")
     parser.add_argument("--degree-cap", type=int, default=8, dest="degree_cap")
     parser.add_argument("--level-cap", type=int, default=3, dest="level_cap")

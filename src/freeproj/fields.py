@@ -79,13 +79,45 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin to the first 13 prime bases is exact below PRIME_BOUND
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_BOUND; ValueError above it."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is out of range: primality is certified only below {PRIME_BOUND}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """GF(p) for a prime p; values are canonical ints in 0..p-1."""
+    """GF(p) for a prime p < PRIME_BOUND; values are canonical ints in 0..p-1."""
 
     characteristic: int
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
@@ -121,7 +153,10 @@ class PrimeField:
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def from_str(self, s: str):
-        return self.coerce(RationalField.from_str(s))
+        try:
+            return self.coerce(RationalField.from_str(s))
+        except ZeroDivisionError:
+            raise ParseError(f"{s!r} has no value in {self.name}: its denominator is divisible by {self.p}") from None
 
     def to_str(self, v) -> str:
         return str(v % self.p)

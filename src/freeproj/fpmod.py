@@ -142,9 +142,12 @@ class FpModule:
 
     def std_basis(self, j: int):
         """Standard monomials: the degree-j monomials of F0 with no relation
-        leading word as a suffix (in the matching coordinate)."""
+        leading word as a suffix (in the matching coordinate).
+
+        The basis is cached per degree together with its index
+        {monomial: position}, which `_std_index` reads."""
         if j in self._std_cache:
-            return self._std_cache[j]
+            return self._std_cache[j][0]
         basis = self.relation_basis()
         lead = {}
         for b in basis.elements:
@@ -161,13 +164,20 @@ class FpModule:
         std = tuple(std)
         if len(std) != self.hilbert(j):
             raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
-        self._std_cache[j] = std
+        self._std_cache[j] = (std, {mon: k for k, mon in enumerate(std)})
         return std
 
+    def _std_index(self, j: int) -> dict:
+        """{monomial: position in std_basis(j)}, built once with the basis."""
+        if j not in self._std_cache:
+            self.std_basis(j)
+        return self._std_cache[j][1]
+
     def coords(self, elem: FreeModuleElement, j: int) -> dict:
-        """Coordinates of the class of a degree-j element of F0 in std_basis(j)."""
+        """Coordinates of the class of a degree-j element of F0 in std_basis(j):
+        the normal form's monomials looked up in the cached index."""
         nf = self.relation_basis().reduce(elem)
-        index = {mon: k for k, mon in enumerate(self.std_basis(j))}
+        index = self._std_index(j)
         return {index[mon]: c for mon, c in nf.terms.items()}
 
     def element_from_coords(self, row: dict, j: int) -> FreeModuleElement:
@@ -175,14 +185,25 @@ class FpModule:
         return self.F0.element({std[k]: c for k, c in row.items()})
 
     def letter_matrix(self, i: int, j: int) -> SparseMatrix:
-        """Multiplication by x_i from M_j to M_{j+1}, row convention."""
+        """Multiplication by x_i from M_j to M_{j+1}, row convention.
+
+        Row k is the class of x_i * w for the k-th standard monomial w.  Every
+        proper suffix of x_i * w is a suffix of w, so x_i * w is standard
+        unless it is itself a relation leading word: a product found in the
+        degree-(j+1) index is a unit row, and only the rest are reduced."""
         if (i, j) in self._letter_cache:
             return self._letter_cache[(i, j)]
         F = self.algebra.field
-        rows = [
-            self.coords(self.F0.element({(alpha, (i,) + w): F.one}), j + 1)
-            for alpha, w in self.std_basis(j)
-        ]
+        std = self.std_basis(j)
+        index = self._std_index(j + 1)
+        rows = []
+        for alpha, w in std:
+            mon = (alpha, (i,) + w)
+            k = index.get(mon)
+            if k is None:
+                rows.append(self.coords(self.F0.element({mon: F.one}), j + 1))
+            else:
+                rows.append({k: F.one})
         out = SparseMatrix(F, len(rows), self.hilbert(j + 1), rows)
         self._letter_cache[(i, j)] = out
         return out

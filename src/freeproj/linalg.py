@@ -1,8 +1,12 @@
 """Exact linear algebra over a coefficient field.
 
-One kernel does all the elimination: `row_reduce`, plain Gauss-Jordan kept
-exact by working with the field's own arithmetic, optionally recording the
-transform T with T*A = RREF(A).  Everything else is a view of it:
+One kernel does all the elimination: `row_reduce`, Gauss-Jordan kept exact
+by working with the field's own arithmetic, optionally recording the
+transform T with T*A = RREF(A).  A column index (column -> row positions
+that may hold a nonzero there) lets it find each pivot and clear each column
+by visiting only the rows that hold it, not every row; the matrices of
+degreewise module maps are close to permutation matrices, with a few entries
+per column.  Everything else is a view of it:
 
 * `rank` counts its pivots;
 * `left_kernel` reads the transform rows of the zero rows;
@@ -103,35 +107,66 @@ def _row_axpy(field, target: dict, coef, source: dict):
 
 
 def row_reduce(mat: SparseMatrix, want_transform=False):
-    """Full Gauss-Jordan reduction.
+    """Full Gauss-Jordan reduction, driven by a column index.
 
     Returns (pivots, reduced, transform) where pivots is a list of
     (row, column) pairs, reduced holds the RREF rows, and transform (when
     requested) holds rows T with T*A = reduced.
+
+    The index maps each column not yet eliminated to the set of row
+    positions that may hold a nonzero in it.  It may be a superset: row
+    swaps and fill only ever add to it, and stale entries are filtered by a
+    membership test.  For each column in increasing order the pivot is the
+    least position >= r holding the column, and only the rows in the
+    column's set are eliminated.  Pivots, rows and transform are exactly
+    those of a scan over every row.
     """
     F = mat.field
     work = [dict(r) for r in mat.rows]
     trans = [{i: F.one} for i in range(mat.nrows)] if want_transform else None
+    holders: dict = {}
+    for i, row in enumerate(work):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
     pivots = []
     r = 0
-    cols = sorted({j for row in work for j in row})
-    for c in cols:
-        pi = next((i for i in range(r, len(work)) if c in work[i]), None)
-        if pi is None:
-            continue
-        work[r], work[pi] = work[pi], work[r]
-        if trans is not None:
-            trans[r], trans[pi] = trans[pi], trans[r]
+    for c in sorted(holders):
+        if r == len(work):
+            break
+        # Rows at positions >= r hold only columns >= c (each earlier column
+        # was eliminated or had no holder there), so every column that the
+        # swap or a fill below touches is still a key of the index.
+        cand = holders.pop(c)
+        if c in work[r]:
+            pi = r
+        else:
+            pi = min((i for i in cand if i > r and c in work[i]), default=None)
+            if pi is None:
+                continue
+        if pi != r:
+            work[r], work[pi] = work[pi], work[r]
+            if trans is not None:
+                trans[r], trans[pi] = trans[pi], trans[r]
+            for pos in (r, pi):
+                for j in work[pos]:
+                    if j != c:
+                        holders[j].add(pos)
         pv = work[r][c]
         if pv != F.one:
             inv = F.invert(pv)
             work[r] = {j: F.mul(inv, v) for j, v in work[r].items()}
             if trans is not None:
                 trans[r] = {j: F.mul(inv, v) for j, v in trans[r].items()}
-        for i in range(len(work)):
-            if i != r and c in work[i]:
-                coef = work[i][c]
-                _row_axpy(F, work[i], coef, work[r])
+        prow = work[r]
+        pkeys = prow.keys()
+        for i in cand:
+            row = work[i]
+            if i != r and c in row:
+                coef = row[c]
+                if not pkeys <= row.keys():
+                    for j in pkeys - row.keys():
+                        holders[j].add(i)
+                _row_axpy(F, row, coef, prow)
                 if trans is not None:
                     _row_axpy(F, trans[i], coef, trans[r])
         pivots.append((r, c))

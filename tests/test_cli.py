@@ -107,9 +107,39 @@ def test_s_calc_rejects_entry_outside_matrix(tmp_path, capsys, sub, entry):
     assert f"[{entry[0]}, {entry[1]}]" in report["error"]
 
 
+@pytest.mark.parametrize("data, field_name", [
+    ({"d": 2, "level": 1}, "'entries'"),
+    ({"level": 1, "entries": []}, "'d'"),
+    ({"d": 2, "entries": []}, "'level'"),
+    ({"d": "two", "level": 1, "entries": []}, "'d'"),
+    ({"d": 2, "level": 1, "entries": [["a", 0, "1"]]}, "entries[0][0]"),
+    ({"d": 2, "level": 1, "entries": [[0, 0, "1"], [1, None, "1"]]}, "entries[1][1]"),
+    ({"d": 2, "level": 1, "entries": [[0, 1]]}, "entries[0]"),
+    ({"d": 2, "level": 1, "entries": [7]}, "entries[0]"),
+    ({"d": 2, "level": 1, "entries": {"0": 1}}, "'entries'"),
+    ([[0, 0, "1"]], "object"),
+    ({"d": 2, "level": 1, "entries": [[0, 0, "1/7"]]}, "'1/7'"),
+])
+def test_s_calc_rejects_malformed_af_json(tmp_path, capsys, data, field_name):
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps(data))
+    code, report = run(capsys, "--field", "GF:7", "s-calc", "canonical", str(e))
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert field_name in report["error"]
+
+
 def test_verify_has_no_max_degree_option(capsys):
     assert main(["verify", "--suite", "ext1", "--max-degree", "3"]) == 2
     capsys.readouterr()
+
+
+def test_verify_ignores_d(capsys):
+    outputs = []
+    for d in ("5", "2"):
+        assert main(["--d", d, "verify", "--suite", "ext1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -122,6 +152,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["--d", "0", "verify"]) == 2
+    capsys.readouterr()
+    assert main(["--d", "0", "leavitt-eval", "x0"]) == 2
     capsys.readouterr()
     assert main(["nope"]) == 2
     capsys.readouterr()

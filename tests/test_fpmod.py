@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from freeproj import FreeAlgebra, FpModule
+from freeproj.fields import GF
 from freeproj.fpmod import FpModuleMorphism
 from freeproj.freealg import ModuleMap
-from freeproj.randgen import make_rng, random_module_map
+from freeproj.randgen import make_rng, random_module_element, random_module_map
 from freeproj.submodules import kernel
 
 
@@ -40,6 +41,39 @@ def test_std_basis_matches_enumeration(A2):
     M = quotient_by_first_letter(A2)
     words = [w for _, w in M.std_basis(3)]
     assert words == [w for w in A2.words(3) if w[-1] != 0]
+
+
+def letter_battery():
+    A2, A3, B2 = FreeAlgebra(2), FreeAlgebra(3), FreeAlgebra(2, GF(5))
+    x0, x1 = A2.gen(0), A2.gen(1)
+    F = A2.free_module([0, 1])
+    G = A3.free_module([0, 0])
+    rng = make_rng(5)
+    return [
+        # at j = 0, x0 * 1 is the leading word x0 itself: the reduce path
+        FpModule.cyclic(A2, [A2.gen(0)]),
+        FpModule.residue(A2),
+        FpModule.tail_quotient(A2, 2),
+        FpModule(F, [F.from_polys([x0 * x1 - x1 * x0, x1.scale(2)]), F.from_polys([x1 * x1, x0 + x1])]),
+        FpModule(G, [random_module_element(rng, G, 2, max_terms=4) for _ in range(3)]),
+        FpModule.cyclic(B2, [B2.gen(0) * B2.gen(1) + B2.gen(1) * B2.gen(1).scale(3)]),
+    ]
+
+
+def test_letter_matrix_matches_slow_rows():
+    reduced = 0
+    for M in letter_battery():
+        one = M.algebra.field.one
+        for j in range(M.min_degree, M.min_degree + 4):
+            std_next = set(M.std_basis(j + 1))
+            for i in range(M.algebra.d):
+                products = [(alpha, (i,) + w) for alpha, w in M.std_basis(j)]
+                slow = [M.coords(M.F0.element({mon: one}), j + 1) for mon in products]
+                fast = M.letter_matrix(i, j)
+                assert (fast.nrows, fast.ncols) == (len(slow), M.hilbert(j + 1))
+                assert [list(r.items()) for r in fast.rows] == [list(r.items()) for r in slow]
+                reduced += sum(1 for mon in products if mon not in std_next)
+    assert reduced > 0
 
 
 def test_torsion_of_free_is_zero(A2):
