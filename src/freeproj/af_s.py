@@ -29,6 +29,12 @@ from .linalg import (
 )
 
 
+# The largest side d**level that `AFMatrix.from_json` allocates (2048^2
+# entries).  For d >= 2 a level of MAX_SIDE.bit_length() or more is over it,
+# which is refused before d**level is formed.
+MAX_SIDE = 2048
+
+
 class AFMatrix:
     """A leveled matrix representative of an element of the limit algebra."""
 
@@ -240,7 +246,8 @@ class AFMatrix:
     @classmethod
     def from_json(cls, data: dict, field=QQ) -> "AFMatrix":
         """Read {"d", "level", "entries": [[i, j, value], ...]}; malformed
-        input raises a ParseError naming the offending field."""
+        input raises a ParseError naming the offending field, and so does a
+        side d**level above MAX_SIDE, before any row is allocated."""
         if not isinstance(data, dict):
             raise ParseError(f"AF matrix JSON must be an object, not {type(data).__name__}")
         for key in ("d", "level", "entries"):
@@ -250,6 +257,8 @@ class AFMatrix:
         level = _json_int(data["level"], "level")
         if d < 1 or level < 0:
             raise ParseError(f"need d >= 1 and level >= 0, got d={d}, level={level}")
+        if d > 1 and (level >= MAX_SIDE.bit_length() or d**level > MAX_SIDE):
+            raise ParseError(f"a matrix at d={d}, level={level} has more than {MAX_SIDE} rows")
         if not isinstance(data["entries"], (list, tuple)):
             raise ParseError("field 'entries' must be a list of [i, j, value] entries")
         n = d**level

@@ -50,7 +50,8 @@ def _load_presentation(path: str):
     return parse_presentation(text)
 
 
-def _load_af(path: str, field):
+def _load_af(path: str, field, level_cap: int):
+    """Read an AF matrix file; its level obeys the bound on --level."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -58,6 +59,9 @@ def _load_af(path: str, field):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
+    level = data.get("level") if isinstance(data, dict) else None
+    if isinstance(level, int) and level > level_cap + 1:
+        raise ParseError(f"level {level} in {path} exceeds --level-cap {level_cap}")
     return AFMatrix.from_json(data, field)
 
 
@@ -184,25 +188,25 @@ def cmd_s_calc(args) -> dict:
         raise ParseError(f"level {args.level} exceeds --level-cap {args.level_cap}")
     inputs = {"subcommand": args.sub, "field": field.name}
     if args.sub == "canonical":
-        a = _load_af(args.inputs[0], field)
+        a = _load_af(args.inputs[0], field, args.level_cap)
         result = {"element": a.canonical().to_json()}
     elif args.sub == "k0":
-        a = _load_af(args.inputs[0], field)
+        a = _load_af(args.inputs[0], field, args.level_cap)
         cls = a.k0_class()
         result = {"k0": cls.to_json(), "value": str(cls.value)}
     elif args.sub == "mul":
-        a = _load_af(args.inputs[0], field)
-        b = _load_af(args.inputs[1], field)
+        a = _load_af(args.inputs[0], field, args.level_cap)
+        b = _load_af(args.inputs[1], field, args.level_cap)
         result = {"element": (a * b).to_json()}
     elif args.sub == "embed":
-        a = _load_af(args.inputs[0], field)
+        a = _load_af(args.inputs[0], field, args.level_cap)
         result = {"element": a.embed(args.level if args.level is not None else a.level + 1).to_json()}
     elif args.sub == "regular":
-        a = _load_af(args.inputs[0], field)
+        a = _load_af(args.inputs[0], field, args.level_cap)
         x = a.vn_regular_witness()
         result = {"witness": x.to_json(), "verified": a * x * a == a}
     elif args.sub == "simplicity":
-        a = _load_af(args.inputs[0], field)
+        a = _load_af(args.inputs[0], field, args.level_cap)
         us, vs = a.simplicity_witness()
         acc = AFMatrix.zero(a.d, 0, field)
         for u, v in zip(us, vs):

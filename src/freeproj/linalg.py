@@ -13,6 +13,17 @@ per column.  Everything else is a view of it:
 * `solve_left` reduces each target against the pivot rows;
 * `generalized_inverse` places the pivot transform rows at the pivot columns.
 
+Over QQ the field's arithmetic builds a `Fraction`, with a gcd, at every
+step, and the denominators of a dense elimination grow to many digits.  So a
+row that a pivot other than +-1 touches is kept as integer numerators over
+one denominator shared with its transform row, cleared by integer
+cross-multiplication and made rational once per entry at the end.  Such a
+row is at every step a nonzero multiple of the row that field arithmetic
+would hold, so zero pattern, pivots and dict key order do not change, and
+the output equals field arithmetic's value for value.  Rows that only +-1
+pivots touch, as in the near-permutation module maps, keep field values
+throughout.  `dense_mul` likewise takes integer dot products.
+
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
 sparse product.  Two representations are used:
 
@@ -27,6 +38,10 @@ v -> v*A, so kernels are left kernels {v : v*A = 0}.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 
 class SparseMatrix:
@@ -120,6 +135,19 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
     least position >= r holding the column, and only the rows in the
     column's set are eliminated.  Pivots, rows and transform are exactly
     those of a scan over every row.
+
+    Over QQ a pivot of +-1 on a row still holding field values clears the
+    other field-value rows with the field's arithmetic, as over GF(p).  Any
+    other pivot, or a pivot on a lifted row, lifts its row and each row it
+    clears to integer numerators over one denominator shared with the
+    transform row (`_lift`) and clears by cross-multiplication
+    (`_cross_eliminate`); a lifted row stays lifted, and a +-1 pivot row in
+    field values clears a lifted row through an integer copy of itself.
+    A lifted row is always a nonzero multiple of the field-arithmetic row,
+    so zero pattern, pivots and dict key order are unchanged.  Lifted pivot
+    rows are left unnormalized; at the end each lifted row is divided by its
+    pivot (or, below the pivots, by its denominator), one rational per
+    entry, which gives the field-arithmetic output value for value.
     """
     F = mat.field
     work = [dict(r) for r in mat.rows]
@@ -128,50 +156,149 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
     for i, row in enumerate(work):
         for j in row:
             holders.setdefault(j, set()).add(i)
+    # Over QQ: position -> denominator of each lifted row; the rows not in
+    # it hold field values.
+    den = {} if F.characteristic == 0 else None
     pivots = []
     r = 0
+    n = len(work)
     for c in sorted(holders):
-        if r == len(work):
+        if r == n:
             break
         # Rows at positions >= r hold only columns >= c (each earlier column
         # was eliminated or had no holder there), so every column that the
         # swap or a fill below touches is still a key of the index.
         cand = holders.pop(c)
-        if c in work[r]:
-            pi = r
-        else:
+        if c not in work[r]:
             pi = min((i for i in cand if i > r and c in work[i]), default=None)
             if pi is None:
                 continue
-        if pi != r:
             work[r], work[pi] = work[pi], work[r]
             if trans is not None:
                 trans[r], trans[pi] = trans[pi], trans[r]
+            if den:
+                dr, dp = den.pop(r, 0), den.pop(pi, 0)
+                if dr:
+                    den[pi] = dr
+                if dp:
+                    den[r] = dp
             for pos in (r, pi):
                 for j in work[pos]:
                     if j != c:
                         holders[j].add(pos)
         pv = work[r][c]
-        if pv != F.one:
-            inv = F.invert(pv)
-            work[r] = {j: F.mul(inv, v) for j, v in work[r].items()}
-            if trans is not None:
-                trans[r] = {j: F.mul(inv, v) for j, v in trans[r].items()}
-        prow = work[r]
-        pkeys = prow.keys()
-        for i in cand:
-            row = work[i]
-            if i != r and c in row:
-                coef = row[c]
-                if not pkeys <= row.keys():
-                    for j in pkeys - row.keys():
-                        holders[j].add(i)
-                _row_axpy(F, row, coef, prow)
+        lifted = False
+        if pv != F.one or den:
+            if den is not None and (r in den or pv != 1 and pv != -1):
+                lifted = True
+                if r not in den:
+                    _lift(work, trans, den, r)
+            elif pv != F.one:
+                inv = F.invert(pv)
+                work[r] = {j: F.mul(inv, v) for j, v in work[r].items()}
                 if trans is not None:
-                    _row_axpy(F, trans[i], coef, trans[r])
+                    trans[r] = {j: F.mul(inv, v) for j, v in trans[r].items()}
+        # cand holds r (or, after a swap, pi): a single holder clears nothing
+        if len(cand) > 1:
+            prow = work[r]
+            pkeys = prow.keys()
+            ptrow = trans[r] if trans is not None else {}
+            ipiv = (prow, ptrow, prow[c]) if lifted else None
+            for i in cand:
+                row = work[i]
+                if i != r and c in row:
+                    if not pkeys <= row.keys():
+                        for j in pkeys - row.keys():
+                            holders[j].add(i)
+                    if not lifted and not (den and i in den):
+                        coef = row[c]
+                        _row_axpy(F, row, coef, prow)
+                        if trans is not None:
+                            _row_axpy(F, trans[i], coef, ptrow)
+                        continue
+                    if ipiv is None:
+                        # a +-1 pivot row in field values meets a lifted
+                        # row: clear it by an integer copy of the pivot row
+                        d, prow_int, ptrow_int = _integer_rows(prow, ptrow)
+                        ipiv = prow_int, ptrow_int, d
+                    if i not in den:
+                        _lift(work, trans, den, i)
+                        row = work[i]
+                    den[i] = _cross_eliminate(
+                        row, trans[i] if trans is not None else {}, den[i], row[c], *ipiv)
         pivots.append((r, c))
         r += 1
+    if den:
+        for i, d in den.items():
+            q = work[i][pivots[i][1]] if i < len(pivots) else d
+            if q != 1:
+                work[i] = {j: _ratio(v, q) for j, v in work[i].items()}
+                if trans is not None:
+                    trans[i] = {j: _ratio(v, q) for j, v in trans[i].items()}
     return pivots, work, trans
+
+
+_denominator = attrgetter("denominator")
+
+
+def _integer_rows(row: dict, trow: dict):
+    """(d, N, M): integer numerators of the QQ rows `row` and `trow` over
+    their least common denominator d, keys in the same order."""
+    d = lcm(*map(_denominator, row.values()), *map(_denominator, trow.values()))
+    return (
+        d,
+        {j: v.numerator * (d // v.denominator) for j, v in row.items()},
+        {j: v.numerator * (d // v.denominator) for j, v in trow.items()},
+    )
+
+
+def _lift(work, trans, den, i):
+    """Replace row i and its transform row by their integer numerators."""
+    d, work[i], trow = _integer_rows(work[i], trans[i] if trans is not None else {})
+    if trans is not None:
+        trans[i] = trow
+    den[i] = d
+
+
+def _cross_eliminate(row: dict, trow: dict, d: int, a: int, prow: dict, ptrow: dict, p: int) -> int:
+    """Clear the entry a of the integer row row/d by the integer pivot row
+    prow with pivot entry p, in place; trow shares d and follows ptrow.
+
+    With g = gcd(p, a) the rows become (p/g)*row - (a/g)*prow over
+    (p/g)*d, then lose the gcd of the denominator and all their entries.
+    row/d changes exactly as `_row_axpy` by the normalized pivot row would
+    change it, and keys are inserted and dropped in the same order.
+    Returns the new denominator.
+    """
+    g = gcd(p, a)
+    f, h = p // g, a // g
+    if f != 1:
+        for j in row:
+            row[j] *= f
+        for j in trow:
+            trow[j] *= f
+        d *= f
+    for target, source in ((row, prow), (trow, ptrow)):
+        for j, v in source.items():
+            s = target.get(j, 0) - h * v
+            if s:
+                target[j] = s
+            else:
+                del target[j]
+    g = gcd(d, *row.values(), *trow.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+        for j in trow:
+            trow[j] //= g
+        d //= g
+    return d
+
+
+def _ratio(n: int, d: int):
+    """n/d as an int when d divides n, else as one Fraction."""
+    q, m = divmod(n, d)
+    return q if not m else Fraction(n, d)
 
 
 def rank(mat: SparseMatrix) -> int:
@@ -212,23 +339,39 @@ def dense_identity(field, n):
 
 
 def dense_mul(field, A, B):
-    n, m = len(A), len(B[0]) if B else 0
-    k = len(B)
-    Bt = list(zip(*B)) if B else []
+    """A*B on integer dot products; a zero row of A gives a zero row.
+
+    Over GF(p) each entry is an integer dot product reduced mod p once.
+    Over QQ each row of A and each column of B is lifted to integers over
+    the lcm of its denominators (`_integer_vector`), and each entry is an
+    integer dot product over the product of the two denominators, made
+    rational once; on integer matrices it stays an int.  The values are
+    those of the field's own sum of products.
+    """
+    Bt = list(zip(*B))
+    p = field.characteristic
+    if p:
+        return [[sum(map(mul, Ai, Bj)) % p for Bj in Bt] if any(Ai) else [0] * len(Bt) for Ai in A]
+    cols = [_integer_vector(Bj) for Bj in Bt]
+    integral = all(db == 1 for db, _ in cols)
     out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            Bj = Bt[j]
-            s = field.zero
-            for t in range(k):
-                a = Ai[t]
-                if a != 0:
-                    s = field.add(s, field.mul(a, Bj[t]))
-            row.append(s)
-        out.append(row)
+    for Ai in A:
+        if not any(Ai):
+            out.append([0] * len(cols))
+            continue
+        da, ai = _integer_vector(Ai)
+        if da == 1 and integral:
+            out.append([sum(map(mul, ai, bj)) for _, bj in cols])
+        else:
+            out.append([_ratio(sum(map(mul, ai, bj)), da * db) for db, bj in cols])
     return out
+
+
+def _integer_vector(vec):
+    """(d, numerators) of a QQ vector over the lcm d of its denominators;
+    a vector with d = 1 is its own numerators."""
+    d = lcm(*map(_denominator, vec))
+    return d, (vec if d == 1 else [v.numerator * (d // v.denominator) for v in vec])
 
 
 def dense_scale(field, c, A):

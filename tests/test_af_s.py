@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,29 @@ def test_vn_regular_witness():
                 a = random_af(rng, d, level, QQ)
                 w = a.vn_regular_witness()
                 assert a * w * a == a
+
+
+def test_vn_witness_over_qq_reduces_to_gfp_witness():
+    # for a of full rank over QQ and over GF(p) both witnesses are a^-1, so
+    # the QQ witness reduced mod p is the GF(p) witness
+    p = 10007
+    F = GF(p)
+    rng = random.Random(19)
+    checked = 0
+    for d, level in ((2, 3), (3, 2)):
+        n = d**level
+        for _ in range(6):
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            a, a_p = AFMatrix(d, level, rows), AFMatrix(d, level, rows, F)
+            if a.rank() < n or a_p.rank() < n:
+                continue
+            x, x_p = a.vn_regular_witness(), a_p.vn_regular_witness()
+            assert a * x == AFMatrix.identity(d, level)
+            assert a_p * x_p == AFMatrix.identity(d, level, F)
+            reduced = [[F.coerce(v) for v in row] for row in x.entries]
+            assert reduced == [list(row) for row in x_p.entries], f"QQ and GF({p}) witnesses differ at d={d}, level={level}"
+            checked += 1
+    assert checked >= 10
 
 
 def test_simplicity_witness_reconstructs_identity():

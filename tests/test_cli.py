@@ -129,6 +129,22 @@ def test_s_calc_rejects_malformed_af_json(tmp_path, capsys, data, field_name):
     assert field_name in report["error"]
 
 
+@pytest.mark.parametrize("options, data, needle", [
+    ((), {"d": 2, "level": 40, "entries": []}, "--level-cap"),
+    (("--level-cap", "40"), {"d": 2, "level": 40, "entries": []}, "2048 rows"),
+    (("--level-cap", "5"), {"d": 100, "level": 3, "entries": []}, "2048 rows"),
+    ((), {"d": 2, "level": "40", "entries": []}, "2048 rows"),
+])
+def test_s_calc_bounds_af_size_before_allocating(tmp_path, capsys, options, data, needle):
+    # a check after the allocation would fail at once on [0] * 2**40
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps(data))
+    code, report = run(capsys, *options, "s-calc", "canonical", str(e))
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert needle in report["error"]
+
+
 def test_verify_has_no_max_degree_option(capsys):
     assert main(["verify", "--suite", "ext1", "--max-degree", "3"]) == 2
     capsys.readouterr()

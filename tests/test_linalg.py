@@ -122,6 +122,59 @@ def test_row_reduce_matches_oracle_on_larger_sparse_matrices():
                 assert_matches_oracle(a, want_transform)
 
 
+def test_row_reduce_matches_oracle_on_dense_rational_matrices():
+    # the dense QQ eliminations of the limit algebra, where rows are lifted
+    # to integers: full rank, one row the sum of two others, and entries
+    # that are non-integral Fractions or Fraction(k, 1)
+    # a pivot 2 lifts rows 0 and 2; then the field-value pivot row 1, with
+    # pivot 1 and an entry 1/2, clears both lifted rows; the pivot -1 of
+    # the second matrix stays in field values
+    for rows in ([[2, 1, 0], [0, 1, Fraction(1, 2)], [1, 0, 1]],
+                 [[0, -1, 3], [3, 1, 1], [Fraction(2, 3), 1, 0], [1, 1, 1]]):
+        for want_transform in (False, True):
+            assert_matches_oracle(M(rows), want_transform)
+    rng = random.Random(13)
+    for n in (16, 27):
+        for kind in ("int", "fraction"):
+            dense = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if kind == "fraction":
+                dense = [[Fraction(v, rng.randint(1, 6)) if rng.random() < 0.3
+                          else Fraction(v) if rng.random() < 0.3 else v for v in row] for row in dense]
+            deficient = [list(row) for row in dense]
+            i, j, k = rng.sample(range(n), 3)
+            deficient[i] = [a + b for a, b in zip(dense[j], dense[k])]
+            for rows in (dense, deficient):
+                for want_transform in (False, True):
+                    assert_matches_oracle(M(rows), want_transform)
+
+
+def triple_loop_mul(field, A, B):
+    return [[sum_field(field, [field.mul(A[i][t], B[t][j]) for t in range(len(B))])
+             for j in range(len(B[0]) if B else 0)] for i in range(len(A))]
+
+
+def sum_field(field, values):
+    s = field.zero
+    for v in values:
+        s = field.add(s, v)
+    return s
+
+
+def test_dense_mul_matches_triple_loop():
+    rng = random.Random(17)
+    fractions = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3, 5)]
+    for field, draw in ((QQ, lambda: QQ.coerce(rng.choice(fractions))),
+                        (GF(10007), lambda: rng.randrange(10007))):
+        for n, k, m in ((3, 4, 2), (5, 5, 5), (1, 1, 1), (2, 0, 3), (0, 3, 2)):
+            A = [[draw() for _ in range(k)] for _ in range(n)]
+            B = [[draw() for _ in range(m)] for _ in range(k)]
+            if n > 1:
+                A[1] = [field.zero] * k
+            if k > 1:
+                B[0] = [field.zero] * m
+            assert dense_mul(field, A, B) == triple_loop_mul(field, A, B)
+
+
 def test_generalized_inverse():
     rng = random.Random(3)
     for field in (QQ, GF(10007)):
