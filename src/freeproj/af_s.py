@@ -30,8 +30,9 @@ from .linalg import (
 
 
 # The largest side d**level that `AFMatrix.from_json` allocates (2048^2
-# entries).  For d >= 2 a level of MAX_SIDE.bit_length() or more is over it,
-# which is refused before d**level is formed.
+# entries) and that `s-calc embed` embeds into.  For d >= 2 a level of
+# MAX_SIDE.bit_length() or more is over it, which is refused before d**level
+# is formed.
 MAX_SIDE = 2048
 
 
@@ -257,8 +258,7 @@ class AFMatrix:
         level = _json_int(data["level"], "level")
         if d < 1 or level < 0:
             raise ParseError(f"need d >= 1 and level >= 0, got d={d}, level={level}")
-        if d > 1 and (level >= MAX_SIDE.bit_length() or d**level > MAX_SIDE):
-            raise ParseError(f"a matrix at d={d}, level={level} has more than {MAX_SIDE} rows")
+        _check_side(d, level)
         if not isinstance(data["entries"], (list, tuple)):
             raise ParseError("field 'entries' must be a list of [i, j, value] entries")
         n = d**level
@@ -273,6 +273,13 @@ class AFMatrix:
                 raise ParseError(f"entry [{i}, {j}] lies outside the {n}x{n} matrix at level {level}")
             rows[i][j] = field.from_str(str(s))
         return cls(d, level, rows, field)
+
+
+def _check_side(d: int, level: int, where: str = "") -> None:
+    """ParseError, its message prefixed by `where`, if the side d**level is
+    above MAX_SIDE; a huge level is refused before d**level is formed."""
+    if d > 1 and (level >= MAX_SIDE.bit_length() or d**level > MAX_SIDE):
+        raise ParseError(f"{where}a matrix at d={d}, level={level} has more than {MAX_SIDE} rows")
 
 
 def _json_int(value, name: str) -> int:
@@ -298,11 +305,3 @@ def word_unrank(d: int, rank: int, length: int):
         rank, i = divmod(rank, d)
         digits.append(i)
     return tuple(reversed(digits))
-
-
-def embed(a: AFMatrix, level: int) -> AFMatrix:
-    return a.embed(level)
-
-
-def canonical_level(a: AFMatrix) -> AFMatrix:
-    return a.canonical()

@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .af_s import AFMatrix
+from .af_s import AFMatrix, _check_side
 from .errors import FreeProjError, ParseError
 from .fields import field_from_spec
 from .freealg import FreeAlgebra
@@ -200,7 +200,9 @@ def cmd_s_calc(args) -> dict:
         result = {"element": (a * b).to_json()}
     elif args.sub == "embed":
         a = _load_af(args.inputs[0], field, args.level_cap)
-        result = {"element": a.embed(args.level if args.level is not None else a.level + 1).to_json()}
+        level = args.level if args.level is not None else a.level + 1
+        _check_side(a.d, level, f"--level {level}: ")
+        result = {"element": a.embed(level).to_json()}
     elif args.sub == "regular":
         a = _load_af(args.inputs[0], field, args.level_cap)
         x = a.vn_regular_witness()

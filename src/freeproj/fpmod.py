@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import CertificateMismatch
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap
 from .linalg import SparseMatrix, left_kernel, rank
-from .submodules import FreeBasis, kernel, weak_basis
+from .submodules import FreeBasis, _find_reducer, kernel, weak_basis
 
 
 class StableProfile:
@@ -148,20 +148,11 @@ class FpModule:
         {monomial: position}, which `_std_index` reads."""
         if j in self._std_cache:
             return self._std_cache[j][0]
-        basis = self.relation_basis()
-        lead = {}
-        for b in basis.elements:
-            (alpha, w), _ = b.leading_term()
-            lead.setdefault(alpha, []).append(w)
-        std = []
-        for alpha, w in self.F0.monomial_basis(j):
-            if any(
-                len(wb) <= len(w) and w[len(w) - len(wb):] == wb
-                for wb in lead.get(alpha, ())
-            ):
-                continue
-            std.append((alpha, w))
-        std = tuple(std)
+        by_coord = self.relation_basis()._by_coord
+        std = tuple(
+            (alpha, w) for alpha, w in self.F0.monomial_basis(j)
+            if _find_reducer(alpha, w, by_coord)[0] is None
+        )
         if len(std) != self.hilbert(j):
             raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
         self._std_cache[j] = (std, {mon: k for k, mon in enumerate(std)})

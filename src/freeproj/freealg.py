@@ -15,11 +15,18 @@ machinery relies on.
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 from .fields import QQ
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _add_products, _add_terms
 
 Word = tuple  # words are plain tuples of letter indices
+
+
+def _left_word_key(u, mon):
+    """The monomial u * mon for a word u and a module monomial mon."""
+    alpha, w = mon
+    return (alpha, u + w)
 
 
 def term_key(mon):
@@ -98,17 +105,54 @@ class FreeAlgebra:
         return GradedFreeModule(self, shifts)
 
 
-class NcPoly:
+class _Terms:
+    """Sparse arithmetic on {monomial: nonzero coefficient} dicts.
+
+    The one implementation of sum, negation, difference and scaling behind
+    polynomials, free module elements and Leavitt elements; a subclass
+    supplies its coefficient field (`_field`) and how to build a sibling
+    element from a terms dict (`_new`)."""
+
+    __slots__ = ("terms",)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        _add_terms(self._field, out, other.terms.items())
+        return self._new(out)
+
+    def __neg__(self):
+        F = self._field
+        return self._new({m: F.neg(c) for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        F = self._field
+        c = F.coerce(c)
+        if c == 0:
+            return self._new({})
+        return self._new({m: F.mul(c, v) for m, v in self.terms.items()})
+
+
+class NcPoly(_Terms):
     """A noncommutative polynomial: finitely many words with nonzero coefficients."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: FreeAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def _field(self):
+        return self.algebra.field
+
+    def _new(self, terms):
+        return NcPoly(self.algebra, terms)
 
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
@@ -126,45 +170,12 @@ class NcPoly:
     def coefficient(self, word):
         return self.terms.get(tuple(word), self.algebra.field.zero)
 
-    def __add__(self, other):
-        F = self.algebra.field
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = F.add(out.get(w, F.zero), c)
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NcPoly(self.algebra, out)
-
-    def __neg__(self):
-        F = self.algebra.field
-        return NcPoly(self.algebra, {w: F.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        F = self.algebra.field
-        c = F.coerce(c)
-        if c == 0:
-            return NcPoly(self.algebra, {})
-        return NcPoly(self.algebra, {w: F.mul(c, v) for w, v in self.terms.items()})
-
     def __mul__(self, other):
         """Concatenation product, extended bilinearly."""
         if not isinstance(other, NcPoly):
             return self.scale(other)
-        F = self.algebra.field
         out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = F.add(out.get(w, F.zero), F.mul(c1, c2))
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+        _add_products(self.algebra.field, out, self.terms, other.terms, add)
         return NcPoly(self.algebra, out)
 
     def __rmul__(self, other):
@@ -277,17 +288,21 @@ class GradedFreeModule:
         return f"GradedFreeModule(shifts={self.shifts}, d={self.algebra.d})"
 
 
-class FreeModuleElement:
+class FreeModuleElement(_Terms):
     """An element of a graded free module, stored as {(alpha, word): coeff}."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ("module",)
 
     def __init__(self, module: GradedFreeModule, terms: dict):
         self.module = module
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def _field(self):
+        return self.module.algebra.field
+
+    def _new(self, terms):
+        return FreeModuleElement(self.module, terms)
 
     def is_homogeneous(self) -> bool:
         degs = {len(w) + self.module.shifts[alpha] for alpha, w in self.terms}
@@ -307,31 +322,6 @@ class FreeModuleElement:
         mon = max(self.terms, key=term_key)
         return mon, self.terms[mon]
 
-    def __add__(self, other):
-        F = self.module.algebra.field
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
-            s = F.add(out.get(mon, F.zero), c)
-            if s == 0:
-                out.pop(mon, None)
-            else:
-                out[mon] = s
-        return FreeModuleElement(self.module, out)
-
-    def __neg__(self):
-        F = self.module.algebra.field
-        return FreeModuleElement(self.module, {m: F.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        F = self.module.algebra.field
-        c = F.coerce(c)
-        if c == 0:
-            return FreeModuleElement(self.module, {})
-        return FreeModuleElement(self.module, {m: F.mul(c, v) for m, v in self.terms.items()})
-
     def word_mul(self, u) -> "FreeModuleElement":
         """Left multiplication by a word."""
         u = tuple(u)
@@ -341,16 +331,8 @@ class FreeModuleElement:
 
     def poly_mul(self, p: NcPoly) -> "FreeModuleElement":
         """Left multiplication by a polynomial."""
-        F = self.module.algebra.field
         out: dict = {}
-        for u, a in p.terms.items():
-            for (alpha, w), c in self.terms.items():
-                mon = (alpha, u + w)
-                s = F.add(out.get(mon, F.zero), F.mul(a, c))
-                if s == 0:
-                    out.pop(mon, None)
-                else:
-                    out[mon] = s
+        _add_products(self.module.algebra.field, out, p.terms, self.terms, _left_word_key)
         return FreeModuleElement(self.module, out)
 
     def coords_in_degree(self, j: int) -> dict:
@@ -448,18 +430,13 @@ class ModuleMap:
     def apply(self, elem: FreeModuleElement) -> FreeModuleElement:
         if elem.module != self.source:
             raise ValueError("element not in the source module")
-        out = self.target.zero()
-        vecs = elem.polys()
-        for alpha, p in enumerate(vecs):
-            if p.is_zero():
-                continue
-            for beta, q in enumerate(self.matrix[alpha]):
-                if not q.is_zero():
-                    prod = p * q
-                    out = out + FreeModuleElement(
-                        self.target, {(beta, w): c for w, c in prod.terms.items()}
-                    )
-        return out
+        F = self.target.algebra.field
+        out: dict = {}
+        for alpha, p in enumerate(elem.polys()):
+            if p.terms:
+                for beta, q in enumerate(self.matrix[alpha]):
+                    _add_products(F, out, p.terms, q.terms, lambda u, w: (beta, u + w))
+        return FreeModuleElement(self.target, out)
 
     def map_in_degree(self, j: int) -> SparseMatrix:
         """The degree-j realization in the canonical monomial bases.
@@ -467,20 +444,18 @@ class ModuleMap:
         Rows are indexed by the source basis, columns by the target basis,
         acting on row vectors.
         """
-        F = self.source.algebra.field
         src_basis = self.source.monomial_basis(j)
         tgt_index = self.target.basis_index(j)
-        rows = []
-        for alpha, u in src_basis:
-            row = {}
-            for beta, q in enumerate(self.matrix[alpha]):
-                for w, c in q.terms.items():
-                    k = tgt_index[(beta, u + w)]
-                    row[k] = F.add(row.get(k, F.zero), c) if k in row else c
-                    if row[k] == 0:
-                        del row[k]
-            rows.append(row)
-        return SparseMatrix(F, len(src_basis), len(tgt_index), rows)
+        # the monomials (beta, u + w) of one row are distinct: nothing to add
+        rows = [
+            {
+                tgt_index[(beta, u + w)]: c
+                for beta, q in enumerate(self.matrix[alpha])
+                for w, c in q.terms.items()
+            }
+            for alpha, u in src_basis
+        ]
+        return SparseMatrix(self.source.algebra.field, len(src_basis), len(tgt_index), rows)
 
     def compose(self, then: "ModuleMap") -> "ModuleMap":
         """self followed by `then`."""
@@ -510,15 +485,3 @@ class ModuleMap:
 
     def __repr__(self):
         return f"ModuleMap({self.source.shifts} -> {self.target.shifts})"
-
-
-def graded_piece_dim(module: GradedFreeModule, j: int) -> int:
-    return module.graded_piece_dim(j)
-
-
-def monomial_basis(module: GradedFreeModule, j: int):
-    return module.monomial_basis(j)
-
-
-def map_in_degree(phi: ModuleMap, j: int) -> SparseMatrix:
-    return phi.map_in_degree(j)

@@ -25,7 +25,8 @@ from .errors import (
     NotInFiltrationLevel,
 )
 from .fpmod import FpModule
-from .freealg import FreeAlgebra, NcPoly
+from .freealg import FreeAlgebra, NcPoly, _Terms
+from .linalg import _add_products, _add_terms
 
 
 def mono_mul(m1, m2):
@@ -52,14 +53,21 @@ def mono_degree(mon) -> int:
     return len(v) - len(w)
 
 
-class LeavittElement:
+class LeavittElement(_Terms):
     """A linear combination of monomials w* v with exact coefficients."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: FreeAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
+
+    @property
+    def _field(self):
+        return self.algebra.field
+
+    def _new(self, terms):
+        return LeavittElement(self.algebra, terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -106,46 +114,11 @@ class LeavittElement:
 
     # -- basic arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        F = self.algebra.field
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
-            s = F.add(out.get(mon, F.zero), c)
-            if s == 0:
-                out.pop(mon, None)
-            else:
-                out[mon] = s
-        return LeavittElement(self.algebra, out)
-
-    def __neg__(self):
-        F = self.algebra.field
-        return LeavittElement(self.algebra, {m: F.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        F = self.algebra.field
-        c = F.coerce(c)
-        if c == 0:
-            return LeavittElement(self.algebra, {})
-        return LeavittElement(self.algebra, {m: F.mul(c, v) for m, v in self.terms.items()})
-
     def __mul__(self, other):
         if not isinstance(other, LeavittElement):
             return self.scale(other)
-        F = self.algebra.field
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                if m is None:
-                    continue
-                s = F.add(out.get(m, F.zero), F.mul(c1, c2))
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+        _add_products(self.algebra.field, out, self.terms, other.terms, mono_mul)
         return LeavittElement(self.algebra, out)
 
     def __rmul__(self, other):
@@ -172,30 +145,31 @@ class LeavittElement:
 
     def raise_level(self, degree: int, r: int) -> "LeavittElement":
         """Raise every degree-`degree` monomial to starred length r."""
-        F = self.algebra.field
-        out: dict = {}
-        for (w, v), c in self.terms.items():
-            if mono_degree((w, v)) != degree:
-                out[(w, v)] = c
-                continue
-            if len(w) > r:
-                raise LevelDecrease(f"monomial already at level {len(w)} > {r}")
-            for s in self.algebra.words(r - len(w)):
-                mon = (s + w, s + v)
-                t = F.add(out.get(mon, F.zero), c)
-                if t == 0:
-                    out.pop(mon, None)
-                else:
-                    out[mon] = t
-        return LeavittElement(self.algebra, out)
+        return self._raised({degree: r})
 
     def canonical(self) -> "LeavittElement":
         """Raise each graded component to its own maximal level."""
-        out = self
-        for m in self.degrees():
-            r = max(len(w) for (w, v) in out.terms if mono_degree((w, v)) == m)
-            out = out.raise_level(m, r)
-        return out
+        levels: dict = {}
+        for w, v in self.terms:
+            m = len(v) - len(w)
+            levels[m] = max(levels.get(m, 0), len(w))
+        return self._raised(levels)
+
+    def _raised(self, levels: dict) -> "LeavittElement":
+        """Raise each monomial of a degree m in `levels` to starred length
+        levels[m], in one pass: no two components share a monomial."""
+        terms = []
+        for (w, v), c in self.terms.items():
+            r = levels.get(len(v) - len(w))
+            if r is None:
+                terms.append(((w, v), c))
+            elif len(w) > r:
+                raise LevelDecrease(f"monomial already at level {len(w)} > {r}")
+            else:
+                terms += [((s + w, s + v), c) for s in self.algebra.words(r - len(w))]
+        out: dict = {}
+        _add_terms(self.algebra.field, out, terms)
+        return LeavittElement(self.algebra, out)
 
     def level_in_degree(self, m: int):
         ws = [len(w) for (w, v) in self.terms if mono_degree((w, v)) == m]

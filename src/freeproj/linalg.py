@@ -25,7 +25,11 @@ pivots touch, as in the near-permutation module maps, keep field values
 throughout.  `dense_mul` likewise takes integer dot products.
 
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
-sparse product.  Two representations are used:
+sparse product.  Next to `_row_axpy`, `_add_terms` (a sum of terms) and
+`_add_products` (the pairwise products of two term dicts, placed by a key
+function) are the one accumulate loop for every sparse {key: value} dict:
+polynomials, module elements, Leavitt elements, parsed terms and the
+submodule reduction all add through them.  Two representations are used:
 
 * sparse: a matrix is a list of rows, each row a dict {column: nonzero value},
   plus an explicit column count.  All degreewise module computations use this
@@ -90,12 +94,7 @@ class SparseMatrix:
         for r in self.rows:
             acc: dict = {}
             for k, a in r.items():
-                for j, b in other.rows[k].items():
-                    s = F.add(acc.get(j, F.zero), F.mul(a, b))
-                    if s == 0:
-                        acc.pop(j, None)
-                    else:
-                        acc[j] = s
+                _row_axpy(F, acc, F.neg(a), other.rows[k])
             out.append(acc)
         return SparseMatrix(F, self.nrows, other.ncols, out)
 
@@ -119,6 +118,32 @@ def _row_axpy(field, target: dict, coef, source: dict):
             target.pop(j, None)
         else:
             target[j] = s
+
+
+def _add_terms(field, acc: dict, terms):
+    """acc += terms, in place, for (key, value) pairs; a zero sum drops its
+    key, and a later term inserts it again at the end."""
+    for k, v in terms:
+        s = field.add(acc.get(k, field.zero), v)
+        if s == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+
+
+def _add_products(field, acc: dict, left: dict, right: dict, key):
+    """acc += a*b at key(k, l) for each term (k, a) of left and (l, b) of
+    right, in place, in that nested order; a key of None skips the pair and
+    a zero sum drops its key as in `_add_terms`."""
+    for k, a in left.items():
+        for l, b in right.items():
+            m = key(k, l)
+            if m is not None:
+                s = field.add(acc.get(m, field.zero), field.mul(a, b))
+                if s == 0:
+                    acc.pop(m, None)
+                else:
+                    acc[m] = s
 
 
 def row_reduce(mat: SparseMatrix, want_transform=False):

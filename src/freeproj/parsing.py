@@ -78,6 +78,7 @@ def _parse_term(field, sign, atoms, line=None, starred=False):
 def parse_poly(algebra, text: str, line=None):
     """Parse the polynomial grammar into an NcPoly over the given algebra."""
     from .freealg import NcPoly
+    from .linalg import _add_terms
 
     F = algebra.field
     terms: dict = {}
@@ -88,12 +89,7 @@ def parse_poly(algebra, text: str, line=None):
             if not 0 <= idx < algebra.d:
                 raise ParseError(f"letter x{idx} out of range for d={algebra.d}", line)
             word.append(idx)
-        w = tuple(word)
-        s = F.add(terms.get(w, F.zero), coeff)
-        if s == 0:
-            terms.pop(w, None)
-        else:
-            terms[w] = s
+        _add_terms(F, terms, [(tuple(word), coeff)])
     return NcPoly(algebra, terms)
 
 

@@ -18,6 +18,8 @@ so the rows of I - Q*P generate the whole syzygy module.
 
 from __future__ import annotations
 
+from operator import add
+
 from .freealg import (
     FreeModuleElement,
     GradedFreeModule,
@@ -25,6 +27,7 @@ from .freealg import (
     NcPoly,
     term_key,
 )
+from .linalg import _add_products, _add_terms, _row_axpy
 
 
 class FreeBasis:
@@ -44,11 +47,7 @@ class FreeBasis:
         self.elements = tuple(elements)
         self.from_generators = tuple(from_generators)
         self.generator_expressions = tuple(generator_expressions)
-        by_coord: dict = {}
-        for idx, b in enumerate(self.elements):
-            (alpha, w), _ = b.leading_term()
-            by_coord.setdefault(alpha, []).append((idx, w))
-        self._by_coord = by_coord
+        self._by_coord = _lead_index(self.elements)
 
     @property
     def rank(self) -> int:
@@ -82,6 +81,15 @@ class FreeBasis:
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
 
 
+def _lead_index(elements):
+    """{coordinate alpha: [(index, leading word at alpha)]} for basis elements."""
+    by_coord: dict = {}
+    for idx, b in enumerate(elements):
+        (alpha, w), _ = b.leading_term()
+        by_coord.setdefault(alpha, []).append((idx, w))
+    return by_coord
+
+
 def _find_reducer(alpha, w, by_coord):
     """Index of a basis element whose leading word is a suffix of w at alpha."""
     for idx, wb in by_coord.get(alpha, ()):
@@ -112,36 +120,28 @@ def _full_reduce(elem, basis, by_coord):
         if idx is None:
             nf[mon] = coef
             continue
-        b = basis[idx]
-        # work -= coef * u * b  (b is monic, so its lead cancels mon exactly)
-        for (beta, wb), cb in b.terms.items():
-            key = (beta, u + wb)
-            if key == mon:
-                continue
-            s = F.sub(work.get(key, F.zero), F.mul(coef, cb))
-            if s == 0:
-                work.pop(key, None)
-            else:
-                work[key] = s
-        q = uses.get(idx)
-        add = NcPoly(A, {u: coef})
-        uses[idx] = add if q is None else q + add
-    return FreeModuleElement(module, nf), {i: q for i, q in uses.items() if not q.is_zero()}
+        # work -= coef * u * b, except at b's lead: b is monic, so the lead
+        # cancels mon, which is already popped
+        lead = (alpha, w[len(u):])
+        _row_axpy(F, work, coef, {
+            (beta, u + wb): cb for (beta, wb), cb in basis[idx].terms.items() if (beta, wb) != lead
+        })
+        _add_terms(F, uses.setdefault(idx, {}), [(u, coef)])
+    return FreeModuleElement(module, nf), {i: NcPoly(A, q) for i, q in uses.items() if q}
 
 
-def _combine_cofactors(F_alg, base_row: dict, uses: dict, rows: list) -> dict:
+def _combine_cofactors(A, base_row: dict, uses: dict, rows: list) -> dict:
     """base_row - sum uses[j] * rows[j], rows being sparse NcPoly rows."""
-    out = dict(base_row)
+    F = A.field
+    out = {i: dict(p.terms) for i, p in base_row.items()}
     for j, q in uses.items():
+        minus_q = (-q).terms
         for i, p in rows[j].items():
-            prod = q * p
-            cur = out.get(i)
-            total = (-prod) if cur is None else cur - prod
-            if total.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = total
-    return out
+            acc = out.setdefault(i, {})
+            _add_products(F, acc, minus_q, p.terms, add)
+            if not acc:
+                del out[i]
+    return {i: NcPoly(A, t) for i, t in out.items()}
 
 
 def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis:
@@ -201,10 +201,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
                 cof_rows[idx] = _combine_cofactors(A, cof_rows[idx], remap, cof_rows)
                 changed = True
 
-    final_coord: dict = {}
-    for idx, b in enumerate(basis):
-        (alpha, w), _ = b.leading_term()
-        final_coord.setdefault(alpha, []).append((idx, w))
+    final_coord = _lead_index(basis)
     gen_rows = []
     for g in generators:
         nf, uses = _full_reduce(g, basis, final_coord)

@@ -129,17 +129,21 @@ def test_s_calc_rejects_malformed_af_json(tmp_path, capsys, data, field_name):
     assert field_name in report["error"]
 
 
+# options: the command line up to the input file
 @pytest.mark.parametrize("options, data, needle", [
-    ((), {"d": 2, "level": 40, "entries": []}, "--level-cap"),
-    (("--level-cap", "40"), {"d": 2, "level": 40, "entries": []}, "2048 rows"),
-    (("--level-cap", "5"), {"d": 100, "level": 3, "entries": []}, "2048 rows"),
-    ((), {"d": 2, "level": "40", "entries": []}, "2048 rows"),
+    (("s-calc", "canonical"), {"d": 2, "level": 40, "entries": []}, "--level-cap"),
+    (("--level-cap", "40", "s-calc", "canonical"), {"d": 2, "level": 40, "entries": []}, "2048 rows"),
+    (("--level-cap", "5", "s-calc", "canonical"), {"d": 100, "level": 3, "entries": []}, "2048 rows"),
+    (("s-calc", "canonical"), {"d": 2, "level": "40", "entries": []}, "2048 rows"),
+    # the side d**level of the target, not the level, is what is too large
+    (("s-calc", "embed", "--level", "4"), {"d": 2000, "level": 1, "entries": [[0, 0, "1"]]}, "--level 4"),
+    (("s-calc", "embed"), {"d": 2000, "level": 1, "entries": [[0, 0, "1"]]}, "--level 2"),
 ])
 def test_s_calc_bounds_af_size_before_allocating(tmp_path, capsys, options, data, needle):
     # a check after the allocation would fail at once on [0] * 2**40
     e = tmp_path / "e.json"
     e.write_text(json.dumps(data))
-    code, report = run(capsys, *options, "s-calc", "canonical", str(e))
+    code, report = run(capsys, *options, str(e))
     assert code == 2
     assert report["kind"] == "parse"
     assert needle in report["error"]

@@ -16,6 +16,7 @@ from freeproj.leavitt import (
 from freeproj.randgen import (
     make_rng,
     random_filtration_member,
+    random_leavitt,
     random_leavitt_monomial,
     random_poly,
 )
@@ -74,6 +75,20 @@ def test_raise_level(A2):
     assert e2.equals(e)
     with pytest.raises(LevelDecrease):
         e2.raise_level(0, 1)
+
+
+def test_canonical_raises_each_degree_in_turn(A2, A3):
+    # canonical raises all components in one pass; raising one degree at a
+    # time must give the same terms in the same dict order
+    rng = make_rng(17)
+    for A in (A2, A3):
+        for _ in range(60):
+            a = random_leavitt(rng, A, max_terms=8, wmax=3)
+            a = a * a.star() - a
+            want = a
+            for m in a.degrees():
+                want = want.raise_level(m, a.level_in_degree(m))
+            assert list(a.canonical().terms.items()) == list(want.terms.items())
 
 
 def test_equals_examples(A2):
