@@ -30,9 +30,9 @@ from .linalg import (
 
 
 # The largest side d**level that `AFMatrix.from_json` allocates (2048^2
-# entries) and that `s-calc embed` embeds into.  For d >= 2 a level of
-# MAX_SIDE.bit_length() or more is over it, which is refused before d**level
-# is formed.
+# entries), and that the CLI lets `s-calc embed` and `leavitt-eval --level`
+# build.  For d >= 2 a level of MAX_SIDE.bit_length() or more is over it,
+# which is refused before d**level is formed.
 MAX_SIDE = 2048
 
 

@@ -163,10 +163,10 @@ def cmd_decompose(args) -> dict:
 
 def cmd_leavitt_eval(args) -> dict:
     A = _algebra(args)
-    if args.level is not None and args.level > args.level_cap:
-        raise ParseError(
-            f"level {args.level} exceeds --level-cap {args.level_cap}"
-        )
+    if args.level is not None:
+        if args.level > args.level_cap:
+            raise ParseError(f"level {args.level} exceeds --level-cap {args.level_cap}")
+        _check_side(A.d, args.level, f"--level {args.level}: ")
     elem = parse_leavitt(A, args.expr).canonical()
     result = {
         "text": str(elem),

@@ -23,12 +23,6 @@ from .linalg import SparseMatrix, _add_products, _add_terms
 Word = tuple  # words are plain tuples of letter indices
 
 
-def _left_word_key(u, mon):
-    """The monomial u * mon for a word u and a module monomial mon."""
-    alpha, w = mon
-    return (alpha, u + w)
-
-
 def term_key(mon):
     """Well-order on module monomials (alpha, word), stable under left mult."""
     alpha, w = mon
@@ -332,7 +326,8 @@ class FreeModuleElement(_Terms):
     def poly_mul(self, p: NcPoly) -> "FreeModuleElement":
         """Left multiplication by a polynomial."""
         out: dict = {}
-        _add_products(self.module.algebra.field, out, p.terms, self.terms, _left_word_key)
+        _add_products(self.module.algebra.field, out, p.terms, self.terms,
+                      lambda u, mon: (mon[0], u + mon[1]))
         return FreeModuleElement(self.module, out)
 
     def coords_in_degree(self, j: int) -> dict:

@@ -149,6 +149,14 @@ def test_s_calc_bounds_af_size_before_allocating(tmp_path, capsys, options, data
     assert needle in report["error"]
 
 
+def test_leavitt_eval_bounds_matrix_side(capsys):
+    # --level 3 is under the cap, but the matrix side 100**3 is not
+    code, report = run(capsys, "--d", "100", "leavitt-eval", "x0* x0", "--level", "3")
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert "--level 3" in report["error"] and "2048 rows" in report["error"]
+
+
 def test_verify_has_no_max_degree_option(capsys):
     assert main(["verify", "--suite", "ext1", "--max-degree", "3"]) == 2
     capsys.readouterr()
