@@ -197,6 +197,8 @@ def cmd_s_calc(args) -> dict:
     elif args.sub == "mul":
         a = _load_af(args.inputs[0], field, args.level_cap)
         b = _load_af(args.inputs[1], field, args.level_cap)
+        if a.d != b.d:
+            raise ParseError(f"cannot multiply elements with d={a.d} and d={b.d}")
         result = {"element": (a * b).to_json()}
     elif args.sub == "embed":
         a = _load_af(args.inputs[0], field, args.level_cap)

@@ -53,3 +53,7 @@ class NotExactInput(FreeProjError):
 
 class TruncationNotFree(FreeProjError):
     """Splitting was requested below the index where the quotient's tail is free."""
+
+
+class BudgetExceeded(FreeProjError):
+    """The work an operation would do, counted before it starts, is over a fixed bound."""

@@ -371,12 +371,6 @@ class FpModule:
         )
         return FpModule(F0, rels)
 
-    def presentation_map(self) -> ModuleMap:
-        """The relations as a map from a free cover of the relation degrees."""
-        degs = [r.degree() for r in self.relations]
-        F1 = self.algebra.free_module(degs)
-        return ModuleMap(F1, self.F0, [r.polys() for r in self.relations])
-
     def __repr__(self):
         return f"FpModule(shifts={self.F0.shifts}, relations={len(self.relations)})"
 

@@ -399,12 +399,6 @@ class ModuleMap:
         self.matrix = tuple(rows)
 
     @classmethod
-    def from_columns(cls, source, target, columns):
-        """Build from target-major data (one column per source generator)."""
-        matrix = [list(col) for col in columns]
-        return cls(source, target, matrix)
-
-    @classmethod
     def zero(cls, source, target):
         z = source.algebra.zero()
         return cls(source, target, [[z] * target.rank for _ in range(source.rank)])

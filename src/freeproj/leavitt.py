@@ -2,10 +2,13 @@
 
 Monomials are pairs (w, v) of words denoting w* v, where the star is the
 anti-involution with x_i x_j* = delta_ij and the starred letters summing
-against the plain ones to 1.  Products of monomials cancel at the junction
-letter by letter and are again monomials or zero, so the span of these
-monomials is closed under multiplication; the grading counts plain letters
-minus starred ones.
+against the plain ones to 1.  A product of monomials cancels at its one
+junction, by a single comparison of the words that meet there, and is
+again a monomial or zero (`mono_mul`), so the span of these monomials is
+closed under multiplication; the grading counts plain letters minus starred
+ones.  Terms are built at this level: the parser folds each term's letters
+into one monomial, and the flat filtration writes its monomials w* v
+directly, each summed once with `linalg._add_terms`.
 
 Canonical forms raise every monomial of a fixed degree to a common level
 r = max |w| by the rewriting w* v = sum_i (x_i w)* (x_i v); at a fixed level
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from .af_s import AFMatrix, word_rank, word_unrank
 from .errors import (
+    BudgetExceeded,
     CertificateMismatch,
     LevelDecrease,
     NotDegreeZero,
@@ -29,23 +33,22 @@ from .freealg import FreeAlgebra, NcPoly, _Terms
 from .linalg import _add_products, _add_terms
 
 
+# raising a monomial by k levels emits d**k terms of a few hundred bytes each
+MAX_RAISED_TERMS = 2**20
+
+
 def mono_mul(m1, m2):
     """Product of monomials (w1, v1) * (w2, v2); None encodes zero.
 
-    The junction v1 * w2-star cancels from the inside out while the last
-    letters agree; a mismatch kills the product.
+    The junction v1 * w2-star cancels when the shorter of v1 and w2 ends
+    the longer one; otherwise the product is zero.
     """
     w1, v1 = m1
     w2, v2 = m2
-    i, j = len(v1), len(w2)
-    while i > 0 and j > 0:
-        if v1[i - 1] != w2[j - 1]:
-            return None
-        i -= 1
-        j -= 1
-    if j == 0:
-        return (w1, v1[:i] + v2)
-    return (w2[:j] + w1, v2)
+    k = len(v1) - len(w2)
+    if k >= 0:
+        return (w1, v1[:k] + v2) if v1[k:] == w2 else None
+    return (w2[:-k] + w1, v2) if w2[-k:] == v1 else None
 
 
 def mono_degree(mon) -> int:
@@ -148,23 +151,34 @@ class LeavittElement(_Terms):
         return self._raised({degree: r})
 
     def canonical(self) -> "LeavittElement":
-        """Raise each graded component to its own maximal level."""
+        """Each graded component raised to its own maximal level; self when already so."""
         levels: dict = {}
         for w, v in self.terms:
             m = len(v) - len(w)
             levels[m] = max(levels.get(m, 0), len(w))
+        if all(len(w) == levels[len(v) - len(w)] for w, v in self.terms):
+            return self
         return self._raised(levels)
 
     def _raised(self, levels: dict) -> "LeavittElement":
         """Raise each monomial of a degree m in `levels` to starred length
-        levels[m], in one pass: no two components share a monomial."""
+        levels[m], in one pass: no two components share a monomial.  The
+        terms it would emit are counted first, against MAX_RAISED_TERMS."""
+        d = self.algebra.d
+        count = 0
+        for w, v in self.terms:
+            r = levels.get(len(v) - len(w))
+            if r is not None:
+                if len(w) > r:
+                    raise LevelDecrease(f"monomial already at level {len(w)} > {r}")
+                count += d ** (r - len(w))
+        if count > MAX_RAISED_TERMS:
+            raise BudgetExceeded(f"raising emits {count} terms, above the bound {MAX_RAISED_TERMS}")
         terms = []
         for (w, v), c in self.terms.items():
             r = levels.get(len(v) - len(w))
             if r is None:
                 terms.append(((w, v), c))
-            elif len(w) > r:
-                raise LevelDecrease(f"monomial already at level {len(w)} > {r}")
             else:
                 terms += [((s + w, s + v), c) for s in self.algebra.words(r - len(w))]
         out: dict = {}
@@ -172,8 +186,7 @@ class LeavittElement(_Terms):
         return LeavittElement(self.algebra, out)
 
     def level_in_degree(self, m: int):
-        ws = [len(w) for (w, v) in self.terms if mono_degree((w, v)) == m]
-        return max(ws) if ws else None
+        return max((len(w) for w, v in self.terms if len(v) - len(w) == m), default=None)
 
     def is_zero(self) -> bool:
         return not self.canonical().terms
@@ -322,24 +335,25 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
         raise ValueError("r must be nonnegative")
     A = a.algebra
     out = {}
-    reassembled = LeavittElement.zero(A)
     for w in A.words(r):
         proj = (LeavittElement.monomial(A, (), w) * a).lowered()
         if any(u for (u, v) in proj.terms):
             raise NotInFiltrationLevel(f"projection at {w} is not a plain polynomial")
-        poly = NcPoly(A, {v: c for (u, v), c in proj.terms.items()})
-        out[w] = poly
-        reassembled = reassembled + LeavittElement.word_star(A, w) * LeavittElement.from_poly(poly)
-    if not reassembled.equals(a):
+        out[w] = NcPoly(A, {v: c for (u, v), c in proj.terms.items()})
+    if not flat_reassemble(A, out).equals(a):
         raise NotInFiltrationLevel(f"element is not in filtration level {r}")
     return out
 
 
 def flat_reassemble(algebra: FreeAlgebra, coeffs: dict) -> LeavittElement:
-    out = LeavittElement.zero(algebra)
+    """The sum over w of w* times coeffs[w]: the monomials w* v, in one pass."""
+    terms = []
     for w, poly in coeffs.items():
-        out = out + LeavittElement.word_star(algebra, w) * LeavittElement.from_poly(poly)
-    return out
+        algebra._check_word(w)
+        terms += [((w, v), c) for v, c in poly.terms.items()]
+    out: dict = {}
+    _add_terms(algebra.field, out, terms)
+    return LeavittElement(algebra, out)
 
 
 # ---------------------------------------------------------------------------

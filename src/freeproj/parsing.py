@@ -13,6 +13,10 @@ import re
 
 from .errors import ParseError
 from .fields import field_from_spec
+from .fpmod import FpModule
+from .freealg import FreeAlgebra, NcPoly
+from .leavitt import LeavittElement, mono_mul
+from .linalg import _add_terms
 
 _TOKEN = re.compile(r"\s*(x\d+\*?|\d+/\d+|\d+|[+-])")
 
@@ -77,9 +81,6 @@ def _parse_term(field, sign, atoms, line=None, starred=False):
 
 def parse_poly(algebra, text: str, line=None):
     """Parse the polynomial grammar into an NcPoly over the given algebra."""
-    from .freealg import NcPoly
-    from .linalg import _add_terms
-
     F = algebra.field
     terms: dict = {}
     for sign, atoms in _split_terms(_tokenize(text, line), line):
@@ -94,21 +95,24 @@ def parse_poly(algebra, text: str, line=None):
 
 
 def parse_leavitt(algebra, text: str, line=None):
-    """Parse the Leavitt grammar; generator products are multiplied out."""
-    from .leavitt import LeavittElement
-
+    """Parse the Leavitt grammar: each term's letters fold into one monomial
+    with `mono_mul` (every letter is still range checked, also past a zero
+    junction), and the terms are summed in text order."""
     F = algebra.field
-    total = LeavittElement.zero(algebra)
+    terms = []
     for sign, atoms in _split_terms(_tokenize(text, line), line):
         coeff, gens = _parse_term(F, sign, atoms, line, starred=True)
-        factor = LeavittElement.one(algebra).scale(coeff)
+        mon = ((), ())
         for idx, star in gens:
             if not 0 <= idx < algebra.d:
                 raise ParseError(f"letter x{idx} out of range for d={algebra.d}", line)
-            g = LeavittElement.gen_star(algebra, idx) if star else LeavittElement.gen(algebra, idx)
-            factor = factor * g
-        total = total + factor
-    return total
+            if mon is not None:
+                mon = mono_mul(mon, ((idx,), ()) if star else ((), (idx,)))
+        if mon is not None:
+            terms.append((mon, coeff))
+    out: dict = {}
+    _add_terms(F, out, terms)
+    return LeavittElement(algebra, out)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +182,9 @@ class PresentationFile:
         self.rel_rows = rel_rows  # list of lists of NcPoly
 
     def algebra(self):
-        from .freealg import FreeAlgebra
-
         return FreeAlgebra(self.d, self.field)
 
     def module(self):
-        from .fpmod import FpModule
-
         A = self.algebra()
         F0 = A.free_module(self.shifts)
         rels = [F0.from_polys(row) for row in self.rel_rows]
@@ -204,8 +204,6 @@ class PresentationFile:
 
 
 def parse_presentation(text: str) -> PresentationFile:
-    from .freealg import FreeAlgebra
-
     field = None
     d = None
     name = None

@@ -19,10 +19,6 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_scalar(rng, field, span=2):
-    return field.coerce(rng.randint(-span, span))
-
-
 def random_poly(rng, algebra: FreeAlgebra, degree: int, max_terms=3, span=2) -> NcPoly:
     """Random homogeneous polynomial of the given degree (possibly zero)."""
     terms = {}
@@ -30,13 +26,6 @@ def random_poly(rng, algebra: FreeAlgebra, degree: int, max_terms=3, span=2) -> 
         w = tuple(rng.randrange(algebra.d) for _ in range(degree))
         terms[w] = rng.randint(-span, span)
     return algebra.poly(terms)
-
-
-def random_nonzero_poly(rng, algebra, degree, max_terms=3, span=2) -> NcPoly:
-    while True:
-        p = random_poly(rng, algebra, degree, max_terms, span)
-        if not p.is_zero():
-            return p
 
 
 def random_module_element(rng, module, degree, max_terms=3, span=2):

@@ -1,8 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 
+import freeproj
 from freeproj.cli import main
+from freeproj.leavitt import MAX_RAISED_TERMS
 
 FREE = "field: QQ\nd: 2\ngens: [0]\nrels:\n"
 LETTERQ = "field: QQ\nd: 2\ngens: [0]\nrels:\nx0\n"
@@ -155,6 +162,41 @@ def test_leavitt_eval_bounds_matrix_side(capsys):
     assert code == 2
     assert report["kind"] == "parse"
     assert "--level 3" in report["error"] and "2048 rows" in report["error"]
+
+
+def test_s_calc_mul_rejects_mixed_d(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"d": 3, "level": 1, "entries": [[0, 0, "1"]]}))
+    b.write_text(json.dumps({"d": 2, "level": 1, "entries": [[0, 1, "1"]]}))
+    code, report = run(capsys, "s-calc", "mul", str(a), str(b))
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert "d=3" in report["error"] and "d=2" in report["error"]
+
+
+def test_leavitt_eval_bounds_raising(capsys):
+    # x0*^24 x0^24 + 1 raises 1 to level 24: 2**24 terms if it ran.  The
+    # child runs under a 1.5 GB address-space limit so a missing bound ends
+    # in a MemoryError traceback instead of filling the machine.
+    expr = " ".join(["x0*"] * 24 + ["x0"] * 24) + " + 1"
+    limit = 1_500_000_000
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(freeproj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "freeproj.cli", "leavitt-eval", expr],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["kind"] == "BudgetExceeded"
+    assert str(MAX_RAISED_TERMS) in report["error"]
 
 
 def test_verify_has_no_max_degree_option(capsys):

@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
-from freeproj import FpModule
+import leavitt_oracle
+from freeproj import FpModule, FreeAlgebra, NcPoly
 from freeproj.af_s import AFMatrix
 from freeproj.errors import LevelDecrease, NotDegreeZero, NotInFiltrationLevel
+from freeproj.fields import GF
 from freeproj.leavitt import (
     LeavittElement,
     flat_decompose,
@@ -52,6 +56,15 @@ def test_mono_mul_junction():
     # partial cancellation leaving a plain tail and a starred head
     assert mono_mul(((), (0, 1)), ((1,), (0,))) == ((), (0, 0))
     assert mono_mul(((), (1,)), ((0, 1), (1,))) == ((0,), (1,))
+
+
+def test_mono_mul_matches_letter_loop_exhaustively():
+    # every pair of monomials with words of length <= 4 at d = 2
+    words = [w for n in range(5) for w in itertools.product(range(2), repeat=n)]
+    monomials = list(itertools.product(words, repeat=2))
+    for m1 in monomials:
+        for m2 in monomials:
+            assert mono_mul(m1, m2) == leavitt_oracle.mono_mul(m1, m2)
 
 
 def test_mono_mul_associative_random(A2, A3):
@@ -243,6 +256,56 @@ def test_flat_round_trip_random(A2):
                 w: p.terms for w, p in coeffs.items()
             }
             assert flat_reassemble(A2, out).equals(a)
+
+
+def _items(e):
+    return [(k, type(c), c) for k, c in e.terms.items()]
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(w, _items(p)) for w, p in out.items()]
+
+
+def test_flat_paths_match_element_products():
+    # flat_decompose and flat_reassemble against the per-word element
+    # products they replaced: same output, key order and errors
+    rng = make_rng(31)
+    for A in (FreeAlgebra(2), FreeAlgebra(3, GF(7))):
+        for r in (0, 1, 2):
+            for _ in range(15):
+                a, coeffs = random_filtration_member(rng, A, r)
+                assert _items(flat_reassemble(A, coeffs)) == _items(
+                    leavitt_oracle.flat_reassemble(A, coeffs))
+                # a member, and a sum that usually is not one
+                for b in (a, a + random_leavitt(rng, A, wmax=3)):
+                    assert _outcome(flat_decompose, b, r) == _outcome(
+                        leavitt_oracle.flat_decompose, b, r)
+    # GF(7) values outside 0..6 come out reduced, as the products made them
+    A = FreeAlgebra(2, GF(7))
+    odd = {(1,): NcPoly(A, {(0,): 9, (1,): -3, (): 7})}
+    assert _items(flat_reassemble(A, odd)) == _items(leavitt_oracle.flat_reassemble(A, odd))
+    bad = {(0, 2): A.one()}
+    with pytest.raises(ValueError) as new:
+        flat_reassemble(A, bad)
+    with pytest.raises(ValueError) as old:
+        leavitt_oracle.flat_reassemble(A, bad)
+    assert str(new.value) == str(old.value)
+
+
+def test_canonical_of_canonical_is_itself():
+    # the shortcut for an element already in canonical form must give what
+    # raising it again gives, key order included
+    rng = make_rng(23)
+    for A in (FreeAlgebra(2), FreeAlgebra(3, GF(7))):
+        for _ in range(80):
+            a = random_leavitt(rng, A, max_terms=6, wmax=3)
+            c = (a * a.star() + a).canonical()
+            levels = {m: c.level_in_degree(m) for m in c.degrees()}
+            assert _items(c.canonical()) == _items(c) == _items(c._raised(levels))
 
 
 def test_filtration_is_monotone(A2):

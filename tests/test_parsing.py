@@ -1,7 +1,11 @@
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
+import leavitt_oracle
+from freeproj import FreeAlgebra
 from freeproj.errors import ParseError
 from freeproj.fields import GF, QQ
 from freeproj.leavitt import LeavittElement
@@ -62,6 +66,58 @@ def test_parse_leavitt(A2):
     mix = parse_leavitt(A2, "x0* x1 + 1/2 x1* x0")
     assert mix.terms[((0,), (1,))] == 1
     assert mix.terms[((1,), (0,))] == Fraction(1, 2)
+
+
+@st.composite
+def leavitt_texts(draw):
+    """Leavitt expressions over QQ or GF(7) at d = 1..3: zero coefficients,
+    bare 1, runs of one letter (cancelling and killing junctions), and now
+    and then one letter out of range or one misplaced coefficient."""
+    algebra = FreeAlgebra(draw(st.integers(1, 3)), draw(st.sampled_from([QQ, GF(7)])))
+    letter = st.tuples(st.integers(0, algebra.d - 1), st.booleans()).map(
+        lambda t: f"x{t[0]}{'*' if t[1] else ''}")
+    terms = []
+    for n in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["+", "-"] if n else ["", "-"]))
+        coeff = draw(st.sampled_from(["", "", "0", "1", "2", "3/2", "-"]))
+        atoms = draw(st.lists(st.one_of(letter, letter, letter, st.just("1")), max_size=6))
+        terms.append(([t for t in [sign, coeff] if t], atoms))
+    mistake = draw(st.sampled_from([None] * 4 + [f"x{algebra.d}", f"x{algebra.d + 1}*", "5"]))
+    if mistake:
+        atoms = draw(st.sampled_from(terms))[1]
+        atoms.insert(draw(st.integers(0, len(atoms))), mistake)
+    return algebra, " ".join(" ".join(head + atoms) for head, atoms in terms)
+
+
+def _parsed(parse, algebra, text):
+    try:
+        e = parse(algebra, text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(k, type(c), c) for k, c in e.terms.items()]
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(leavitt_texts())
+def test_parse_leavitt_matches_oracle(case):
+    # terms in key order, coefficient types included, or the same error
+    algebra, text = case
+    assert _parsed(parse_leavitt, algebra, text) == _parsed(
+        leavitt_oracle.parse_leavitt, algebra, text)
+
+
+def test_parse_leavitt_matches_oracle_on_examples():
+    for algebra, text in [
+        (FreeAlgebra(2), "0 x0 + x1* x1 x1 x0*"),
+        (FreeAlgebra(2), "x0 x0 x0* x0* - 1 + 1"),
+        (FreeAlgebra(2), "x0 x1* x2 + x0"),
+        (FreeAlgebra(2, GF(7)), "3/2 x1* x0 + 4 x1* x0 - x0 x1 x1* x0*"),
+        (FreeAlgebra(3), "x2* x2 x0 + 0 x5 + x1 x0*"),
+        (FreeAlgebra(1), "x0 x0* - 1 + x0* x0"),
+        (FreeAlgebra(2), "x0 2"),
+    ]:
+        assert _parsed(parse_leavitt, algebra, text) == _parsed(
+            leavitt_oracle.parse_leavitt, algebra, text)
 
 
 def test_leavitt_print_parse_round_trip(A2):
