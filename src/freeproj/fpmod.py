@@ -8,6 +8,14 @@ the relation basis form an exact k-basis of M in each degree, so Hilbert
 values are closed-form counts and multiplication matrices come from normal
 forms.
 
+Standard words are closed under taking suffixes: a relation leading word that
+is a suffix of a word's suffix is a suffix of the word.  So for a standard
+word w at coordinate alpha, x_i * w is standard unless it is itself a leading
+word at alpha, since its proper suffixes are suffixes of w.  `std_basis`
+builds each degree from the one below by this one-letter extension,
+`letter_matrix` writes a unit row for every standard product, and the rank
+check of `_mult_bijective` meets mostly those unit rows.
+
 The stable profile records the certified index i0 at which the tail of M
 becomes free with all its basis in one degree; every degree-0 map between
 such tails is a scalar matrix, which is what makes i0 = max(generator
@@ -19,10 +27,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CertificateMismatch
+from .errors import BudgetExceeded, CertificateMismatch
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap
 from .linalg import SparseMatrix, left_kernel, rank
-from .submodules import FreeBasis, _find_reducer, kernel, weak_basis
+from .submodules import FreeBasis, kernel, weak_basis
+
+# The most standard words `std_basis` builds in one degree; a degree whose
+# closed-form Hilbert value is larger is refused before any word is built.
+MAX_STD_WORDS = 2**18
 
 
 class StableProfile:
@@ -134,29 +146,67 @@ class FpModule:
 
     def hilbert(self, j: int) -> int:
         """dim_k M_j, exact: monomials of F0 minus the reducible ones."""
-        d = self.algebra.d
-        reducible = sum(
-            d ** (j - a) for a in self.relation_basis().degrees() if a <= j
-        )
-        return self.F0.graded_piece_dim(j) - reducible
+        return self.F0.graded_piece_dim(j) - self.relation_basis().submodule_dim(j)
 
     def std_basis(self, j: int):
         """Standard monomials: the degree-j monomials of F0 with no relation
-        leading word as a suffix (in the matching coordinate).
+        leading word as a suffix (in the matching coordinate), coordinates in
+        order and words in lex order within each coordinate.
+
+        Built upward from the highest cached degree below j by one-letter
+        extension (see the module docstring): at coordinate alpha of shift
+        b < k, the degree-k words are x_i * w for each letter i and each
+        degree-(k-1) standard word w of alpha, less alpha's leading words;
+        at b == k the word is () unless () is a leading word.  Each degree is
+        refused with `BudgetExceeded` if its Hilbert value is over
+        MAX_STD_WORDS, before any is built, and its count is checked against
+        that value.
 
         The basis is cached per degree together with its index
         {monomial: position}, which `_std_index` reads."""
         if j in self._std_cache:
             return self._std_cache[j][0]
-        by_coord = self.relation_basis()._by_coord
-        std = tuple(
-            (alpha, w) for alpha, w in self.F0.monomial_basis(j)
-            if _find_reducer(alpha, w, by_coord)[0] is None
-        )
-        if len(std) != self.hilbert(j):
-            raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
-        self._std_cache[j] = (std, {mon: k for k, mon in enumerate(std)})
-        return std
+        start = max((k for k in self._std_cache if k < j), default=None)
+        if start is None:
+            start = min(j, self.min_degree) - 1
+            prev = ()
+        else:
+            prev = self._std_cache[start][0]
+        sizes = [self.hilbert(k) for k in range(start + 1, j + 1)]
+        for k, h in enumerate(sizes, start + 1):
+            if h > MAX_STD_WORDS:
+                raise BudgetExceeded(
+                    f"degree {k} has {h} standard words, over the bound "
+                    f"fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}; lower --degree-cap"
+                )
+        d = self.algebra.d
+        leads = {
+            alpha: {w for _, w in lst}
+            for alpha, lst in self.relation_basis()._by_coord.items()
+        }
+        for k, h in enumerate(sizes, start + 1):
+            below: dict = {}
+            for alpha, w in prev:
+                below.setdefault(alpha, []).append(w)
+            std = []
+            for alpha, b in enumerate(self.F0.shifts):
+                lead = leads.get(alpha, ())
+                if b == k:
+                    if () not in lead:
+                        std.append((alpha, ()))
+                elif b < k:
+                    words = below.get(alpha, ())
+                    for i in range(d):
+                        for w in words:
+                            u = (i,) + w
+                            if u not in lead:
+                                std.append((alpha, u))
+            std = tuple(std)
+            if len(std) != h:
+                raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
+            self._std_cache[k] = (std, {mon: n for n, mon in enumerate(std)})
+            prev = std
+        return prev
 
     def _std_index(self, j: int) -> dict:
         """{monomial: position in std_basis(j)}, built once with the basis."""
@@ -178,10 +228,10 @@ class FpModule:
     def letter_matrix(self, i: int, j: int) -> SparseMatrix:
         """Multiplication by x_i from M_j to M_{j+1}, row convention.
 
-        Row k is the class of x_i * w for the k-th standard monomial w.  Every
-        proper suffix of x_i * w is a suffix of w, so x_i * w is standard
-        unless it is itself a relation leading word: a product found in the
-        degree-(j+1) index is a unit row, and only the rest are reduced."""
+        Row k is the class of x_i * w for the k-th standard monomial w.  By
+        suffix closure (module docstring) x_i * w is standard unless it is a
+        relation leading word: a product found in the degree-(j+1) index is
+        a unit row, and only the rest are reduced."""
         if (i, j) in self._letter_cache:
             return self._letter_cache[(i, j)]
         F = self.algebra.field
@@ -210,7 +260,10 @@ class FpModule:
         return out
 
     def _mult_bijective(self, j: int) -> bool:
-        """Is V tensor M_j -> M_{j+1} bijective?  Exact rank check."""
+        """Is V tensor M_j -> M_{j+1} bijective?  Exact rank check.
+
+        By suffix closure (module docstring) the stacked letter matrices are
+        mostly unit rows, which `rank` counts before it eliminates the rest."""
         d = self.algebra.d
         hj, hj1 = self.hilbert(j), self.hilbert(j + 1)
         if d * hj != hj1:

@@ -8,7 +8,9 @@ by visiting only the rows that hold it, not every row; the matrices of
 degreewise module maps are close to permutation matrices, with a few entries
 per column.  Everything else is a view of it:
 
-* `rank` counts its pivots;
+* `rank` counts its pivots, after a pre-pass that counts the columns of the
+  rows with a single entry and drops those columns from the other rows, so
+  only that residue is eliminated;
 * `left_kernel` reads the transform rows of the zero rows;
 * `solve_left` reduces each target against the pivot rows;
 * `generalized_inverse` places the pivot transform rows at the pivot columns.
@@ -327,8 +329,30 @@ def _ratio(n: int, d: int):
 
 
 def rank(mat: SparseMatrix) -> int:
-    pivots, _, _ = row_reduce(mat)
-    return len(pivots)
+    """The rank, after a unit-row pre-pass.
+
+    Each row with a single entry {c: v} takes column c: the first such row
+    in c is a pivot, and eliminating with it clears column c from every
+    other row, further unit rows in c included, and changes nothing else.
+    So the rank is the number of taken columns plus the rank of the other
+    rows with those columns dropped, and only that residue goes to
+    `row_reduce`.  The input rows are not modified."""
+    taken = set()
+    rest = []
+    for row in mat.rows:
+        if len(row) == 1:
+            taken.update(row)
+        else:
+            rest.append(row)
+    if not taken:
+        return len(row_reduce(mat)[0])
+    residue = []
+    for row in rest:
+        kept = {c: v for c, v in row.items() if c not in taken}
+        if kept:
+            residue.append(kept)
+    pivots, _, _ = row_reduce(SparseMatrix(mat.field, len(residue), mat.ncols, residue))
+    return len(taken) + len(pivots)
 
 
 def left_kernel(mat: SparseMatrix) -> SparseMatrix:

@@ -40,7 +40,9 @@ class FreeBasis:
     the left.
     """
 
-    __slots__ = ("ambient", "elements", "from_generators", "generator_expressions", "_by_coord")
+    __slots__ = (
+        "ambient", "elements", "from_generators", "generator_expressions", "_by_coord", "_degrees",
+    )
 
     def __init__(self, ambient, elements, from_generators, generator_expressions):
         self.ambient = ambient
@@ -48,13 +50,14 @@ class FreeBasis:
         self.from_generators = tuple(from_generators)
         self.generator_expressions = tuple(generator_expressions)
         self._by_coord = _lead_index(self.elements)
+        self._degrees = tuple(b.degree() for b in self.elements)
 
     @property
     def rank(self) -> int:
         return len(self.elements)
 
     def degrees(self) -> tuple:
-        return tuple(b.degree() for b in self.elements)
+        return self._degrees
 
     def submodule_dim(self, j: int) -> int:
         """Dimension of the degree-j piece of the generated submodule.

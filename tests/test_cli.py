@@ -9,6 +9,7 @@ import pytest
 
 import freeproj
 from freeproj.cli import main
+from freeproj.fpmod import MAX_STD_WORDS
 from freeproj.leavitt import MAX_RAISED_TERMS
 
 FREE = "field: QQ\nd: 2\ngens: [0]\nrels:\n"
@@ -197,6 +198,30 @@ def test_leavitt_eval_bounds_raising(capsys):
     report = json.loads(proc.stdout)
     assert report["kind"] == "BudgetExceeded"
     assert str(MAX_RAISED_TERMS) in report["error"]
+
+
+def test_profile_bounds_standard_words():
+    # R/Rx0 at d=2 has 2**29 standard words in degree 30.  As above, the
+    # child runs under a 1.5 GB address-space limit.
+    pres = os.path.join(os.path.dirname(__file__), "golden", "letterq.pres")
+    limit = 1_500_000_000
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(freeproj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "freeproj.cli", "--degree-cap", "30", "profile", pres],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["kind"] == "BudgetExceeded"
+    assert str(MAX_STD_WORDS) in report["error"] and "--degree-cap" in report["error"]
 
 
 def test_verify_has_no_max_degree_option(capsys):

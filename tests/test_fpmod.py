@@ -1,10 +1,15 @@
+import itertools
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
+from std_basis_oracle import std_basis as oracle_std_basis
 
-from freeproj import FreeAlgebra, FpModule
-from freeproj.fields import GF
-from freeproj.fpmod import FpModuleMorphism
+from freeproj import FreeAlgebra, FpModule, fpmod
+from freeproj.errors import BudgetExceeded
+from freeproj.fields import GF, QQ
+from freeproj.fpmod import MAX_STD_WORDS, FpModuleMorphism
 from freeproj.freealg import ModuleMap
 from freeproj.randgen import make_rng, random_module_element, random_module_map
 from freeproj.submodules import kernel
@@ -41,6 +46,82 @@ def test_std_basis_matches_enumeration(A2):
     M = quotient_by_first_letter(A2)
     words = [w for _, w in M.std_basis(3)]
     assert words == [w for w in A2.words(3) if w[-1] != 0]
+
+
+@st.composite
+def presented_modules(draw):
+    """Random presentations over QQ or GF(5), d = 1..3, with 1-3 generators
+    of shift 0..2 and 0-3 random homogeneous relations; optionally a
+    generator killed outright (leading word ()) and a coordinate cut off at
+    length 1 or 2, which gives torsion."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    A = FreeAlgebra(draw(st.integers(1, 3)), field)
+    F = A.free_module(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    coef = st.integers(1, 4).map(field.coerce)
+    rels = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(min(F.shifts), max(F.shifts) + 2))
+        terms = {}
+        for alpha in draw(st.lists(st.integers(0, F.rank - 1), min_size=1, max_size=3)):
+            length = degree - F.shifts[alpha]
+            if length >= 0:
+                w = tuple(draw(st.lists(st.integers(0, A.d - 1), min_size=length, max_size=length)))
+                terms[(alpha, w)] = draw(coef)
+        rels.append(F.element(terms))
+    if draw(st.booleans()):
+        rels.append(F.gen(draw(st.integers(0, F.rank - 1))).scale(draw(coef)))
+    if draw(st.booleans()):
+        alpha = draw(st.integers(0, F.rank - 1))
+        length = draw(st.integers(1, 2))
+        rels.extend(F.element({(alpha, w): field.one}) for w in A.words(length))
+    return FpModule(F, rels)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(presented_modules(), st.data())
+def test_std_basis_matches_enumeration_oracle(M, data):
+    # degrees below min_degree included, queried in random order so the
+    # extension starts from scratch, from a cached degree and from a gap
+    lo, hi = M.min_degree - 2, max(M.F0.shifts) + 4
+    degrees = data.draw(st.permutations(range(lo, hi)))
+    for j in degrees:
+        got = M.std_basis(j)
+        assert got == oracle_std_basis(M, j)
+        assert M._std_index(j) == {mon: k for k, mon in enumerate(got)}
+
+
+def test_std_basis_matches_oracle_on_torsion_modules():
+    A2, A3 = FreeAlgebra(2), FreeAlgebra(3, GF(5))
+    mods = letter_battery() + [
+        FpModule.tail_quotient(A3, 2),
+        FpModule.residue(A3).shift(-1).direct_sum(FpModule.free(A3, [0])),
+        FpModule(A2.free_module([0]), [A2.free_module([0]).from_polys([A2.one()])]),
+    ]
+    for M in mods:
+        for j in range(M.min_degree - 1, M.min_degree + 6):
+            assert M.std_basis(j) == oracle_std_basis(M, j)
+    assert sum(M.torsion().dimension > 0 for M in mods) >= 4
+
+
+def test_std_basis_refuses_over_budget_before_building(monkeypatch):
+    # R/Rx0 at d=2 has 2^(j-1) standard words in degree j
+    A2 = FreeAlgebra(2)
+    M = quotient_by_first_letter(A2)
+    top = next(j for j in itertools.count(1) if M.hilbert(j) > MAX_STD_WORDS)
+    with pytest.raises(BudgetExceeded, match=f"degree {top} .*--degree-cap"):
+        M.std_basis(top)
+    # nothing was built: not even the degrees below the refused one
+    assert M._std_cache == {}
+    # a degree below the target over the bound is refused too: R/R_{>=3}
+    # has 1, 2, 4 and 0 words in degrees 0..3
+    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", 3)
+    T = FpModule.tail_quotient(A2, 3)
+    with pytest.raises(BudgetExceeded, match="degree 2 has 4 standard words"):
+        T.std_basis(3)
+    assert T._std_cache == {}
+    # a module with no standard words is never refused
+    k = FpModule.residue(A2)
+    assert k.std_basis(10 * top) == ()
 
 
 def letter_battery():

@@ -107,6 +107,55 @@ def test_row_reduce_matches_oracle(a, want_transform):
     assert_matches_oracle(a, want_transform)
 
 
+@st.composite
+def unit_row_matrices(draw):
+    """Random sparse matrices over QQ or GF(7) for the unit-row pre-pass of
+    `rank`: unit rows, several of them in one column with different scalars,
+    zero rows, rows supported only on unit-row columns and general rows in
+    random order; or, with no unit rows, only rows of two or more entries."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    if field is QQ:
+        nonzero = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    else:
+        nonzero = st.integers(1, 6)
+    ncols = draw(st.integers(2, 7))
+    cols = st.integers(0, ncols - 1)
+
+    def row(support):
+        return {c: field.coerce(draw(nonzero)) for c in sorted(support)}
+
+    if not draw(st.booleans()):
+        supports = draw(st.lists(st.sets(cols, min_size=2), max_size=8))
+        rows = [row(s) for s in supports]
+    else:
+        unit_cols = draw(st.lists(st.integers(0, min(2, ncols - 1)) | cols, min_size=1, max_size=6))
+        rows = [row({c}) for c in unit_cols]
+        rows += [{} for _ in range(draw(st.integers(0, 2)))]
+        peeled = st.sets(st.sampled_from(sorted(set(unit_cols))), min_size=1)
+        rows += [row(s) for s in draw(st.lists(peeled, max_size=3))]
+        rows += [row(s) for s in draw(st.lists(st.sets(cols, min_size=1), max_size=4))]
+        rows = draw(st.permutations(rows))
+    return SparseMatrix(field, len(rows), ncols, rows)
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(unit_row_matrices())
+def test_rank_unit_row_pass_matches_row_reduce(a):
+    before = [list(r.items()) for r in a.rows]
+    assert rank(a) == len(row_reduce(a)[0])
+    assert [list(r.items()) for r in a.rows] == before
+
+
+def test_rank_unit_rows_hand_computed():
+    # two unit rows in column 0 count once; the row {0, 1} leaves {1: 1}
+    assert rank(M([[2, 0, 0], [5, 0, 0], [1, 1, 0], [0, 0, 0]])) == 2
+    # a row on peeled columns only adds nothing
+    assert rank(M([[1, 0, 0], [0, 3, 0], [4, 5, 0]])) == 2
+    # the residue is eliminated: {1: 1, 2: 1} and {1: 2, 2: 2} are dependent
+    assert rank(M([[1, 0, 0], [1, 1, 1], [0, 2, 2]])) == 2
+    assert rank(M([[0, 0, 0]], GF(7))) == 0
+
+
 def test_row_reduce_matches_oracle_on_larger_sparse_matrices():
     # shapes the small hypothesis cases miss: long swap and fill chains
     rng = random.Random(11)
