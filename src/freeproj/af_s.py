@@ -10,6 +10,12 @@ least-level representative.
 The normalized trace tr / d^r and the normalized rank rank / d^r are both
 invariant under the embedding; the latter computes the class of an
 idempotent in the dyadic-style group Z[1/d].
+
+Entries are canonical field values (an int for every integral QQ value,
+ints 0..p-1 over GF(p)).  The constructor coerces them, as do `from_json`,
+`matrix_unit`, `scalar`, `+`, `-`, `scale` and the vN witness through it;
+`embed`, `canonical` and `*` slice canonical entries or take their
+`dense_mul`, which is canonical, so they skip it via `_from_canonical`.
 """
 
 from __future__ import annotations
@@ -53,6 +59,13 @@ class AFMatrix:
         self.level = level
         self.entries = entries
 
+    @classmethod
+    def _from_canonical(cls, d: int, level: int, rows: tuple, field) -> "AFMatrix":
+        """An AFMatrix on tuple rows of canonical values: no coercion or check."""
+        out = object.__new__(cls)
+        out.d, out.field, out.level, out.entries = d, field, level, rows
+        return out
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -86,20 +99,11 @@ class AFMatrix:
         """The same element at a higher level: iterated identity-tensor."""
         if level < self.level:
             raise LevelDecrease(f"cannot embed level {self.level} down to {level}")
-        out = self
+        d, out = self.d, self
         while out.level < level:
-            n = out.d**out.level
-            z = out.field.zero
-            size = n * out.d
-            rows = [[z] * size for _ in range(size)]
-            for blk in range(out.d):
-                off = blk * n
-                for i in range(n):
-                    row = rows[off + i]
-                    src = out.entries[i]
-                    for j in range(n):
-                        row[off + j] = src[j]
-            out = AFMatrix(out.d, out.level + 1, rows, out.field)
+            pad = (out.field.zero,) * d**out.level
+            rows = tuple(pad * b + src + pad * (d - 1 - b) for b in range(d) for src in out.entries)
+            out = AFMatrix._from_canonical(d, out.level + 1, rows, out.field)
         return out
 
     def canonical(self) -> "AFMatrix":
@@ -107,29 +111,13 @@ class AFMatrix:
         out = self
         while out.level > 0:
             d, n = out.d, out.d ** (out.level - 1)
-            ok = True
-            for bi in range(d):
-                for bj in range(d):
-                    block_should_vanish = bi != bj
-                    for i in range(n):
-                        for j in range(n):
-                            v = out.entries[bi * n + i][bj * n + j]
-                            if block_should_vanish:
-                                if v != 0:
-                                    ok = False
-                                    break
-                            elif v != out.entries[i][j]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                return out
-            out = AFMatrix(d, out.level - 1, [row[:n] for row in out.entries[:n]], out.field)
+            rows = out.entries
+            zeros = (0,) * (n * (d - 1))
+            for k, row in enumerate(rows):
+                lo = k // n * n
+                if row[:lo] + row[lo + n:] != zeros or row[lo:lo + n] != rows[k - lo][:n]:
+                    return out
+            out = AFMatrix._from_canonical(d, out.level - 1, tuple(row[:n] for row in rows[:n]), out.field)
         return out
 
     def _common(self, other: "AFMatrix"):
@@ -155,7 +143,8 @@ class AFMatrix:
         if not isinstance(other, AFMatrix):
             return self.scale(other)
         a, b = self._common(other)
-        return AFMatrix(a.d, a.level, dense_mul(a.field, a.entries, b.entries), a.field).canonical()
+        rows = tuple(map(tuple, dense_mul(a.field, a.entries, b.entries)))
+        return AFMatrix._from_canonical(a.d, a.level, rows, a.field).canonical()
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -285,7 +274,7 @@ def _check_side(d: int, level: int, where: str = "") -> None:
 def _json_int(value, name: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"field {name!r} must be an integer, got {value!r}") from None
 
 

@@ -57,12 +57,15 @@ def _load_af(path: str, field, level_cap: int):
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or a too long int
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
     level = data.get("level") if isinstance(data, dict) else None
     if isinstance(level, int) and level > level_cap + 1:
         raise ParseError(f"level {level} in {path} exceeds --level-cap {level_cap}")
-    return AFMatrix.from_json(data, field)
+    a = AFMatrix.from_json(data, field)
+    if a.level > level_cap + 1:  # a level not given as an int, at a side under MAX_SIDE
+        raise ParseError(f"level {a.level} in {path} exceeds --level-cap {level_cap}")
+    return a
 
 
 def _algebra(args) -> FreeAlgebra:

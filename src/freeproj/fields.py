@@ -8,9 +8,33 @@ paths run on machine integers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
+
+# The most digits the numerator or denominator of a QQ literal may have: the
+# most CPython prints from an int by default.
+MAX_LITERAL_DIGITS = 4300
+_EXPONENT_LITERAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
+
+
+def _too_long(s: str) -> bool:
+    """Whether the value of the literal s has more than MAX_LITERAL_DIGITS
+    digits, read from the text.  `Fraction` refuses a longer digit run
+    itself but builds 10**exponent in full, so an exponent longer than
+    MAX_LITERAL_DIGITS is refused and a shorter one shifts the significant
+    digits of the mantissa."""
+    m = _EXPONENT_LITERAL.fullmatch(s)
+    if m is None:
+        return False
+    whole, frac, exp = (g.replace("_", "") for g in (m[1], m[2] or "", m[3]))
+    if len(exp.lstrip("+-0")) > len(str(MAX_LITERAL_DIGITS)):
+        return True
+    mantissa = (whole + frac).lstrip("0")
+    digits = mantissa.rstrip("0")
+    shift = int(exp) - len(frac) + len(mantissa) - len(digits)
+    return bool(digits) and max(len(digits) + shift, 1 - shift) > MAX_LITERAL_DIGITS
 
 
 class RationalField:
@@ -56,6 +80,10 @@ class RationalField:
 
     @staticmethod
     def from_str(s: str):
+        """The value of a literal as `Fraction` reads it; ParseError for a
+        malformed one or, before any number is built, a `_too_long` one."""
+        if _too_long(s):
+            raise ParseError(f"rational literal {s!r} has more than {MAX_LITERAL_DIGITS} digits")
         try:
             q = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

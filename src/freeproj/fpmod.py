@@ -32,8 +32,8 @@ from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap
 from .linalg import SparseMatrix, left_kernel, rank
 from .submodules import FreeBasis, kernel, weak_basis
 
-# The most standard words `std_basis` builds in one degree; a degree whose
-# closed-form Hilbert value is larger is refused before any word is built.
+# The most standard words an FpModule keeps over all its cached degrees; a
+# `std_basis` call that would build past it is refused before any word is.
 MAX_STD_WORDS = 2**18
 
 
@@ -157,10 +157,10 @@ class FpModule:
         extension (see the module docstring): at coordinate alpha of shift
         b < k, the degree-k words are x_i * w for each letter i and each
         degree-(k-1) standard word w of alpha, less alpha's leading words;
-        at b == k the word is () unless () is a leading word.  Each degree is
-        refused with `BudgetExceeded` if its Hilbert value is over
-        MAX_STD_WORDS, before any is built, and its count is checked against
-        that value.
+        at b == k the word is () unless () is a leading word.  A call whose
+        Hilbert values would take the module's words over MAX_STD_WORDS is
+        refused with `BudgetExceeded` before any is built, and each degree's
+        count is checked against its value.
 
         The basis is cached per degree together with its index
         {monomial: position}, which `_std_index` reads."""
@@ -173,12 +173,13 @@ class FpModule:
         else:
             prev = self._std_cache[start][0]
         sizes = [self.hilbert(k) for k in range(start + 1, j + 1)]
+        kept = sum(len(std) for std, _ in self._std_cache.values())
         for k, h in enumerate(sizes, start + 1):
-            if h > MAX_STD_WORDS:
+            kept += h
+            if kept > MAX_STD_WORDS:
                 raise BudgetExceeded(
-                    f"degree {k} has {h} standard words, over the bound "
-                    f"fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}; lower --degree-cap"
-                )
+                    f"degree {k} has {h} standard words, which bring the module's total to "
+                    f"{kept}, over the bound fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}; lower --degree-cap")
         d = self.algebra.d
         leads = {
             alpha: {w for _, w in lst}

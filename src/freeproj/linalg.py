@@ -27,11 +27,13 @@ pivots touch, as in the near-permutation module maps, keep field values
 throughout.  `dense_mul` likewise takes integer dot products.
 
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
-sparse product.  Next to `_row_axpy`, `_add_terms` (a sum of terms) and
-`_add_products` (the pairwise products of two term dicts, placed by a key
-function) are the one accumulate loop for every sparse {key: value} dict:
-polynomials, module elements, Leavitt elements, parsed terms and the
-submodule reduction all add through them.  Two representations are used:
+sparse product; it works on the plain values of `fields`, reducing mod p
+itself over GF(p), with no field method call per entry.  Next to it,
+`_add_terms` (a sum of terms) and `_add_products` (the pairwise products of
+two term dicts, placed by a key function) are the one accumulate loop for
+every sparse {key: value} dict: polynomials, module elements, Leavitt
+elements, parsed terms and the submodule reduction all add through them.
+Two representations are used:
 
 * sparse: a matrix is a list of rows, each row a dict {column: nonzero value},
   plus an explicit column count.  All degreewise module computations use this
@@ -70,16 +72,8 @@ class SparseMatrix:
         return cls(field, len(dense), ncols, rows)
 
     @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls(field, nrows, ncols, [{} for _ in range(nrows)])
-
-    @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, [{i: field.one} for i in range(n)])
-
-    def dense(self):
-        z = self.field.zero
-        return [[r.get(j, z) for j in range(self.ncols)] for r in self.rows]
 
     def transpose(self) -> "SparseMatrix":
         rows = [{} for _ in range(self.ncols)]
@@ -113,13 +107,17 @@ class SparseMatrix:
 
 
 def _row_axpy(field, target: dict, coef, source: dict):
-    """target -= coef * source, in place, dropping zeros."""
+    """target -= coef * source, in place, dropping zeros: on plain values,
+    target[j] - coef*v, reduced mod p over GF(p)."""
+    p = field.characteristic
     for j, v in source.items():
-        s = field.sub(target.get(j, field.zero), field.mul(coef, v))
-        if s == 0:
-            target.pop(j, None)
-        else:
+        s = target.get(j, 0) - coef * v
+        if p:
+            s %= p
+        if s:
             target[j] = s
+        else:
+            target.pop(j, None)
 
 
 def _add_terms(field, acc: dict, terms):
@@ -433,25 +431,6 @@ def dense_add(field, A, B):
 
 def dense_sub(field, A, B):
     return [[field.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def kron(field, A, B):
-    """Kronecker product; the A index is the more significant one."""
-    if not A or not B:
-        return []
-    bn, bm = len(B), len(B[0])
-    out = []
-    for i in range(len(A)):
-        for bi in range(bn):
-            row = []
-            for j in range(len(A[0])):
-                a = A[i][j]
-                if a == 0:
-                    row.extend([field.zero] * bm)
-                else:
-                    row.extend(field.mul(a, B[bi][bj]) for bj in range(bm))
-            out.append(row)
-    return out
 
 
 def dense_rank(field, A) -> int:

@@ -2,10 +2,22 @@
 
 It scans every row for every pivot column.  Kept verbatim as the oracle the
 column-indexed kernel must match exactly: same pivots, same reduced rows,
-same transform.
+same transform.  Its row update is the field-method loop that the kernel's
+`_row_axpy` replaced, so the oracle does its own arithmetic.
 """
 
-from freeproj.linalg import SparseMatrix, _row_axpy
+from freeproj.linalg import SparseMatrix
+
+
+def row_axpy(field, target: dict, coef, source: dict):
+    """target -= coef * source, in place, dropping zeros: the field-method
+    loop that `freeproj.linalg._row_axpy` replaced, kept as its oracle."""
+    for j, v in source.items():
+        s = field.sub(target.get(j, field.zero), field.mul(coef, v))
+        if s == 0:
+            target.pop(j, None)
+        else:
+            target[j] = s
 
 
 def row_reduce(mat: SparseMatrix, want_transform=False):
@@ -37,9 +49,9 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
         for i in range(len(work)):
             if i != r and c in work[i]:
                 coef = work[i][c]
-                _row_axpy(F, work[i], coef, work[r])
+                row_axpy(F, work[i], coef, work[r])
                 if trans is not None:
-                    _row_axpy(F, trans[i], coef, trans[r])
+                    row_axpy(F, trans[i], coef, trans[r])
         pivots.append((r, c))
         r += 1
     return pivots, work, trans

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
+from af_oracle import canonical as oracle_canonical
+from af_oracle import embed as oracle_embed
 
 from freeproj.af_s import AFMatrix, word_rank, word_unrank
 from freeproj.errors import LevelDecrease, NotIdempotent, ZeroElement
@@ -225,3 +229,97 @@ def test_gf_field_support():
     for u, v in zip(us, vs):
         acc = acc + u * a * v
     assert acc == AFMatrix.scalar(2, 1, F)
+
+
+def _af_value(rng, field):
+    """A random entry, zero half the time: over QQ a small fraction whose
+    products often come out integral, over GF(p) any int to reduce."""
+    if rng.random() < 0.5:
+        return 0
+    if field is QQ:
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+    return rng.randint(-20, 20)
+
+
+@st.composite
+def block_diagonal_afs(draw):
+    """d = 1..3, level 0..3, over QQ or GF(7): a random matrix at a lower
+    level embedded by the oracle, then, unless level is 0, one entry set to
+    a random value in a diagonal block or an off-diagonal block of the top
+    split; the value may leave the matrix unchanged."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    d = draw(st.integers(1, 3))
+    level = draw(st.integers(0, 3))
+    core = draw(st.integers(0, level))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = d**core
+    a = AFMatrix(d, core, [[_af_value(rng, field) for _ in range(n)] for _ in range(n)], field)
+    a = oracle_embed(a, level)
+    where = draw(st.sampled_from(["none", "diagonal", "off-diagonal"]))
+    if level and (where == "diagonal" or where == "off-diagonal" and d > 1):
+        size, block = d**level, d ** (level - 1)
+        i = draw(st.integers(0, size - 1))
+        blocks = [b for b in range(d) if (b == i // block) == (where == "diagonal")]
+        j = draw(st.sampled_from(blocks)) * block + draw(st.integers(0, block - 1))
+        rows = [list(row) for row in a.entries]
+        rows[i][j] = field.coerce(_af_value(rng, field) or 1)
+        a = AFMatrix(d, level, rows, field)
+    return a
+
+
+def assert_same_matrix(got, want):
+    """Equal d, level and field, tuple rows, and equal values of equal types."""
+    assert (got.d, got.level, got.field) == (want.d, want.level, want.field)
+    assert type(got.entries) is tuple and all(type(row) is tuple for row in got.entries)
+    assert [[(type(v), v) for v in row] for row in got.entries] == [
+        [(type(v), v) for v in row] for row in want.entries
+    ]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(block_diagonal_afs(), st.integers(0, 2))
+def test_embed_and_canonical_match_oracle(a, up):
+    assert_same_matrix(a.canonical(), oracle_canonical(a))
+    target = min(a.level + up, 3)
+    assert_same_matrix(a.embed(target), oracle_embed(a, target))
+    assert_same_matrix(a.embed(target).canonical(), oracle_canonical(a))
+
+
+def assert_canonical_values(m):
+    """Tuple rows of canonical values: over QQ an int for every integral
+    value and a Fraction only for the others, over GF(p) ints in 0..p-1."""
+    assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+    for row in m.entries:
+        for v in row:
+            if m.field is QQ:
+                assert type(v) is int or type(v) is Fraction and v.denominator != 1, repr(v)
+            else:
+                assert type(v) is int and 0 <= v < m.field.characteristic, repr(v)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    st.sampled_from([QQ, GF(7), GF(10007)]),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 2**32),
+)
+def test_embed_canonical_and_mul_give_canonical_values(field, d, la, lb, seed):
+    rng = random.Random(seed)
+    a, b = (
+        AFMatrix(d, lv, [[_af_value(rng, field) for _ in range(d**lv)] for _ in range(d**lv)], field)
+        for lv in (la, lb)
+    )
+    r = max(la, lb) + 1
+    for m in (a * b, a.embed(r), b.embed(r), a.embed(r).canonical(), a.canonical(), a * a):
+        assert_canonical_values(m)
+
+
+def test_integral_products_of_fractions_are_ints():
+    half = AFMatrix(2, 1, [[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
+    two = AFMatrix(2, 1, [[2, 0], [0, Fraction(2, 3)]])
+    for m in (half * two, two * half, half.embed(3) * two):
+        assert_canonical_values(m)
+    assert (half * two).entries == ((1,),)
+    assert type((half * two).entries[0][0]) is int

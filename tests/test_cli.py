@@ -127,6 +127,10 @@ def test_s_calc_rejects_entry_outside_matrix(tmp_path, capsys, sub, entry):
     ({"d": 2, "level": 1, "entries": {"0": 1}}, "'entries'"),
     ([[0, 0, "1"]], "object"),
     ({"d": 2, "level": 1, "entries": [[0, 0, "1/7"]]}, "'1/7'"),
+    ({"d": float("inf"), "level": 1, "entries": []}, "'d'"),
+    ({"d": 2, "level": 1, "entries": [[0, 0, "1e300000000"]]}, "'1e300000000'"),
+    # d = 1 passes the side bound at any level; the level cap still holds
+    ({"d": 1, "level": "100000000", "entries": []}, "--level-cap"),
 ])
 def test_s_calc_rejects_malformed_af_json(tmp_path, capsys, data, field_name):
     e = tmp_path / "e.json"
@@ -135,6 +139,22 @@ def test_s_calc_rejects_malformed_af_json(tmp_path, capsys, data, field_name):
     assert code == 2
     assert report["kind"] == "parse"
     assert field_name in report["error"]
+
+
+@pytest.mark.parametrize("text", [
+    '{"d": 2, "level": 1, "entries": [[0, 0, "1e100000"]]}',
+    '{"d": 2, "level": 1, "entries": [[0, 0, "1e300000000"]]}',
+    '{"d": 2, "level": 1, "entries": [[0, 0, ' + "7" * 5000 + ']]}',
+    "[" * 100000,
+], ids=["exp-100000", "exp-300000000", "int-5000-digits", "nested-100000"])
+def test_s_calc_refuses_huge_literals_and_deep_json_quickly(tmp_path, capsys, text):
+    e = tmp_path / "e.json"
+    e.write_text(text)
+    start = time.perf_counter()
+    code, report = run(capsys, "s-calc", "canonical", str(e))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["kind"] == "parse"
 
 
 # options: the command line up to the input file
@@ -201,8 +221,9 @@ def test_leavitt_eval_bounds_raising(capsys):
 
 
 def test_profile_bounds_standard_words():
-    # R/Rx0 at d=2 has 2**29 standard words in degree 30.  As above, the
-    # child runs under a 1.5 GB address-space limit.
+    # R/Rx0 at d=2 has 2**29 standard words in degree 30, and 2**19 in
+    # degrees 0..19 together, which cap 19 would keep.  As above, the child
+    # runs under a 1.5 GB address-space limit.
     pres = os.path.join(os.path.dirname(__file__), "golden", "letterq.pres")
     limit = 1_500_000_000
 
@@ -211,17 +232,18 @@ def test_profile_bounds_standard_words():
 
     src = os.path.dirname(os.path.dirname(freeproj.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "freeproj.cli", "--degree-cap", "30", "profile", pres],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
-    )
-    assert time.perf_counter() - start < 20
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["kind"] == "BudgetExceeded"
-    assert str(MAX_STD_WORDS) in report["error"] and "--degree-cap" in report["error"]
+    for degree_cap in ("30", "19"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "freeproj.cli", "--degree-cap", degree_cap, "profile", pres],
+            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+        )
+        assert time.perf_counter() - start < 20
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["kind"] == "BudgetExceeded"
+        assert str(MAX_STD_WORDS) in report["error"] and "--degree-cap" in report["error"]
 
 
 def test_verify_has_no_max_degree_option(capsys):

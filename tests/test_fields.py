@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -20,6 +21,21 @@ def test_qq_prefers_ints():
     assert QQ.coerce(Fraction(6, 3)) == 2
     assert QQ.from_str("-1/2") == Fraction(-1, 2)
     assert QQ.to_str(Fraction(-1, 2)) == "-1/2"
+
+
+def test_qq_literals_are_bounded_from_the_text():
+    # at most 4300 digits in the numerator and the denominator
+    for text, value in (("0.5", Fraction(1, 2)), ("-3/4", Fraction(-3, 4)), ("12300e-2", 123),
+                        ("1e4299", 10**4299), ("1.000e-4299", Fraction(1, 10**4299)),
+                        ("-2_5E-1", Fraction(-5, 2)), ("0e9999", 0)):
+        assert QQ.from_str(text) == value
+        assert GF(7).from_str(text) == GF(7).coerce(value)
+    start = time.perf_counter()
+    for text in ("1e100000", "1e300000000", "1e4300", "1e-4300", "25e4299", "1e" + "9" * 5000, "0e10000"):
+        for field in (QQ, GF(7)):
+            with pytest.raises(ParseError, match=re.escape(text[:20])):
+                field.from_str(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_gf_inverses_total_on_nonzero():

@@ -104,10 +104,12 @@ def test_std_basis_matches_oracle_on_torsion_modules():
 
 
 def test_std_basis_refuses_over_budget_before_building(monkeypatch):
-    # R/Rx0 at d=2 has 2^(j-1) standard words in degree j
+    # R/Rx0 at d=2 has 1 standard word in degree 0 and 2^(j-1) in degree j,
+    # so 2^j in degrees 0..j together: degree 19 is the first past the bound
     A2 = FreeAlgebra(2)
     M = quotient_by_first_letter(A2)
-    top = next(j for j in itertools.count(1) if M.hilbert(j) > MAX_STD_WORDS)
+    top = next(j for j in itertools.count(1) if sum(map(M.hilbert, range(j + 1))) > MAX_STD_WORDS)
+    assert top == 19
     with pytest.raises(BudgetExceeded, match=f"degree {top} .*--degree-cap"):
         M.std_basis(top)
     # nothing was built: not even the degrees below the refused one
@@ -119,6 +121,12 @@ def test_std_basis_refuses_over_budget_before_building(monkeypatch):
     with pytest.raises(BudgetExceeded, match="degree 2 has 4 standard words"):
         T.std_basis(3)
     assert T._std_cache == {}
+    # the words of cached degrees count: degrees 0 and 1 keep 3, so a later
+    # call for degree 2 alone is refused
+    assert len(T.std_basis(1)) == 2
+    with pytest.raises(BudgetExceeded, match="degree 2 has 4 standard words, which bring the module's total to 7"):
+        T.std_basis(2)
+    assert sorted(T._std_cache) == [0, 1]
     # a module with no standard words is never refused
     k = FpModule.residue(A2)
     assert k.std_basis(10 * top) == ()

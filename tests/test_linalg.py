@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
+from row_reduce_oracle import row_axpy as oracle_row_axpy
 from row_reduce_oracle import row_reduce as oracle_row_reduce
 
 from freeproj.fields import GF, QQ
 from freeproj.linalg import (
     SparseMatrix,
+    _row_axpy,
     dense_mul,
     dense_rank,
-    kron,
     left_kernel,
     generalized_inverse,
     rank,
@@ -239,9 +240,38 @@ def test_generalized_inverse():
             x = generalized_inverse(field, a)
             assert len(x) == len(a[0]) and len(x[0]) == len(a)
             assert dense_mul(field, dense_mul(field, a, x), a) == a
-def test_kron_block_structure():
-    a = [[1, 2], [3, 4]]
-    b = [[0, 1], [1, 0]]
-    k = kron(QQ, a, b)
-    assert k[0] == [0, 1, 0, 2]
-    assert k[3] == [3, 0, 4, 0]
+
+
+@st.composite
+def axpy_cases(draw):
+    """(field, target, coef, source) over QQ, GF(2) or GF(10007): a target
+    in random key order that shares some keys with the source, some of them
+    holding coef times the source value so that the update cancels them."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(10007)]))
+    if field is QQ:
+        nonzero = st.builds(Fraction, st.integers(1, 8) | st.integers(-8, -1), st.integers(1, 4)).map(QQ.coerce)
+    else:
+        nonzero = st.integers(1, field.characteristic - 1)
+    keys = st.integers(0, 9)
+    source = draw(st.dictionaries(keys, nonzero, max_size=8))
+    coef = draw(nonzero | st.just(field.zero))
+    target = draw(st.dictionaries(keys, nonzero, max_size=8))
+    for j in draw(st.sets(st.sampled_from(sorted(source)))) if source else ():
+        if field.mul(coef, source[j]):
+            target[j] = field.mul(coef, source[j])
+    order = draw(st.permutations(sorted(target)))
+    return field, {j: target[j] for j in order}, coef, source
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(axpy_cases())
+def test_row_axpy_matches_field_method_loop(case):
+    field, target, coef, source = case
+    got, want = dict(target), dict(target)
+    _row_axpy(field, got, coef, source)
+    oracle_row_axpy(field, want, coef, source)
+    # same keys in the same order, equal values of the same types
+    assert [(j, type(v), v) for j, v in got.items()] == [(j, type(v), v) for j, v in want.items()]
+    assert all(v != 0 for v in got.values())
+    if field.characteristic:
+        assert all(0 < v < field.characteristic for v in got.values())
