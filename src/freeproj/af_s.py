@@ -103,7 +103,8 @@ class AFMatrix:
         while out.level < level:
             pad = (out.field.zero,) * d**out.level
             rows = tuple(pad * b + src + pad * (d - 1 - b) for b in range(d) for src in out.entries)
-            out = AFMatrix._from_canonical(d, out.level + 1, rows, out.field)
+            # at d = 1 every level is the same 1x1 algebra: one step reaches the target
+            out = AFMatrix._from_canonical(d, level if d == 1 else out.level + 1, rows, out.field)
         return out
 
     def canonical(self) -> "AFMatrix":
@@ -117,7 +118,9 @@ class AFMatrix:
                 lo = k // n * n
                 if row[:lo] + row[lo + n:] != zeros or row[lo:lo + n] != rows[k - lo][:n]:
                     return out
-            out = AFMatrix._from_canonical(d, out.level - 1, tuple(row[:n] for row in rows[:n]), out.field)
+            # at d = 1 every level is the same 1x1 algebra: one step reaches level 0
+            lower = 0 if d == 1 else out.level - 1
+            out = AFMatrix._from_canonical(d, lower, tuple(row[:n] for row in rows[:n]), out.field)
         return out
 
     def _common(self, other: "AFMatrix"):

@@ -11,11 +11,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 
-# The most digits the numerator or denominator of a QQ literal may have: the
-# most CPython prints from an int by default.
+# The most digits the numerator or denominator of a QQ literal, read or
+# printed, may have: the most CPython prints from an int by default.
 MAX_LITERAL_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_LITERAL_DIGITS  # the least int with more digits
 _EXPONENT_LITERAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
 
 
@@ -92,6 +93,9 @@ class RationalField:
 
     @staticmethod
     def to_str(v) -> str:
+        """The literal of a value, refused before str() when too long."""
+        if abs(v.numerator) >= _DIGIT_BOUND or v.denominator >= _DIGIT_BOUND:
+            raise BudgetExceeded(f"a computed value has over fields.MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
         return str(v)
 
     def random(self, rng, span=3):

@@ -16,6 +16,12 @@ builds each degree from the one below by this one-letter extension,
 `letter_matrix` writes a unit row for every standard product, and the rank
 check of `_mult_bijective` meets mostly those unit rows.
 
+Word products grow the same way: the matrix of x_a * u from M_j is u's
+matrix times x_a's from M_{j+|u|}.  So `word_levels` builds the words of
+length L from those of length L-1, one sparse product each (d + ... + d^L in
+all, the letter matrices themselves at length 1), for torsion and for the
+sections of `qgr.split_sequence`.
+
 The stable profile records the certified index i0 at which the tail of M
 becomes free with all its basis in one degree; every degree-0 map between
 such tails is a scalar matrix, which is what makes i0 = max(generator
@@ -25,6 +31,7 @@ least index certified by exact rank checks of the multiplication maps.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import BudgetExceeded, CertificateMismatch
@@ -250,15 +257,20 @@ class FpModule:
         self._letter_cache[(i, j)] = out
         return out
 
-    def word_matrix(self, word, j: int) -> SparseMatrix:
-        """Multiplication by a word from M_j upward; identity for the empty word."""
-        F = self.algebra.field
-        out = SparseMatrix.identity(F, self.hilbert(j))
-        deg = j
-        for letter in reversed(tuple(word)):  # the last letter acts first
-            out = out.mul(self.letter_matrix(letter, deg))
-            deg += 1
-        return out
+    def word_levels(self, j: int):
+        """Yield, for word length 0, 1, 2, ..., the matrices from M_j of the
+        words of that length in `FreeAlgebra.words` order, each level built
+        from the one below by one-letter extension (module docstring)."""
+        yield [SparseMatrix.identity(self.algebra.field, self.hilbert(j))]
+        letters = range(self.algebra.d)
+        mats = [self.letter_matrix(a, j) for a in letters]
+        for k in itertools.count(j + 1):
+            yield mats
+            mats = [m.mul(self.letter_matrix(a, k)) for a in letters for m in mats]
+
+    def word_matrices(self, length: int, j: int) -> list:
+        """The level of the given word length in `word_levels(j)`."""
+        return next(itertools.islice(self.word_levels(j), length, None))
 
     def _mult_bijective(self, j: int) -> bool:
         """Is V tensor M_j -> M_{j+1} bijective?  Exact rank check.
@@ -340,8 +352,7 @@ class FpModule:
             length = i0 - j
             blocks = [{} for _ in range(hj)]
             offset = 0
-            for w in self.algebra.words(length):
-                m = self.word_matrix(w, j)
+            for m in self.word_matrices(length, j):
                 for r, row in enumerate(m.rows):
                     for c, v in row.items():
                         blocks[r][offset + c] = v
@@ -436,7 +447,7 @@ class FpModuleMorphism:
     relations into the target's relation submodule.
     """
 
-    __slots__ = ("source", "target", "map0")
+    __slots__ = ("source", "target", "map0", "_matrix_cache")
 
     def __init__(self, source: FpModule, target: FpModule, map0: ModuleMap):
         if map0.source != source.F0 or map0.target != target.F0:
@@ -448,6 +459,7 @@ class FpModuleMorphism:
         self.source = source
         self.target = target
         self.map0 = map0
+        self._matrix_cache = {}
 
     @classmethod
     def identity(cls, module: FpModule) -> "FpModuleMorphism":
@@ -458,12 +470,15 @@ class FpModuleMorphism:
         return self.target.relation_basis().reduce(self.map0.apply(elem))
 
     def matrix_in_degree(self, j: int) -> SparseMatrix:
-        F = self.source.algebra.field
-        rows = []
-        for mon in self.source.std_basis(j):
-            rep = self.source.F0.element({mon: F.one})
-            rows.append(self.target.coords(self.map0.apply(rep), j))
-        return SparseMatrix(F, len(rows), self.target.hilbert(j), rows)
+        """The map in degree j in the standard bases, built once per degree."""
+        if j not in self._matrix_cache:
+            F = self.source.algebra.field
+            rows = []
+            for mon in self.source.std_basis(j):
+                rep = self.source.F0.element({mon: F.one})
+                rows.append(self.target.coords(self.map0.apply(rep), j))
+            self._matrix_cache[j] = SparseMatrix(F, len(rows), self.target.hilbert(j), rows)
+        return self._matrix_cache[j]
 
     def compose(self, then: "FpModuleMorphism") -> "FpModuleMorphism":
         if not (

@@ -53,7 +53,9 @@ from operator import attrgetter, mul
 
 
 class SparseMatrix:
-    """An immutable sparse matrix over a field."""
+    """An immutable sparse matrix over a field.  It owns the row dicts it is
+    given, uncopied: callers pass fresh rows or rows nobody mutates (such as
+    another matrix's), and no function here mutates an input row."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -61,7 +63,7 @@ class SparseMatrix:
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = tuple(dict(r) for r in rows)
+        self.rows = tuple(rows)
         if len(self.rows) != nrows:
             raise ValueError("row count mismatch")
 

@@ -67,7 +67,11 @@ def _parse_term(field, sign, atoms, line=None, starred=False):
             star = tok.endswith("*")
             if star and not starred:
                 raise ParseError(f"starred letter {tok!r} not allowed here", line)
-            gens.append((int(tok[1:-1] if star else tok[1:]), star))
+            digits = tok[1:-1] if star else tok[1:]
+            try:
+                gens.append((int(digits), star))
+            except ValueError:  # more digits than int() reads
+                raise ParseError(f"letter x{digits[:6]}... has an index of {len(digits)} digits", line) from None
         elif tok == "1":
             continue  # the empty word
         elif k == 0:

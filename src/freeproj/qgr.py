@@ -594,14 +594,10 @@ class Section:
         return self.matrices[j]
 
     def verify(self) -> bool:
-        for j, sigma in self.matrices.items():
-            G = self.surjection.matrix_in_degree(j)
-            n = self.surjection.target.hilbert(j)
-            if sigma.mul(G) != SparseMatrix.identity(
-                self.surjection.source.algebra.field, n
-            ):
-                return False
-        return True
+        """sigma_j * G_j is the identity in every degree j, on the cached G_j."""
+        F = self.surjection.source.algebra.field
+        return all(sigma.mul(self.surjection.matrix_in_degree(j)) == SparseMatrix.identity(F, sigma.nrows)
+                   for j, sigma in self.matrices.items())
 
 
 def split_sequence(
@@ -638,30 +634,24 @@ def split_sequence(
             raise NotExactInput(f"sequence not exact in the middle in degree {j}")
 
     field = M.algebra.field
-    Gi = g.matrix_in_degree(i)
     t = N.hilbert(i)
-    units = [{l: field.one} for l in range(t)]
-    lifts = solve_left(Gi, units)
+    lifts = solve_left(g.matrix_in_degree(i), SparseMatrix.identity(field, t).rows)
     if any(x is None for x in lifts):
         raise NotExactInput("could not lift the degree-i basis through g")
     lift_mat = SparseMatrix(field, t, M.hilbert(i), lifts)
 
     matrices = {}
-    for j in range(i, hi + 1):
-        rows_T = []
-        rows_img = []
-        for w in M.algebra.words(j - i):
-            rows_T.extend(N.word_matrix(w, i).rows)
-            rows_img.extend(lift_mat.mul(M.word_matrix(w, i)).rows)
-        T = SparseMatrix(field, len(rows_T), N.hilbert(j), rows_T)
-        targets = [{l: field.one} for l in range(N.hilbert(j))]
-        coords = solve_left(T, targets)
+    # level j - i of each module's word products, extended by one letter per degree
+    for j, N_words, M_words in zip(range(i, hi + 1), N.word_levels(i), M.word_levels(i)):
+        T = SparseMatrix(field, t * len(N_words), N.hilbert(j), [r for m in N_words for r in m.rows])
+        images = [r for m in M_words for r in lift_mat.mul(m).rows]
+        unit = SparseMatrix.identity(field, N.hilbert(j))
+        coords = solve_left(T, unit.rows)
         if any(c is None for c in coords):
             raise TruncationNotFree(f"quotient tail is not free at degree {j}")
-        sigma = SparseMatrix(field, len(coords), len(rows_img), coords).mul(
-            SparseMatrix(field, len(rows_img), M.hilbert(j), rows_img)
-        )
-        if sigma.mul(g.matrix_in_degree(j)) != SparseMatrix.identity(field, N.hilbert(j)):
+        sigma = SparseMatrix(field, len(coords), len(images), coords).mul(
+            SparseMatrix(field, len(images), M.hilbert(j), images))
+        if sigma.mul(g.matrix_in_degree(j)) != unit:
             raise CertificateMismatch(f"constructed section fails in degree {j}")
         matrices[j] = sigma
     return Section(g, i, matrices)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import hypothesis
@@ -323,3 +324,24 @@ def test_integral_products_of_fractions_are_ints():
         assert_canonical_values(m)
     assert (half * two).entries == ((1,),)
     assert type((half * two).entries[0][0]) is int
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_d1_levels_match_oracle_and_are_constant_time(field):
+    # at d = 1 every level is the same 1x1 algebra: the oracle's loop over
+    # levels and the direct answer agree, and a huge level costs nothing
+    for v in (0, 3, Fraction(-5, 2)):
+        a = AFMatrix.scalar(1, v, field)
+        for level in range(0, 40, 7):
+            up = a.embed(level)
+            assert_same_matrix(up, oracle_embed(a, level))
+            assert_same_matrix(up.canonical(), oracle_canonical(up))
+            assert up.embed(level) is up
+    start = time.perf_counter()
+    big = AFMatrix.from_json({"d": 1, "level": 10**9, "entries": [[0, 0, "7/3"]]}, field)
+    low = big.canonical()
+    high = AFMatrix.scalar(1, Fraction(7, 3), field).embed(10**9)
+    assert time.perf_counter() - start < 0.1
+    assert_same_matrix(low, AFMatrix.scalar(1, Fraction(7, 3), field))
+    assert_same_matrix(high, big)
+    assert big == low and (big * big).level == 0

@@ -157,6 +157,31 @@ def test_s_calc_refuses_huge_literals_and_deep_json_quickly(tmp_path, capsys, te
     assert report["kind"] == "parse"
 
 
+@pytest.mark.parametrize("value", ["1e4000", "-1e4000", "1/" + "9" * 4300])
+def test_s_calc_refuses_printing_overlong_values(tmp_path, capsys, value):
+    # each factor prints, but a numerator or denominator of the product has
+    # over 4300 digits: a typed error, not a ValueError from str()
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps({"d": 1, "level": 0, "entries": [[0, 0, value]]}))
+    code, report = run(capsys, "s-calc", "canonical", str(e))
+    assert code == 0
+    code, report = run(capsys, "s-calc", "mul", str(e), str(e))
+    assert code == 1
+    assert report["kind"] == "BudgetExceeded"
+    assert "4300 digits" in report["error"]
+
+
+def test_leavitt_eval_refuses_printing_overlong_values(capsys):
+    nines = "9" * 4300
+    code, report = run(capsys, "leavitt-eval", nines)
+    assert code == 0 and report["result"]["text"] == nines
+    # the sum has 4301 digits, in the text and in the level-1 matrix
+    for extra in ((), ("--level", "1")):
+        code, report = run(capsys, "leavitt-eval", f"{nines} x0 x0* + {nines} x0 x0*", *extra)
+        assert code == 1
+        assert report["kind"] == "BudgetExceeded"
+
+
 # options: the command line up to the input file
 @pytest.mark.parametrize("options, data, needle", [
     (("s-calc", "canonical"), {"d": 2, "level": 40, "entries": []}, "--level-cap"),

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from freeproj.errors import ParseError
-from freeproj.fields import GF, PRIME_BOUND, QQ, field_from_spec, is_prime
+from freeproj.errors import BudgetExceeded, ParseError
+from freeproj.fields import GF, MAX_LITERAL_DIGITS, PRIME_BOUND, QQ, field_from_spec, is_prime
 
 
 def test_qq_arithmetic_is_exact():
@@ -94,3 +94,15 @@ def test_field_from_spec_rejects_garbage():
         field_from_spec("ZZ")
     with pytest.raises(ParseError):
         field_from_spec("GF(4)")
+
+
+def test_qq_printed_values_are_bounded():
+    # the bound is the one on literals: at most MAX_LITERAL_DIGITS digits in
+    # the numerator and in the denominator, checked without str()
+    top = 10**MAX_LITERAL_DIGITS - 1
+    for v in (top, -top, Fraction(1, top), Fraction(-top, top - 1)):
+        assert QQ.from_str(QQ.to_str(v)) == v
+    for v in (top + 1, -top - 1, Fraction(1, top + 1), Fraction(top + 1, 7)):
+        with pytest.raises(BudgetExceeded, match="4300 digits"):
+            QQ.to_str(v)
+    assert GF(7).to_str(10**5000) == "2"

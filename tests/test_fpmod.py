@@ -5,6 +5,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 from std_basis_oracle import std_basis as oracle_std_basis
+from word_matrix_oracle import word_matrix as oracle_word_matrix
 
 from freeproj import FreeAlgebra, FpModule, fpmod
 from freeproj.errors import BudgetExceeded
@@ -49,15 +50,19 @@ def test_std_basis_matches_enumeration(A2):
 
 
 @st.composite
-def presented_modules(draw):
+def presented_modules(draw, fractions=False):
     """Random presentations over QQ or GF(5), d = 1..3, with 1-3 generators
     of shift 0..2 and 0-3 random homogeneous relations; optionally a
     generator killed outright (leading word ()) and a coordinate cut off at
-    length 1 or 2, which gives torsion."""
+    length 1 or 2, which gives torsion.  With `fractions` the coefficients
+    include 1/2 and -2/3, so that normal forms over QQ hold Fractions."""
     field = draw(st.sampled_from([QQ, GF(5)]))
     A = FreeAlgebra(draw(st.integers(1, 3)), field)
     F = A.free_module(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
-    coef = st.integers(1, 4).map(field.coerce)
+    coef = st.integers(1, 4)
+    if fractions:
+        coef = coef | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
+    coef = coef.map(field.coerce)
     rels = []
     for _ in range(draw(st.integers(0, 3))):
         degree = draw(st.integers(min(F.shifts), max(F.shifts) + 2))
@@ -163,6 +168,59 @@ def test_letter_matrix_matches_slow_rows():
                 assert [list(r.items()) for r in fast.rows] == [list(r.items()) for r in slow]
                 reduced += sum(1 for mon in products if mon not in std_next)
     assert reduced > 0
+
+
+def typed_rows(mat):
+    """The rows of a SparseMatrix with key order and value types made visible."""
+    return [[(c, type(v), v) for c, v in row.items()] for row in mat.rows]
+
+
+def assert_word_matrices_match_oracle(M, length, j):
+    got = M.word_matrices(length, j)
+    words = list(M.algebra.words(length))
+    assert len(got) == len(words)
+    for w, fast in zip(words, got):
+        slow = oracle_word_matrix(M, w, j)
+        assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
+        assert typed_rows(fast) == typed_rows(slow)
+    if length == 1:
+        # the length-1 level is the cached letter matrices, not a product
+        assert all(m is M.letter_matrix(a, j) for a, m in enumerate(got))
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(presented_modules(fractions=True), st.integers(0, 3), st.data())
+def test_word_matrices_match_word_matrix_oracle(M, length, data):
+    # degrees from below the lowest generator, where h(j) = 0, to past the
+    # relations, where torsion and killed generators show
+    j = data.draw(st.integers(M.min_degree - 1, max(M.F0.shifts) + 2))
+    assert_word_matrices_match_oracle(M, length, j)
+
+
+def test_word_matrices_match_oracle_on_battery():
+    A3 = FreeAlgebra(3, GF(5))
+    mods = letter_battery() + [FpModule.tail_quotient(A3, 2), FpModule.free(FreeAlgebra(1), [0, 1])]
+    fractions = zero_pieces = 0
+    for M in mods:
+        for j in range(M.min_degree - 1, M.min_degree + 3):
+            zero_pieces += M.hilbert(j) == 0
+            for length in range(4):
+                assert_word_matrices_match_oracle(M, length, j)
+            fractions += any(isinstance(v, Fraction) for a in range(M.algebra.d)
+                             for row in M.letter_matrix(a, j).rows for v in row.values())
+    assert fractions > 0 and zero_pieces > 0
+
+
+def test_morphism_matrix_cache_matches_fresh_morphism():
+    for M in letter_battery():
+        q = FpModuleMorphism(FpModule(M.F0), M, ModuleMap.identity(M.F0))
+        for j in range(M.min_degree - 1, M.min_degree + 4):
+            first = q.matrix_in_degree(j)
+            assert q.matrix_in_degree(j) is first
+            fresh = FpModuleMorphism(q.source, M, q.map0).matrix_in_degree(j)
+            assert fresh is not first
+            assert (first.nrows, first.ncols) == (fresh.nrows, fresh.ncols)
+            assert typed_rows(first) == typed_rows(fresh)
 
 
 def test_torsion_of_free_is_zero(A2):

@@ -147,6 +147,31 @@ def test_rank_unit_row_pass_matches_row_reduce(a):
     assert [list(r.items()) for r in a.rows] == before
 
 
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(sparse_matrices() | unit_row_matrices())
+def test_operations_leave_input_rows_untouched(a):
+    # a SparseMatrix owns the row dicts it is given without copying them,
+    # so no operation may mutate the rows of its inputs
+    t = a.transpose()
+    inputs = [(m, list(m.rows), [list(r.items()) for r in m.rows]) for m in (a, t)]
+    rank(a)
+    row_reduce(a)
+    row_reduce(a, want_transform=True)
+    left_kernel(a)
+    solve_left(a, a.rows)  # its own rows as targets: solvable, and shared
+    a.mul(t)
+    t.mul(a)
+    for m, rows, items in inputs:
+        assert all(got is want for got, want in zip(m.rows, rows))
+        assert [list(r.items()) for r in m.rows] == items
+
+
+def test_sparse_matrix_owns_its_rows():
+    row = {1: 3}
+    a = SparseMatrix(QQ, 1, 2, [row])
+    assert a.rows[0] is row
+
+
 def test_rank_unit_rows_hand_computed():
     # two unit rows in column 0 count once; the row {0, 1} leaves {1: 1}
     assert rank(M([[2, 0, 0], [5, 0, 0], [1, 1, 0], [0, 0, 0]])) == 2
