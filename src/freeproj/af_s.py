@@ -216,12 +216,14 @@ class AFMatrix:
             (i, j) for i in range(n) for j in range(n) if self.entries[i][j] != 0
         )
         inv = F.invert(self.entries[p][q])
+        # at d = 1 every level is the same 1x1 algebra: the level-0 pair is a witness
+        level = 0 if self.d == 1 else self.level
+        wp = word_unrank(self.d, p, level)
+        wq = word_unrank(self.d, q, level)
         us = []
         vs = []
         for i in range(n):
-            wi = word_unrank(self.d, i, self.level)
-            wp = word_unrank(self.d, p, self.level)
-            wq = word_unrank(self.d, q, self.level)
+            wi = word_unrank(self.d, i, level)
             us.append(AFMatrix.matrix_unit(self.d, wi, wp, F).scale(inv))
             vs.append(AFMatrix.matrix_unit(self.d, wq, wi, F))
         return us, vs

@@ -14,8 +14,8 @@ import time
 from fractions import Fraction
 
 from .af_s import AFMatrix, _check_side
-from .errors import FreeProjError, ParseError
-from .fields import field_from_spec
+from .errors import BudgetExceeded, FreeProjError, ParseError
+from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, field_from_spec
 from .freealg import FreeAlgebra
 from .leavitt import l0_to_s
 from .parsing import parse_leavitt, parse_presentation
@@ -76,9 +76,26 @@ def _algebra(args) -> FreeAlgebra:
 # subcommand handlers
 
 
+def _check_hilbert_digits(M, j: int) -> None:
+    """Refuse a degree whose Hilbert value could have more than
+    MAX_LITERAL_DIGITS digits, the most JSON prints from an int: dim M_j is
+    at most rank * d^k with k = j - least shift.  As d^k >= 2^(k*(bits(d)-1)),
+    a large k is refused before any power of d is formed, and d^k is formed
+    only below 2^(2*bits(_DIGIT_BOUND))."""
+    shifts, d = M.F0.shifts, M.algebra.d
+    k = j - min(shifts, default=j)
+    if k <= 0 or d == 1:
+        return
+    if k * (d.bit_length() - 1) >= _DIGIT_BOUND.bit_length() or len(shifts) * d**k >= _DIGIT_BOUND:
+        raise BudgetExceeded(
+            f"dim M_{j} can reach {len(shifts)} * {d}^{k}, which has more than "
+            f"fields.MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits; lower j")
+
+
 def cmd_hilbert(args) -> dict:
     pf = _load_presentation(args.file)
     M = pf.module()
+    _check_hilbert_digits(M, args.j)
     return {
         "command": "hilbert",
         "inputs": {"file": args.file, "j": args.j, "d": pf.d, "field": pf.field.name},

@@ -22,6 +22,14 @@ length L from those of length L-1, one sparse product each (d + ... + d^L in
 all, the letter matrices themselves at length 1), for torsion and for the
 sections of `qgr.split_sequence`.
 
+Morphism matrices grow by the same closure.  A morphism phi is left
+R-linear, phi(x_i * m) = x_i * phi(m), and the suffix u of a standard word
+x_i * u is standard, so the row of x_i * u is the row of u one degree down
+times the target's letter matrix of x_i.
+`FpModuleMorphism.matrix_in_degree` builds each degree from the one below
+by this one-letter extension; only generator rows map a representative
+through the cover and reduce it against the target's relations.
+
 The stable profile records the certified index i0 at which the tail of M
 becomes free with all its basis in one degree; every degree-0 map between
 such tails is a scalar matrix, which is what makes i0 = max(generator
@@ -35,8 +43,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import BudgetExceeded, CertificateMismatch
-from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap
-from .linalg import SparseMatrix, left_kernel, rank
+from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
+from .linalg import SparseMatrix, _row_axpy, left_kernel, rank
 from .submodules import FreeBasis, kernel, weak_basis
 
 # The most standard words an FpModule keeps over all its cached degrees; a
@@ -94,6 +102,7 @@ class FpModule:
         "relations",
         "_rel_basis",
         "_std_cache",
+        "_hilbert_cache",
         "_letter_cache",
         "_profile",
     )
@@ -111,6 +120,7 @@ class FpModule:
         self.relations = tuple(rels)
         self._rel_basis = None
         self._std_cache = {}
+        self._hilbert_cache = {}
         self._letter_cache = {}
         self._profile = None
 
@@ -152,8 +162,13 @@ class FpModule:
     # -- degreewise structure ---------------------------------------------
 
     def hilbert(self, j: int) -> int:
-        """dim_k M_j, exact: monomials of F0 minus the reducible ones."""
-        return self.F0.graded_piece_dim(j) - self.relation_basis().submodule_dim(j)
+        """dim_k M_j, exact: monomials of F0 minus the reducible ones.  The
+        closed form is summed once per degree and cached, as the module is
+        immutable once built."""
+        h = self._hilbert_cache.get(j)
+        if h is None:
+            h = self._hilbert_cache[j] = self.F0.graded_piece_dim(j) - self.relation_basis().submodule_dim(j)
+        return h
 
     def std_basis(self, j: int):
         """Standard monomials: the degree-j monomials of F0 with no relation
@@ -470,15 +485,44 @@ class FpModuleMorphism:
         return self.target.relation_basis().reduce(self.map0.apply(elem))
 
     def matrix_in_degree(self, j: int) -> SparseMatrix:
-        """The map in degree j in the standard bases, built once per degree."""
-        if j not in self._matrix_cache:
-            F = self.source.algebra.field
+        """The map in degree j in the standard bases, cached per degree.
+
+        Missing degrees are filled upward from the highest cached degree
+        below j by one-letter extension (module docstring): the row of a word
+        x_i * u at coordinate alpha is the degree-(j-1) row of u times the
+        target's letter matrix of x_i, and only the generator rows (alpha, ())
+        map a representative through the cover and reduce it.  Each row lists
+        its columns in decreasing `term_key` order of the target's standard
+        words, as the normal forms of `coords` do."""
+        cache = self._matrix_cache
+        if j in cache:
+            return cache[j]
+        source, target = self.source, self.target
+        F = source.algebra.field
+        neg = F.neg
+        start = max((k for k in cache if k < j), default=min(j, source.min_degree) - 1)
+        for k in range(start + 1, j + 1):
+            prev, below = cache.get(k - 1), source._std_index(k - 1)
+            columns = target.std_basis(k)
+            letters: dict = {}
             rows = []
-            for mon in self.source.std_basis(j):
-                rep = self.source.F0.element({mon: F.one})
-                rows.append(self.target.coords(self.map0.apply(rep), j))
-            self._matrix_cache[j] = SparseMatrix(F, len(rows), self.target.hilbert(j), rows)
-        return self._matrix_cache[j]
+            for alpha, w in source.std_basis(k):
+                if not w:
+                    rep = source.F0.element({(alpha, w): F.one})
+                    rows.append(target.coords(self.map0.apply(rep), k))
+                    continue
+                i = w[0]
+                mat = letters.get(i)
+                if mat is None:
+                    mat = letters[i] = target.letter_matrix(i, k - 1).rows
+                acc: dict = {}
+                for c, a in prev.rows[below[(alpha, w[1:])]].items():
+                    _row_axpy(F, acc, neg(a), mat[c])
+                if len(acc) > 1:
+                    acc = {c: acc[c] for c in sorted(acc, key=lambda c: term_key(columns[c]), reverse=True)}
+                rows.append(acc)
+            cache[k] = SparseMatrix(F, len(rows), target.hilbert(k), rows)
+        return cache[j]
 
     def compose(self, then: "FpModuleMorphism") -> "FpModuleMorphism":
         if not (

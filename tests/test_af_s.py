@@ -180,6 +180,20 @@ def test_simplicity_witness_reconstructs_identity():
         AFMatrix.zero(2, 2).simplicity_witness()
 
 
+def test_simplicity_witness_at_d1_is_level_free():
+    # at d = 1 every level is the same 1x1 algebra: the level-0 pair, at once
+    for field, value in ((QQ, "2/3"), (GF(5), "3")):
+        a = AFMatrix.from_json({"d": 1, "level": 10**9, "entries": [[0, 0, value]]}, field)
+        start = time.perf_counter()
+        us, vs = a.simplicity_witness()
+        assert time.perf_counter() - start < 0.1
+        assert [(u.level, v.level) for u, v in zip(us, vs)] == [(0, 0)]
+        acc = AFMatrix.zero(1, 0, field)
+        for u, v in zip(us, vs):
+            acc = acc + u * a * v
+        assert acc == AFMatrix.scalar(1, 1, field)
+
+
 def test_embed_is_ring_homomorphism():
     rng = make_rng(11)
     for d in (2, 3):

@@ -9,6 +9,7 @@ import pytest
 
 import freeproj
 from freeproj.cli import main
+from freeproj.fields import MAX_LITERAL_DIGITS
 from freeproj.fpmod import MAX_STD_WORDS
 from freeproj.leavitt import MAX_RAISED_TERMS
 
@@ -37,6 +38,26 @@ def test_hilbert_command(files, capsys):
     code, report = run(capsys, "hilbert", files["free"], "5")
     assert code == 0
     assert report["result"]["dim"] == 32
+
+
+@pytest.mark.parametrize("j", ["20000", str(10**9)])
+def test_hilbert_refuses_values_too_long_to_print(capsys, j):
+    # 2^20000 has 6021 digits; at 10^9 the bound is decided before 2^j is formed
+    free = os.path.join(os.path.dirname(__file__), "golden", "free.pres")
+    start = time.perf_counter()
+    code, report = run(capsys, "hilbert", free, j)
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert report["kind"] == "BudgetExceeded"
+    assert f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}" in report["error"]
+
+
+def test_hilbert_prints_values_up_to_the_digit_bound(capsys):
+    # 2^14000 has 4215 digits
+    free = os.path.join(os.path.dirname(__file__), "golden", "free.pres")
+    code, report = run(capsys, "hilbert", free, "14000")
+    assert code == 0
+    assert report["result"]["dim"] == 2**14000
 
 
 def test_profile_command(files, capsys):

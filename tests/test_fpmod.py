@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 from std_basis_oracle import std_basis as oracle_std_basis
+from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
 from word_matrix_oracle import word_matrix as oracle_word_matrix
 
 from freeproj import FreeAlgebra, FpModule, fpmod
@@ -43,10 +45,40 @@ def test_hilbert_of_letter_quotient(A2):
         assert M.hilbert(j) == 2 ** (j - 1)
 
 
+def test_hilbert_is_the_closed_form_cached_per_degree():
+    for M in letter_battery():
+        degrees = list(range(-2, 11))
+        random.Random(3).shuffle(degrees)
+        for j in degrees + degrees:
+            assert M.hilbert(j) == M.F0.graded_piece_dim(j) - M.relation_basis().submodule_dim(j)
+        assert sorted(M._hilbert_cache) == sorted(degrees)
+
+
 def test_std_basis_matches_enumeration(A2):
     M = quotient_by_first_letter(A2)
     words = [w for _, w in M.std_basis(3)]
     assert words == [w for w in A2.words(3) if w[-1] != 0]
+
+
+def coefficients(field, fractions=False):
+    """Nonzero coefficients 1..4, and with `fractions` also 1/2 and -2/3, so
+    that normal forms over QQ hold Fractions."""
+    coef = st.integers(1, 4)
+    if fractions:
+        coef = coef | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
+    return coef.map(field.coerce)
+
+
+def draw_element(draw, F, degree, coef):
+    """A random degree-`degree` element of the free module F with up to three
+    terms; zero when no drawn coordinate reaches the degree."""
+    terms = {}
+    for alpha in draw(st.lists(st.integers(0, F.rank - 1), min_size=1, max_size=3)):
+        length = degree - F.shifts[alpha]
+        if length >= 0:
+            w = tuple(draw(st.lists(st.integers(0, F.algebra.d - 1), min_size=length, max_size=length)))
+            terms[(alpha, w)] = draw(coef)
+    return F.element(terms)
 
 
 @st.composite
@@ -54,25 +86,14 @@ def presented_modules(draw, fractions=False):
     """Random presentations over QQ or GF(5), d = 1..3, with 1-3 generators
     of shift 0..2 and 0-3 random homogeneous relations; optionally a
     generator killed outright (leading word ()) and a coordinate cut off at
-    length 1 or 2, which gives torsion.  With `fractions` the coefficients
-    include 1/2 and -2/3, so that normal forms over QQ hold Fractions."""
+    length 1 or 2, which gives torsion."""
     field = draw(st.sampled_from([QQ, GF(5)]))
     A = FreeAlgebra(draw(st.integers(1, 3)), field)
     F = A.free_module(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
-    coef = st.integers(1, 4)
-    if fractions:
-        coef = coef | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
-    coef = coef.map(field.coerce)
+    coef = coefficients(field, fractions)
     rels = []
     for _ in range(draw(st.integers(0, 3))):
-        degree = draw(st.integers(min(F.shifts), max(F.shifts) + 2))
-        terms = {}
-        for alpha in draw(st.lists(st.integers(0, F.rank - 1), min_size=1, max_size=3)):
-            length = degree - F.shifts[alpha]
-            if length >= 0:
-                w = tuple(draw(st.lists(st.integers(0, A.d - 1), min_size=length, max_size=length)))
-                terms[(alpha, w)] = draw(coef)
-        rels.append(F.element(terms))
+        rels.append(draw_element(draw, F, draw(st.integers(min(F.shifts), max(F.shifts) + 2)), coef))
     if draw(st.booleans()):
         rels.append(F.gen(draw(st.integers(0, F.rank - 1))).scale(draw(coef)))
     if draw(st.booleans()):
@@ -221,6 +242,88 @@ def test_morphism_matrix_cache_matches_fresh_morphism():
             assert fresh is not first
             assert (first.nrows, first.ncols) == (fresh.nrows, fresh.ncols)
             assert typed_rows(first) == typed_rows(fresh)
+
+
+@st.composite
+def morphisms(draw):
+    """Random FpModuleMorphisms from `presented_modules(fractions=True)` M:
+    the identity cover onto M; the kernel inclusion or the quotient of a
+    random cover map psi, built as `bench/ops.py` builds them for sections;
+    or psi itself onto a target whose relations are the images of M's and up
+    to two more, so that the cover matrix is not the identity."""
+    M = draw(presented_modules(fractions=True))
+    A, F = M.algebra, M.F0
+    coef = coefficients(A.field, fractions=True)
+    kind = draw(st.sampled_from(["quotient", "kernel", "cover"]))
+    if kind == "quotient":
+        return FpModuleMorphism(FpModule(F), M, ModuleMap.identity(F))
+    G = A.free_module(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)))
+    psi = ModuleMap(F, G, [draw_element(draw, G, b, coef).polys() for b in F.shifts])
+    if kind == "kernel":
+        K = kernel(psi)
+        L = FpModule(A.free_module(list(K.degrees())))
+        f = FpModuleMorphism(L, FpModule(F), ModuleMap(L.F0, F, [b.polys() for b in K.elements]))
+        g = FpModuleMorphism(FpModule(F), FpModule(F, list(K.elements)), ModuleMap.identity(F))
+        return draw(st.sampled_from([f, g]))
+    extra = [
+        draw_element(draw, G, draw(st.integers(min(G.shifts), max(G.shifts) + 2)), coef)
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return FpModuleMorphism(M, FpModule(G, [psi.apply(r) for r in M.relations] + extra), psi)
+
+
+def assert_morphism_matrix_matches_oracle(phi, j):
+    fast, slow = phi.matrix_in_degree(j), oracle_matrix_in_degree(phi, j)
+    assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
+    assert typed_rows(fast) == typed_rows(slow)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(morphisms(), st.data())
+def test_morphism_matrices_match_oracle(phi, data):
+    # degrees from two below the source's lowest generator, queried in random
+    # order, so that the extension starts from an empty and a partial cache
+    shifts = phi.source.F0.shifts + phi.target.F0.shifts
+    degrees = range(phi.source.min_degree - 2, max(shifts, default=0) + 4)
+    for j in data.draw(st.permutations(degrees)):
+        assert_morphism_matrix_matches_oracle(phi, j)
+
+
+def test_morphism_matrices_match_oracle_on_sections():
+    # the kernel inclusion f and the quotient g of random d = 2 cover maps,
+    # as `bench/ops.py` builds them, over QQ and GF(5), through the degrees a
+    # section reads
+    products = multi = 0
+    for seed in range(12):
+        rng = make_rng(seed)
+        A = FreeAlgebra(2, GF(5) if seed % 3 == 0 else QQ)
+        src = [rng.randint(0, 2) for _ in range(rng.randint(2, 3))]
+        phi = random_module_map(rng, A, src, [0, 1][: rng.randint(1, 2)], span=1)
+        K = kernel(phi)
+        S = phi.source
+        L = FpModule(A.free_module(list(K.degrees())))
+        f = FpModuleMorphism(L, FpModule(S), ModuleMap(L.F0, S, [b.polys() for b in K.elements]))
+        g = FpModuleMorphism(FpModule(S), FpModule(S, list(K.elements)), ModuleMap.identity(S))
+        for h in (f, g):
+            for j in range(h.source.min_degree - 1, h.source.min_degree + 5):
+                assert_morphism_matrix_matches_oracle(h, j)
+                products += sum(1 for _, w in h.source.std_basis(j) if w)
+                multi += sum(1 for row in h.matrix_in_degree(j).rows if len(row) > 1)
+    assert products > 0 and multi > 0
+
+
+def test_morphism_rows_list_columns_in_term_order(A2):
+    # e -> x0 + x1 onto R/R(x1 x1 - x0 x0): the row of x1*e sums the letter
+    # rows of x1 and x0, x1 x1 = x0 x0 first and then x1 x0, but the normal
+    # form lists x1 x0 first
+    x0, x1 = A2.gen(0), A2.gen(1)
+    N = FpModule.cyclic(A2, [x1 * x1 - x0 * x0])
+    src = A2.free_module([1])
+    phi = FpModuleMorphism(FpModule(src), N, ModuleMap(src, N.F0, [[x0 + x1]]))
+    index = N._std_index(2)
+    row = phi.matrix_in_degree(2).rows[1]
+    assert list(row) == [index[(0, (1, 0))], index[(0, (0, 0))]]
+    assert_morphism_matrix_matches_oracle(phi, 2)
 
 
 def test_torsion_of_free_is_zero(A2):
