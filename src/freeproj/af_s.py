@@ -22,16 +22,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import LevelDecrease, NotIdempotent, ParseError, ZeroElement
+from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, ZeroElement
 from .fields import QQ
 from .linalg import (
+    SparseMatrix,
     dense_add,
     dense_identity,
     dense_mul,
-    dense_rank,
     dense_scale,
     dense_sub,
     generalized_inverse,
+    rank,
 )
 
 
@@ -40,6 +41,11 @@ from .linalg import (
 # build.  For d >= 2 a level of MAX_SIDE.bit_length() or more is over it,
 # which is refused before d**level is formed.
 MAX_SIDE = 2048
+
+# The most entries that `simplicity_witness` builds: its 2n matrix units of
+# side n = d**level hold 2*n**3 entries, refused above this before any is
+# built.  Level 7 at d = 2 is the last level it admits there.
+MAX_SIMPLICITY_ENTRIES = 2**22
 
 
 class AFMatrix:
@@ -175,7 +181,7 @@ class AFMatrix:
     # -- invariants ----------------------------------------------------------------
 
     def rank(self) -> int:
-        return dense_rank(self.field, [list(r) for r in self.entries])
+        return rank(SparseMatrix.from_dense(self.field, self.entries))
 
     def normalized_trace(self) -> Fraction:
         tr = sum(Fraction(self.entries[i][i]) for i in range(len(self.entries)))
@@ -207,11 +213,16 @@ class AFMatrix:
 
         With a_{pq} the first nonzero entry, u_i = E_{i,p} / a_{pq} and
         v_i = E_{q,i} give sum_i E_{i,p} a E_{q,i} / a_{pq} = identity.
+        More than MAX_SIMPLICITY_ENTRIES entries in all is BudgetExceeded.
         """
         if self.is_zero():
             raise ZeroElement("no simplicity witness for 0")
         F = self.field
-        n = self.d**self.level
+        n = len(self.entries)
+        if 2 * n**3 > MAX_SIMPLICITY_ENTRIES:
+            raise BudgetExceeded(
+                f"a simplicity witness at d={self.d}, level={self.level} is {2 * n} matrices "
+                f"of side {n}, more than MAX_SIMPLICITY_ENTRIES = {MAX_SIMPLICITY_ENTRIES} entries in all")
         p, q = next(
             (i, j) for i in range(n) for j in range(n) if self.entries[i][j] != 0
         )

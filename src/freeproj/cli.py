@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -302,9 +303,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--degree-cap", type=int, default=8, dest="degree_cap")
     parser.add_argument("--level-cap", type=int, default=3, dest="level_cap")
     parser.add_argument("--seed", type=int, default=0)
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--text", action="store_true", help="line-oriented output instead of JSON")
-    mode.add_argument("--json", action="store_true", help="JSON output (the default)")
+    parser.add_argument("--text", action="store_true", help="line-oriented output instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hilbert", help="graded dimension of a presented module")
@@ -357,6 +356,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a reader of stdout that has gone away ends it with
+    exit 1 and no traceback."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the CPython `signal` docs show: point stdout at devnull, so that
+        # the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

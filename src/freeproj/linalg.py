@@ -1,8 +1,8 @@
 """Exact linear algebra over a coefficient field.
 
-One kernel does all the elimination: `row_reduce`, Gauss-Jordan kept exact
-by working with the field's own arithmetic, optionally recording the
-transform T with T*A = RREF(A).  A column index (column -> row positions
+One kernel does all the elimination: `row_reduce`, exact Gauss-Jordan
+(on field values over GF(p), on integer rows over QQ), optionally recording
+the transform T with T*A = RREF(A).  A column index (column -> row positions
 that may hold a nonzero there) lets it find each pivot and clear each column
 by visiting only the rows that hold it, not every row; the matrices of
 degreewise module maps are close to permutation matrices, with a few entries
@@ -16,15 +16,15 @@ per column.  Everything else is a view of it:
 * `generalized_inverse` places the pivot transform rows at the pivot columns.
 
 Over QQ the field's arithmetic builds a `Fraction`, with a gcd, at every
-step, and the denominators of a dense elimination grow to many digits.  So a
-row that a pivot other than +-1 touches is kept as integer numerators over
-one denominator shared with its transform row, cleared by integer
-cross-multiplication and made rational once per entry at the end.  Such a
-row is at every step a nonzero multiple of the row that field arithmetic
-would hold, so zero pattern, pivots and dict key order do not change, and
-the output equals field arithmetic's value for value.  Rows that only +-1
-pivots touch, as in the near-permutation module maps, keep field values
-throughout.  `dense_mul` likewise takes integer dot products.
+step, and the denominators of a dense elimination grow to many digits.  So
+`row_reduce` lifts each row once, at entry, to integer numerators over one
+denominator shared with its transform row, clears by integer
+cross-multiplication whatever the pivot, and makes each entry rational once
+at the end.  Such a row is at every step a nonzero multiple of the row that
+field arithmetic would hold, so zero pattern, pivots and dict key order do
+not change, and the output equals field arithmetic's value for value.
+`dense_mul` likewise takes integer dot products; `_integer_vector` is the
+one lift of both.
 
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
 sparse product; it works on the plain values of `fields`, reducing mod p
@@ -163,32 +163,35 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
     column's set are eliminated.  Pivots, rows and transform are exactly
     those of a scan over every row.
 
-    Over QQ a pivot of +-1 on a row still holding field values clears the
-    other field-value rows with the field's arithmetic, as over GF(p).  Any
-    other pivot, or a pivot on a lifted row, lifts its row and each row it
-    clears to integer numerators over one denominator shared with the
-    transform row (`_lift`) and clears by cross-multiplication
-    (`_cross_eliminate`); a lifted row stays lifted, and a +-1 pivot row in
-    field values clears a lifted row through an integer copy of itself.
-    A lifted row is always a nonzero multiple of the field-arithmetic row,
-    so zero pattern, pivots and dict key order are unchanged.  Lifted pivot
-    rows are left unnormalized; at the end each lifted row is divided by its
-    pivot (or, below the pivots, by its denominator), one rational per
-    entry, which gives the field-arithmetic output value for value.
+    Over GF(p) each pivot row is normalized and clears the other rows with
+    `_row_axpy`.  Over QQ each row is written once, at entry, as integer
+    numerators over its own denominator d (`_integer_vector`), and its
+    transform row starts as {i: d}; every clear, whatever the pivot, is an
+    integer cross-multiplication (`_cross_eliminate`), and pivot rows are
+    left unnormalized.  An integer row is always a nonzero multiple of the
+    field-arithmetic row, so zero pattern, pivots and dict key order are
+    unchanged.  At the end each row is divided by its pivot (or, below the
+    pivots, by its denominator), one rational per entry, which gives the
+    field-arithmetic output value for value.
     """
     F = mat.field
-    work = [dict(r) for r in mat.rows]
-    trans = [{i: F.one} for i in range(mat.nrows)] if want_transform else None
+    n = mat.nrows
+    if F.characteristic:
+        den = None
+        work = [dict(r) for r in mat.rows]
+    else:
+        den, work = [], []
+        for row in mat.rows:
+            d, nums = _integer_vector(row.values())
+            den.append(d)
+            work.append(dict(zip(row, nums)))
+    trans = [{i: d} for i, d in enumerate(den or [F.one] * n)] if want_transform else None
     holders: dict = {}
     for i, row in enumerate(work):
         for j in row:
             holders.setdefault(j, set()).add(i)
-    # Over QQ: position -> denominator of each lifted row; the rows not in
-    # it hold field values.
-    den = {} if F.characteristic == 0 else None
     pivots = []
     r = 0
-    n = len(work)
     for c in sorted(holders):
         if r == n:
             break
@@ -200,63 +203,41 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
             pi = min((i for i in cand if i > r and c in work[i]), default=None)
             if pi is None:
                 continue
-            work[r], work[pi] = work[pi], work[r]
-            if trans is not None:
-                trans[r], trans[pi] = trans[pi], trans[r]
-            if den:
-                dr, dp = den.pop(r, 0), den.pop(pi, 0)
-                if dr:
-                    den[pi] = dr
-                if dp:
-                    den[r] = dp
+            for rows in (work, trans, den):
+                if rows is not None:
+                    rows[r], rows[pi] = rows[pi], rows[r]
             for pos in (r, pi):
                 for j in work[pos]:
                     if j != c:
                         holders[j].add(pos)
         pv = work[r][c]
-        lifted = False
-        if pv != F.one or den:
-            if den is not None and (r in den or pv != 1 and pv != -1):
-                lifted = True
-                if r not in den:
-                    _lift(work, trans, den, r)
-            elif pv != F.one:
-                inv = F.invert(pv)
-                work[r] = {j: F.mul(inv, v) for j, v in work[r].items()}
-                if trans is not None:
-                    trans[r] = {j: F.mul(inv, v) for j, v in trans[r].items()}
+        if den is None and pv != 1:
+            inv = F.invert(pv)
+            work[r] = {j: F.mul(inv, v) for j, v in work[r].items()}
+            if trans is not None:
+                trans[r] = {j: F.mul(inv, v) for j, v in trans[r].items()}
         # cand holds r (or, after a swap, pi): a single holder clears nothing
         if len(cand) > 1:
             prow = work[r]
             pkeys = prow.keys()
             ptrow = trans[r] if trans is not None else {}
-            ipiv = (prow, ptrow, prow[c]) if lifted else None
             for i in cand:
                 row = work[i]
                 if i != r and c in row:
                     if not pkeys <= row.keys():
                         for j in pkeys - row.keys():
                             holders[j].add(i)
-                    if not lifted and not (den and i in den):
+                    trow = trans[i] if trans is not None else {}
+                    if den is None:
                         coef = row[c]
                         _row_axpy(F, row, coef, prow)
-                        if trans is not None:
-                            _row_axpy(F, trans[i], coef, ptrow)
-                        continue
-                    if ipiv is None:
-                        # a +-1 pivot row in field values meets a lifted
-                        # row: clear it by an integer copy of the pivot row
-                        d, prow_int, ptrow_int = _integer_rows(prow, ptrow)
-                        ipiv = prow_int, ptrow_int, d
-                    if i not in den:
-                        _lift(work, trans, den, i)
-                        row = work[i]
-                    den[i] = _cross_eliminate(
-                        row, trans[i] if trans is not None else {}, den[i], row[c], *ipiv)
+                        _row_axpy(F, trow, coef, ptrow)
+                    else:
+                        den[i] = _cross_eliminate(row, trow, den[i], row[c], prow, ptrow, pv)
         pivots.append((r, c))
         r += 1
-    if den:
-        for i, d in den.items():
+    if den is not None:
+        for i, d in enumerate(den):
             q = work[i][pivots[i][1]] if i < len(pivots) else d
             if q != 1:
                 work[i] = {j: _ratio(v, q) for j, v in work[i].items()}
@@ -266,25 +247,16 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
 
 
 _denominator = attrgetter("denominator")
+_numerator = attrgetter("numerator")
 
 
-def _integer_rows(row: dict, trow: dict):
-    """(d, N, M): integer numerators of the QQ rows `row` and `trow` over
-    their least common denominator d, keys in the same order."""
-    d = lcm(*map(_denominator, row.values()), *map(_denominator, trow.values()))
-    return (
-        d,
-        {j: v.numerator * (d // v.denominator) for j, v in row.items()},
-        {j: v.numerator * (d // v.denominator) for j, v in trow.items()},
-    )
-
-
-def _lift(work, trans, den, i):
-    """Replace row i and its transform row by their integer numerators."""
-    d, work[i], trow = _integer_rows(work[i], trans[i] if trans is not None else {})
-    if trans is not None:
-        trans[i] = trow
-    den[i] = d
+def _integer_vector(values):
+    """(d, numerators): the QQ values as a list of ints over the lcm d of
+    their denominators, in their order; a Fraction(k, 1) becomes the int k."""
+    d = lcm(*map(_denominator, values))
+    if d == 1:
+        return 1, list(map(_numerator, values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _cross_eliminate(row: dict, trow: dict, d: int, a: int, prow: dict, ptrow: dict, p: int) -> int:
@@ -312,6 +284,8 @@ def _cross_eliminate(row: dict, trow: dict, d: int, a: int, prow: dict, ptrow: d
                 target[j] = s
             else:
                 del target[j]
+    if d == 1 or d == -1:  # the content gcd is 1
+        return d
     g = gcd(d, *row.values(), *trow.values())
     if g != 1:
         for j in row:
@@ -391,7 +365,7 @@ def dense_mul(field, A, B):
     """A*B on integer dot products; a zero row of A gives a zero row.
 
     Over GF(p) each entry is an integer dot product reduced mod p once.
-    Over QQ each row of A and each column of B is lifted to integers over
+    Over QQ each row of A and each column of B is written as integers over
     the lcm of its denominators (`_integer_vector`), and each entry is an
     integer dot product over the product of the two denominators, made
     rational once; on integer matrices it stays an int.  The values are
@@ -416,13 +390,6 @@ def dense_mul(field, A, B):
     return out
 
 
-def _integer_vector(vec):
-    """(d, numerators) of a QQ vector over the lcm d of its denominators;
-    a vector with d = 1 is its own numerators."""
-    d = lcm(*map(_denominator, vec))
-    return d, (vec if d == 1 else [v.numerator * (d // v.denominator) for v in vec])
-
-
 def dense_scale(field, c, A):
     return [[field.mul(c, v) for v in row] for row in A]
 
@@ -433,12 +400,6 @@ def dense_add(field, A, B):
 
 def dense_sub(field, A, B):
     return [[field.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def dense_rank(field, A) -> int:
-    if not A:
-        return 0
-    return rank(SparseMatrix.from_dense(field, A))
 
 
 def generalized_inverse(field, A):

@@ -77,9 +77,6 @@ class FreeBasis:
         nf, uses = _full_reduce(elem, self.elements, self._by_coord)
         return nf, uses
 
-    def contains(self, elem: FreeModuleElement) -> bool:
-        return self.reduce(elem).is_zero()
-
     def __repr__(self):
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
 

@@ -1,6 +1,7 @@
-"""Fuzz the two entry points that read AF matrices from outside the program:
-`AFMatrix.from_json` and `s-calc canonical` on a file.  Inputs are arbitrary
-JSON values and near-valid matrix objects; everything runs in process."""
+"""Fuzz the entry points that read AF matrices from outside the program:
+`AFMatrix.from_json` and every `s-calc` subcommand on a file.  Inputs are
+arbitrary JSON values and near-valid matrix objects; everything runs in
+process."""
 
 import contextlib
 import io
@@ -63,13 +64,14 @@ def test_from_json_returns_a_matrix_or_raises_parse_error(data, field):
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(af_objects())
-def test_s_calc_canonical_ends_in_one_json_object(tmp_path_factory, data):
+@hypothesis.given(af_objects(), st.sampled_from(["canonical", "k0", "mul", "embed", "regular", "simplicity"]))
+def test_s_calc_canonical_ends_in_one_json_object(tmp_path_factory, data, sub):
     path = tmp_path_factory.mktemp("af") / "a.json"
     path.write_text(json.dumps(data))
+    files = [str(path)] * (2 if sub == "mul" else 1)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["s-calc", "canonical", str(path)])
+        code = main(["s-calc", sub, *files])
     assert code in (0, 1, 2)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import freeproj
+from freeproj.af_s import MAX_SIMPLICITY_ENTRIES
 from freeproj.cli import main
 from freeproj.fields import MAX_LITERAL_DIGITS
 from freeproj.fpmod import MAX_STD_WORDS
@@ -292,6 +293,43 @@ def test_profile_bounds_standard_words():
         assert str(MAX_STD_WORDS) in report["error"] and "--degree-cap" in report["error"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "hilbert"], ["hilbert", "missing.pres", "3"]])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
+    # stdout is a pipe whose read end is already closed, so the first flush
+    # fails: once for a success report, once for a parse-error report
+    src = os.path.dirname(os.path.dirname(freeproj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "freeproj.cli", *argv],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_s_calc_simplicity_is_bounded_before_building(tmp_path, capsys):
+    # level 7 at d=2 is the last level admitted: 2 * 128**3 = 2**22 entries
+    assert 2 * (2**7) ** 3 <= MAX_SIMPLICITY_ENTRIES < 2 * (2**8) ** 3
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"d": 2, "level": 8, "entries": [[3, 5, "2"]]}))
+    start = time.perf_counter()
+    code, report = run(capsys, "--level-cap", "7", "s-calc", "simplicity", str(a))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert report["kind"] == "BudgetExceeded"
+    assert "MAX_SIMPLICITY_ENTRIES" in report["error"]
+    # at d=1 every level is one 1x1 algebra, witnessed at level 0
+    a.write_text(json.dumps({"d": 1, "level": 10**9, "entries": [[0, 0, "2"]]}))
+    code, report = run(capsys, "--level-cap", str(10**9), "s-calc", "simplicity", str(a))
+    assert code == 0
+    assert report["result"] == {"terms": 1, "verified": True}
+
+
 def test_verify_has_no_max_degree_option(capsys):
     assert main(["verify", "--suite", "ext1", "--max-degree", "3"]) == 2
     capsys.readouterr()
@@ -319,6 +357,9 @@ def test_usage_error_exit_code(capsys):
     assert main(["--d", "0", "leavitt-eval", "x0"]) == 2
     capsys.readouterr()
     assert main(["nope"]) == 2
+    capsys.readouterr()
+    # JSON is the default output, and --json is not an option
+    assert main(["--json", "verify", "--suite", "ext1"]) == 2
     capsys.readouterr()
 
 

@@ -11,7 +11,6 @@ from freeproj.linalg import (
     SparseMatrix,
     _row_axpy,
     dense_mul,
-    dense_rank,
     left_kernel,
     generalized_inverse,
     rank,
@@ -198,12 +197,12 @@ def test_row_reduce_matches_oracle_on_larger_sparse_matrices():
 
 
 def test_row_reduce_matches_oracle_on_dense_rational_matrices():
-    # the dense QQ eliminations of the limit algebra, where rows are lifted
-    # to integers: full rank, one row the sum of two others, and entries
-    # that are non-integral Fractions or Fraction(k, 1)
-    # a pivot 2 lifts rows 0 and 2; then the field-value pivot row 1, with
-    # pivot 1 and an entry 1/2, clears both lifted rows; the pivot -1 of
-    # the second matrix stays in field values
+    # the dense QQ eliminations of the limit algebra, on integer rows over
+    # each row's denominator: full rank, one row the sum of two others, and
+    # entries that are non-integral Fractions or Fraction(k, 1)
+    # the pivot 2, then the pivot 1 of the row with entry 1/2 (numerator 2
+    # over 2), clear by cross-multiplication; the second matrix has a
+    # pivot -1
     for rows in ([[2, 1, 0], [0, 1, Fraction(1, 2)], [1, 0, 1]],
                  [[0, -1, 3], [3, 1, 1], [Fraction(2, 3), 1, 0], [1, 1, 1]]):
         for want_transform in (False, True):

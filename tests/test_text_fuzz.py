@@ -1,7 +1,7 @@
 """Fuzz the entry points that read text from outside the program:
-`parse_presentation`, `parse_leavitt`, and the `profile` and `leavitt-eval`
-commands.  Inputs are arbitrary text and near-valid presentations and
-expressions; everything runs in process.  Each call returns a value or
+`parse_presentation`, `parse_leavitt`, every command that reads a
+presentation file, and `leavitt-eval`.  Inputs are arbitrary text and
+near-valid presentations and expressions; everything runs in process.  Each call returns a value or
 raises a typed `FreeProjError`, and each command exits 0, 1 or 2 with one
 JSON object on stdout and no traceback."""
 
@@ -116,12 +116,26 @@ def test_parse_leavitt_returns_an_element_or_raises_typed_error(d, field, data):
     assert isinstance(elem, LeavittElement)
 
 
+# the commands that read presentation files, each as a function of the path
+PRESENTATION_COMMANDS = (
+    st.sampled_from([
+        lambda path: ["profile", path],
+        lambda path: ["torsion", path],
+        lambda path: ["k0", path],
+        lambda path: ["qgr-class", path],
+        lambda path: ["iso", path, path],
+    ])
+    | st.integers(-2, 6).map(lambda j: lambda path: ["hilbert", path, str(j)])
+    | st.integers(-3, 3).map(lambda i: lambda path: ["decompose", path, str(i)])
+)
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(presentation_texts())
-def test_profile_ends_in_one_json_object(tmp_path_factory, text):
+@hypothesis.given(presentation_texts(), PRESENTATION_COMMANDS)
+def test_profile_ends_in_one_json_object(tmp_path_factory, text, command):
     path = tmp_path_factory.mktemp("pres") / "m.pres"
     path.write_text(text)
-    run_cli(["--degree-cap", "2", "profile", str(path)])
+    run_cli(["--degree-cap", "2", *command(str(path))])
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
