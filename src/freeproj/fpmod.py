@@ -35,6 +35,19 @@ becomes free with all its basis in one degree; every degree-0 map between
 such tails is a scalar matrix, which is what makes i0 = max(generator
 degrees, relation-basis degrees) a valid bound.  The reported i0 is the
 least index certified by exact rank checks of the multiplication maps.
+
+Past that bound b the letter maps need no words at all.  Every relation
+basis element is homogeneous, so its leading word has degree <= b, and for
+j >= b no product x_i * w out of M_j is a leading word: the degree-(j+1)
+standard words at coordinate alpha are the d blocks x_0 * S, ..., x_{d-1} * S
+of alpha's degree-j words S, in that order, which is the order `std_basis`
+builds them in.  So with n_alpha words at alpha in degree j, row p of alpha
+in the matrix of x_i is the unit row at column off(alpha) + i * n_alpha + p,
+off(alpha) being d times the words of the coordinates before alpha.  These
+are the block embeddings of the limit algebra S = lim M_d(k)^{tensor r}.
+`letter_matrix` reads n_alpha(b) once from `std_basis(b)` and takes
+n_alpha(j) = d^(j-b) * n_alpha(b); it builds no word and looks up no index
+past b, and checks each degree's count against its Hilbert value.
 """
 
 from __future__ import annotations
@@ -50,6 +63,18 @@ from .submodules import FreeBasis, kernel, weak_basis
 # The most standard words an FpModule keeps over all its cached degrees; a
 # `std_basis` call that would build past it is refused before any word is.
 MAX_STD_WORDS = 2**18
+
+
+def _check_budget(sizes, first: int, kept: int):
+    """Refuse with `BudgetExceeded` at the first degree whose standard words,
+    added to the `kept` words before it, pass MAX_STD_WORDS; `sizes` holds the
+    Hilbert values of the degrees from `first` on."""
+    for k, h in enumerate(sizes, first):
+        kept += h
+        if kept > MAX_STD_WORDS:
+            raise BudgetExceeded(
+                f"degree {k} has {h} standard words, which bring the module's total to "
+                f"{kept}, over the bound fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}; lower --degree-cap")
 
 
 class StableProfile:
@@ -105,6 +130,8 @@ class FpModule:
         "_hilbert_cache",
         "_letter_cache",
         "_profile",
+        "_bound",
+        "_bound_counts",
     )
 
     def __init__(self, F0: GradedFreeModule, relations=()):
@@ -123,6 +150,8 @@ class FpModule:
         self._hilbert_cache = {}
         self._letter_cache = {}
         self._profile = None
+        self._bound = None
+        self._bound_counts = None
 
     # -- constructors ----------------------------------------------------
 
@@ -195,13 +224,7 @@ class FpModule:
         else:
             prev = self._std_cache[start][0]
         sizes = [self.hilbert(k) for k in range(start + 1, j + 1)]
-        kept = sum(len(std) for std, _ in self._std_cache.values())
-        for k, h in enumerate(sizes, start + 1):
-            kept += h
-            if kept > MAX_STD_WORDS:
-                raise BudgetExceeded(
-                    f"degree {k} has {h} standard words, which bring the module's total to "
-                    f"{kept}, over the bound fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}; lower --degree-cap")
+        _check_budget(sizes, start + 1, sum(len(std) for std, _ in self._std_cache.values()))
         d = self.algebra.d
         leads = {
             alpha: {w for _, w in lst}
@@ -254,23 +277,65 @@ class FpModule:
         Row k is the class of x_i * w for the k-th standard monomial w.  By
         suffix closure (module docstring) x_i * w is standard unless it is a
         relation leading word: a product found in the degree-(j+1) index is
-        a unit row, and only the rest are reduced."""
+        a unit row, and only the rest are reduced.
+
+        On the free tail, j >= b with b the bound of `stable_profile`, every
+        row is a unit row placed from the per-coordinate word counts alone
+        (module docstring).  The module's words through degree j+1, the sum
+        of the Hilbert values from `min_degree`, are held to MAX_STD_WORDS
+        first, with `std_basis`'s refusal, as if the rows were built from
+        words."""
         if (i, j) in self._letter_cache:
             return self._letter_cache[(i, j)]
-        F = self.algebra.field
-        std = self.std_basis(j)
-        index = self._std_index(j + 1)
-        rows = []
-        for alpha, w in std:
-            mon = (alpha, (i,) + w)
-            k = index.get(mon)
-            if k is None:
-                rows.append(self.coords(self.F0.element({mon: F.one}), j + 1))
-            else:
-                rows.append({k: F.one})
-        out = SparseMatrix(F, len(rows), self.hilbert(j + 1), rows)
+        if j >= self._free_bound():
+            out = self._free_letter_matrix(i, j)
+        else:
+            F = self.algebra.field
+            std = self.std_basis(j)
+            index = self._std_index(j + 1)
+            rows = []
+            for alpha, w in std:
+                mon = (alpha, (i,) + w)
+                k = index.get(mon)
+                if k is None:
+                    rows.append(self.coords(self.F0.element({mon: F.one}), j + 1))
+                else:
+                    rows.append({k: F.one})
+            out = SparseMatrix(F, len(rows), self.hilbert(j + 1), rows)
         self._letter_cache[(i, j)] = out
         return out
+
+    def _free_bound(self) -> int:
+        """b = max(generator degrees, relation-basis degrees), computed once:
+        M is free past it (module docstring)."""
+        if self._bound is None:
+            self._bound = max(tuple(self.F0.shifts) + tuple(self.relation_basis().degrees()), default=0)
+        return self._bound
+
+    def _free_letter_matrix(self, i: int, j: int) -> SparseMatrix:
+        """`letter_matrix(i, j)` for j >= b from the word counts at b."""
+        start = self.min_degree
+        _check_budget(map(self.hilbert, range(start, j + 2)), start, 0)
+        b = self._free_bound()
+        if self._bound_counts is None:
+            counts = [0] * self.F0.rank
+            for alpha, _ in self.std_basis(b):
+                counts[alpha] += 1
+            self._bound_counts = counts
+        d = self.algebra.d
+        scale = d ** (j - b)
+        total = scale * sum(self._bound_counts)
+        if total != self.hilbert(j) or d * total != self.hilbert(j + 1):
+            raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
+        one = self.algebra.field.one
+        rows = []
+        off = 0
+        for n in self._bound_counts:
+            n *= scale
+            col = off + i * n
+            rows.extend({c: one} for c in range(col, col + n))
+            off += d * n
+        return SparseMatrix(self.algebra.field, total, d * total, rows)
 
     def word_levels(self, j: int):
         """Yield, for word length 0, 1, 2, ..., the matrices from M_j of the
@@ -307,9 +372,7 @@ class FpModule:
     # -- stable structure ---------------------------------------------------
 
     def stable_profile(self, window: int = 4) -> StableProfile:
-        shifts = self.F0.shifts
-        rel_degs = self.relation_basis().degrees()
-        bound = max(tuple(shifts) + tuple(rel_degs), default=0)
+        bound = self._free_bound()
         target = bound + window
         if self._profile is not None and self._profile.certified_through >= target:
             return self._profile

@@ -10,7 +10,7 @@ per column.  Everything else is a view of it:
 
 * `rank` counts its pivots, after a pre-pass that counts the columns of the
   rows with a single entry and drops those columns from the other rows, so
-  only that residue is eliminated;
+  only that residue is eliminated, and with no end pass over QQ;
 * `left_kernel` reads the transform rows of the zero rows;
 * `solve_left` reduces each target against the pivot rows;
 * `generalized_inverse` places the pivot transform rows at the pivot columns.
@@ -174,6 +174,22 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
     pivots, by its denominator), one rational per entry, which gives the
     field-arithmetic output value for value.
     """
+    pivots, work, trans, den = _eliminate(mat, want_transform)
+    if den is not None:
+        for i, d in enumerate(den):
+            q = work[i][pivots[i][1]] if i < len(pivots) else d
+            if q != 1:
+                work[i] = {j: _ratio(v, q) for j, v in work[i].items()}
+                if trans is not None:
+                    trans[i] = {j: _ratio(v, q) for j, v in trans[i].items()}
+    return pivots, work, trans
+
+
+def _eliminate(mat: SparseMatrix, want_transform):
+    """The elimination of `row_reduce` without its end pass over QQ:
+    (pivots, rows, transform, denominators), the QQ rows still integer
+    numerators over their denominators and pivot rows unnormalized (the
+    denominators are None over GF(p)).  `rank` reads only the pivots."""
     F = mat.field
     n = mat.nrows
     if F.characteristic:
@@ -236,14 +252,7 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
                         den[i] = _cross_eliminate(row, trow, den[i], row[c], prow, ptrow, pv)
         pivots.append((r, c))
         r += 1
-    if den is not None:
-        for i, d in enumerate(den):
-            q = work[i][pivots[i][1]] if i < len(pivots) else d
-            if q != 1:
-                work[i] = {j: _ratio(v, q) for j, v in work[i].items()}
-                if trans is not None:
-                    trans[i] = {j: _ratio(v, q) for j, v in trans[i].items()}
-    return pivots, work, trans
+    return pivots, work, trans, den
 
 
 _denominator = attrgetter("denominator")
@@ -309,8 +318,9 @@ def rank(mat: SparseMatrix) -> int:
     in c is a pivot, and eliminating with it clears column c from every
     other row, further unit rows in c included, and changes nothing else.
     So the rank is the number of taken columns plus the rank of the other
-    rows with those columns dropped, and only that residue goes to
-    `row_reduce`.  The input rows are not modified."""
+    rows with those columns dropped, and only that residue goes to the
+    elimination, `_eliminate`, whose pivots are those of `row_reduce`.  The
+    input rows are not modified."""
     taken = set()
     rest = []
     for row in mat.rows:
@@ -319,13 +329,13 @@ def rank(mat: SparseMatrix) -> int:
         else:
             rest.append(row)
     if not taken:
-        return len(row_reduce(mat)[0])
+        return len(_eliminate(mat, False)[0])
     residue = []
     for row in rest:
         kept = {c: v for c, v in row.items() if c not in taken}
         if kept:
             residue.append(kept)
-    pivots, _, _ = row_reduce(SparseMatrix(mat.field, len(residue), mat.ncols, residue))
+    pivots = _eliminate(SparseMatrix(mat.field, len(residue), mat.ncols, residue), False)[0]
     return len(taken) + len(pivots)
 
 

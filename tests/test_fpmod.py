@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
+from letter_matrix_oracle import letter_matrix as oracle_letter_matrix
 from std_basis_oracle import std_basis as oracle_std_basis
 from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
 from word_matrix_oracle import word_matrix as oracle_word_matrix
@@ -189,6 +191,53 @@ def test_letter_matrix_matches_slow_rows():
                 assert [list(r.items()) for r in fast.rows] == [list(r.items()) for r in slow]
                 reduced += sum(1 for mon in products if mon not in std_next)
     assert reduced > 0
+
+
+class LookupLetters(FpModule):
+    """An FpModule whose letter matrices are all the lookup-built oracle's,
+    in every degree, so that its stable profile is certified from them."""
+
+    def letter_matrix(self, i, j):
+        return oracle_letter_matrix(self, i, j)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(presented_modules(fractions=True), st.data())
+def test_free_tail_letter_matrices_match_lookup_oracle(M, data):
+    # one degree below the bound b, on the lookup path, and five on the free
+    # tail, in random order, so that the tail rows are built before and after
+    # the lookup rows and std_basis(b)
+    slow = LookupLetters(M.F0, M.relations)
+    b = M._free_bound()
+    for j in data.draw(st.permutations(range(b - 1, b + 5))):
+        for i in data.draw(st.permutations(range(M.algebra.d))):
+            fast, want = M.letter_matrix(i, j), oracle_letter_matrix(slow, i, j)
+            assert (fast.nrows, fast.ncols) == (want.nrows, want.ncols)
+            assert typed_rows(fast) == typed_rows(want)
+    # no word past the bound was built for the tail rows
+    assert max(M._std_cache, default=b) <= b
+    got, want = M.stable_profile(), slow.stable_profile()
+    assert (got.i0, got.t0, got.certified_through) == (want.i0, want.t0, want.certified_through)
+
+
+def test_free_tail_letter_matrix_refuses_over_budget_before_building():
+    # R/Rx0 at d = 2 is free past b = 1, with 2^28 words in degree 29
+    M = quotient_by_first_letter(FreeAlgebra(2))
+    lo = M.min_degree
+    top = next(j for j in itertools.count(lo) if sum(map(M.hilbert, range(lo, j + 1))) > MAX_STD_WORDS)
+    kept = sum(map(M.hilbert, range(lo, top + 1)))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"degree {top} has {M.hilbert(top)} standard words, "
+                                             f"which bring the module's total to {kept},"):
+        M.letter_matrix(0, 29)
+    assert time.perf_counter() - start < 1
+    assert M._letter_cache == {} and M._std_cache == {}
+    # the matrix into the last degree under the bound is built, from words of
+    # degree b at most, and the one into the first degree over it is refused
+    assert M.letter_matrix(1, top - 2).ncols == M.hilbert(top - 1)
+    assert max(M._std_cache) == M._free_bound()
+    with pytest.raises(BudgetExceeded, match=f"degree {top} "):
+        M.letter_matrix(1, top - 1)
 
 
 def typed_rows(mat):

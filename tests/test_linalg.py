@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from row_reduce_oracle import row_axpy as oracle_row_axpy
 from row_reduce_oracle import row_reduce as oracle_row_reduce
 
+from freeproj import linalg
 from freeproj.fields import GF, QQ
 from freeproj.linalg import (
     SparseMatrix,
@@ -163,6 +164,46 @@ def test_operations_leave_input_rows_untouched(a):
     for m, rows, items in inputs:
         assert all(got is want for got, want in zip(m.rows, rows))
         assert [list(r.items()) for r in m.rows] == items
+
+
+@st.composite
+def non_unit_rational_matrices(draw):
+    """Random sparse QQ matrices of `Fraction` entries none of which is 0 or
+    +-1, so every pivot is a non-unit and most rows have a denominator, with
+    unit rows and dependent rows (combinations of the rows drawn) mixed in."""
+    values = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-7, 2), 2, -3])
+    ncols = draw(st.integers(1, 6))
+    cols = st.integers(0, ncols - 1)
+    rows = [{c: draw(values) for c in sorted(s)} for s in draw(st.lists(st.sets(cols, min_size=1), max_size=7))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        combo: dict = {}
+        for src in rows:
+            a = draw(values)
+            for c, v in src.items():
+                combo[c] = combo.get(c, 0) + a * v
+        rows.append({c: QQ.coerce(v) for c, v in sorted(combo.items()) if v})
+    rows = draw(st.permutations(rows))
+    return SparseMatrix(QQ, len(rows), ncols, rows)
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(non_unit_rational_matrices())
+def test_rank_without_end_pass_counts_oracle_pivots(a):
+    # rank reads the pivots of the elimination before the QQ end pass that
+    # divides each row by its pivot or denominator
+    assert rank(a) == len(oracle_row_reduce(a)[0])
+
+
+def test_rank_builds_no_rational_at_the_end(monkeypatch):
+    # the QQ end pass of row_reduce divides each row by its non-unit pivot
+    # with `_ratio`; rank reads only the pivots and never calls it
+    def fail(n, d):
+        raise AssertionError("rank ran the end pass")
+
+    monkeypatch.setattr(linalg, "_ratio", fail)
+    a = M([[Fraction(1, 2), 3, 0], [2, Fraction(-2, 3), 5], [Fraction(5, 2), Fraction(7, 3), 5]])
+    assert rank(a) == 2
+    assert rank(M([[Fraction(1, 2), 3, 0], [0, 3, 0], [4, 0, 0]])) == 2
 
 
 def test_sparse_matrix_owns_its_rows():
