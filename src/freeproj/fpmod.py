@@ -43,7 +43,8 @@ standard words at coordinate alpha are the d blocks x_0 * S, ..., x_{d-1} * S
 of alpha's degree-j words S, in that order, which is the order `std_basis`
 builds them in.  So with n_alpha words at alpha in degree j, row p of alpha
 in the matrix of x_i is the unit row at column off(alpha) + i * n_alpha + p,
-off(alpha) being d times the words of the coordinates before alpha.  These
+off(alpha) being d times the degree-j words at the coordinates before
+alpha.  These
 are the block embeddings of the limit algebra S = lim M_d(k)^{tensor r}.
 `letter_matrix` reads n_alpha(b) once from `std_basis(b)` and takes
 n_alpha(j) = d^(j-b) * n_alpha(b); it builds no word and looks up no index
