@@ -188,12 +188,16 @@ class AFMatrix:
         return tr / Fraction(self.d) ** self.level
 
     def k0_class(self):
-        """rank(e) * d^(-level) for an idempotent e, as a class in Z[1/d]."""
+        """rank(e) * d^(-level) for an idempotent e, as a class in Z[1/d]; rank(e)
+        is tr(e) read as an integer over QQ and over GF(p) for p above the side."""
         from .qgr import QgrClass
 
         if self * self != self:
             raise NotIdempotent("k0_class requires an idempotent")
-        value = Fraction(self.rank()) / Fraction(self.d) ** self.level
+        p = self.field.characteristic
+        tr = sum(row[i] for i, row in enumerate(self.entries))
+        r = self.rank() if 0 < p <= len(self.entries) else int(tr % p if p else tr)
+        value = Fraction(r) / Fraction(self.d) ** self.level
         return QgrClass.from_fraction(value, self.d)
 
     def vn_regular_witness(self) -> "AFMatrix":

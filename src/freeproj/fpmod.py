@@ -13,8 +13,8 @@ is a suffix of a word's suffix is a suffix of the word.  So for a standard
 word w at coordinate alpha, x_i * w is standard unless it is itself a leading
 word at alpha, since its proper suffixes are suffixes of w.  `std_basis`
 builds each degree from the one below by this one-letter extension,
-`letter_matrix` writes a unit row for every standard product, and the rank
-check of `_mult_bijective` meets mostly those unit rows.
+`letter_matrix` writes a unit row for every standard product, and below the
+free tail the rank check of `_mult_bijective` meets mostly those unit rows.
 
 Word products grow the same way: the matrix of x_a * u from M_j is u's
 matrix times x_a's from M_{j+|u|}.  So `word_levels` builds the words of
@@ -44,11 +44,13 @@ of alpha's degree-j words S, in that order, which is the order `std_basis`
 builds them in.  So with n_alpha words at alpha in degree j, row p of alpha
 in the matrix of x_i is the unit row at column off(alpha) + i * n_alpha + p,
 off(alpha) being d times the degree-j words at the coordinates before
-alpha.  These
-are the block embeddings of the limit algebra S = lim M_d(k)^{tensor r}.
-`letter_matrix` reads n_alpha(b) once from `std_basis(b)` and takes
-n_alpha(j) = d^(j-b) * n_alpha(b); it builds no word and looks up no index
-past b, and checks each degree's count against its Hilbert value.
+alpha.  These are the block embeddings of the limit algebra
+S = lim M_d(k)^{tensor r}.  `_free_layout` reads n_alpha(b) once from
+`std_basis(b)` and takes n_alpha(j) = d^(j-b) * n_alpha(b); it builds no
+word and looks up no index past b, and checks each degree's count against
+its Hilbert value.  `letter_matrix` places its rows by that layout, and
+`_mult_bijective` checks the layout alone and builds no row: unit rows that
+hit each column once have full rank.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ def _check_budget(sizes, first: int, kept: int):
             raise BudgetExceeded(
                 f"degree {k} has {h} standard words, which bring the module's total to "
                 f"{kept}, over the bound fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}; lower --degree-cap")
+
+
+def _tiles(blocks, size: int) -> bool:
+    """Do the blocks (start, length) cover [0, size) once, with no overlap?
+    Sorted by start, each nonempty block must begin where the one before ends."""
+    blocks = sorted(block for block in blocks if block[1])
+    ends = itertools.accumulate((n for _, n in blocks), initial=0)
+    return [start for start, _ in blocks] + [size] == list(ends)
 
 
 class StableProfile:
@@ -281,17 +291,17 @@ class FpModule:
         a unit row, and only the rest are reduced.
 
         On the free tail, j >= b with b the bound of `stable_profile`, every
-        row is a unit row placed from the per-coordinate word counts alone
-        (module docstring).  The module's words through degree j+1, the sum
-        of the Hilbert values from `min_degree`, are held to MAX_STD_WORDS
-        first, with `std_basis`'s refusal, as if the rows were built from
-        words."""
+        row is a unit row placed by `_free_layout` from the per-coordinate
+        word counts alone (module docstring)."""
         if (i, j) in self._letter_cache:
             return self._letter_cache[(i, j)]
+        F, one = self.algebra.field, self.algebra.field.one
         if j >= self._free_bound():
-            out = self._free_letter_matrix(i, j)
+            layout = self._free_layout(j)
+            rows = [None] * self.hilbert(j)
+            for start, n, off in layout:
+                rows[start:start + n] = ({c: one} for c in range(off + i * n, off + (i + 1) * n))
         else:
-            F = self.algebra.field
             std = self.std_basis(j)
             index = self._std_index(j + 1)
             rows = []
@@ -299,11 +309,10 @@ class FpModule:
                 mon = (alpha, (i,) + w)
                 k = index.get(mon)
                 if k is None:
-                    rows.append(self.coords(self.F0.element({mon: F.one}), j + 1))
+                    rows.append(self.coords(self.F0.element({mon: one}), j + 1))
                 else:
-                    rows.append({k: F.one})
-            out = SparseMatrix(F, len(rows), self.hilbert(j + 1), rows)
-        self._letter_cache[(i, j)] = out
+                    rows.append({k: one})
+        out = self._letter_cache[(i, j)] = SparseMatrix(F, len(rows), self.hilbert(j + 1), rows)
         return out
 
     def _free_bound(self) -> int:
@@ -313,8 +322,11 @@ class FpModule:
             self._bound = max(tuple(self.F0.shifts) + tuple(self.relation_basis().degrees()), default=0)
         return self._bound
 
-    def _free_letter_matrix(self, i: int, j: int) -> SparseMatrix:
-        """`letter_matrix(i, j)` for j >= b from the word counts at b."""
+    def _free_layout(self, j: int) -> list:
+        """(row start, n_alpha(j), column offset) per coordinate alpha of the
+        letter maps out of M_j, j >= b (module docstring).  The module's words
+        through degree j+1 are first held to MAX_STD_WORDS with `std_basis`'s
+        refusal, as if the rows were built from words."""
         start = self.min_degree
         _check_budget(map(self.hilbert, range(start, j + 2)), start, 0)
         b = self._free_bound()
@@ -324,19 +336,11 @@ class FpModule:
                 counts[alpha] += 1
             self._bound_counts = counts
         d = self.algebra.d
-        scale = d ** (j - b)
-        total = scale * sum(self._bound_counts)
-        if total != self.hilbert(j) or d * total != self.hilbert(j + 1):
+        counts = [n * d ** (j - b) for n in self._bound_counts]
+        starts = list(itertools.accumulate(counts, initial=0))
+        if starts[-1] != self.hilbert(j) or d * starts[-1] != self.hilbert(j + 1):
             raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
-        one = self.algebra.field.one
-        rows = []
-        off = 0
-        for n in self._bound_counts:
-            n *= scale
-            col = off + i * n
-            rows.extend({c: one} for c in range(col, col + n))
-            off += d * n
-        return SparseMatrix(self.algebra.field, total, d * total, rows)
+        return [(row, n, d * row) for row, n in zip(starts, counts)]
 
     def word_levels(self, j: int):
         """Yield, for word length 0, 1, 2, ..., the matrices from M_j of the
@@ -354,16 +358,22 @@ class FpModule:
         return next(itertools.islice(self.word_levels(j), length, None))
 
     def _mult_bijective(self, j: int) -> bool:
-        """Is V tensor M_j -> M_{j+1} bijective?  Exact rank check.
+        """Is V tensor M_j -> M_{j+1} bijective?  Exact check.
 
-        By suffix closure (module docstring) the stacked letter matrices are
-        mostly unit rows, which `rank` counts before it eliminates the rest."""
+        For j >= b the stacked letter matrices are the unit rows placed by
+        `_free_layout(j)`: full rank iff the row blocks tile [0, h_j) and the
+        column blocks off + i * n_alpha tile [0, h_{j+1}).  Below b they are
+        mostly unit rows (module docstring), which `rank` counts first."""
         d = self.algebra.d
         hj, hj1 = self.hilbert(j), self.hilbert(j + 1)
         if d * hj != hj1:
             return False
         if hj1 == 0:
             return True
+        if j >= self._free_bound():
+            layout = self._free_layout(j)
+            return (_tiles([(start, n) for start, n, _ in layout], hj)
+                    and _tiles([(off + i * n, n) for _, n, off in layout for i in range(d)], hj1))
         stacked = []
         for i in range(d):
             stacked.extend(self.letter_matrix(i, j).rows)

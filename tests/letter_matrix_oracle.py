@@ -1,13 +1,15 @@
 """The lookup-built `FpModule.letter_matrix` that the free-tail rows replaced
-past the stable bound.
+past the stable bound, and the rank check of `FpModule._mult_bijective` that
+the free-tail layout check replaced there.
 
-It builds every standard word of degrees j and j+1 and looks up each product
-x_i * w in the degree-(j+1) index.  Kept verbatim, as a function of the
-module, as the oracle the count-built rows must match exactly: same rows,
-same column count, same value types and dict key order.
+`letter_matrix` builds every standard word of degrees j and j+1 and looks up
+each product x_i * w in the degree-(j+1) index.  Kept verbatim, as a function
+of the module, as the oracle the count-built rows must match exactly: same
+rows, same column count, same value types and dict key order.
+`mult_bijective` stacks those rows and runs exact `rank` in every degree.
 """
 
-from freeproj.linalg import SparseMatrix
+from freeproj.linalg import SparseMatrix, rank
 
 
 def letter_matrix(self, i: int, j: int) -> SparseMatrix:
@@ -29,3 +31,19 @@ def letter_matrix(self, i: int, j: int) -> SparseMatrix:
         else:
             rows.append({k: F.one})
     return SparseMatrix(F, len(rows), self.hilbert(j + 1), rows)
+
+
+def mult_bijective(self, j: int) -> bool:
+    """Is V tensor M_j -> M_{j+1} bijective?  Exact rank check of the
+    stacked lookup-built letter matrices, in every degree."""
+    d = self.algebra.d
+    hj, hj1 = self.hilbert(j), self.hilbert(j + 1)
+    if d * hj != hj1:
+        return False
+    if hj1 == 0:
+        return True
+    stacked = []
+    for i in range(d):
+        stacked.extend(letter_matrix(self, i, j).rows)
+    mat = SparseMatrix(self.algebra.field, d * hj, hj1, stacked)
+    return rank(mat) == hj1

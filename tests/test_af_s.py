@@ -92,6 +92,38 @@ def test_k0_class_examples():
         AFMatrix.matrix_unit(2, (0,), (1,)).k0_class()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(10007)])
+def test_k0_class_reads_the_rank_from_the_trace(field, monkeypatch):
+    # e = x * a with a * x * a = a is an idempotent of the rank of a; a is
+    # u * p * v with p a diagonal 0/1 projection, so that every rank shows
+    rng = make_rng(17)
+    idempotents, ranks = [], set()
+    for d, level in ((2, 2), (3, 1), (2, 3)):
+        n = d**level
+        for r in range(n + 1):
+            p = AFMatrix(d, level, [[int(i == j < r) for j in range(n)] for i in range(n)], field)
+            a = random_af(rng, d, level, field) * p * random_af(rng, d, level, field)
+            e = a.vn_regular_witness() * a
+            assert e * e == e
+            idempotents.append((e, e.rank()))
+            ranks.add(a.rank())
+    assert ranks == set(range(9))
+    # over QQ and over GF(p) with p above the side, no elimination runs
+    monkeypatch.setattr(AFMatrix, "rank", None)
+    for e, r in idempotents:
+        assert e.k0_class().value == Fraction(r, e.d**e.level)
+
+
+def test_k0_class_eliminates_when_the_trace_is_not_the_rank():
+    # over GF(2) at side 4 the trace of diag(1, 1, 0, 0) is 0 but its rank 2;
+    # over GF(3), diag(1, 1, 1, 0) has trace 0 and rank 3
+    e = AFMatrix(2, 2, [[int(i == j < 2) for j in range(4)] for i in range(4)], GF(2))
+    assert sum(e.entries[i][i] for i in range(4)) % 2 == 0 and e.rank() == 2
+    assert e.k0_class().value == Fraction(1, 2)
+    f = AFMatrix(2, 2, [[int(i == j < 3) for j in range(4)] for i in range(4)], GF(3))
+    assert f.k0_class().value == Fraction(3, 4)
+
+
 def test_k0_class_embed_invariant_and_additive():
     e = AFMatrix.matrix_unit(2, (0, 1), (0, 1))
     f = AFMatrix.matrix_unit(2, (1, 0), (1, 0))

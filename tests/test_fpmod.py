@@ -2,20 +2,23 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 from letter_matrix_oracle import letter_matrix as oracle_letter_matrix
+from letter_matrix_oracle import mult_bijective as oracle_mult_bijective
 from std_basis_oracle import std_basis as oracle_std_basis
 from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
 from word_matrix_oracle import word_matrix as oracle_word_matrix
 
 from freeproj import FreeAlgebra, FpModule, fpmod
-from freeproj.errors import BudgetExceeded
+from freeproj.errors import BudgetExceeded, CertificateMismatch
 from freeproj.fields import GF, QQ
 from freeproj.fpmod import MAX_STD_WORDS, FpModuleMorphism
 from freeproj.freealg import ModuleMap
+from freeproj.parsing import parse_presentation
 from freeproj.randgen import make_rng, random_module_element, random_module_map
 from freeproj.submodules import kernel
 
@@ -195,10 +198,14 @@ def test_letter_matrix_matches_slow_rows():
 
 class LookupLetters(FpModule):
     """An FpModule whose letter matrices are all the lookup-built oracle's,
-    in every degree, so that its stable profile is certified from them."""
+    in every degree, so that its stable profile is certified from them by
+    the oracle's rank check."""
 
     def letter_matrix(self, i, j):
         return oracle_letter_matrix(self, i, j)
+
+    def _mult_bijective(self, j):
+        return oracle_mult_bijective(self, j)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -238,6 +245,73 @@ def test_free_tail_letter_matrix_refuses_over_budget_before_building():
     assert max(M._std_cache) == M._free_bound()
     with pytest.raises(BudgetExceeded, match=f"degree {top} "):
         M.letter_matrix(1, top - 1)
+
+
+class MovedLayout(FpModule):
+    """An FpModule whose free-tail layout moves one entry of its first
+    nonempty coordinate by one: entry 0 is the row start, 2 the column
+    offset."""
+
+    def __init__(self, M, which):
+        super().__init__(M.F0, M.relations)
+        self.moved = which
+
+    def _free_layout(self, j):
+        layout = [list(entry) for entry in super()._free_layout(j)]
+        next(entry for entry in layout if entry[1])[self.moved] += 1
+        return [tuple(entry) for entry in layout]
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(presented_modules(fractions=True))
+def test_free_tail_layout_check_matches_rank_oracle(M):
+    # the layout check of degrees b..b+4 against exact rank of the stacked
+    # lookup-built letter matrices, on a fresh copy of the module
+    b = M._free_bound()
+    slow = FpModule(M.F0, M.relations)
+    for j in range(b, b + 5):
+        assert M._mult_bijective(j) == oracle_mult_bijective(slow, j)
+    # no letter matrix and no word past b was built for the check
+    assert M._letter_cache == {}
+    assert max(M._std_cache, default=b) <= b
+    if M.hilbert(b) == 0:
+        return
+    # a corrupted layout is not certified: a moved row start or column
+    # offset leaves a gap or an overlap, a wrong count fails its Hilbert value
+    for which in (0, 2):
+        moved = MovedLayout(M, which)
+        assert not any(moved._mult_bijective(j) for j in range(b, b + 3))
+    wrong = FpModule(M.F0, M.relations)
+    wrong._free_layout(b)
+    wrong._bound_counts[next(a for a, n in enumerate(wrong._bound_counts) if n)] += 1
+    for j in range(b, b + 3):
+        with pytest.raises(CertificateMismatch, match="Hilbert value"):
+            wrong._mult_bijective(j)
+
+
+def test_stable_profile_builds_no_free_tail_letter_matrix():
+    # the third module is R by x0 * e0 = e1, free from degree 0 < b = 1
+    A2 = FreeAlgebra(2)
+    golden = Path(__file__).parent / "golden" / "gf5.pres"
+    F = A2.free_module([0, 1])
+    mods = [
+        quotient_by_first_letter(A2),
+        parse_presentation(golden.read_text()).module(),
+        FpModule(F, [F.from_polys([A2.gen(0), A2.one().scale(-1)])]),
+    ]
+    below = 0
+    for M in mods:
+        M.stable_profile(window=6)
+        b = M._free_bound()
+        assert all(j < b for _, j in M._letter_cache)
+        below += len(M._letter_cache)
+        # asked for afterwards, the tail matrices are the oracle's
+        slow = FpModule(M.F0, M.relations)
+        for j in range(b, b + 3):
+            for i in range(M.algebra.d):
+                assert typed_rows(M.letter_matrix(i, j)) == typed_rows(oracle_letter_matrix(slow, i, j))
+    # the rank check below b still builds its letter matrices
+    assert below > 0
 
 
 def typed_rows(mat):
