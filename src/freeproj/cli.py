@@ -16,12 +16,12 @@ from fractions import Fraction
 
 from .af_s import AFMatrix, _check_side
 from .errors import BudgetExceeded, FreeProjError, ParseError
-from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, field_from_spec
+from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QQ, field_from_spec
 from .freealg import FreeAlgebra
 from .leavitt import l0_to_s
 from .parsing import parse_leavitt, parse_presentation
 from .qgr import pi_star
-from .verify import SUITE_NAMES, run_suite
+from .verify import CRITERIA, SUITE_NAMES, run_suite
 
 
 def _jsonable(value):
@@ -77,26 +77,23 @@ def _algebra(args) -> FreeAlgebra:
 # subcommand handlers
 
 
-def _check_hilbert_digits(M, j: int) -> None:
-    """Refuse a degree whose Hilbert value could have more than
-    MAX_LITERAL_DIGITS digits, the most JSON prints from an int: dim M_j is
-    at most rank * d^k with k = j - least shift.  As d^k >= 2^(k*(bits(d)-1)),
-    a large k is refused before any power of d is formed, and d^k is formed
-    only below 2^(2*bits(_DIGIT_BOUND))."""
-    shifts, d = M.F0.shifts, M.algebra.d
-    k = j - min(shifts, default=j)
-    if k <= 0 or d == 1:
-        return
-    if k * (d.bit_length() - 1) >= _DIGIT_BOUND.bit_length() or len(shifts) * d**k >= _DIGIT_BOUND:
+def _check_digits(n: int, d: int, k: int, what: str) -> None:
+    """Refuse `what`, the int n * d^k with k >= 0, when it can have more than
+    MAX_LITERAL_DIGITS digits, the most JSON prints from an int.  As
+    d^k >= 2^(k*(bits(d)-1)), a large k is refused before any power of d is
+    formed, and d^k is formed only below 2^(2*bits(_DIGIT_BOUND))."""
+    if n and (k * (d.bit_length() - 1) >= _DIGIT_BOUND.bit_length() or n * d**k >= _DIGIT_BOUND):
         raise BudgetExceeded(
-            f"dim M_{j} can reach {len(shifts)} * {d}^{k}, which has more than "
-            f"fields.MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits; lower j")
+            f"{what} {n} * {d}^{k}, which has more than "
+            f"fields.MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
 
 
 def cmd_hilbert(args) -> dict:
     pf = _load_presentation(args.file)
     M = pf.module()
-    _check_hilbert_digits(M, args.j)
+    # dim M_j is at most rank * d^k with k = j - least shift
+    shifts = M.F0.shifts
+    _check_digits(len(shifts), pf.d, max(args.j - min(shifts, default=args.j), 0), f"dim M_{args.j} can reach")
     return {
         "command": "hilbert",
         "inputs": {"file": args.file, "j": args.j, "d": pf.d, "field": pf.field.name},
@@ -121,10 +118,12 @@ def cmd_profile(args) -> dict:
 def cmd_k0(args) -> dict:
     pf = _load_presentation(args.file)
     cls = pf.module().k0_class()
+    # the value t * d^(-i) holds the power d^|i|; QQ.to_str decides the rest
+    _check_digits(1, cls.d, abs(cls.i), "the value of the class holds")
     return {
         "command": "k0",
         "inputs": {"file": args.file, "d": pf.d, "field": pf.field.name},
-        "result": {"k0": cls.to_json(), "value": str(cls.value)},
+        "result": {"k0": cls.to_json(), "value": QQ.to_str(cls.value)},
     }
 
 
@@ -174,6 +173,9 @@ def cmd_iso(args) -> dict:
 def cmd_decompose(args) -> dict:
     pf = _load_presentation(args.file)
     obj = pi_star(pf.module())
+    cls = obj.cls
+    # the multiplicity is t * d^(-c-i) when -c-i >= 0, and not integral otherwise
+    _check_digits(cls.t, cls.d, max(-cls.i - args.i, 0), f"the multiplicity at twist {args.i} is")
     r = obj.decompose(args.i)
     return {
         "command": "decompose",
@@ -208,37 +210,32 @@ def cmd_s_calc(args) -> dict:
     if args.level is not None and args.level > args.level_cap + 1:
         raise ParseError(f"level {args.level} exceeds --level-cap {args.level_cap}")
     inputs = {"subcommand": args.sub, "field": field.name}
+    a = _load_af(args.inputs[0], field, args.level_cap)
     if args.sub == "canonical":
-        a = _load_af(args.inputs[0], field, args.level_cap)
         result = {"element": a.canonical().to_json()}
     elif args.sub == "k0":
-        a = _load_af(args.inputs[0], field, args.level_cap)
         cls = a.k0_class()
         result = {"k0": cls.to_json(), "value": str(cls.value)}
     elif args.sub == "mul":
-        a = _load_af(args.inputs[0], field, args.level_cap)
+        if len(args.inputs) != 2:
+            raise ParseError(f"mul takes two files, got {len(args.inputs)}")
         b = _load_af(args.inputs[1], field, args.level_cap)
         if a.d != b.d:
             raise ParseError(f"cannot multiply elements with d={a.d} and d={b.d}")
         result = {"element": (a * b).to_json()}
     elif args.sub == "embed":
-        a = _load_af(args.inputs[0], field, args.level_cap)
         level = args.level if args.level is not None else a.level + 1
         _check_side(a.d, level, f"--level {level}: ")
         result = {"element": a.embed(level).to_json()}
     elif args.sub == "regular":
-        a = _load_af(args.inputs[0], field, args.level_cap)
         x = a.vn_regular_witness()
         result = {"witness": x.to_json(), "verified": a * x * a == a}
-    elif args.sub == "simplicity":
-        a = _load_af(args.inputs[0], field, args.level_cap)
+    else:  # simplicity, the last of the parser's choices
         us, vs = a.simplicity_witness()
         acc = AFMatrix.zero(a.d, 0, field)
         for u, v in zip(us, vs):
             acc = acc + u * a * v
         result = {"terms": len(us), "verified": acc == AFMatrix.scalar(a.d, 1, field)}
-    else:
-        raise ParseError(f"unknown s-calc subcommand {args.sub!r}")
     inputs["files"] = list(args.inputs)
     return {"command": "s-calc", "inputs": inputs, "result": result}
 
@@ -256,7 +253,7 @@ def cmd_verify(args) -> dict:
                 f"unknown suite {args.suite!r}; choose from "
                 + ", ".join(sorted(SUITE_NAMES)) + ", all, or a number"
             ) from None
-        if numbers[0] not in range(1, 13):
+        if numbers[0] not in CRITERIA:
             raise ParseError(f"criterion number out of range: {numbers[0]}")
     results = run_suite(numbers, seed=args.seed)
     entries = []

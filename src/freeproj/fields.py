@@ -98,9 +98,6 @@ class RationalField:
             raise BudgetExceeded(f"a computed value has over fields.MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
         return str(v)
 
-    def random(self, rng, span=3):
-        return rng.randint(-span, span)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -192,9 +189,6 @@ class PrimeField:
 
     def to_str(self, v) -> str:
         return str(v % self.p)
-
-    def random(self, rng, span=None):
-        return rng.randrange(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -56,7 +56,6 @@ hit each column once have full rank.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import BudgetExceeded, CertificateMismatch
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
@@ -105,10 +104,11 @@ class StableProfile:
             raise ValueError(f"profile starts at {self.i0}")
         return self.t0 * self.d ** (i - self.i0)
 
-    def as_dict(self, terms=5):
+    def as_dict(self):
+        """i0, the first five tail dimensions and the certified degree."""
         return {
             "i0": self.i0,
-            "t": [self.t(self.i0 + k) for k in range(terms)],
+            "t": [self.t(self.i0 + k) for k in range(5)],
             "certified_through": self.certified_through,
         }
 
@@ -404,19 +404,22 @@ class FpModule:
 
     def k0_class(self):
         """The class t_{i0} * d^(-i0) in Z[1/d], computed from the presentation
-        and cross-checked against the stable profile."""
+        and cross-checked against the stable profile.  The presentation class
+        is read as n * d^(-m), m the largest shift or relation degree, so no
+        negative power of d is formed."""
         from .qgr import QgrClass
 
         d = self.algebra.d
-        value = sum(Fraction(1, 1) * Fraction(d) ** (-b) for b in self.F0.shifts)
-        value -= sum(Fraction(d) ** (-a) for a in self.relation_basis().degrees())
+        degrees = self.relation_basis().degrees()
+        m = max(self.F0.shifts + degrees, default=0)
+        n = sum(d ** (m - b) for b in self.F0.shifts) - sum(d ** (m - a) for a in degrees)
         profile = self.stable_profile()
-        from_profile = Fraction(profile.t0) * Fraction(d) ** (-profile.i0)
-        if value != from_profile:
+        cls = QgrClass(profile.t0, profile.i0, d)
+        if n < 0 or QgrClass(n, m, d) != cls:
             raise CertificateMismatch(
-                f"presentation class {value} != profile class {from_profile}"
+                f"presentation class {n} * {d}^{-m} != profile class {profile.t0} * {d}^{-profile.i0}"
             )
-        return QgrClass.from_fraction(value, d)
+        return cls
 
     # -- torsion --------------------------------------------------------------
 

@@ -156,19 +156,9 @@ def format_poly(poly) -> str:
 
 
 def format_leavitt(elem) -> str:
-    F = elem.algebra.field
     keys = sorted(elem.terms, key=lambda wv: (len(wv[0]) + len(wv[1]), wv[0], wv[1]))
-    items = []
-    for w, v in keys:
-        gens = [f"x{i}*" for i in reversed(w)] + [f"x{i}" for i in v]
-        c = elem.terms[(w, v)]
-        if not gens:
-            items.append((c, []))
-        else:
-            items.append((c, gens))
-    if not items:
-        return "0"
-    return _format_terms(F, items)
+    items = [(elem.terms[(w, v)], [f"x{i}*" for i in reversed(w)] + [f"x{i}" for i in v]) for w, v in keys]
+    return _format_terms(elem.algebra.field, items)
 
 
 # ---------------------------------------------------------------------------

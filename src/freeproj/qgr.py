@@ -46,35 +46,31 @@ class QgrClass:
             raise ValueError("d must be at least 1")
         if t < 0:
             raise ValueError("classes are nonnegative")
-        value = Fraction(t) * Fraction(d) ** (-i)
-        norm = QgrClass._normalize(value, d)
-        self.t, self.i = norm
+        self.t, self.i = QgrClass._strip(t, i, d)
         self.d = d
 
     @staticmethod
-    def _normalize(value: Fraction, d: int):
-        if value == 0:
+    def _strip(t: int, i: int, d: int):
+        """Normal form of t * d^(-i) for an integer t, from the exponents
+        alone: factors of d move from t into i, and no power of d is formed."""
+        if t == 0:
             return 0, 0
         if d == 1:
-            if value.denominator != 1:
-                raise ValueError(f"{value} is not in Z[1/1] = Z")
-            return int(value), 0
-        i = 0
-        den = value.denominator
-        while den > 1:
-            g = gcd(den, d)
-            if g == 1:
-                raise ValueError(f"{value} is not in Z[1/{d}]")
-            num = value * d
-            i += 1
-            value = num
-            den = value.denominator
-        # now value is a nonnegative integer t * d^(-i); strip factors of d
-        t = int(value)
+            return t, 0
         while t % d == 0:
             t //= d
             i -= 1
         return t, i
+
+    @staticmethod
+    def _normalize(value: Fraction, d: int):
+        i = 0
+        while value.denominator > 1:
+            if gcd(value.denominator, d) == 1:
+                raise ValueError(f"{value} is not in Z[1/{d}]")
+            value *= d
+            i += 1
+        return QgrClass._strip(int(value), i, d)
 
     @classmethod
     def from_fraction(cls, value: Fraction, d: int) -> "QgrClass":
@@ -109,14 +105,17 @@ class QgrClass:
 
     def twisted(self, m: int) -> "QgrClass":
         """Multiply by d^m (the effect of the Serre twist by m)."""
-        return QgrClass.from_fraction(self.value * Fraction(self.d) ** m, self.d)
+        return QgrClass(self.t, self.i - m, self.d)
 
     def multiplicity_at(self, i: int) -> int:
-        """r with value = r * d^i, if r is a nonnegative integer."""
-        q = self.value * Fraction(self.d) ** (-i)
-        if q.denominator != 1:
-            raise NotExpressibleAtTwist(f"class {self.value} is not integral at twist {i}")
-        return int(q)
+        """r with value = r * d^i, if r is a nonnegative integer.  For the
+        normal form t * d^(-c) that is t * d^(-c-i), integral exactly when
+        -c-i >= 0 (d does not divide t), read from the exponents."""
+        e = -self.i - i
+        if e < 0 and self.t and self.d > 1:
+            raise NotExpressibleAtTwist(
+                f"class {self.t} * {self.d}^{-self.i} is not integral at twist {i}")
+        return self.t * self.d ** max(e, 0)
 
     def expressible_in(self, e: int) -> bool:
         """Does this value lie in Z[1/e]?"""
@@ -175,8 +174,7 @@ class QgrObject:
     @classmethod
     def twisted_sum(cls, d: int, i: int, r: int) -> "QgrObject":
         """O(i)^r."""
-        value = Fraction(r) * Fraction(d) ** i
-        return cls(d, QgrClass.from_fraction(value, d), (max(-i, 0), r * d ** max(i, 0)))
+        return cls(d, QgrClass(r, -i, d), (max(-i, 0), r * d ** max(i, 0)))
 
     def is_zero(self) -> bool:
         return self.cls.is_zero()

@@ -8,12 +8,17 @@ whose left multiples have pairwise distinct leading monomials.  Such a set
 is a free basis of the submodule it generates, and head reduction against it
 is a complete membership test.
 
-The algorithm tracks cofactors both ways: every basis element is recorded as
-a left combination of the input generators, and every input generator as a
-left combination of the basis.  Kernels and syzygies fall out of those
-records exactly: if the generators g satisfy g = Q*b and b = P*g for a free
-basis b, then every syzygy row r satisfies r*Q = 0, hence r = r*(I - Q*P),
-so the rows of I - Q*P generate the whole syzygy module.
+One tail interreduction pass suffices: whether a monomial is reducible
+depends only on the leading words, and interreduction never changes them
+(they are pairwise non-suffix, and reduction only adds smaller terms), so an
+element once reduced stays reduced while the others are.
+
+Every basis element is recorded as a left combination of the input
+generators; an input generator's combination over the basis is computed on
+demand by reducing it.  Kernels and syzygies fall out of the two: if the
+generators g satisfy g = Q*b and b = P*g for a free basis b, then every
+syzygy row r satisfies r*Q = 0, hence r = r*(I - Q*P), so the rows of
+I - Q*P generate the whole syzygy module.
 """
 
 from __future__ import annotations
@@ -35,20 +40,17 @@ class FreeBasis:
 
     elements: monic, fully interreduced, pairwise left-multiple-free leading
     terms.  from_generators[j] expresses elements[j] over the input
-    generators; generator_expressions[i] expresses input generator i over the
-    basis.  Both are sparse rows {index: NcPoly} with coefficients acting on
-    the left.
+    generators, as a sparse row {index: NcPoly} with coefficients acting on
+    the left.  Input generator i is expressed over the basis on demand, by
+    reduce_with_cofactors(generators[i])[1].
     """
 
-    __slots__ = (
-        "ambient", "elements", "from_generators", "generator_expressions", "_by_coord", "_degrees",
-    )
+    __slots__ = ("ambient", "elements", "from_generators", "_by_coord", "_degrees")
 
-    def __init__(self, ambient, elements, from_generators, generator_expressions):
+    def __init__(self, ambient, elements, from_generators):
         self.ambient = ambient
         self.elements = tuple(elements)
         self.from_generators = tuple(from_generators)
-        self.generator_expressions = tuple(generator_expressions)
         self._by_coord = _lead_index(self.elements)
         self._degrees = tuple(b.degree() for b in self.elements)
 
@@ -69,13 +71,12 @@ class FreeBasis:
         return sum(d ** (j - a) for a in self.degrees() if a <= j)
 
     def reduce(self, elem: FreeModuleElement) -> FreeModuleElement:
-        nf, _ = self.reduce_with_cofactors(elem)
-        return nf
+        return _full_reduce(elem, self.elements, self._by_coord)[0]
 
     def reduce_with_cofactors(self, elem: FreeModuleElement):
         """Full normal form plus the row q with elem = nf + sum q[i]*basis[i]."""
         nf, uses = _full_reduce(elem, self.elements, self._by_coord)
-        return nf, uses
+        return nf, {i: NcPoly(self.ambient.algebra, q) for i, q in uses.items()}
 
     def __repr__(self):
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
@@ -102,13 +103,11 @@ def _find_reducer(alpha, w, by_coord):
 def _full_reduce(elem, basis, by_coord):
     """Reduce every monomial of elem against the monic basis.
 
-    Returns (normal form, uses) with uses a dict {basis index: NcPoly q}
-    such that elem = nf + sum q*basis.  Terms are processed in decreasing
-    order, so the result is the canonical fully reduced form.
+    Returns (normal form, uses) with uses a dict {basis index: {word: coef}}
+    such that elem = nf + sum uses[i]*basis[i].  Terms are processed in
+    decreasing order, so the result is the canonical fully reduced form.
     """
-    module = elem.module
-    A = module.algebra
-    F = A.field
+    F = elem.module.algebra.field
     work = dict(elem.terms)
     nf: dict = {}
     uses: dict = {}
@@ -127,21 +126,22 @@ def _full_reduce(elem, basis, by_coord):
             (beta, u + wb): cb for (beta, wb), cb in basis[idx].terms.items() if (beta, wb) != lead
         })
         _add_terms(F, uses.setdefault(idx, {}), [(u, coef)])
-    return FreeModuleElement(module, nf), {i: NcPoly(A, q) for i, q in uses.items() if q}
+    return FreeModuleElement(elem.module, nf), uses
 
 
-def _combine_cofactors(A, base_row: dict, uses: dict, rows: list) -> dict:
-    """base_row - sum uses[j] * rows[j], rows being sparse NcPoly rows."""
-    F = A.field
-    out = {i: dict(p.terms) for i, p in base_row.items()}
+def _combine_cofactors(F, base_row: dict, uses: dict, rows: list) -> dict:
+    """base_row - sum uses[j] * rows[j], on the plain cofactor rows
+    {index: {word: coef}} used inside this module; `NcPoly` rows appear only
+    in `FreeBasis.from_generators` and `FreeBasis.reduce_with_cofactors`."""
+    out = {i: dict(t) for i, t in base_row.items()}
     for j, q in uses.items():
-        minus_q = (-q).terms
-        for i, p in rows[j].items():
+        minus_q = {u: F.neg(c) for u, c in q.items()}
+        for i, t in rows[j].items():
             acc = out.setdefault(i, {})
-            _add_products(F, acc, minus_q, p.terms, add)
+            _add_products(F, acc, minus_q, t, add)
             if not acc:
                 del out[i]
-    return {i: NcPoly(A, t) for i, t in out.items()}
+    return out
 
 
 def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis:
@@ -164,51 +164,36 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
         key=lambda i: (generators[i].degree(), i),
     )
     basis: list = []
+    leads: list = []
     cof_rows: list = []  # row i: basis[i] over the input generators
     by_coord: dict = {}
     for i in order:
-        g = generators[i]
-        nf, uses = _full_reduce(g, basis, by_coord)
+        nf, uses = _full_reduce(generators[i], basis, by_coord)
         if nf.is_zero():
             continue
-        row = _combine_cofactors(A, {i: A.one()}, uses, cof_rows)
-        _, lc = nf.leading_term()
+        row = _combine_cofactors(F, {i: {(): F.one}}, uses, cof_rows)
+        lead, lc = nf.leading_term()
         if lc != F.one:
             inv = F.invert(lc)
             nf = nf.scale(inv)
-            row = {k: p.scale(inv) for k, p in row.items()}
-        idx = len(basis)
+            row = {k: {u: F.mul(inv, c) for u, c in t.items()} for k, t in row.items()}
+        by_coord.setdefault(lead[0], []).append((len(basis), lead[1]))
+        leads.append(lead)
         basis.append(nf)
         cof_rows.append(row)
-        (alpha, w), _ = nf.leading_term()
-        by_coord.setdefault(alpha, []).append((idx, w))
 
-    # tail interreduction to the canonical fully reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(basis)):
-            b = basis[idx]
-            others = basis[:idx] + basis[idx + 1:]
-            coord = {
-                a: [(j if j < idx else j - 1, w) for j, w in lst if j != idx]
-                for a, lst in by_coord.items()
-            }
-            nf, uses = _full_reduce(b, others, coord)
-            if uses:
-                remap = {(j if j < idx else j + 1): q for j, q in uses.items()}
-                basis[idx] = nf
-                cof_rows[idx] = _combine_cofactors(A, cof_rows[idx], remap, cof_rows)
-                changed = True
-
-    final_coord = _lead_index(basis)
-    gen_rows = []
-    for g in generators:
-        nf, uses = _full_reduce(g, basis, final_coord)
-        if not nf.is_zero():
-            raise AssertionError("input generator did not reduce to zero against its basis")
-        gen_rows.append(uses)
-    return FreeBasis(ambient, basis, cof_rows, gen_rows)
+    # one tail interreduction pass (see the module docstring); an element's
+    # own leading word is no suffix of a tail monomial at its coordinate,
+    # which has the same length, so each tail reduces against all leads
+    for idx, lead in enumerate(leads):
+        b = basis[idx]
+        tail = dict(b.terms)
+        lc = tail.pop(lead)
+        nf, uses = _full_reduce(FreeModuleElement(b.module, tail), basis, by_coord)
+        if uses:
+            basis[idx] = FreeModuleElement(b.module, {lead: lc, **nf.terms})
+            cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
+    return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows])
 
 
 def reduce(elem: FreeModuleElement, basis: FreeBasis) -> FreeModuleElement:
@@ -246,25 +231,12 @@ def kernel(phi: ModuleMap) -> FreeBasis:
 
 def _syzygy_basis(images, ambient, cover):
     """Common core: basis of {r : sum r_i * images_i = 0} inside `cover`."""
-    A = ambient.algebra
-    basis = weak_basis([g for g in images if not g.is_zero()], ambient=ambient)
-    # generator_expressions only covers the nonzero images, in their order
-    nonzero = [i for i, g in enumerate(images) if not g.is_zero()]
-    Q = {}
-    for pos, i in enumerate(nonzero):
-        Q[i] = basis.generator_expressions[pos]
-    P = [
-        {nonzero[k]: p for k, p in row.items()}
-        for row in basis.from_generators
-    ]
+    F = ambient.algebra.field
+    basis = weak_basis(images, ambient=ambient)  # zero images are skipped
+    P = [{i: p.terms for i, p in row.items()} for row in basis.from_generators]
     rows = []
-    one = A.one()
-    for i in range(len(images)):
-        acc = _combine_cofactors(A, {i: one}, Q.get(i, {}), P)
-        terms = {}
-        for l, p in acc.items():
-            for w, c in p.terms.items():
-                terms[(l, w)] = c
-        rows.append(FreeModuleElement(cover, terms))
-    live = [r for r in rows if not r.is_zero()]
-    return weak_basis(live, ambient=cover)
+    for i, g in enumerate(images):
+        Q = _full_reduce(g, basis.elements, basis._by_coord)[1]
+        acc = _combine_cofactors(F, {i: {(): F.one}}, Q, P)
+        rows.append(FreeModuleElement(cover, {(l, w): c for l, t in acc.items() for w, c in t.items()}))
+    return weak_basis([r for r in rows if not r.is_zero()], ambient=cover)

@@ -102,6 +102,43 @@ def test_decompose_error_is_json(files, capsys):
     assert report["kind"] == "NotExpressibleAtTwist"
 
 
+@pytest.mark.parametrize("i, kind", [
+    ("-20000", "BudgetExceeded"), (str(-10**12), "BudgetExceeded"), (str(10**12), "NotExpressibleAtTwist"),
+])
+def test_decompose_at_far_twists_is_decided_from_exponents(capsys, i, kind):
+    # multiplicity 2^20000 has 6021 digits; at twist 10^12 the class 1 is not
+    # integral; both are decided before any power of 2 is formed
+    free = os.path.join(os.path.dirname(__file__), "golden", "free.pres")
+    start = time.perf_counter()
+    code, report = run(capsys, "decompose", free, i)
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert report["kind"] == kind
+
+
+def test_far_shift_class_is_read_from_exponents(tmp_path, capsys):
+    far = tmp_path / "far.pres"
+    far.write_text(f"field: QQ\nd: 2\ngens: [{10**12}]\nrels:\n")
+    start = time.perf_counter()
+    code, report = run(capsys, "qgr-class", str(far))
+    assert code == 0
+    assert report["result"] == {"class": {"t": 1, "i": 10**12, "d": 2}, "witness": [10**12, 1]}
+    code, report = run(capsys, "decompose", str(far), str(-10**12 - 3))
+    assert code == 0
+    assert report["result"]["multiplicity"] == 8
+    # the value 1/2^(10^12) is refused before it is formed
+    code, report = run(capsys, "k0", str(far))
+    assert code == 1
+    assert report["kind"] == "BudgetExceeded"
+    assert f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}" in report["error"]
+    assert time.perf_counter() - start < 2
+    # 2^14000 has 4215 digits
+    far.write_text("field: QQ\nd: 2\ngens: [14000]\nrels:\n")
+    code, report = run(capsys, "k0", str(far))
+    assert code == 0
+    assert report["result"]["value"] == f"1/{2**14000}"
+
+
 def test_leavitt_eval(capsys):
     code, report = run(capsys, "leavitt-eval", "x0 x0*")
     assert code == 0
@@ -230,6 +267,13 @@ def test_leavitt_eval_bounds_matrix_side(capsys):
     assert code == 2
     assert report["kind"] == "parse"
     assert "--level 3" in report["error"] and "2048 rows" in report["error"]
+
+
+def test_s_calc_mul_needs_two_files(capsys):
+    e01 = os.path.join(os.path.dirname(__file__), "golden", "e01.json")
+    code, report = run(capsys, "s-calc", "mul", e01)
+    assert code == 2
+    assert report["kind"] == "parse"
 
 
 def test_s_calc_mul_rejects_mixed_d(tmp_path, capsys):

@@ -118,6 +118,19 @@ def test_decompose_examples():
     assert QgrObject.zero(2).decompose(5) == 0
 
 
+def test_far_classes_use_exponents_only():
+    # 2^(10^12) is never formed: normal form, twist and multiplicity read
+    # the exponents
+    far = QgrClass(12, 10**12, 2)
+    assert (far.t, far.i) == (3, 10**12 - 2)
+    assert far.twisted(10**12) == QgrClass(3, -2, 2)
+    assert far.multiplicity_at(-(10**12)) == 12
+    with pytest.raises(NotExpressibleAtTwist):
+        far.multiplicity_at(3 - 10**12)
+    assert QgrClass(5, 10**12, 1).multiplicity_at(10**12) == 5
+    assert QgrObject.twisted_sum(2, -(10**12), 3).cls == QgrClass(3, 10**12, 2)
+
+
 # ---------------------------------------------------------------------------
 # the sections functor
 

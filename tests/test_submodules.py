@@ -1,8 +1,21 @@
+import hypothesis
+
 from freeproj import kernel, syzygies, weak_basis
 from freeproj.freealg import ModuleMap
 from freeproj.randgen import make_rng, random_module_element, random_module_map
 
 from conftest import span_dim
+from test_fpmod import presented_modules
+
+
+def rebuilt(B, g):
+    """sum q_i * basis_i over the cofactors of g, which must reduce to zero."""
+    nf, row = B.reduce_with_cofactors(g)
+    assert nf.is_zero()
+    acc = B.ambient.zero()
+    for i, p in row.items():
+        acc = acc + B.elements[i].poly_mul(p)
+    return acc
 
 
 def R_of(A):
@@ -57,12 +70,26 @@ def test_weak_basis_transformations(A2):
             for i, p in row.items():
                 acc = acc + gens[i].poly_mul(p)
             assert acc == b
-        # generator_expressions: every input reduces to its recorded combination
-        for g, row in zip(gens, B.generator_expressions):
-            acc = R.zero()
-            for i, p in row.items():
-                acc = acc + B.elements[i].poly_mul(p)
-            assert acc == g
+        # every input reduces to zero, and its cofactors over the basis rebuild it
+        for g in gens:
+            assert rebuilt(B, g) == g
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(presented_modules(fractions=True))
+def test_weak_basis_is_interreduced_and_stable(M):
+    B = weak_basis(M.relations, ambient=M.F0)
+    leads = [b.leading_term()[0] for b in B.elements]
+    for i, b in enumerate(B.elements):
+        assert b.terms[leads[i]] == M.algebra.field.one
+        # no monomial of b is a left multiple of another element's leading word
+        for alpha, w in b.terms:
+            for j, (beta, v) in enumerate(leads):
+                assert j == i or beta != alpha or len(v) > len(w) or w[len(w) - len(v):] != v
+    again = weak_basis(B.elements, ambient=M.F0)
+    assert [list(b.terms.items()) for b in again.elements] == [list(b.terms.items()) for b in B.elements]
+    for g in M.relations:
+        assert rebuilt(B, g) == g
 
 
 def test_reduce_examples(A2):
