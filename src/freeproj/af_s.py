@@ -13,9 +13,10 @@ idempotent in the dyadic-style group Z[1/d].
 
 Entries are canonical field values (an int for every integral QQ value,
 ints 0..p-1 over GF(p)).  The constructor coerces them, as do `from_json`,
-`matrix_unit`, `scalar`, `+`, `-`, `scale` and the vN witness through it;
-`embed`, `canonical` and `*` slice canonical entries or take their
-`dense_mul`, which is canonical, so they skip it via `_from_canonical`.
+`matrix_unit`, `scalar`, `+`, `-` and `scale` through it; `embed`,
+`canonical` and `*` slice canonical entries or take their `dense_mul`, and
+the vN witness places the transform rows of `row_reduce`, all canonical, so
+they skip it via `_from_canonical`.
 """
 
 from __future__ import annotations
@@ -206,11 +207,11 @@ class AFMatrix:
         With T*a = [C; 0] in reduced row echelon form, x = Q*T_k: row c of x
         is the transform row of the pivot in column c, all other rows zero.
         a*Q is the pivot columns of a and C writes every column of a over
-        them, so a*x*a = (a*Q)*C = a.
+        them, so a*x*a = (a*Q)*C = a.  The elimination's values are
+        canonical, so x skips the constructor's coercion.
         """
-        F = self.field
-        x = generalized_inverse(F, [list(r) for r in self.entries])
-        return AFMatrix(self.d, self.level, x, F)
+        x = generalized_inverse(self.field, self.entries)
+        return AFMatrix._from_canonical(self.d, self.level, tuple(map(tuple, x)), self.field)
 
     def simplicity_witness(self):
         """Rows (u_i), (v_i) with sum u_i * a * v_i = 1, witnessing simplicity.

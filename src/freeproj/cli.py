@@ -21,7 +21,7 @@ from .freealg import FreeAlgebra
 from .leavitt import l0_to_s
 from .parsing import parse_leavitt, parse_presentation
 from .qgr import pi_star
-from .verify import CRITERIA, SUITE_NAMES, run_suite
+from .verify import CRITERIA, SUITE_NAMES, run_criterion
 
 
 def _jsonable(value):
@@ -242,7 +242,7 @@ def cmd_s_calc(args) -> dict:
 
 def cmd_verify(args) -> dict:
     if args.suite == "all":
-        numbers = None
+        numbers = sorted(CRITERIA)
     elif args.suite in SUITE_NAMES:
         numbers = [SUITE_NAMES[args.suite]]
     else:
@@ -255,7 +255,12 @@ def cmd_verify(args) -> dict:
             ) from None
         if numbers[0] not in CRITERIA:
             raise ParseError(f"criterion number out of range: {numbers[0]}")
-    results = run_suite(numbers, seed=args.seed)
+    results = []
+    for number in numbers:
+        start = time.perf_counter()
+        results.append(run_criterion(number, seed=args.seed))
+        print(f"[freeproj] criterion {number} ({results[-1].name}) took "
+              f"{time.perf_counter() - start:.3f}s", file=sys.stderr)
     entries = []
     for r in results:
         entry = {"criterion": r.number, "name": r.name, "passed": r.passed}

@@ -58,6 +58,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BudgetExceeded, CertificateMismatch
+from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
 from .linalg import SparseMatrix, _row_axpy, left_kernel, rank
 from .submodules import FreeBasis, kernel, weak_basis
@@ -77,6 +78,21 @@ def _check_budget(sizes, first: int, kept: int):
             raise BudgetExceeded(
                 f"degree {k} has {h} standard words, which bring the module's total to "
                 f"{kept}, over the bound fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}; lower --degree-cap")
+
+
+def _check_span(low: int, top: int, d: int):
+    """Refuse with `BudgetExceeded` a stable profile over the degrees
+    low..top that is too wide to walk.  Its Hilbert values reach
+    rank * d^k over the span k = top - low, so k * max(bits(d) - 1, 1), a
+    lower bound on the bits of d^k for d >= 2 and the span itself for d = 1,
+    is held under the bits of a MAX_LITERAL_DIGITS-digit int.  Decided from
+    the degrees alone, before any power of d is formed or any degree walked."""
+    span = top - low
+    if span * max(d.bit_length() - 1, 1) >= _DIGIT_BOUND.bit_length():
+        raise BudgetExceeded(
+            f"a stable profile over degrees {low}..{top} spans {span} degrees, whose dimensions "
+            f"can reach rank * {d}^{span}, more than fields.MAX_LITERAL_DIGITS = "
+            f"{MAX_LITERAL_DIGITS} digits; lower --degree-cap or the spread of the shifts")
 
 
 def _tiles(blocks, size: int) -> bool:
@@ -387,6 +403,7 @@ class FpModule:
         target = bound + window
         if self._profile is not None and self._profile.certified_through >= target:
             return self._profile
+        _check_span(self.min_degree, target, self.algebra.d)
         i0 = bound
         while i0 > self.min_degree and self._mult_bijective(i0 - 1):
             i0 -= 1
@@ -406,14 +423,15 @@ class FpModule:
         """The class t_{i0} * d^(-i0) in Z[1/d], computed from the presentation
         and cross-checked against the stable profile.  The presentation class
         is read as n * d^(-m), m the largest shift or relation degree, so no
-        negative power of d is formed."""
+        negative power of d is formed, and only after the profile has held
+        the spread of those degrees to its bound."""
         from .qgr import QgrClass
 
+        profile = self.stable_profile()
         d = self.algebra.d
         degrees = self.relation_basis().degrees()
         m = max(self.F0.shifts + degrees, default=0)
         n = sum(d ** (m - b) for b in self.F0.shifts) - sum(d ** (m - a) for a in degrees)
-        profile = self.stable_profile()
         cls = QgrClass(profile.t0, profile.i0, d)
         if n < 0 or QgrClass(n, m, d) != cls:
             raise CertificateMismatch(

@@ -17,14 +17,17 @@ per column.  Everything else is a view of it:
 
 Over QQ the field's arithmetic builds a `Fraction`, with a gcd, at every
 step, and the denominators of a dense elimination grow to many digits.  So
-`row_reduce` lifts each row once, at entry, to integer numerators over one
-denominator shared with its transform row, clears by integer
-cross-multiplication whatever the pivot, and makes each entry rational once
-at the end.  Such a row is at every step a nonzero multiple of the row that
-field arithmetic would hold, so zero pattern, pivots and dict key order do
-not change, and the output equals field arithmetic's value for value.
-`dense_mul` likewise takes integer dot products; `_integer_vector` is the
-one lift of both.
+`row_reduce` lifts each row once, at entry, to integer numerators over its
+denominator d_i, clears with Bareiss's fraction-free update, and makes each
+entry rational once at the end.  Each integer row is q_i times the row that
+field arithmetic would hold, q_i = 1 at entry, and a clear by pivot p
+divides (p*row - a*prow) by q_i with no gcd: exactly, since the quotient
+is, up to sign, a row of minors of the lifted input (Sylvester's identity;
+E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968; see `_eliminate`).  Zero
+pattern, pivots and dict key order do not change, and the output equals
+field arithmetic's value for value.  `dense_mul` likewise takes integer dot
+products, on the lift of `_integer_vector`.
 
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
 sparse product; it works on the plain values of `fields`, reducing mod p
@@ -48,7 +51,7 @@ v -> v*A, so kernels are left kernels {v : v*A = 0}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import attrgetter, mul
 
 
@@ -165,19 +168,22 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
 
     Over GF(p) each pivot row is normalized and clears the other rows with
     `_row_axpy`.  Over QQ each row is written once, at entry, as integer
-    numerators over its own denominator d (`_integer_vector`), and its
-    transform row starts as {i: d}; every clear, whatever the pivot, is an
-    integer cross-multiplication (`_cross_eliminate`), and pivot rows are
-    left unnormalized.  An integer row is always a nonzero multiple of the
-    field-arithmetic row, so zero pattern, pivots and dict key order are
-    unchanged.  At the end each row is divided by its pivot (or, below the
-    pivots, by its denominator), one rational per entry, which gives the
-    field-arithmetic output value for value.
+    numerators over its own denominator d_i, and its transform row starts
+    as {i: d_i}; every clear is Bareiss's one-step fraction-free update,
+    divided exactly by the row's scale q_i (see `_eliminate`), and pivot
+    rows are left unnormalized.  An integer row is
+    always a nonzero multiple of the field-arithmetic row, so zero pattern,
+    pivots and dict key order are unchanged.  At the end each pivot row is
+    divided by its pivot, which is its scale, and each zero row's transform
+    by d_i*q_i, one rational per entry, which gives the field-arithmetic
+    output value for value.
     """
-    pivots, work, trans, den = _eliminate(mat, want_transform)
+    pivots, work, trans, den, scale = _eliminate(mat, want_transform)
     if den is not None:
-        for i, d in enumerate(den):
-            q = work[i][pivots[i][1]] if i < len(pivots) else d
+        k = len(pivots)
+        for i, q in enumerate(scale):
+            if i >= k:
+                q *= den[i]
             if q != 1:
                 work[i] = {j: _ratio(v, q) for j, v in work[i].items()}
                 if trans is not None:
@@ -187,20 +193,51 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
 
 def _eliminate(mat: SparseMatrix, want_transform):
     """The elimination of `row_reduce` without its end pass over QQ:
-    (pivots, rows, transform, denominators), the QQ rows still integer
-    numerators over their denominators and pivot rows unnormalized (the
-    denominators are None over GF(p)).  `rank` reads only the pivots."""
+    (pivots, rows, transform, denominators, scales), the last two None over
+    GF(p).  Over QQ row i, with its transform row, is q_i = scales[i] times
+    the row u_i that field Gauss-Jordan on the lifted input L holds (pivot
+    rows normalized), L_i being row i's numerators over d_i =
+    denominators[i].  `rank` reads only the pivots.
+
+    A QQ clear is Bareiss's one-step fraction-free update.  Fraction-free
+    Gauss-Jordan on L keeps every row at one scale delta_t, the determinant
+    of the first t pivot rows and columns, and its entries are minors of L
+    and of its transform, so integers.  Here a row that a pivot column
+    misses is skipped and keeps the scale q_i of its last update, and the
+    update scales from that:
+
+    * the pivot p of a row at scale +-delta_t clears entry a of row i as
+      (p*v_i - a*v_k) / q_i, which is +-(row i at scale delta_{t+1}), so an
+      exact division (Sylvester's identity), and q_i becomes p;
+    * when |p| == |q_i| and p divides a (the +-1 pivots of module maps)
+      that is +-(v_i - (a/p)*v_k), the plain axpy, and q_i stays: a row and
+      its scale negated together stand for the same u_i;
+    * a pivot row at an older scale q_k is first brought to the previous
+      pivot's scale last = +-delta_t as v*last/q_k, exact as the result is
+      +-(its row at scale delta_t), though last need not be a multiple of
+      q_k; a pivot row that clears nothing is left as it is, and last
+      becomes its pivot entry at that scale, pv*last/q_k.  A pivot row's
+      q_k is its pivot entry, the scale of its normalized row.
+
+    E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22 (1968).
+    """
     F = mat.field
     n = mat.nrows
     if F.characteristic:
-        den = None
+        den = scale = None
         work = [dict(r) for r in mat.rows]
     else:
         den, work = [], []
         for row in mat.rows:
-            d, nums = _integer_vector(row.values())
+            d = lcm(*map(_denominator, row.values()))
             den.append(d)
-            work.append(dict(zip(row, nums)))
+            if d == 1:
+                work.append(dict(zip(row, map(_numerator, row.values()))))
+            else:
+                work.append({j: v.numerator * (d // v.denominator) for j, v in row.items()})
+        scale = [1] * n
+        last = 1
     trans = [{i: d} for i, d in enumerate(den or [F.one] * n)] if want_transform else None
     holders: dict = {}
     for i, row in enumerate(work):
@@ -219,7 +256,7 @@ def _eliminate(mat: SparseMatrix, want_transform):
             pi = min((i for i in cand if i > r and c in work[i]), default=None)
             if pi is None:
                 continue
-            for rows in (work, trans, den):
+            for rows in (work, trans, den, scale):
                 if rows is not None:
                     rows[r], rows[pi] = rows[pi], rows[r]
             for pos in (r, pi):
@@ -227,11 +264,26 @@ def _eliminate(mat: SparseMatrix, want_transform):
                     if j != c:
                         holders[j].add(pos)
         pv = work[r][c]
-        if den is None and pv != 1:
-            inv = F.invert(pv)
-            work[r] = {j: F.mul(inv, v) for j, v in work[r].items()}
-            if trans is not None:
-                trans[r] = {j: F.mul(inv, v) for j, v in trans[r].items()}
+        if den is None:
+            if pv != 1:
+                inv = F.invert(pv)
+                work[r] = {j: F.mul(inv, v) for j, v in work[r].items()}
+                if trans is not None:
+                    trans[r] = {j: F.mul(inv, v) for j, v in trans[r].items()}
+        else:
+            q = scale[r]
+            if q == last or q == -last:
+                last = pv
+            elif len(cand) == 1:
+                # clears nothing: only the next pivot needs its scale
+                last = pv * last // q
+            else:
+                # an older scale: brought to the previous pivot's before it clears
+                work[r] = {j: v * last // q for j, v in work[r].items()}
+                if trans is not None:
+                    trans[r] = {j: v * last // q for j, v in trans[r].items()}
+                pv = last = work[r][c]
+            scale[r] = pv
         # cand holds r (or, after a swap, pi): a single holder clears nothing
         if len(cand) > 1:
             prow = work[r]
@@ -244,15 +296,33 @@ def _eliminate(mat: SparseMatrix, want_transform):
                         for j in pkeys - row.keys():
                             holders[j].add(i)
                     trow = trans[i] if trans is not None else {}
-                    if den is None:
-                        coef = row[c]
-                        _row_axpy(F, row, coef, prow)
-                        _row_axpy(F, trow, coef, ptrow)
-                    else:
-                        den[i] = _cross_eliminate(row, trow, den[i], row[c], prow, ptrow, pv)
+                    a = row[c]
+                    if den is not None:
+                        q = scale[i]
+                        if pv != q and pv != -q or a % pv:
+                            work[i] = _bareiss(row, a, prow, pv, q)
+                            if trans is not None:
+                                trans[i] = _bareiss(trow, a, ptrow, pv, q)
+                            scale[i] = pv
+                            continue
+                        a //= pv
+                    _row_axpy(F, row, a, prow)
+                    _row_axpy(F, trow, a, ptrow)
         pivots.append((r, c))
         r += 1
-    return pivots, work, trans, den
+    return pivots, work, trans, den, scale
+
+
+def _bareiss(row: dict, a: int, prow: dict, p: int, q: int) -> dict:
+    """(p*row - a*prow) / q, an exact division, as a new dict: the keys of
+    row that stay nonzero in their order, then the fill keys in prow's order,
+    which is where an in-place axpy would leave them."""
+    get = prow.get
+    out = {j: x for j, v in row.items() if (x := (p * v - a * get(j, 0)) // q)}
+    for j, w in prow.items():
+        if j not in row:
+            out[j] = -a * w // q
+    return out
 
 
 _denominator = attrgetter("denominator")
@@ -266,43 +336,6 @@ def _integer_vector(values):
     if d == 1:
         return 1, list(map(_numerator, values))
     return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def _cross_eliminate(row: dict, trow: dict, d: int, a: int, prow: dict, ptrow: dict, p: int) -> int:
-    """Clear the entry a of the integer row row/d by the integer pivot row
-    prow with pivot entry p, in place; trow shares d and follows ptrow.
-
-    With g = gcd(p, a) the rows become (p/g)*row - (a/g)*prow over
-    (p/g)*d, then lose the gcd of the denominator and all their entries.
-    row/d changes exactly as `_row_axpy` by the normalized pivot row would
-    change it, and keys are inserted and dropped in the same order.
-    Returns the new denominator.
-    """
-    g = gcd(p, a)
-    f, h = p // g, a // g
-    if f != 1:
-        for j in row:
-            row[j] *= f
-        for j in trow:
-            trow[j] *= f
-        d *= f
-    for target, source in ((row, prow), (trow, ptrow)):
-        for j, v in source.items():
-            s = target.get(j, 0) - h * v
-            if s:
-                target[j] = s
-            else:
-                del target[j]
-    if d == 1 or d == -1:  # the content gcd is 1
-        return d
-    g = gcd(d, *row.values(), *trow.values())
-    if g != 1:
-        for j in row:
-            row[j] //= g
-        for j in trow:
-            trow[j] //= g
-        d //= g
-    return d
 
 
 def _ratio(n: int, d: int):

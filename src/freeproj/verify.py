@@ -411,9 +411,3 @@ SUITE_NAMES = {name: num for num, (name, _) in CRITERIA.items()}
 def run_criterion(number: int, seed: int = 0) -> CriterionResult:
     _, fn = CRITERIA[number]
     return fn(seed=seed)
-
-
-def run_suite(numbers=None, seed: int = 0):
-    if numbers is None:
-        numbers = sorted(CRITERIA)
-    return [run_criterion(n, seed=seed) for n in numbers]

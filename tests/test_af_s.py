@@ -363,6 +363,23 @@ def test_embed_canonical_and_mul_give_canonical_values(field, d, la, lb, seed):
         assert_canonical_values(m)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(10007)])
+def test_vn_regular_witness_entries_are_canonical(field):
+    # the witness is built on the kernel's values with no coercion, so they
+    # must equal what the constructor's coercion would make of them
+    rng = random.Random(23)
+    for d, level in ((1, 0), (2, 1), (2, 2), (3, 1), (2, 3)):
+        n = d**level
+        for deficient in (False, True):
+            rows = [[_af_value(rng, field) for _ in range(n)] for _ in range(n)]
+            if deficient:
+                rows[-1] = [2 * u - v for u, v in zip(rows[0], rows[n // 2])]
+            a = AFMatrix(d, level, rows, field)
+            x = a.vn_regular_witness()
+            assert_same_matrix(x, AFMatrix(d, level, x.entries, field))
+            assert a * x * a == a
+
+
 def test_integral_products_of_fractions_are_ints():
     half = AFMatrix(2, 1, [[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
     two = AFMatrix(2, 1, [[2, 0], [0, Fraction(2, 3)]])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from freeproj.cli import main
 from freeproj.fields import MAX_LITERAL_DIGITS
 from freeproj.fpmod import MAX_STD_WORDS
 from freeproj.leavitt import MAX_RAISED_TERMS
+from freeproj.verify import CRITERIA, CriterionResult
 
 FREE = "field: QQ\nd: 2\ngens: [0]\nrels:\n"
 LETTERQ = "field: QQ\nd: 2\ngens: [0]\nrels:\nx0\n"
@@ -137,6 +139,20 @@ def test_far_shift_class_is_read_from_exponents(tmp_path, capsys):
     code, report = run(capsys, "k0", str(far))
     assert code == 0
     assert report["result"]["value"] == f"1/{2**14000}"
+
+
+@pytest.mark.parametrize("argv", [["profile"], ["torsion"], ["k0"], ["qgr-class"], ["decompose", "0"]])
+def test_far_shift_spread_is_refused_before_it_is_walked(tmp_path, capsys, argv):
+    # the profile would span 10^12 degrees with dimensions up to 2^(10^12);
+    # the refusal is read from the degrees alone
+    far = tmp_path / "spread.pres"
+    far.write_text(f"field: QQ\nd: 2\ngens: [0, {10**12}]\nrels:\n")
+    start = time.perf_counter()
+    code, report = run(capsys, argv[0], str(far), *argv[1:])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert report["kind"] == "BudgetExceeded"
+    assert f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}" in report["error"]
 
 
 def test_leavitt_eval(capsys):
@@ -405,6 +421,37 @@ def test_usage_error_exit_code(capsys):
     # JSON is the default output, and --json is not an option
     assert main(["--json", "verify", "--suite", "ext1"]) == 2
     capsys.readouterr()
+
+
+VERIFY_STDOUT = {
+    "splitting": '{"command": "verify", "inputs": {"seed": 0, "suite": "splitting"}, "result": {"all_passed": true, '
+                 '"criteria": [{"criterion": 4, "name": "short exact sequences split on tails", "passed": true}]}}\n',
+    "ext1": '{"command": "verify", "inputs": {"seed": 0, "suite": "ext1"}, "result": {"all_passed": true, '
+            '"criteria": [{"criterion": 12, "details": {"dims": {"2": [2, 3, 6, 12, 24, 48, 96], '
+            '"3": [3, 8, 24, 72, 216, 648, 1944]}}, "name": "Ext^1 dimension table", "passed": true}]}}\n',
+    "3": '{"command": "verify", "inputs": {"seed": 0, "suite": "3"}, "result": {"all_passed": true, '
+         '"criteria": [{"criterion": 3, "name": "stable profiles across the battery", "passed": true}]}}\n',
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_STDOUT))
+def test_verify_times_each_criterion_on_stderr_only(capsys, suite):
+    assert main(["verify", "--suite", suite]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == VERIFY_STDOUT[suite]
+    number = json.loads(captured.out)["result"]["criteria"][0]["criterion"]
+    timing = [line for line in captured.err.splitlines() if " criterion " in line]
+    assert len(timing) == 1
+    assert re.fullmatch(rf"\[freeproj\] criterion {number} \(.+\) took \d+\.\d{{3}}s", timing[0])
+
+
+def test_verify_all_prints_one_timing_line_per_criterion(capsys, monkeypatch):
+    monkeypatch.setattr("freeproj.cli.run_criterion", lambda n, seed: CriterionResult(n, CRITERIA[n][0], True))
+    assert main(["verify"]) == 0
+    captured = capsys.readouterr()
+    assert [c["criterion"] for c in json.loads(captured.out)["result"]["criteria"]] == sorted(CRITERIA)
+    timing = re.findall(r"^\[freeproj\] criterion (\d+) \((.+)\) took \d+\.\d{3}s$", captured.err, re.M)
+    assert timing == [(str(n), CRITERIA[n][0]) for n in sorted(CRITERIA)]
 
 
 def test_reports_are_deterministic(files, capsys):

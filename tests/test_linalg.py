@@ -194,6 +194,65 @@ def test_rank_without_end_pass_counts_oracle_pivots(a):
     assert rank(a) == len(oracle_row_reduce(a)[0])
 
 
+@st.composite
+def fraction_free_matrices(draw):
+    """Sparse QQ matrices for each branch of the fraction-free update: pivots
+    +-1 next to other integers and Fractions of different denominators, rows
+    that miss a non-unit pivot's column and become pivots later at an older
+    scale, a last column that is a multiple of another and so holds no
+    pivot, and dependent rows that end as zero rows."""
+    values = st.sampled_from([1, -1, 1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(3, 7)])
+    ncols = draw(st.integers(1, 6))
+    supports = draw(st.lists(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=3), min_size=1, max_size=7))
+    rows = [{c: draw(values) for c in sorted(s)} for s in supports]
+    if draw(st.booleans()):
+        src, k = draw(st.integers(0, ncols - 1)), draw(values)
+        for row in rows:
+            if src in row:
+                row[ncols] = QQ.coerce(k * row[src])
+        ncols += 1
+    for _ in range(draw(st.integers(0, 2))):
+        combo: dict = {}
+        for src in rows:
+            a = draw(st.sampled_from([0, 1, -1, 2, Fraction(1, 3)]))
+            for c, v in src.items():
+                combo[c] = combo.get(c, 0) + a * v
+        rows.append({c: QQ.coerce(v) for c, v in sorted(combo.items()) if v})
+    rows = draw(st.permutations(rows))
+    return SparseMatrix(QQ, len(rows), ncols, rows)
+
+
+@hypothesis.settings(max_examples=250)
+@hypothesis.given(fraction_free_matrices())
+def test_fraction_free_update_matches_oracle(a):
+    assert_matches_oracle(a, True)
+
+
+def test_fraction_free_update_hand_cases():
+    # pivot 2 clears row 1 to [0, 1, 0] at scale 2 and row 2 to [0, 0, 2] at
+    # scale 2, which column 1 (pivot 1) leaves untouched; the scale is then
+    # 1, not a multiple of 2, so row 2 becomes the column-2 pivot, which
+    # clears row 3, as 2 * 1 / 2, a division of the product, not of the
+    # scales
+    for rows in ([[2, 1, 0], [1, 1, 0], [2, 1, 1], [0, 0, 1]],
+                 # the column-1 pivot 3, at scale 1, clears nothing: the scale
+                 # is then 3 * 2 / 1 = 6, which the column-2 pivot, at scale 2,
+                 # is brought to before it clears row 0
+                 [[2, 0, 1], [0, 3, 0], [1, 0, 0]],
+                 # pivots -1 and 1 only: every clear is the in-place update,
+                 # with the row's scale -p or p
+                 [[-1, 1, 0], [1, 0, 1], [0, 1, 0], [1, 1, 1]],
+                 # the column-1 pivot 2 meets rows at scale 2 whose entry 1 it
+                 # does not divide: the general update at |p| == |q_i|
+                 [[2, 1, 0], [2, 2, 0], [1, 1, 1]],
+                 # rank 2 of 4 rows with denominators 2, 3 and 6: two zero
+                 # rows, and column 2 = 3 * column 0 holds no pivot
+                 [[Fraction(1, 2), 1, Fraction(3, 2)], [1, Fraction(2, 3), 3],
+                  [Fraction(3, 2), Fraction(5, 3), Fraction(9, 2)], [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]]):
+        for want_transform in (False, True):
+            assert_matches_oracle(M(rows), want_transform)
+
+
 def test_rank_builds_no_rational_at_the_end(monkeypatch):
     # the QQ end pass of row_reduce divides each row by its non-unit pivot
     # with `_ratio`; rank reads only the pivots and never calls it
