@@ -22,22 +22,15 @@ from .leavitt import (
 )
 from .qgr import (
     DecompositionPair,
-    GammaModule,
     QgrClass,
-    QgrMorphismSpace,
     QgrObject,
-    decompose,
     ext1_k_R_dim,
-    gamma,
-    hom_space,
     is_isomorphic,
-    k0_class,
     normalized_rank,
     pi_star,
     split_sequence,
-    twist,
 )
-from .submodules import FreeBasis, kernel, reduce, syzygies, weak_basis
+from .submodules import FreeBasis, kernel, weak_basis
 
 __version__ = "0.1.0"
 
@@ -63,24 +56,15 @@ __all__ = [
     "strongly_graded_witness",
     "tensor_vanishes",
     "DecompositionPair",
-    "GammaModule",
     "QgrClass",
-    "QgrMorphismSpace",
     "QgrObject",
-    "decompose",
     "ext1_k_R_dim",
-    "gamma",
-    "hom_space",
     "is_isomorphic",
-    "k0_class",
     "normalized_rank",
     "pi_star",
     "split_sequence",
-    "twist",
     "FreeBasis",
     "kernel",
-    "reduce",
-    "syzygies",
     "weak_basis",
     "__version__",
 ]

@@ -7,13 +7,12 @@ it is the block-diagonal embedding a -> diag(a,..,a).  Two representatives
 are identified when they agree after embedding; the canonical form is the
 least-level representative.
 
-The normalized trace tr / d^r and the normalized rank rank / d^r are both
-invariant under the embedding; the latter computes the class of an
-idempotent in the dyadic-style group Z[1/d].
+The normalized rank rank / d^r is invariant under the embedding; it
+computes the class of an idempotent in the dyadic-style group Z[1/d].
 
 Entries are canonical field values (an int for every integral QQ value,
 ints 0..p-1 over GF(p)).  The constructor coerces them, as do `from_json`,
-`matrix_unit`, `scalar`, `+`, `-` and `scale` through it; `embed`,
+`matrix_unit`, `scalar`, `+` and `scale` through it; `embed`,
 `canonical` and `*` slice canonical entries or take their `dense_mul`, and
 the vN witness places the transform rows of `row_reduce`, all canonical, so
 they skip it via `_from_canonical`.
@@ -28,10 +27,8 @@ from .fields import QQ
 from .linalg import (
     SparseMatrix,
     dense_add,
-    dense_identity,
     dense_mul,
     dense_scale,
-    dense_sub,
     generalized_inverse,
     rank,
 )
@@ -83,10 +80,6 @@ class AFMatrix:
     def zero(cls, d: int, level: int = 0, field=QQ) -> "AFMatrix":
         n = d**level
         return cls(d, level, [[field.zero] * n for _ in range(n)], field)
-
-    @classmethod
-    def identity(cls, d: int, level: int = 0, field=QQ) -> "AFMatrix":
-        return cls(d, level, dense_identity(field, d**level), field)
 
     @classmethod
     def matrix_unit(cls, d: int, u, v, field=QQ) -> "AFMatrix":
@@ -142,22 +135,12 @@ class AFMatrix:
         a, b = self._common(other)
         return AFMatrix(a.d, a.level, dense_add(a.field, a.entries, b.entries), a.field).canonical()
 
-    def __sub__(self, other):
-        a, b = self._common(other)
-        return AFMatrix(a.d, a.level, dense_sub(a.field, a.entries, b.entries), a.field).canonical()
-
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
-
     def __mul__(self, other):
         if not isinstance(other, AFMatrix):
             return self.scale(other)
         a, b = self._common(other)
         rows = tuple(map(tuple, dense_mul(a.field, a.entries, b.entries)))
         return AFMatrix._from_canonical(a.d, a.level, rows, a.field).canonical()
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c) -> "AFMatrix":
         c = self.field.coerce(c)
@@ -183,10 +166,6 @@ class AFMatrix:
 
     def rank(self) -> int:
         return rank(SparseMatrix.from_dense(self.field, self.entries))
-
-    def normalized_trace(self) -> Fraction:
-        tr = sum(Fraction(self.entries[i][i]) for i in range(len(self.entries)))
-        return tr / Fraction(self.d) ** self.level
 
     def k0_class(self):
         """rank(e) * d^(-level) for an idempotent e, as a class in Z[1/d]; rank(e)

@@ -20,7 +20,7 @@ from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QQ, field_from_spec
 from .freealg import FreeAlgebra
 from .leavitt import l0_to_s
 from .parsing import parse_leavitt, parse_presentation
-from .qgr import pi_star
+from .qgr import is_isomorphic, pi_star
 from .verify import CRITERIA, SUITE_NAMES, run_criterion
 
 
@@ -42,13 +42,23 @@ def _emit(report: dict, args) -> None:
         print(json.dumps(_jsonable(report), sort_keys=True))
 
 
-def _load_presentation(path: str):
+def _load_presentation(path: str, field_spec):
+    """Read a presentation file.  Its `field:` line names its field; an
+    explicit --field must name a field, and the same one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_presentation(text)
+    pf = parse_presentation(text)
+    if field_spec is not None:
+        try:
+            field = field_from_spec(field_spec)
+        except ParseError as exc:
+            raise ParseError(f"--field {field_spec} is not a field ({exc}); {path} has field: {pf.field.name}") from None
+        if field != pf.field:
+            raise ParseError(f"--field {field_spec} ({field.name}) disagrees with field: {pf.field.name} in {path}")
+    return pf
 
 
 def _load_af(path: str, field, level_cap: int):
@@ -69,8 +79,9 @@ def _load_af(path: str, field, level_cap: int):
     return a
 
 
-def _algebra(args) -> FreeAlgebra:
-    return FreeAlgebra(args.d, field_from_spec(args.field))
+def _field(args):
+    """The --field of the expression commands, QQ when it is not given."""
+    return field_from_spec("QQ" if args.field is None else args.field)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +100,7 @@ def _check_digits(n: int, d: int, k: int, what: str) -> None:
 
 
 def cmd_hilbert(args) -> dict:
-    pf = _load_presentation(args.file)
+    pf = _load_presentation(args.file, args.field)
     M = pf.module()
     # dim M_j is at most rank * d^k with k = j - least shift
     shifts = M.F0.shifts
@@ -102,7 +113,7 @@ def cmd_hilbert(args) -> dict:
 
 
 def cmd_profile(args) -> dict:
-    pf = _load_presentation(args.file)
+    pf = _load_presentation(args.file, args.field)
     M = pf.module()
     p = M.stable_profile()
     if args.degree_cap > p.certified_through:
@@ -116,7 +127,7 @@ def cmd_profile(args) -> dict:
 
 
 def cmd_k0(args) -> dict:
-    pf = _load_presentation(args.file)
+    pf = _load_presentation(args.file, args.field)
     cls = pf.module().k0_class()
     # the value t * d^(-i) holds the power d^|i|; QQ.to_str decides the rest
     _check_digits(1, cls.d, abs(cls.i), "the value of the class holds")
@@ -128,7 +139,7 @@ def cmd_k0(args) -> dict:
 
 
 def cmd_torsion(args) -> dict:
-    pf = _load_presentation(args.file)
+    pf = _load_presentation(args.file, args.field)
     M = pf.module()
     tors = M.torsion()
     i0 = M.stable_profile().i0
@@ -143,18 +154,17 @@ def cmd_torsion(args) -> dict:
 
 
 def cmd_qgr_class(args) -> dict:
-    pf = _load_presentation(args.file)
-    obj = pi_star(pf.module())
+    pf = _load_presentation(args.file, args.field)
     return {
         "command": "qgr-class",
         "inputs": {"file": args.file, "d": pf.d, "field": pf.field.name},
-        "result": {"class": obj.cls.to_json(), "witness": list(obj.witness)},
+        "result": pi_star(pf.module()).to_json(),
     }
 
 
 def cmd_iso(args) -> dict:
-    pa = _load_presentation(args.file_a)
-    pb = _load_presentation(args.file_b)
+    pa = _load_presentation(args.file_a, args.field)
+    pb = _load_presentation(args.file_b, args.field)
     if pa.d != pb.d:
         raise ParseError("presentations have different d")
     a = pi_star(pa.module())
@@ -163,7 +173,7 @@ def cmd_iso(args) -> dict:
         "command": "iso",
         "inputs": {"file_a": args.file_a, "file_b": args.file_b, "d": pa.d},
         "result": {
-            "isomorphic": a.cls == b.cls,
+            "isomorphic": is_isomorphic(a, b),
             "class_a": a.cls.to_json(),
             "class_b": b.cls.to_json(),
         },
@@ -171,7 +181,7 @@ def cmd_iso(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    pf = _load_presentation(args.file)
+    pf = _load_presentation(args.file, args.field)
     obj = pi_star(pf.module())
     cls = obj.cls
     # the multiplicity is t * d^(-c-i) when -c-i >= 0, and not integral otherwise
@@ -185,7 +195,7 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_leavitt_eval(args) -> dict:
-    A = _algebra(args)
+    A = FreeAlgebra(args.d, _field(args))
     if args.level is not None:
         if args.level > args.level_cap:
             raise ParseError(f"level {args.level} exceeds --level-cap {args.level_cap}")
@@ -206,9 +216,12 @@ def cmd_leavitt_eval(args) -> dict:
 
 
 def cmd_s_calc(args) -> dict:
-    field = field_from_spec(args.field)
+    field = _field(args)
     if args.level is not None and args.level > args.level_cap + 1:
         raise ParseError(f"level {args.level} exceeds --level-cap {args.level_cap}")
+    want = 2 if args.sub == "mul" else 1
+    if len(args.inputs) != want:
+        raise ParseError(f"s-calc {args.sub} takes {want} file{'s' * (want > 1)}, got {len(args.inputs)}")
     inputs = {"subcommand": args.sub, "field": field.name}
     a = _load_af(args.inputs[0], field, args.level_cap)
     if args.sub == "canonical":
@@ -217,8 +230,6 @@ def cmd_s_calc(args) -> dict:
         cls = a.k0_class()
         result = {"k0": cls.to_json(), "value": str(cls.value)}
     elif args.sub == "mul":
-        if len(args.inputs) != 2:
-            raise ParseError(f"mul takes two files, got {len(args.inputs)}")
         b = _load_af(args.inputs[1], field, args.level_cap)
         if a.d != b.d:
             raise ParseError(f"cannot multiply elements with d={a.d} and d={b.d}")
@@ -301,7 +312,8 @@ def _positive_int(text: str) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="freeproj", description=__doc__)
     parser.add_argument("--d", type=_positive_int, default=2, help="number of generators (for expression commands)")
-    parser.add_argument("--field", default="QQ", help="QQ or GF:p")
+    parser.add_argument("--field", default=None,
+                        help="QQ or GF:p (default QQ); a presentation file's field: line must match it")
     parser.add_argument("--degree-cap", type=int, default=8, dest="degree_cap")
     parser.add_argument("--level-cap", type=int, default=3, dest="level_cap")
     parser.add_argument("--seed", type=int, default=0)

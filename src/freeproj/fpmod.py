@@ -571,14 +571,6 @@ class FpModuleMorphism:
         self.map0 = map0
         self._matrix_cache = {}
 
-    @classmethod
-    def identity(cls, module: FpModule) -> "FpModuleMorphism":
-        return cls(module, module, ModuleMap.identity(module.F0))
-
-    def apply(self, elem: FreeModuleElement) -> FreeModuleElement:
-        """Image of a representative, reduced to normal form in the target."""
-        return self.target.relation_basis().reduce(self.map0.apply(elem))
-
     def matrix_in_degree(self, j: int) -> SparseMatrix:
         """The map in degree j in the standard bases, cached per degree.
 

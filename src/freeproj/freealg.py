@@ -92,9 +92,6 @@ class FreeAlgebra:
             return
         yield from itertools.product(range(self.d), repeat=length)
 
-    def word_count(self, length: int) -> int:
-        return self.d**length if length >= 0 else 0
-
     def free_module(self, shifts) -> "GradedFreeModule":
         return GradedFreeModule(self, shifts)
 
@@ -148,10 +145,6 @@ class NcPoly(_Terms):
     def _new(self, terms):
         return NcPoly(self.algebra, terms)
 
-    def is_homogeneous(self) -> bool:
-        lengths = {len(w) for w in self.terms}
-        return len(lengths) <= 1
-
     def degree(self):
         """Degree of a homogeneous polynomial; None for 0."""
         if not self.terms:
@@ -161,9 +154,6 @@ class NcPoly(_Terms):
             raise ValueError("polynomial is not homogeneous")
         return lengths.pop()
 
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), self.algebra.field.zero)
-
     def __mul__(self, other):
         """Concatenation product, extended bilinearly."""
         if not isinstance(other, NcPoly):
@@ -171,9 +161,6 @@ class NcPoly(_Terms):
         out: dict = {}
         _add_products(self.algebra.field, out, self.terms, other.terms, add)
         return NcPoly(self.algebra, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def reversed(self) -> "NcPoly":
         """Image under the word-reversal anti-automorphism."""
@@ -231,9 +218,6 @@ class GradedFreeModule:
         return {mon: k for k, mon in enumerate(self.monomial_basis(j))}
 
     # -- element constructors ------------------------------------------------
-
-    def zero(self) -> "FreeModuleElement":
-        return FreeModuleElement(self, {})
 
     def gen(self, alpha: int) -> "FreeModuleElement":
         return FreeModuleElement(self, {(alpha, ()): self.algebra.field.one})
@@ -323,13 +307,6 @@ class FreeModuleElement(_Terms):
             self.module, {(alpha, u + w): c for (alpha, w), c in self.terms.items()}
         )
 
-    def poly_mul(self, p: NcPoly) -> "FreeModuleElement":
-        """Left multiplication by a polynomial."""
-        out: dict = {}
-        _add_products(self.module.algebra.field, out, p.terms, self.terms,
-                      lambda u, mon: (mon[0], u + mon[1]))
-        return FreeModuleElement(self.module, out)
-
     def coords_in_degree(self, j: int) -> dict:
         """Sparse coordinate row w.r.t. the degree-j monomial basis."""
         index = self.module.basis_index(j)
@@ -397,11 +374,6 @@ class ModuleMap:
         if len(rows) != source.rank:
             raise ValueError("matrix row count does not match source rank")
         self.matrix = tuple(rows)
-
-    @classmethod
-    def zero(cls, source, target):
-        z = source.algebra.zero()
-        return cls(source, target, [[z] * target.rank for _ in range(source.rank)])
 
     @classmethod
     def identity(cls, module):

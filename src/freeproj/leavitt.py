@@ -109,12 +109,6 @@ class LeavittElement(_Terms):
     def word_star(cls, algebra, w) -> "LeavittElement":
         return cls.monomial(algebra, w, ())
 
-    @classmethod
-    def from_str(cls, algebra, text: str) -> "LeavittElement":
-        from .parsing import parse_leavitt
-
-        return parse_leavitt(algebra, text)
-
     # -- basic arithmetic ------------------------------------------------------
 
     def __mul__(self, other):
@@ -123,13 +117,6 @@ class LeavittElement(_Terms):
         out: dict = {}
         _add_products(self.algebra.field, out, self.terms, other.terms, mono_mul)
         return LeavittElement(self.algebra, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def star(self) -> "LeavittElement":
-        """The anti-involution swapping each monomial's halves."""
-        return LeavittElement(self.algebra, {(v, w): c for (w, v), c in self.terms.items()})
 
     # -- grading ------------------------------------------------------------------
 
@@ -140,9 +127,6 @@ class LeavittElement(_Terms):
         return LeavittElement(
             self.algebra, {mon: c for mon, c in self.terms.items() if mono_degree(mon) == m}
         )
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     # -- canonical form --------------------------------------------------------------
 

@@ -80,13 +80,6 @@ class SparseMatrix:
     def identity(cls, field, n):
         return cls(field, n, n, [{i: field.one} for i in range(n)])
 
-    def transpose(self) -> "SparseMatrix":
-        rows = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                rows[j][i] = v
-        return SparseMatrix(self.field, self.ncols, self.nrows, rows)
-
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -400,10 +393,6 @@ def solve_left(mat: SparseMatrix, targets) -> list:
 # dense helpers for small matrices
 
 
-def dense_identity(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-
 def dense_mul(field, A, B):
     """A*B on integer dot products; a zero row of A gives a zero row.
 
@@ -439,10 +428,6 @@ def dense_scale(field, c, A):
 
 def dense_add(field, A, B):
     return [[field.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def dense_sub(field, A, B):
-    return [[field.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def generalized_inverse(field, A):

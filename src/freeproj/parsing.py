@@ -184,18 +184,6 @@ class PresentationFile:
         rels = [F0.from_polys(row) for row in self.rel_rows]
         return FpModule(F0, rels)
 
-    def render(self) -> str:
-        lines = []
-        if self.name:
-            lines.append(f"name: {self.name}")
-        lines.append(f"field: {self.field.name}")
-        lines.append(f"d: {self.d}")
-        lines.append("gens: [" + ", ".join(str(b) for b in self.shifts) + "]")
-        lines.append("rels:")
-        for row in self.rel_rows:
-            lines.append(", ".join(format_poly(p) for p in row))
-        return "\n".join(lines) + "\n"
-
 
 def parse_presentation(text: str) -> PresentationFile:
     field = None

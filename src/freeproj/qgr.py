@@ -3,13 +3,7 @@
 Isomorphism classes of its finitely presented objects are nonnegative
 elements of Z[1/d]: the class of a module is t * d^(-i) read off from its
 stable profile, the twist multiplies by d, and two objects are isomorphic
-exactly when their classes agree.  Morphism spaces are matrices over the
-limit algebra once both objects are rewritten at a common twist.
-
-The sections functor at finite level r is Hom_k(V^{tensor r}, M_r) with the
-right action of the level-r matrix algebra by precomposition; its transition
-maps realize the restriction maps of the endomorphism tower of the structure
-object.
+exactly when their classes agree.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from .errors import (
     RankNotStabilized,
     TruncationNotFree,
 )
-from .fields import QQ
 from .fpmod import FpModule, FpModuleMorphism
 from .freealg import FreeAlgebra, ModuleMap
 from .linalg import SparseMatrix, rank, solve_left
@@ -85,28 +78,6 @@ class QgrClass:
     def value(self) -> Fraction:
         return Fraction(self.t) * Fraction(self.d) ** (-self.i)
 
-    def is_zero(self) -> bool:
-        return self.t == 0
-
-    def _check(self, other):
-        if not isinstance(other, QgrClass) or other.d != self.d:
-            raise ValueError("classes live in different groups")
-
-    def __add__(self, other):
-        self._check(other)
-        return QgrClass.from_fraction(self.value + other.value, self.d)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QgrClass.from_fraction(self.value - other.value, self.d)
-
-    def scaled(self, n: int) -> "QgrClass":
-        return QgrClass.from_fraction(self.value * n, self.d)
-
-    def twisted(self, m: int) -> "QgrClass":
-        """Multiply by d^m (the effect of the Serre twist by m)."""
-        return QgrClass(self.t, self.i - m, self.d)
-
     def multiplicity_at(self, i: int) -> int:
         """r with value = r * d^i, if r is a nonnegative integer.  For the
         normal form t * d^(-c) that is t * d^(-c-i), integral exactly when
@@ -163,10 +134,6 @@ class QgrObject:
         self.witness = (i0, t0)
 
     @classmethod
-    def zero(cls, d: int) -> "QgrObject":
-        return cls(d, QgrClass(0, 0, d), (0, 0))
-
-    @classmethod
     def structure(cls, d: int) -> "QgrObject":
         """The structure object O, class 1."""
         return cls(d, QgrClass(1, 0, d), (0, 1))
@@ -175,13 +142,6 @@ class QgrObject:
     def twisted_sum(cls, d: int, i: int, r: int) -> "QgrObject":
         """O(i)^r."""
         return cls(d, QgrClass(r, -i, d), (max(-i, 0), r * d ** max(i, 0)))
-
-    def is_zero(self) -> bool:
-        return self.cls.is_zero()
-
-    def twist(self, m: int) -> "QgrObject":
-        i0, t0 = self.witness
-        return QgrObject(self.d, self.cls.twisted(m), (i0 - m, t0))
 
     def decompose(self, i: int) -> int:
         """Multiplicity r with this object isomorphic to O(i)^r."""
@@ -209,270 +169,12 @@ def is_isomorphic(F: QgrObject, G: QgrObject) -> bool:
     return F.d == G.d and F.cls == G.cls
 
 
-def twist(F: QgrObject, m: int) -> QgrObject:
-    return F.twist(m)
-
-
-def decompose(F: QgrObject, i: int) -> int:
-    return F.decompose(i)
-
-
-def k0_class(module: FpModule) -> QgrClass:
-    return module.k0_class()
-
-
 def normalized_rank(module: FpModule, r: int) -> Fraction:
     """dim M_r / d^r for r at or past the stabilization index."""
     profile = module.stable_profile()
     if r < profile.i0:
         raise RankNotStabilized(f"need r >= {profile.i0}, got {r}")
     return Fraction(module.hilbert(r), module.algebra.d**r)
-
-
-# ---------------------------------------------------------------------------
-# morphism spaces as matrices over the limit algebra
-
-
-class QgrMorphismSpace:
-    """Hom(F, G) at a finite level, as matrices over the limit algebra.
-
-    Both objects are rewritten at the common twist -m, where F becomes a sum
-    of A copies and G a sum of B copies of O(-m); elements are then B x A
-    matrices with entries at the given level, composing by matrix product.
-    """
-
-    __slots__ = ("F", "G", "m", "level", "A", "B", "d", "field")
-
-    def __init__(self, F: QgrObject, G: QgrObject, level: int, field=None, twist_m=None):
-        if F.d != G.d:
-            raise ValueError("objects over different rings")
-        self.F, self.G = F, G
-        self.d = F.d
-        self.level = level
-        self.field = QQ if field is None else field
-        m = max(F.cls.i, G.cls.i, 0)
-        if twist_m is not None:
-            if twist_m < m:
-                raise NotExpressibleAtTwist(
-                    f"objects are not sums of copies of O({-twist_m})"
-                )
-            m = twist_m
-        self.m = m
-        self.A = F.cls.multiplicity_at(-m)
-        self.B = G.cls.multiplicity_at(-m)
-
-    def dimension(self) -> int:
-        return self.A * self.B * self.d ** (2 * self.level)
-
-    def element(self, entries) -> "QgrMorphism":
-        return QgrMorphism(self, entries)
-
-    def zero(self) -> "QgrMorphism":
-        z = AFMatrix.zero(self.d, 0, self.field)
-        return QgrMorphism(self, [[z] * self.A for _ in range(self.B)])
-
-    def identity(self) -> "QgrMorphism":
-        if self.A != self.B or not is_isomorphic(self.F, self.G):
-            raise ValueError("identity requires equal source and target")
-        one = AFMatrix.identity(self.d, 0, self.field)
-        z = AFMatrix.zero(self.d, 0, self.field)
-        return QgrMorphism(
-            self, [[one if i == j else z for j in range(self.A)] for i in range(self.B)]
-        )
-
-    def matrix_unit_embedding(self, u, v) -> "QgrMorphism":
-        """The image of the elementary matrix E_{u,v} of the level-r matrix
-        algebra under the diagonal unital embedding into End(F)."""
-        if self.A != self.B:
-            raise ValueError("matrix-unit embedding lives in an endomorphism space")
-        e = AFMatrix.matrix_unit(self.d, u, v, self.field)
-        z = AFMatrix.zero(self.d, 0, self.field)
-        return QgrMorphism(
-            self, [[e if i == j else z for j in range(self.A)] for i in range(self.B)]
-        )
-
-    def to_json(self):
-        return {
-            "source": self.F.to_json(),
-            "target": self.G.to_json(),
-            "twist": -self.m,
-            "level": self.level,
-            "shape": [self.B, self.A],
-        }
-
-    def __repr__(self):
-        return f"QgrMorphismSpace({self.B}x{self.A} over S at level {self.level})"
-
-
-class QgrMorphism:
-    """A matrix of limit-algebra elements, representing a morphism."""
-
-    __slots__ = ("space", "entries")
-
-    def __init__(self, space: QgrMorphismSpace, entries):
-        rows = []
-        for row in entries:
-            row = tuple(row)
-            if len(row) != space.A:
-                raise ValueError("wrong number of columns")
-            for a in row:
-                if a.level > space.level:
-                    raise ValueError("entry level exceeds the space level")
-            rows.append(tuple(a.embed(space.level) for a in row))
-        if len(rows) != space.B:
-            raise ValueError("wrong number of rows")
-        self.space = space
-        self.entries = tuple(rows)
-
-    def __add__(self, other):
-        if other.space is not self.space and other.space.to_json() != self.space.to_json():
-            raise ValueError("morphisms from different spaces")
-        return QgrMorphism(
-            self.space,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def scale(self, c):
-        return QgrMorphism(self.space, [[a.scale(c) for a in row] for row in self.entries])
-
-    def compose(self, first: "QgrMorphism") -> "QgrMorphism":
-        """self o first: apply `first`, then self."""
-        s, f = self.space, first.space
-        if s.A != f.B or s.m != f.m or s.level != f.level:
-            raise ValueError("morphisms are not composable")
-        out_space = QgrMorphismSpace(f.F, s.G, s.level, s.field, twist_m=s.m)
-        z = AFMatrix.zero(s.d, 0, s.field)
-        rows = []
-        for i in range(s.B):
-            row = []
-            for j in range(f.A):
-                acc = z
-                for k in range(s.A):
-                    acc = acc + self.entries[i][k] * first.entries[k][j]
-                row.append(acc)
-            rows.append(row)
-        return QgrMorphism(out_space, rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QgrMorphism)
-            and self.space.to_json() == other.space.to_json()
-            and self.entries == other.entries
-        )
-
-    def to_json(self):
-        return {
-            "space": self.space.to_json(),
-            "matrix": [[a.to_json() for a in row] for row in self.entries],
-        }
-
-    def __repr__(self):
-        return f"QgrMorphism({self.space.B}x{self.space.A} at level {self.space.level})"
-
-
-def hom_space(
-    F: QgrObject, G: QgrObject, level: int, field=None, twist_m=None
-) -> QgrMorphismSpace:
-    return QgrMorphismSpace(F, G, level, field, twist_m)
-
-
-# ---------------------------------------------------------------------------
-# the sections functor at finite level
-
-
-class GammaElement:
-    """A k-linear map from degree-r words to M_r, stored as a row-per-word matrix."""
-
-    __slots__ = ("parent", "rows")
-
-    def __init__(self, parent: "GammaModule", rows):
-        self.parent = parent
-        self.rows = tuple({c: v for c, v in dict(r).items() if v != 0} for r in rows)
-        if len(self.rows) != parent.word_count:
-            raise ValueError("wrong number of word rows")
-
-    def act(self, s: AFMatrix) -> "GammaElement":
-        """Right action by precomposition with a level-r algebra element."""
-        p = self.parent
-        if s.level > p.r:
-            raise ValueError("algebra element lives above the module level")
-        F = p.module.algebra.field
-        St = SparseMatrix.from_dense(F, s.embed(p.r).entries).transpose()
-        return GammaElement(p, St.mul(self._matrix()).rows)
-
-    def transition(self) -> "GammaElement":
-        """The image at level r+1: the new first letter acts through M."""
-        p = self.parent
-        rows = self._matrix()
-        out = []
-        for i in range(p.module.algebra.d):
-            out.extend(rows.mul(p.module.letter_matrix(i, p.r)).rows)
-        return GammaElement(GammaModule(p.module, p.r + 1), out)
-
-    def _matrix(self) -> SparseMatrix:
-        """The word rows as a word_count x dim M_r matrix."""
-        p = self.parent
-        return SparseMatrix(
-            p.module.algebra.field, p.word_count, p.module.hilbert(p.r), self.rows
-        )
-
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GammaElement)
-            and self.parent == other.parent
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"GammaElement(level={self.parent.r})"
-
-
-class GammaModule:
-    """Hom_k(V^{tensor r}, M_r) as a right module over the level-r matrix algebra."""
-
-    __slots__ = ("module", "r", "word_count")
-
-    def __init__(self, module: FpModule, r: int):
-        if r < 0:
-            raise ValueError("level must be nonnegative")
-        self.module = module
-        self.r = r
-        self.word_count = module.algebra.d**r
-
-    def dimension(self) -> int:
-        return self.word_count * self.module.hilbert(self.r)
-
-    def element(self, rows) -> GammaElement:
-        return GammaElement(self, rows)
-
-    def zero(self) -> GammaElement:
-        return GammaElement(self, [{} for _ in range(self.word_count)])
-
-    def basis_element(self, word, mon_index: int) -> GammaElement:
-        """The map sending one word to one standard monomial of M_r."""
-        rows = [{} for _ in range(self.word_count)]
-        rows[word_rank(self.module.algebra.d, word)] = {mon_index: self.module.algebra.field.one}
-        return GammaElement(self, rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GammaModule)
-            and self.module is other.module
-            and self.r == other.r
-        )
-
-    def __repr__(self):
-        return f"GammaModule(r={self.r}, dim={self.dimension()})"
-
-
-def gamma(module: FpModule, r: int) -> GammaModule:
-    return GammaModule(module, r)
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +289,6 @@ class Section:
         self.surjection = surjection
         self.start = start
         self.matrices = dict(matrices)
-
-    def matrix_in_degree(self, j: int) -> SparseMatrix:
-        return self.matrices[j]
 
     def verify(self) -> bool:
         """sigma_j * G_j is the identity in every degree j, on the cached G_j."""

@@ -11,7 +11,6 @@ import random
 from .af_s import AFMatrix
 from .fpmod import FpModule, FpModuleMorphism
 from .freealg import FreeAlgebra, ModuleMap, NcPoly
-from .leavitt import LeavittElement
 from .submodules import kernel
 
 
@@ -26,19 +25,6 @@ def random_poly(rng, algebra: FreeAlgebra, degree: int, max_terms=3, span=2) -> 
         w = tuple(rng.randrange(algebra.d) for _ in range(degree))
         terms[w] = rng.randint(-span, span)
     return algebra.poly(terms)
-
-
-def random_module_element(rng, module, degree, max_terms=3, span=2):
-    """Random homogeneous element of a graded free module (possibly zero)."""
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        alpha = rng.randrange(module.rank)
-        length = degree - module.shifts[alpha]
-        if length < 0:
-            continue
-        w = tuple(rng.randrange(module.algebra.d) for _ in range(length))
-        terms[(alpha, w)] = rng.randint(-span, span)
-    return module.element(terms)
 
 
 def random_module_map(rng, algebra, src_shifts, tgt_shifts, span=2) -> ModuleMap:
@@ -73,14 +59,6 @@ def random_leavitt_monomial(rng, algebra, wmax=3):
     w = tuple(rng.randrange(algebra.d) for _ in range(rng.randint(0, wmax)))
     v = tuple(rng.randrange(algebra.d) for _ in range(rng.randint(0, wmax)))
     return (w, v)
-
-
-def random_leavitt(rng, algebra, max_terms=3, wmax=2, span=2) -> LeavittElement:
-    out = LeavittElement.zero(algebra)
-    for _ in range(rng.randint(1, max_terms)):
-        w, v = random_leavitt_monomial(rng, algebra, wmax)
-        out = out + LeavittElement.monomial(algebra, w, v, rng.randint(-span, span))
-    return out
 
 
 def random_filtration_member(rng, algebra, r, max_deg=2, span=2):

@@ -15,10 +15,10 @@ element once reduced stays reduced while the others are.
 
 Every basis element is recorded as a left combination of the input
 generators; an input generator's combination over the basis is computed on
-demand by reducing it.  Kernels and syzygies fall out of the two: if the
-generators g satisfy g = Q*b and b = P*g for a free basis b, then every
-syzygy row r satisfies r*Q = 0, hence r = r*(I - Q*P), so the rows of
-I - Q*P generate the whole syzygy module.
+demand by reducing it.  Kernels fall out of the two: if the generators g
+satisfy g = Q*b and b = P*g for a free basis b, then every kernel row r
+satisfies r*Q = 0, hence r = r*(I - Q*P), so the rows of I - Q*P generate
+the whole kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class FreeBasis:
     terms.  from_generators[j] expresses elements[j] over the input
     generators, as a sparse row {index: NcPoly} with coefficients acting on
     the left.  Input generator i is expressed over the basis on demand, by
-    reduce_with_cofactors(generators[i])[1].
+    reducing it.
     """
 
     __slots__ = ("ambient", "elements", "from_generators", "_by_coord", "_degrees")
@@ -72,11 +72,6 @@ class FreeBasis:
 
     def reduce(self, elem: FreeModuleElement) -> FreeModuleElement:
         return _full_reduce(elem, self.elements, self._by_coord)[0]
-
-    def reduce_with_cofactors(self, elem: FreeModuleElement):
-        """Full normal form plus the row q with elem = nf + sum q[i]*basis[i]."""
-        nf, uses = _full_reduce(elem, self.elements, self._by_coord)
-        return nf, {i: NcPoly(self.ambient.algebra, q) for i, q in uses.items()}
 
     def __repr__(self):
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
@@ -132,7 +127,7 @@ def _full_reduce(elem, basis, by_coord):
 def _combine_cofactors(F, base_row: dict, uses: dict, rows: list) -> dict:
     """base_row - sum uses[j] * rows[j], on the plain cofactor rows
     {index: {word: coef}} used inside this module; `NcPoly` rows appear only
-    in `FreeBasis.from_generators` and `FreeBasis.reduce_with_cofactors`."""
+    in `FreeBasis.from_generators`."""
     out = {i: dict(t) for i, t in base_row.items()}
     for j, q in uses.items():
         minus_q = {u: F.neg(c) for u, c in q.items()}
@@ -196,47 +191,17 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
     return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows])
 
 
-def reduce(elem: FreeModuleElement, basis: FreeBasis) -> FreeModuleElement:
-    """Normal form of elem modulo the submodule spanned by the basis."""
-    return basis.reduce(elem)
-
-
-def syzygies(generators, ambient: GradedFreeModule | None = None) -> FreeBasis:
-    """Free basis of the kernel of e_i -> g_i from the free module on the
-    generator degrees.
-
-    Requires every generator to be nonzero homogeneous (a zero generator has
-    no well-defined degree to place its free cover generator in).
-    """
-    generators = list(generators)
-    if ambient is None:
-        if not generators:
-            raise ValueError("ambient module required for an empty generating set")
-        ambient = generators[0].module
-    A = ambient.algebra
-    degrees = []
-    for g in generators:
-        if g.is_zero():
-            raise ValueError("syzygies of a zero generator are not graded; drop it first")
-        degrees.append(g.degree())
-    cover = A.free_module(degrees)
-    return _syzygy_basis(generators, ambient, cover)
-
-
 def kernel(phi: ModuleMap) -> FreeBasis:
-    """Free basis of the kernel of a degree-preserving map of free modules."""
+    """Free basis of the kernel of a degree-preserving map of free modules:
+    the rows r of the source with sum r_i * images_i = 0, as the rows of
+    I - Q*P (module docstring)."""
     images = phi.row_elements()
-    return _syzygy_basis(images, phi.target, phi.source)
-
-
-def _syzygy_basis(images, ambient, cover):
-    """Common core: basis of {r : sum r_i * images_i = 0} inside `cover`."""
-    F = ambient.algebra.field
-    basis = weak_basis(images, ambient=ambient)  # zero images are skipped
+    F = phi.source.algebra.field
+    basis = weak_basis(images, ambient=phi.target)  # zero images are skipped
     P = [{i: p.terms for i, p in row.items()} for row in basis.from_generators]
     rows = []
     for i, g in enumerate(images):
         Q = _full_reduce(g, basis.elements, basis._by_coord)[1]
         acc = _combine_cofactors(F, {i: {(): F.one}}, Q, P)
-        rows.append(FreeModuleElement(cover, {(l, w): c for l, t in acc.items() for w, c in t.items()}))
-    return weak_basis([r for r in rows if not r.is_zero()], ambient=cover)
+        rows.append(FreeModuleElement(phi.source, {(l, w): c for l, t in acc.items() for w, c in t.items()}))
+    return weak_basis([r for r in rows if not r.is_zero()], ambient=phi.source)

@@ -12,5 +12,5 @@ from freeproj.verify import CRITERIA, run_criterion
 @pytest.mark.parametrize("number", sorted(CRITERIA))
 def test_criterion(number):
     result = run_criterion(number, seed=0)
-    print(result.line())
+    print(f"[{'PASS' if result.passed else 'FAIL'}] criterion {result.number}: {result.name}")
     assert result.passed, result.details

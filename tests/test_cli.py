@@ -285,11 +285,56 @@ def test_leavitt_eval_bounds_matrix_side(capsys):
     assert "--level 3" in report["error"] and "2048 rows" in report["error"]
 
 
-def test_s_calc_mul_needs_two_files(capsys):
+@pytest.mark.parametrize("sub, count", [
+    ("mul", 1), ("mul", 3), ("canonical", 2), ("k0", 2), ("embed", 2), ("regular", 2), ("simplicity", 3),
+])
+def test_s_calc_checks_the_file_count(capsys, sub, count):
+    # mul takes two files and every other subcommand one: a wrong count is a
+    # parse error, not a file silently left unread
     e01 = os.path.join(os.path.dirname(__file__), "golden", "e01.json")
-    code, report = run(capsys, "s-calc", "mul", e01)
+    code, report = run(capsys, "s-calc", sub, *[e01] * count)
     assert code == 2
     assert report["kind"] == "parse"
+    assert f"s-calc {sub} takes {2 if sub == 'mul' else 1} file" in report["error"]
+    assert f"got {count}" in report["error"]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+PRESENTATION_COMMANDS = [
+    ["hilbert", "{}", "3"], ["profile", "{}"], ["k0", "{}"], ["torsion", "{}"],
+    ["qgr-class", "{}"], ["iso", "{}", "{}"], ["decompose", "{}", "-3"],
+]
+
+
+def _on(argv, path):
+    return [path if a == "{}" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", PRESENTATION_COMMANDS, ids=lambda argv: argv[0])
+def test_presentation_commands_refuse_an_invalid_field(capsys, argv):
+    free = os.path.join(GOLDEN, "free.pres")
+    code, report = run(capsys, "--field", "GF:4", *_on(argv, free))
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert "--field GF:4 is not a field" in report["error"] and "field: QQ" in report["error"]
+
+
+@pytest.mark.parametrize("argv", PRESENTATION_COMMANDS, ids=lambda argv: argv[0])
+def test_presentation_commands_refuse_a_disagreeing_field(capsys, argv):
+    free = os.path.join(GOLDEN, "free.pres")
+    code, report = run(capsys, "--field", "GF:7", *_on(argv, free))
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert "GF(7)" in report["error"] and "field: QQ" in report["error"]
+
+
+@pytest.mark.parametrize("name, spec", [("free", "QQ"), ("gf5", "GF:5"), ("gf5", "GF(5)")])
+@pytest.mark.parametrize("argv", PRESENTATION_COMMANDS, ids=lambda argv: argv[0])
+def test_presentation_commands_accept_the_files_own_field(capsys, argv, name, spec):
+    path = os.path.join(GOLDEN, f"{name}.pres")
+    plain = run(capsys, *_on(argv, path))
+    assert plain[0] == 0
+    assert run(capsys, "--field", spec, *_on(argv, path)) == plain
 
 
 def test_s_calc_mul_rejects_mixed_d(tmp_path, capsys):
@@ -485,3 +530,14 @@ def test_qgr_class_command(files, capsys):
     assert code == 0
     assert report["result"]["class"] == {"t": 1, "i": 1, "d": 2}
     assert report["result"]["witness"] == [1, 1]
+
+
+def test_public_surface_is_documented():
+    # freeproj.__all__ is the list in the README's "Library surface" section
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    section = readme.split("\n## Library surface\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\* `([^`]+)`", section, re.M) + re.findall(r"^And `([^`]+)`", section, re.M)
+    assert len(documented) == len(set(documented))
+    assert set(freeproj.__all__) == set(documented)
+    for name in documented:
+        assert getattr(freeproj, name) is not None

@@ -5,9 +5,10 @@ import random
 
 from freeproj import FpModule, FreeAlgebra, kernel
 from freeproj.qgr import is_isomorphic, normalized_rank, pi_star
-from freeproj.randgen import random_module_element, random_module_map
+from freeproj.randgen import random_module_map
 
 from conftest import span_dim
+from random_elements import random_module_element
 
 
 def random_presentation(rng, A, max_rank=3):

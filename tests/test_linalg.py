@@ -152,7 +152,8 @@ def test_rank_unit_row_pass_matches_row_reduce(a):
 def test_operations_leave_input_rows_untouched(a):
     # a SparseMatrix owns the row dicts it is given without copying them,
     # so no operation may mutate the rows of its inputs
-    t = a.transpose()
+    t = SparseMatrix(a.field, a.ncols, a.nrows, [{i: r[j] for i, r in enumerate(a.rows) if j in r}
+                                                 for j in range(a.ncols)])
     inputs = [(m, list(m.rows), [list(r.items()) for r in m.rows]) for m in (a, t)]
     rank(a)
     row_reduce(a)

@@ -16,10 +16,7 @@ from freeproj.qgr import (
     DecompositionPair,
     QgrClass,
     QgrObject,
-    decompose,
     ext1_k_R_dim,
-    gamma,
-    hom_space,
     induced_endo_matrix,
     is_isomorphic,
     normalized_rank,
@@ -27,7 +24,6 @@ from freeproj.qgr import (
     split_sequence,
     tower_square_commutes,
     tower_transition,
-    twist,
 )
 from freeproj.randgen import make_rng, random_af, random_exact_sequence
 from freeproj.submodules import kernel
@@ -59,12 +55,15 @@ def test_class_equality_cross_multiplied():
 def test_class_arithmetic():
     half = QgrClass(1, 1, 2)
     one = QgrClass(1, 0, 2)
-    assert (half + half) == one
-    assert (one - half) == half
-    assert half.twisted(1) == one
-    assert half.twisted(-2).value == Fraction(1, 8)
+    assert QgrClass.from_fraction(half.value + half.value, 2) == one
+    assert QgrClass.from_fraction(one.value - half.value, 2) == half
+    assert QgrClass.from_fraction(half.value / 4, 2) == QgrClass(1, 3, 2)
     with pytest.raises(ValueError):
-        half - one  # classes are nonnegative
+        QgrClass.from_fraction(half.value - one.value, 2)  # classes are nonnegative
+    with pytest.raises(ValueError):
+        QgrClass(-1, 0, 2)
+    with pytest.raises(ValueError):
+        QgrClass.from_fraction(Fraction(1, 3), 2)  # not in Z[1/2]
 
 
 def test_class_membership_across_rings():
@@ -82,7 +81,7 @@ def test_class_membership_across_rings():
 
 def test_pi_star_examples(A2):
     assert pi_star(FpModule.free(A2, [0])).cls == QgrClass(1, 0, 2)
-    assert pi_star(FpModule.residue(A2)).is_zero()
+    assert pi_star(FpModule.residue(A2)).cls == QgrClass(0, 0, 2)
     assert pi_star(letter_quotient(A2)).cls == QgrClass(1, 1, 2)
 
 
@@ -97,81 +96,40 @@ def test_is_isomorphic_examples(A2):
     O = QgrObject.structure(2)
     assert is_isomorphic(O, QgrObject.twisted_sum(2, -1, 2))
     assert not is_isomorphic(O, QgrObject.twisted_sum(2, 1, 1))
-    assert is_isomorphic(QgrObject.zero(2), QgrObject.zero(2))
+    assert is_isomorphic(QgrObject.twisted_sum(2, 0, 0), pi_star(FpModule.residue(A2)))
 
 
 def test_twist_examples(A2):
+    # the twist M(m) of a module multiplies its class by d^m
     O = QgrObject.structure(2)
-    assert twist(O, 1).cls == QgrClass(2, 0, 2)
-    assert twist(O, 0) == O
-    half = pi_star(letter_quotient(A2))
-    assert twist(half, 1).cls == QgrClass(1, 0, 2)
-    assert twist(twist(half, 3), -3) == half
+    assert QgrObject.twisted_sum(2, 1, 1).cls == QgrClass(2, 0, 2)
+    assert QgrObject.twisted_sum(2, 0, 1) == O
+    assert pi_star(FpModule.free(A2, [0]).shift(1)).cls == QgrClass(2, 0, 2)
+    M = letter_quotient(A2)
+    half = pi_star(M)
+    assert pi_star(M.shift(1)).cls == QgrClass(1, 0, 2)
+    assert pi_star(M.shift(3).shift(-3)) == half
 
 
 def test_decompose_examples():
     O = QgrObject.structure(2)
-    assert decompose(O, -1) == 2
-    assert decompose(O, -3) == 8
+    assert O.decompose(-1) == 2
+    assert O.decompose(-3) == 8
     with pytest.raises(NotExpressibleAtTwist):
         QgrObject(2, QgrClass(1, 1, 2)).decompose(0)
-    assert QgrObject.zero(2).decompose(5) == 0
+    assert QgrObject.twisted_sum(2, 0, 0).decompose(5) == 0
 
 
 def test_far_classes_use_exponents_only():
-    # 2^(10^12) is never formed: normal form, twist and multiplicity read
-    # the exponents
+    # 2^(10^12) is never formed: normal form and multiplicity read the
+    # exponents
     far = QgrClass(12, 10**12, 2)
     assert (far.t, far.i) == (3, 10**12 - 2)
-    assert far.twisted(10**12) == QgrClass(3, -2, 2)
     assert far.multiplicity_at(-(10**12)) == 12
     with pytest.raises(NotExpressibleAtTwist):
         far.multiplicity_at(3 - 10**12)
     assert QgrClass(5, 10**12, 1).multiplicity_at(10**12) == 5
     assert QgrObject.twisted_sum(2, -(10**12), 3).cls == QgrClass(3, 10**12, 2)
-
-
-# ---------------------------------------------------------------------------
-# the sections functor
-
-
-def test_gamma_dimensions(A2):
-    R = FpModule.free(A2, [0])
-    for r in range(4):
-        assert gamma(R, r).dimension() == 2 ** (2 * r)
-    k = FpModule.residue(A2)
-    assert gamma(k, 1).dimension() == 0
-    assert gamma(FpModule.free(A2, [1]), 2).dimension() == 8
-
-
-def test_gamma_transition_injective_and_equivariant(A2):
-    rng = make_rng(17)
-    R = FpModule.free(A2, [0])
-    for r in (1, 2, 3):
-        G = gamma(R, r)
-        for _ in range(10):
-            rows = [
-                {c: rng.randint(-2, 2) for c in range(R.hilbert(r)) if rng.random() < 0.5}
-                for _ in range(G.word_count)
-            ]
-            f = G.element([{c: v for c, v in row.items() if v} for row in rows])
-            s = random_af(rng, 2, r, A2.field)
-            lhs = f.act(s).transition()
-            rhs = f.transition().act(s.embed(r + 1))
-            assert lhs == rhs
-            if not f.is_zero():
-                assert not f.transition().is_zero()
-
-
-def test_gamma_of_structure_is_matrix_algebra(A2):
-    # for the free module of rank one, the level-r sections space has the
-    # dimension of the level-r matrix algebra and the action is faithful
-    R = FpModule.free(A2, [0])
-    G = gamma(R, 2)
-    assert G.dimension() == 16
-    f = G.basis_element((0, 1), 2)
-    e = AFMatrix.matrix_unit(2, (0, 1), (1, 1))
-    assert not f.act(e).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -204,84 +162,21 @@ def test_normalized_rank_constant_and_equals_class(A2):
 
 
 # ---------------------------------------------------------------------------
-# hom spaces
-
-
-def test_hom_space_dimensions(A2):
-    O = QgrObject.structure(2)
-    for r in range(4):
-        assert hom_space(O, O, r).dimension() == 2 ** (2 * r)
-    Om1 = QgrObject.twisted_sum(2, -1, 1)
-    assert hom_space(Om1, Om1, 2).dimension() == 16
-    zero = QgrObject.zero(2)
-    assert hom_space(O, zero, 3).dimension() == 0
-
-
-def test_hom_space_composition_and_identity():
-    rng = make_rng(29)
-    d = 2
-    F = QgrObject.twisted_sum(d, -1, 1)
-    G = QgrObject.twisted_sum(d, -1, 2)
-    H = QgrObject.twisted_sum(d, -1, 1)
-    r = 1
-    HF = hom_space(F, G, r)
-    HG = hom_space(G, H, r)
-
-    def rand_elem(space):
-        return space.element(
-            [
-                [random_af(rng, d, r, space.field) for _ in range(space.A)]
-                for _ in range(space.B)
-            ]
-        )
-
-    f = rand_elem(HF)
-    g = rand_elem(HG)
-    h = rand_elem(hom_space(H, F, r))
-    assert h.compose(g.compose(f)) == h.compose(g).compose(f)
-    assert f.compose(hom_space(F, F, r).identity()) == f
-    # G has class 1, so its endomorphism space must be held at twist 1
-    # to compose with maps written as sums of copies of O(-1)
-    assert hom_space(G, G, r, twist_m=1).identity().compose(f) == f
-
-
-def test_matrix_unit_embedding_nontrivial_object(A2):
-    # a fractional-class object also carries the full level-r matrix algebra
-    F = QgrObject(2, QgrClass(3, 1, 2))  # class 3/2, three copies of O(-1)
-    H = hom_space(F, F, 2)
-    assert (H.A, H.B) == (3, 3)
-    e00 = H.matrix_unit_embedding((0, 0), (0, 0))
-    e01 = H.matrix_unit_embedding((0, 0), (0, 1))
-    e10 = H.matrix_unit_embedding((0, 1), (0, 0))
-    assert e01.compose(e10).entries[0][0] == AFMatrix.matrix_unit(2, (0, 0), (0, 0))
-    assert e10.compose(e01).entries[0][0] == AFMatrix.matrix_unit(2, (0, 1), (0, 1))
-    assert e00.compose(e00) == e00
-    total = H.zero()
-    for w in A2.words(2):
-        total = total + H.matrix_unit_embedding(w, w)
-    assert total == H.identity()
-    # zero divisors in the endomorphism ring: it is not a division ring
-    assert e00.compose(e01.compose(e01)) == H.zero()
+# endomorphisms of the structure object
 
 
 def test_matrix_unit_embedding_is_unital_and_multiplicative(A2):
-    O = QgrObject.structure(2)
+    # End(O) is the limit algebra S: the level-r matrix units sit in it
+    # unitally, and E_uv * E_wz = delta_{v w} E_uz
     r = 1
-    H = hom_space(O, O, r)
-    units = {}
-    for u in A2.words(r):
-        for v in A2.words(r):
-            units[(u, v)] = H.matrix_unit_embedding(u, v)
+    units = {(u, v): AFMatrix.matrix_unit(2, u, v) for u in A2.words(r) for v in A2.words(r)}
     total = units[((0,), (0,))] + units[((1,), (1,))]
-    assert total == H.identity()
-    assert units[((0,), (1,))].compose(units[((1,), (0,))]) != H.zero()
-    # E_uv o E_wz = delta_{v w} E_uz, with composition applying the right one first
-    prod = units[((0,), (1,))].compose(units[((0,), (0,))])
-    assert prod == H.zero()
-    prod2 = units[((0,), (1,))].compose(units[((1,), (1,))])
-    assert prod2.entries[0][0] == AFMatrix.matrix_unit(2, (0,), (1,))
+    assert total == AFMatrix.scalar(2, 1)
+    assert not (units[((0,), (1,))] * units[((1,), (0,))]).is_zero()
+    assert (units[((0,), (1,))] * units[((0,), (0,))]).is_zero()
+    assert units[((0,), (1,))] * units[((1,), (1,))] == AFMatrix.matrix_unit(2, (0,), (1,))
     # zero divisors exist, so the endomorphism ring is not a division ring
-    assert not units[((0,), (1,))].entries[0][0].is_zero()
+    assert (units[((0,), (1,))] * units[((0,), (1,))]).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +192,7 @@ def test_decomposition_pair_composes_to_identities(A2, r):
 def test_decomposition_pair_matches_class_arithmetic(A2):
     O = QgrObject.structure(2)
     for r in (1, 2, 3):
-        assert decompose(O, -r) == 2**r == len(DecompositionPair(A2, r).words)
+        assert O.decompose(-r) == 2**r == len(DecompositionPair(A2, r).words)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +244,6 @@ def test_split_with_non_free_middle(A2):
     g = FpModuleMorphism(S, Q, ModuleMap(S.F0, Q.F0, [[A2.one()], [A2.zero()]]))
     sec = split_sequence(f, g, Q.stable_profile().i0, degrees=3)
     assert sec.verify()
-
-
-def test_gamma_on_a_quotient_module(A2):
-    M = letter_quotient(A2)
-    G = gamma(M, 2)
-    assert G.dimension() == 4 * M.hilbert(2)
-    f = G.basis_element((0, 1), 0)
-    # equivariance survives the quotient structure
-    s = AFMatrix.matrix_unit(2, (1, 1), (0, 1))
-    assert f.act(s).transition() == f.transition().act(s.embed(3))
 
 
 def test_split_rejects_non_exact(A2):

@@ -1,21 +1,40 @@
 import hypothesis
 
-from freeproj import kernel, syzygies, weak_basis
-from freeproj.freealg import ModuleMap
-from freeproj.randgen import make_rng, random_module_element, random_module_map
+from freeproj import kernel, weak_basis
+from freeproj.freealg import ModuleMap, NcPoly
+from freeproj.randgen import make_rng, random_module_map
+from freeproj.submodules import _full_reduce
 
 from conftest import span_dim
+from random_elements import random_module_element
 from test_fpmod import presented_modules
 
 
-def rebuilt(B, g):
-    """sum q_i * basis_i over the cofactors of g, which must reduce to zero."""
-    nf, row = B.reduce_with_cofactors(g)
-    assert nf.is_zero()
-    acc = B.ambient.zero()
-    for i, p in row.items():
-        acc = acc + B.elements[i].poly_mul(p)
+def poly_mul(elem, p):
+    """p * elem, the left multiple by a polynomial, word by word."""
+    acc = elem.module.element({})
+    for u, c in p.terms.items():
+        acc = acc + elem.word_mul(u).scale(c)
     return acc
+
+
+def rebuilt(B, g):
+    """sum q_i * basis_i over the cofactors of g that `kernel` reads from its
+    reduction, which must reduce g to zero."""
+    nf, uses = _full_reduce(g, B.elements, B._by_coord)
+    assert nf.is_zero()
+    acc = B.ambient.element({})
+    for i, q in uses.items():
+        acc = acc + poly_mul(B.elements[i], NcPoly(B.ambient.algebra, q))
+    return acc
+
+
+def syzygies(gens):
+    """The syzygies of nonzero homogeneous generators: the kernel of the map
+    e_i -> g_i out of the free module on their degrees."""
+    R = gens[0].module
+    cover = R.algebra.free_module([g.degree() for g in gens])
+    return kernel(ModuleMap(cover, R, [g.polys() for g in gens]))
 
 
 def R_of(A):
@@ -66,9 +85,9 @@ def test_weak_basis_transformations(A2):
         B = weak_basis(gens, ambient=R)
         # from_generators: every basis element is a combination of the inputs
         for b, row in zip(B.elements, B.from_generators):
-            acc = R.zero()
+            acc = R.element({})
             for i, p in row.items():
-                acc = acc + gens[i].poly_mul(p)
+                acc = acc + poly_mul(gens[i], p)
             assert acc == b
         # every input reduces to zero, and its cofactors over the basis rebuild it
         for g in gens:
@@ -99,7 +118,7 @@ def test_reduce_examples(A2):
     assert B.reduce(R.from_polys([x1 * x0])).is_zero()
     nf = B.reduce(R.from_polys([x0 * x1]))
     assert nf == R.from_polys([x0 * x1])
-    assert B.reduce(R.zero()).is_zero()
+    assert B.reduce(R.element({})).is_zero()
 
 
 def test_kernel_of_generator_columns_is_zero(A2):
@@ -161,7 +180,7 @@ def test_syzygies_left_multiple_pair(A2):
     assert S.rank == 1
     assert S.degrees() == (2,)
     (b,) = S.elements
-    acc = R.zero()
+    acc = R.element({})
     for (l, w), c in b.terms.items():
         acc = acc + gens[l].word_mul(w).scale(c)
     assert acc.is_zero()
@@ -237,7 +256,7 @@ def test_membership_is_complete_both_ways(A2):
         B = weak_basis(gens, ambient=F0)
         for _ in range(3):
             deg = rng.randint(2, 4)
-            acc = F0.zero()
+            acc = F0.element({})
             for g in gens:
                 if g.degree() > deg:
                     continue
