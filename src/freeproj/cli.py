@@ -167,6 +167,8 @@ def cmd_iso(args) -> dict:
     pb = _load_presentation(args.file_b, args.field)
     if pa.d != pb.d:
         raise ParseError("presentations have different d")
+    if pa.field != pb.field:
+        raise ParseError(f"presentations have different fields, {pa.field.name} and {pb.field.name}")
     a = pi_star(pa.module())
     b = pi_star(pb.module())
     return {
@@ -217,6 +219,8 @@ def cmd_leavitt_eval(args) -> dict:
 
 def cmd_s_calc(args) -> dict:
     field = _field(args)
+    if args.level is not None and args.sub != "embed":
+        raise ParseError(f"--level is read by s-calc embed only, not by s-calc {args.sub}")
     if args.level is not None and args.level > args.level_cap + 1:
         raise ParseError(f"level {args.level} exceeds --level-cap {args.level_cap}")
     want = 2 if args.sub == "mul" else 1

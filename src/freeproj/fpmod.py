@@ -63,21 +63,17 @@ from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap
 from .linalg import SparseMatrix, _row_axpy, left_kernel, rank
 from .submodules import FreeBasis, kernel, weak_basis
 
-# The most standard words an FpModule keeps over all its cached degrees; a
-# `std_basis` call that would build past it is refused before any word is.
+# The most standard words and letter-matrix rows an FpModule holds over all
+# its cached degrees; a build that would take it past this is refused before
+# any of it is built.
 MAX_STD_WORDS = 2**18
 
 
-def _check_budget(sizes, first: int, kept: int):
-    """Refuse with `BudgetExceeded` at the first degree whose standard words,
-    added to the `kept` words before it, pass MAX_STD_WORDS; `sizes` holds the
-    Hilbert values of the degrees from `first` on."""
-    for k, h in enumerate(sizes, first):
-        kept += h
-        if kept > MAX_STD_WORDS:
-            raise BudgetExceeded(
-                f"degree {k} has {h} standard words, which bring the module's total to "
-                f"{kept}, over the bound fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}; lower --degree-cap")
+def _missing(cache, j: int, least: int) -> range:
+    """The degrees a degreewise cache still has to build, upward, to hold j:
+    from the highest cached degree at or below j, else from min(j, least)."""
+    start = max((k for k in cache if k <= j), default=min(j, least) - 1)
+    return range(start + 1, j + 1)
 
 
 def _check_span(low: int, top: int, d: int):
@@ -159,6 +155,7 @@ class FpModule:
         "_profile",
         "_bound",
         "_bound_counts",
+        "_held",
     )
 
     def __init__(self, F0: GradedFreeModule, relations=()):
@@ -179,6 +176,7 @@ class FpModule:
         self._profile = None
         self._bound = None
         self._bound_counts = None
+        self._held = 0
 
     # -- constructors ----------------------------------------------------
 
@@ -235,51 +233,54 @@ class FpModule:
         extension (see the module docstring): at coordinate alpha of shift
         b < k, the degree-k words are x_i * w for each letter i and each
         degree-(k-1) standard word w of alpha, less alpha's leading words;
-        at b == k the word is () unless () is a leading word.  A call whose
-        Hilbert values would take the module's words over MAX_STD_WORDS is
-        refused with `BudgetExceeded` before any is built, and each degree's
-        count is checked against its value.
+        at b == k the word is () unless () is a leading word.  A call that
+        would take the module's held words and rows over MAX_STD_WORDS is
+        refused by `_check_budget` before any word is built, and each
+        degree's count is checked against its Hilbert value.
 
         The basis is cached per degree together with its index
         {monomial: position}, which `_std_index` reads."""
         if j in self._std_cache:
             return self._std_cache[j][0]
-        start = max((k for k in self._std_cache if k < j), default=None)
-        if start is None:
-            start = min(j, self.min_degree) - 1
-            prev = ()
-        else:
-            prev = self._std_cache[start][0]
-        sizes = [self.hilbert(k) for k in range(start + 1, j + 1)]
-        _check_budget(sizes, start + 1, sum(len(std) for std, _ in self._std_cache.values()))
+        todo = self._check_budget(j)
+        prev = self._std_cache[todo.start - 1][0] if todo.start - 1 in self._std_cache else ()
         d = self.algebra.d
-        leads = {
-            alpha: {w for _, w in lst}
-            for alpha, lst in self.relation_basis()._by_coord.items()
-        }
-        for k, h in enumerate(sizes, start + 1):
+        leads = {alpha: {w for _, w in lst} for alpha, lst in self.relation_basis()._by_coord.items()}
+        for k in todo:
             below: dict = {}
             for alpha, w in prev:
                 below.setdefault(alpha, []).append(w)
             std = []
             for alpha, b in enumerate(self.F0.shifts):
                 lead = leads.get(alpha, ())
-                if b == k:
-                    if () not in lead:
-                        std.append((alpha, ()))
+                if b == k and () not in lead:
+                    std.append((alpha, ()))
                 elif b < k:
                     words = below.get(alpha, ())
-                    for i in range(d):
-                        for w in words:
-                            u = (i,) + w
-                            if u not in lead:
-                                std.append((alpha, u))
+                    std.extend((alpha, u) for i in range(d) for w in words if (u := (i,) + w) not in lead)
             std = tuple(std)
-            if len(std) != h:
+            if len(std) != self.hilbert(k):
                 raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
             self._std_cache[k] = (std, {mon: n for n, mon in enumerate(std)})
+            self._held += len(std)
             prev = std
         return prev
+
+    def _check_budget(self, top: int, rows=()) -> range:
+        """The degrees `std_basis(top)` would build, after refusing with
+        `BudgetExceeded` a build that would take the module's held standard
+        words and letter-matrix rows past MAX_STD_WORDS: first the words of
+        those degrees, then `rows`, (j, h_j, "letter-matrix rows") for a
+        letter matrix out of M_j.  Decided from Hilbert values alone."""
+        todo = _missing(self._std_cache, top, self.min_degree)
+        held = self._held
+        for k, n, what in [(k, self.hilbert(k), "standard words") for k in todo] + list(rows):
+            held += n
+            if held > MAX_STD_WORDS:
+                raise BudgetExceeded(
+                    f"degree {k} would add {n} {what}, bringing the module's held words and rows "
+                    f"to {held}, over the bound fpmod.MAX_STD_WORDS = {MAX_STD_WORDS}")
+        return todo
 
     def _std_index(self, j: int) -> dict:
         """{monomial: position in std_basis(j)}, built once with the basis."""
@@ -308,13 +309,17 @@ class FpModule:
 
         On the free tail, j >= b with b the bound of `stable_profile`, every
         row is a unit row placed by `_free_layout` from the per-coordinate
-        word counts alone (module docstring)."""
+        word counts alone (module docstring).  Either way the words the rows
+        need (through degree j+1 below b, through b on the tail) and the h_j
+        rows themselves are held to MAX_STD_WORDS before any is built."""
         if (i, j) in self._letter_cache:
             return self._letter_cache[(i, j)]
         F, one = self.algebra.field, self.algebra.field.one
-        if j >= self._free_bound():
+        b, hj = self._free_bound(), self.hilbert(j)
+        self._check_budget(min(j + 1, b), [(j, hj, "letter-matrix rows")])
+        if j >= b:
             layout = self._free_layout(j)
-            rows = [None] * self.hilbert(j)
+            rows = [None] * hj
             for start, n, off in layout:
                 rows[start:start + n] = ({c: one} for c in range(off + i * n, off + (i + 1) * n))
         else:
@@ -322,13 +327,10 @@ class FpModule:
             index = self._std_index(j + 1)
             rows = []
             for alpha, w in std:
-                mon = (alpha, (i,) + w)
-                k = index.get(mon)
-                if k is None:
-                    rows.append(self.coords(self.F0.element({mon: one}), j + 1))
-                else:
-                    rows.append({k: one})
-        out = self._letter_cache[(i, j)] = SparseMatrix(F, len(rows), self.hilbert(j + 1), rows)
+                k = index.get(mon := (alpha, (i,) + w))
+                rows.append(self.coords(self.F0.element({mon: one}), j + 1) if k is None else {k: one})
+        out = self._letter_cache[(i, j)] = SparseMatrix(F, hj, self.hilbert(j + 1), rows)
+        self._held += hj
         return out
 
     def _free_bound(self) -> int:
@@ -340,11 +342,9 @@ class FpModule:
 
     def _free_layout(self, j: int) -> list:
         """(row start, n_alpha(j), column offset) per coordinate alpha of the
-        letter maps out of M_j, j >= b (module docstring).  The module's words
-        through degree j+1 are first held to MAX_STD_WORDS with `std_basis`'s
-        refusal, as if the rows were built from words."""
-        start = self.min_degree
-        _check_budget(map(self.hilbert, range(start, j + 2)), start, 0)
+        letter maps out of M_j, j >= b (module docstring).  It builds the
+        words of degree b at most, so past b it is bounded by `_check_span`
+        alone."""
         b = self._free_bound()
         if self._bound_counts is None:
             counts = [0] * self.F0.rank
@@ -390,11 +390,8 @@ class FpModule:
             layout = self._free_layout(j)
             return (_tiles([(start, n) for start, n, _ in layout], hj)
                     and _tiles([(off + i * n, n) for _, n, off in layout for i in range(d)], hj1))
-        stacked = []
-        for i in range(d):
-            stacked.extend(self.letter_matrix(i, j).rows)
-        mat = SparseMatrix(self.algebra.field, d * hj, hj1, stacked)
-        return rank(mat) == hj1
+        stacked = [row for i in range(d) for row in self.letter_matrix(i, j).rows]
+        return rank(SparseMatrix(self.algebra.field, d * hj, hj1, stacked)) == hj1
 
     # -- stable structure ---------------------------------------------------
 
@@ -446,13 +443,9 @@ class FpModule:
         profile = self.stable_profile()
         i0 = profile.i0
         if profile.t0 == 0:
-            gens = []
-            total = 0
-            for j in range(self.min_degree, i0):
-                std = self.std_basis(j)
-                total += len(std)
-                gens.extend(self.F0.element({mon: self.algebra.field.one}) for mon in std)
-            return Torsion(self, total, gens)
+            one = self.algebra.field.one
+            gens = [self.F0.element({mon: one}) for j in range(self.min_degree, i0) for mon in self.std_basis(j)]
+            return Torsion(self, len(gens), gens)
         gens = []
         total = 0
         for j in range(self.min_degree, i0):
@@ -587,8 +580,7 @@ class FpModuleMorphism:
         source, target = self.source, self.target
         F = source.algebra.field
         neg = F.neg
-        start = max((k for k in cache if k < j), default=min(j, source.min_degree) - 1)
-        for k in range(start + 1, j + 1):
+        for k in _missing(cache, j, source.min_degree):
             prev, below = cache.get(k - 1), source._std_index(k - 1)
             columns = target.std_basis(k)
             letters: dict = {}

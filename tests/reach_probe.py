@@ -52,7 +52,6 @@ KINDS = (DUNDER, ERROR_PATH, BRANCH, ORACLE)
 
 ALLOWLIST = {
     "af_s.AFMatrix.__repr__": DUNDER,
-    "fields.PrimeField.__eq__": DUNDER,
     "fields.PrimeField.__hash__": DUNDER,
     "fields.RationalField.__hash__": DUNDER,
     "fpmod.FpModule.__repr__": DUNDER,

@@ -337,6 +337,36 @@ def test_presentation_commands_accept_the_files_own_field(capsys, argv, name, sp
     assert run(capsys, "--field", spec, *_on(argv, path)) == plain
 
 
+def test_iso_rejects_mixed_fields(tmp_path, capsys):
+    # a QQ module with the class 11 * 2^-3 of gf5.pres lives in another category
+    q = tmp_path / "q.pres"
+    q.write_text("field: QQ\nd: 2\ngens: [" + ", ".join(["3"] * 11) + "]\nrels:\n")
+    gf5 = os.path.join(GOLDEN, "gf5.pres")
+    for pair in ((gf5, str(q)), (str(q), gf5)):
+        code, report = run(capsys, "iso", *pair)
+        assert code == 2
+        assert report["kind"] == "parse"
+        assert "presentations have different fields" in report["error"]
+        assert "GF(5)" in report["error"] and "QQ" in report["error"]
+    code, report = run(capsys, "iso", str(q), str(q))
+    assert code == 0 and report["result"]["isomorphic"] is True
+
+
+@pytest.mark.parametrize("sub", ["canonical", "k0", "mul", "regular", "simplicity"])
+def test_s_calc_level_is_read_by_embed_only(capsys, sub):
+    # --level means the target of embed; on any other subcommand it would be
+    # checked against --level-cap and then ignored
+    one = os.path.join(GOLDEN, "one.json")
+    files = [one] * (2 if sub == "mul" else 1)
+    code, report = run(capsys, "s-calc", sub, *files, "--level", "2")
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert f"--level is read by s-calc embed only, not by s-calc {sub}" in report["error"]
+    assert run(capsys, "s-calc", sub, *files)[0] == 0
+    code, report = run(capsys, "s-calc", "embed", one, "--level", "2")
+    assert code == 0 and report["result"]["element"]["level"] == 2
+
+
 def test_s_calc_mul_rejects_mixed_d(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps({"d": 3, "level": 1, "entries": [[0, 0, "1"]]}))
@@ -372,11 +402,29 @@ def test_leavitt_eval_bounds_raising(capsys):
     assert str(MAX_RAISED_TERMS) in report["error"]
 
 
-def test_profile_bounds_standard_words():
-    # R/Rx0 at d=2 has 2**29 standard words in degree 30, and 2**19 in
-    # degrees 0..19 together, which cap 19 would keep.  As above, the child
-    # runs under a 1.5 GB address-space limit.
-    pres = os.path.join(os.path.dirname(__file__), "golden", "letterq.pres")
+# the d = 4 probe of the scale ladder in ROADMAP.md: free past b = 3
+D4_PROBE = """field: QQ
+d: 4
+gens: [0, 1]
+rels:
+x0 x1 x2 - x3 x3 x3, x0 x0
+x1 x1 x0, x2 x0 + 2 x1 x3
+0, x3 x2 x1 - 3 x0 x0 x0
+"""
+# R + k(-20) at d = 2: the profile reads the words of degree b = 21
+R_PLUS_K20 = "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"
+
+
+def test_profile_certifies_past_the_word_budget(tmp_path):
+    # past the stable bound b a profile builds no word and no row, so any cap
+    # within the digit rule is certified: R/Rx0 at d=2 would have 2**999
+    # standard words in degree 1000.  R + k(-20) still needs the 2**21 words
+    # of degree 21 and is refused at degree 18, whatever the cap.  As above,
+    # the child runs under a 1.5 GB address-space limit.
+    letterq = os.path.join(os.path.dirname(__file__), "golden", "letterq.pres")
+    probe, far = tmp_path / "d4.pres", tmp_path / "far.pres"
+    probe.write_text(D4_PROBE)
+    far.write_text(R_PLUS_K20)
     limit = 1_500_000_000
 
     def cap():
@@ -384,18 +432,29 @@ def test_profile_bounds_standard_words():
 
     src = os.path.dirname(os.path.dirname(freeproj.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    for degree_cap in ("30", "19"):
-        start = time.perf_counter()
+
+    def profile(degree_cap, pres):
         proc = subprocess.run(
-            [sys.executable, "-m", "freeproj.cli", "--degree-cap", degree_cap, "profile", pres],
+            [sys.executable, "-m", "freeproj.cli", "--degree-cap", degree_cap, "profile", str(pres)],
             capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
         )
-        assert time.perf_counter() - start < 20
-        assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        report = json.loads(proc.stdout)
+        return proc.returncode, json.loads(proc.stdout)
+
+    start = time.perf_counter()
+    for pres in (letterq, probe):
+        for degree_cap in ("19", "30", "1000"):
+            code, report = profile(degree_cap, pres)
+            assert code == 0
+            assert report["result"]["profile"]["certified_through"] == int(degree_cap)
+    for degree_cap in ("1", "8"):
+        code, report = profile(degree_cap, far)
+        assert code == 1
         assert report["kind"] == "BudgetExceeded"
-        assert str(MAX_STD_WORDS) in report["error"] and "--degree-cap" in report["error"]
+        assert report["error"].startswith(f"degree 18 would add {2**18} standard words, bringing the module's "
+                                          f"held words and rows to {2**19 - 1},")
+        assert str(MAX_STD_WORDS) in report["error"] and "--degree-cap" not in report["error"]
+    assert time.perf_counter() - start < 20
 
 
 @pytest.mark.parametrize("argv", [["verify", "--suite", "hilbert"], ["hilbert", "missing.pres", "3"]])

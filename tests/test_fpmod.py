@@ -19,7 +19,7 @@ from freeproj.fields import GF, QQ
 from freeproj.fpmod import MAX_STD_WORDS, FpModuleMorphism
 from freeproj.freealg import ModuleMap
 from freeproj.parsing import parse_presentation
-from freeproj.qgr import QgrClass
+from freeproj.qgr import QgrClass, split_sequence
 from freeproj.randgen import make_rng, random_module_map
 from freeproj.submodules import kernel
 
@@ -144,21 +144,23 @@ def test_std_basis_refuses_over_budget_before_building(monkeypatch):
     M = quotient_by_first_letter(A2)
     top = next(j for j in itertools.count(1) if sum(map(M.hilbert, range(j + 1))) > MAX_STD_WORDS)
     assert top == 19
-    with pytest.raises(BudgetExceeded, match=f"degree {top} .*--degree-cap"):
+    with pytest.raises(BudgetExceeded, match=f"degree {top} would add {M.hilbert(top)} standard words") as err:
         M.std_basis(top)
+    assert "--degree-cap" not in str(err.value)
     # nothing was built: not even the degrees below the refused one
-    assert M._std_cache == {}
+    assert M._std_cache == {} and M._held == 0
     # a degree below the target over the bound is refused too: R/R_{>=3}
     # has 1, 2, 4 and 0 words in degrees 0..3
     monkeypatch.setattr(fpmod, "MAX_STD_WORDS", 3)
     T = FpModule.tail_quotient(A2, 3)
-    with pytest.raises(BudgetExceeded, match="degree 2 has 4 standard words"):
+    with pytest.raises(BudgetExceeded, match="degree 2 would add 4 standard words"):
         T.std_basis(3)
     assert T._std_cache == {}
     # the words of cached degrees count: degrees 0 and 1 keep 3, so a later
     # call for degree 2 alone is refused
     assert len(T.std_basis(1)) == 2
-    with pytest.raises(BudgetExceeded, match="degree 2 has 4 standard words, which bring the module's total to 7"):
+    with pytest.raises(BudgetExceeded, match="degree 2 would add 4 standard words, bringing the module's held words "
+                                             "and rows to 7,"):
         T.std_basis(2)
     assert sorted(T._std_cache) == [0, 1]
     # a module with no standard words is never refused
@@ -230,24 +232,111 @@ def test_free_tail_letter_matrices_match_lookup_oracle(M, data):
     assert (got.i0, got.t0, got.certified_through) == (want.i0, want.t0, want.certified_through)
 
 
+def held_in_caches(M):
+    """The standard words and letter-matrix rows M's caches hold."""
+    return sum(len(std) for std, _ in M._std_cache.values()) + sum(m.nrows for m in M._letter_cache.values())
+
+
 def test_free_tail_letter_matrix_refuses_over_budget_before_building():
-    # R/Rx0 at d = 2 is free past b = 1, with 2^28 words in degree 29
+    # R/Rx0 at d = 2 is free past b = 1, with 2^28 words in degree 29: the
+    # matrix out of M_29 would hold 2^28 rows, placed from the 2 words of
+    # degrees 0..1, and is refused before those words are built
     M = quotient_by_first_letter(FreeAlgebra(2))
-    lo = M.min_degree
-    top = next(j for j in itertools.count(lo) if sum(map(M.hilbert, range(lo, j + 1))) > MAX_STD_WORDS)
-    kept = sum(map(M.hilbert, range(lo, top + 1)))
+    b = M._free_bound()
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=f"degree {top} has {M.hilbert(top)} standard words, "
-                                             f"which bring the module's total to {kept},"):
+    with pytest.raises(BudgetExceeded, match=f"degree 29 would add {2**28} letter-matrix rows, bringing the "
+                                             f"module's held words and rows to {2**28 + 2},"):
         M.letter_matrix(0, 29)
     assert time.perf_counter() - start < 1
-    assert M._letter_cache == {} and M._std_cache == {}
-    # the matrix into the last degree under the bound is built, from words of
-    # degree b at most, and the one into the first degree over it is refused
-    assert M.letter_matrix(1, top - 2).ncols == M.hilbert(top - 1)
-    assert max(M._std_cache) == M._free_bound()
-    with pytest.raises(BudgetExceeded, match=f"degree {top} "):
-        M.letter_matrix(1, top - 1)
+    assert M._letter_cache == {} and M._std_cache == {} and M._held == 0
+    # beside those 2 words the rows out of M_18 fit and those out of M_19 do not
+    top = next(j for j in itertools.count(b) if 2 + M.hilbert(j) > MAX_STD_WORDS)
+    assert top == 19
+    assert M.letter_matrix(1, top - 1).nrows == M.hilbert(top - 1)
+    assert max(M._std_cache) == b
+    with pytest.raises(BudgetExceeded, match=f"degree {top} would add"):
+        M.letter_matrix(1, top)
+    # the rows of every letter matrix are held: x0's out of M_18 would be the
+    # second 2^17 beside x1's
+    with pytest.raises(BudgetExceeded, match=f"degree {top - 1} would add {2**17} letter-matrix rows, bringing "
+                                             f"the module's held words and rows to {2 + 2**18},"):
+        M.letter_matrix(0, top - 1)
+    assert list(M._letter_cache) == [(1, top - 1)]
+    assert M._held == held_in_caches(M) == 2 + 2**17
+
+
+def test_letter_matrix_below_the_bound_refuses_before_building(monkeypatch):
+    # R/R_{>=3} at d = 2, b = 3: x0 out of M_1 reads the 1 + 2 + 4 words of
+    # degrees 0..2 and holds 2 rows, 9 in all
+    T = FpModule.tail_quotient(FreeAlgebra(2), 3)
+    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", 8)
+    with pytest.raises(BudgetExceeded, match="degree 1 would add 2 letter-matrix rows, bringing the module's held "
+                                             "words and rows to 9,"):
+        T.letter_matrix(0, 1)
+    assert T._std_cache == {} and T._letter_cache == {} and T._held == 0
+    # under a budget of 9 it is built, and nothing more fits
+    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", 9)
+    assert T.letter_matrix(0, 1).nrows == 2
+    assert T._held == held_in_caches(T) == 9
+    with pytest.raises(BudgetExceeded, match="degree 0 would add 1 letter-matrix rows"):
+        T.letter_matrix(1, 0)
+
+
+def test_torsion_refuses_over_budget_before_building(monkeypatch):
+    # R + k(-2) at d = 2: its profile holds the words of degrees 0..3 and no
+    # row, and its torsion the rows of both letters out of degrees 0..2
+    text = "field: QQ\nd: 2\ngens: [0, 2]\nrels:\n0, x0\n0, x1\n"
+    for short in (1, 0):
+        M = parse_presentation(text).module()
+        M.stable_profile()
+        assert M._letter_cache == {}
+        need = 2 * sum(map(M.hilbert, range(3)))
+        monkeypatch.setattr(fpmod, "MAX_STD_WORDS", M._held + need - short)
+        if short:
+            with pytest.raises(BudgetExceeded, match="letter-matrix rows"):
+                M.torsion()
+        else:
+            assert M.torsion().dimension == 1
+        assert M._held == held_in_caches(M) <= fpmod.MAX_STD_WORDS
+    assert M._held == fpmod.MAX_STD_WORDS
+
+
+def test_split_sequence_past_the_bound_refuses_before_building(monkeypatch):
+    # 0 -> R -> (R/Rx0) + R -> R/Rx0 -> 0 split at i = 6, past every bound:
+    # the middle module's last build is its free-tail rows out of M_8
+    A2 = FreeAlgebra(2)
+
+    def sequence():
+        Q = quotient_by_first_letter(A2)
+        S = Q.direct_sum(FpModule.free(A2, [0]))
+        L = FpModule.free(A2, [0])
+        f = FpModuleMorphism(L, S, ModuleMap(L.F0, S.F0, [[A2.zero(), A2.one()]]))
+        g = FpModuleMorphism(S, Q, ModuleMap(S.F0, Q.F0, [[A2.one()], [A2.zero()]]))
+        return f, g
+
+    f, g = sequence()
+    assert split_sequence(f, g, 6, degrees=3).verify()
+    mods = (f.source, f.target, g.target)
+    assert all(M._held == held_in_caches(M) for M in mods)
+    S = f.target
+    assert S._held == max(M._held for M in mods) and S._free_bound() < 6
+    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", S._held - 1)
+    f, g = sequence()
+    with pytest.raises(BudgetExceeded, match=f"degree 8 would add {S.hilbert(8)} letter-matrix rows"):
+        split_sequence(f, g, 6, degrees=3)
+    assert (0, 8) in f.target._letter_cache and (1, 8) not in f.target._letter_cache
+    assert all(M._held == held_in_caches(M) <= fpmod.MAX_STD_WORDS for M in (f.source, f.target, g.target))
+
+
+def test_held_count_is_the_cached_words_and_rows():
+    for M in letter_battery():
+        assert M._held == 0
+        M.stable_profile()
+        M.torsion()
+        b = M._free_bound()
+        for j in (b - 1, b, b + 2):
+            M.letter_matrix(M.algebra.d - 1, j)
+        assert M._held == held_in_caches(M) > 0
 
 
 class MovedLayout(FpModule):
