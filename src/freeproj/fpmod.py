@@ -16,11 +16,14 @@ builds each degree from the one below by this one-letter extension,
 `letter_matrix` writes a unit row for every standard product, and below the
 free tail the rank check of `_mult_bijective` meets mostly those unit rows.
 
-Word products grow the same way: the matrix of x_a * u from M_j is u's
-matrix times x_a's from M_{j+|u|}.  So `word_levels` builds the words of
-length L from those of length L-1, one sparse product each (d + ... + d^L in
-all, the letter matrices themselves at length 1), for torsion and for the
-sections of `qgr.split_sequence`.
+Torsion is found one letter at a time too.  The tail M_{>=i0} of the stable
+profile is free, so an element of M_j is torsion exactly when each x_a times
+it is.  `torsion` walks each degree below i0 once, downward from Q_{i0}, the
+identity on M_{i0}: the torsion of M_j is the left kernel of S_j, whose
+column blocks are letter_matrix(a, j) * Q_{j+1} for each letter a.  One
+`row_reduce` of S_j gives that kernel as the transforms of its zero rows,
+and Q_j is S_j on its pivot columns, which span its columns, so Q_j has the
+same left kernel and at most h_j columns.
 
 Morphism matrices grow by the same closure.  A morphism phi is left
 R-linear, phi(x_i * m) = x_i * phi(m), and the suffix u of a standard word
@@ -60,7 +63,7 @@ import itertools
 from .errors import BudgetExceeded, CertificateMismatch
 from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
-from .linalg import SparseMatrix, _row_axpy, left_kernel, rank
+from .linalg import SparseMatrix, _row_axpy, rank, row_reduce
 from .submodules import FreeBasis, kernel, weak_basis
 
 # The most standard words and letter-matrix rows an FpModule holds over all
@@ -358,21 +361,6 @@ class FpModule:
             raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
         return [(row, n, d * row) for row, n in zip(starts, counts)]
 
-    def word_levels(self, j: int):
-        """Yield, for word length 0, 1, 2, ..., the matrices from M_j of the
-        words of that length in `FreeAlgebra.words` order, each level built
-        from the one below by one-letter extension (module docstring)."""
-        yield [SparseMatrix.identity(self.algebra.field, self.hilbert(j))]
-        letters = range(self.algebra.d)
-        mats = [self.letter_matrix(a, j) for a in letters]
-        for k in itertools.count(j + 1):
-            yield mats
-            mats = [m.mul(self.letter_matrix(a, k)) for a in letters for m in mats]
-
-    def word_matrices(self, length: int, j: int) -> list:
-        """The level of the given word length in `word_levels(j)`."""
-        return next(itertools.islice(self.word_levels(j), length, None))
-
     def _mult_bijective(self, j: int) -> bool:
         """Is V tensor M_j -> M_{j+1} bijective?  Exact check.
 
@@ -439,36 +427,32 @@ class FpModule:
     # -- torsion --------------------------------------------------------------
 
     def torsion(self) -> Torsion:
-        """The largest finite-dimensional graded submodule."""
+        """The largest finite-dimensional graded submodule, by the one-letter
+        recursion of the module docstring."""
         profile = self.stable_profile()
         i0 = profile.i0
         if profile.t0 == 0:
             one = self.algebra.field.one
             gens = [self.F0.element({mon: one}) for j in range(self.min_degree, i0) for mon in self.std_basis(j)]
             return Torsion(self, len(gens), gens)
-        gens = []
-        total = 0
-        for j in range(self.min_degree, i0):
-            hj = self.hilbert(j)
-            if hj == 0:
-                continue
-            length = i0 - j
-            blocks = [{} for _ in range(hj)]
-            offset = 0
-            for m in self.word_matrices(length, j):
-                for r, row in enumerate(m.rows):
-                    for c, v in row.items():
-                        blocks[r][offset + c] = v
-                offset += m.ncols
-            stacked = SparseMatrix(self.algebra.field, hj, offset, blocks)
-            ker = left_kernel(stacked)
-            total += ker.nrows
-            for row in ker.rows:
-                gens.append(self.element_from_coords(row, j))
+        F, d = self.algebra.field, self.algebra.d
+        Q = SparseMatrix.identity(F, self.hilbert(i0))
+        kernels = []
+        for j in range(i0 - 1, self.min_degree - 1, -1):
+            n = Q.ncols
+            rows = [{} for _ in range(self.hilbert(j))]
+            for a in range(d):
+                for row, part in zip(rows, self.letter_matrix(a, j).mul(Q).rows):
+                    row.update((a * n + c, v) for c, v in part.items())
+            pivots, reduced, trans = row_reduce(SparseMatrix(F, len(rows), d * n, rows), want_transform=True)
+            kernels.append((j, [t for t, r in zip(trans, reduced) if not r]))
+            cols = {c: k for k, (_, c) in enumerate(pivots)}
+            Q = SparseMatrix(F, len(rows), len(cols), [{cols[c]: v for c, v in r.items() if c in cols} for r in rows])
+        gens = [self.element_from_coords(t, j) for j, ker in reversed(kernels) for t in ker]
         if not gens:
             zero_mod = FpModule(self.algebra.free_module([]), [])
             return Torsion(zero_mod, 0, [])
-        return Torsion(self.submodule_presentation(gens), total, gens)
+        return Torsion(self.submodule_presentation(gens), len(gens), gens)
 
     def mod_torsion(self) -> "FpModule":
         tors = self.torsion()

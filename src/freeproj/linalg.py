@@ -11,7 +11,6 @@ per column.  Everything else is a view of it:
 * `rank` counts its pivots, after a pre-pass that counts the columns of the
   rows with a single entry and drops those columns from the other rows, so
   only that residue is eliminated, and with no end pass over QQ;
-* `left_kernel` reads the transform rows of the zero rows;
 * `solve_left` reduces each target against the pivot rows;
 * `generalized_inverse` places the pivot transform rows at the pivot columns.
 
@@ -363,13 +362,6 @@ def rank(mat: SparseMatrix) -> int:
             residue.append(kept)
     pivots = _eliminate(SparseMatrix(mat.field, len(residue), mat.ncols, residue), False)[0]
     return len(taken) + len(pivots)
-
-
-def left_kernel(mat: SparseMatrix) -> SparseMatrix:
-    """Basis of {v : v*A = 0}, one row per basis vector."""
-    pivots, reduced, trans = row_reduce(mat, want_transform=True)
-    null_rows = [trans[i] for i in range(mat.nrows) if not reduced[i]]
-    return SparseMatrix(mat.field, len(null_rows), mat.nrows, null_rows)
 
 
 def solve_left(mat: SparseMatrix, targets) -> list:

@@ -304,7 +304,9 @@ def split_sequence(
 
     Verifies degreewise exactness of 0 -> L -> M -> N -> 0 along the checked
     range, demands that the quotient tail is free from degree i on, lifts a
-    degree-i standard basis of N through g, and extends freely.
+    degree-i standard basis of N through g, and extends one letter at a
+    time: sigma_j(x_a * n) = x_a * sigma_{j-1}(n), solved against N's
+    stacked letter matrices out of N_{j-1}, which are square past i.
     """
     L, M, N = f.source, f.target, g.target
     if not (
@@ -335,19 +337,20 @@ def split_sequence(
     lifts = solve_left(g.matrix_in_degree(i), SparseMatrix.identity(field, t).rows)
     if any(x is None for x in lifts):
         raise NotExactInput("could not lift the degree-i basis through g")
-    lift_mat = SparseMatrix(field, t, M.hilbert(i), lifts)
-
+    sigma = SparseMatrix(field, t, M.hilbert(i), lifts)
     matrices = {}
-    # level j - i of each module's word products, extended by one letter per degree
-    for j, N_words, M_words in zip(range(i, hi + 1), N.word_levels(i), M.word_levels(i)):
-        T = SparseMatrix(field, t * len(N_words), N.hilbert(j), [r for m in N_words for r in m.rows])
-        images = [r for m in M_words for r in lift_mat.mul(m).rows]
+    letters = range(M.algebra.d)
+    for j in range(i, hi + 1):
         unit = SparseMatrix.identity(field, N.hilbert(j))
-        coords = solve_left(T, unit.rows)
-        if any(c is None for c in coords):
-            raise TruncationNotFree(f"quotient tail is not free at degree {j}")
-        sigma = SparseMatrix(field, len(coords), len(images), coords).mul(
-            SparseMatrix(field, len(images), M.hilbert(j), images))
+        if j > i:
+            T = SparseMatrix(field, len(letters) * N.hilbert(j - 1), N.hilbert(j),
+                             [r for a in letters for r in N.letter_matrix(a, j - 1).rows])
+            images = [r for a in letters for r in sigma.mul(M.letter_matrix(a, j - 1)).rows]
+            coords = solve_left(T, unit.rows)
+            if any(c is None for c in coords):
+                raise TruncationNotFree(f"quotient tail is not free at degree {j}")
+            sigma = SparseMatrix(field, len(coords), len(images), coords).mul(
+                SparseMatrix(field, len(images), M.hilbert(j), images))
         if sigma.mul(g.matrix_in_degree(j)) != unit:
             raise CertificateMismatch(f"constructed section fails in degree {j}")
         matrices[j] = sigma

@@ -457,6 +457,33 @@ def test_profile_certifies_past_the_word_budget(tmp_path):
     assert time.perf_counter() - start < 20
 
 
+@pytest.mark.parametrize("far", [24, 1000])
+def test_torsion_of_a_point_beside_a_far_free_summand(tmp_path, far):
+    # k + R(-far) at d = 2: torsion walks each degree below i0 = far once,
+    # on letter matrices, with no word products.  As above, the child runs
+    # under a 1.5 GB address-space limit.
+    pres = tmp_path / "point_far.pres"
+    pres.write_text(f"field: QQ\nd: 2\ngens: [0, {far}]\nrels:\nx0, 0\nx1, 0\n")
+    limit = 1_500_000_000
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(freeproj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "freeproj.cli", "torsion", str(pres)],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)["result"]
+    assert report["dimension"] == 1
+    assert report["by_degree"] == {str(j): int(j == 0) for j in range(far)}
+
+
 @pytest.mark.parametrize("argv", [["verify", "--suite", "hilbert"], ["hilbert", "missing.pres", "3"]])
 def test_closed_stdout_exits_1_without_traceback(tmp_path, argv):
     # stdout is a pipe whose read end is already closed, so the first flush

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,13 +16,15 @@ from letter_matrix_oracle import letter_matrix as oracle_letter_matrix
 from letter_matrix_oracle import mult_bijective as oracle_mult_bijective
 from std_basis_oracle import std_basis as oracle_std_basis
 from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
-from word_matrix_oracle import word_matrix as oracle_word_matrix
+from torsion_oracle import torsion as oracle_torsion
 
+import freeproj
 from freeproj import FreeAlgebra, FpModule, fpmod
 from freeproj.errors import BudgetExceeded, CertificateMismatch
 from freeproj.fields import GF, QQ
 from freeproj.fpmod import MAX_STD_WORDS, FpModuleMorphism
 from freeproj.freealg import ModuleMap
+from freeproj.linalg import SparseMatrix, rank
 from freeproj.parsing import parse_presentation
 from freeproj.qgr import QgrClass, split_sequence
 from freeproj.randgen import make_rng, random_module_map
@@ -237,18 +244,49 @@ def held_in_caches(M):
     return sum(len(std) for std, _ in M._std_cache.values()) + sum(m.nrows for m in M._letter_cache.values())
 
 
+# The refusal of x0's matrix out of M_29 on R/Rx0 at d = 2, run in a child
+# so that a lost row check fails under its address-space limit instead of
+# building 2^28 row dicts in the test process.
+LETTER_29_REFUSAL = """
+import json, time
+from freeproj import FreeAlgebra, FpModule
+from freeproj.errors import BudgetExceeded
+A = FreeAlgebra(2)
+M = FpModule.cyclic(A, [A.gen(0)])
+M._free_bound()
+start = time.perf_counter()
+error = None
+try:
+    M.letter_matrix(0, 29)
+except BudgetExceeded as exc:
+    error = str(exc)
+print(json.dumps({"error": error, "seconds": time.perf_counter() - start,
+                  "built": [len(M._letter_cache), len(M._std_cache), M._held]}))
+"""
+
+
 def test_free_tail_letter_matrix_refuses_over_budget_before_building():
     # R/Rx0 at d = 2 is free past b = 1, with 2^28 words in degree 29: the
     # matrix out of M_29 would hold 2^28 rows, placed from the 2 words of
-    # degrees 0..1, and is refused before those words are built
+    # degrees 0..1, and is refused before those words are built.  The child
+    # runs under a 1.5 GB address-space limit.
+    limit = 1_500_000_000
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(freeproj.__file__))
+    proc = subprocess.run([sys.executable, "-c", LETTER_29_REFUSAL], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap, timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"] is not None
+    assert report["error"].startswith(f"degree 29 would add {2**28} letter-matrix rows, bringing the "
+                                      f"module's held words and rows to {2**28 + 2},")
+    assert report["seconds"] < 1
+    assert report["built"] == [0, 0, 0]
     M = quotient_by_first_letter(FreeAlgebra(2))
     b = M._free_bound()
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=f"degree 29 would add {2**28} letter-matrix rows, bringing the "
-                                             f"module's held words and rows to {2**28 + 2},"):
-        M.letter_matrix(0, 29)
-    assert time.perf_counter() - start < 1
-    assert M._letter_cache == {} and M._std_cache == {} and M._held == 0
     # beside those 2 words the rows out of M_18 fit and those out of M_19 do not
     top = next(j for j in itertools.count(b) if 2 + M.hilbert(j) > MAX_STD_WORDS)
     assert top == 19
@@ -411,40 +449,45 @@ def typed_rows(mat):
     return [[(c, type(v), v) for c, v in row.items()] for row in mat.rows]
 
 
-def assert_word_matrices_match_oracle(M, length, j):
-    got = M.word_matrices(length, j)
-    words = list(M.algebra.words(length))
-    assert len(got) == len(words)
-    for w, fast in zip(words, got):
-        slow = oracle_word_matrix(M, w, j)
-        assert (fast.nrows, fast.ncols) == (slow.nrows, slow.ncols)
-        assert typed_rows(fast) == typed_rows(slow)
-    if length == 1:
-        # the length-1 level is the cached letter matrices, not a product
-        assert all(m is M.letter_matrix(a, j) for a, m in enumerate(got))
+def assert_torsion_matches_oracle(M):
+    """Per degree, the torsion generators span the word-product oracle's
+    space: as many of them, independent, and their union has no larger rank."""
+    got, want = M.torsion(), oracle_torsion(FpModule(M.F0, M.relations))
+    assert got.dimension == want.dimension == len(got.generators)
+    spaces = [{}, {}]
+    for space, tors in zip(spaces, (got, want)):
+        for g in tors.generators:
+            j = g.degree()
+            space.setdefault(j, []).append(M.coords(g, j))
+    assert spaces[0].keys() == spaces[1].keys()
+    F = M.algebra.field
+    for j, rows in spaces[0].items():
+        other = spaces[1][j]
+        assert len(rows) == len(other) == rank(SparseMatrix(F, len(rows), M.hilbert(j), rows))
+        assert rank(SparseMatrix(F, 2 * len(rows), M.hilbert(j), rows + other)) == len(rows)
+    for j in range(M.min_degree, M.stable_profile().i0):
+        assert got.module.hilbert(j) == want.module.hilbert(j)
+    return got.dimension
 
 
-@hypothesis.settings(max_examples=120, deadline=None)
-@hypothesis.given(presented_modules(fractions=True), st.integers(0, 3), st.data())
-def test_word_matrices_match_word_matrix_oracle(M, length, data):
-    # degrees from below the lowest generator, where h(j) = 0, to past the
-    # relations, where torsion and killed generators show
-    j = data.draw(st.integers(M.min_degree - 1, max(M.F0.shifts) + 2))
-    assert_word_matrices_match_oracle(M, length, j)
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(presented_modules(fractions=True))
+def test_torsion_matches_word_product_oracle(M):
+    assert_torsion_matches_oracle(M)
 
 
-def test_word_matrices_match_oracle_on_battery():
-    A3 = FreeAlgebra(3, GF(5))
-    mods = letter_battery() + [FpModule.tail_quotient(A3, 2), FpModule.free(FreeAlgebra(1), [0, 1])]
-    fractions = zero_pieces = 0
-    for M in mods:
-        for j in range(M.min_degree - 1, M.min_degree + 3):
-            zero_pieces += M.hilbert(j) == 0
-            for length in range(4):
-                assert_word_matrices_match_oracle(M, length, j)
-            fractions += any(isinstance(v, Fraction) for a in range(M.algebra.d)
-                             for row in M.letter_matrix(a, j).rows for v in row.values())
-    assert fractions > 0 and zero_pieces > 0
+def test_torsion_matches_word_product_oracle_on_battery():
+    A2, A3 = FreeAlgebra(2), FreeAlgebra(3, GF(5))
+    point_plus_free = "field: QQ\nd: 2\ngens: [0, 6]\nrels:\nx0, 0\nx1, 0\n"
+    mods = letter_battery() + [
+        FpModule.tail_quotient(A3, 2),
+        FpModule.residue(A3).shift(-1).direct_sum(FpModule.free(A3, [0])),
+        FpModule(A2.free_module([0]), [A2.free_module([0]).from_polys([A2.one()])]),
+        FpModule.free(FreeAlgebra(1), [0, 1]),
+        parse_presentation(point_plus_free).module(),
+    ]
+    dims = [assert_torsion_matches_oracle(M) for M in mods]
+    assert sum(dim > 0 for dim in dims) >= 4
 
 
 def test_morphism_matrix_cache_matches_fresh_morphism():

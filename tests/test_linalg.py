@@ -12,7 +12,6 @@ from freeproj.linalg import (
     SparseMatrix,
     _row_axpy,
     dense_mul,
-    left_kernel,
     generalized_inverse,
     rank,
     row_reduce,
@@ -38,10 +37,12 @@ def test_rank_gf():
 
 
 def test_left_kernel_annihilates():
+    # the left kernel is the transform rows of row_reduce's zero rows
     a = M([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
-    k = left_kernel(a)
-    assert k.nrows == 1
-    assert k.mul(a).rows == ({},)
+    _, reduced, trans = row_reduce(a, want_transform=True)
+    null = [t for t, r in zip(trans, reduced) if not r]
+    assert len(null) == 1
+    assert SparseMatrix(a.field, 1, a.nrows, null).mul(a).rows == ({},)
 
 
 def test_solve_left():
@@ -157,8 +158,9 @@ def test_operations_leave_input_rows_untouched(a):
     inputs = [(m, list(m.rows), [list(r.items()) for r in m.rows]) for m in (a, t)]
     rank(a)
     row_reduce(a)
-    row_reduce(a, want_transform=True)
-    left_kernel(a)
+    _, reduced, trans = row_reduce(a, want_transform=True)
+    null = [t for t, r in zip(trans, reduced) if not r]  # the left kernel
+    assert all(not r for r in SparseMatrix(a.field, len(null), a.nrows, null).mul(a).rows)
     solve_left(a, a.rows)  # its own rows as targets: solvable, and shared
     a.mul(t)
     t.mul(a)

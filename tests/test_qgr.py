@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from section_oracle import section_matrices as oracle_section_matrices
 
 from freeproj import FreeAlgebra, FpModule
 from freeproj.af_s import AFMatrix
@@ -10,6 +11,7 @@ from freeproj.errors import (
     RankNotStabilized,
     TruncationNotFree,
 )
+from freeproj.fields import GF, QQ
 from freeproj.fpmod import FpModuleMorphism
 from freeproj.freealg import ModuleMap
 from freeproj.qgr import (
@@ -270,6 +272,20 @@ def test_split_random_sequences(A2):
         i0 = g.target.stable_profile().i0
         sec = split_sequence(f, g, i0, degrees=3)
         assert sec.verify()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sections_match_word_level_oracle(field, d):
+    # the one-letter recursion and the word-level loop give equal matrices
+    A = FreeAlgebra(d, field)
+    rng = make_rng(100 + d)
+    for _ in range(15):
+        f, g = random_exact_sequence(rng, A)
+        i0 = g.target.stable_profile().i0
+        for i in (i0, i0 + 1):
+            sec = split_sequence(f, g, i, degrees=3)
+            assert sec.matrices == oracle_section_matrices(g, i, degrees=3)
 
 
 # ---------------------------------------------------------------------------
