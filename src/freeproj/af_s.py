@@ -20,8 +20,6 @@ they skip it via `_from_canonical`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, ZeroElement
 from .fields import QQ
 from .linalg import (
@@ -177,8 +175,7 @@ class AFMatrix:
         p = self.field.characteristic
         tr = sum(row[i] for i, row in enumerate(self.entries))
         r = self.rank() if 0 < p <= len(self.entries) else int(tr % p if p else tr)
-        value = Fraction(r) / Fraction(self.d) ** self.level
-        return QgrClass.from_fraction(value, self.d)
+        return QgrClass(r, self.level, self.d)
 
     def vn_regular_witness(self) -> "AFMatrix":
         """An x with a*x*a = a, from one elimination of a.

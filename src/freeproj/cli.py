@@ -140,12 +140,8 @@ def cmd_k0(args) -> dict:
 
 def cmd_torsion(args) -> dict:
     pf = _load_presentation(args.file, args.field)
-    M = pf.module()
-    tors = M.torsion()
-    i0 = M.stable_profile().i0
-    by_degree = {
-        str(j): tors.module.hilbert(j) for j in range(M.min_degree, i0) if tors.dimension
-    }
+    tors = pf.module().torsion()
+    by_degree = {str(j): n for j, n in tors.by_degree.items()}
     return {
         "command": "torsion",
         "inputs": {"file": args.file, "d": pf.d, "field": pf.field.name},

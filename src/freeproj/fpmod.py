@@ -8,6 +8,13 @@ the relation basis form an exact k-basis of M in each degree, so Hilbert
 values are closed-form counts and multiplication matrices come from normal
 forms.
 
+This is the library's one degreewise basis.  A free module is an FpModule
+with no relations, whose standard monomials are all the monomials of F0, so
+the free modules of the decomposition pair, the Ext^1 map and the
+truncation criterion take their bases from `std_basis` and their matrices
+from `FpModuleMorphism.matrix_in_degree` too, Hilbert-checked and held to
+MAX_STD_WORDS like every other module's.
+
 Standard words are closed under taking suffixes: a relation leading word that
 is a suffix of a word's suffix is a suffix of the word.  So for a standard
 word w at coordinate alpha, x_i * w is standard unless it is itself a leading
@@ -132,14 +139,16 @@ class StableProfile:
 
 
 class Torsion:
-    """The largest finite-dimensional graded submodule of an FpModule."""
+    """The largest finite-dimensional graded submodule of an FpModule: a basis
+    of it as representatives in F0, and by_degree, {j: its dimension in
+    degree j} for each degree below i0, empty when there is no torsion."""
 
-    __slots__ = ("module", "dimension", "generators")
+    __slots__ = ("by_degree", "dimension", "generators")
 
-    def __init__(self, module, dimension, generators):
-        self.module = module
-        self.dimension = dimension
+    def __init__(self, by_degree, generators):
+        self.by_degree = dict(by_degree)
         self.generators = tuple(generators)
+        self.dimension = len(self.generators)
 
     def __repr__(self):
         return f"Torsion(dim={self.dimension})"
@@ -428,31 +437,29 @@ class FpModule:
 
     def torsion(self) -> Torsion:
         """The largest finite-dimensional graded submodule, by the one-letter
-        recursion of the module docstring."""
+        recursion of the module docstring.  A finite-dimensional module is all
+        torsion: its kernel in each degree is the identity on M_j."""
         profile = self.stable_profile()
         i0 = profile.i0
-        if profile.t0 == 0:
-            one = self.algebra.field.one
-            gens = [self.F0.element({mon: one}) for j in range(self.min_degree, i0) for mon in self.std_basis(j)]
-            return Torsion(self, len(gens), gens)
         F, d = self.algebra.field, self.algebra.d
-        Q = SparseMatrix.identity(F, self.hilbert(i0))
-        kernels = []
-        for j in range(i0 - 1, self.min_degree - 1, -1):
-            n = Q.ncols
-            rows = [{} for _ in range(self.hilbert(j))]
-            for a in range(d):
-                for row, part in zip(rows, self.letter_matrix(a, j).mul(Q).rows):
-                    row.update((a * n + c, v) for c, v in part.items())
-            pivots, reduced, trans = row_reduce(SparseMatrix(F, len(rows), d * n, rows), want_transform=True)
-            kernels.append((j, [t for t, r in zip(trans, reduced) if not r]))
-            cols = {c: k for k, (_, c) in enumerate(pivots)}
-            Q = SparseMatrix(F, len(rows), len(cols), [{cols[c]: v for c, v in r.items() if c in cols} for r in rows])
-        gens = [self.element_from_coords(t, j) for j, ker in reversed(kernels) for t in ker]
-        if not gens:
-            zero_mod = FpModule(self.algebra.free_module([]), [])
-            return Torsion(zero_mod, 0, [])
-        return Torsion(self.submodule_presentation(gens), len(gens), gens)
+        if profile.t0 == 0:
+            kernels = [(j, [{k: F.one} for k in range(self.hilbert(j))]) for j in range(self.min_degree, i0)]
+        else:
+            Q = SparseMatrix.identity(F, self.hilbert(i0))
+            kernels = []
+            for j in range(i0 - 1, self.min_degree - 1, -1):
+                n = Q.ncols
+                rows = [{} for _ in range(self.hilbert(j))]
+                for a in range(d):
+                    for row, part in zip(rows, self.letter_matrix(a, j).mul(Q).rows):
+                        row.update((a * n + c, v) for c, v in part.items())
+                pivots, reduced, trans = row_reduce(SparseMatrix(F, len(rows), d * n, rows), want_transform=True)
+                kernels.append((j, [t for t, r in zip(trans, reduced) if not r]))
+                cols = {c: k for k, (_, c) in enumerate(pivots)}
+                Q = SparseMatrix(F, len(rows), len(cols), [{cols[c]: v for c, v in r.items() if c in cols} for r in rows])
+            kernels.reverse()
+        gens = [self.element_from_coords(t, j) for j, ker in kernels for t in ker]
+        return Torsion({j: len(ker) for j, ker in kernels} if gens else {}, gens)
 
     def mod_torsion(self) -> "FpModule":
         tors = self.torsion()

@@ -10,6 +10,12 @@ Monomials of a module element are pairs (alpha, word); the term order is
 length-then-lex on the word with the coordinate as tiebreak.  This order is
 stable under left multiplication by words, which is what the submodule
 machinery relies on.
+
+Nothing here enumerates a degreewise basis or writes a degreewise matrix.
+A free module is an FpModule with no relations, so its degree-j monomials
+are `FpModule.std_basis(j)` and a map between free modules is realized in
+degree j by `FpModuleMorphism.matrix_in_degree(j)`: the library has one
+degreewise basis, Hilbert-checked and held to the word budget.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import itertools
 from operator import add
 
 from .fields import QQ
-from .linalg import SparseMatrix, _add_products, _add_terms
+from .linalg import _add_products, _add_terms
 
 Word = tuple  # words are plain tuples of letter indices
 
@@ -185,12 +191,11 @@ class NcPoly(_Terms):
 class GradedFreeModule:
     """A finite free graded module, given by the degrees of its generators."""
 
-    __slots__ = ("algebra", "shifts", "_basis_cache")
+    __slots__ = ("algebra", "shifts")
 
     def __init__(self, algebra: FreeAlgebra, shifts):
         self.algebra = algebra
         self.shifts = tuple(int(b) for b in shifts)
-        self._basis_cache = {}
 
     @property
     def rank(self) -> int:
@@ -199,23 +204,6 @@ class GradedFreeModule:
     def graded_piece_dim(self, j: int) -> int:
         d = self.algebra.d
         return sum(d ** (j - b) for b in self.shifts if b <= j)
-
-    def monomial_basis(self, j: int):
-        """The canonical basis of the degree-j piece: (alpha, word) pairs,
-        coordinates in order and words in lex order within each coordinate."""
-        if j in self._basis_cache:
-            return self._basis_cache[j]
-        basis = []
-        for alpha, b in enumerate(self.shifts):
-            if b <= j:
-                basis.extend((alpha, w) for w in self.algebra.words(j - b))
-        basis = tuple(basis)
-        self._basis_cache[j] = basis
-        return basis
-
-    def basis_index(self, j: int):
-        """Dict mapping each degree-j monomial to its basis position."""
-        return {mon: k for k, mon in enumerate(self.monomial_basis(j))}
 
     # -- element constructors ------------------------------------------------
 
@@ -307,17 +295,6 @@ class FreeModuleElement(_Terms):
             self.module, {(alpha, u + w): c for (alpha, w), c in self.terms.items()}
         )
 
-    def coords_in_degree(self, j: int) -> dict:
-        """Sparse coordinate row w.r.t. the degree-j monomial basis."""
-        index = self.module.basis_index(j)
-        out = {}
-        for mon, c in self.terms.items():
-            if mon in index:
-                out[index[mon]] = c
-            else:
-                raise ValueError(f"term {mon} is not of degree {j}")
-        return out
-
     def polys(self) -> list:
         """The element as a vector of polynomials."""
         A = self.module.algebra
@@ -398,25 +375,6 @@ class ModuleMap:
                 for beta, q in enumerate(self.matrix[alpha]):
                     _add_products(F, out, p.terms, q.terms, lambda u, w: (beta, u + w))
         return FreeModuleElement(self.target, out)
-
-    def map_in_degree(self, j: int) -> SparseMatrix:
-        """The degree-j realization in the canonical monomial bases.
-
-        Rows are indexed by the source basis, columns by the target basis,
-        acting on row vectors.
-        """
-        src_basis = self.source.monomial_basis(j)
-        tgt_index = self.target.basis_index(j)
-        # the monomials (beta, u + w) of one row are distinct: nothing to add
-        rows = [
-            {
-                tgt_index[(beta, u + w)]: c
-                for beta, q in enumerate(self.matrix[alpha])
-                for w, c in q.terms.items()
-            }
-            for alpha, u in src_basis
-        ]
-        return SparseMatrix(self.source.algebra.field, len(src_basis), len(tgt_index), rows)
 
     def compose(self, then: "ModuleMap") -> "ModuleMap":
         """self followed by `then`."""

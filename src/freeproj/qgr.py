@@ -55,25 +55,6 @@ class QgrClass:
             i -= 1
         return t, i
 
-    @staticmethod
-    def _normalize(value: Fraction, d: int):
-        i = 0
-        while value.denominator > 1:
-            if gcd(value.denominator, d) == 1:
-                raise ValueError(f"{value} is not in Z[1/{d}]")
-            value *= d
-            i += 1
-        return QgrClass._strip(int(value), i, d)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction, d: int) -> "QgrClass":
-        if value < 0:
-            raise ValueError("classes are nonnegative")
-        t, i = cls._normalize(Fraction(value), d)
-        out = cls.__new__(cls)
-        out.t, out.i, out.d = t, i, d
-        return out
-
     @property
     def value(self) -> Fraction:
         return Fraction(self.t) * Fraction(self.d) ** (-self.i)
@@ -225,10 +206,10 @@ def tower_square_commutes(f: AFMatrix, degrees: int = 3) -> bool:
 class DecompositionPair:
     """Mutually inverse maps between the r-fold twisted sum and the tail.
 
-    forward is the module map from the rank-d^r free module with basis in
-    degree r onto the tail R_{>= r} of R (its columns are the words of
-    length r); backward realizes the inverse degreewise by splitting a word
-    into its prefix and its length-r tail.
+    source and target are the free FpModules R(-r)^(d^r) and R.  forward is
+    the cover map from the source onto the tail R_{>= r} of R (its columns
+    are the words of length r); backward realizes the inverse degreewise by
+    splitting a word into its prefix and its length-r tail.
     """
 
     def __init__(self, algebra: FreeAlgebra, r: int = 1):
@@ -237,12 +218,12 @@ class DecompositionPair:
         self.algebra = algebra
         self.r = r
         d = algebra.d
-        self.source = algebra.free_module([r] * d**r)
-        self.target = algebra.free_module([0])
+        self.source = FpModule.free(algebra, [r] * d**r)
+        self.target = FpModule.free(algebra, [0])
         words = list(algebra.words(r))
         self.words = words
         self.forward = ModuleMap(
-            self.source, self.target, [[algebra.monomial(w)] for w in words]
+            self.source.F0, self.target.F0, [[algebra.monomial(w)] for w in words]
         )
 
     def backward_matrix(self, j: int) -> SparseMatrix:
@@ -250,17 +231,18 @@ class DecompositionPair:
         if j < self.r:
             raise ValueError("the inverse is defined on degrees >= r")
         F = self.algebra.field
-        tgt_index = self.source.basis_index(j)
+        tgt_index = self.source._std_index(j)
         rows = []
-        for _, w in self.target.monomial_basis(j):
+        for _, w in self.target.std_basis(j):
             alpha = word_rank(self.algebra.d, w[len(w) - self.r:])
             rows.append({tgt_index[(alpha, w[: len(w) - self.r])]: F.one})
         return SparseMatrix(F, len(rows), len(tgt_index), rows)
 
     def verify(self, degrees=4) -> bool:
         """Both composites are identity matrices in every checked degree."""
+        forward = FpModuleMorphism(self.source, self.target, self.forward)
         for j in range(self.r, self.r + degrees):
-            U = self.forward.map_in_degree(j)
+            U = forward.matrix_in_degree(j)
             V = self.backward_matrix(j)
             n_src = U.nrows
             n_tgt = V.nrows
@@ -283,11 +265,10 @@ class Section:
     with the surjection is the identity.
     """
 
-    __slots__ = ("surjection", "start", "matrices")
+    __slots__ = ("surjection", "matrices")
 
-    def __init__(self, surjection: FpModuleMorphism, start: int, matrices: dict):
+    def __init__(self, surjection: FpModuleMorphism, matrices: dict):
         self.surjection = surjection
-        self.start = start
         self.matrices = dict(matrices)
 
     def verify(self) -> bool:
@@ -354,7 +335,7 @@ def split_sequence(
         if sigma.mul(g.matrix_in_degree(j)) != unit:
             raise CertificateMismatch(f"constructed section fails in degree {j}")
         matrices[j] = sigma
-    return Section(g, i, matrices)
+    return Section(g, matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +351,8 @@ def ext1_k_R_dim(algebra: FreeAlgebra, j: int) -> int:
     the exact rank of the degreewise matrix, not from a closed form.
     """
     d = algebra.d
-    source = algebra.free_module([0])
-    target = algebra.free_module([-1] * d)
+    source = FpModule.free(algebra, [0])
+    target = FpModule.free(algebra, [-1] * d)
     row = [[algebra.gen(b).reversed() for b in range(d)]]
-    phi = ModuleMap(source, target, row)
-    return target.graded_piece_dim(j) - rank(phi.map_in_degree(j))
+    phi = FpModuleMorphism(source, target, ModuleMap(source.F0, target.F0, row))
+    return target.hilbert(j) - rank(phi.matrix_in_degree(j))

@@ -101,8 +101,8 @@ def criterion_2_truncation(seed=0) -> CriterionResult:
     brute-force span ranks, and the truncation R_{>=i} is presented as the
     free module on d^i generators of degree i with no relations."""
     A = FreeAlgebra(2)
-    R = A.free_module([0])
     free = FpModule.free(A, [0])
+    R = free.F0
     failures = []
     for i in range(0, 6):
         T = free.truncate(i)
@@ -121,8 +121,8 @@ def criterion_2_truncation(seed=0) -> CriterionResult:
             rows = []
             for g in B.elements:
                 for u in A.words(j - i):
-                    rows.append(g.word_mul(u).coords_in_degree(j))
-            got_rank = rank(SparseMatrix(A.field, len(rows), R.graded_piece_dim(j), rows))
+                    rows.append(free.coords(g.word_mul(u), j))
+            got_rank = rank(SparseMatrix(A.field, len(rows), free.hilbert(j), rows))
             if got_formula != want or got_rank != want:
                 failures.append(("dims", i, j, got_formula, got_rank))
     return CriterionResult(

@@ -21,14 +21,17 @@ def span_dim(gens, j):
     if not gens:
         return 0
     module = gens[0].module
-    field = module.algebra.field
+    A = module.algebra
+    # the degree-j monomials of the free module, coordinate by coordinate
+    index = {(alpha, w): k for k, (alpha, w) in enumerate(
+        (alpha, w) for alpha, b in enumerate(module.shifts) if b <= j for w in A.words(j - b))}
     rows = []
     for g in gens:
         a = g.degree()
         if a > j:
             continue
-        for u in module.algebra.words(j - a):
-            rows.append(g.word_mul(u).coords_in_degree(j))
+        for u in A.words(j - a):
+            rows.append({index[mon]: c for mon, c in g.word_mul(u).terms.items()})
     if not rows:
         return 0
-    return rank(SparseMatrix(field, len(rows), module.graded_piece_dim(j), rows))
+    return rank(SparseMatrix(A.field, len(rows), len(index), rows))

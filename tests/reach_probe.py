@@ -8,7 +8,7 @@ It records, with `sys.setprofile`, every code object entered while it runs
 the entry points of the program:
 
 * the golden CLI corpus (every case of `tests/test_golden.py`), plus
-  `decompose`, `s-calc k0`, `s-calc simplicity` and `s-calc embed`;
+  `decompose`, `s-calc simplicity` and `s-calc embed`;
 * `freeproj verify --suite all`;
 * the first OPS ops of each bench workload (`bench/gen.py`, `bench/ops.py`).
 
@@ -137,8 +137,8 @@ def run_entry_points():
 
     for argv in CASES.values():
         _cli(argv, GOLDEN)
-    for argv in (["decompose", "letterq.pres", "-1"], ["s-calc", "k0", "one.json"],
-                 ["s-calc", "simplicity", "e32.json"], ["s-calc", "embed", "e01.json"]):
+    for argv in (["decompose", "letterq.pres", "-1"], ["s-calc", "simplicity", "e32.json"],
+                 ["s-calc", "embed", "e01.json"]):
         _cli(argv, GOLDEN)
     _cli(["verify", "--suite", "all"], GOLDEN)
 

@@ -1,8 +1,9 @@
 """The enumerate-and-test `FpModule.std_basis` that one-letter extension
 replaced.
 
-It runs the suffix test on every degree-j monomial of the free cover.  Kept
-verbatim as the oracle the extension must match exactly: same standard
+It runs the suffix test on every degree-j monomial of the free cover, which
+it lists itself, coordinate by coordinate and in lex order within each.
+Kept as the oracle the extension must match exactly: same standard
 monomials, in the same order.
 """
 
@@ -15,7 +16,9 @@ def std_basis(module, j: int):
     leading word as a suffix (in the matching coordinate)."""
     by_coord = module.relation_basis()._by_coord
     std = tuple(
-        (alpha, w) for alpha, w in module.F0.monomial_basis(j)
+        (alpha, w)
+        for alpha, b in enumerate(module.F0.shifts) if b <= j
+        for w in module.algebra.words(j - b)
         if _find_reducer(alpha, w, by_coord)[0] is None
     )
     if len(std) != module.hilbert(j):

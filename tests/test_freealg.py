@@ -2,6 +2,7 @@ import pytest
 
 from freeproj import FreeAlgebra
 from freeproj.af_s import word_rank, word_unrank
+from freeproj.fpmod import FpModule, FpModuleMorphism
 from freeproj.freealg import ModuleMap
 from freeproj.linalg import SparseMatrix
 
@@ -44,20 +45,27 @@ def test_graded_piece_dim_with_shifts(A2):
     by_enumeration = len(list(A2.words(2))) + len(list(A2.words(1)))
     assert by_enumeration == 6
     assert F.graded_piece_dim(3) == 6
-    assert F.graded_piece_dim(3) == len(F.monomial_basis(3))
+    assert F.graded_piece_dim(3) == len(FpModule(F).std_basis(3))
+
+
+def free_matrix(phi: ModuleMap, j: int) -> SparseMatrix:
+    """The degree-j matrix of a map of free modules, through the free FpModules."""
+    return FpModuleMorphism(FpModule(phi.source), FpModule(phi.target), phi).matrix_in_degree(j)
 
 
 def test_monomial_basis_lex(A2):
-    R = A2.free_module([0])
-    assert R.monomial_basis(1) == ((0, (0,)), (0, (1,)))
-    assert R.monomial_basis(2) == (
+    # a free module is an FpModule with no relations: its standard basis is
+    # every monomial, coordinates in order and words in lex order
+    R = FpModule.free(A2, [0])
+    assert R.std_basis(1) == ((0, (0,)), (0, (1,)))
+    assert R.std_basis(2) == (
         (0, (0, 0)),
         (0, (0, 1)),
         (0, (1, 0)),
         (0, (1, 1)),
     )
-    shifted = A2.free_module([1])
-    assert shifted.monomial_basis(1) == ((0, ()),)
+    shifted = FpModule.free(A2, [1])
+    assert shifted.std_basis(1) == ((0, ()),)
 
 
 def test_map_in_degree_identity_example(A2):
@@ -65,12 +73,13 @@ def test_map_in_degree_identity_example(A2):
     F = A2.free_module([1, 1])
     R = A2.free_module([0])
     phi = ModuleMap(F, R, [[x0], [x1]])
-    m = phi.map_in_degree(1)
+    m = free_matrix(phi, 1)
     assert m == SparseMatrix.identity(A2.field, 2)
     # below every source shift the matrix has no rows
-    m0 = phi.map_in_degree(0)
+    m0 = free_matrix(phi, 0)
     assert (m0.nrows, m0.ncols) == (0, 1)
-    z = ModuleMap(F, R, [[A2.zero()], [A2.zero()]]).map_in_degree(2)
+    z = free_matrix(ModuleMap(F, R, [[A2.zero()], [A2.zero()]]), 2)
+    assert (z.nrows, z.ncols) == (4, 4)
     assert all(not row for row in z.rows)
 
 
@@ -81,8 +90,8 @@ def test_map_in_degree_respects_composition(A2):
         psi = random_module_map(rng, A2, [1, 1], [0])
         comp = phi.compose(psi)
         for j in range(0, 6):
-            lhs = comp.map_in_degree(j)
-            rhs = phi.map_in_degree(j).mul(psi.map_in_degree(j))
+            lhs = free_matrix(comp, j)
+            rhs = free_matrix(phi, j).mul(free_matrix(psi, j))
             assert lhs == rhs
 
 

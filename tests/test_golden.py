@@ -42,6 +42,10 @@ for _field in ("QQ", "GF:7"):
             CASES[f"s-calc-{_sub}-{_name}-{_tag}"] = ["--field", _field, "s-calc", _sub, f"{_name}.json"]
     for _a, _b in (("e01", "e32"), ("e32", "one"), ("half", "deficient"), ("deficient", "e01"), ("d3", "d3")):
         CASES[f"s-calc-mul-{_a}-{_b}-{_tag}"] = ["--field", _field, "s-calc", "mul", f"{_a}.json", f"{_b}.json"]
+    for _name in ("one", "idem"):
+        CASES[f"s-calc-k0-{_name}-{_tag}"] = ["--field", _field, "s-calc", "k0", f"{_name}.json"]
+for _suite in ("truncation", "decomposition", "ext1"):
+    CASES[f"verify-{_suite}"] = ["verify", "--suite", _suite]
 
 
 @pytest.fixture(scope="module")

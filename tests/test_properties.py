@@ -74,17 +74,15 @@ def test_af_regularity_always_has_witness(a):
     assert a * x * a == a
 
 
-@hypothesis.given(st.fractions(min_value=0, max_value=100, max_denominator=64))
-def test_class_normal_form_round_trips(q):
-    den = q.denominator
-    while den % 2 == 0:
-        den //= 2
-    hypothesis.assume(den == 1)  # only dyadic values lie in Z[1/2]
-    cls = QgrClass.from_fraction(q, 2)
-    assert cls.value == q
+@hypothesis.given(st.integers(0, 6400), st.integers(-3, 6), st.integers(0, 4))
+def test_class_normal_form_round_trips(t, i, k):
+    cls = QgrClass(t, i, 2)
+    assert cls.value == Fraction(t) * Fraction(2) ** (-i)
     if cls.t:
         assert cls.t % 2 == 1
     assert QgrClass(cls.t, cls.i, 2) == cls
+    # the same value written with k more factors of 2 has the same normal form
+    assert QgrClass(t * 2**k, i + k, 2) == cls
 
 
 @hypothesis.given(

@@ -51,21 +51,24 @@ def test_class_normal_form():
 def test_class_equality_cross_multiplied():
     assert QgrClass(2, 1, 2) == QgrClass(1, 0, 2)
     assert QgrClass(1, 2, 2) != QgrClass(1, 1, 2)
-    assert QgrClass.from_fraction(Fraction(3, 4), 2).value == Fraction(3, 4)
+    assert QgrClass(3, 2, 2).value == Fraction(3, 4)
+    assert QgrClass(12, 4, 2) == QgrClass(3, 2, 2)
 
 
 def test_class_arithmetic():
     half = QgrClass(1, 1, 2)
     one = QgrClass(1, 0, 2)
-    assert QgrClass.from_fraction(half.value + half.value, 2) == one
-    assert QgrClass.from_fraction(one.value - half.value, 2) == half
-    assert QgrClass.from_fraction(half.value / 4, 2) == QgrClass(1, 3, 2)
+    # sums and differences over the common exponent 1: t * 2^-1
+    total = QgrClass(half.t + half.t, 1, 2)
+    assert total == one and total.value == half.value + half.value
+    diff = QgrClass(2 * one.t - half.t, 1, 2)
+    assert diff == half and diff.value == one.value - half.value
+    quarter = QgrClass(half.t, half.i + 2, 2)
+    assert quarter == QgrClass(1, 3, 2) and quarter.value == half.value / 4
     with pytest.raises(ValueError):
-        QgrClass.from_fraction(half.value - one.value, 2)  # classes are nonnegative
+        QgrClass(half.t - 2 * one.t, 1, 2)  # classes are nonnegative
     with pytest.raises(ValueError):
         QgrClass(-1, 0, 2)
-    with pytest.raises(ValueError):
-        QgrClass.from_fraction(Fraction(1, 3), 2)  # not in Z[1/2]
 
 
 def test_class_membership_across_rings():

@@ -4,13 +4,19 @@
 M_j of every word of length i0 - j, and took the left kernel of that stack.
 Kept verbatim, as functions of the module, as the oracle whose per-degree
 torsion spaces `FpModule.torsion` must match: the generators may form
-another basis, but of the same space in each degree.
+another basis, but of the same space in each degree.  It also keeps the
+route by which the torsion's dimension in each degree was read: the
+Hilbert function of `submodule_presentation` of the generators, returned
+as `OracleTorsion.module`.
 """
 
 import itertools
+from collections import namedtuple
 
-from freeproj.fpmod import FpModule, Torsion
+from freeproj.fpmod import FpModule
 from freeproj.linalg import SparseMatrix, row_reduce
+
+OracleTorsion = namedtuple("OracleTorsion", "module dimension generators")
 
 
 def left_kernel(mat: SparseMatrix) -> SparseMatrix:
@@ -37,14 +43,14 @@ def word_matrices(self, length: int, j: int) -> list:
     return next(itertools.islice(word_levels(self, j), length, None))
 
 
-def torsion(self) -> Torsion:
-    """The largest finite-dimensional graded submodule."""
+def torsion(self) -> OracleTorsion:
+    """The largest finite-dimensional graded submodule, presented."""
     profile = self.stable_profile()
     i0 = profile.i0
     if profile.t0 == 0:
         one = self.algebra.field.one
         gens = [self.F0.element({mon: one}) for j in range(self.min_degree, i0) for mon in self.std_basis(j)]
-        return Torsion(self, len(gens), gens)
+        return OracleTorsion(self, len(gens), gens)
     gens = []
     total = 0
     for j in range(self.min_degree, i0):
@@ -66,5 +72,5 @@ def torsion(self) -> Torsion:
             gens.append(self.element_from_coords(row, j))
     if not gens:
         zero_mod = FpModule(self.algebra.free_module([]), [])
-        return Torsion(zero_mod, 0, [])
-    return Torsion(self.submodule_presentation(gens), total, gens)
+        return OracleTorsion(zero_mod, 0, [])
+    return OracleTorsion(self.submodule_presentation(gens), total, gens)
