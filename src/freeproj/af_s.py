@@ -233,8 +233,9 @@ class AFMatrix:
     @classmethod
     def from_json(cls, data: dict, field=QQ) -> "AFMatrix":
         """Read {"d", "level", "entries": [[i, j, value], ...]}; malformed
-        input raises a ParseError naming the offending field, and so does a
-        side d**level above MAX_SIDE, before any row is allocated."""
+        input raises a ParseError naming the offending field, and so do a
+        repeated (i, j) and a side d**level above MAX_SIDE, the latter before
+        any row is allocated."""
         if not isinstance(data, dict):
             raise ParseError(f"AF matrix JSON must be an object, not {type(data).__name__}")
         for key in ("d", "level", "entries"):
@@ -249,6 +250,7 @@ class AFMatrix:
             raise ParseError("field 'entries' must be a list of [i, j, value] entries")
         n = d**level
         rows = [[field.zero] * n for _ in range(n)]
+        given = {}
         for k, entry in enumerate(data["entries"]):
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ParseError(f"entries[{k}] must be a list [i, j, value], got {entry!r}")
@@ -257,6 +259,9 @@ class AFMatrix:
             s = entry[2]
             if not (0 <= i < n and 0 <= j < n):
                 raise ParseError(f"entry [{i}, {j}] lies outside the {n}x{n} matrix at level {level}")
+            if (i, j) in given:
+                raise ParseError(f"entries[{given[i, j]}] and entries[{k}] both give entry [{i}, {j}]")
+            given[i, j] = k
             rows[i][j] = field.from_str(str(s))
         return cls(d, level, rows, field)
 
@@ -269,7 +274,11 @@ def _check_side(d: int, level: int, where: str = "") -> None:
 
 
 def _json_int(value, name: str) -> int:
+    """int(value) for an integer, an integral float or a digit string; a
+    bool or a float with a fractional part is refused."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"field {name!r} must be an integer, got {value!r}") from None

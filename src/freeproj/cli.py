@@ -115,9 +115,7 @@ def cmd_hilbert(args) -> dict:
 def cmd_profile(args) -> dict:
     pf = _load_presentation(args.file, args.field)
     M = pf.module()
-    p = M.stable_profile()
-    if args.degree_cap > p.certified_through:
-        p = M.stable_profile(window=4 + args.degree_cap - p.certified_through)
+    p = M.stable_profile(args.degree_cap)
     return {
         "command": "profile",
         "inputs": {"file": args.file, "d": pf.d, "field": pf.field.name},

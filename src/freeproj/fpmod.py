@@ -392,16 +392,18 @@ class FpModule:
 
     # -- stable structure ---------------------------------------------------
 
-    def stable_profile(self, window: int = 4) -> StableProfile:
+    def stable_profile(self, through: int = 0) -> StableProfile:
+        """(i0, t_{i0}), V tensor M_j -> M_{j+1} bijective for i0 <= j < max(b + 4,
+        through): the walk down from b proves [i0, b) and the loop the rest."""
         bound = self._free_bound()
-        target = bound + window
+        target = max(bound + 4, through)
         if self._profile is not None and self._profile.certified_through >= target:
             return self._profile
         _check_span(self.min_degree, target, self.algebra.d)
         i0 = bound
         while i0 > self.min_degree and self._mult_bijective(i0 - 1):
             i0 -= 1
-        for j in range(i0, target):
+        for j in range(bound, target):
             if not self._mult_bijective(j):
                 raise CertificateMismatch(
                     f"multiplication map not bijective at degree {j} >= certified i0"
@@ -422,9 +424,8 @@ class FpModule:
         from .qgr import QgrClass
 
         profile = self.stable_profile()
-        d = self.algebra.d
+        d, m = self.algebra.d, self._free_bound()
         degrees = self.relation_basis().degrees()
-        m = max(self.F0.shifts + degrees, default=0)
         n = sum(d ** (m - b) for b in self.F0.shifts) - sum(d ** (m - a) for a in degrees)
         cls = QgrClass(profile.t0, profile.i0, d)
         if n < 0 or QgrClass(n, m, d) != cls:

@@ -191,6 +191,7 @@ def parse_presentation(text: str) -> PresentationFile:
     name = None
     shifts = None
     rel_lines = []
+    seen = {}
     in_rels = False
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -204,6 +205,9 @@ def parse_presentation(text: str) -> PresentationFile:
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ParseError(f"repeated {key!r} header; the first is on line {seen[key]}", ln)
+        seen[key] = ln
         if key == "field":
             field = field_from_spec(value)
         elif key == "d":

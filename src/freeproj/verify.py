@@ -1,9 +1,11 @@
 """The acceptance suites: every headline claim as a checkable run.
 
-Each criterion is a function returning a CriterionResult with exact
-pass/fail data; nothing is tolerance-based since all arithmetic is exact.
-The module also owns the fixed battery of presentations that several
-criteria share.
+CRITERIA declares each criterion once: its number, suite name, title and
+check.  A check takes a seeded random generator and returns only its
+findings, {"failures": [...]} and any table it reports; run_criterion
+passes a criterion when its check finds no failure.  Nothing is
+tolerance-based since all arithmetic is exact.  The module also owns the
+fixed battery of presentations that several criteria share.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def battery(algebra: FreeAlgebra):
 # criteria
 
 
-def criterion_1_hilbert(seed=0) -> CriterionResult:
+def check_hilbert(rng) -> dict:
     """Free rank-one Hilbert values are d^j, d in {1,2,3}, 0 <= j <= 10."""
     failures = []
     for d in (1, 2, 3):
@@ -91,12 +93,10 @@ def criterion_1_hilbert(seed=0) -> CriterionResult:
         for j in range(11):
             if R.hilbert(j) != d**j:
                 failures.append((d, j, R.hilbert(j)))
-    return CriterionResult(
-        1, "Hilbert series of the free ring", not failures, {"failures": failures}
-    )
+    return {"failures": failures}
 
 
-def criterion_2_truncation(seed=0) -> CriterionResult:
+def check_truncation(rng) -> dict:
     """Weak bases of tails are free on d^i degree-i words, dims verified by
     brute-force span ranks, and the truncation R_{>=i} is presented as the
     free module on d^i generators of degree i with no relations."""
@@ -125,12 +125,10 @@ def criterion_2_truncation(seed=0) -> CriterionResult:
             got_rank = rank(SparseMatrix(A.field, len(rows), free.hilbert(j), rows))
             if got_formula != want or got_rank != want:
                 failures.append(("dims", i, j, got_formula, got_rank))
-    return CriterionResult(
-        2, "truncations of the free ring are free", not failures, {"failures": failures}
-    )
+    return {"failures": failures}
 
 
-def criterion_3_profiles(seed=0) -> CriterionResult:
+def check_profiles(rng) -> dict:
     """Battery stable profiles: geometric tails, exactly; and M modulo its
     torsion has no torsion and the class of M, as finite-dimensional
     modules vanish in the quotient category."""
@@ -149,14 +147,11 @@ def criterion_3_profiles(seed=0) -> CriterionResult:
             Q = M.mod_torsion()
             if Q.torsion().dimension or Q.k0_class() != M.k0_class():
                 failures.append((d, name, "mod torsion"))
-    return CriterionResult(
-        3, "stable profiles across the battery", not failures, {"failures": failures}
-    )
+    return {"failures": failures}
 
 
-def criterion_4_splitting(seed=0) -> CriterionResult:
+def check_splitting(rng) -> dict:
     """Sections for 20 random exact sequences, verified degreewise."""
-    rng = make_rng(seed)
     A = FreeAlgebra(2)
     checked = 0
     failures = []
@@ -172,12 +167,10 @@ def criterion_4_splitting(seed=0) -> CriterionResult:
         if not sec.verify():
             failures.append((checked, "verify failed"))
         checked += 1
-    return CriterionResult(
-        4, "short exact sequences split on tails", not failures, {"failures": failures}
-    )
+    return {"failures": failures}
 
 
-def criterion_5_decomposition(seed=0) -> CriterionResult:
+def check_decomposition(rng) -> dict:
     """The structure object decomposes against all its twisted powers, with
     an explicit mutually inverse pair at level one."""
     failures = []
@@ -189,15 +182,12 @@ def criterion_5_decomposition(seed=0) -> CriterionResult:
         pair = DecompositionPair(FreeAlgebra(d), 1)
         if not pair.verify(4):
             failures.append((d, "pair"))
-    return CriterionResult(
-        5, "decomposition against twisted powers", not failures, {"failures": failures}
-    )
+    return {"failures": failures}
 
 
-def criterion_6_k0(seed=0) -> CriterionResult:
+def check_k0(rng) -> dict:
     """Grothendieck classes: twisted frees, additivity, rank agreement, and
     the distinctness of the groups for different d."""
-    rng = make_rng(seed)
     failures = []
     for d in (2, 3):
         A = FreeAlgebra(d)
@@ -222,13 +212,12 @@ def criterion_6_k0(seed=0) -> CriterionResult:
         failures.append(("distinctness", "1/2 vs Z[1/3]"))
     if third.expressible_in(2):
         failures.append(("distinctness", "1/3 vs Z[1/2]"))
-    return CriterionResult(6, "Grothendieck classes", not failures, {"failures": failures})
+    return {"failures": failures}
 
 
-def criterion_7_s_algebra(seed=0) -> CriterionResult:
+def check_s_algebra(rng) -> dict:
     """The limit algebra: embeddings are ring maps, regularity and
     simplicity witnesses verify, units have the right classes."""
-    rng = make_rng(seed)
     failures = []
     pairs = 0
     while pairs < 500:
@@ -268,28 +257,24 @@ def criterion_7_s_algebra(seed=0) -> CriterionResult:
             cls = e.k0_class().value
             if cls != Fraction(1, d**r):
                 failures.append(("unit class", d, r))
-    return CriterionResult(7, "limit algebra witnesses", not failures, {"failures": failures})
+    return {"failures": failures}
 
 
-def criterion_8_tower(seed=0) -> CriterionResult:
+def check_tower(rng) -> dict:
     """The endomorphism tower square commutes degreewise for random
     level endomorphisms."""
-    rng = make_rng(seed)
     failures = []
     for level in range(4):
         for n in range(50):
             f = random_af(rng, 2, level, QQ)
             if not tower_square_commutes(f, 3):
                 failures.append((level, n))
-    return CriterionResult(
-        8, "endomorphism tower compatibility", not failures, {"failures": failures}
-    )
+    return {"failures": failures}
 
 
-def criterion_9_leavitt(seed=0) -> CriterionResult:
+def check_leavitt(rng) -> dict:
     """Leavitt rewriting: associativity, defining relations, the matrix
     algebra identification, and strong grading."""
-    rng = make_rng(seed)
     failures = []
     triples = 0
     while triples < 1000:
@@ -341,12 +326,11 @@ def criterion_9_leavitt(seed=0) -> CriterionResult:
         if l0_to_s(a * b) != l0_to_s(a) * l0_to_s(b):
             failures.append(("mult", checked))
         checked += 1
-    return CriterionResult(9, "Leavitt rewriting and the matrix picture", not failures, {"failures": failures})
+    return {"failures": failures}
 
 
-def criterion_10_filtration(seed=0) -> CriterionResult:
+def check_filtration(rng) -> dict:
     """The flat filtration decomposes and reassembles uniquely."""
-    rng = make_rng(seed)
     failures = []
     done = 0
     while done < 100:
@@ -360,10 +344,10 @@ def criterion_10_filtration(seed=0) -> CriterionResult:
         elif not flat_reassemble(A, out).equals(a):
             failures.append(("reassemble", done))
         done += 1
-    return CriterionResult(10, "flat filtration round trips", not failures, {"failures": failures})
+    return {"failures": failures}
 
 
-def criterion_11_vanishing(seed=0) -> CriterionResult:
+def check_vanishing(rng) -> dict:
     """Tensoring with the Leavitt algebra kills exactly the finite
     dimensional battery members."""
     failures = []
@@ -374,10 +358,10 @@ def criterion_11_vanishing(seed=0) -> CriterionResult:
             failures.append((name, "disagrees"))
         if vanish != (cert["normalized_rank"] == 0):
             failures.append((name, "certificate"))
-    return CriterionResult(11, "vanishing criterion", not failures, {"failures": failures})
+    return {"failures": failures}
 
 
-def criterion_12_ext1(seed=0) -> CriterionResult:
+def check_ext1(rng) -> dict:
     """First Ext dimensions from the cokernel, matching the closed form."""
     failures = []
     table = {}
@@ -390,29 +374,30 @@ def criterion_12_ext1(seed=0) -> CriterionResult:
         for j in range(0, 6):
             if dims[j + 1] != (d * d - 1) * d**j:
                 failures.append((d, j))
-    return CriterionResult(
-        12, "Ext^1 dimension table", not failures, {"failures": failures, "dims": table}
-    )
+    return {"failures": failures, "dims": table}
 
 
 CRITERIA = {
-    1: ("hilbert", criterion_1_hilbert),
-    2: ("truncation", criterion_2_truncation),
-    3: ("profiles", criterion_3_profiles),
-    4: ("splitting", criterion_4_splitting),
-    5: ("decomposition", criterion_5_decomposition),
-    6: ("k0", criterion_6_k0),
-    7: ("s-algebra", criterion_7_s_algebra),
-    8: ("tower", criterion_8_tower),
-    9: ("leavitt", criterion_9_leavitt),
-    10: ("filtration", criterion_10_filtration),
-    11: ("vanishing", criterion_11_vanishing),
-    12: ("ext1", criterion_12_ext1),
+    1: ("hilbert", "Hilbert series of the free ring", check_hilbert),
+    2: ("truncation", "truncations of the free ring are free", check_truncation),
+    3: ("profiles", "stable profiles across the battery", check_profiles),
+    4: ("splitting", "short exact sequences split on tails", check_splitting),
+    5: ("decomposition", "decomposition against twisted powers", check_decomposition),
+    6: ("k0", "Grothendieck classes", check_k0),
+    7: ("s-algebra", "limit algebra witnesses", check_s_algebra),
+    8: ("tower", "endomorphism tower compatibility", check_tower),
+    9: ("leavitt", "Leavitt rewriting and the matrix picture", check_leavitt),
+    10: ("filtration", "flat filtration round trips", check_filtration),
+    11: ("vanishing", "vanishing criterion", check_vanishing),
+    12: ("ext1", "Ext^1 dimension table", check_ext1),
 }
 
-SUITE_NAMES = {name: num for num, (name, _) in CRITERIA.items()}
+SUITE_NAMES = {name: num for num, (name, _, _) in CRITERIA.items()}
 
 
 def run_criterion(number: int, seed: int = 0) -> CriterionResult:
-    _, fn = CRITERIA[number]
-    return fn(seed=seed)
+    """Run criterion `number`'s check on a generator seeded with `seed`; it
+    passes when the check finds no failure."""
+    _, title, check = CRITERIA[number]
+    details = check(make_rng(seed))
+    return CriterionResult(number, title, not details["failures"], details)

@@ -1,6 +1,6 @@
 import pytest
 
-from freeproj import FreeAlgebra
+from freeproj import FpModule, FreeAlgebra
 from freeproj.linalg import SparseMatrix, rank
 
 
@@ -12,6 +12,20 @@ def A2():
 @pytest.fixture
 def A3():
     return FreeAlgebra(3)
+
+
+@pytest.fixture
+def mult_checks(monkeypatch):
+    """The degree of every `_mult_bijective` check on any FpModule, in order."""
+    checked = []
+    real = FpModule._mult_bijective
+
+    def counted(self, j):
+        checked.append(j)
+        return real(self, j)
+
+    monkeypatch.setattr(FpModule, "_mult_bijective", counted)
+    return checked
 
 
 def span_dim(gens, j):

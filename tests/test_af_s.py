@@ -275,6 +275,9 @@ def test_json_round_trip():
     assert data["d"] == 2 and data["level"] == 1
     back = AFMatrix.from_json(data)
     assert back == a
+    # integral floats and digit strings are still read as integers
+    loose = {"d": 2.0, "level": "1", "entries": [[0, 0.0, "1/2"], ["1", 0, 3], [1, 1.0, -1]]}
+    assert AFMatrix.from_json(loose) == a
 
 
 def test_gf_field_support():

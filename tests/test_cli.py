@@ -14,7 +14,8 @@ from freeproj.cli import main
 from freeproj.fields import MAX_LITERAL_DIGITS
 from freeproj.fpmod import MAX_STD_WORDS
 from freeproj.leavitt import MAX_RAISED_TERMS
-from freeproj.verify import CRITERIA, CriterionResult
+from freeproj.randgen import make_rng
+from freeproj.verify import CRITERIA, SUITE_NAMES, CriterionResult, run_criterion
 
 FREE = "field: QQ\nd: 2\ngens: [0]\nrels:\n"
 LETTERQ = "field: QQ\nd: 2\ngens: [0]\nrels:\nx0\n"
@@ -68,6 +69,22 @@ def test_profile_command(files, capsys):
     assert code == 0
     assert report["result"]["profile"]["i0"] == 1
     assert report["result"]["profile"]["t"] == [1, 2, 4, 8, 16]
+
+
+def test_profile_command_checks_each_degree_once(capsys, mult_checks, tmp_path):
+    # one stable_profile call per report: each degree up to the cap is checked
+    # once, also on R + R(-1) by x0 * e0 = e1, where i0 < b
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    early = tmp_path / "early.pres"
+    early.write_text("field: QQ\nd: 2\ngens: [0, 1]\nrels:\nx0, -1\n")
+    for path in [os.path.join(golden, f"{n}.pres") for n in ("d3", "letterq", "gf5", "two")] + [str(early)]:
+        mult_checks.clear()
+        code, report = run(capsys, "--degree-cap", "12", "profile", path)
+        i0 = report["result"]["profile"]["i0"]
+        assert code == 0 and report["result"]["profile"]["certified_through"] == 12
+        # the walk down from b also checks i0 - 1 when it stops there
+        assert len(mult_checks) == len(set(mult_checks))
+        assert set(range(i0, 12)) <= set(mult_checks) <= set(range(i0 - 1, 12))
 
 
 def test_k0_command(files, capsys):
@@ -206,6 +223,12 @@ def test_s_calc_rejects_entry_outside_matrix(tmp_path, capsys, sub, entry):
     ({"d": 2, "level": 1, "entries": [[0, 0, "1e300000000"]]}, "'1e300000000'"),
     # d = 1 passes the side bound at any level; the level cap still holds
     ({"d": 1, "level": "100000000", "entries": []}, "--level-cap"),
+    # a bool or a fractional float is not an integer, though int() reads it
+    ({"d": True, "level": 1, "entries": []}, "'d'"),
+    ({"d": 2, "level": 1.7, "entries": []}, "'level'"),
+    ({"d": 2, "level": 1, "entries": [[0.9, 0, "1"]]}, "entries[0][0]"),
+    ({"d": 2, "level": 1, "entries": [[0, False, "1"]]}, "entries[0][1]"),
+    ({"d": 2, "level": 1, "entries": [[0, 0, "1"], [0, 0.0, "2"]]}, "entries[0] and entries[1] both give entry [0, 0]"),
 ])
 def test_s_calc_rejects_malformed_af_json(tmp_path, capsys, data, field_name):
     e = tmp_path / "e.json"
@@ -583,6 +606,28 @@ def test_verify_all_prints_one_timing_line_per_criterion(capsys, monkeypatch):
     assert [c["criterion"] for c in json.loads(captured.out)["result"]["criteria"]] == sorted(CRITERIA)
     timing = re.findall(r"^\[freeproj\] criterion (\d+) \((.+)\) took \d+\.\d{3}s$", captured.err, re.M)
     assert timing == [(str(n), CRITERIA[n][0]) for n in sorted(CRITERIA)]
+
+
+def test_criteria_table_declares_each_criterion_once(monkeypatch):
+    assert sorted(CRITERIA) == list(range(1, 13))
+    suites = [CRITERIA[n][0] for n in CRITERIA]
+    titles = [CRITERIA[n][1] for n in CRITERIA]
+    assert len(set(suites)) == len(suites) and len(set(titles)) == len(titles)
+    assert SUITE_NAMES == {suite: n for n, (suite, _, _) in CRITERIA.items()}
+    # run_criterion seeds the generator, numbers and titles the result from
+    # the table, and passes it exactly when the check finds no failure
+    for n, (suite, title, _) in list(CRITERIA.items()):
+        draws = {}
+
+        def check(rng):
+            draws["first"] = rng.random()
+            return {"failures": [n] if n % 2 else [], "table": suite}
+
+        monkeypatch.setitem(CRITERIA, n, (suite, title, check))
+        result = run_criterion(n, seed=n)
+        assert (result.number, result.name, result.passed) == (n, title, n % 2 == 0)
+        assert result.details == {"failures": [n] if n % 2 else [], "table": suite}
+        assert draws["first"] == make_rng(n).random()
 
 
 def test_reports_are_deterministic(files, capsys):

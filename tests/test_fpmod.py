@@ -419,6 +419,23 @@ def test_free_tail_layout_check_matches_rank_oracle(M):
             wrong._mult_bijective(j)
 
 
+def test_stable_profile_checks_each_degree_once(mult_checks, A2):
+    # R + R(-1) by x0 * e0 = e1 is free from degree 0 < b = 1, so the walk
+    # down from b proves degree 0 and the certification loop starts at b
+    F = A2.free_module([0, 1])
+    M = FpModule(F, [F.from_polys([A2.gen(0), A2.one().scale(-1)])])
+    b = M._free_bound()
+    for through, want in ((0, b + 4), (b + 2, b + 4), (b + 9, b + 9)):
+        mult_checks.clear()
+        M._profile = None
+        p = M.stable_profile(through)
+        assert p.i0 < b and p.certified_through == want
+        assert sorted(mult_checks) == list(range(p.i0, want))
+    # a profile certified far enough is returned as it is
+    mult_checks.clear()
+    assert M.stable_profile(b + 5) is p and not mult_checks
+
+
 def test_stable_profile_builds_no_free_tail_letter_matrix():
     # the third module is R by x0 * e0 = e1, free from degree 0 < b = 1
     A2 = FreeAlgebra(2)
@@ -431,7 +448,7 @@ def test_stable_profile_builds_no_free_tail_letter_matrix():
     ]
     below = 0
     for M in mods:
-        M.stable_profile(window=6)
+        M.stable_profile(M._free_bound() + 6)
         b = M._free_bound()
         assert all(j < b for _, j in M._letter_cache)
         below += len(M._letter_cache)

@@ -44,8 +44,16 @@ for _field in ("QQ", "GF:7"):
         CASES[f"s-calc-mul-{_a}-{_b}-{_tag}"] = ["--field", _field, "s-calc", "mul", f"{_a}.json", f"{_b}.json"]
     for _name in ("one", "idem"):
         CASES[f"s-calc-k0-{_name}-{_tag}"] = ["--field", _field, "s-calc", "k0", f"{_name}.json"]
-for _suite in ("truncation", "decomposition", "ext1"):
+# s-algebra (criterion 7) takes seconds; test_acceptance and the full-suite
+# comparison cover it
+for _suite in ("hilbert", "truncation", "profiles", "splitting", "decomposition", "k0",
+               "tower", "leavitt", "filtration", "vanishing", "ext1"):
     CASES[f"verify-{_suite}"] = ["verify", "--suite", _suite]
+CASES["verify-12"] = ["verify", "--suite", "12"]
+for _name in ("letterq", "d3", "two"):
+    CASES[f"profile-cap12-{_name}"] = ["--degree-cap", "12", "profile", f"{_name}.pres"]
+# a cap below b + 4 still certifies through b + 4
+CASES["profile-cap2-d3"] = ["--degree-cap", "2", "profile", "d3.pres"]
 
 
 @pytest.fixture(scope="module")

@@ -185,3 +185,10 @@ def test_presentation_errors_carry_line_numbers():
 
     with pytest.raises(ParseError):
         parse_presentation("d: 2\ngens: [0]\nrels:\n")  # missing field
+
+    # a repeated header is refused at its second line, naming the first
+    for first, (key, again) in enumerate((("name", "b"), ("field", "GF(5)"), ("d", "3"), ("gens", "[1]")), 1):
+        text = f"name: a\nfield: QQ\nd: 2\ngens: [0]\n# note\n{key}: {again}\nrels:\nx0\n"
+        with pytest.raises(ParseError) as info:
+            parse_presentation(text)
+        assert str(info.value) == f"line 6: repeated {key!r} header; the first is on line {first}"
