@@ -21,7 +21,7 @@ they skip it via `_from_canonical`.
 from __future__ import annotations
 
 from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, ZeroElement
-from .fields import QQ
+from .fields import QQ, read_int
 from .linalg import (
     SparseMatrix,
     dense_add,
@@ -274,14 +274,13 @@ def _check_side(d: int, level: int, where: str = "") -> None:
 
 
 def _json_int(value, name: str) -> int:
-    """int(value) for an integer, an integral float or a digit string; a
-    bool or a float with a fractional part is refused."""
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise TypeError
+    """An integer, an integral float or a string `read_int` reads; a bool
+    or a float with a fractional part is refused."""
+    if isinstance(value, str):
+        return read_int(value, f"field {name!r}")
+    if type(value) is int or isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"field {name!r} must be an integer, got {value!r}") from None
+    raise ParseError(f"field {name!r} must be an integer, got {value!r}")
 
 
 def word_rank(d: int, w) -> int:

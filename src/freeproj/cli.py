@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .af_s import AFMatrix, _check_side
 from .errors import BudgetExceeded, FreeProjError, ParseError
-from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QQ, field_from_spec
+from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QQ, field_from_spec, read_int
 from .freealg import FreeAlgebra
 from .leavitt import l0_to_s
 from .parsing import parse_leavitt, parse_presentation
@@ -256,8 +256,8 @@ def cmd_verify(args) -> dict:
         numbers = [SUITE_NAMES[args.suite]]
     else:
         try:
-            numbers = [int(args.suite)]
-        except ValueError:
+            numbers = [read_int(args.suite, "suite")]
+        except ParseError:
             raise ParseError(
                 f"unknown suite {args.suite!r}; choose from "
                 + ", ".join(sorted(SUITE_NAMES)) + ", all, or a number"
@@ -297,12 +297,16 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
+    """An integer option or argument, read by `fields.read_int`."""
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+        return read_int(text, "the value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    if (value := _integer(text)) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
@@ -312,15 +316,15 @@ def build_parser() -> _Parser:
     parser.add_argument("--d", type=_positive_int, default=2, help="number of generators (for expression commands)")
     parser.add_argument("--field", default=None,
                         help="QQ or GF:p (default QQ); a presentation file's field: line must match it")
-    parser.add_argument("--degree-cap", type=int, default=8, dest="degree_cap")
-    parser.add_argument("--level-cap", type=int, default=3, dest="level_cap")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--degree-cap", type=_integer, default=8, dest="degree_cap")
+    parser.add_argument("--level-cap", type=_integer, default=3, dest="level_cap")
+    parser.add_argument("--seed", type=_integer, default=0)
     parser.add_argument("--text", action="store_true", help="line-oriented output instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hilbert", help="graded dimension of a presented module")
     p.add_argument("file")
-    p.add_argument("j", type=int)
+    p.add_argument("j", type=_integer)
     p.set_defaults(fn=cmd_hilbert)
 
     p = sub.add_parser("profile", help="stable free-tail profile")
@@ -346,18 +350,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decompose", help="multiplicity against a twisted power")
     p.add_argument("file")
-    p.add_argument("i", type=int)
+    p.add_argument("i", type=_integer)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("leavitt-eval", help="evaluate a Leavitt expression")
     p.add_argument("expr")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_integer, default=None)
     p.set_defaults(fn=cmd_leavitt_eval)
 
     p = sub.add_parser("s-calc", help="limit-algebra calculator on JSON elements")
     p.add_argument("sub", choices=["canonical", "k0", "mul", "embed", "regular", "simplicity"])
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_integer, default=None)
     p.set_defaults(fn=cmd_s_calc)
 
     p = sub.add_parser("verify", help="run acceptance suites")

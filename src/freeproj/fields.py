@@ -18,6 +18,16 @@ from .errors import BudgetExceeded, ParseError
 MAX_LITERAL_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_LITERAL_DIGITS  # the least int with more digits
 _EXPONENT_LITERAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
+_INT_LITERAL = re.compile(rf"[-+]?[0-9]{{1,{MAX_LITERAL_DIGITS}}}")
+
+
+def read_int(text: str, what: str, line=None) -> int:
+    """The int of an optional sign and at most MAX_LITERAL_DIGITS ASCII digits;
+    any other text (underscores, spaces, non-ASCII digits) is a ParseError."""
+    if _INT_LITERAL.fullmatch(text) is None:
+        raise ParseError(f"{what} must be an integer of at most {MAX_LITERAL_DIGITS} ASCII digits, got "
+                         f"{text[:20]!r}" + "..." * (len(text) > 20), line)
+    return int(text)
 
 
 def _too_long(s: str) -> bool:
@@ -214,11 +224,7 @@ def field_from_spec(spec: str):
         return QQ
     for prefix, suffix in (("GF(", ")"), ("GF:", "")):
         if s.startswith(prefix) and s.endswith(suffix):
-            body = s[len(prefix):len(s) - len(suffix) or None]
-            try:
-                p = int(body)
-            except ValueError:
-                break
+            p = read_int(s[len(prefix):len(s) - len(suffix) or None], "the characteristic p of GF(p)")
             try:
                 return GF(p)
             except ValueError as exc:

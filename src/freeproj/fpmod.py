@@ -257,7 +257,7 @@ class FpModule:
         todo = self._check_budget(j)
         prev = self._std_cache[todo.start - 1][0] if todo.start - 1 in self._std_cache else ()
         d = self.algebra.d
-        leads = {alpha: {w for _, w in lst} for alpha, lst in self.relation_basis()._by_coord.items()}
+        leads = self.relation_basis()._by_coord
         for k in todo:
             below: dict = {}
             for alpha, w in prev:

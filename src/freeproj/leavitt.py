@@ -313,10 +313,12 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
 
     The coefficient at w is recovered by left multiplication with w, which
     kills every other summand; the reassembled element must equal the input,
-    otherwise the element is not in the filtration piece.
+    otherwise the element is not in the filtration piece.  a is made
+    canonical first, so that each graded component is lowered from one level.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
+    a = a.canonical()
     A = a.algebra
     out = {}
     for w in A.words(r):

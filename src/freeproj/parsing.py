@@ -12,13 +12,13 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .fields import field_from_spec
+from .fields import field_from_spec, read_int
 from .fpmod import FpModule
 from .freealg import FreeAlgebra, NcPoly
 from .leavitt import LeavittElement, mono_mul
 from .linalg import _add_terms
 
-_TOKEN = re.compile(r"\s*(x\d+\*?|\d+/\d+|\d+|[+-])")
+_TOKEN = re.compile(r"\s*(x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-])")
 
 
 def _tokenize(text: str, line=None):
@@ -67,11 +67,7 @@ def _parse_term(field, sign, atoms, line=None, starred=False):
             star = tok.endswith("*")
             if star and not starred:
                 raise ParseError(f"starred letter {tok!r} not allowed here", line)
-            digits = tok[1:-1] if star else tok[1:]
-            try:
-                gens.append((int(digits), star))
-            except ValueError:  # more digits than int() reads
-                raise ParseError(f"letter x{digits[:6]}... has an index of {len(digits)} digits", line) from None
+            gens.append((read_int(tok[1:-1] if star else tok[1:], "a letter index", line), star))
         elif tok == "1":
             continue  # the empty word
         elif k == 0:
@@ -211,10 +207,7 @@ def parse_presentation(text: str) -> PresentationFile:
         if key == "field":
             field = field_from_spec(value)
         elif key == "d":
-            try:
-                d = int(value)
-            except ValueError:
-                raise ParseError(f"bad d {value!r}", ln) from None
+            d = read_int(value, "d", ln)
             if d < 1:
                 raise ParseError("d must be at least 1", ln)
         elif key == "name":
@@ -223,10 +216,7 @@ def parse_presentation(text: str) -> PresentationFile:
             if not (value.startswith("[") and value.endswith("]")):
                 raise ParseError("gens must be a bracketed list like [0, 1]", ln)
             inner = value[1:-1].strip()
-            try:
-                shifts = [int(s) for s in inner.split(",")] if inner else []
-            except ValueError:
-                raise ParseError(f"bad gens list {value!r}", ln) from None
+            shifts = [read_int(s.strip(), "a gens shift", ln) for s in inner.split(",")] if inner else []
         elif key == "rels":
             if value:
                 raise ParseError("relations go on the lines after 'rels:'", ln)

@@ -8,10 +8,14 @@ whose left multiples have pairwise distinct leading monomials.  Such a set
 is a free basis of the submodule it generates, and head reduction against it
 is a complete membership test.
 
-One tail interreduction pass suffices: whether a monomial is reducible
-depends only on the leading words, and interreduction never changes them
-(they are pairwise non-suffix, and reduction only adds smaller terms), so an
-element once reduced stays reduced while the others are.
+Elements are inserted in degree order and fully reduced, so at each
+coordinate the leading words are suffix-free: none is a suffix of a later,
+at least as long one.  So at most one is a suffix of a word w, found by
+looking up the |w| + 1 suffixes of w in the coordinate's {leading word:
+index} dict, which `weak_basis` builds and `FreeBasis` keeps.  One tail
+interreduction pass suffices: whether a monomial is reducible depends only
+on the leading words, and interreduction never changes them (reduction
+only adds smaller terms), so an element once reduced stays reduced.
 
 Every basis element is recorded as a left combination of the input
 generators; an input generator's combination over the basis is computed on
@@ -42,16 +46,17 @@ class FreeBasis:
     terms.  from_generators[j] expresses elements[j] over the input
     generators, as a sparse row {index: NcPoly} with coefficients acting on
     the left.  Input generator i is expressed over the basis on demand, by
-    reducing it.
+    reducing it.  _by_coord is `weak_basis`'s lead index {alpha: {leading
+    word at alpha: index}}.
     """
 
     __slots__ = ("ambient", "elements", "from_generators", "_by_coord", "_degrees")
 
-    def __init__(self, ambient, elements, from_generators):
+    def __init__(self, ambient, elements, from_generators, by_coord):
         self.ambient = ambient
         self.elements = tuple(elements)
         self.from_generators = tuple(from_generators)
-        self._by_coord = _lead_index(self.elements)
+        self._by_coord = by_coord
         self._degrees = tuple(b.degree() for b in self.elements)
 
     @property
@@ -77,21 +82,14 @@ class FreeBasis:
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
 
 
-def _lead_index(elements):
-    """{coordinate alpha: [(index, leading word at alpha)]} for basis elements."""
-    by_coord: dict = {}
-    for idx, b in enumerate(elements):
-        (alpha, w), _ = b.leading_term()
-        by_coord.setdefault(alpha, []).append((idx, w))
-    return by_coord
-
-
 def _find_reducer(alpha, w, by_coord):
-    """Index of a basis element whose leading word is a suffix of w at alpha."""
-    for idx, wb in by_coord.get(alpha, ()):
-        n = len(wb)
-        if n <= len(w) and (n == 0 or w[len(w) - n:] == wb):
-            return idx, w[: len(w) - n]
+    """(index, prefix) of the basis element whose leading word is a suffix
+    of w = prefix + leading word at alpha, or (None, None); the leads at
+    alpha are suffix-free, so at most one suffix of w is found."""
+    leads = by_coord.get(alpha)
+    for k in range(len(w) + 1 if leads else 0):
+        if (idx := leads.get(w[k:])) is not None:
+            return idx, w[:k]
     return None, None
 
 
@@ -161,7 +159,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
     basis: list = []
     leads: list = []
     cof_rows: list = []  # row i: basis[i] over the input generators
-    by_coord: dict = {}
+    by_coord: dict = {}  # the lead index FreeBasis keeps
     for i in order:
         nf, uses = _full_reduce(generators[i], basis, by_coord)
         if nf.is_zero():
@@ -172,7 +170,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
             inv = F.invert(lc)
             nf = nf.scale(inv)
             row = {k: {u: F.mul(inv, c) for u, c in t.items()} for k, t in row.items()}
-        by_coord.setdefault(lead[0], []).append((len(basis), lead[1]))
+        by_coord.setdefault(lead[0], {})[lead[1]] = len(basis)
         leads.append(lead)
         basis.append(nf)
         cof_rows.append(row)
@@ -188,7 +186,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
         if uses:
             basis[idx] = FreeModuleElement(b.module, {lead: lc, **nf.terms})
             cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
-    return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows])
+    return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows], by_coord)
 
 
 def kernel(phi: ModuleMap) -> FreeBasis:

@@ -229,6 +229,10 @@ def test_s_calc_rejects_entry_outside_matrix(tmp_path, capsys, sub, entry):
     ({"d": 2, "level": 1, "entries": [[0.9, 0, "1"]]}, "entries[0][0]"),
     ({"d": 2, "level": 1, "entries": [[0, False, "1"]]}, "entries[0][1]"),
     ({"d": 2, "level": 1, "entries": [[0, 0, "1"], [0, 0.0, "2"]]}, "entries[0] and entries[1] both give entry [0, 0]"),
+    # underscores, spaces and non-ASCII digits, which int() reads
+    ({"d": "0_2", "level": 1, "entries": []}, "field 'd' must be an integer of at most 4300 ASCII digits, got '0_2'"),
+    ({"d": 2, "level": " 1", "entries": []}, "field 'level' must be an integer of at most 4300 ASCII digits, got ' 1'"),
+    ({"d": 2, "level": 1, "entries": [["\u0661", 0, "1"]]}, "entries[0][0]"),
 ])
 def test_s_calc_rejects_malformed_af_json(tmp_path, capsys, data, field_name):
     e = tmp_path / "e.json"
@@ -331,6 +335,26 @@ PRESENTATION_COMMANDS = [
 
 def _on(argv, path):
     return [path if a == "{}" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "{free}", "1_2"],
+    ["decompose", "{free}", " 1"],
+    ["--degree-cap", "1_2", "profile", "{free}"],
+    ["--d", "\u0662", "leavitt-eval", "x0"],
+    ["--level-cap", "+3 ", "leavitt-eval", "x0"],
+    ["--seed", "1_0", "verify", "--suite", "hilbert"],
+    ["verify", "--suite", "0_1"],
+    ["--field", "GF:1_1", "s-calc", "canonical", "{e01}"],
+])
+def test_integer_arguments_are_sign_and_ascii_digits(capsys, argv):
+    # int() reads each of these: j = 12, i = 1, cap 12, d = 2, level cap 3,
+    # seed 10, criterion 1 and GF(11)
+    argv = [a.format(free=os.path.join(GOLDEN, "free.pres"), e01=os.path.join(GOLDEN, "e01.json")) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert re.search(r"must be an integer|unknown suite '0_1'", captured.err)
 
 
 @pytest.mark.parametrize("argv", PRESENTATION_COMMANDS, ids=lambda argv: argv[0])

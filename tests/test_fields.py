@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from freeproj.errors import BudgetExceeded, ParseError
-from freeproj.fields import GF, MAX_LITERAL_DIGITS, PRIME_BOUND, QQ, field_from_spec, is_prime
+from freeproj.fields import GF, MAX_LITERAL_DIGITS, PRIME_BOUND, QQ, field_from_spec, is_prime, read_int
 
 
 def test_qq_arithmetic_is_exact():
@@ -94,6 +94,21 @@ def test_field_from_spec_rejects_garbage():
         field_from_spec("ZZ")
     with pytest.raises(ParseError):
         field_from_spec("GF(4)")
+    # int() reads each of these as 11
+    for spec in ("GF:1_1", "GF(1_1)", "GF: 11", "GF:\u0661\u0661"):
+        with pytest.raises(ParseError, match="must be an integer"):
+            field_from_spec(spec)
+
+
+def test_read_int_takes_a_sign_and_ascii_digits_only():
+    texts = ("0", "12", "-3", "+4", "007", "9" * MAX_LITERAL_DIGITS)
+    assert [read_int(t, "n") for t in texts] == [0, 12, -3, 4, 7, 10**MAX_LITERAL_DIGITS - 1]
+    # int() reads 1_2, the spaced ones and the non-ASCII digits
+    for text in ("", "1_2", " 2", "2 ", "\u0661", "\uff11", "1.0", "--1", "0x1", "9" * (MAX_LITERAL_DIGITS + 1)):
+        with pytest.raises(ParseError, match="^n must be an integer"):
+            read_int(text, "n")
+    with pytest.raises(ParseError, match="^line 3: d must be an integer"):
+        read_int("0_2", "d", 3)
 
 
 def test_qq_printed_values_are_bounded():

@@ -54,6 +54,8 @@ for _name in ("letterq", "d3", "two"):
     CASES[f"profile-cap12-{_name}"] = ["--degree-cap", "12", "profile", f"{_name}.pres"]
 # a cap below b + 4 still certifies through b + 4
 CASES["profile-cap2-d3"] = ["--degree-cap", "2", "profile", "d3.pres"]
+# R/R_{>=6} at d = 2: 64 monomial relations through the weak algorithm
+CASES["torsion-ge6"] = ["torsion", "ge6.pres"]
 
 
 @pytest.fixture(scope="module")

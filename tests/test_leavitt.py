@@ -241,6 +241,22 @@ def test_flat_decompose_examples(A2):
     assert str(out[(0,)]) == "x1" and out[(1,)].is_zero()
 
 
+def test_flat_decompose_reads_members_written_at_mixed_levels(A2):
+    # 2 x0* x0 + 2 x1* x1 - 1 is 1, written with terms at levels 1 and 0
+    one = LeavittElement.one(A2)
+    a = LeavittElement.monomial(A2, (0,), (0,), 2) + LeavittElement.monomial(A2, (1,), (1,), 2) - one
+    assert {w: str(p) for w, p in flat_decompose(a, 0).items()} == {(): "1"}
+    assert {w: str(p) for w, p in flat_decompose(a, 1).items()} == {(0,): "x0", (1,): "x1"}
+    # a member plus a zero written at two levels is still a member
+    rng = make_rng(12)
+    zero = LeavittElement.monomial(A2, (0,), (0,)) + LeavittElement.monomial(A2, (1,), (1,)) - one
+    for r in (0, 1, 2):
+        for _ in range(10):
+            b, coeffs = random_filtration_member(rng, A2, r)
+            out = flat_decompose(b + zero, r)
+            assert {w: p.terms for w, p in out.items()} == {w: p.terms for w, p in coeffs.items()}
+
+
 def test_flat_decompose_rejects_deep_star(A2):
     bad = LeavittElement.monomial(A2, (0, 0), (0,))
     with pytest.raises(NotInFiltrationLevel):
@@ -281,10 +297,12 @@ def test_flat_paths_match_element_products():
                 a, coeffs = random_filtration_member(rng, A, r)
                 assert _items(flat_reassemble(A, coeffs)) == _items(
                     leavitt_oracle.flat_reassemble(A, coeffs))
-                # a member, and a sum that usually is not one
+                # a member, and a sum that usually is not one; the oracle
+                # lowers only components written at one level, so it gets b
+                # in the canonical form flat_decompose makes first
                 for b in (a, a + random_leavitt(rng, A, wmax=3)):
                     assert _outcome(flat_decompose, b, r) == _outcome(
-                        leavitt_oracle.flat_decompose, b, r)
+                        leavitt_oracle.flat_decompose, b.canonical(), r)
     # GF(7) values outside 0..6 come out reduced, as the products made them
     A = FreeAlgebra(2, GF(7))
     odd = {(1,): NcPoly(A, {(0,): 9, (1,): -3, (): 7})}

@@ -42,6 +42,10 @@ def test_parse_poly_rejects_bad_input(A2):
         parse_poly(A2, "x0 3 x1")
     with pytest.raises(ParseError):
         parse_poly(A2, "")
+    # letter indices and coefficients are ASCII digits; \d would read x١ as x1
+    for text in ("x\u0661", "\u0662 x0", "x0 x\uff11"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_poly(A2, text)
 
 
 def test_poly_print_parse_round_trip(A2):
@@ -170,6 +174,22 @@ def test_presentation_multi_column():
     assert len(pf.rel_rows) == 2
     M = pf.module()
     assert M.hilbert(0) == 1
+
+
+@pytest.mark.parametrize("header, error", [
+    ("d: 0_2", "line 2: d must be an integer of at most 4300 ASCII digits, got '0_2'"),
+    ("d: \u0662", "line 2: d must be an integer of at most 4300 ASCII digits, got '\u0662'"),
+    ("gens: [0_0, 1_1]", "line 3: a gens shift must be an integer of at most 4300 ASCII digits, got '0_0'"),
+    ("gens: [0, 1_1]", "line 3: a gens shift must be an integer of at most 4300 ASCII digits, got '1_1'"),
+    ("gens: [0, \u0661]", "line 3: a gens shift must be an integer of at most 4300 ASCII digits, got '\u0661'"),
+])
+def test_presentation_integers_are_sign_and_ascii_digits(header, error):
+    # int() reads each of these, so a typo such as 1_1 for 1, 1 changed the module
+    lines = ["field: QQ", "d: 2", "gens: [0, 1]", "rels:"]
+    lines[1 if header.startswith("d:") else 2] = header
+    with pytest.raises(ParseError) as info:
+        parse_presentation("\n".join(lines) + "\n")
+    assert str(info.value) == error
 
 
 def test_presentation_errors_carry_line_numbers():

@@ -1,12 +1,14 @@
 import hypothesis
 
-from freeproj import kernel, weak_basis
+from freeproj import FpModule, FreeAlgebra, kernel, weak_basis
+from freeproj.fields import GF, QQ
 from freeproj.freealg import ModuleMap, NcPoly
 from freeproj.randgen import make_rng, random_module_map
-from freeproj.submodules import _full_reduce
+from freeproj.submodules import _find_reducer, _full_reduce
 
 from conftest import span_dim
 from random_elements import random_module_element
+from std_basis_oracle import find_reducer_by_scan
 from test_fpmod import presented_modules
 
 
@@ -225,6 +227,36 @@ def test_weak_basis_random_freeness(A2, A3):
             B2 = weak_basis(list(B.elements), ambient=R)
             assert all(B2.reduce(b).is_zero() for b in B.elements)
             assert all(B.reduce(b).is_zero() for b in B2.elements)
+
+
+def test_suffix_lookup_matches_scan():
+    # random presentations over QQ and GF(5), d = 1..3 (at d = 1 every word
+    # is all 0s), with monomial relations among them so that many leads
+    # share a coordinate; every monomial of the relations, of the basis, of
+    # random elements and of their normal forms, and every word of length
+    # <= 5 at each coordinate, gets the same reducer from both searches
+    rng = make_rng(2111)
+    checked = found = 0
+    for field in (QQ, GF(5)):
+        for d in (1, 2, 3):
+            A = FreeAlgebra(d, field)
+            for _ in range(15):
+                F = A.free_module(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
+                rels = [
+                    random_module_element(rng, F, rng.randint(0, 4), max_terms=rng.choice((1, 4)))
+                    for _ in range(rng.randint(1, 8))
+                ]
+                B = FpModule(F, rels).relation_basis()
+                elems = rels + list(B.elements)
+                elems += [random_module_element(rng, F, rng.randint(0, 6), max_terms=6) for _ in range(6)]
+                mons = {mon for g in elems + [B.reduce(g) for g in elems] for mon in g.terms}
+                mons.update((alpha, w) for alpha in range(F.rank) for n in range(6) for w in A.words(n))
+                for alpha, w in mons:
+                    got = _find_reducer(alpha, w, B._by_coord)
+                    assert got == find_reducer_by_scan(alpha, w, B._by_coord), (alpha, w)
+                    checked += 1
+                    found += got[0] is not None
+    assert found > checked // 4  # reducible monomials are well represented
 
 
 def test_kernel_hilbert_identity_random(A2):
