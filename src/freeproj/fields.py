@@ -17,7 +17,7 @@ from .errors import BudgetExceeded, ParseError
 # printed, may have: the most CPython prints from an int by default.
 MAX_LITERAL_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_LITERAL_DIGITS  # the least int with more digits
-_EXPONENT_LITERAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
+_EXPONENT_LITERAL = re.compile(r"[-+]?([0-9]*)(?:\.([0-9]*))?[eE]([-+]?[0-9]+)")
 _INT_LITERAL = re.compile(rf"[-+]?[0-9]{{1,{MAX_LITERAL_DIGITS}}}")
 
 
@@ -39,7 +39,7 @@ def _too_long(s: str) -> bool:
     m = _EXPONENT_LITERAL.fullmatch(s)
     if m is None:
         return False
-    whole, frac, exp = (g.replace("_", "") for g in (m[1], m[2] or "", m[3]))
+    whole, frac, exp = m[1], m[2] or "", m[3]
     if len(exp.lstrip("+-0")) > len(str(MAX_LITERAL_DIGITS)):
         return True
     mantissa = (whole + frac).lstrip("0")
@@ -91,8 +91,13 @@ class RationalField:
 
     @staticmethod
     def from_str(s: str):
-        """The value of a literal as `Fraction` reads it; ParseError for a
-        malformed one or, before any number is built, a `_too_long` one."""
+        """The value of a literal as `Fraction` reads it, from one word of
+        ASCII text without underscores; ParseError for any other text, for a
+        malformed literal or, before any number is built, a `_too_long` one."""
+        if len(s) <= MAX_LITERAL_DIGITS and s.isascii() and s.isdigit():
+            return int(s)  # what the checks and Fraction below return, sooner
+        if not s.isascii() or "_" in s or s.split() != [s]:
+            raise ParseError(f"bad rational {s!r}")
         if _too_long(s):
             raise ParseError(f"rational literal {s!r} has more than {MAX_LITERAL_DIGITS} digits")
         try:

@@ -137,12 +137,13 @@ class LeavittElement(_Terms):
     def canonical(self) -> "LeavittElement":
         """Each graded component raised to its own maximal level; self when already so."""
         levels: dict = {}
+        mixed = False
         for w, v in self.terms:
-            m = len(v) - len(w)
-            levels[m] = max(levels.get(m, 0), len(w))
-        if all(len(w) == levels[len(v) - len(w)] for w, v in self.terms):
-            return self
-        return self._raised(levels)
+            r = levels.setdefault(len(v) - len(w), len(w))
+            if r != len(w):
+                mixed = True
+                levels[len(v) - len(w)] = max(r, len(w))
+        return self._raised(levels) if mixed else self
 
     def _raised(self, levels: dict) -> "LeavittElement":
         """Raise each monomial of a degree m in `levels` to starred length

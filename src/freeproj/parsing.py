@@ -5,113 +5,111 @@ rational coefficient ("3", "-1/2") followed by a word; a word is letters
 "x0 x1 x0" juxtaposed with spaces, or "1" for the empty word.  The Leavitt
 grammar adds starred letters "x0*".  Printing emits exactly this grammar, so
 parse and print are mutually inverse on canonical forms.
+
+An expression is read in one pass.  One anchored regex match checks the
+whole text, and where it stops is the first character no token starts; one
+`findall` then hands over the tokens, each already sorted into letter,
+number or sign by its regex group, and a letter index is `int` of ASCII
+digits.  A Leavitt term whose stars all come before its plain letters is
+the monomial (reversed stars, plain letters) as it stands; `mono_mul`
+multiplies in only the letters from a star after a plain letter on.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import ParseError
-from .fields import field_from_spec, read_int
+from .fields import MAX_LITERAL_DIGITS, field_from_spec, read_int
 from .fpmod import FpModule
 from .freealg import FreeAlgebra, NcPoly
 from .leavitt import LeavittElement, mono_mul
 from .linalg import _add_terms
 
-_TOKEN = re.compile(r"\s*(x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-])")
+# one token as (letter index, star, number, sign): the one group it fills
+_TOKEN = re.compile(r"\s*(?:x([0-9]+)(\*?)|([0-9]+/[0-9]+|[0-9]+)|([+-]))")
+# Tokens and the space between them in one greedy match.  It never needs to
+# backtrack into a token, so it ends where reading one token at a time
+# stops: at the first character that starts no token, or at the end.
+_TOKENS = re.compile(rf"(?:{_TOKEN.pattern})*\s*")
 
 
-def _tokenize(text: str, line=None):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", line)
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def _split_terms(tokens, line=None):
-    """Group a token stream into (sign, [atoms]) chunks."""
-    terms = []
-    sign = 1
-    atoms: list = []
-    seen_atom = False
-    for tok in tokens:
-        if tok in "+-":
-            if seen_atom:
-                terms.append((sign, atoms))
-                atoms = []
-                sign = 1
-            sign *= -1 if tok == "-" else 1
-        else:
-            atoms.append(tok)
-            seen_atom = True
-    if atoms:
-        terms.append((sign, atoms))
-    elif not terms:
-        raise ParseError("empty expression", line)
-    return terms
-
-
-def _parse_term(field, sign, atoms, line=None, starred=False):
-    """Returns (coefficient, list of (letter index, is_starred))."""
-    coeff = field.one
-    gens = []
-    for k, tok in enumerate(atoms):
-        if tok[0] == "x":
-            star = tok.endswith("*")
+def _terms(field, d, text: str, line=None, starred=False):
+    """Yield (coefficient, letters) for each term of text, in order; the
+    letter x_i is i and x_i* is ~i.  Signs before the first atom multiply;
+    after it, each sign closes a term, an empty one reading 1.  A number is
+    a coefficient only as a term's first atom, and "1" is the empty word.
+    Each term's atoms are read, then its letters range checked."""
+    end = _TOKENS.match(text).end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", line)
+    sign, coeff, letters, k, seen = 1, field.one, [], 0, False  # k: atoms read in the term
+    for digits, star, number, op in _TOKEN.findall(text):
+        if op:
+            if seen:
+                yield _checked(field, sign, coeff, letters, d, line)
+                sign, coeff, letters, k = 1, field.one, [], 0
+            if op == "-":
+                sign = -sign
+            continue
+        if digits:
             if star and not starred:
-                raise ParseError(f"starred letter {tok!r} not allowed here", line)
-            gens.append((read_int(tok[1:-1] if star else tok[1:], "a letter index", line), star))
-        elif tok == "1":
-            continue  # the empty word
-        elif k == 0:
-            coeff = field.from_str(tok)
-        else:
-            raise ParseError(f"unexpected coefficient {tok!r} inside a term", line)
-    if sign < 0:
-        coeff = field.neg(coeff)
-    return coeff, gens
+                raise ParseError(f"starred letter {'x' + digits + star!r} not allowed here", line)
+            # the lexer read ASCII digits; read_int only refuses a too-long index
+            i = int(digits) if len(digits) <= MAX_LITERAL_DIGITS else read_int(digits, "a letter index", line)
+            letters.append(~i if star else i)
+        elif number != "1":  # "1" is the empty word
+            if k:
+                raise ParseError(f"unexpected coefficient {number!r} inside a term", line)
+            coeff = field.from_str(number)
+        k += 1
+        seen = True
+    if k:
+        yield _checked(field, sign, coeff, letters, d, line)
+    elif not seen:
+        raise ParseError("empty expression", line)
+
+
+def _checked(field, sign, coeff, letters, d, line):
+    """The signed coefficient and the letters of a term; ParseError naming
+    its first letter, in text order, whose index is not below d."""
+    if letters and (max(letters) >= d or min(letters) < -d):
+        i = next(i for i in letters if not -d <= i < d)
+        raise ParseError(f"letter x{~i if i < 0 else i} out of range for d={d}", line)
+    return (field.neg(coeff) if sign < 0 else coeff), letters
 
 
 def parse_poly(algebra, text: str, line=None):
     """Parse the polynomial grammar into an NcPoly over the given algebra."""
-    F = algebra.field
     terms: dict = {}
-    for sign, atoms in _split_terms(_tokenize(text, line), line):
-        coeff, gens = _parse_term(F, sign, atoms, line, starred=False)
-        word = []
-        for idx, _ in gens:
-            if not 0 <= idx < algebra.d:
-                raise ParseError(f"letter x{idx} out of range for d={algebra.d}", line)
-            word.append(idx)
-        _add_terms(F, terms, [(tuple(word), coeff)])
+    words = _terms(algebra.field, algebra.d, text, line)
+    _add_terms(algebra.field, terms, [(tuple(word), c) for c, word in words])
     return NcPoly(algebra, terms)
 
 
 def parse_leavitt(algebra, text: str, line=None):
-    """Parse the Leavitt grammar: each term's letters fold into one monomial
-    with `mono_mul` (every letter is still range checked, also past a zero
-    junction), and the terms are summed in text order."""
-    F = algebra.field
+    """Parse the Leavitt grammar into the sum of its terms in text order.
+    A term's leading stars and the plain letters after them are its
+    monomial (reversed stars, plain letters); `mono_mul` folds in each
+    later letter, and a zero junction makes the term zero."""
     terms = []
-    for sign, atoms in _split_terms(_tokenize(text, line), line):
-        coeff, gens = _parse_term(F, sign, atoms, line, starred=True)
-        mon = ((), ())
-        for idx, star in gens:
-            if not 0 <= idx < algebra.d:
-                raise ParseError(f"letter x{idx} out of range for d={algebra.d}", line)
-            if mon is not None:
-                mon = mono_mul(mon, ((idx,), ()) if star else ((), (idx,)))
-        if mon is not None:
+    for coeff, letters in _terms(algebra.field, algebra.d, text, line, starred=True):
+        n, k = len(letters), 0
+        while k < n and letters[k] < 0:
+            k += 1
+        j = k
+        while j < n and letters[j] >= 0:
+            j += 1
+        mon = (tuple(~i for i in reversed(letters[:k])), tuple(letters[k:j]))
+        for i in letters[j:]:
+            mon = mono_mul(mon, ((~i,), ()) if i < 0 else ((), (i,)))
+            if mon is None:
+                break
+        else:
             terms.append((mon, coeff))
     out: dict = {}
-    _add_terms(F, out, terms)
+    _add_terms(algebra.field, out, terms)
     return LeavittElement(algebra, out)
 
 
@@ -120,18 +118,17 @@ def parse_leavitt(algebra, text: str, line=None):
 
 
 def _format_terms(field, items):
-    """items: list of (coefficient, list of generator strings), in print order."""
+    """items: list of (coefficient, word text), in print order."""
     if not items:
         return "0"
     chunks = []
-    for n, (coeff, gens) in enumerate(items):
+    for n, (coeff, body) in enumerate(items):
         try:
             negative = coeff < 0
         except TypeError:
             negative = False
         mag = field.neg(coeff) if negative else coeff
-        body = " ".join(gens)
-        if not gens:
+        if not body:
             text = field.to_str(mag)
         elif mag == field.one:
             text = body
@@ -147,13 +144,16 @@ def _format_terms(field, items):
 def format_poly(poly) -> str:
     F = poly.algebra.field
     words = sorted(poly.terms, key=lambda w: (len(w), w), reverse=True)
-    items = [(poly.terms[w], [f"x{i}" for i in w]) for w in words]
+    name = {i: f"x{i}" for i in set().union(*words)}
+    items = [(poly.terms[w], " ".join([name[i] for i in w])) for w in words]
     return _format_terms(F, items)
 
 
 def format_leavitt(elem) -> str:
     keys = sorted(elem.terms, key=lambda wv: (len(wv[0]) + len(wv[1]), wv[0], wv[1]))
-    items = [(elem.terms[(w, v)], [f"x{i}*" for i in reversed(w)] + [f"x{i}" for i in v]) for w, v in keys]
+    letters = set().union(*itertools.chain.from_iterable(keys))
+    name, star = {i: f"x{i}" for i in letters}, {i: f"x{i}*" for i in letters}
+    items = [(elem.terms[w, v], " ".join([star[i] for i in reversed(w)] + [name[i] for i in v])) for w, v in keys]
     return _format_terms(elem.algebra.field, items)
 
 

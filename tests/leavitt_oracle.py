@@ -1,16 +1,97 @@
-"""The element-level Leavitt paths that the monomial-level ones replaced.
+"""The element-level Leavitt paths and the token-by-token text front end
+that the fast paths replaced.
 
-`parse_leavitt` multiplies out one `LeavittElement` product per letter and
-rebuilds the sum once per term; `mono_mul` cancels the junction letter by
-letter; the flat filtration reassembles with one element product and one
-sum per word.  Kept verbatim as the oracles the fast paths must match exactly:
-same terms, same dict key order, same errors.
+The lexer matches one regex per token and reads each letter index with
+`read_int`; `parse_poly` sums one term at a time; `parse_leavitt`
+multiplies out one `LeavittElement` product per letter and rebuilds the sum
+once per term; `mono_mul` cancels the junction letter by letter; the flat
+filtration reassembles with one element product and one sum per word.  Kept
+verbatim as the oracles the fast paths must match exactly: same terms, same
+dict key order, same errors.
 """
 
+import re
+
 from freeproj.errors import NotInFiltrationLevel, ParseError
+from freeproj.fields import read_int
 from freeproj.freealg import NcPoly
 from freeproj.leavitt import LeavittElement
-from freeproj.parsing import _parse_term, _split_terms, _tokenize
+from freeproj.linalg import _add_terms
+
+_TOKEN = re.compile(r"\s*(x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-])")
+
+
+def _tokenize(text: str, line=None):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", line)
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+def _split_terms(tokens, line=None):
+    """Group a token stream into (sign, [atoms]) chunks."""
+    terms = []
+    sign = 1
+    atoms: list = []
+    seen_atom = False
+    for tok in tokens:
+        if tok in "+-":
+            if seen_atom:
+                terms.append((sign, atoms))
+                atoms = []
+                sign = 1
+            sign *= -1 if tok == "-" else 1
+        else:
+            atoms.append(tok)
+            seen_atom = True
+    if atoms:
+        terms.append((sign, atoms))
+    elif not terms:
+        raise ParseError("empty expression", line)
+    return terms
+
+
+def _parse_term(field, sign, atoms, line=None, starred=False):
+    """Returns (coefficient, list of (letter index, is_starred))."""
+    coeff = field.one
+    gens = []
+    for k, tok in enumerate(atoms):
+        if tok[0] == "x":
+            star = tok.endswith("*")
+            if star and not starred:
+                raise ParseError(f"starred letter {tok!r} not allowed here", line)
+            gens.append((read_int(tok[1:-1] if star else tok[1:], "a letter index", line), star))
+        elif tok == "1":
+            continue  # the empty word
+        elif k == 0:
+            coeff = field.from_str(tok)
+        else:
+            raise ParseError(f"unexpected coefficient {tok!r} inside a term", line)
+    if sign < 0:
+        coeff = field.neg(coeff)
+    return coeff, gens
+
+
+def parse_poly(algebra, text: str, line=None):
+    """Parse the polynomial grammar into an NcPoly over the given algebra."""
+    F = algebra.field
+    terms: dict = {}
+    for sign, atoms in _split_terms(_tokenize(text, line), line):
+        coeff, gens = _parse_term(F, sign, atoms, line, starred=False)
+        word = []
+        for idx, _ in gens:
+            if not 0 <= idx < algebra.d:
+                raise ParseError(f"letter x{idx} out of range for d={algebra.d}", line)
+            word.append(idx)
+        _add_terms(F, terms, [(tuple(word), coeff)])
+    return NcPoly(algebra, terms)
 
 
 def mono_mul(m1, m2):

@@ -27,15 +27,33 @@ def test_qq_literals_are_bounded_from_the_text():
     # at most 4300 digits in the numerator and the denominator
     for text, value in (("0.5", Fraction(1, 2)), ("-3/4", Fraction(-3, 4)), ("12300e-2", 123),
                         ("1e4299", 10**4299), ("1.000e-4299", Fraction(1, 10**4299)),
-                        ("-2_5E-1", Fraction(-5, 2)), ("0e9999", 0)):
+                        ("-25E-1", Fraction(-5, 2)), ("0e9999", 0)):
         assert QQ.from_str(text) == value
         assert GF(7).from_str(text) == GF(7).coerce(value)
     start = time.perf_counter()
-    for text in ("1e100000", "1e300000000", "1e4300", "1e-4300", "25e4299", "1e" + "9" * 5000, "0e10000"):
+    for text in ("1e100000", "1e300000000", "1e4300", "1e-4300", "25e4299", "1e" + "9" * 5000, "0e10000",
+                 "-2_5E-1"):
         for field in (QQ, GF(7)):
             with pytest.raises(ParseError, match=re.escape(text[:20])):
                 field.from_str(text)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text", ["1_0", " 3", "3 ", "\t1/2\n", "1 / 2", "\u0663", " \u0663 ", "\uff11",
+                                  "1e1_0", "1.5_0", ""])
+def test_qq_literals_are_one_ascii_word_without_underscores(text):
+    # Fraction reads all but "" as a number: "1_0" as 10 and "\u0663" as 3
+    for field in (QQ, GF(7)):
+        with pytest.raises(ParseError) as info:
+            field.from_str(text)
+        assert str(info.value) == f"bad rational {text!r}"
+
+
+def test_qq_digit_literals_are_ints():
+    for text in ("0", "7", "007", "9" * 4300):
+        value = QQ.from_str(text)
+        assert type(value) is int and value == int(text)
+        assert GF(7).from_str(text) == int(text) % 7
 
 
 def test_gf_inverses_total_on_nonzero():

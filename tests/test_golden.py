@@ -34,6 +34,11 @@ CASES.update({
     "leavitt-d3": ["--d", "3", "leavitt-eval", "x2* x2 x0 + x1* x0 x0* - 1/2 x2 x1*"],
     "leavitt-gf7": ["--field", "GF:7", "leavitt-eval", "3 x0* x0 + 5 x1* x1 x1 x1*", "--level", "2"],
 })
+# stars after plain letters, more than once in a term: the parser folds
+# these terms with mono_mul instead of reading them as one monomial
+_FOLD = "x0 x1 x1* x0* x0* - 2 x1 x0* x1 + x0* x1 x1* + 3 x1* x0 x1 x1* x0 - 1/2 x0* x1 x0 x0* x1*"
+CASES["leavitt-fold"] = ["leavitt-eval", _FOLD]
+CASES["leavitt-fold-gf7"] = ["--field", "GF:7", "leavitt-eval", _FOLD]
 AF_FILES = ("e01", "e32", "one", "half", "deficient", "d3")
 for _field in ("QQ", "GF:7"):
     _tag = _field.replace(":", "")

@@ -122,6 +122,51 @@ def test_parse_leavitt_matches_oracle_on_examples():
             leavitt_oracle.parse_leavitt, algebra, text)
 
 
+# the malformed pieces of test_text_fuzz.py, a letter out of range, a
+# starred letter, a misplaced coefficient and bad characters
+POLY_MISTAKES = ["x" + "9" * 4400, "x" + "0" * 4400 + "1", "9" * 4301, "2/0", "1e3", "/", "*", "x0*", "x3",
+                 "5", "&", "x\u0661", "+ +", "-"]
+
+
+@st.composite
+def poly_texts(draw):
+    """Polynomial texts over QQ or GF(7) at d = 1..3, their tokens joined by
+    any run of spaces or none, now and then with one of POLY_MISTAKES put
+    anywhere, so also after a valid prefix."""
+    algebra = FreeAlgebra(draw(st.integers(1, 3)), draw(st.sampled_from([QQ, GF(7)])))
+    letter = st.integers(0, algebra.d - 1).map(lambda i: f"x{i}")
+    tokens = []
+    for n in range(draw(st.integers(1, 5))):
+        tokens += [draw(st.sampled_from(["+", "-"] if n else ["", "-"]))]
+        tokens += [draw(st.sampled_from(["", "", "0", "1", "2", "3/2", "1/7", "007", "9" * 4300]))]
+        tokens += draw(st.lists(st.one_of(letter, letter, st.just("1")), max_size=6))
+    tokens = [t for t in tokens if t]
+    mistake = draw(st.sampled_from([None] * 4 + POLY_MISTAKES))
+    if mistake:
+        tokens.insert(draw(st.integers(0, len(tokens))), mistake)
+    spaces = st.sampled_from([" ", " ", "  ", "\t", "\n", ""])
+    text = "".join(tok + draw(spaces) for tok in tokens)
+    return algebra, draw(st.sampled_from(["", " "])) + text, draw(st.sampled_from([None, 5]))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(poly_texts())
+def test_parse_poly_matches_oracle(case):
+    # terms in key order, coefficient types included, or the same error
+    algebra, text, line = case
+    assert _parsed(lambda A, t: parse_poly(A, t, line), algebra, text) == _parsed(
+        lambda A, t: leavitt_oracle.parse_poly(A, t, line), algebra, text)
+
+
+@pytest.mark.parametrize("mistake", POLY_MISTAKES)
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_parse_poly_matches_oracle_on_mistakes(mistake, field):
+    for d in (1, 2, 3):
+        for text in (mistake, f"x0 {mistake}", f"2 x0 - {mistake} x0", f"x0 + 1/2 {mistake}"):
+            assert _parsed(parse_poly, FreeAlgebra(d, field), text) == _parsed(
+                leavitt_oracle.parse_poly, FreeAlgebra(d, field), text)
+
+
 def test_leavitt_print_parse_round_trip(A2):
     from freeproj.randgen import make_rng
     from random_elements import random_leavitt
