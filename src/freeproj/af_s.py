@@ -12,10 +12,12 @@ computes the class of an idempotent in the dyadic-style group Z[1/d].
 
 Entries are canonical field values (an int for every integral QQ value,
 ints 0..p-1 over GF(p)).  The constructor coerces them, as do `from_json`,
-`matrix_unit`, `scalar`, `+` and `scale` through it; `embed`,
-`canonical` and `*` slice canonical entries or take their `dense_mul`, and
-the vN witness places the transform rows of `row_reduce`, all canonical, so
-they skip it via `_from_canonical`.
+`matrix_unit`, `scalar` and `+` through it; `embed` and `canonical` slice
+canonical entries, `scale` coerces each product itself, `*` takes the
+`dense_mul` of canonical forms and the vN witness places the transform rows
+of `row_reduce`, so they skip the constructor via `_from_canonical`.  A
+product never embeds: a lower-level factor acts on each diagonal block of
+the other, N^2 n products for canonical sides N >= n.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .linalg import (
     SparseMatrix,
     dense_add,
     dense_mul,
-    dense_scale,
     generalized_inverse,
     rank,
 )
@@ -134,17 +135,31 @@ class AFMatrix:
         return AFMatrix(a.d, a.level, dense_add(a.field, a.entries, b.entries), a.field).canonical()
 
     def __mul__(self, other):
+        """The product of the canonical forms at the higher of their levels;
+        a level-0 factor is a scalar."""
         if not isinstance(other, AFMatrix):
             return self.scale(other)
-        a, b = self._common(other)
-        rows = tuple(map(tuple, dense_mul(a.field, a.entries, b.entries)))
-        return AFMatrix._from_canonical(a.d, a.level, rows, a.field).canonical()
+        if (self.d, self.field) != (other.d, other.field):
+            raise ValueError("elements live in different limit algebras")
+        a, b = self.canonical(), other.canonical()
+        if a.level == 0 or b.level == 0:
+            return b.scale(a.entries[0][0]) if a.level == 0 else a.scale(b.entries[0][0])
+        F, A, B, n = a.field, a.entries, b.entries, len(b.entries)
+        if len(A) > n:  # a * diag(b, .., b): column block k is a's column block k times b
+            live = [i for i, r in enumerate(A) if any(r)]  # a zero row of a stays zero
+            rows = [[F.zero] * len(A) for _ in A]
+            for k in range(0, len(A), n):
+                for i, part in zip(live, dense_mul(F, [A[i][k:k + n] for i in live], B)):
+                    rows[i][k:k + n] = part
+        else:  # diag(a, .., a) * b: row block k is a times b's row block k
+            rows = [row for k in range(0, n, len(A)) for row in dense_mul(F, A, B[k:k + len(A)])]
+        rows = tuple(map(tuple, rows))
+        return AFMatrix._from_canonical(a.d, max(a.level, b.level), rows, F).canonical()
 
     def scale(self, c) -> "AFMatrix":
-        c = self.field.coerce(c)
-        return AFMatrix(
-            self.d, self.level, dense_scale(self.field, c, self.entries), self.field
-        ).canonical()
+        F, c = self.field, self.field.coerce(c)
+        rows = tuple(tuple(F.coerce(F.mul(c, v)) for v in row) for row in self.entries)
+        return AFMatrix._from_canonical(self.d, self.level, rows, F).canonical()
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)

@@ -40,8 +40,8 @@ Two representations are used:
 * sparse: a matrix is a list of rows, each row a dict {column: nonzero value},
   plus an explicit column count.  All degreewise module computations use this
   (the matrices realizing graded maps are extremely sparse).
-* dense: a list of lists, used for the small leveled matrices of the
-  limit algebra.
+* dense: a list of lists, used for the leveled matrices of the limit
+  algebra: `dense_mul`, `dense_add` and `generalized_inverse`.
 
 Row-vector convention throughout: a sparse matrix A represents the map
 v -> v*A, so kernels are left kernels {v : v*A = 0}.
@@ -412,10 +412,6 @@ def dense_mul(field, A, B):
         else:
             out.append([_ratio(sum(map(mul, ai, bj)), da * db) for db, bj in cols])
     return out
-
-
-def dense_scale(field, c, A):
-    return [[field.mul(c, v) for v in row] for row in A]
 
 
 def dense_add(field, A, B):

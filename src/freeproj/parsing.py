@@ -1,9 +1,10 @@
 """Text grammars: polynomials, Leavitt expressions, presentation files.
 
-Polynomial grammar: terms joined by "+" / "-"; a term is an optional signed
-rational coefficient ("3", "-1/2") followed by a word; a word is letters
-"x0 x1 x0" juxtaposed with spaces, or "1" for the empty word.  The Leavitt
-grammar adds starred letters "x0*".  Printing emits exactly this grammar, so
+Polynomial grammar: terms joined by "+" / "-" (a run of signs is their
+product, and none ends a text); a term is an optional signed rational
+coefficient ("3", "-1/2") followed by a word; a word is letters "x0 x1 x0"
+juxtaposed with spaces, or "1" for the empty word.  The Leavitt grammar
+adds starred letters "x0*".  Printing emits exactly this grammar, so
 parse and print are mutually inverse on canonical forms.
 
 An expression is read in one pass.  One anchored regex match checks the
@@ -37,9 +38,9 @@ _TOKENS = re.compile(rf"(?:{_TOKEN.pattern})*\s*")
 
 def _terms(field, d, text: str, line=None, starred=False):
     """Yield (coefficient, letters) for each term of text, in order; the
-    letter x_i is i and x_i* is ~i.  Signs before the first atom multiply;
-    after it, each sign closes a term, an empty one reading 1.  A number is
-    a coefficient only as a term's first atom, and "1" is the empty word.
+    letter x_i is i and x_i* is ~i.  A run of signs multiplies, its first
+    sign closes the term before it, and a trailing sign is refused.  A number
+    is a coefficient only as a term's first atom; "1" is the empty word.
     Each term's atoms are read, then its letters range checked."""
     end = _TOKENS.match(text).end()
     if end < len(text):
@@ -47,7 +48,7 @@ def _terms(field, d, text: str, line=None, starred=False):
     sign, coeff, letters, k, seen = 1, field.one, [], 0, False  # k: atoms read in the term
     for digits, star, number, op in _TOKEN.findall(text):
         if op:
-            if seen:
+            if k:
                 yield _checked(field, sign, coeff, letters, d, line)
                 sign, coeff, letters, k = 1, field.one, [], 0
             if op == "-":
@@ -67,8 +68,8 @@ def _terms(field, d, text: str, line=None, starred=False):
         seen = True
     if k:
         yield _checked(field, sign, coeff, letters, d, line)
-    elif not seen:
-        raise ParseError("empty expression", line)
+    else:
+        raise ParseError("the expression ends in a sign" if seen else "empty expression", line)
 
 
 def _checked(field, sign, coeff, letters, d, line):

@@ -1,13 +1,17 @@
-"""The `AFMatrix.embed` and `AFMatrix.canonical` that tuple rows replaced.
+"""The `AFMatrix.embed` and `AFMatrix.canonical` that tuple rows replaced,
+and the product that embedded both operands.
 
-They fill a dense table entry by entry and test the block pattern with a
-nested flag loop, building each matrix through the coercing constructor.
-Kept verbatim, as functions of the matrix, as the oracle the row-slice
-versions must match exactly: same level, same entries, same value types.
+`embed` and `canonical` fill a dense table entry by entry and test the block
+pattern with a nested flag loop, building each matrix through the coercing
+constructor.  `mul` embeds both operands to the higher of their given
+levels and takes one `dense_mul` at that size.  Kept verbatim, as functions
+of the matrices, as the oracles the faster versions must match exactly:
+same level, same entries, same value types.
 """
 
 from freeproj.af_s import AFMatrix
 from freeproj.errors import LevelDecrease
+from freeproj.linalg import dense_mul
 
 
 def embed(self, level: int) -> "AFMatrix":
@@ -60,3 +64,13 @@ def canonical(self) -> "AFMatrix":
             return out
         out = AFMatrix(d, out.level - 1, [row[:n] for row in out.entries[:n]], out.field)
     return out
+
+
+def mul(self, other) -> "AFMatrix":
+    """The product at the common level: embed both, multiply, canonical form."""
+    if (self.d, self.field) != (other.d, other.field):
+        raise ValueError("elements live in different limit algebras")
+    r = max(self.level, other.level)
+    a, b = self.embed(r), other.embed(r)
+    rows = tuple(map(tuple, dense_mul(a.field, a.entries, b.entries)))
+    return AFMatrix._from_canonical(a.d, a.level, rows, a.field).canonical()

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from af_oracle import canonical as oracle_canonical
 from af_oracle import embed as oracle_embed
+from af_oracle import mul as oracle_mul
 
 from freeproj.af_s import AFMatrix, word_rank, word_unrank
 from freeproj.errors import LevelDecrease, NotIdempotent, ZeroElement
@@ -422,3 +423,59 @@ def test_d1_levels_match_oracle_and_are_constant_time(field):
     assert_same_matrix(low, AFMatrix.scalar(1, Fraction(7, 3), field))
     assert_same_matrix(high, big)
     assert big == low and (big * big).level == 0
+
+
+@st.composite
+def product_operands(draw):
+    """Two elements of one limit algebra, d = 1..3 over QQ (with fractions)
+    or GF(7): each a random matrix at level 0..3 (0..2 at d = 3), maybe with
+    zero rows, embedded by up to two levels, so often not canonical, and a
+    level-0 scalar, embedded or not, on either side about half the time."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    d = draw(st.integers(1, 3))
+    top = 2 if d == 3 else 3
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    out = []
+    for _ in range(2):
+        core = draw(st.integers(0, top))
+        n = d**core
+        rows = [[_af_value(rng, field) for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            rows = [row if rng.random() < 0.5 else [0] * n for row in rows]
+        a = AFMatrix(d, core, rows, field)
+        out.append(a.embed(draw(st.integers(core, min(core + 2, top)))))
+    return out
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(product_operands())
+def test_mul_matches_embedding_oracle(operands):
+    a, b = operands
+    got = a * b
+    assert_same_matrix(got, oracle_mul(a, b))
+    assert_canonical_values(got)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_mul_at_d1_far_level_matches_oracle(field):
+    big = AFMatrix.from_json({"d": 1, "level": 10**9, "entries": [[0, 0, "7/3"]]}, field)
+    for a, b in ((big, big), (big, AFMatrix.scalar(1, Fraction(3, 5), field)),
+                 (AFMatrix.scalar(1, 5, field), big), (big, AFMatrix.scalar(1, 0, field))):
+        assert_same_matrix(a * b, oracle_mul(a, b))
+
+
+def test_product_builds_no_embedding(monkeypatch):
+    rng = random.Random(5)
+    pairs = []
+    for field in (QQ, GF(7)):
+        for la, lb in ((0, 2), (2, 0), (1, 3), (3, 1), (2, 2), (1, 2)):
+            a, b = (AFMatrix(2, lv, [[_af_value(rng, field) for _ in range(2**lv)] for _ in range(2**lv)], field)
+                    for lv in (la, lb))
+            pairs.append((a.embed(la + 1), b, oracle_mul(a.embed(la + 1), b)))
+
+    def refuse(self, level):
+        raise AssertionError("a product called embed")
+
+    monkeypatch.setattr(AFMatrix, "embed", refuse)
+    for a, b, want in pairs:
+        assert_same_matrix(a * b, want)

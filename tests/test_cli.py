@@ -312,6 +312,14 @@ def test_leavitt_eval_bounds_matrix_side(capsys):
     assert "--level 3" in report["error"] and "2048 rows" in report["error"]
 
 
+@pytest.mark.parametrize("text", ["x0 -", "x0* x0 + x1 - -"])
+def test_leavitt_eval_refuses_a_trailing_sign(capsys, text):
+    code, report = run(capsys, "leavitt-eval", text)
+    assert code == 2
+    assert report["kind"] == "parse"
+    assert "ends in a sign" in report["error"]
+
+
 @pytest.mark.parametrize("sub, count", [
     ("mul", 1), ("mul", 3), ("canonical", 2), ("k0", 2), ("embed", 2), ("regular", 2), ("simplicity", 3),
 ])

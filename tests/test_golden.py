@@ -45,7 +45,8 @@ for _field in ("QQ", "GF:7"):
     for _name in AF_FILES:
         for _sub in ("canonical", "regular"):
             CASES[f"s-calc-{_sub}-{_name}-{_tag}"] = ["--field", _field, "s-calc", _sub, f"{_name}.json"]
-    for _a, _b in (("e01", "e32"), ("e32", "one"), ("half", "deficient"), ("deficient", "e01"), ("d3", "d3")):
+    for _a, _b in (("e01", "e32"), ("e32", "one"), ("half", "deficient"), ("deficient", "e01"), ("d3", "d3"),
+                   ("one", "e32"), ("e01", "deficient"), ("e01", "half")):
         CASES[f"s-calc-mul-{_a}-{_b}-{_tag}"] = ["--field", _field, "s-calc", "mul", f"{_a}.json", f"{_b}.json"]
     for _name in ("one", "idem"):
         CASES[f"s-calc-k0-{_name}-{_tag}"] = ["--field", _field, "s-calc", "k0", f"{_name}.json"]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import hypothesis
@@ -99,11 +100,24 @@ def _parsed(parse, algebra, text):
     return [(k, type(c), c) for k, c in e.terms.items()]
 
 
+_ATOM_OR_SIGN = re.compile(r"x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|([+-])")
+
+
+def _sign_run(text):
+    """Whether an atom is followed by two or more signs, or by a sign that
+    ends the text.  The oracle reads each extra sign there as a term 1 and
+    drops a trailing sign; the parser multiplies a run and refuses a
+    trailing sign, so the oracle tests leave these texts out."""
+    kinds = "".join("s" if sign else "a" for sign in _ATOM_OR_SIGN.findall(text))
+    return re.search("as(s|$)", kinds) is not None
+
+
 @hypothesis.settings(max_examples=300)
 @hypothesis.given(leavitt_texts())
 def test_parse_leavitt_matches_oracle(case):
     # terms in key order, coefficient types included, or the same error
     algebra, text = case
+    hypothesis.assume(not _sign_run(text))
     assert _parsed(parse_leavitt, algebra, text) == _parsed(
         leavitt_oracle.parse_leavitt, algebra, text)
 
@@ -154,6 +168,7 @@ def poly_texts(draw):
 def test_parse_poly_matches_oracle(case):
     # terms in key order, coefficient types included, or the same error
     algebra, text, line = case
+    hypothesis.assume(not _sign_run(text))
     assert _parsed(lambda A, t: parse_poly(A, t, line), algebra, text) == _parsed(
         lambda A, t: leavitt_oracle.parse_poly(A, t, line), algebra, text)
 
@@ -163,8 +178,35 @@ def test_parse_poly_matches_oracle(case):
 def test_parse_poly_matches_oracle_on_mistakes(mistake, field):
     for d in (1, 2, 3):
         for text in (mistake, f"x0 {mistake}", f"2 x0 - {mistake} x0", f"x0 + 1/2 {mistake}"):
+            if _sign_run(text):
+                continue
             assert _parsed(parse_poly, FreeAlgebra(d, field), text) == _parsed(
                 leavitt_oracle.parse_poly, FreeAlgebra(d, field), text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("x0 + - x1", "x0 - x1"), ("x0 - - x1", "x0 + x1"), ("x0 + + x1", "x0 + x1"),
+    ("x0 - + - 2 x1", "x0 + 2 x1"), ("- - x0 -  -\t- 1/2 x1", "x0 - 1/2 x1"), ("3 - - 1", "4"),
+])
+def test_parse_poly_reads_a_run_of_signs_as_their_product(A2, text, value):
+    assert parse_poly(A2, text) == parse_poly(A2, value)
+    assert parse_leavitt(A2, text).equals(parse_leavitt(A2, value))
+
+
+@pytest.mark.parametrize("text", ["x0 -", "x0 +", "x0 - -", "2 x0 + x1 - \n", "x0* x0 +"])
+def test_parse_refuses_a_trailing_sign(A2, text):
+    if "*" not in text:
+        with pytest.raises(ParseError, match="ends in a sign"):
+            parse_poly(A2, text)
+    with pytest.raises(ParseError, match="ends in a sign"):
+        parse_leavitt(A2, text)
+
+
+def test_sign_run_marks_the_texts_the_oracle_reads_differently():
+    for text in ("x0 + - x1", "x0 -", "1 + +", "x0 - \t+ x1", "x0* x0 - - 1"):
+        assert _sign_run(text)
+    for text in ("- - x0", "x0 - x1", "-", "- -", "x0 - 1/2 x1", "+ - 3 x0 - x1"):
+        assert not _sign_run(text)
 
 
 def test_leavitt_print_parse_round_trip(A2):
