@@ -11,11 +11,12 @@ The normalized rank rank / d^r is invariant under the embedding; it
 computes the class of an idempotent in the dyadic-style group Z[1/d].
 
 Entries are canonical field values (an int for every integral QQ value,
-ints 0..p-1 over GF(p)).  The constructor coerces them, as do `from_json`,
-`matrix_unit`, `scalar` and `+` through it; `embed` and `canonical` slice
-canonical entries, `scale` coerces each product itself, `*` takes the
-`dense_mul` of canonical forms and the vN witness places the transform rows
-of `row_reduce`, so they skip the constructor via `_from_canonical`.  A
+ints 0..p-1 over GF(p)).  The constructor coerces them, as do
+`matrix_unit`, `scalar` and `+` through it; `from_json` reads each entry
+with the field's `from_str`, `embed` and `canonical` slice canonical
+entries, `scale` coerces each product itself, `*` takes the `dense_mul` of
+canonical forms and the vN witness places the transform rows of
+`row_reduce`, so they skip the constructor via `_from_canonical`.  A
 product never embeds: a lower-level factor acts on each diagonal block of
 the other, N^2 n products for canonical sides N >= n.
 """
@@ -278,7 +279,7 @@ class AFMatrix:
                 raise ParseError(f"entries[{given[i, j]}] and entries[{k}] both give entry [{i}, {j}]")
             given[i, j] = k
             rows[i][j] = field.from_str(str(s))
-        return cls(d, level, rows, field)
+        return cls._from_canonical(d, level, tuple(map(tuple, rows)), field)
 
 
 def _check_side(d: int, level: int, where: str = "") -> None:

@@ -32,6 +32,22 @@ column blocks are letter_matrix(a, j) * Q_{j+1} for each letter a.  One
 and Q_j is S_j on its pivot columns, which span its columns, so Q_j has the
 same left kernel and at most h_j columns.
 
+Most modules have no torsion, and that needs no kernel.  For
+t0 > 0, M has no torsion exactly when for each j from i0 - 1 down to the
+least generator degree the map m -> (x_a * m)_a from M_j to M_{j+1}^d is
+injective, that is when the letter matrices out of M_j, side by side as
+column blocks, have rank h_j.  A nonzero m whose every x_a * m is zero is
+torsion; a nonzero torsion element u has a last nonzero word multiple
+w * u, and that one is such an m; and from i0 on the letter maps are
+bijections.  `torsion` runs these checks first, downward, and the
+recursion above only when one of them fails.  Most degrees need no matrix:
+the order of `term_key` is stable under left multiplication and reduction
+only adds smaller terms, so if x_a * w is standard for the leading word w
+of m, it is the leading word of x_a * m, which is then nonzero.  A degree
+in which every standard word w keeps a letter (some x_a * w is standard)
+passes from the degree-(j+1) index alone; only the others build their
+letter matrices and take the rank.
+
 Morphism matrices grow by the same closure.  A morphism phi is left
 R-linear, phi(x_i * m) = x_i * phi(m), and the suffix u of a standard word
 x_i * u is standard, so the row of x_i * u is the row of u one degree down
@@ -436,15 +452,35 @@ class FpModule:
 
     # -- torsion --------------------------------------------------------------
 
+    def _letters_injective(self, j: int) -> bool:
+        """Is m -> (x_a * m)_a injective from M_j to M_{j+1}^d?  Exact: yes
+        when every standard word of M_j keeps a letter (module docstring),
+        else when the rank of the letter matrices out of M_j side by side is
+        h_j."""
+        hj, d, index = self.hilbert(j), self.algebra.d, self._std_index(j + 1)
+        if all(any((alpha, (a,) + w) in index for a in range(d)) for alpha, w in self.std_basis(j)):
+            return True
+        n = self.hilbert(j + 1)
+        rows = [{} for _ in range(hj)]
+        for a in range(d):
+            for row, part in zip(rows, self.letter_matrix(a, j).rows):
+                row.update((a * n + c, v) for c, v in part.items())
+        return rank(SparseMatrix(self.algebra.field, hj, d * n, rows)) == hj
+
     def torsion(self) -> Torsion:
         """The largest finite-dimensional graded submodule, by the one-letter
         recursion of the module docstring.  A finite-dimensional module is all
-        torsion: its kernel in each degree is the identity on M_j."""
+        torsion: its kernel in each degree is the identity on M_j.  Zero
+        torsion is certified first, by standard words and ranks (module
+        docstring), and only a module that fails that check runs the
+        recursion."""
         profile = self.stable_profile()
         i0 = profile.i0
         F, d = self.algebra.field, self.algebra.d
         if profile.t0 == 0:
             kernels = [(j, [{k: F.one} for k in range(self.hilbert(j))]) for j in range(self.min_degree, i0)]
+        elif all(self._letters_injective(j) for j in range(i0 - 1, self.min_degree - 1, -1)):
+            return Torsion({}, [])
         else:
             Q = SparseMatrix.identity(F, self.hilbert(i0))
             kernels = []

@@ -386,16 +386,25 @@ def solve_left(mat: SparseMatrix, targets) -> list:
 
 
 def dense_mul(field, A, B):
-    """A*B on integer dot products; a zero row of A gives a zero row.
+    """A*B on integer dot products; a zero row of A gives a zero row and a
+    zero column of B a zero column, the int 0, with no product formed.
 
     Over GF(p) each entry is an integer dot product reduced mod p once.
-    Over QQ each row of A and each column of B is written as integers over
-    the lcm of its denominators (`_integer_vector`), and each entry is an
-    integer dot product over the product of the two denominators, made
-    rational once; on integer matrices it stays an int.  The values are
-    those of the field's own sum of products.
+    Over QQ each row of A and each nonzero column of B is written as
+    integers over the lcm of its denominators (`_integer_vector`), and each
+    entry is an integer dot product over the product of the two
+    denominators, made rational once; on integer matrices it stays an int.
+    The values are those of the field's own sum of products.
     """
     Bt = list(zip(*B))
+    live = [j for j, Bj in enumerate(Bt) if any(Bj)]
+    if len(live) < len(Bt):
+        # the product on B's nonzero columns, spread back with zeros between
+        out = [[0] * len(Bt) for _ in A]
+        for row, part in zip(out, dense_mul(field, A, [[r[j] for j in live] for r in B])):
+            for j, v in zip(live, part):
+                row[j] = v
+        return out
     p = field.characteristic
     if p:
         return [[sum(map(mul, Ai, Bj)) % p for Bj in Bt] if any(Ai) else [0] * len(Bt) for Ai in A]

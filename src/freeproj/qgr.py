@@ -288,6 +288,14 @@ def split_sequence(
     degree-i standard basis of N through g, and extends one letter at a
     time: sigma_j(x_a * n) = x_a * sigma_{j-1}(n), solved against N's
     stacked letter matrices out of N_{j-1}, which are square past i.
+
+    From N's free bound b on (j - 1 >= b) those stacked matrices are the
+    unit rows that `FpModule._free_layout` places: row p of coordinate
+    alpha in the block of letter a is the unit row at column
+    off + a * n_alpha + p.  So row c of sigma_j is the image row
+    sigma_{j-1}(row start + p) * x_a that the layout sends to c, read off
+    with no elimination.  sigma_j * G_j is checked to be the identity in
+    every degree.
     """
     L, M, N = f.source, f.target, g.target
     if not (
@@ -321,9 +329,14 @@ def split_sequence(
     sigma = SparseMatrix(field, t, M.hilbert(i), lifts)
     matrices = {}
     letters = range(M.algebra.d)
+    bound = N._free_bound()
     for j in range(i, hi + 1):
         unit = SparseMatrix.identity(field, N.hilbert(j))
-        if j > i:
+        if j > i and j - 1 >= bound:
+            images = [sigma.mul(M.letter_matrix(a, j - 1)).rows for a in letters]
+            sigma = SparseMatrix(field, N.hilbert(j), M.hilbert(j), [
+                images[a][start + p] for start, n, _ in N._free_layout(j - 1) for a in letters for p in range(n)])
+        elif j > i:
             T = SparseMatrix(field, len(letters) * N.hilbert(j - 1), N.hilbert(j),
                              [r for a in letters for r in N.letter_matrix(a, j - 1).rows])
             images = [r for a in letters for r in sigma.mul(M.letter_matrix(a, j - 1)).rows]

@@ -17,12 +17,22 @@ interreduction pass suffices: whether a monomial is reducible depends only
 on the leading words, and interreduction never changes them (reduction
 only adds smaller terms), so an element once reduced stays reduced.
 
-Every basis element is recorded as a left combination of the input
-generators; an input generator's combination over the basis is computed on
-demand by reducing it.  Kernels fall out of the two: if the generators g
-satisfy g = Q*b and b = P*g for a free basis b, then every kernel row r
-satisfies r*Q = 0, hence r = r*(I - Q*P), so the rows of I - Q*P generate
-the whole kernel.
+Kernels come from cofactors: if the generators g satisfy g = Q*b and
+b = P*g for a free basis b, then every kernel row r satisfies r*Q = 0,
+hence r = r*(I - Q*P), so the rows of I - Q*P generate the whole kernel.
+Only `kernel` reads them, so only the basis it builds of the images records
+each element as a left combination of the input generators (P, in
+`FreeBasis.from_generators`); an input generator's combination over the
+basis (Q) is read from the reductions of `_full_reduce` on demand.  Every
+other basis (relation bases, the kernel's own basis of its rows, the
+checks of `verify`) is built by the same loop without them.
+
+`FpModule.mod_torsion` adds the torsion generators to the relations and
+rebuilds their basis here, but most modules have none to add.  For t0 > 0
+a module M has no torsion exactly when m -> (x_a * m)_a is injective from
+M_j to M_{j+1}^d for every j below its stable index i0, a rank check on
+its letter matrices (`FpModule.torsion`); then `mod_torsion` returns M
+itself and no basis is rebuilt.
 """
 
 from __future__ import annotations
@@ -43,11 +53,12 @@ class FreeBasis:
     """A free basis of a graded left submodule, with conversion data.
 
     elements: monic, fully interreduced, pairwise left-multiple-free leading
-    terms.  from_generators[j] expresses elements[j] over the input
-    generators, as a sparse row {index: NcPoly} with coefficients acting on
-    the left.  Input generator i is expressed over the basis on demand, by
-    reducing it.  _by_coord is `weak_basis`'s lead index {alpha: {leading
-    word at alpha: index}}.
+    terms.  On the basis `kernel` builds of its images, from_generators[j]
+    expresses elements[j] over the input generators, as a sparse row
+    {index: NcPoly} with coefficients acting on the left; on every other
+    basis it is None.  Input generator i is expressed over the basis on
+    demand, by reducing it.  _by_coord is `weak_basis`'s lead index {alpha:
+    {leading word at alpha: index}}.
     """
 
     __slots__ = ("ambient", "elements", "from_generators", "_by_coord", "_degrees")
@@ -55,7 +66,7 @@ class FreeBasis:
     def __init__(self, ambient, elements, from_generators, by_coord):
         self.ambient = ambient
         self.elements = tuple(elements)
-        self.from_generators = tuple(from_generators)
+        self.from_generators = None if from_generators is None else tuple(from_generators)
         self._by_coord = by_coord
         self._degrees = tuple(b.degree() for b in self.elements)
 
@@ -76,7 +87,7 @@ class FreeBasis:
         return sum(d ** (j - a) for a in self.degrees() if a <= j)
 
     def reduce(self, elem: FreeModuleElement) -> FreeModuleElement:
-        return _full_reduce(elem, self.elements, self._by_coord)[0]
+        return _full_reduce(elem, self.elements, self._by_coord)
 
     def __repr__(self):
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
@@ -93,17 +104,15 @@ def _find_reducer(alpha, w, by_coord):
     return None, None
 
 
-def _full_reduce(elem, basis, by_coord):
-    """Reduce every monomial of elem against the monic basis.
-
-    Returns (normal form, uses) with uses a dict {basis index: {word: coef}}
-    such that elem = nf + sum uses[i]*basis[i].  Terms are processed in
-    decreasing order, so the result is the canonical fully reduced form.
+def _full_reduce(elem, basis, by_coord, uses=None):
+    """The normal form nf of elem: every monomial reduced against the monic
+    basis.  Terms are processed in decreasing order, so the result is the
+    canonical fully reduced form.  When uses is a dict it receives the
+    cofactors {basis index: {word: coef}}, elem = nf + sum uses[i]*basis[i].
     """
     F = elem.module.algebra.field
     work = dict(elem.terms)
     nf: dict = {}
-    uses: dict = {}
     while work:
         mon = max(work, key=term_key)
         coef = work.pop(mon)
@@ -118,8 +127,9 @@ def _full_reduce(elem, basis, by_coord):
         _row_axpy(F, work, coef, {
             (beta, u + wb): cb for (beta, wb), cb in basis[idx].terms.items() if (beta, wb) != lead
         })
-        _add_terms(F, uses.setdefault(idx, {}), [(u, coef)])
-    return FreeModuleElement(elem.module, nf), uses
+        if uses is not None:
+            _add_terms(F, uses.setdefault(idx, {}), [(u, coef)])
+    return FreeModuleElement(elem.module, nf)
 
 
 def _combine_cofactors(F, base_row: dict, uses: dict, rows: list) -> dict:
@@ -137,8 +147,10 @@ def _combine_cofactors(F, base_row: dict, uses: dict, rows: list) -> dict:
     return out
 
 
-def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis:
-    """Free basis of the left submodule generated by homogeneous elements."""
+def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactors=False) -> FreeBasis:
+    """Free basis of the left submodule generated by homogeneous elements.
+    With _cofactors, which only `kernel` sets, it also records each element
+    over the generators in `FreeBasis.from_generators` (module docstring)."""
     generators = list(generators)
     if ambient is None:
         if not generators:
@@ -158,35 +170,43 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
     )
     basis: list = []
     leads: list = []
-    cof_rows: list = []  # row i: basis[i] over the input generators
+    cof_rows: list = []  # with _cofactors, row i: basis[i] over the input generators
     by_coord: dict = {}  # the lead index FreeBasis keeps
     for i in order:
-        nf, uses = _full_reduce(generators[i], basis, by_coord)
+        uses = {} if _cofactors else None
+        nf = _full_reduce(generators[i], basis, by_coord, uses)
         if nf.is_zero():
             continue
-        row = _combine_cofactors(F, {i: {(): F.one}}, uses, cof_rows)
         lead, lc = nf.leading_term()
         if lc != F.one:
             inv = F.invert(lc)
             nf = nf.scale(inv)
-            row = {k: {u: F.mul(inv, c) for u, c in t.items()} for k, t in row.items()}
+        if _cofactors:
+            row = _combine_cofactors(F, {i: {(): F.one}}, uses, cof_rows)
+            if lc != F.one:
+                row = {k: {u: F.mul(inv, c) for u, c in t.items()} for k, t in row.items()}
+            cof_rows.append(row)
         by_coord.setdefault(lead[0], {})[lead[1]] = len(basis)
         leads.append(lead)
         basis.append(nf)
-        cof_rows.append(row)
 
     # one tail interreduction pass (see the module docstring); an element's
     # own leading word is no suffix of a tail monomial at its coordinate,
-    # which has the same length, so each tail reduces against all leads
+    # which has the same length, so each tail reduces against all leads.
+    # The normal form keeps exactly the tail's monomials when nothing
+    # reduces, and drops the first one that does.
     for idx, lead in enumerate(leads):
         b = basis[idx]
         tail = dict(b.terms)
         lc = tail.pop(lead)
-        nf, uses = _full_reduce(FreeModuleElement(b.module, tail), basis, by_coord)
-        if uses:
+        uses = {} if _cofactors else None
+        nf = _full_reduce(FreeModuleElement(b.module, tail), basis, by_coord, uses)
+        if nf.terms.keys() != tail.keys():
             basis[idx] = FreeModuleElement(b.module, {lead: lc, **nf.terms})
-            cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
-    return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows], by_coord)
+            if _cofactors:
+                cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
+    from_generators = [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows] if _cofactors else None
+    return FreeBasis(ambient, basis, from_generators, by_coord)
 
 
 def kernel(phi: ModuleMap) -> FreeBasis:
@@ -195,11 +215,12 @@ def kernel(phi: ModuleMap) -> FreeBasis:
     I - Q*P (module docstring)."""
     images = phi.row_elements()
     F = phi.source.algebra.field
-    basis = weak_basis(images, ambient=phi.target)  # zero images are skipped
+    basis = weak_basis(images, ambient=phi.target, _cofactors=True)  # zero images are skipped
     P = [{i: p.terms for i, p in row.items()} for row in basis.from_generators]
     rows = []
     for i, g in enumerate(images):
-        Q = _full_reduce(g, basis.elements, basis._by_coord)[1]
+        Q: dict = {}
+        _full_reduce(g, basis.elements, basis._by_coord, Q)
         acc = _combine_cofactors(F, {i: {(): F.one}}, Q, P)
         rows.append(FreeModuleElement(phi.source, {(l, w): c for l, t in acc.items() for w, c in t.items()}))
     return weak_basis([r for r in rows if not r.is_zero()], ambient=phi.source)

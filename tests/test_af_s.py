@@ -281,6 +281,20 @@ def test_json_round_trip():
     assert AFMatrix.from_json(loose) == a
 
 
+def test_from_json_builds_the_constructors_matrix():
+    # read entries are canonical already, so from_json skips the
+    # constructor's second coercion; values and types are the constructor's
+    for field, texts in ((QQ, ["5/3", "-6/3", "2/4", "0", "-1/2", "7"]), (GF(7), ["1/2", "9", "-3", "0", "13", "6"])):
+        for d, level in ((2, 2), (3, 1), (1, 4)):
+            n = d**level
+            entries = [[i, (3 * i + 1) % n, texts[i % len(texts)]] for i in range(n)]
+            dense = [[field.zero] * n for _ in range(n)]
+            for i, j, text in entries:
+                dense[i][j] = field.from_str(text)
+            got = AFMatrix.from_json({"d": d, "level": level, "entries": entries}, field)
+            assert_same_matrix(got, AFMatrix(d, level, dense, field))
+
+
 def test_gf_field_support():
     F = GF(5)
     a = AFMatrix(2, 1, [[1, 2], [3, 4]], F)

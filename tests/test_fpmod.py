@@ -17,6 +17,7 @@ from letter_matrix_oracle import mult_bijective as oracle_mult_bijective
 from std_basis_oracle import std_basis as oracle_std_basis
 from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
 from torsion_oracle import torsion as oracle_torsion
+from torsion_recursion_oracle import torsion as oracle_torsion_recursion
 
 import freeproj
 from freeproj import FreeAlgebra, FpModule, fpmod
@@ -506,6 +507,87 @@ def test_torsion_matches_word_product_oracle_on_battery():
     ]
     dims = [assert_torsion_matches_oracle(M) for M in mods]
     assert sum(dim > 0 for dim in dims) >= 4
+
+
+def typed_torsion(tors):
+    """A Torsion with dict key order and value types made visible."""
+    gens = [[(mon, type(c), c) for mon, c in g.terms.items()] for g in tors.generators]
+    return list(tors.by_degree.items()), tors.dimension, gens
+
+
+def assert_torsion_matches_recursion(M):
+    """M.torsion() equals the one-letter recursion's, on fresh copies of M;
+    returns (t0 > 0, dimension)."""
+    got = FpModule(M.F0, M.relations).torsion()
+    want = oracle_torsion_recursion(FpModule(M.F0, M.relations))
+    assert typed_torsion(got) == typed_torsion(want)
+    return M.stable_profile().t0 > 0, got.dimension
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(presented_modules(fractions=True))
+def test_torsion_matches_recursion_oracle(M):
+    assert_torsion_matches_recursion(M)
+
+
+def test_torsion_matches_recursion_oracle_on_battery():
+    # every branch: no torsion, certified on words over several degrees or
+    # by a rank; torsion under a free tail (the recursion runs); all
+    # torsion (t0 = 0)
+    A2, A3 = FreeAlgebra(2), FreeAlgebra(3, GF(5))
+    x0, x1 = A2.gen(0), A2.gen(1)
+    mods = letter_battery() + [
+        FpModule.cyclic(A2, [x0 * x0 * x0 * x0]),
+        FpModule.cyclic(A2, [x1 * x1, x0 * x1 + x0 * x0]),
+        FpModule.residue(A3).shift(-1).direct_sum(FpModule.free(A3, [0])),
+        parse_presentation("field: QQ\nd: 2\ngens: [0, 2]\nrels:\n0, x0\n0, x1\n").module(),
+        FpModule.free(FreeAlgebra(1), [0, 1]),
+    ]
+    kinds = [assert_torsion_matches_recursion(M) for M in mods]
+    assert (True, 0) in kinds
+    assert any(free and dim for free, dim in kinds)
+    assert any(not free for free, _ in kinds)
+
+
+def count_calls(monkeypatch, module, names) -> dict:
+    """{name: calls so far} for functions of a module, counted from now."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_zero_torsion_is_certified_without_elimination(monkeypatch):
+    calls = count_calls(monkeypatch, fpmod, ["rank", "row_reduce"])
+    A2 = FreeAlgebra(2)
+    x0, x1 = A2.gen(0), A2.gen(1)
+    # R/R x0^4: i0 = 4 and t0 = 15, no torsion.  Every standard word keeps
+    # a letter, so degrees 3..0 pass on words alone: no rank, no letter
+    # matrix below the profile's, no row_reduce with a transform
+    M = FpModule.cyclic(A2, [x0 * x0 * x0 * x0])
+    assert (M.stable_profile().i0, M.stable_profile().t0) == (4, 15)
+    before, profile_ranks = set(M._letter_cache), calls["rank"]
+    tors = M.torsion()
+    assert (tors.by_degree, tors.generators, tors.dimension) == ({}, (), 0)
+    assert calls == {"rank": profile_ranks, "row_reduce": 0} and set(M._letter_cache) == before
+    # R/(x1 x1, x0 x1 + x0 x0): both products of x1 are leading words, so
+    # degree 1 takes the rank, which is full (x0 * x1 = -x0 * x0 is not 0)
+    N = FpModule.cyclic(A2, [x1 * x1, x0 * x1 + x0 * x0])
+    assert N.stable_profile().i0 == 2
+    ranks = calls["rank"]
+    assert N.torsion().dimension == 0
+    assert calls == {"rank": ranks + 1, "row_reduce": 0}
+    # one degree with a kernel sends the whole walk to the recursion
+    k = FpModule.residue(A2).shift(-2).direct_sum(M)
+    assert k.torsion().by_degree == {j: int(j == 2) for j in range(4)}
+    assert calls["row_reduce"] == 4
 
 
 def test_morphism_matrix_cache_matches_fresh_morphism():

@@ -62,6 +62,10 @@ for _name in ("letterq", "d3", "two"):
 CASES["profile-cap2-d3"] = ["--degree-cap", "2", "profile", "d3.pres"]
 # R/R_{>=6} at d = 2: 64 monomial relations through the weak algorithm
 CASES["torsion-ge6"] = ["torsion", "ge6.pres"]
+# R/R x0^4 at d = 2: no torsion, i0 = 4 and t0 = 15, so the zero-torsion
+# rank check runs over degrees 3, 2, 1 and 0
+for _command in ("torsion", "profile"):
+    CASES[f"{_command}-x04"] = [_command, "x04.pres"]
 
 
 @pytest.fixture(scope="module")

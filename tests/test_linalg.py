@@ -352,6 +352,28 @@ def test_dense_mul_matches_triple_loop():
             assert dense_mul(field, A, B) == triple_loop_mul(field, A, B)
 
 
+def test_dense_mul_skips_zero_columns_of_b(monkeypatch):
+    # columns of B that are zero give the int 0 with no column lifted or
+    # dotted; the rest are the canonical values of the field's own products
+    seen = []
+    real = linalg._integer_vector
+    monkeypatch.setattr(linalg, "_integer_vector", lambda v: seen.append(tuple(v)) or real(v))
+    rng = random.Random(29)
+    fractions = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+    for field, draw in ((QQ, lambda: QQ.coerce(rng.choice(fractions))),
+                        (GF(7), lambda: rng.randrange(7))):
+        for n, k, m in ((3, 4, 6), (2, 2, 8), (1, 3, 1), (4, 1, 5)):
+            A = [[draw() for _ in range(k)] for _ in range(n)]
+            B = [[draw() for _ in range(m)] for _ in range(k)]
+            dead = set(rng.sample(range(m), rng.randint(1, m)))
+            B = [[field.zero if j in dead else v for j, v in enumerate(row)] for row in B]
+            got = dense_mul(field, A, B)
+            want = [[field.coerce(v) for v in row] for row in triple_loop_mul(field, A, B)]
+            assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
+            assert all(row[j] == 0 and type(row[j]) is int for row in got for j in dead)
+    assert seen and not any(v and not any(v) for v in seen)
+
+
 def test_generalized_inverse():
     rng = random.Random(3)
     for field in (QQ, GF(10007)):

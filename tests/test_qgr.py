@@ -1,7 +1,13 @@
 from fractions import Fraction
 
+import hypothesis
 import pytest
 from section_oracle import section_matrices as oracle_section_matrices
+from section_oracle import solve_split_sequence
+from test_fpmod import count_calls, typed_rows
+from test_submodules import module_maps
+
+from freeproj import qgr
 
 from freeproj import FreeAlgebra, FpModule
 from freeproj.af_s import AFMatrix
@@ -280,7 +286,9 @@ def test_split_random_sequences(A2):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_sections_match_word_level_oracle(field, d):
-    # the one-letter recursion and the word-level loop give equal matrices
+    # the one-letter recursion and the word-level loop give equal matrices,
+    # in value: their rows may list columns in another order, and
+    # test_sections_match_solve_oracle holds the key order
     A = FreeAlgebra(d, field)
     rng = make_rng(100 + d)
     for _ in range(15):
@@ -289,6 +297,57 @@ def test_sections_match_word_level_oracle(field, d):
         for i in (i0, i0 + 1):
             sec = split_sequence(f, g, i, degrees=3)
             assert sec.matrices == oracle_section_matrices(g, i, degrees=3)
+
+
+def typed_matrices(matrices):
+    """{j: sigma_j} with shapes, row key order and value types made visible;
+    SparseMatrix == compares rows as dicts, which ignores key order."""
+    return [(j, m.nrows, m.ncols, typed_rows(m)) for j, m in matrices.items()]
+
+
+def sequence_of(phi):
+    """0 -> ker phi -> M -> M / ker phi -> 0 with M free on phi's source, as
+    `bench/ops.py` builds it for sections; None when the kernel is zero."""
+    K = kernel(phi)
+    if not K.elements:
+        return None
+    A, S = phi.source.algebra, phi.source
+    M, N = FpModule(S, []), FpModule(S, list(K.elements))
+    L = FpModule(A.free_module(list(K.degrees())), [])
+    f = FpModuleMorphism(L, M, ModuleMap(L.F0, S, [b.polys() for b in K.elements]))
+    return f, FpModuleMorphism(M, N, ModuleMap.identity(S))
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(module_maps())
+def test_sections_match_solve_oracle(phi):
+    # QQ with fractions and GF(7), d = 1..3; the oracle gets fresh modules
+    seq = sequence_of(phi)
+    hypothesis.assume(seq is not None)
+    i0 = seq[1].target.stable_profile().i0
+    for i in (i0, i0 + 1):
+        got = split_sequence(*seq, i, degrees=3)
+        want = solve_split_sequence(*sequence_of(phi), i, degrees=3)
+        assert typed_matrices(got.matrices) == typed_matrices(want.matrices)
+        assert got.verify()
+
+
+def test_free_tail_lifts_solve_nothing(monkeypatch):
+    # N = (R + R(-2)) / R (x0 x0, -1), the image R of e0 -> 1, e1 -> x0 x0:
+    # i0 = 0 below its free bound 2, so degrees j with j - 1 < 2 solve and
+    # the rest are read off the layout
+    calls = count_calls(monkeypatch, qgr, ["solve_left"])
+    A2 = FreeAlgebra(2)
+    x0 = A2.gen(0)
+    S = A2.free_module([0, 2])
+    phi = ModuleMap(S, A2.free_module([0]), [[A2.one()], [x0 * x0]])
+    f, g = sequence_of(phi)
+    N = g.target
+    assert (N.stable_profile().i0, N._free_bound()) == (0, 2)
+    sec = split_sequence(f, g, 0, degrees=4)
+    assert sec.verify()
+    assert calls["solve_left"] == 3
+    assert typed_matrices(sec.matrices) == typed_matrices(solve_split_sequence(*sequence_of(phi), 0, 4).matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hypothesis
+import hypothesis.strategies as st
 
 from freeproj import FpModule, FreeAlgebra, kernel, weak_basis
 from freeproj.fields import GF, QQ
@@ -6,10 +7,11 @@ from freeproj.freealg import ModuleMap, NcPoly
 from freeproj.randgen import make_rng, random_module_map
 from freeproj.submodules import _find_reducer, _full_reduce
 
+import cofactor_oracle
 from conftest import span_dim
 from random_elements import random_module_element
 from std_basis_oracle import find_reducer_by_scan
-from test_fpmod import presented_modules
+from test_fpmod import coefficients, draw_element, presented_modules
 
 
 def poly_mul(elem, p):
@@ -23,8 +25,8 @@ def poly_mul(elem, p):
 def rebuilt(B, g):
     """sum q_i * basis_i over the cofactors of g that `kernel` reads from its
     reduction, which must reduce g to zero."""
-    nf, uses = _full_reduce(g, B.elements, B._by_coord)
-    assert nf.is_zero()
+    uses = {}
+    assert _full_reduce(g, B.elements, B._by_coord, uses).is_zero()
     acc = B.ambient.element({})
     for i, q in uses.items():
         acc = acc + poly_mul(B.elements[i], NcPoly(B.ambient.algebra, q))
@@ -84,8 +86,10 @@ def test_weak_basis_transformations(A2):
             random_module_element(rng, R, rng.randint(1, 3))
             for _ in range(rng.randint(1, 4))
         ]
-        B = weak_basis(gens, ambient=R)
-        # from_generators: every basis element is a combination of the inputs
+        # from_generators, built on the path `kernel` takes: every basis
+        # element is a combination of the inputs
+        B = weak_basis(gens, ambient=R, _cofactors=True)
+        assert weak_basis(gens, ambient=R).from_generators is None
         for b, row in zip(B.elements, B.from_generators):
             acc = R.element({})
             for i, p in row.items():
@@ -329,3 +333,74 @@ def test_weak_basis_multicoordinate_ambient(A2):
     assert B.reduce(g1).is_zero() and B.reduce(g2).is_zero()
     for j in range(1, 6):
         assert span_dim([g1, g2], j) == B.submodule_dim(j)
+
+
+# ---------------------------------------------------------------------------
+# against the weak algorithm that built cofactors for every basis
+
+
+def typed_element(e):
+    """A module element's terms with key order and value types made visible."""
+    return [(mon, type(c), c) for mon, c in e.terms.items()]
+
+
+def typed_basis(B):
+    """A FreeBasis's elements, lead index and degrees, key order and value
+    types made visible."""
+    index = [(alpha, list(leads.items())) for alpha, leads in B._by_coord.items()]
+    return [typed_element(b) for b in B.elements], index, B.degrees()
+
+
+def typed_uses(uses):
+    """Cofactors {index: {word: coef}} with key order and value types made visible."""
+    return [(i, [(w, type(c), c) for w, c in q.items()]) for i, q in uses.items()]
+
+
+def typed_cofactors(B):
+    return [typed_uses({i: p.terms for i, p in row.items()}) for row in B.from_generators]
+
+
+@st.composite
+def module_maps(draw):
+    """A ModuleMap over QQ (with fractions) or GF(7), d = 1..3, from 1-4
+    generators of shift 0..3 to 1-2 generators of shift 0..2; some rows zero."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    A = FreeAlgebra(draw(st.integers(1, 3)), field)
+    src = A.free_module(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    tgt = A.free_module(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)))
+    coef = coefficients(field, fractions=True)
+    return ModuleMap(src, tgt, [draw_element(draw, tgt, b, coef).polys() for b in src.shifts])
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(presented_modules(fractions=True), st.data())
+def test_relation_basis_and_reduce_match_cofactor_oracle(M, data):
+    B = FpModule(M.F0, M.relations).relation_basis()
+    want = cofactor_oracle.weak_basis(M.relations, ambient=M.F0)
+    assert typed_basis(B) == typed_basis(want)
+    assert B.from_generators is None
+    # with cofactors, as `kernel` builds it, the rows are the oracle's too
+    C = weak_basis(M.relations, ambient=M.F0, _cofactors=True)
+    assert typed_basis(C) == typed_basis(want)
+    assert typed_cofactors(C) == typed_cofactors(want)
+    coef = coefficients(M.algebra.field, fractions=True)
+    for _ in range(3):
+        e = draw_element(data.draw, M.F0, data.draw(st.integers(M.min_degree, M.min_degree + 4)), coef)
+        nf, uses = cofactor_oracle._full_reduce(e, want.elements, want._by_coord)
+        got_uses = {}
+        assert typed_element(B.reduce(e)) == typed_element(nf)
+        assert typed_element(_full_reduce(e, B.elements, B._by_coord, got_uses)) == typed_element(nf)
+        assert typed_uses(got_uses) == typed_uses(uses)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(module_maps())
+def test_kernel_matches_cofactor_oracle(phi):
+    K, want = kernel(phi), cofactor_oracle.kernel(phi)
+    assert typed_basis(K) == typed_basis(want)
+    assert K.from_generators is None
+    images = phi.row_elements()
+    first = weak_basis(images, ambient=phi.target, _cofactors=True)
+    want_first = cofactor_oracle.weak_basis(images, ambient=phi.target)
+    assert typed_basis(first) == typed_basis(want_first)
+    assert typed_cofactors(first) == typed_cofactors(want_first)
