@@ -184,7 +184,7 @@ class PrimeField:
     def invert(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in " + self.name)
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return (a * self.invert(b)) % self.p

@@ -55,3 +55,16 @@ def row_reduce(mat: SparseMatrix, want_transform=False):
         pivots.append((r, c))
         r += 1
     return pivots, work, trans
+
+
+def generalized_inverse(field, A):
+    """X with A*X*A = A as the sparse kernel built it before GF(p) rows were
+    packed: row c of X is the transform row of the pivot in column c, every
+    other row zero.  The oracle of `freeproj.linalg.generalized_inverse`."""
+    mat = SparseMatrix.from_dense(field, A)
+    pivots, _, trans = row_reduce(mat, want_transform=True)
+    X = [[field.zero] * mat.nrows for _ in range(mat.ncols)]
+    for r, c in pivots:
+        for j, v in trans[r].items():
+            X[c][j] = v
+    return X

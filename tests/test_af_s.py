@@ -8,6 +8,7 @@ import pytest
 from af_oracle import canonical as oracle_canonical
 from af_oracle import embed as oracle_embed
 from af_oracle import mul as oracle_mul
+from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 
 from freeproj.af_s import AFMatrix, word_rank, word_unrank
 from freeproj.errors import LevelDecrease, NotIdempotent, ZeroElement
@@ -407,6 +408,27 @@ def test_vn_regular_witness_entries_are_canonical(field):
             x = a.vn_regular_witness()
             assert_same_matrix(x, AFMatrix(d, level, x.entries, field))
             assert a * x * a == a
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    st.sampled_from([(1, 0), (1, 4), (2, 0), (2, 1), (2, 3), (2, 5), (3, 1), (3, 3)]),
+    st.sampled_from([2, 3, 7, 10007, 2**31 - 1, 2**61 - 1, 3317044064679887385961813]),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_gfp_witness_matches_sparse_kernel(shape, p, rng, deficient):
+    # the packed GF(p) witness equals the sparse kernel's, at d = 1 too
+    (d, level), field = shape, GF(p)
+    n = d**level
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    if deficient:
+        rows[-1] = [field.sub(2 * u, v) for u, v in zip(rows[0], rows[n // 2])]
+    a = AFMatrix(d, level, rows, field)
+    x = a.vn_regular_witness()
+    want = oracle_generalized_inverse(field, [list(row) for row in a.entries])
+    assert [[(type(v), v) for v in row] for row in x.entries] == [[(type(v), v) for v in row] for row in want]
+    assert a * x * a == a
 
 
 def test_integral_products_of_fractions_are_ints():

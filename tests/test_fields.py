@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -62,6 +63,23 @@ def test_gf_inverses_total_on_nonzero():
         assert F.mul(a, F.invert(a)) == 1
     with pytest.raises(ZeroDivisionError):
         F.invert(0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007, 2**61 - 1, 3317044064679887385961813])
+def test_gf_invert_matches_fermat(p):
+    F = GF(p)
+    rng = random.Random(p)
+    for a in [1, p - 1, *(rng.randrange(1, p) for _ in range(50))]:
+        assert F.invert(a) == pow(a, p - 2, p)
+        assert F.invert(a + 3 * p) == F.invert(-(p - a)) == pow(a, p - 2, p)
+    for zero in (0, p, -2 * p):
+        with pytest.raises(ZeroDivisionError):
+            F.invert(zero)
+
+
+def test_largest_prime_below_the_bound():
+    top = 3317044064679887385961813
+    assert is_prime(top) and not any(is_prime(n) for n in range(top + 1, PRIME_BOUND))
 
 
 def test_gf_requires_prime():

@@ -50,6 +50,10 @@ for _field in ("QQ", "GF:7"):
         CASES[f"s-calc-mul-{_a}-{_b}-{_tag}"] = ["--field", _field, "s-calc", "mul", f"{_a}.json", f"{_b}.json"]
     for _name in ("one", "idem"):
         CASES[f"s-calc-k0-{_name}-{_tag}"] = ["--field", _field, "s-calc", "k0", f"{_name}.json"]
+# a dense side-27 witness (d = 3, level 3): packed GF(p) rows in 64-bit slots
+# at p = 10007 and in wide slots at the largest prime below PRIME_BOUND
+for _field in ("QQ", "GF:10007", "GF:3317044064679887385961813"):
+    CASES[f"s-calc-regular-dense27-{_field.replace(':', '')}"] = ["--field", _field, "s-calc", "regular", "dense27.json"]
 # s-algebra (criterion 7) takes seconds; test_acceptance and the full-suite
 # comparison cover it
 for _suite in ("hilbert", "truncation", "profiles", "splitting", "decomposition", "k0",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
+from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 from row_reduce_oracle import row_axpy as oracle_row_axpy
 from row_reduce_oracle import row_reduce as oracle_row_reduce
 
@@ -389,6 +390,57 @@ def test_generalized_inverse():
             x = generalized_inverse(field, a)
             assert len(x) == len(a[0]) and len(x[0]) == len(a)
             assert dense_mul(field, dense_mul(field, a, x), a) == a
+
+
+# 2^31 - 1 takes 64-bit slots up to 3 pivots and wide ones from 4, the two
+# after it always take wide ones; the last is the largest prime below
+# fields.PRIME_BOUND
+PACKED_PRIMES = (2, 3, 7, 10007, 2**31 - 1, 2**61 - 1, 3317044064679887385961813)
+
+
+@st.composite
+def witness_cases(draw):
+    """(field, A) over a prime of PACKED_PRIMES with 1-40 rows and columns:
+    full rank (almost surely, at the large primes), rank-deficient, zero, a
+    permutation or a single entry."""
+    p = draw(st.sampled_from(PACKED_PRIMES))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("full", "deficient", "zero", "permutation", "single")))
+    rng = draw(st.randoms(use_true_random=False))
+    field = GF(p)
+    if kind == "full":
+        A = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+    elif kind == "deficient" and min(n, m) > 1:
+        # through a space of dimension k < min(n, m); below 2 it is zero
+        k = rng.randrange(1, min(n, m))
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+        A = dense_mul(field, left, [[rng.randrange(p) for _ in range(m)] for _ in range(k)])
+    elif kind == "permutation":
+        A = [[int(j == i) for j in range(n)] for i in rng.sample(range(n), n)]
+    else:
+        A = [[0] * m for _ in range(n)]
+        if kind == "single":
+            A[rng.randrange(n)][rng.randrange(m)] = rng.randrange(1, p)
+    return field, A
+
+
+def test_packed_witness_matches_sparse_kernel(monkeypatch):
+    widths = set()
+    pack = linalg._pack
+    monkeypatch.setattr(linalg, "_pack", lambda values, width: widths.add(width) or pack(values, width))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(witness_cases())
+    def check(case):
+        field, A = case
+        x = generalized_inverse(field, A)
+        want = oracle_generalized_inverse(field, A)
+        assert [[(type(v), v) for v in row] for row in x] == [[(type(v), v) for v in row] for row in want]
+        assert dense_mul(field, dense_mul(field, A, x), A) == A
+
+    check()
+    # 64-bit slots (array('Q')) and wide ones both ran
+    assert 8 in widths and max(widths) > 8, widths
 
 
 @st.composite
