@@ -15,11 +15,10 @@ ints 0..p-1 over GF(p)).  The constructor coerces them, as do
 `matrix_unit`, `scalar` and `+` through it; `from_json` reads each entry
 with the field's `from_str`, `embed` and `canonical` slice canonical
 entries, `scale` coerces each product itself, `*` takes the `dense_mul` of
-canonical forms and the vN witness places the pivot transform rows of
-`generalized_inverse` (packed rows over GF(p), `row_reduce` over QQ), so
-they skip the constructor via `_from_canonical`.  A
-product never embeds: a lower-level factor acts on each diagonal block of
-the other, N^2 n products for canonical sides N >= n.
+canonical forms and the vN witness is `generalized_inverse`'s, so they
+skip the constructor via `_from_canonical`.  A product never embeds: a
+lower-level factor acts on each diagonal block of the other, N^2 n
+products for canonical sides N >= n.
 """
 
 from __future__ import annotations
@@ -201,9 +200,7 @@ class AFMatrix:
         is the transform row of the pivot in column c, all other rows zero.
         a*Q is the pivot columns of a and C writes every column of a over
         them, so a*x*a = (a*Q)*C = a.  The elimination's values are
-        canonical, so x skips the constructor's coercion.  Over GF(p) the
-        rows are packed into ints (`linalg.generalized_inverse`), over QQ
-        they stay sparse, as Bareiss's minors fit no fixed slot.
+        canonical, so x skips the constructor's coercion.
         """
         x = generalized_inverse(self.field, self.entries)
         return AFMatrix._from_canonical(self.d, self.level, tuple(map(tuple, x)), self.field)

@@ -1,9 +1,8 @@
 """Exact linear algebra over a coefficient field.
 
-One sparse kernel does the elimination of every sparse matrix and of the
-QQ witness: `row_reduce`, exact Gauss-Jordan (on field values over GF(p),
-on integer rows over QQ), optionally recording the transform T with
-T*A = RREF(A).  A column index (column -> row positions
+One kernel does all the elimination: `row_reduce`, exact Gauss-Jordan
+(on field values over GF(p), on integer rows over QQ), optionally recording
+the transform T with T*A = RREF(A).  A column index (column -> row positions
 that may hold a nonzero there) lets it find each pivot and clear each column
 by visiting only the rows that hold it, not every row; the matrices of
 degreewise module maps are close to permutation matrices, with a few entries
@@ -13,11 +12,8 @@ per column.  Everything else is a view of it:
   rows with a single entry and drops those columns from the other rows, so
   only that residue is eliminated, and with no end pass over QQ;
 * `solve_left` reduces each target against the pivot rows;
-* `generalized_inverse` places the pivot transform rows at the pivot
-  columns.  Over GF(p) it eliminates packed rows instead (`_packed_inverse`:
-  one int per row, one bigint multiply-add per row update) with this
-  kernel's pivots and values; QQ rows stay here, as Bareiss's minors fit
-  no fixed slot.
+* `generalized_inverse` places the pivot transform rows at the pivot columns;
+  a dense GF(p) matrix alone is eliminated on packed rows instead.
 
 Over QQ the field's arithmetic builds a `Fraction`, with a gcd, at every
 step, and the denominators of a dense elimination grow to many digits.  So
@@ -54,8 +50,7 @@ v -> v*A, so kernels are left kernels {v : v*A = 0}.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter, mul
@@ -442,12 +437,13 @@ def generalized_inverse(field, A):
     selecting the pivot columns.  Then A*X*A = (A*Q)*C = A, because A*Q
     holds the pivot columns of A and C expresses every column over them.
 
-    Over GF(p) it runs on packed rows (`_packed_inverse`, slots of
-    k*(p-1)^2 + p) with `row_reduce`'s pivots, so X is the same value for
-    value.  Over QQ it is `row_reduce`'s: packed Bareiss rows need slots of
-    a Hadamard bound, and lost from side 64 up.
+    A GF(p) matrix with at least half its entries nonzero is eliminated on
+    packed rows instead (`_packed_inverse`), to the same X.  That reads n*m
+    slots whatever the zeros, so a sparser matrix, which may not fill in (a
+    side-256 permutation: 4 ms here, 80 ms packed), stays here.  Over QQ,
+    packed Bareiss rows need Hadamard-bound slots and lost from side 64 up.
     """
-    if field.characteristic:
+    if field.characteristic and 2 * sum(row.count(0) for row in A) <= sum(map(len, A)):
         return _packed_inverse(field, A)
     mat = SparseMatrix.from_dense(field, A)
     pivots, _, trans = row_reduce(mat, want_transform=True)
@@ -462,18 +458,16 @@ def _packed_inverse(field, A):
     """`generalized_inverse` over GF(p) of canonical values, eliminating
     [A | I] on packed rows.
 
-    Row i is one nonnegative int with a slot of B bits per column, column c
-    in bits [B*c, B*(c+1)).  A clear by the pivot row P (reduced, pivot 1)
-    is one bigint multiply-add, R += (p - a)*P, with no reduction mod p: it
-    adds less than (p-1)^2 to each slot and sets slot c to 0 mod p.  A row
-    takes at most k = min(rows, cols) clears after its last reduction, so
-    its slots stay below k*(p-1)^2 + p, and B is that bound's bit length
+    Row i is one int with a B-bit slot per column, column c at bit B*c.  A
+    clear by the reduced pivot row P (pivot 1) is one bigint multiply-add,
+    R += (p - a)*P, with no mod p: it adds less than (p-1)^2 to each slot
+    and sets slot c to 0 mod p.  A row takes at most k = min(rows, cols)
+    clears between reductions, so B is the bit length of k*(p-1)^2 + p
     rounded up to a multiple of 64 (delayed reduction: Dumas, Giorgi and
-    Pernet, "FFLAS and FFPACK", ACM TOMS 35, 2008; packing: Dumas, Fousse
-    and Salvy, J. Symb. Comput. 46, 2011).  A row is reduced mod p only
-    when it becomes the pivot, and the pivot rows' transform slots at the
-    end.  Pivots follow `row_reduce`: columns ascending, the least row >= r
-    nonzero mod p, swapped with row r.
+    Pernet, ACM TOMS 35, 2008; packing: Dumas, Fousse and Salvy, J. Symb.
+    Comput. 46, 2011).  A row is reduced when it becomes the pivot, and the
+    pivot rows' transform slots at the end.  Pivots follow `row_reduce`:
+    columns ascending, the least row >= r nonzero mod p, swapped with row r.
     """
     p = field.characteristic
     n, m = len(A), len(A[0]) if A else 0
@@ -504,13 +498,9 @@ def _packed_inverse(field, A):
 
 
 def _pack(values, width: int) -> int:
-    """The int with values[j] in bytes [width*j, width*(j+1)), little-endian;
-    64-bit slots go through array('Q')."""
+    """The int with values[j] in bytes [width*j, width*(j+1)), little-endian."""
     if width == 8:
-        words = array("Q", values)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        return int.from_bytes(words, "little")
+        return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
     return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
@@ -518,11 +508,5 @@ def _unpack(row: int, count: int, width: int):
     """The first count slots of a packed row, as `_pack` lays them out."""
     data = row.to_bytes(width * count, "little")
     if width == 8:
-        words = array("Q", data)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        return words
+        return struct.unpack(f"<{count}Q", data)
     return [int.from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
-
-
-_BIG_ENDIAN = sys.byteorder == "big"

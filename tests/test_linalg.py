@@ -401,15 +401,19 @@ PACKED_PRIMES = (2, 3, 7, 10007, 2**31 - 1, 2**61 - 1, 3317044064679887385961813
 @st.composite
 def witness_cases(draw):
     """(field, A) over a prime of PACKED_PRIMES with 1-40 rows and columns:
-    full rank (almost surely, at the large primes), rank-deficient, zero, a
-    permutation or a single entry."""
+    full rank (almost surely, at the large primes), rank-deficient, sparse
+    (1-60% of entries drawn, which fill in), zero, a permutation or a single
+    entry."""
     p = draw(st.sampled_from(PACKED_PRIMES))
     n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(("full", "deficient", "zero", "permutation", "single")))
+    kind = draw(st.sampled_from(("full", "deficient", "sparse", "zero", "permutation", "single")))
     rng = draw(st.randoms(use_true_random=False))
     field = GF(p)
     if kind == "full":
         A = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+    elif kind == "sparse":
+        density = rng.uniform(0.01, 0.6)
+        A = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
     elif kind == "deficient" and min(n, m) > 1:
         # through a space of dimension k < min(n, m); below 2 it is zero
         k = rng.randrange(1, min(n, m))
@@ -432,15 +436,32 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(witness_cases())
     def check(case):
+        # the packed elimination on every kind, and the kernel
+        # generalized_inverse picks for it
         field, A = case
-        x = generalized_inverse(field, A)
-        want = oracle_generalized_inverse(field, A)
-        assert [[(type(v), v) for v in row] for row in x] == [[(type(v), v) for v in row] for row in want]
-        assert dense_mul(field, dense_mul(field, A, x), A) == A
+        want = [[(type(v), v) for v in row] for row in oracle_generalized_inverse(field, A)]
+        for x in (linalg._packed_inverse(field, A), generalized_inverse(field, A)):
+            assert [[(type(v), v) for v in row] for row in x] == want
+            assert dense_mul(field, dense_mul(field, A, x), A) == A
 
     check()
-    # 64-bit slots (array('Q')) and wide ones both ran
+    # 64-bit slots and wide ones both ran
     assert 8 in widths and max(widths) > 8, widths
+
+
+def test_generalized_inverse_packs_only_half_nonzero_gfp(monkeypatch):
+    packed = []
+    inverse = linalg._packed_inverse
+    monkeypatch.setattr(linalg, "_packed_inverse", lambda field, A: packed.append(A) or inverse(field, A))
+    half = [[1, 0, 2, 0], [0, 3, 0, 4], [5, 6, 0, 0], [0, 0, 1, 1]]
+    below = [row[:] for row in half]
+    below[3][3] = 0
+    permutation = [[int(j == (3 * i + 1) % 4) for j in range(4)] for i in range(4)]
+    for field, A, want in ((GF(7), half, True), (GF(7), below, False), (GF(7), permutation, False), (QQ, half, False)):
+        packed.clear()
+        x = generalized_inverse(field, A)
+        assert bool(packed) is want, (field, A)
+        assert x == oracle_generalized_inverse(field, A)
 
 
 @st.composite
