@@ -390,6 +390,7 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except ParseError as exc:
+        print(json.dumps({"error": str(exc), "kind": "parse"}))
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()

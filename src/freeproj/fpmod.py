@@ -460,12 +460,19 @@ class FpModule:
         hj, d, index = self.hilbert(j), self.algebra.d, self._std_index(j + 1)
         if all(any((alpha, (a,) + w) in index for a in range(d)) for alpha, w in self.std_basis(j)):
             return True
-        n = self.hilbert(j + 1)
-        rows = [{} for _ in range(hj)]
+        return rank(self._letters_side_by_side(j)) == hj
+
+    def _letters_side_by_side(self, j: int, Q: SparseMatrix | None = None) -> SparseMatrix:
+        """The d letter matrices out of M_j, each times Q when Q is given,
+        side by side as column blocks: row k is (x_a * m_k)_a."""
+        d = self.algebra.d
+        n = self.hilbert(j + 1) if Q is None else Q.ncols
+        rows = [{} for _ in range(self.hilbert(j))]
         for a in range(d):
-            for row, part in zip(rows, self.letter_matrix(a, j).rows):
+            block = self.letter_matrix(a, j) if Q is None else self.letter_matrix(a, j).mul(Q)
+            for row, part in zip(rows, block.rows):
                 row.update((a * n + c, v) for c, v in part.items())
-        return rank(SparseMatrix(self.algebra.field, hj, d * n, rows)) == hj
+        return SparseMatrix(self.algebra.field, len(rows), d * n, rows)
 
     def torsion(self) -> Torsion:
         """The largest finite-dimensional graded submodule, by the one-letter
@@ -476,7 +483,7 @@ class FpModule:
         recursion."""
         profile = self.stable_profile()
         i0 = profile.i0
-        F, d = self.algebra.field, self.algebra.d
+        F = self.algebra.field
         if profile.t0 == 0:
             kernels = [(j, [{k: F.one} for k in range(self.hilbert(j))]) for j in range(self.min_degree, i0)]
         elif all(self._letters_injective(j) for j in range(i0 - 1, self.min_degree - 1, -1)):
@@ -485,15 +492,12 @@ class FpModule:
             Q = SparseMatrix.identity(F, self.hilbert(i0))
             kernels = []
             for j in range(i0 - 1, self.min_degree - 1, -1):
-                n = Q.ncols
-                rows = [{} for _ in range(self.hilbert(j))]
-                for a in range(d):
-                    for row, part in zip(rows, self.letter_matrix(a, j).mul(Q).rows):
-                        row.update((a * n + c, v) for c, v in part.items())
-                pivots, reduced, trans = row_reduce(SparseMatrix(F, len(rows), d * n, rows), want_transform=True)
+                letters = self._letters_side_by_side(j, Q)
+                pivots, reduced, trans = row_reduce(letters, want_transform=True)
                 kernels.append((j, [t for t, r in zip(trans, reduced) if not r]))
                 cols = {c: k for k, (_, c) in enumerate(pivots)}
-                Q = SparseMatrix(F, len(rows), len(cols), [{cols[c]: v for c, v in r.items() if c in cols} for r in rows])
+                Q = SparseMatrix(F, letters.nrows, len(cols),
+                                 [{cols[c]: v for c, v in r.items() if c in cols} for r in letters.rows])
             kernels.reverse()
         gens = [self.element_from_coords(t, j) for j, ker in kernels for t in ker]
         return Torsion({j: len(ker) for j, ker in kernels} if gens else {}, gens)

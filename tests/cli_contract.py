@@ -1,0 +1,257 @@
+"""The CLI contract as one table: each row is one `freeproj` run and what it
+must give.
+
+Run from anywhere, with any Python the package supports:
+
+    python tests/cli_contract.py
+
+It runs every row, prints one line per row with its seconds and peak RSS,
+and exits 1 if any row fails.  `tests/test_cli_contract.py` runs the same
+rows under pytest.  The name has no `test_` prefix, so pytest does not
+collect it, and it needs nothing outside the standard library.
+
+A row runs `python -m freeproj.cli ARGV` with the interpreter that runs this
+file and `src/` of this checkout on the child's PYTHONPATH, in a fresh
+temporary directory that holds the row's input files.  It passes when the
+child exits with the row's code within its timeout, stdout is one JSON
+object with the row's values at their dotted paths (`kind` for a refusal),
+stderr holds no traceback and contains the row's `stderr` text, and the
+command's own peak RSS is under the row's bound.  A timeout of 60 s guards
+against a hang; a shorter one is a bound the command must meet.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import random
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+GOLDEN = ROOT / "tests" / "golden"
+
+# A row's child runs this small program, which spawns the command and
+# writes the command's exit code and peak RSS, both read from its os.wait4
+# status, to the file _WAIT4.  Linux charges a process with the peak RSS of
+# the memory it was exec'd from, so a command spawned straight from a large
+# parent, such as a pytest session, would read at least that parent's peak;
+# spawned from this small one, it reads its own.
+_WAIT4 = ".wait4"
+_SPAWN = f"""\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "freeproj.cli", *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open({_WAIT4!r}, "w") as fh:
+    fh.write(f"{{os.waitstatus_to_exitcode(status)}} {{usage.ru_maxrss}}")
+"""
+
+
+class Case(NamedTuple):
+    """One CLI run and what it must give."""
+
+    id: str
+    argv: tuple
+    code: int  # the exit code
+    expect: dict  # dotted JSON path -> value, such as {"kind": "parse"}
+    timeout: float  # seconds; the child is killed after them
+    files: dict = {}  # file name -> its text, or a function that returns it
+    rss_mb: float | None = None  # bound on the child's peak RSS
+    stderr: str = ""  # text that stderr must contain
+
+
+class Outcome(NamedTuple):
+    pid: int  # the row's child, reaped
+    seconds: float
+    rss_mb: float | None  # the command's peak RSS, None if it did not finish
+    failures: list  # empty when the row passes
+
+
+def _golden(name: str) -> Callable[[], str]:
+    return lambda: (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _dense(side: int, level: int, seed: int) -> Callable[[], str]:
+    """A d = 2 AF file of the given side, every entry a nonzero integer in
+    [-9, 9] drawn by random.Random(seed), row by row."""
+    def text():
+        r = random.Random(seed)
+        entries = [[i, j, str(r.randint(-9, 9) or 1)] for i in range(side) for j in range(side)]
+        return json.dumps({"d": 2, "level": level, "entries": entries})
+    return text
+
+
+def _ge16() -> str:
+    """R/R_{>=16} at d = 2: every word of length 16 is a relation."""
+    words = itertools.product(range(2), repeat=16)
+    return "field: QQ\nd: 2\ngens: [0]\nrels:\n" + "".join(" ".join(f"x{a}" for a in w) + "\n" for w in words)
+
+
+FREE = {"free.pres": _golden("free.pres")}
+LETTERQ = {"letterq.pres": _golden("letterq.pres")}
+E01 = {"e01.json": _golden("e01.json")}
+BIG10 = '{"d": 2, "level": 10, "entries": [[3, 700, "5/3"]]}\n'
+
+CASES = [
+    # acceptance suites
+    Case("verify-hilbert", ("verify", "--suite", "hilbert"), 0, {"result.all_passed": True}, 60),
+    Case("verify-splitting", ("verify", "--suite", "splitting"), 0, {"result.all_passed": True}, 60),
+    # budgets decided from sizes before the work
+    Case("hilbert-digit-budget", ("hilbert", "free.pres", "20000"), 1, {"kind": "BudgetExceeded"}, 60, FREE),
+    Case("decompose-digit-budget", ("decompose", "free.pres", "-20000"), 1, {"kind": "BudgetExceeded"}, 60, FREE),
+    Case("decompose-far-twist", ("decompose", "free.pres", "1000000000000"), 1,
+         {"kind": "NotExpressibleAtTwist"}, 10, FREE),
+    Case("qgr-class-far-shift", ("qgr-class", "far.pres"), 0, {"result.class": {"t": 1, "i": 10**12, "d": 2}}, 10,
+         {"far.pres": "field: QQ\nd: 2\ngens: [1000000000000]\nrels:\n"}),
+    Case("profile-far-spread", ("profile", "spread.pres"), 1, {"kind": "BudgetExceeded"}, 10,
+         {"spread.pres": "field: QQ\nd: 2\ngens: [0, 1000000000000]\nrels:\n"}),
+    Case("profile-word-budget-k20", ("--degree-cap", "1", "profile", "k20.pres"), 1, {"kind": "BudgetExceeded"}, 20,
+         {"k20.pres": "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"}),
+    Case("mul-literal-digits", ("s-calc", "mul", "big.json", "big.json"), 1, {"kind": "BudgetExceeded"}, 60,
+         {"big.json": '{"d": 1, "level": 0, "entries": [[0, 0, "1e4000"]]}\n'}),
+    Case("simplicity-level-cap", ("--level-cap", "7", "s-calc", "simplicity", "u8.json"), 1,
+         {"kind": "BudgetExceeded"}, 10, {"u8.json": '{"d": 2, "level": 8, "entries": [[0, 0, "1"]]}\n'}),
+    # profiles certified past the word budget, in bounded memory
+    Case("profile-cap18", ("--degree-cap", "18", "profile", "letterq.pres"), 0,
+         {"result.profile.certified_through": 18}, 20, LETTERQ, rss_mb=48),
+    Case("profile-cap19", ("--degree-cap", "19", "profile", "letterq.pres"), 0,
+         {"result.profile.certified_through": 19}, 20, LETTERQ),
+    Case("profile-cap30", ("--degree-cap", "30", "profile", "letterq.pres"), 0,
+         {"result.profile.certified_through": 30}, 20, LETTERQ),
+    Case("profile-cap1000", ("--degree-cap", "1000", "profile", "letterq.pres"), 0,
+         {"result.profile.certified_through": 1000}, 20, LETTERQ, rss_mb=48),
+    # torsion
+    Case("torsion-gf5", ("torsion", "gf5.pres"), 0, {"result.dimension": 3}, 60, {"gf5.pres": _golden("gf5.pres")}),
+    Case("torsion-point-beside-r24", ("torsion", "k24.pres"), 0, {"result.dimension": 1}, 10,
+         {"k24.pres": "field: QQ\nd: 2\ngens: [0, 24]\nrels:\nx0, 0\nx1, 0\n"}, rss_mb=48),
+    Case("torsion-x0-power-8", ("torsion", "x08.pres"), 0, {"result.dimension": 0, "result.by_degree": {}}, 20,
+         {"x08.pres": "field: QQ\nd: 2\ngens: [0]\nrels:\nx0 x0 x0 x0 x0 x0 x0 x0\n"}),
+    # limit algebra and Leavitt algebra
+    Case("leavitt-eval", ("leavitt-eval", "x0 x0*"), 0, {"result.text": "1"}, 60),
+    Case("regular-e01", ("s-calc", "regular", "e01.json"), 0, {"result.verified": True}, 60, E01),
+    Case("regular-e01-gf7", ("--field", "GF:7", "s-calc", "regular", "e01.json"), 0,
+         {"result.verified": True}, 60, E01),
+    Case("regular-dense64", ("--level-cap", "6", "s-calc", "regular", "dense64.json"), 0,
+         {"result.verified": True}, 60, {"dense64.json": _dense(64, 6, 64)}),
+    # a one-entry level-10 witness stays on the sparse kernel: 0.45-0.6 s on
+    # a 2-vCPU VM, 4.6 s on packed rows
+    Case("regular-one-entry-level10-gfp", ("--level-cap", "10", "--field", "GF:10007", "s-calc", "regular",
+                                           "one1024.json"), 0, {"result.verified": True}, 3,
+         {"one1024.json": '{"d": 2, "level": 10, "entries": [[700, 300, "5"]]}\n'}),
+    # level-10 products multiply at their own levels
+    Case("mul-level0-by-level10", ("--level-cap", "10", "s-calc", "mul", "two.json", "big.json"), 0,
+         {"result.element": {"d": 2, "entries": [[3, 700, "10/3"]], "level": 10}}, 10,
+         {"two.json": '{"d": 2, "level": 0, "entries": [[0, 0, "2"]]}\n', "big.json": BIG10}),
+    Case("mul-level1-by-level10", ("--level-cap", "10", "s-calc", "mul", "l1.json", "big.json"), 0,
+         {"result.element": {"d": 2, "entries": [[2, 700, "10/3"], [3, 700, "5"]], "level": 10}}, 10,
+         {"l1.json": '{"d": 2, "level": 1, "entries": [[0, 0, "1"], [0, 1, "2"], [1, 0, "-1/2"], [1, 1, "3"]]}\n',
+          "big.json": BIG10}),
+    # parse refusals
+    Case("canonical-huge-literal", ("s-calc", "canonical", "huge.json"), 2, {"kind": "parse"}, 10,
+         {"huge.json": '{"d": 2, "level": 1, "entries": [[0, 0, "1e300000000"]]}\n'}),
+    Case("profile-repeated-header", ("profile", "twice.pres"), 2, {"kind": "parse"}, 60,
+         {"twice.pres": "field: QQ\nd: 2\nd: 3\ngens: [0]\nrels:\n"}),
+    Case("canonical-fractional-level", ("s-calc", "canonical", "frac.json"), 2, {"kind": "parse"}, 60,
+         {"frac.json": '{"d": 2, "level": 1.5, "entries": []}\n'}),
+    Case("canonical-underscore-literal", ("s-calc", "canonical", "under.json"), 2, {"kind": "parse"}, 60,
+         {"under.json": '{"d": 1, "level": 0, "entries": [[0, 0, "1_0"]]}\n'}),
+    Case("profile-underscore-shift", ("profile", "typo.pres"), 2, {"kind": "parse"}, 60,
+         {"typo.pres": "field: QQ\nd: 2\ngens: [0_0, 1_1]\nrels:\n"}),
+    # usage errors report on stdout like parse errors
+    Case("usage-underscore-argument", ("hilbert", "free.pres", "1_2"), 2, {"kind": "parse"}, 60, FREE,
+         stderr="must be an integer"),
+    Case("usage-d-zero", ("--d", "0", "leavitt-eval", "x0"), 2, {"kind": "parse"}, 60, stderr="usage error"),
+    Case("usage-unknown-command", ("nope",), 2, {"kind": "parse"}, 60, stderr="usage error"),
+]
+
+SLOW_CASES = [
+    Case("torsion-r-mod-r-ge16", ("torsion", "ge16.pres"), 0, {"result.dimension": 65535}, 60,
+         {"ge16.pres": _ge16}),
+    Case("regular-dense256-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "regular", "dense256.json"),
+         0, {"result.verified": True}, 30, {"dense256.json": _dense(256, 8, 256)}),
+]
+
+
+def _at(report, path: str):
+    for key in path.split("."):
+        report = report[key]
+    return report
+
+
+def run_case(case: Case) -> Outcome:
+    """Run one row in a fresh temporary directory and check it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        for name, text in case.files.items():
+            Path(tmp, name).write_text(text if isinstance(text, str) else text(), encoding="utf-8")
+        start = time.monotonic()
+        proc = subprocess.Popen([sys.executable, "-c", _SPAWN, *case.argv],
+                                stdout=out, stderr=err, cwd=tmp, env=env, start_new_session=True)
+        try:
+            proc.wait(case.timeout)
+        except subprocess.TimeoutExpired:
+            pass
+        finally:
+            killed = proc.returncode is None
+            if killed:  # the timeout passed, or this run was interrupted
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        seconds = time.monotonic() - start
+        if killed:
+            return Outcome(proc.pid, seconds, None, [f"timed out after {case.timeout} s"])
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+        try:
+            code, rss_kb = map(int, Path(tmp, _WAIT4).read_text().split())
+        except FileNotFoundError:
+            return Outcome(proc.pid, seconds, None, [f"the command did not run: {stderr!r}"])
+    rss_mb = rss_kb / 1024  # ru_maxrss is in kilobytes on Linux
+    failures = []
+    if code != case.code:
+        failures.append(f"exit code {code}, expected {case.code}")
+    if "Traceback" in stderr:
+        failures.append(f"traceback on stderr:\n{stderr}")
+    if case.stderr not in stderr:
+        failures.append(f"stderr lacks {case.stderr!r}: {stderr!r}")
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        failures.append(f"stdout is not one JSON object: {stdout[:200]!r}")
+    else:
+        for path, value in case.expect.items():
+            try:
+                found = _at(report, path)
+            except (KeyError, TypeError):
+                failures.append(f"no {path} in {stdout[:200]!r}")
+                continue
+            if found != value:
+                failures.append(f"{path} = {found!r}, expected {value!r}")
+    if case.rss_mb is not None and rss_mb >= case.rss_mb:
+        failures.append(f"peak RSS {rss_mb:.1f} MB, bound {case.rss_mb} MB")
+    return Outcome(proc.pid, seconds, rss_mb, failures)
+
+
+def main() -> int:
+    failed = 0
+    for case in CASES + SLOW_CASES:
+        outcome = run_case(case)
+        failed += bool(outcome.failures)
+        rss = "" if outcome.rss_mb is None else f"{outcome.rss_mb:6.1f} MB"
+        print(f"{'FAIL' if outcome.failures else 'ok':4} {case.id:32} {outcome.seconds:6.2f} s {rss}", flush=True)
+        for failure in outcome.failures:
+            print(f"     {failure}")
+    total = len(CASES) + len(SLOW_CASES)
+    print(f"{total - failed} of {total} rows passed on Python {sys.version.split()[0]}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

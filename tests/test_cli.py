@@ -598,15 +598,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    assert main(["--d", "0", "verify"]) == 2
-    capsys.readouterr()
-    assert main(["--d", "0", "leavitt-eval", "x0"]) == 2
-    capsys.readouterr()
-    assert main(["nope"]) == 2
-    capsys.readouterr()
-    # JSON is the default output, and --json is not an option
-    assert main(["--json", "verify", "--suite", "ext1"]) == 2
-    capsys.readouterr()
+    # a usage error reports like a parse error in a file: JSON on stdout,
+    # and a line on stderr
+    for argv, needle in [
+        (["--d", "0", "verify"], "expected a positive integer"),
+        (["--d", "0", "leavitt-eval", "x0"], "expected a positive integer"),
+        (["nope"], "invalid choice"),
+        # JSON is the default output, and --json is not an option
+        (["--json", "verify", "--suite", "ext1"], "unrecognized arguments: --json"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["kind"] == "parse" and needle in report["error"], report
+        assert captured.err == f"usage error: {report['error']}\n"
 
 
 VERIFY_STDOUT = {
