@@ -13,7 +13,7 @@ per column.  Everything else is a view of it:
   only that residue is eliminated, and with no end pass over QQ;
 * `solve_left` reduces each target against the pivot rows;
 * `generalized_inverse` places the pivot transform rows at the pivot columns;
-  a dense GF(p) matrix alone is eliminated on packed rows instead.
+  a dense matrix is eliminated on packed rows instead, over QQ mod primes.
 
 Over QQ the field's arithmetic builds a `Fraction`, with a gcd, at every
 step, and the denominators of a dense elimination grow to many digits.  So
@@ -27,7 +27,8 @@ E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22, 1968; see `_eliminate`).  Zero
 pattern, pivots and dict key order do not change, and the output equals
 field arithmetic's value for value.  `dense_mul` likewise takes integer dot
-products, on the lift of `_integer_vector`.
+products, on the lift of `_integer_vector`, and a row of A with one nonzero
+entry as a multiple of a row of B.
 
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
 sparse product; it works on the plain values of `fields`, reducing mod p
@@ -52,8 +53,12 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from itertools import count
+from math import lcm, prod
 from operator import attrgetter, mul
+
+from .fields import GF, is_prime
 
 
 class SparseMatrix:
@@ -389,7 +394,9 @@ def solve_left(mat: SparseMatrix, targets) -> list:
 
 def dense_mul(field, A, B):
     """A*B on integer dot products; a zero row of A gives a zero row and a
-    zero column of B a zero column, the int 0, with no product formed.
+    zero column of B a zero column, the int 0, with no product formed.  A
+    row of A with one nonzero entry a, at column k, is a times row k of B,
+    so a permutation costs n^2 products, not n^3.
 
     Over GF(p) each entry is an integer dot product reduced mod p once.
     Over QQ each row of A and each nonzero column of B is written as
@@ -408,20 +415,26 @@ def dense_mul(field, A, B):
                 row[j] = v
         return out
     p = field.characteristic
-    if p:
-        return [[sum(map(mul, Ai, Bj)) % p for Bj in Bt] if any(Ai) else [0] * len(Bt) for Ai in A]
-    cols = [_integer_vector(Bj) for Bj in Bt]
-    integral = all(db == 1 for db, _ in cols)
+    if not p:
+        cols = [_integer_vector(Bj) for Bj in Bt]
+        integral = all(db == 1 for db, _ in cols)
     out = []
     for Ai in A:
-        if not any(Ai):
-            out.append([0] * len(cols))
-            continue
-        da, ai = _integer_vector(Ai)
-        if da == 1 and integral:
-            out.append([sum(map(mul, ai, bj)) for _, bj in cols])
+        nonzero = len(Ai) - Ai.count(0)
+        if nonzero == 0:
+            out.append([0] * len(Bt))
+        elif nonzero == 1:
+            k, a = next((k, a) for k, a in enumerate(Ai) if a)
+            row = [a * b for b in B[k]]
+            out.append([v % p for v in row] if p else [v.numerator if v.denominator == 1 else v for v in row])
+        elif p:
+            out.append([sum(map(mul, Ai, Bj)) % p for Bj in Bt])
         else:
-            out.append([_ratio(sum(map(mul, ai, bj)), da * db) for db, bj in cols])
+            da, ai = _integer_vector(Ai)
+            if da == 1 and integral:
+                out.append([sum(map(mul, ai, bj)) for _, bj in cols])
+            else:
+                out.append([_ratio(sum(map(mul, ai, bj)), da * db) for db, bj in cols])
     return out
 
 
@@ -437,14 +450,20 @@ def generalized_inverse(field, A):
     selecting the pivot columns.  Then A*X*A = (A*Q)*C = A, because A*Q
     holds the pivot columns of A and C expresses every column over them.
 
-    A GF(p) matrix with at least half its entries nonzero is eliminated on
-    packed rows instead (`_packed_inverse`), to the same X.  That reads n*m
-    slots whatever the zeros, so a sparser matrix, which may not fill in (a
-    side-256 permutation: 4 ms here, 80 ms packed), stays here.  Over QQ,
-    packed Bareiss rows need Hadamard-bound slots and lost from side 64 up.
+    A matrix with at least half its entries nonzero is eliminated on packed
+    rows instead (`_packed_inverse`), to the same X; over QQ a square one of
+    side 5 to 64, mod primes (`_crt_inverse`): if its determinant is nonzero
+    mod the first prime, A is invertible and X = Q*T_k is the unique A^-1,
+    value for value and type for type.  Packed rows read n*m slots whatever
+    the zeros, so a sparser matrix, which may not fill in (a side-256
+    permutation: 4 ms here, 80 ms packed), stays here.
     """
-    if field.characteristic and 2 * sum(row.count(0) for row in A) <= sum(map(len, A)):
-        return _packed_inverse(field, A)
+    p = field.characteristic
+    if (p or 4 < len(A) == len(A[0]) <= 64) and 2 * sum(row.count(0) for row in A) <= sum(map(len, A)):
+        if p:
+            return _packed_inverse(field, A)[0]
+        if (X := _crt_inverse(A)) is not None:
+            return X
     mat = SparseMatrix.from_dense(field, A)
     pivots, _, trans = row_reduce(mat, want_transform=True)
     X = [[field.zero] * mat.nrows for _ in range(mat.ncols)]
@@ -454,9 +473,59 @@ def generalized_inverse(field, A):
     return X
 
 
+def _crt_inverse(A):
+    """A^-1 of a square QQ matrix by primes and the Chinese remainder
+    theorem (S. Cabay, SYMSAC 1971; von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 5), or None when A is singular mod the first prime
+    or outside the size rule.  The rule is sides 5 to 64, which the caller
+    checks, and H^2 of at most n^2 bits: where in-process probes found the
+    route no slower than Bareiss.
+
+    L = diag(den)*A has integer rows, and H^2 = prod ||L_i||^2 bounds
+    |det L| and every |adj(L) entry| by H (Hadamard).  `_packed_inverse`
+    mod each prime gives L^-1 and det L there, so adj(L) = det*L^-1; a prime
+    that divides det is skipped.  Once the primes used multiply to M with
+    M^2 > 4*H^2, det and adj are their CRT values in the symmetric range,
+    and A^-1[i][j] = adj[i][j]*den[j]/det.
+    """
+    den, L = zip(*map(_integer_vector, A))
+    h2 = prod(sum(map(mul, row, row)) for row in L)
+    if h2.bit_length() > len(A) ** 2:
+        return None
+    M, used = 1, []
+    for F in map(_crt_field, count()):
+        p = F.characteristic
+        X, det = _packed_inverse(F, [[v % p for v in row] for row in L])
+        if det:
+            used.append((p, X, det))
+            M *= p
+            if M * M > 4 * h2:
+                break
+        elif not used:
+            return None
+    # det mod p times the CRT basis value that is 1 mod p and 0 mod the
+    # others; (x + half) % M - half is x mod M in the symmetric range
+    w = [det * (M // p) * pow(M // p, -1, p) % M for p, _, det in used]
+    half = M // 2
+    det = (sum(w) + half) % M - half
+    return [[_ratio(((sum(map(mul, residues, w)) + half) % M - half) * d, det)
+             for d, residues in zip(den, zip(*rows))] for rows in zip(*(X for _, X, _ in used))]
+
+
+@cache
+def _crt_field(k: int):
+    """GF(p) for the primes p below 2^29, largest first from k = 0, found on
+    first use: 64*(p-1)^2 + p < 2^64 keeps `_packed_inverse` on 64-bit slots."""
+    p = _crt_field(k - 1).characteristic - 2 if k else 2**29 - 1
+    while not is_prime(p):
+        p -= 2
+    return GF(p)
+
+
 def _packed_inverse(field, A):
-    """`generalized_inverse` over GF(p) of canonical values, eliminating
-    [A | I] on packed rows.
+    """(X, det): `generalized_inverse` over GF(p) of canonical values,
+    eliminating [A | I] on packed rows, and det A mod p for a square A (the
+    product of the pivots, negated per swap), 0 for any other.
 
     Row i is one int with a B-bit slot per column, column c at bit B*c.  A
     clear by the reduced pivot row P (pivot 1) is one bigint multiply-add,
@@ -474,7 +543,7 @@ def _packed_inverse(field, A):
     width = -(-(min(n, m) * (p - 1) ** 2 + p).bit_length() // 64) * 8
     bits, mask, size = 8 * width, (1 << 8 * width) - 1, m + n
     rows = [_pack(row, width) | 1 << bits * (m + i) for i, row in enumerate(A)]
-    pivots = []
+    pivots, det = [], 1
     for c in range(m):
         r = len(pivots)
         if r == n:
@@ -483,6 +552,7 @@ def _packed_inverse(field, A):
         pi = next((i for i in range(r, n) if col[i]), None)
         if pi is None:
             continue
+        det = det * (col[pi] if pi == r else p - col[pi]) % p
         rows[r], rows[pi] = rows[pi], rows[r]
         col[r], col[pi] = col[pi], col[r]
         inv = field.invert(col[r])
@@ -494,7 +564,7 @@ def _packed_inverse(field, A):
     X = [[0] * n for _ in range(m)]
     for R, c in zip(rows, pivots):
         X[c] = [v % p for v in _unpack(R, size, width)[m:]]
-    return X
+    return X, det if len(pivots) == n == m else 0
 
 
 def _pack(values, width: int) -> int:

@@ -88,6 +88,16 @@ def _dense(side: int, level: int, seed: int) -> Callable[[], str]:
     return text
 
 
+def _permutation(side: int, level: int, seed: int) -> Callable[[], str]:
+    """A d = 2 AF file of a permutation matrix of the given side, shuffled by
+    random.Random(seed), every entry 1."""
+    def text():
+        perm = list(range(side))
+        random.Random(seed).shuffle(perm)
+        return json.dumps({"d": 2, "level": level, "entries": [[i, j, "1"] for i, j in enumerate(perm)]})
+    return text
+
+
 def _ge16() -> str:
     """R/R_{>=16} at d = 2: every word of length 16 is a relation."""
     words = itertools.product(range(2), repeat=16)
@@ -98,6 +108,7 @@ FREE = {"free.pres": _golden("free.pres")}
 LETTERQ = {"letterq.pres": _golden("letterq.pres")}
 E01 = {"e01.json": _golden("e01.json")}
 BIG10 = '{"d": 2, "level": 10, "entries": [[3, 700, "5/3"]]}\n'
+ONE1024 = {"one1024.json": '{"d": 2, "level": 10, "entries": [[700, 300, "5"]]}\n'}
 
 CASES = [
     # acceptance suites
@@ -143,8 +154,15 @@ CASES = [
     # a one-entry level-10 witness stays on the sparse kernel: 0.45-0.6 s on
     # a 2-vCPU VM, 4.6 s on packed rows
     Case("regular-one-entry-level10-gfp", ("--level-cap", "10", "--field", "GF:10007", "s-calc", "regular",
-                                           "one1024.json"), 0, {"result.verified": True}, 3,
-         {"one1024.json": '{"d": 2, "level": 10, "entries": [[700, 300, "5"]]}\n'}),
+                                           "one1024.json"), 0, {"result.verified": True}, 3, ONE1024),
+    # and over QQ off the prime route: 0.37 s on a 2-vCPU VM
+    Case("regular-one-entry-level10-qq", ("--level-cap", "10", "s-calc", "regular", "one1024.json"), 0,
+         {"result.verified": True}, 3, ONE1024),
+    # a permutation's product is one scaled row per row: 0.6 s on a 2-vCPU
+    # VM, 35-41 s with a dot product per entry
+    Case("regular-permutation-level10-gfp", ("--level-cap", "10", "--field", "GF:10007", "s-calc", "regular",
+                                             "perm1024.json"), 0, {"result.verified": True}, 5,
+         {"perm1024.json": _permutation(1024, 10, 1024)}),
     # level-10 products multiply at their own levels
     Case("mul-level0-by-level10", ("--level-cap", "10", "s-calc", "mul", "two.json", "big.json"), 0,
          {"result.element": {"d": 2, "entries": [[3, 700, "10/3"]], "level": 10}}, 10,

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import hypothesis
 import hypothesis.strategies as st
+from dense_mul_oracle import dense_mul as oracle_dense_mul
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 from row_reduce_oracle import row_axpy as oracle_row_axpy
 from row_reduce_oracle import row_reduce as oracle_row_reduce
 
 from freeproj import linalg
-from freeproj.fields import GF, QQ
+from freeproj.fields import GF, QQ, is_prime
 from freeproj.linalg import (
     SparseMatrix,
     _row_axpy,
@@ -375,6 +377,41 @@ def test_dense_mul_skips_zero_columns_of_b(monkeypatch):
     assert seen and not any(v and not any(v) for v in seen)
 
 
+@st.composite
+def product_cases(draw):
+    """(field, A, B) over QQ or a prime field, down to 0 rows, inner size or
+    columns: each row of A zero, with one nonzero entry (a permutation's
+    rows) or with several, and B with zero entries and zero columns."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(10007)]))
+    if field is QQ:
+        values = st.fractions(-4, 4, max_denominator=4).map(QQ.coerce)
+    else:
+        values = st.integers(0, field.characteristic - 1)
+    n, k, m = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    A = []
+    for _ in range(n):
+        row = [field.zero] * k
+        kind = draw(st.sampled_from(("zero", "one", "many")))
+        if k and kind != "zero":
+            for j in draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=1 if kind == "one" else k)):
+                row[j] = draw(values)
+        A.append(row)
+    B = [[draw(values) for _ in range(m)] for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else ():
+        for row in B:
+            row[j] = field.zero
+    return field, A, draw(st.sampled_from((list, tuple)))(map(tuple, B))
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(product_cases())
+def test_dense_mul_matches_frozen_product(case):
+    # one-entry rows are a scaled row of B, value and type as before
+    field, A, B = case
+    got, want = dense_mul(field, A, B), oracle_dense_mul(field, A, B)
+    assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
+
+
 def test_generalized_inverse():
     rng = random.Random(3)
     for field in (QQ, GF(10007)):
@@ -440,7 +477,7 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
         # generalized_inverse picks for it
         field, A = case
         want = [[(type(v), v) for v in row] for row in oracle_generalized_inverse(field, A)]
-        for x in (linalg._packed_inverse(field, A), generalized_inverse(field, A)):
+        for x in (linalg._packed_inverse(field, A)[0], generalized_inverse(field, A)):
             assert [[(type(v), v) for v in row] for row in x] == want
             assert dense_mul(field, dense_mul(field, A, x), A) == A
 
@@ -462,6 +499,193 @@ def test_generalized_inverse_packs_only_half_nonzero_gfp(monkeypatch):
         x = generalized_inverse(field, A)
         assert bool(packed) is want, (field, A)
         assert x == oracle_generalized_inverse(field, A)
+
+
+def forbid_bareiss(monkeypatch):
+    def fail(mat, want_transform):
+        raise AssertionError("the Bareiss kernel ran")
+
+    monkeypatch.setattr(linalg, "_eliminate", fail)
+
+
+def hadamard(n):
+    """The Sylvester-Hadamard matrix of side n, a power of 2: orthogonal
+    +-1 rows, so |det| = n^(n/2), Hadamard's bound."""
+    H = [[1]]
+    while len(H) < n:
+        H = [row + row for row in H] + [row + [-v for v in row] for row in H]
+    return H
+
+
+def determinant(A):
+    """det A over QQ by plain Gaussian elimination on Fractions."""
+    A = [[Fraction(v) for v in row] for row in A]
+    det = Fraction(1)
+    for c in range(len(A)):
+        pi = next((i for i in range(c, len(A)) if A[i][c]), None)
+        if pi is None:
+            return 0
+        if pi != c:
+            A[c], A[pi], det = A[pi], A[c], -det
+        det *= A[c][c]
+        for i in range(c + 1, len(A)):
+            f = A[i][c] / A[c][c]
+            A[i] = [a - f * b for a, b in zip(A[i], A[c])]
+    return det
+
+
+def prime(k):
+    return linalg._crt_field(k).characteristic
+
+
+def test_crt_primes_descend_below_2_29_on_64_bit_slots():
+    primes = [prime(k) for k in range(12)]
+    assert all(is_prime(p) for p in primes)
+    # every prime below 2^29 from the largest down, none skipped
+    assert [p for p in range(2**29 - 1, primes[-1] - 1, -1) if is_prime(p)] == primes
+    assert 64 * (primes[0] - 1) ** 2 + primes[0] < 2**64
+
+
+def assert_inverse_matches_oracle(A):
+    # the oracle's field arithmetic may leave an integral Fraction where the
+    # Bareiss kernel, and so the prime route, gives an int
+    want = [[(type(QQ.coerce(v)), v) for v in row] for row in oracle_generalized_inverse(QQ, A)]
+    assert [[(type(v), v) for v in row] for row in generalized_inverse(QQ, A)] == want
+
+
+def test_generalized_inverse_routes_dense_qq_through_primes(monkeypatch):
+    forbid_bareiss(monkeypatch)
+    rng = random.Random(31)
+
+    def dense(n):
+        # entries +-1, +-2: H^2 has at most n*log2(4n) bits
+        return [[rng.choice((-2, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
+
+    def routed(A):
+        try:
+            generalized_inverse(QQ, A)
+        except AssertionError:
+            return False
+        return True
+
+    half = [[rng.randint(-3, 3) or 1 for _ in range(6)] for _ in range(6)]
+    assert determinant(half)
+    below = [row[:] for row in half]
+    for i, j in rng.sample([(i, j) for i in range(6) for j in range(6)], 19):
+        below[i][j] = 0  # 17 of 36 entries nonzero: one below half
+    singular = [row[:] for row in half]
+    singular[5] = [a - b for a, b in zip(half[0], half[1])]
+    permutation = [[int(j == (5 * i + 2) % 7) for j in range(7)] for i in range(7)]
+    # the size rule: sides 5 to 64, and H^2 of at most n^2 bits, here
+    # exactly n^2 bits at side 8 and one bit more
+    inside, outside = hadamard(8), hadamard(8)
+    inside[0][0], outside[0][0] = 2**21, 3 * 2**20
+    bits = [prod(sum(v * v for v in row) for row in A).bit_length() for A in (inside, outside)]
+    assert bits == [64, 65]
+    five = dense(5)
+    assert determinant(five)
+    for A in (half, five, dense(64), inside):
+        assert routed(A)
+    for A in (singular, below, permutation, dense(4), dense(65), outside):
+        assert not routed(A)
+    monkeypatch.undo()
+    for A in (half, below, singular, permutation, inside, outside):
+        assert_inverse_matches_oracle(A)
+
+
+@st.composite
+def qq_witness_cases(draw):
+    """A square QQ matrix of side 1-12: full rank with integer entries or
+    rows with fractions, with a negative determinant, rank-deficient, zero,
+    or one nonzero entry below the density gate."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("integer", "fractions", "negative", "deficient", "zero", "below")))
+    rng = draw(st.randoms(use_true_random=False))
+    span = draw(st.sampled_from((2, 9, 1000)))
+    A = [[rng.randint(-span, span) or 1 for _ in range(n)] for _ in range(n)]
+    if kind == "fractions":
+        A = [[QQ.coerce(Fraction(v, rng.choice((1, 2, 3)))) for v in row] if rng.random() < 0.5 else row
+             for row in A]
+    elif kind == "negative" and determinant(A) > 0:
+        A[0] = [-v for v in A[0]]
+    elif kind == "deficient" and n > 1:
+        k = rng.randrange(1, n)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        A = dense_mul(QQ, left, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
+    elif kind == "zero":
+        A = [[0] * n for _ in range(n)]
+    elif kind == "below":
+        for c in rng.sample(range(n * n), n * n // 2 + 1):
+            A[c // n][c % n] = 0
+    return A
+
+
+def test_prime_route_matches_bareiss_oracle(monkeypatch):
+    routed = []
+    real = linalg._crt_inverse
+
+    def record(A):
+        X = real(A)
+        if X is not None:
+            routed.append(A)
+        return X
+
+    monkeypatch.setattr(linalg, "_crt_inverse", record)
+
+    @hypothesis.settings(max_examples=250, deadline=None)
+    @hypothesis.given(qq_witness_cases())
+    def check(A):
+        assert_inverse_matches_oracle(A)
+
+    check()
+    # the route ran on negative determinants and on rows with fractions
+    assert any(determinant(A) < 0 for A in routed)
+    assert any(isinstance(v, Fraction) for A in routed for row in A for v in row)
+
+
+def test_prime_route_stops_at_twice_hadamards_bound(monkeypatch):
+    # |det| = H for orthogonal rows: a Sylvester-Hadamard matrix, and one
+    # with a row scaled so that H sits just below the product M of the first
+    # k primes, where M > H but M <= 2H must take one prime more
+    for n in (2, 4, 8, 16, 32):
+        assert_inverse_matches_oracle(hadamard(n))
+    forbid_bareiss(monkeypatch)
+    for n, k in ((8, 1), (16, 2), (32, 3)):
+        M = prod(map(prime, range(k)))
+        A = hadamard(n)
+        A[1] = [v * ((M - 1) // n ** (n // 2)) for v in A[1]]
+        assert M // 2 < abs(determinant(A)) < M
+        assert_inverse_matches_oracle(A)
+
+
+def test_prime_route_skips_primes_that_divide_det(monkeypatch):
+    # det = p * (a 15 x 15 minor): p = the first prime takes Bareiss, and
+    # p = the second prime is skipped
+    dets, eliminated = {}, []
+    packed, eliminate = linalg._packed_inverse, linalg._eliminate
+
+    def record_packed(field, A):
+        X, det = packed(field, A)
+        dets[field.characteristic] = det
+        return X, det
+
+    monkeypatch.setattr(linalg, "_packed_inverse", record_packed)
+    monkeypatch.setattr(linalg, "_eliminate", lambda mat, t: eliminated.append(mat) or eliminate(mat, t))
+    rng = random.Random(61)
+    base = [[rng.randint(-2, 2) or 1 for _ in range(16)] for _ in range(16)]
+    for k in (0, 1):
+        A = [row[:] for row in base]
+        A[15] = [a + b for a, b in zip(A[0], A[1])]
+        A[15][0] += prime(k)
+        assert determinant(A) % prime(k) == 0 and determinant(A) % prime(1 - k)
+        dets.clear()
+        eliminated.clear()
+        assert_inverse_matches_oracle(A)
+        if k == 0:
+            assert dets == {prime(0): 0} and eliminated
+        else:
+            assert dets[prime(1)] == 0 and len(dets) > 2 and all(dets[p] for p in dets if p != prime(1))
+            assert not eliminated
 
 
 @st.composite
