@@ -282,11 +282,11 @@ class AFMatrix:
         return cls._from_canonical(d, level, tuple(map(tuple, rows)), field)
 
 
-def _check_side(d: int, level: int, where: str = "") -> None:
-    """ParseError, its message prefixed by `where`, if the side d**level is
+def _check_side(d: int, level: int, where: str = "", error=ParseError) -> None:
+    """`error`, its message prefixed by `where`, if the side d**level is
     above MAX_SIDE; a huge level is refused before d**level is formed."""
     if d > 1 and (level >= MAX_SIDE.bit_length() or d**level > MAX_SIDE):
-        raise ParseError(f"{where}a matrix at d={d}, level={level} has more than {MAX_SIDE} rows")
+        raise error(f"{where}a matrix at d={d}, level={level} has more than {MAX_SIDE} rows")
 
 
 def _json_int(value, name: str) -> int:

@@ -15,12 +15,16 @@ r = max |w| by the rewriting w* v = sum_i (x_i w)* (x_i v); at a fixed level
 the monomials are linearly independent (left multiplication by plain words
 of length r separates them), so equality is a dictionary comparison after
 raising.  The degree-zero part at level r is exactly the d^r x d^r matrix
-algebra, matching the limit-algebra picture unit by unit.
+algebra, matching the limit-algebra picture unit by unit: raising w* v is
+the block embedding a -> diag(a, .., a), so at level r its units sit at rows
+t + rank(w), columns t + rank(v), for t a multiple of d^|w| below d^r;
+`l0_to_s` places them there, once a side d^r above `af_s.MAX_SIDE` is
+refused.
 """
 
 from __future__ import annotations
 
-from .af_s import AFMatrix, word_rank, word_unrank
+from .af_s import AFMatrix, _check_side, word_rank
 from .errors import (
     BudgetExceeded,
     CertificateMismatch,
@@ -235,7 +239,7 @@ def _lower_once(comp: LeavittElement):
 
 def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
     """Identify a degree-zero element with a leveled matrix: w* v becomes the
-    matrix unit E_{w,v}."""
+    matrix unit E_{w,v} at each of its block positions, with no raise."""
     A = a.algebra
     if any(mono_degree(m) != 0 for m in a.terms):
         raise NotDegreeZero("element has nonzero graded components")
@@ -244,12 +248,16 @@ def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
         if level < r:
             raise LevelDecrease(f"need level >= {r}")
         r = level
-    b = a.raise_level(0, r)
+    _check_side(A.d, r, error=BudgetExceeded)
     n = A.d**r
+    placed: dict = {}
+    for (w, v), c in a.terms.items():
+        i, j = word_rank(A.d, w), word_rank(A.d, v)
+        _add_terms(A.field, placed, [((t + i, t + j), c) for t in range(0, n, A.d ** len(w))])
     rows = [[A.field.zero] * n for _ in range(n)]
-    for (w, v), c in b.terms.items():
-        rows[word_rank(A.d, w)][word_rank(A.d, v)] = c
-    return AFMatrix(A.d, r, rows, A.field).canonical()
+    for (i, j), c in placed.items():
+        rows[i][j] = A.field.coerce(c)
+    return AFMatrix._from_canonical(A.d, r, tuple(map(tuple, rows)), A.field).canonical()
 
 
 def s_to_l0(s: AFMatrix, algebra: FreeAlgebra = None) -> LeavittElement:
@@ -257,11 +265,12 @@ def s_to_l0(s: AFMatrix, algebra: FreeAlgebra = None) -> LeavittElement:
     A = algebra if algebra is not None else FreeAlgebra(s.d, s.field)
     if A.d != s.d or A.field != s.field:
         raise ValueError("algebra does not match the matrix element")
+    words = list(A.words(s.level))
     terms = {}
-    for i, row in enumerate(s.entries):
-        for j, c in enumerate(row):
+    for w, row in zip(words, s.entries):
+        for v, c in zip(words, row):
             if c != 0:
-                terms[(word_unrank(s.d, i, s.level), word_unrank(s.d, j, s.level))] = c
+                terms[(w, v)] = c
     return LeavittElement(A, terms)
 
 
@@ -312,21 +321,28 @@ def strongly_graded_witness(algebra: FreeAlgebra, r: int) -> StrongGradingWitnes
 def flat_decompose(a: LeavittElement, r: int) -> dict:
     """Write a as sum over length-r words w of w* times a plain polynomial.
 
-    The coefficient at w is recovered by left multiplication with w, which
-    kills every other summand; the reassembled element must equal the input,
-    otherwise the element is not in the filtration piece.  a is made
-    canonical first, so that each graded component is lowered from one level.
+    a is made canonical first.  Under the flat gate, starred length at most
+    r and a raise within MAX_RAISED_TERMS, one raise to level r groups its
+    monomials w* v by w; past it the coefficient at w is left multiplication
+    with w, which kills every other summand, and lowering.  The reassembled
+    element must equal the input, otherwise a is not in the filtration piece.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     a = a.canonical()
     A = a.algebra
-    out = {}
-    for w in A.words(r):
-        proj = (LeavittElement.monomial(A, (), w) * a).lowered()
-        if any(u for (u, v) in proj.terms):
-            raise NotInFiltrationLevel(f"projection at {w} is not a plain polynomial")
-        out[w] = NcPoly(A, {v: c for (u, v), c in proj.terms.items()})
+    if len(a.terms) * A.d**r <= MAX_RAISED_TERMS and all(len(u) <= r for u, v in a.terms):
+        groups: dict = {w: {} for w in A.words(r)}
+        for (u, v), c in a._raised({len(v) - len(u): r for u, v in a.terms}).terms.items():
+            groups[u][v] = c
+        out = {w: NcPoly(A, terms) for w, terms in groups.items()}
+    else:
+        out = {}
+        for w in A.words(r):
+            proj = (LeavittElement.monomial(A, (), w) * a).lowered()
+            if any(u for (u, v) in proj.terms):
+                raise NotInFiltrationLevel(f"projection at {w} is not a plain polynomial")
+            out[w] = NcPoly(A, {v: c for (u, v), c in proj.terms.items()})
     if not flat_reassemble(A, out).equals(a):
         raise NotInFiltrationLevel(f"element is not in filtration level {r}")
     return out

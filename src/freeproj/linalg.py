@@ -55,7 +55,7 @@ import struct
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import lcm, prod
+from math import lcm
 from operator import attrgetter, mul
 
 from .fields import GF, is_prime
@@ -486,12 +486,16 @@ def _crt_inverse(A):
     mod each prime gives L^-1 and det L there, so adj(L) = det*L^-1; a prime
     that divides det is skipped.  Once the primes used multiply to M with
     M^2 > 4*H^2, det and adj are their CRT values in the symmetric range,
-    and A^-1[i][j] = adj[i][j]*den[j]/det.
+    and A^-1[i][j] = adj[i][j]*den[j]/det.  Rows are lifted and H^2
+    multiplied out one at a time, stopping once it passes the size rule.
     """
-    den, L = zip(*map(_integer_vector, A))
-    h2 = prod(sum(map(mul, row, row)) for row in L)
-    if h2.bit_length() > len(A) ** 2:
-        return None
+    den, L, h2 = [], [], 1
+    for d, ints in map(_integer_vector, A):
+        h2 *= sum(map(mul, ints, ints))
+        if h2.bit_length() > len(A) ** 2:
+            return None
+        den.append(d)
+        L.append(ints)
     M, used = 1, []
     for F in map(_crt_field, count()):
         p = F.characteristic

@@ -325,6 +325,9 @@ def check_leavitt(rng) -> dict:
             b = b + LeavittElement.monomial(A2, w2, v2, rng.randint(-2, 2))
         if l0_to_s(a * b) != l0_to_s(a) * l0_to_s(b):
             failures.append(("mult", checked))
+        # the unit placement against raising and the S embedding
+        if l0_to_s(a.raise_level(0, r + 1)) != l0_to_s(a).embed(r + 1):
+            failures.append(("raise", checked))
         checked += 1
     return {"failures": failures}
 
@@ -339,10 +342,15 @@ def check_filtration(rng) -> dict:
         r = rng.randint(0, 3 if d == 2 else 2)
         a, coeffs = random_filtration_member(rng, A, r)
         out = flat_decompose(a, r)
-        if {w: p.terms for w, p in out.items()} != {w: p.terms for w, p in coeffs.items()}:
+        expected = {w: p.terms for w, p in coeffs.items()}
+        if {w: p.terms for w, p in out.items()} != expected:
             failures.append(("roundtrip", done))
         elif not flat_reassemble(A, out).equals(a):
             failures.append(("reassemble", done))
+        # written one level above r, it decomposes by products and lowering
+        elif a.terms and {w: p.terms for w, p in flat_decompose(
+                a.raise_level(a.degrees()[0], r + 1), r).items()} != expected:
+            failures.append(("raised", done))
         done += 1
     return {"failures": failures}
 

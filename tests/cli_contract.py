@@ -108,6 +108,7 @@ FREE = {"free.pres": _golden("free.pres")}
 LETTERQ = {"letterq.pres": _golden("letterq.pres")}
 E01 = {"e01.json": _golden("e01.json")}
 BIG10 = '{"d": 2, "level": 10, "entries": [[3, 700, "5/3"]]}\n'
+LEVEL11 = "x0* x0 - 2 x1* x0 + 1/2 x1* x0* x0 x1 - 1/2"
 ONE1024 = {"one1024.json": '{"d": 2, "level": 10, "entries": [[700, 300, "5"]]}\n'}
 
 CASES = [
@@ -146,6 +147,16 @@ CASES = [
          {"x08.pres": "field: QQ\nd: 2\ngens: [0]\nrels:\nx0 x0 x0 x0 x0 x0 x0 x0\n"}),
     # limit algebra and Leavitt algebra
     Case("leavitt-eval", ("leavitt-eval", "x0 x0*"), 0, {"result.text": "1"}, 60),
+    # a level-11 matrix of a level-2 element, its units placed directly: 0.5 s
+    # on a 2-vCPU VM (1 s through a raised element), 91 MB for the dense
+    # 2048^2 table
+    Case("leavitt-eval-level11", ("--level-cap", "11", "leavitt-eval", "--level", "11", LEVEL11), 0,
+         {"result.matrix": {"d": 2, "level": 2, "entries": [
+             [0, 0, "1/2"], [1, 0, "-2"], [2, 2, "1/2"], [3, 2, "-2"], [3, 3, "-1/2"]]}}, 10, rss_mb=110),
+    Case("leavitt-eval-level11-gf7", ("--level-cap", "11", "--field", "GF:7", "leavitt-eval", "--level", "11",
+                                      LEVEL11), 0,
+         {"result.matrix": {"d": 2, "level": 2, "entries": [
+             [0, 0, "4"], [1, 0, "5"], [2, 2, "4"], [3, 2, "5"], [3, 3, "3"]]}}, 10, rss_mb=110),
     Case("regular-e01", ("s-calc", "regular", "e01.json"), 0, {"result.verified": True}, 60, E01),
     Case("regular-e01-gf7", ("--field", "GF:7", "s-calc", "regular", "e01.json"), 0,
          {"result.verified": True}, 60, E01),

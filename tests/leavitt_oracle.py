@@ -12,10 +12,11 @@ dict key order, same errors.
 
 import re
 
-from freeproj.errors import NotInFiltrationLevel, ParseError
+from freeproj.af_s import AFMatrix, word_rank, word_unrank
+from freeproj.errors import LevelDecrease, NotDegreeZero, NotInFiltrationLevel, ParseError
 from freeproj.fields import read_int
-from freeproj.freealg import NcPoly
-from freeproj.leavitt import LeavittElement
+from freeproj.freealg import FreeAlgebra, NcPoly
+from freeproj.leavitt import LeavittElement, mono_degree
 from freeproj.linalg import _add_terms
 
 _TOKEN = re.compile(r"\s*(x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-])")
@@ -154,3 +155,35 @@ def flat_reassemble(algebra, coeffs: dict):
     for w, poly in coeffs.items():
         out = out + LeavittElement.word_star(algebra, w) * LeavittElement.from_poly(poly)
     return out
+
+
+def l0_to_s(a, level=None):
+    """Identify a degree-zero element with a leveled matrix: w* v becomes the
+    matrix unit E_{w,v}."""
+    A = a.algebra
+    if any(mono_degree(m) != 0 for m in a.terms):
+        raise NotDegreeZero("element has nonzero graded components")
+    r = max([len(w) for (w, v) in a.terms] + [0])
+    if level is not None:
+        if level < r:
+            raise LevelDecrease(f"need level >= {r}")
+        r = level
+    b = a.raise_level(0, r)
+    n = A.d**r
+    rows = [[A.field.zero] * n for _ in range(n)]
+    for (w, v), c in b.terms.items():
+        rows[word_rank(A.d, w)][word_rank(A.d, v)] = c
+    return AFMatrix(A.d, r, rows, A.field).canonical()
+
+
+def s_to_l0(s, algebra=None):
+    """Inverse identification: matrix units become monomials w* v."""
+    A = algebra if algebra is not None else FreeAlgebra(s.d, s.field)
+    if A.d != s.d or A.field != s.field:
+        raise ValueError("algebra does not match the matrix element")
+    terms = {}
+    for i, row in enumerate(s.entries):
+        for j, c in enumerate(row):
+            if c != 0:
+                terms[(word_unrank(s.d, i, s.level), word_unrank(s.d, j, s.level))] = c
+    return LeavittElement(A, terms)

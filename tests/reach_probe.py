@@ -84,7 +84,6 @@ ALLOWLIST = {
     "cli._Parser.error": ERROR_PATH,  # argparse's usage errors, exit 2
     "errors.ParseError.__init__": ERROR_PATH,
     "freealg.GradedFreeModule.gen": BRANCH,  # FpModule.truncate, generators above the cut
-    "leavitt.LeavittElement.graded_component": BRANCH,  # LeavittElement.lowered, a raised component
     "parsing.format_poly": BRANCH,  # NcPoly.__str__
     "fields.PrimeField.sub": ORACLE,  # row_reduce_oracle.py
     "fields.RationalField.sub": ORACLE,  # row_reduce_oracle.py

@@ -1,12 +1,16 @@
+import contextlib
 import itertools
+from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 import leavitt_oracle
-from freeproj import FpModule, FreeAlgebra, NcPoly
-from freeproj.af_s import AFMatrix
-from freeproj.errors import LevelDecrease, NotDegreeZero, NotInFiltrationLevel
-from freeproj.fields import GF
+from freeproj import FpModule, FreeAlgebra, NcPoly, leavitt
+from freeproj.af_s import MAX_SIDE, AFMatrix
+from freeproj.errors import BudgetExceeded, LevelDecrease, NotDegreeZero, NotInFiltrationLevel
+from freeproj.fields import GF, QQ
 from freeproj.leavitt import (
     LeavittElement,
     flat_decompose,
@@ -19,6 +23,7 @@ from freeproj.leavitt import (
 )
 from freeproj.randgen import (
     make_rng,
+    random_af,
     random_filtration_member,
     random_leavitt_monomial,
     random_poly,
@@ -230,6 +235,90 @@ def test_s_to_l0_round_trip_random(A2):
         assert l0_to_s(s_to_l0(s, A2), level=max(s.level, 0)) == s
 
 
+def _matrix_outcome(fn, *args):
+    try:
+        m = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return m.d, m.level, m.field, [[(type(v), v) for v in row] for row in m.entries]
+
+
+def _element_outcome(fn, *args):
+    try:
+        return _items(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the top level drawn at each d, a side of at most 27
+TOP_LEVEL = {1: 4, 2: 3, 3: 2}
+
+
+@st.composite
+def placement_cases(draw):
+    """(element, level, matrix) at d = 1..3 over QQ or GF(7): a sum of up to
+    five monomials w* v with |w| = |v| up to TOP_LEVEL[d], one in twenty of
+    degree 1; the level None or 0..TOP_LEVEL[d]; a random matrix at a random
+    level for s_to_l0."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    d = draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    A = FreeAlgebra(d, field)
+    a = LeavittElement.zero(A)
+    for _ in range(rng.randint(0, 5)):
+        k = rng.randint(0, TOP_LEVEL[d])
+        w = tuple(rng.randrange(d) for _ in range(k))
+        v = tuple(rng.randrange(d) for _ in range(k + (rng.random() < 0.05)))
+        a = a + LeavittElement.monomial(A, w, v, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    level = draw(st.none() | st.integers(0, TOP_LEVEL[d]))
+    return a, level, random_af(rng, d, rng.randint(0, TOP_LEVEL[d]), field)
+
+
+def _check_placement(a, level, matrix=None):
+    A = a.algebra
+    assert _matrix_outcome(l0_to_s, a, level) == _matrix_outcome(leavitt_oracle.l0_to_s, a, level)
+    other = FreeAlgebra(A.d + 1, A.field)
+    matrices = [] if matrix is None else [matrix]
+    with contextlib.suppress(NotDegreeZero, LevelDecrease):
+        matrices.append(l0_to_s(a, level))
+    for s in matrices:
+        for args in ((s,), (s, A), (s, other)):
+            assert _element_outcome(s_to_l0, *args) == _element_outcome(leavitt_oracle.s_to_l0, *args)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(placement_cases())
+def test_placement_matches_dense_oracle(case):
+    # l0_to_s and s_to_l0 against the dense table and unranking they
+    # replaced: level, each entry's value and type, key order, and errors
+    _check_placement(*case)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_l0_to_s_sums_a_unit_reached_from_two_levels(field):
+    # 1/2 and 1/2 x0* x0 meet at E_00 of level 1: an int 1, then 0
+    A = FreeAlgebra(2, field)
+    half = field.coerce(Fraction(1, 2))
+    for sign, value in ((1, 1), (-1, 0)):
+        a = LeavittElement.one(A).scale(half) + LeavittElement.monomial(A, (0,), (0,), sign * half)
+        for level in (None, 1, 2):
+            _check_placement(a, level)
+        m = l0_to_s(a, 1)
+        assert m.level == 1 and type(m.entries[0][0]) is int and m.entries[0][0] == value
+
+
+def test_l0_to_s_refuses_a_side_above_max_side(A2):
+    # refused from d and the level before any table is built; at level 12 a
+    # misplaced check would build a 4096^2 table first and still fail here
+    for level in (12, 20):
+        with pytest.raises(BudgetExceeded, match=f"more than {MAX_SIDE} rows"):
+            l0_to_s(LeavittElement.one(A2), level=level)
+    with pytest.raises(BudgetExceeded):
+        l0_to_s(LeavittElement.monomial(A2, (0,) * 12, (1,) * 12))
+    # at d = 1 every level has side 1
+    assert l0_to_s(LeavittElement.one(FreeAlgebra(1)), level=20) == AFMatrix.scalar(1, 1)
+
+
 def test_flat_decompose_examples(A2):
     one = LeavittElement.one(A2)
     out = flat_decompose(one, 1)
@@ -289,18 +378,21 @@ def _outcome(fn, *args):
 
 def test_flat_paths_match_element_products():
     # flat_decompose and flat_reassemble against the per-word element
-    # products they replaced: same output, key order and errors
+    # products they replaced: same output, key order and errors, on both
+    # sides of the flat gate: a member, the same member written one level
+    # above r, a sum that usually is not one, and a deep star
     rng = make_rng(31)
-    for A in (FreeAlgebra(2), FreeAlgebra(3, GF(7))):
-        for r in (0, 1, 2):
-            for _ in range(15):
+    for A in (FreeAlgebra(1), FreeAlgebra(2), FreeAlgebra(3, GF(7))):
+        for r in (0, 1, 2, 3):
+            for _ in range(6):
                 a, coeffs = random_filtration_member(rng, A, r)
                 assert _items(flat_reassemble(A, coeffs)) == _items(
                     leavitt_oracle.flat_reassemble(A, coeffs))
-                # a member, and a sum that usually is not one; the oracle
-                # lowers only components written at one level, so it gets b
-                # in the canonical form flat_decompose makes first
-                for b in (a, a + random_leavitt(rng, A, wmax=3)):
+                raised = a.raise_level(a.degrees()[0], r + 1) if a.terms else a
+                deep = a + LeavittElement.monomial(A, (0,) * (r + 1), (), 2)
+                # the oracle lowers only components written at one level,
+                # so it gets b in the canonical form flat_decompose makes first
+                for b in (a, raised, a + random_leavitt(rng, A, wmax=3), deep):
                     assert _outcome(flat_decompose, b, r) == _outcome(
                         leavitt_oracle.flat_decompose, b.canonical(), r)
     # GF(7) values outside 0..6 come out reduced, as the products made them
@@ -313,6 +405,24 @@ def test_flat_paths_match_element_products():
     with pytest.raises(ValueError) as old:
         leavitt_oracle.flat_reassemble(A, bad)
     assert str(new.value) == str(old.value)
+
+
+def test_flat_decompose_past_the_raise_budget_takes_products(monkeypatch):
+    # a member whose raise could pass MAX_RAISED_TERMS is read by products
+    # and lowering, as before the flat gate, and never refused
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 4)
+    lowered = []
+    real = LeavittElement.lowered
+    monkeypatch.setattr(LeavittElement, "lowered", lambda self: lowered.append(self) or real(self))
+    rng = make_rng(37)
+    A = FreeAlgebra(2)
+    for r in (1, 2):
+        for _ in range(10):
+            a, _ = random_filtration_member(rng, A, r)
+            lowered.clear()
+            got = _outcome(flat_decompose, a, r)
+            assert bool(lowered) == (len(a.terms) * 2**r > 4)
+            assert got == _outcome(leavitt_oracle.flat_decompose, a, r)
 
 
 def test_canonical_of_canonical_is_itself():

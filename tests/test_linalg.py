@@ -593,6 +593,28 @@ def test_generalized_inverse_routes_dense_qq_through_primes(monkeypatch):
         assert_inverse_matches_oracle(A)
 
 
+def test_prime_route_stops_lifting_once_past_the_size_rule(monkeypatch):
+    # side 8 allows H^2 of 64 bits: with two rows scaled by 2^20 the running
+    # product passes it at the second row, and no later row is lifted; at
+    # one bit inside or outside the rule every row is
+    lifted = []
+    real = linalg._integer_vector
+    monkeypatch.setattr(linalg, "_integer_vector", lambda v: lifted.append(v) or real(v))
+    early = hadamard(8)
+    early[0], early[1] = ([2**20 * v for v in row] for row in early[:2])
+    for i in range(2, 8):
+        early[i] = [QQ.coerce(Fraction(v, i)) for v in early[i]]
+    inside, outside = hadamard(8), hadamard(8)
+    inside[0][0], outside[0][0] = 2**21, 3 * 2**20
+    for A, calls, routed in ((early, 2, False), (inside, 8, True), (outside, 8, False)):
+        lifted.clear()
+        assert (linalg._crt_inverse(A) is not None) == routed
+        assert len(lifted) == calls
+    monkeypatch.undo()
+    for A in (early, inside, outside):
+        assert_inverse_matches_oracle(A)
+
+
 @st.composite
 def qq_witness_cases(draw):
     """A square QQ matrix of side 1-12: full rank with integer entries or
