@@ -14,11 +14,13 @@ Entries are canonical field values (an int for every integral QQ value,
 ints 0..p-1 over GF(p)).  The constructor coerces them, as do
 `matrix_unit`, `scalar` and `+` through it; `from_json` reads each entry
 with the field's `from_str`, `embed` and `canonical` slice canonical
-entries, `scale` coerces each product itself, `*` takes the `dense_mul` of
-canonical forms and the vN witness is `generalized_inverse`'s, so they
-skip the constructor via `_from_canonical`.  A product never embeds: a
-lower-level factor acts on each diagonal block of the other, N^2 n
-products for canonical sides N >= n.
+entries, `scale` coerces each product itself (none by 1), `*` takes the
+`dense_mul` of canonical forms and the vN witness is `generalized_inverse`'s,
+so they skip the constructor via `_from_canonical`.  A product never
+embeds: a lower-level factor acts on each diagonal block of the other, N^2 n
+products for canonical sides N >= n, on packed rows of the right factor
+from side 8 over GF(p), 16 over QQ.  Every constructor refuses a side above
+MAX_SIDE before building any row.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class AFMatrix:
     def __init__(self, d: int, level: int, entries, field=QQ):
         if d < 1 or level < 0:
             raise ValueError("need d >= 1 and level >= 0")
+        _check_side(d, level, error=BudgetExceeded)
         n = d**level
         entries = tuple(tuple(field.coerce(v) for v in row) for row in entries)
         if len(entries) != n or any(len(row) != n for row in entries):
@@ -78,6 +81,7 @@ class AFMatrix:
 
     @classmethod
     def zero(cls, d: int, level: int = 0, field=QQ) -> "AFMatrix":
+        _check_side(d, level, error=BudgetExceeded)
         n = d**level
         return cls(d, level, [[field.zero] * n for _ in range(n)], field)
 
@@ -88,6 +92,7 @@ class AFMatrix:
         if len(u) != len(v):
             raise ValueError("matrix unit needs words of equal length")
         level = len(u)
+        _check_side(d, level, error=BudgetExceeded)
         n = d**level
         rows = [[field.zero] * n for _ in range(n)]
         rows[word_rank(d, u)][word_rank(d, v)] = field.one
@@ -159,6 +164,8 @@ class AFMatrix:
 
     def scale(self, c) -> "AFMatrix":
         F, c = self.field, self.field.coerce(c)
+        if c == 1:  # the entries are canonical already
+            return self.canonical()
         rows = tuple(tuple(F.coerce(F.mul(c, v)) for v in row) for row in self.entries)
         return AFMatrix._from_canonical(self.d, self.level, rows, F).canonical()
 

@@ -321,16 +321,20 @@ def strongly_graded_witness(algebra: FreeAlgebra, r: int) -> StrongGradingWitnes
 def flat_decompose(a: LeavittElement, r: int) -> dict:
     """Write a as sum over length-r words w of w* times a plain polynomial.
 
-    a is made canonical first.  Under the flat gate, starred length at most
-    r and a raise within MAX_RAISED_TERMS, one raise to level r groups its
-    monomials w* v by w; past it the coefficient at w is left multiplication
-    with w, which kills every other summand, and lowering.  The reassembled
-    element must equal the input, otherwise a is not in the filtration piece.
+    a is made canonical first, and lowered too if a raise would pass
+    MAX_RAISED_TERMS (its output then follows the lowered terms' order).
+    Under the flat gate, starred length at most r and a raise within
+    MAX_RAISED_TERMS, one raise to level r groups its monomials w* v by w;
+    past it the coefficient at w is left multiplication with w, which kills
+    every other summand, and lowering.  The reassembled element must equal
+    the input, otherwise a is not in the filtration piece.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     a = a.canonical()
     A = a.algebra
+    if len(a.terms) * A.d**r > MAX_RAISED_TERMS:
+        a = a.lowered()  # 1 written as 2^17 terms is 1, not 2^33 products at r = 16
     if len(a.terms) * A.d**r <= MAX_RAISED_TERMS and all(len(u) <= r for u, v in a.terms):
         groups: dict = {w: {} for w in A.words(r)}
         for (u, v), c in a._raised({len(v) - len(u): r for u, v in a.terms}).terms.items():

@@ -27,7 +27,9 @@ E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22, 1968; see `_eliminate`).  Zero
 pattern, pivots and dict key order do not change, and the output equals
 field arithmetic's value for value.  `dense_mul` likewise takes integer dot
-products, on the lift of `_integer_vector`, and a row of A with one nonzero
+products, on the lift of `_integer_vector`, or, once B has 8 rows over GF(p)
+or 16 over QQ, one bigint multiply-add per nonzero entry of A on B's rows
+packed into ints (Kronecker substitution), and a row of A with one nonzero
 entry as a multiple of a row of B.
 
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
@@ -393,17 +395,24 @@ def solve_left(mat: SparseMatrix, targets) -> list:
 
 
 def dense_mul(field, A, B):
-    """A*B on integer dot products; a zero row of A gives a zero row and a
-    zero column of B a zero column, the int 0, with no product formed.  A
-    row of A with one nonzero entry a, at column k, is a times row k of B,
-    so a permutation costs n^2 products, not n^3.
+    """A*B on canonical values; a zero row of A gives a zero row and a zero
+    column of B a zero column, the int 0, with no product formed.  A row of
+    A with one nonzero entry a, at column k, is a times row k of B, so a
+    permutation costs n^2 products, not n^3.
 
-    Over GF(p) each entry is an integer dot product reduced mod p once.
-    Over QQ each row of A and each nonzero column of B is written as
-    integers over the lcm of its denominators (`_integer_vector`), and each
-    entry is an integer dot product over the product of the two
-    denominators, made rational once; on integer matrices it stays an int.
-    The values are those of the field's own sum of products.
+    Once B has 8 rows over GF(p), 16 over QQ (the gates measured in README),
+    other rows are Kronecker substitution (Dumas, Fousse and Salvy, J. Symb.
+    Comput. 46, 2011).  Row k of B, packed on first use, is one int with a
+    slot per column; over QQ the slots are integers over the lcm D of all of
+    B's denominators plus beta = max|b|.  Row i of A*B is sum_k a_ik*row_k,
+    one bigint multiply-add per nonzero a_ik, plus (half - beta*sum_k a_ik)
+    times the all-ones row, so each slot reads back, once, as half + its
+    entry, reduced mod p or over da*D.  half is 0 over GF(p), where
+    len(B)*(p-1)^2 bounds a slot, and len(B)*max|a|*max|b| over QQ, which
+    bounds every |entry|.  Below the gates each entry is an integer dot
+    product, over QQ on the lifts of its row of A and column of B.  The
+    values are the field's own sum of products, an int for every integral
+    QQ value.
     """
     Bt = list(zip(*B))
     live = [j for j, Bj in enumerate(Bt) if any(Bj)]
@@ -415,10 +424,7 @@ def dense_mul(field, A, B):
                 row[j] = v
         return out
     p = field.characteristic
-    if not p:
-        cols = [_integer_vector(Bj) for Bj in Bt]
-        integral = all(db == 1 for db, _ in cols)
-    out = []
+    out, many = [], []
     for Ai in A:
         nonzero = len(Ai) - Ai.count(0)
         if nonzero == 0:
@@ -427,14 +433,38 @@ def dense_mul(field, A, B):
             k, a = next((k, a) for k, a in enumerate(Ai) if a)
             row = [a * b for b in B[k]]
             out.append([v % p for v in row] if p else [v.numerator if v.denominator == 1 else v for v in row])
-        elif p:
-            out.append([sum(map(mul, Ai, Bj)) % p for Bj in Bt])
         else:
-            da, ai = _integer_vector(Ai)
+            many.append(len(out))
+            out.append(Ai)
+    if many and Bt and len(B) >= (8 if p else 16):
+        m, flat = len(Bt), [b for row in B for b in row]
+        D, flat = (1, flat) if p else _integer_vector(flat)
+        lifts = [(1, out[i]) if p else _integer_vector(out[i]) for i in many]
+        beta = 0 if p else max(map(abs, flat))
+        half = 0 if p else len(B) * max(abs(a) for _, ai in lifts for a in ai) * beta
+        width = _slot_width(2 * half or len(B) * (p - 1) ** 2)
+        ones, packed = _pack([1] * m, width), [None] * len(B)
+        for i, (da, ai) in zip(many, lifts):
+            acc = (half - beta * sum(ai)) * ones
+            for k, a in enumerate(ai):
+                if a:
+                    if packed[k] is None:  # a zero row packs as beta's, not as 0
+                        packed[k] = _pack([b + beta for b in flat[k * m:k * m + m]], width)
+                    acc += a * packed[k]
+            slots = _unpack(acc, m, width)
+            out[i] = [v % p for v in slots] if p else [_ratio(v - half, da * D) for v in slots]
+    elif p:
+        for i in many:
+            out[i] = [sum(map(mul, out[i], Bj)) % p for Bj in Bt]
+    elif many:
+        cols = [_integer_vector(Bj) for Bj in Bt]
+        integral = all(db == 1 for db, _ in cols)
+        for i in many:
+            da, ai = _integer_vector(out[i])
             if da == 1 and integral:
-                out.append([sum(map(mul, ai, bj)) for _, bj in cols])
+                out[i] = [sum(map(mul, ai, bj)) for _, bj in cols]
             else:
-                out.append([_ratio(sum(map(mul, ai, bj)), da * db) for db, bj in cols])
+                out[i] = [_ratio(sum(map(mul, ai, bj)), da * db) for db, bj in cols]
     return out
 
 
@@ -544,7 +574,7 @@ def _packed_inverse(field, A):
     """
     p = field.characteristic
     n, m = len(A), len(A[0]) if A else 0
-    width = -(-(min(n, m) * (p - 1) ** 2 + p).bit_length() // 64) * 8
+    width = _slot_width(min(n, m) * (p - 1) ** 2 + p)
     bits, mask, size = 8 * width, (1 << 8 * width) - 1, m + n
     rows = [_pack(row, width) | 1 << bits * (m + i) for i, row in enumerate(A)]
     pivots, det = [], 1
@@ -569,6 +599,12 @@ def _packed_inverse(field, A):
     for R, c in zip(rows, pivots):
         X[c] = [v % p for v in _unpack(R, size, width)[m:]]
     return X, det if len(pivots) == n == m else 0
+
+
+def _slot_width(bound: int) -> int:
+    """The bytes of a packed slot that holds 0..bound: a multiple of 8, so
+    that 64-bit slots take `struct`'s path in `_pack` and `_unpack`."""
+    return -(-bound.bit_length() // 64) * 8
 
 
 def _pack(values, width: int) -> int:

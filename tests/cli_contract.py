@@ -205,6 +205,10 @@ SLOW_CASES = [
          {"ge16.pres": _ge16}),
     Case("regular-dense256-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "regular", "dense256.json"),
          0, {"result.verified": True}, 30, {"dense256.json": _dense(256, 8, 256)}),
+    # a side-256 square on packed rows of B
+    Case("mul-dense256-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "mul", "dense256.json",
+                              "dense256.json"), 0, {"result.element.level": 8}, 30,
+         {"dense256.json": _dense(256, 8, 256)}),
 ]
 
 

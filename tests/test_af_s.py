@@ -11,7 +11,7 @@ from af_oracle import mul as oracle_mul
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 
 from freeproj.af_s import AFMatrix, word_rank, word_unrank
-from freeproj.errors import LevelDecrease, NotIdempotent, ZeroElement
+from freeproj.errors import BudgetExceeded, LevelDecrease, NotIdempotent, ZeroElement
 from freeproj.fields import GF, QQ
 from freeproj.qgr import QgrClass
 from freeproj.randgen import make_rng, random_af, random_nonzero_af
@@ -515,3 +515,32 @@ def test_product_builds_no_embedding(monkeypatch):
     monkeypatch.setattr(AFMatrix, "embed", refuse)
     for a, b, want in pairs:
         assert_same_matrix(a * b, want)
+
+
+@pytest.mark.parametrize("level", [12, 20])
+def test_constructors_refuse_a_side_above_max_side_before_allocating(level):
+    # the d**level table is never built: at level 12 it took 2.35 s and
+    # 271 MB, at level 20 it would hold 2^40 entries
+    start = time.perf_counter()
+    for build in (lambda: AFMatrix.zero(2, level), lambda: AFMatrix.matrix_unit(2, (0,) * level, (1,) * level),
+                  lambda: AFMatrix(2, level, [])):
+        with pytest.raises(BudgetExceeded):
+            build()
+    assert time.perf_counter() - start < 0.5
+    # at d = 1 every level has side 1
+    one = AFMatrix.matrix_unit(1, (0,) * level, (0,) * level)
+    assert one.entries == ((1,),) and one == AFMatrix.scalar(1, 1)
+    assert AFMatrix.zero(1, level).is_zero() and AFMatrix(1, level, [[3]]).level == level
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_product_by_one_is_the_canonical_form_itself(field):
+    # a level-0 factor 1 coerces nothing: the canonical form comes back
+    rng = random.Random(41)
+    one = AFMatrix.scalar(2, 1, field)
+    for level in (1, 2):
+        a = AFMatrix(2, level, [[_af_value(rng, field) for _ in range(2**level)] for _ in range(2**level)], field)
+        c = a.canonical()
+        assert c * one is c and one * c is c and c.scale(Fraction(2, 2)) is c
+        assert_same_matrix(a * one, oracle_mul(a, one))
+        assert_same_matrix(one * a.embed(level + 1), oracle_mul(one, a.embed(level + 1)))

@@ -53,7 +53,17 @@ for _field in ("QQ", "GF:7"):
 # a dense side-27 witness (d = 3, level 3): packed GF(p) rows in 64-bit slots
 # at p = 10007 and in wide slots at the largest prime below PRIME_BOUND
 for _field in ("QQ", "GF:10007", "GF:3317044064679887385961813"):
-    CASES[f"s-calc-regular-dense27-{_field.replace(':', '')}"] = ["--field", _field, "s-calc", "regular", "dense27.json"]
+    _tag = _field.replace(":", "")
+    CASES[f"s-calc-regular-dense27-{_tag}"] = ["--field", _field, "s-calc", "regular", "dense27.json"]
+    # its square: a side-27 product, past the packed-product gates of both fields
+    CASES[f"s-calc-mul-dense27-dense27-{_tag}"] = ["--field", _field, "s-calc", "mul", "dense27.json", "dense27.json"]
+# a dense side-16 QQ matrix (d = 2, level 4) whose rows have fractions over
+# different denominators: the packed QQ product at its gate, and a witness
+# whose a*x is the identity
+for _field in ("QQ", "GF:10007"):
+    _tag = _field.replace(":", "")
+    CASES[f"s-calc-mul-frac16-frac16-{_tag}"] = ["--field", _field, "s-calc", "mul", "frac16.json", "frac16.json"]
+    CASES[f"s-calc-regular-frac16-{_tag}"] = ["--field", _field, "s-calc", "regular", "frac16.json"]
 # s-algebra (criterion 7) takes seconds; test_acceptance and the full-suite
 # comparison cover it
 for _suite in ("hilbert", "truncation", "profiles", "splitting", "decomposition", "k0",

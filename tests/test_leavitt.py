@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import signal
 from fractions import Fraction
 
 import hypothesis
@@ -423,6 +424,43 @@ def test_flat_decompose_past_the_raise_budget_takes_products(monkeypatch):
             got = _outcome(flat_decompose, a, r)
             assert bool(lowered) == (len(a.terms) * 2**r > 4)
             assert got == _outcome(leavitt_oracle.flat_decompose, a, r)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_flat_decompose_lowers_an_element_past_the_raise_budget(A2, monkeypatch):
+    # 1 written as the 2^14 terms of level 14 is 2^27 monomial products on
+    # the product path at r = 13 (at level 17 and r = 16 it ran for minutes);
+    # lowered first, it is 1 on the flat gate
+    one = LeavittElement.one(A2)
+    with time_limit(30):
+        got = _outcome(flat_decompose, one.raise_level(0, 14), 13)
+    assert got == _outcome(flat_decompose, one, 13)
+    # with the budget cut down so that the product path can run: its values,
+    # in the term order of the lowered element (lowering moves each lowered
+    # component to the end)
+    x = LeavittElement.monomial(A2, (), (), Fraction(-3, 2)) + LeavittElement.monomial(A2, (1,), (1, 0))
+    cases = [(r, x.raise_level(0, r + 1)) for r in (6, 7)]
+    wants = [leavitt_oracle.flat_decompose(raised, r) for r, raised in cases]
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 2**9)
+    for (r, raised), want in zip(cases, wants):
+        assert len(raised.terms) * 2**r > leavitt.MAX_RAISED_TERMS
+        got = flat_decompose(raised, r)
+        assert {w: p.terms for w, p in got.items()} == {w: p.terms for w, p in want.items()}
+        assert _outcome(flat_decompose, raised, r) == _outcome(flat_decompose, raised.canonical().lowered(), r)
 
 
 def test_canonical_of_canonical_is_itself():

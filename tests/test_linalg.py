@@ -486,6 +486,56 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
     assert 8 in widths and max(widths) > 8, widths
 
 
+@st.composite
+def packed_product_cases(draw):
+    """(field, A, B) with inner side 1-40, on both sides of the packing gates
+    (8 over GF(p), 16 over QQ): over a prime of PACKED_PRIMES, or over QQ
+    with negative entries, each row's fractions over its own denominators
+    and, in about half the cases, numerators past 100 bits.  A has zero
+    rows, rows with one nonzero entry and rows with several; B has zero
+    rows, zero columns and zero entries."""
+    p = draw(st.sampled_from((0,) + PACKED_PRIMES))
+    field = GF(p) if p else QQ
+    n, k, m = draw(st.integers(0, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = draw(st.sampled_from((4, 110)))
+
+    def row(size, density):
+        dens = rng.sample((1, 2, 3, 4, 5, 7, 9, 12), 2)
+        return [(rng.randrange(p) if p else QQ.coerce(Fraction(rng.randint(-2**bits, 2**bits), rng.choice(dens))))
+                if rng.random() < density else field.zero for _ in range(size)]
+
+    A = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("zero", "one", "many")))
+        A.append(row(k, 0.8) if kind == "many" else [field.zero] * k)
+        if kind == "one":
+            A[-1][rng.randrange(k)] = rng.randrange(1, p) if p else QQ.coerce(Fraction(rng.randint(1, 9), 7))
+    B = [row(m, 0.8) if rng.random() < 0.8 else [field.zero] * m for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+        for r in B:
+            r[j] = field.zero
+    return field, A, B
+
+
+def test_packed_product_matches_frozen_product(monkeypatch):
+    packed = set()
+    pack = linalg._pack
+    monkeypatch.setattr(linalg, "_pack", lambda values, width: packed.add(width) or pack(values, width))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(packed_product_cases())
+    def check(case):
+        # value and type, on dot products below the gates and packed rows at them
+        field, A, B = case
+        got, want = dense_mul(field, A, B), oracle_dense_mul(field, A, B)
+        assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
+
+    check()
+    # 64-bit slots and wide ones both ran
+    assert 8 in packed and max(packed) > 8, packed
+
+
 def test_generalized_inverse_packs_only_half_nonzero_gfp(monkeypatch):
     packed = []
     inverse = linalg._packed_inverse
