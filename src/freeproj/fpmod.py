@@ -45,8 +45,11 @@ the order of `term_key` is stable under left multiplication and reduction
 only adds smaller terms, so if x_a * w is standard for the leading word w
 of m, it is the leading word of x_a * m, which is then nonzero.  A degree
 in which every standard word w keeps a letter (some x_a * w is standard)
-passes from the degree-(j+1) index alone; only the others build their
-letter matrices and take the rank.
+passes with no matrix.  By suffix closure a standard w keeps no letter only
+when all d words x_a * w are leading words at alpha, a dead end of degree
+shift(alpha) + |w|, which `torsion` reads off the relation basis's lead
+index.  Only the degrees below i0 that hold one build their letter
+matrices and take the rank, downward; no other degree scans a word.
 
 Morphism matrices grow by the same closure.  A morphism phi is left
 R-linear, phi(x_i * m) = x_i * phi(m), and the suffix u of a standard word
@@ -76,7 +79,9 @@ S = lim M_d(k)^{tensor r}.  `_free_layout` reads n_alpha(b) once from
 word and looks up no index past b, and checks each degree's count against
 its Hilbert value.  `letter_matrix` places its rows by that layout, and
 `_mult_bijective` checks the layout alone and builds no row: unit rows that
-hit each column once have full rank.
+hit each column once have full rank.  The row blocks must tile [0, h_j),
+and the column spans (off(alpha), d * n_alpha), each d consecutive letter
+blocks, must tile [0, h_{j+1}); a tiling is one pass over sorted blocks.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ import itertools
 from .errors import BudgetExceeded, CertificateMismatch
 from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
-from .linalg import SparseMatrix, _row_axpy, rank, row_reduce
+from .linalg import SparseMatrix, _row_axpy, _scaled_row, rank, row_reduce
 from .submodules import FreeBasis, kernel, weak_basis
 
 # The most standard words and letter-matrix rows an FpModule holds over all
@@ -120,9 +125,13 @@ def _check_span(low: int, top: int, d: int):
 def _tiles(blocks, size: int) -> bool:
     """Do the blocks (start, length) cover [0, size) once, with no overlap?
     Sorted by start, each nonempty block must begin where the one before ends."""
-    blocks = sorted(block for block in blocks if block[1])
-    ends = itertools.accumulate((n for _, n in blocks), initial=0)
-    return [start for start, _ in blocks] + [size] == list(ends)
+    end = 0
+    for start, n in sorted(blocks):
+        if n:
+            if start != end:
+                return False
+            end += n
+    return end == size
 
 
 class StableProfile:
@@ -391,7 +400,7 @@ class FpModule:
 
         For j >= b the stacked letter matrices are the unit rows placed by
         `_free_layout(j)`: full rank iff the row blocks tile [0, h_j) and the
-        column blocks off + i * n_alpha tile [0, h_{j+1}).  Below b they are
+        column spans (off, d * n_alpha) tile [0, h_{j+1}).  Below b they are
         mostly unit rows (module docstring), which `rank` counts first."""
         d = self.algebra.d
         hj, hj1 = self.hilbert(j), self.hilbert(j + 1)
@@ -402,7 +411,7 @@ class FpModule:
         if j >= self._free_bound():
             layout = self._free_layout(j)
             return (_tiles([(start, n) for start, n, _ in layout], hj)
-                    and _tiles([(off + i * n, n) for _, n, off in layout for i in range(d)], hj1))
+                    and _tiles([(off, d * n) for _, n, off in layout], hj1))
         stacked = [row for i in range(d) for row in self.letter_matrix(i, j).rows]
         return rank(SparseMatrix(self.algebra.field, d * hj, hj1, stacked)) == hj1
 
@@ -452,15 +461,20 @@ class FpModule:
 
     # -- torsion --------------------------------------------------------------
 
-    def _letters_injective(self, j: int) -> bool:
-        """Is m -> (x_a * m)_a injective from M_j to M_{j+1}^d?  Exact: yes
-        when every standard word of M_j keeps a letter (module docstring),
-        else when the rank of the letter matrices out of M_j side by side is
-        h_j."""
-        hj, d, index = self.hilbert(j), self.algebra.d, self._std_index(j + 1)
-        if all(any((alpha, (a,) + w) in index for a in range(d)) for alpha, w in self.std_basis(j)):
-            return True
-        return rank(self._letters_side_by_side(j)) == hj
+    def _dead_ends(self, top: int) -> set:
+        """The degrees j in [min_degree, top) that hold a dead end (module
+        docstring): a standard word w at some alpha whose products x_0 * w,
+        ..., x_{d-1} * w are all leading words at alpha, read off the
+        relation basis's lead index."""
+        d, shifts, low = self.algebra.d, self.F0.shifts, self.min_degree
+        out = set()
+        for alpha, leads in self.relation_basis()._by_coord.items():
+            for v in leads:
+                if v and v[0] == 0 and all((a,) + v[1:] in leads for a in range(1, d)):
+                    j = shifts[alpha] + len(v) - 1
+                    if low <= j < top and (alpha, v[1:]) in self._std_index(j):
+                        out.add(j)
+        return out
 
     def _letters_side_by_side(self, j: int, Q: SparseMatrix | None = None) -> SparseMatrix:
         """The d letter matrices out of M_j, each times Q when Q is given,
@@ -478,15 +492,16 @@ class FpModule:
         """The largest finite-dimensional graded submodule, by the one-letter
         recursion of the module docstring.  A finite-dimensional module is all
         torsion: its kernel in each degree is the identity on M_j.  Zero
-        torsion is certified first, by standard words and ranks (module
-        docstring), and only a module that fails that check runs the
-        recursion."""
+        torsion is certified first, by a rank at each degree that holds a dead
+        end (module docstring), and only a module that fails that check runs
+        the recursion."""
         profile = self.stable_profile()
         i0 = profile.i0
         F = self.algebra.field
         if profile.t0 == 0:
             kernels = [(j, [{k: F.one} for k in range(self.hilbert(j))]) for j in range(self.min_degree, i0)]
-        elif all(self._letters_injective(j) for j in range(i0 - 1, self.min_degree - 1, -1)):
+        elif all(rank(self._letters_side_by_side(j)) == self.hilbert(j)
+                 for j in sorted(self._dead_ends(i0), reverse=True)):
             return Torsion({}, [])
         else:
             Q = SparseMatrix.identity(F, self.hilbert(i0))
@@ -605,7 +620,9 @@ class FpModuleMorphism:
         target's letter matrix of x_i, and only the generator rows (alpha, ())
         map a representative through the cover and reduce it.  Each row lists
         its columns in decreasing `term_key` order of the target's standard
-        words, as the normal forms of `coords` do."""
+        words, as the normal forms of `coords` do: a one-entry row of u gives
+        a letter row scaled, a unit row or a normal form, which is in that
+        order already."""
         cache = self._matrix_cache
         if j in cache:
             return cache[j]
@@ -626,8 +643,13 @@ class FpModuleMorphism:
                 mat = letters.get(i)
                 if mat is None:
                     mat = letters[i] = target.letter_matrix(i, k - 1).rows
+                row = prev.rows[below[(alpha, w[1:])]]
+                if len(row) == 1:
+                    [(c, a)] = row.items()
+                    rows.append(_scaled_row(F, a, mat[c]))
+                    continue
                 acc: dict = {}
-                for c, a in prev.rows[below[(alpha, w[1:])]].items():
+                for c, a in row.items():
                     _row_axpy(F, acc, neg(a), mat[c])
                 if len(acc) > 1:
                     acc = {c: acc[c] for c in sorted(acc, key=lambda c: term_key(columns[c]), reverse=True)}

@@ -34,7 +34,8 @@ entry as a multiple of a row of B.
 
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
 sparse product; it works on the plain values of `fields`, reducing mod p
-itself over GF(p), with no field method call per entry.  Next to it,
+itself over GF(p), with no field method call per entry, and reads a row of
+the left factor with one entry as a scaled row (`_scaled_row`).  Next to it,
 `_add_terms` (a sum of terms) and `_add_products` (the pairwise products of
 two term dicts, placed by a key function) are the one accumulate loop for
 every sparse {key: value} dict: polynomials, module elements, Leavitt
@@ -94,6 +95,10 @@ class SparseMatrix:
         F = self.field
         out = []
         for r in self.rows:
+            if len(r) == 1:
+                [(k, a)] = r.items()
+                out.append(_scaled_row(F, a, other.rows[k]))
+                continue
             acc: dict = {}
             for k, a in r.items():
                 _row_axpy(F, acc, F.neg(a), other.rows[k])
@@ -124,6 +129,16 @@ def _row_axpy(field, target: dict, coef, source: dict):
             target[j] = s
         else:
             target.pop(j, None)
+
+
+def _scaled_row(field, a, row: dict) -> dict:
+    """a * row for a nonzero a, in row's key order, with the values and types
+    of `_row_axpy` into an empty row: row itself, unmutated and shared, when a
+    is the int 1."""
+    if type(a) is int and a == 1:
+        return row
+    p = field.characteristic
+    return {j: a * v % p for j, v in row.items()} if p else {j: a * v for j, v in row.items()}
 
 
 def _add_terms(field, acc: dict, terms):

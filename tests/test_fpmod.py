@@ -16,6 +16,7 @@ from letter_matrix_oracle import letter_matrix as oracle_letter_matrix
 from letter_matrix_oracle import mult_bijective as oracle_mult_bijective
 from std_basis_oracle import std_basis as oracle_std_basis
 from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
+import profile_path_oracle
 from torsion_oracle import torsion as oracle_torsion
 from torsion_recursion_oracle import torsion as oracle_torsion_recursion
 
@@ -420,6 +421,57 @@ def test_free_tail_layout_check_matches_rank_oracle(M):
             wrong._mult_bijective(j)
 
 
+@st.composite
+def block_lists(draw):
+    """(blocks, size) for `_tiles`: a shuffled tiling of [0, size) with empty
+    blocks, then maybe a block moved, a block added or the size changed; or
+    blocks drawn at random, negative, overlapping and past the size."""
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.tuples(st.integers(-2, 12), st.integers(-1, 6)), max_size=6))
+        return blocks, draw(st.integers(0, 14))
+    lengths = draw(st.lists(st.integers(0, 4), max_size=6))
+    blocks = [list(b) for b in zip(itertools.accumulate(lengths, initial=0), lengths)]
+    size = sum(lengths)
+    change = draw(st.sampled_from(["none", "move", "add", "size"]))
+    if change == "move" and blocks:
+        draw(st.sampled_from(blocks))[0] += draw(st.sampled_from([-1, 1]))
+    elif change == "add":
+        blocks.append([draw(st.integers(0, size)), draw(st.integers(0, 2))])
+    elif change == "size":
+        size += draw(st.sampled_from([-1, 1]))
+    return [tuple(b) for b in draw(st.permutations(blocks))], size
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(block_lists())
+def test_tiles_matches_frozen_copy(case):
+    blocks, size = case
+    assert fpmod._tiles(blocks, size) == profile_path_oracle.tiles(blocks, size)
+
+
+@st.composite
+def free_tail_layouts(draw):
+    """(d, layout, size): a free-tail layout (row start, n, column offset)
+    with offsets d * row and size d * h_j, then maybe offsets moved and the
+    size changed by one."""
+    d = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    starts = list(itertools.accumulate(counts, initial=0))
+    layout = [[row, n, d * row] for row, n in zip(starts, counts)]
+    for _ in range(draw(st.integers(0, 2))):
+        draw(st.sampled_from(layout))[2] += draw(st.integers(-3, 3))
+    return d, [tuple(entry) for entry in layout], d * starts[-1] + draw(st.sampled_from([0, 0, -1, 1]))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(free_tail_layouts())
+def test_column_spans_tile_exactly_when_column_blocks_do(case):
+    # the span (off, d * n) of a coordinate against its d blocks (off + i * n, n)
+    d, layout, size = case
+    spans = fpmod._tiles([(off, d * n) for _, n, off in layout], size)
+    assert spans == profile_path_oracle.column_blocks_tile(layout, d, size)
+
+
 def test_stable_profile_checks_each_degree_once(mult_checks, A2):
     # R + R(-1) by x0 * e0 = e1 is free from degree 0 < b = 1, so the walk
     # down from b proves degree 0 and the certification loop starts at b
@@ -590,6 +642,92 @@ def test_zero_torsion_is_certified_without_elimination(monkeypatch):
     assert calls["row_reduce"] == 4
 
 
+def assert_dead_ends_match_word_test(M):
+    """On fresh copies of M: torsion() equals the frozen word-test path's,
+    which leaves the same letter matrices, standard words and held count;
+    and below i0 a degree holds a dead end exactly when the frozen word test
+    fails there.  Returns (t0 > 0, dead ends below i0)."""
+    got, want = FpModule(M.F0, M.relations), FpModule(M.F0, M.relations)
+    assert typed_torsion(got.torsion()) == typed_torsion(profile_path_oracle.torsion(want))
+    assert list(got._letter_cache) == list(want._letter_cache)
+    assert all(typed_rows(got._letter_cache[k]) == typed_rows(want._letter_cache[k]) for k in got._letter_cache)
+    assert list(got._std_cache) == list(want._std_cache) and got._held == want._held
+    p = got.stable_profile()
+    if not p.t0:
+        return False, set()
+    dead = got._dead_ends(p.i0)
+    for j in range(got.min_degree, p.i0):
+        assert (j in dead) != profile_path_oracle.words_keep_a_letter(got, j)
+    return True, dead
+
+
+@st.composite
+def twisted_modules(draw):
+    """`presented_modules(fractions=True)` twisted down by 0..2, so that
+    shifts run negative."""
+    return draw(presented_modules(fractions=True)).shift(draw(st.integers(0, 2)))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(twisted_modules())
+def test_dead_ends_match_frozen_word_test(M):
+    assert_dead_ends_match_word_test(M)
+
+
+def test_dead_ends_match_frozen_word_test_on_golden_and_battery():
+    A1, A2, A3 = FreeAlgebra(1), FreeAlgebra(2), FreeAlgebra(3, GF(5))
+    x0, x1 = A2.gen(0), A2.gen(1)
+    golden = sorted((Path(__file__).parent / "golden").glob("*.pres"))
+    mods = [parse_presentation(path.read_text()).module() for path in golden] + letter_battery() + [
+        FpModule.cyclic(A2, [x0 * x0 * x0 * x0]),
+        FpModule.cyclic(A2, [x1 * x1, x0 * x1 + x0 * x0]).shift(2),
+        FpModule.cyclic(A1, [A1.gen(0) * A1.gen(0)]).direct_sum(FpModule.free(A1, [1])),
+        FpModule.residue(A3).shift(-1).direct_sum(FpModule.free(A3, [0])),
+        FpModule.tail_quotient(A3, 2).direct_sum(FpModule.free(A3, [-1])),
+    ]
+    kinds = [assert_dead_ends_match_word_test(M) for M in mods]
+    assert any(free and not dead for free, dead in kinds)
+    assert any(free and dead for free, dead in kinds)
+    assert any(not free for free, _ in kinds)
+
+
+def test_torsion_takes_a_rank_only_at_dead_ends(monkeypatch):
+    calls = count_calls(monkeypatch, fpmod, ["rank"])
+    sides = []
+    real = FpModule._letters_side_by_side
+
+    def recorded(self, j, Q=None):
+        sides.append(j)
+        return real(self, j, Q)
+
+    monkeypatch.setattr(FpModule, "_letters_side_by_side", recorded)
+    A2 = FreeAlgebra(2)
+    x0, x1 = A2.gen(0), A2.gen(1)
+    # R/R x0^4: t0 = 15 > 0 and no dead end, so no letter matrix and no rank
+    M = FpModule.cyclic(A2, [x0 * x0 * x0 * x0])
+    profile = M.stable_profile()
+    before, ranks = list(M._letter_cache), calls["rank"]
+    assert profile.t0 > 0 and M._dead_ends(profile.i0) == set()
+    assert M.torsion().dimension == 0
+    assert calls["rank"] == ranks and sides == [] and list(M._letter_cache) == before
+    # R/(x1 x1, x0 x1 + x0 x0): both products of x1 are leading words, one
+    # dead end at degree 1 < i0 = 2, so one rank there
+    N = FpModule.cyclic(A2, [x1 * x1, x0 * x1 + x0 * x0])
+    assert N.stable_profile().i0 == 2 and N._dead_ends(2) == {1}
+    ranks = calls["rank"]
+    assert N.torsion().dimension == 0
+    assert calls["rank"] == ranks + 1 and sides == [1]
+    # R + R(-1) + R(-1) by x0 e0 = e1 and x1 e0 = e2 is R, i0 = 0: its dead
+    # end () at degree 0 is not below i0 and takes no rank
+    F = A2.free_module([0, 1, 1])
+    one, zero = A2.one(), A2.zero()
+    P = FpModule(F, [F.from_polys([x0, -one, zero]), F.from_polys([x1, zero, -one])])
+    assert P.stable_profile().i0 == 0 and P._dead_ends(1) == {0} and P._dead_ends(0) == set()
+    ranks = calls["rank"]
+    assert P.torsion().dimension == 0
+    assert calls["rank"] == ranks and sides == [1]
+
+
 def test_morphism_matrix_cache_matches_fresh_morphism():
     for M in letter_battery():
         q = FpModuleMorphism(FpModule(M.F0), M, ModuleMap.identity(M.F0))
@@ -668,6 +806,30 @@ def test_morphism_matrices_match_oracle_on_sections():
                 products += sum(1 for _, w in h.source.std_basis(j) if w)
                 multi += sum(1 for row in h.matrix_in_degree(j).rows if len(row) > 1)
     assert products > 0 and multi > 0
+
+
+def test_sections_leave_cached_letter_rows_unchanged():
+    # a one-entry row of a morphism matrix or a product shares its letter
+    # row; after split_sequence and Section.verify() every cached letter
+    # matrix of the modules still equals a fresh module's, value and type
+    checked = 0
+    for seed in range(8):
+        rng = make_rng(seed)
+        A = FreeAlgebra(2, GF(5) if seed % 3 == 0 else QQ)
+        src = [rng.randint(0, 2) for _ in range(rng.randint(2, 3))]
+        phi = random_module_map(rng, A, src, [0, 1][: rng.randint(1, 2)], span=1)
+        K = kernel(phi)
+        S = phi.source
+        L, M, N = FpModule(A.free_module(list(K.degrees()))), FpModule(S), FpModule(S, list(K.elements))
+        f = FpModuleMorphism(L, M, ModuleMap(L.F0, S, [b.polys() for b in K.elements]))
+        g = FpModuleMorphism(M, N, ModuleMap.identity(S))
+        assert split_sequence(f, g, N.stable_profile().i0, degrees=4).verify()
+        for X in (L, M, N):
+            fresh = FpModule(X.F0, X.relations)
+            for (i, j), mat in X._letter_cache.items():
+                assert typed_rows(mat) == typed_rows(fresh.letter_matrix(i, j))
+                checked += 1
+    assert checked > 0
 
 
 def test_morphism_rows_list_columns_in_term_order(A2):

@@ -8,6 +8,7 @@ from dense_mul_oracle import dense_mul as oracle_dense_mul
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 from row_reduce_oracle import row_axpy as oracle_row_axpy
 from row_reduce_oracle import row_reduce as oracle_row_reduce
+from sparse_mul_oracle import sparse_mul as oracle_sparse_mul
 
 from freeproj import linalg
 from freeproj.fields import GF, QQ, is_prime
@@ -793,3 +794,35 @@ def test_row_axpy_matches_field_method_loop(case):
     assert all(v != 0 for v in got.values())
     if field.characteristic:
         assert all(0 < v < field.characteristic for v in got.values())
+
+
+@st.composite
+def sparse_products(draw):
+    """(A, B) over QQ, GF(2) or GF(10007): rows of A empty, with one entry
+    or with several; over QQ the entries are ints, fractions and the
+    uncoerced Fraction(1, 1), which must give Fraction entries."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(10007)]))
+    if field is QQ:
+        nonzero = st.sampled_from([1, -1, 2, Fraction(1, 1), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 1)])
+    else:
+        nonzero = st.integers(1, field.characteristic - 1)
+    inner, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    B = [draw(st.dictionaries(st.integers(0, ncols - 1), nonzero, max_size=ncols)) for _ in range(inner)]
+    A = [draw(st.dictionaries(st.integers(0, inner - 1), nonzero, max_size=draw(st.sampled_from([0, 1, 1, inner]))))
+         for _ in range(draw(st.integers(0, 5)))]
+    return SparseMatrix(field, len(A), inner, A), SparseMatrix(field, inner, ncols, B)
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(sparse_products())
+def test_sparse_mul_matches_frozen_product(case):
+    A, B = case
+    got, want = A.mul(B), oracle_sparse_mul(A, B)
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert [[(j, type(v), v) for j, v in r.items()] for r in got.rows] == \
+        [[(j, type(v), v) for j, v in r.items()] for r in want.rows]
+    # a one-entry row holding the int 1 shares its row of B, and only it
+    for r, out in zip(A.rows, got.rows):
+        if len(r) == 1:
+            [(k, a)] = r.items()
+            assert (out is B.rows[k]) == (type(a) is int and a == 1)

@@ -404,3 +404,42 @@ def test_kernel_matches_cofactor_oracle(phi):
     want_first = cofactor_oracle.weak_basis(images, ambient=phi.target)
     assert typed_basis(first) == typed_basis(want_first)
     assert typed_cofactors(first) == typed_cofactors(want_first)
+
+
+def test_full_reduce_adds_back_a_cancelled_monomial(A2):
+    # against x1 x1 + x0 x1 and x1 x0 - x0 x1: reducing x1 x1 cancels the
+    # x0 x1 of x1 x1 + x1 x0 + x0 x1, and reducing x1 x0 adds it back at the
+    # end of the work dict
+    x0, x1 = A2.gen(0), A2.gen(1)
+    R = A2.free_module([0])
+    B = weak_basis([R.from_polys([x1 * x1 + x0 * x1]), R.from_polys([x1 * x0 - x0 * x1])], ambient=R)
+    assert list(B._by_coord[0]) == [(1, 1), (1, 0)]
+    e = R.from_polys([x1 * x1 + x1 * x0 + x0 * x1])
+    uses = {}
+    nf = _full_reduce(e, B.elements, B._by_coord, uses)
+    want, want_uses = cofactor_oracle._full_reduce(e, B.elements, B._by_coord)
+    assert typed_element(nf) == typed_element(want) == [((0, (0, 1)), int, 1)]
+    assert typed_uses(uses) == typed_uses(want_uses) == [(0, [((), int, 1)]), (1, [((), int, 1)])]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(presented_modules(fractions=True), st.data())
+def test_full_reduce_matches_cofactor_oracle_on_basis_combinations(M, data):
+    # word multiples of basis elements plus a random element, so that
+    # reductions cancel monomials and add them back: nf values, types and
+    # key order, and the cofactors, as the oracle's max-per-step loop
+    B = M.relation_basis()
+    hypothesis.assume(B.elements)
+    coef = coefficients(M.algebra.field, fractions=True)
+    d = M.algebra.d
+    for _ in range(3):
+        j = data.draw(st.integers(min(B.degrees()), max(B.degrees()) + 2))
+        e = draw_element(data.draw, M.F0, j, coef)
+        for b, a in zip(B.elements, B.degrees()):
+            if a <= j and data.draw(st.booleans()):
+                u = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=j - a, max_size=j - a)))
+                e = e + b.word_mul(u).scale(data.draw(coef))
+        nf, uses = cofactor_oracle._full_reduce(e, B.elements, B._by_coord)
+        got_uses = {}
+        assert typed_element(_full_reduce(e, B.elements, B._by_coord, got_uses)) == typed_element(nf)
+        assert typed_uses(got_uses) == typed_uses(uses)
