@@ -74,14 +74,17 @@ builds them in.  So with n_alpha words at alpha in degree j, row p of alpha
 in the matrix of x_i is the unit row at column off(alpha) + i * n_alpha + p,
 off(alpha) being d times the degree-j words at the coordinates before
 alpha.  These are the block embeddings of the limit algebra
-S = lim M_d(k)^{tensor r}.  `_free_layout` reads n_alpha(b) once from
-`std_basis(b)` and takes n_alpha(j) = d^(j-b) * n_alpha(b); it builds no
-word and looks up no index past b, and checks each degree's count against
-its Hilbert value.  `letter_matrix` places its rows by that layout, and
-`_mult_bijective` checks the layout alone and builds no row: unit rows that
-hit each column once have full rank.  The row blocks must tile [0, h_j),
-and the column spans (off(alpha), d * n_alpha), each d consecutive letter
-blocks, must tile [0, h_{j+1}); a tiling is one pass over sorted blocks.
+S = lim M_d(k)^{tensor r}.  The leads at alpha are suffix-free, so the words
+at alpha ending in distinct leads v are disjoint: `_free_layout` reads
+n_alpha(b) = d^(b - shift(alpha)) - sum_v d^(b - shift(alpha) - |v|) off the
+lead index once, after checking in O(sum |v|) probes that no lead at alpha
+ends in another, and takes n_alpha(j) = d^(j-b) * n_alpha(b).  It builds no
+word and checks each degree's count against its Hilbert value.
+`letter_matrix` places its rows by that layout, and `_mult_bijective`
+checks the layout alone and builds no row: unit rows that hit each column
+once have full rank.  The row blocks must tile [0, h_j), and the column
+spans (off(alpha), d * n_alpha), each d consecutive letter blocks, must
+tile [0, h_{j+1}); a tiling is one pass over sorted blocks.
 """
 
 from __future__ import annotations
@@ -303,13 +306,13 @@ class FpModule:
             prev = std
         return prev
 
-    def _check_budget(self, top: int, rows=()) -> range:
-        """The degrees `std_basis(top)` would build, after refusing with
-        `BudgetExceeded` a build that would take the module's held standard
-        words and letter-matrix rows past MAX_STD_WORDS: first the words of
-        those degrees, then `rows`, (j, h_j, "letter-matrix rows") for a
-        letter matrix out of M_j.  Decided from Hilbert values alone."""
-        todo = _missing(self._std_cache, top, self.min_degree)
+    def _check_budget(self, top: int | None, rows=()) -> range:
+        """The degrees `std_basis(top)` would build (none for None), after
+        refusing with `BudgetExceeded` a build that would take the module's
+        held standard words and letter-matrix rows past MAX_STD_WORDS: first
+        the words of those degrees, then `rows`, (j, h_j, "letter-matrix
+        rows") for a letter matrix out of M_j.  Decided from Hilbert values."""
+        todo = range(0) if top is None else _missing(self._std_cache, top, self.min_degree)
         held = self._held
         for k, n, what in [(k, self.hilbert(k), "standard words") for k in todo] + list(rows):
             held += n
@@ -347,13 +350,13 @@ class FpModule:
         On the free tail, j >= b with b the bound of `stable_profile`, every
         row is a unit row placed by `_free_layout` from the per-coordinate
         word counts alone (module docstring).  Either way the words the rows
-        need (through degree j+1 below b, through b on the tail) and the h_j
-        rows themselves are held to MAX_STD_WORDS before any is built."""
+        need (through degree j+1 below b, none on the tail) and the h_j rows
+        themselves are held to MAX_STD_WORDS before any is built."""
         if (i, j) in self._letter_cache:
             return self._letter_cache[(i, j)]
         F, one = self.algebra.field, self.algebra.field.one
         b, hj = self._free_bound(), self.hilbert(j)
-        self._check_budget(min(j + 1, b), [(j, hj, "letter-matrix rows")])
+        self._check_budget(j + 1 if j < b else None, [(j, hj, "letter-matrix rows")])
         if j >= b:
             layout = self._free_layout(j)
             rows = [None] * hj
@@ -379,16 +382,16 @@ class FpModule:
 
     def _free_layout(self, j: int) -> list:
         """(row start, n_alpha(j), column offset) per coordinate alpha of the
-        letter maps out of M_j, j >= b (module docstring).  It builds the
-        words of degree b at most, so past b it is bounded by `_check_span`
+        letter maps out of M_j, j >= b, read off the relation leads (module
+        docstring).  It builds no word, so it is bounded by `_check_span`
         alone."""
-        b = self._free_bound()
+        b, d = self._free_bound(), self.algebra.d
         if self._bound_counts is None:
-            counts = [0] * self.F0.rank
-            for alpha, _ in self.std_basis(b):
-                counts[alpha] += 1
-            self._bound_counts = counts
-        d = self.algebra.d
+            leads = self.relation_basis()._by_coord
+            if any(v[k:] in vs for vs in leads.values() for v in vs for k in range(1, len(v) + 1)):
+                raise CertificateMismatch("a relation leading word ends in another at its coordinate")
+            self._bound_counts = [d ** (b - s) - sum(d ** (b - s - len(v)) for v in leads.get(alpha, ()))
+                                  for alpha, s in enumerate(self.F0.shifts)]
         counts = [n * d ** (j - b) for n in self._bound_counts]
         starts = list(itertools.accumulate(counts, initial=0))
         if starts[-1] != self.hilbert(j) or d * starts[-1] != self.hilbert(j + 1):

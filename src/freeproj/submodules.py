@@ -15,7 +15,10 @@ looking up the |w| + 1 suffixes of w in the coordinate's {leading word:
 index} dict, which `weak_basis` builds and `FreeBasis` keeps.  One tail
 interreduction pass suffices: whether a monomial is reducible depends only
 on the leading words, and interreduction never changes them (reduction
-only adds smaller terms), so an element once reduced stays reduced.
+only adds smaller terms), so an element once reduced stays reduced.  The
+pass skips an element with an empty tail or no later element of its
+degree: it was reduced against every earlier lead, and a tail monomial at
+beta, of length deg - shift(beta), cannot end in a lead of higher degree.
 
 Kernels come from cofactors: if the generators g satisfy g = Q*b and
 b = P*g for a free basis b, then every kernel row r satisfies r*Q = 0,
@@ -63,12 +66,12 @@ class FreeBasis:
 
     __slots__ = ("ambient", "elements", "from_generators", "_by_coord", "_degrees")
 
-    def __init__(self, ambient, elements, from_generators, by_coord):
+    def __init__(self, ambient, elements, from_generators, by_coord, degrees):
         self.ambient = ambient
         self.elements = tuple(elements)
         self.from_generators = None if from_generators is None else tuple(from_generators)
         self._by_coord = by_coord
-        self._degrees = tuple(b.degree() for b in self.elements)
+        self._degrees = tuple(degrees)
 
     @property
     def rank(self) -> int:
@@ -158,21 +161,22 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
         ambient = generators[0].module
     A = ambient.algebra
     F = A.field
-    for g in generators:
-        if g.module != ambient:
+    degree: dict = {}  # {index: degree} of the nonzero generators, read once each
+    for i, g in enumerate(generators):
+        if g.module is not ambient and g.module != ambient:
             raise ValueError("generators live in different modules")
-        if not g.is_homogeneous():
+        degs = {len(w) + ambient.shifts[alpha] for alpha, w in g.terms}
+        if len(degs) > 1:
             raise ValueError("generators must be homogeneous")
+        if degs:
+            degree[i] = degs.pop()
 
-    order = sorted(
-        (i for i, g in enumerate(generators) if not g.is_zero()),
-        key=lambda i: (generators[i].degree(), i),
-    )
     basis: list = []
+    degrees: list = []
     leads: list = []
     cof_rows: list = []  # with _cofactors, row i: basis[i] over the input generators
     by_coord: dict = {}  # the lead index FreeBasis keeps
-    for i in order:
+    for i in sorted(degree, key=degree.get):  # stable: by degree, then index
         uses = {} if _cofactors else None
         nf = _full_reduce(generators[i], basis, by_coord, uses)
         if nf.is_zero():
@@ -189,6 +193,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
         by_coord.setdefault(lead[0], {})[lead[1]] = len(basis)
         leads.append(lead)
         basis.append(nf)
+        degrees.append(degree[i])
 
     # one tail interreduction pass (see the module docstring); an element's
     # own leading word is no suffix of a tail monomial at its coordinate,
@@ -197,6 +202,8 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
     # reduces, and drops the first one that does.
     for idx, lead in enumerate(leads):
         b = basis[idx]
+        if len(b.terms) == 1 or degrees[idx + 1:idx + 2] != [degrees[idx]]:
+            continue
         tail = dict(b.terms)
         lc = tail.pop(lead)
         uses = {} if _cofactors else None
@@ -206,7 +213,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
             if _cofactors:
                 cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
     from_generators = [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows] if _cofactors else None
-    return FreeBasis(ambient, basis, from_generators, by_coord)
+    return FreeBasis(ambient, basis, from_generators, by_coord, degrees)
 
 
 def kernel(phi: ModuleMap) -> FreeBasis:

@@ -109,6 +109,7 @@ LETTERQ = {"letterq.pres": _golden("letterq.pres")}
 E01 = {"e01.json": _golden("e01.json")}
 BIG10 = '{"d": 2, "level": 10, "entries": [[3, 700, "5/3"]]}\n'
 LEVEL11 = "x0* x0 - 2 x1* x0 + 1/2 x1* x0* x0 x1 - 1/2"
+K20 = {"k20.pres": "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"}
 ONE1024 = {"one1024.json": '{"d": 2, "level": 10, "entries": [[700, 300, "5"]]}\n'}
 
 CASES = [
@@ -124,13 +125,21 @@ CASES = [
          {"far.pres": "field: QQ\nd: 2\ngens: [1000000000000]\nrels:\n"}),
     Case("profile-far-spread", ("profile", "spread.pres"), 1, {"kind": "BudgetExceeded"}, 10,
          {"spread.pres": "field: QQ\nd: 2\ngens: [0, 1000000000000]\nrels:\n"}),
-    Case("profile-word-budget-k20", ("--degree-cap", "1", "profile", "k20.pres"), 1, {"kind": "BudgetExceeded"}, 20,
-         {"k20.pres": "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"}),
+    # R + k(-20) at d = 2: torsion reads its dead end at degree 20 in the
+    # standard words, and the words through degree 18 already pass the bound
+    Case("torsion-word-budget-k20", ("--degree-cap", "1", "torsion", "k20.pres"), 1,
+         {"kind": "BudgetExceeded",
+          "error": f"degree 18 would add {2**18} standard words, bringing the module's held words and rows to "
+                   f"{2**19 - 1}, over the bound fpmod.MAX_STD_WORDS = {2**18}"}, 20, K20),
     Case("mul-literal-digits", ("s-calc", "mul", "big.json", "big.json"), 1, {"kind": "BudgetExceeded"}, 60,
          {"big.json": '{"d": 1, "level": 0, "entries": [[0, 0, "1e4000"]]}\n'}),
     Case("simplicity-level-cap", ("--level-cap", "7", "s-calc", "simplicity", "u8.json"), 1,
          {"kind": "BudgetExceeded"}, 10, {"u8.json": '{"d": 2, "level": 8, "entries": [[0, 0, "1"]]}\n'}),
-    # profiles certified past the word budget, in bounded memory
+    # profiles certified past the word budget, in bounded memory; R + k(-20)
+    # counts its 2^21 words of degree b = 21 off the relation leads
+    Case("profile-word-budget-k20", ("--degree-cap", "1", "profile", "k20.pres"), 0,
+         {"result.profile": {"certified_through": 25, "i0": 21, "t": [2**21, 2**22, 2**23, 2**24, 2**25]}}, 20,
+         K20, rss_mb=48),
     Case("profile-cap18", ("--degree-cap", "18", "profile", "letterq.pres"), 0,
          {"result.profile.certified_through": 18}, 20, LETTERQ, rss_mb=48),
     Case("profile-cap19", ("--degree-cap", "19", "profile", "letterq.pres"), 0,

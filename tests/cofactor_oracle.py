@@ -110,7 +110,8 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
         if uses:
             basis[idx] = FreeModuleElement(b.module, {lead: lc, **nf.terms})
             cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
-    return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows], by_coord)
+    return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows], by_coord,
+                     [b.degree() for b in basis])
 
 
 def kernel(phi: ModuleMap) -> FreeBasis:

@@ -466,16 +466,18 @@ x0 x1 x2 - x3 x3 x3, x0 x0
 x1 x1 x0, x2 x0 + 2 x1 x3
 0, x3 x2 x1 - 3 x0 x0 x0
 """
-# R + k(-20) at d = 2: the profile reads the words of degree b = 21
+# R + k(-20) at d = 2: b = 21, and a dead end at degree 20
 R_PLUS_K20 = "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"
 
 
 def test_profile_certifies_past_the_word_budget(tmp_path):
     # past the stable bound b a profile builds no word and no row, so any cap
     # within the digit rule is certified: R/Rx0 at d=2 would have 2**999
-    # standard words in degree 1000.  R + k(-20) still needs the 2**21 words
-    # of degree 21 and is refused at degree 18, whatever the cap.  As above,
-    # the child runs under a 1.5 GB address-space limit.
+    # standard words in degree 1000.  R + k(-20) counts the 2**21 words of
+    # its degree 21 off the relation leads, so its profile is certified too,
+    # while its torsion needs the words below its dead end at degree 20 and
+    # is refused at degree 18, whatever the cap.  As above, the child runs
+    # under a 1.5 GB address-space limit.
     letterq = os.path.join(os.path.dirname(__file__), "golden", "letterq.pres")
     probe, far = tmp_path / "d4.pres", tmp_path / "far.pres"
     probe.write_text(D4_PROBE)
@@ -488,9 +490,9 @@ def test_profile_certifies_past_the_word_budget(tmp_path):
     src = os.path.dirname(os.path.dirname(freeproj.__file__))
     env = dict(os.environ, PYTHONPATH=src)
 
-    def profile(degree_cap, pres):
+    def profile(degree_cap, pres, command="profile"):
         proc = subprocess.run(
-            [sys.executable, "-m", "freeproj.cli", "--degree-cap", degree_cap, "profile", str(pres)],
+            [sys.executable, "-m", "freeproj.cli", "--degree-cap", degree_cap, command, str(pres)],
             capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
         )
         assert "Traceback" not in proc.stderr
@@ -504,6 +506,9 @@ def test_profile_certifies_past_the_word_budget(tmp_path):
             assert report["result"]["profile"]["certified_through"] == int(degree_cap)
     for degree_cap in ("1", "8"):
         code, report = profile(degree_cap, far)
+        assert code == 0
+        assert report["result"]["profile"] == {"certified_through": 25, "i0": 21, "t": [2**k for k in range(21, 26)]}
+        code, report = profile(degree_cap, far, "torsion")
         assert code == 1
         assert report["kind"] == "BudgetExceeded"
         assert report["error"].startswith(f"degree 18 would add {2**18} standard words, bringing the module's "

@@ -267,11 +267,11 @@ print(json.dumps({"error": error, "seconds": time.perf_counter() - start,
 """
 
 
-def test_free_tail_letter_matrix_refuses_over_budget_before_building():
+def test_free_tail_letter_matrix_refuses_over_budget_before_building(monkeypatch):
     # R/Rx0 at d = 2 is free past b = 1, with 2^28 words in degree 29: the
-    # matrix out of M_29 would hold 2^28 rows, placed from the 2 words of
-    # degrees 0..1, and is refused before those words are built.  The child
-    # runs under a 1.5 GB address-space limit.
+    # matrix out of M_29 would hold 2^28 rows, placed by word counts read off
+    # the relation leads, and is refused before any row is built; no word is
+    # built or counted.  The child runs under a 1.5 GB address-space limit.
     limit = 1_500_000_000
 
     def cap():
@@ -284,25 +284,28 @@ def test_free_tail_letter_matrix_refuses_over_budget_before_building():
     report = json.loads(proc.stdout)
     assert report["error"] is not None
     assert report["error"].startswith(f"degree 29 would add {2**28} letter-matrix rows, bringing the "
-                                      f"module's held words and rows to {2**28 + 2},")
+                                      f"module's held words and rows to {2**28},")
     assert report["seconds"] < 1
     assert report["built"] == [0, 0, 0]
+    # the same refusals in a budget of 2^10, small enough to build up to it
+    # here: the rows out of M_11 fit and those out of M_12 do not
+    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", 2**10)
     M = quotient_by_first_letter(FreeAlgebra(2))
     b = M._free_bound()
-    # beside those 2 words the rows out of M_18 fit and those out of M_19 do not
-    top = next(j for j in itertools.count(b) if 2 + M.hilbert(j) > MAX_STD_WORDS)
-    assert top == 19
-    assert M.letter_matrix(1, top - 1).nrows == M.hilbert(top - 1)
-    assert max(M._std_cache) == b
-    with pytest.raises(BudgetExceeded, match=f"degree {top} would add"):
+    top = next(j for j in itertools.count(b) if M.hilbert(j) > fpmod.MAX_STD_WORDS)
+    assert top == 12
+    assert M.letter_matrix(1, top - 1).nrows == M.hilbert(top - 1) == 2**10
+    assert M._std_cache == {}
+    with pytest.raises(BudgetExceeded, match=f"degree {top} would add {2**11} letter-matrix rows, bringing "
+                                             f"the module's held words and rows to {2**10 + 2**11},"):
         M.letter_matrix(1, top)
-    # the rows of every letter matrix are held: x0's out of M_18 would be the
-    # second 2^17 beside x1's
-    with pytest.raises(BudgetExceeded, match=f"degree {top - 1} would add {2**17} letter-matrix rows, bringing "
-                                             f"the module's held words and rows to {2 + 2**18},"):
+    # the rows of every letter matrix are held: x0's out of M_11 would be the
+    # second 2^10 beside x1's
+    with pytest.raises(BudgetExceeded, match=f"degree {top - 1} would add {2**10} letter-matrix rows, bringing "
+                                             f"the module's held words and rows to {2**11},"):
         M.letter_matrix(0, top - 1)
-    assert list(M._letter_cache) == [(1, top - 1)]
-    assert M._held == held_in_caches(M) == 2 + 2**17
+    assert list(M._letter_cache) == [(1, top - 1)] and M._std_cache == {}
+    assert M._held == held_in_caches(M) == 2**10
 
 
 def test_letter_matrix_below_the_bound_refuses_before_building(monkeypatch):
@@ -323,15 +326,17 @@ def test_letter_matrix_below_the_bound_refuses_before_building(monkeypatch):
 
 
 def test_torsion_refuses_over_budget_before_building(monkeypatch):
-    # R + k(-2) at d = 2: its profile holds the words of degrees 0..3 and no
-    # row, and its torsion the rows of both letters out of degrees 0..2
+    # R + k(-2) at d = 2, b = 3: its profile holds no word and no row, and
+    # its torsion the words of degrees 0..3 and the rows of both letters out
+    # of degrees 0..2, the last of them built
     text = "field: QQ\nd: 2\ngens: [0, 2]\nrels:\n0, x0\n0, x1\n"
     for short in (1, 0):
         M = parse_presentation(text).module()
         M.stable_profile()
-        assert M._letter_cache == {}
-        need = 2 * sum(map(M.hilbert, range(3)))
-        monkeypatch.setattr(fpmod, "MAX_STD_WORDS", M._held + need - short)
+        assert M._letter_cache == {} and M._std_cache == {} and M._held == 0
+        need = sum(map(M.hilbert, range(4))) + 2 * sum(map(M.hilbert, range(3)))
+        assert need == 16 + 16
+        monkeypatch.setattr(fpmod, "MAX_STD_WORDS", need - short)
         if short:
             with pytest.raises(BudgetExceeded, match="letter-matrix rows"):
                 M.torsion()
@@ -419,6 +424,65 @@ def test_free_tail_layout_check_matches_rank_oracle(M):
     for j in range(b, b + 3):
         with pytest.raises(CertificateMismatch, match="Hilbert value"):
             wrong._mult_bijective(j)
+
+
+@st.composite
+def lead_count_modules(draw):
+    """Presentations over QQ, GF(2) or GF(5), d = 1..3, with 1-3 generators
+    of shift -1..2 and 0-5 random homogeneous relations, and maybe a
+    generator killed outright, a leading word ()."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    A = FreeAlgebra(draw(st.integers(1, 3)), field)
+    F = A.free_module(draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3)))
+    coef = coefficients(field)
+    rels = [draw_element(draw, F, draw(st.integers(min(F.shifts), max(F.shifts) + 2)), coef)
+            for _ in range(draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        rels.append(F.gen(draw(st.integers(0, F.rank - 1))))
+    return FpModule(F, rels)
+
+
+def killed_beside_a_relation():
+    """R(1) + R + R(-2) at d = 3 over GF(2), the middle generator killed (a
+    () lead, no word) and x0 x1 a relation at the last."""
+    F = FreeAlgebra(3, GF(2)).free_module([-1, 0, 2])
+    return FpModule(F, [F.gen(1), F.element({(2, (0, 1)): 1})])
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(lead_count_modules())
+@hypothesis.example(killed_beside_a_relation())
+def test_free_layout_counts_match_standard_words(M):
+    # the counts read off the leads are the standard words at each
+    # coordinate, enumerated by the oracle on a fresh copy, for j = b..b+2;
+    # the layout builds no word
+    b = M._free_bound()
+    slow = FpModule(M.F0, M.relations)
+    for j in range(b, b + 3):
+        counts = [n for _, n, _ in M._free_layout(j)]
+        want = [0] * M.F0.rank
+        for alpha, _ in oracle_std_basis(slow, j):
+            want[alpha] += 1
+        assert counts == want and all(type(n) is int for n in counts)
+    assert M._std_cache == {} and M._held == 0
+
+
+@pytest.mark.parametrize("rename", [((0, 0), (0, 1)), ((1,), ())])
+def test_free_layout_refuses_a_lead_ending_in_another(rename):
+    # R/(x1, x0 x0) at d = 2 with one lead renamed in its index, keeping its
+    # length or not: x1 ends x0 x1, and every word ends in ().  Renamed to
+    # x0 x1 the counts still sum to the Hilbert values, so only the suffix
+    # certificate refuses it
+    A2 = FreeAlgebra(2)
+    x0, x1 = A2.gen(0), A2.gen(1)
+    M = FpModule.cyclic(A2, [x1, x0 * x0])
+    old, new = rename
+    leads = M.relation_basis()._by_coord[0]
+    assert list(leads) == [(1,), (0, 0)]
+    leads[new] = leads.pop(old)
+    with pytest.raises(CertificateMismatch, match="a relation leading word ends in another at its coordinate"):
+        M.stable_profile()
+    assert M._bound_counts is None and M._std_cache == {}
 
 
 @st.composite
@@ -644,14 +708,17 @@ def test_zero_torsion_is_certified_without_elimination(monkeypatch):
 
 def assert_dead_ends_match_word_test(M):
     """On fresh copies of M: torsion() equals the frozen word-test path's,
-    which leaves the same letter matrices, standard words and held count;
-    and below i0 a degree holds a dead end exactly when the frozen word test
+    which leaves the same letter matrices; the standard words left are the
+    word test's lowest degrees, since only a dead end or a letter matrix
+    below b builds words, and the held count is what the caches hold; and
+    below i0 a degree holds a dead end exactly when the frozen word test
     fails there.  Returns (t0 > 0, dead ends below i0)."""
     got, want = FpModule(M.F0, M.relations), FpModule(M.F0, M.relations)
     assert typed_torsion(got.torsion()) == typed_torsion(profile_path_oracle.torsion(want))
     assert list(got._letter_cache) == list(want._letter_cache)
     assert all(typed_rows(got._letter_cache[k]) == typed_rows(want._letter_cache[k]) for k in got._letter_cache)
-    assert list(got._std_cache) == list(want._std_cache) and got._held == want._held
+    keys = list(got._std_cache)
+    assert keys == list(want._std_cache)[:len(keys)] and got._held == held_in_caches(got)
     p = got.stable_profile()
     if not p.t0:
         return False, set()

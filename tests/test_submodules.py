@@ -1,5 +1,6 @@
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 
 from freeproj import FpModule, FreeAlgebra, kernel, weak_basis
 from freeproj.fields import GF, QQ
@@ -443,3 +444,79 @@ def test_full_reduce_matches_cofactor_oracle_on_basis_combinations(M, data):
         got_uses = {}
         assert typed_element(_full_reduce(e, B.elements, B._by_coord, got_uses)) == typed_element(nf)
         assert typed_uses(got_uses) == typed_uses(uses)
+
+
+@st.composite
+def same_degree_generators(draw):
+    """(F, generators): 2-8 generators over QQ (with fractions), GF(2) or
+    GF(7), d = 1..3, in a free module of 1-3 coordinates of shift 0..2,
+    each of one of two adjacent degrees that every coordinate reaches, so
+    that several share a degree across coordinates; some are an earlier
+    one's left multiple plus a drawn element, which reduce to short tails."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7)]))
+    A = FreeAlgebra(draw(st.integers(1, 3)), field)
+    F = A.free_module(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    coef = coefficients(field, fractions=field == QQ)
+    low = draw(st.integers(max(F.shifts), max(F.shifts) + 1))
+    gens = []
+    for _ in range(draw(st.integers(2, 8))):
+        j = low + draw(st.integers(0, 1))
+        g = draw_element(draw, F, j, coef)
+        earlier = [e for e in gens if not e.is_zero() and e.degree() <= j]
+        if earlier and draw(st.booleans()):
+            e = draw(st.sampled_from(earlier))
+            u = tuple(draw(st.lists(st.integers(0, A.d - 1), min_size=j - e.degree(), max_size=j - e.degree())))
+            g = g + e.word_mul(u).scale(draw(coef))
+        gens.append(g)
+    return F, gens
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(same_degree_generators())
+def test_same_degree_tails_match_cofactor_oracle(case):
+    # the tail pass visits only elements with a later lead of their degree:
+    # elements, value types, key order, lead index, degrees and cofactor rows
+    # as the oracle's pass over every element
+    F, gens = case
+    want = cofactor_oracle.weak_basis(gens, ambient=F)
+    B = weak_basis(gens, ambient=F)
+    C = weak_basis(gens, ambient=F, _cofactors=True)
+    assert typed_basis(B) == typed_basis(C) == typed_basis(want)
+    assert B.from_generators is None
+    assert typed_cofactors(C) == typed_cofactors(want)
+
+
+def test_later_same_degree_lead_rewrites_an_earlier_tail(A2):
+    # g1 = e0 x1 x1 + e1 x1 and g2 = e1 x1 + e1 x0 in R + R(-1), both of
+    # degree 2: g1 is inserted first, with its lead e0 x1 x1, and only g2's
+    # lead e1 x1, at the other coordinate, reduces its tail, to -e1 x0
+    F = A2.free_module([0, 1])
+    x0, x1 = A2.gen(0), A2.gen(1)
+    g1, g2 = F.from_polys([x1 * x1, x1]), F.from_polys([A2.zero(), x1 + x0])
+    want = cofactor_oracle.weak_basis([g1, g2], ambient=F)
+    B = weak_basis([g1, g2])
+    C = weak_basis([g1, g2], _cofactors=True)
+    assert typed_basis(B) == typed_basis(C) == typed_basis(want) == (
+        [[((0, (1, 1)), int, 1), ((1, (0,)), int, -1)], [((1, (1,)), int, 1), ((1, (0,)), int, 1)]],
+        [(0, [((1, 1), 0)]), (1, [((1,), 1)])],
+        (2, 2),
+    )
+    assert typed_cofactors(C) == typed_cofactors(want) == [
+        [(0, [((), int, 1)]), (1, [((), int, -1)])],
+        [(1, [((), int, 1)])],
+    ]
+
+
+def test_weak_basis_checks_each_generator(A2):
+    # homogeneity and the ambient module are checked on every generator, a
+    # zero one included; a module equal to the ambient but not it is accepted
+    R = R_of(A2)
+    x0 = A2.gen(0)
+    mixed = R.from_polys([x0 * x0 + x0])
+    for gens in ([mixed], [R.from_polys([x0]), mixed], [mixed, R.element({})]):
+        with pytest.raises(ValueError, match="generators must be homogeneous"):
+            weak_basis(gens, ambient=R)
+    with pytest.raises(ValueError, match="different modules"):
+        weak_basis([R.from_polys([x0]), A2.free_module([1]).from_polys([x0])])
+    B = weak_basis([R.element({}), A2.free_module([0]).from_polys([x0])], ambient=R)
+    assert typed_basis(B) == ([[((0, (0,)), int, 1)]], [(0, [((0,), 0)])], (1,))
