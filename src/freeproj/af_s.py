@@ -19,7 +19,9 @@ entries, `scale` coerces each product itself (none by 1), `*` takes the
 so they skip the constructor via `_from_canonical`.  A product never
 embeds: a lower-level factor acts on each diagonal block of the other, N^2 n
 products for canonical sides N >= n, on packed rows of the right factor
-from side 8 over GF(p), 16 over QQ.  Every constructor refuses a side above
+from side 8 over GF(p), 16 over QQ.  `canonical` marks the matrix it
+returns, so a product, canonical when made, is not scanned again as the
+factor of the next product.  Every constructor refuses a side above
 MAX_SIDE before building any row.
 """
 
@@ -51,7 +53,8 @@ MAX_SIMPLICITY_ENTRIES = 2**22
 class AFMatrix:
     """A leveled matrix representative of an element of the limit algebra."""
 
-    __slots__ = ("d", "field", "level", "entries")
+    # _least: canonical() returned this matrix, so it is its own canonical form
+    __slots__ = ("d", "field", "level", "entries", "_least")
 
     def __init__(self, d: int, level: int, entries, field=QQ):
         if d < 1 or level < 0:
@@ -65,12 +68,13 @@ class AFMatrix:
         self.field = field
         self.level = level
         self.entries = entries
+        self._least = False
 
     @classmethod
     def _from_canonical(cls, d: int, level: int, rows: tuple, field) -> "AFMatrix":
         """An AFMatrix on tuple rows of canonical values: no coercion or check."""
         out = object.__new__(cls)
-        out.d, out.field, out.level, out.entries = d, field, level, rows
+        out.d, out.field, out.level, out.entries, out._least = d, field, level, rows, False
         return out
 
     # -- constructors ---------------------------------------------------------
@@ -113,15 +117,18 @@ class AFMatrix:
         return out
 
     def canonical(self) -> "AFMatrix":
-        """Least-level representative: peel off identity tensor factors."""
+        """Least-level representative: peel off identity tensor factors.  A
+        matrix it returned above level 0 is marked, and comes back at once,
+        unscanned."""
         out = self
-        while out.level > 0:
+        while out.level > 0 and not out._least:
             d, n = out.d, out.d ** (out.level - 1)
             rows = out.entries
             zeros = (0,) * (n * (d - 1))
             for k, row in enumerate(rows):
                 lo = k // n * n
                 if row[:lo] + row[lo + n:] != zeros or row[lo:lo + n] != rows[k - lo][:n]:
+                    out._least = True
                     return out
             # at d = 1 every level is the same 1x1 algebra: one step reaches level 0
             lower = 0 if d == 1 else out.level - 1

@@ -40,6 +40,8 @@ the left factor with one entry as a scaled row (`_scaled_row`).  Next to it,
 two term dicts, placed by a key function) are the one accumulate loop for
 every sparse {key: value} dict: polynomials, module elements, Leavitt
 elements, parsed terms and the submodule reduction all add through them.
+They too add and multiply plain values, reduce mod p themselves and call
+no field method per term or pair.
 Two representations are used:
 
 * sparse: a matrix is a list of rows, each row a dict {column: nonzero value},
@@ -142,29 +144,39 @@ def _scaled_row(field, a, row: dict) -> dict:
 
 
 def _add_terms(field, acc: dict, terms):
-    """acc += terms, in place, for (key, value) pairs; a zero sum drops its
-    key, and a later term inserts it again at the end."""
+    """acc += terms, in place, for (key, value) pairs, on plain values as in
+    `_row_axpy`; a zero sum drops its key, and a later term inserts it again
+    at the end."""
+    p = field.characteristic
+    get = acc.get
     for k, v in terms:
-        s = field.add(acc.get(k, field.zero), v)
-        if s == 0:
-            acc.pop(k, None)
-        else:
+        s = get(k, 0) + v
+        if p:
+            s %= p
+        if s:
             acc[k] = s
+        else:
+            acc.pop(k, None)
 
 
 def _add_products(field, acc: dict, left: dict, right: dict, key):
     """acc += a*b at key(k, l) for each term (k, a) of left and (l, b) of
-    right, in place, in that nested order; a key of None skips the pair and
-    a zero sum drops its key as in `_add_terms`."""
+    right, in place, in that nested order, on plain values; a key of None
+    skips the pair and a zero sum drops its key as in `_add_terms`."""
+    p = field.characteristic
+    get = acc.get
+    pairs = right.items()
     for k, a in left.items():
-        for l, b in right.items():
+        for l, b in pairs:
             m = key(k, l)
             if m is not None:
-                s = field.add(acc.get(m, field.zero), field.mul(a, b))
-                if s == 0:
-                    acc.pop(m, None)
-                else:
+                s = get(m, 0) + a * b
+                if p:
+                    s %= p
+                if s:
                     acc[m] = s
+                else:
+                    acc.pop(m, None)
 
 
 def row_reduce(mat: SparseMatrix, want_transform=False):

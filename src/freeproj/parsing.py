@@ -7,19 +7,26 @@ juxtaposed with spaces, or "1" for the empty word.  The Leavitt grammar
 adds starred letters "x0*".  Printing emits exactly this grammar, so
 parse and print are mutually inverse on canonical forms.
 
-An expression is read in one pass.  One anchored regex match checks the
-whole text, and where it stops is the first character no token starts; one
-`findall` then hands over the tokens, each already sorted into letter,
-number or sign by its regex group, and a letter index is `int` of ASCII
-digits.  A Leavitt term whose stars all come before its plain letters is
-the monomial (reversed stars, plain letters) as it stands; `mono_mul`
-multiplies in only the letters from a star after a plain letter on.
+An expression is read a term at a time: one anchored regex match per term
+gives its sign run, its coefficient and its run of letters, and each letter
+is looked up in a table of the in-range letters of d, up to x255 ("x0" ->
+0, and "x0*" -> ~0 in the Leavitt grammar), which also checks its range.  The
+token loop is kept for every text that reader cannot account for
+(juxtaposed letters, a bare "1" between letters, an out-of-range or
+malformed letter, any fault) and is the one source of every ParseError:
+one anchored match checks the whole text, and where it stops is the first
+character no token starts; one `findall` then hands over the tokens, each
+sorted into letter, number or sign by its regex group.  A Leavitt term
+whose stars all come before its plain letters is the monomial (reversed
+stars, plain letters) as it stands; `mono_mul` multiplies in only the
+letters from a star after a plain letter on.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from functools import cache
 
 from .errors import ParseError
 from .fields import MAX_LITERAL_DIGITS, field_from_spec, read_int
@@ -34,22 +41,71 @@ _TOKEN = re.compile(r"\s*(?:x([0-9]+)(\*?)|([0-9]+/[0-9]+|[0-9]+)|([+-]))")
 # backtrack into a token, so it ends where reading one token at a time
 # stops: at the first character that starts no token, or at the end.
 _TOKENS = re.compile(rf"(?:{_TOKEN.pattern})*\s*")
+# One term as (sign run, coefficient, letter run), each part optional, read
+# greedily with no backtracking.  A letter run's words are its letters only
+# where spaces part them: "x0x1" is one word, which no letter table holds.
+_TERM = re.compile(r"\s*([+-][\s+-]*)?([0-9]+/[0-9]+|[0-9]+)?\s*((?:x[0-9]+\*?\s*)*)")
+# the most letters a letter table holds, so that a huge d builds no huge table
+_TABLE_LETTERS = 256
+
+
+@cache
+def _letter_table(n: int, starred: bool) -> dict:
+    """{"x0": 0, .., "x{n-1}": n - 1}, and also "x{i}*": ~i when starred."""
+    table = {f"x{i}": i for i in range(n)}
+    if starred:
+        table.update({f"x{i}*": ~i for i in range(n)})
+    return table
 
 
 def _terms(field, d, text: str, line=None, starred=False):
-    """Yield (coefficient, letters) for each term of text, in order; the
-    letter x_i is i and x_i* is ~i.  A run of signs multiplies, its first
-    sign closes the term before it, and a trailing sign is refused.  A number
-    is a coefficient only as a term's first atom; "1" is the empty word.
-    Each term's atoms are read, then its letters range checked."""
+    """[(letters, coefficient)] for the terms of text, in order; letters is
+    a tuple, the letter x_i is i and x_i* is ~i.  `_token_terms` reads a
+    text that `_read_terms` cannot account for, and raises every error."""
+    return _read_terms(field, d, text, starred) or _token_terms(field, d, text, line, starred)
+
+
+def _read_terms(field, d, text: str, starred=False):
+    """The terms of text, one `_TERM` match each, or None.  It is None
+    unless the matches cover the text, each term has a coefficient or a
+    letter, each after the first opens with a sign, each coefficient reads
+    and each word of a letter run is in the letter table of d: an
+    in-range letter, starred only when starred is set."""
+    lookup = _letter_table(min(d, _TABLE_LETTERS), starred).__getitem__
+    one, neg, from_str, match = field.one, field.neg, field.from_str, _TERM.match
+    terms, pos, end = [], 0, len(text)
+    try:
+        while True:
+            m = match(text, pos)
+            signs, number, run = m.groups()
+            if not (number or run) or terms and not signs:
+                return None
+            coeff = from_str(number) if number else one
+            if signs and signs.count("-") & 1:
+                coeff = neg(coeff)
+            terms.append((tuple(map(lookup, run.split())), coeff))
+            pos = m.end()
+            if pos == end:
+                return terms
+    except (KeyError, ParseError):
+        return None
+
+
+def _token_terms(field, d, text: str, line=None, starred=False):
+    """The terms of text read a token at a time, as `_terms` gives them,
+    or the ParseError of the first fault.  A run of signs multiplies, its
+    first sign closes the term before it, and a trailing sign is refused.
+    A number is a coefficient only as a term's first atom; "1" is the empty
+    word.  Each term's atoms are read, then its letters range checked."""
     end = _TOKENS.match(text).end()
     if end < len(text):
         raise ParseError(f"unexpected character {text[end]!r}", line)
+    terms = []
     sign, coeff, letters, k, seen = 1, field.one, [], 0, False  # k: atoms read in the term
     for digits, star, number, op in _TOKEN.findall(text):
         if op:
             if k:
-                yield _checked(field, sign, coeff, letters, d, line)
+                terms.append(_checked(field, sign, coeff, letters, d, line))
                 sign, coeff, letters, k = 1, field.one, [], 0
             if op == "-":
                 sign = -sign
@@ -66,26 +122,25 @@ def _terms(field, d, text: str, line=None, starred=False):
             coeff = field.from_str(number)
         k += 1
         seen = True
-    if k:
-        yield _checked(field, sign, coeff, letters, d, line)
-    else:
+    if not k:
         raise ParseError("the expression ends in a sign" if seen else "empty expression", line)
+    terms.append(_checked(field, sign, coeff, letters, d, line))
+    return terms
 
 
 def _checked(field, sign, coeff, letters, d, line):
-    """The signed coefficient and the letters of a term; ParseError naming
+    """The letters and the signed coefficient of a term; ParseError naming
     its first letter, in text order, whose index is not below d."""
     if letters and (max(letters) >= d or min(letters) < -d):
         i = next(i for i in letters if not -d <= i < d)
         raise ParseError(f"letter x{~i if i < 0 else i} out of range for d={d}", line)
-    return (field.neg(coeff) if sign < 0 else coeff), letters
+    return tuple(letters), (field.neg(coeff) if sign < 0 else coeff)
 
 
 def parse_poly(algebra, text: str, line=None):
     """Parse the polynomial grammar into an NcPoly over the given algebra."""
     terms: dict = {}
-    words = _terms(algebra.field, algebra.d, text, line)
-    _add_terms(algebra.field, terms, [(tuple(word), c) for c, word in words])
+    _add_terms(algebra.field, terms, _terms(algebra.field, algebra.d, text, line))
     return NcPoly(algebra, terms)
 
 
@@ -95,14 +150,14 @@ def parse_leavitt(algebra, text: str, line=None):
     monomial (reversed stars, plain letters); `mono_mul` folds in each
     later letter, and a zero junction makes the term zero."""
     terms = []
-    for coeff, letters in _terms(algebra.field, algebra.d, text, line, starred=True):
+    for letters, coeff in _terms(algebra.field, algebra.d, text, line, starred=True):
         n, k = len(letters), 0
         while k < n and letters[k] < 0:
             k += 1
         j = k
         while j < n and letters[j] >= 0:
             j += 1
-        mon = (tuple(~i for i in reversed(letters[:k])), tuple(letters[k:j]))
+        mon = (tuple([~i for i in letters[k - 1::-1]]) if k else (), letters[k:j])
         for i in letters[j:]:
             mon = mono_mul(mon, ((~i,), ()) if i < 0 else ((), (i,)))
             if mon is None:
@@ -119,42 +174,49 @@ def parse_leavitt(algebra, text: str, line=None):
 
 
 def _format_terms(field, items):
-    """items: list of (coefficient, word text), in print order."""
-    if not items:
-        return "0"
+    """The text of items, (coefficient, word text) pairs in print order:
+    each term signed, then the sign of the first fixed up; "0" for none."""
+    one, to_str = field.one, field.to_str
     chunks = []
-    for n, (coeff, body) in enumerate(items):
-        try:
-            negative = coeff < 0
-        except TypeError:
-            negative = False
-        mag = field.neg(coeff) if negative else coeff
+    for coeff, body in items:
+        sign = "+ "
+        if coeff < 0:
+            sign, coeff = "- ", -coeff
         if not body:
-            text = field.to_str(mag)
-        elif mag == field.one:
-            text = body
+            chunks.append(sign + to_str(coeff))
+        elif coeff == one:
+            chunks.append(sign + body)
         else:
-            text = f"{field.to_str(mag)} {body}"
-        if n == 0:
-            chunks.append(("-" if negative else "") + text)
-        else:
-            chunks.append(("- " if negative else "+ ") + text)
-    return " ".join(chunks)
+            chunks.append(f"{sign}{to_str(coeff)} {body}")
+    if not chunks:
+        return "0"
+    text = " ".join(chunks)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _poly_order(w):
+    return len(w), w
+
+
+def _leavitt_order(mon):
+    w, v = mon
+    return len(w) + len(v), w, v
 
 
 def format_poly(poly) -> str:
-    F = poly.algebra.field
-    words = sorted(poly.terms, key=lambda w: (len(w), w), reverse=True)
-    name = {i: f"x{i}" for i in set().union(*words)}
-    items = [(poly.terms[w], " ".join([name[i] for i in w])) for w in words]
-    return _format_terms(F, items)
+    terms = poly.terms
+    words = sorted(terms, key=_poly_order, reverse=True)
+    name = {i: f"x{i}" for i in set().union(*words)}.__getitem__
+    return _format_terms(poly.algebra.field, [(terms[w], " ".join(map(name, w))) for w in words])
 
 
 def format_leavitt(elem) -> str:
-    keys = sorted(elem.terms, key=lambda wv: (len(wv[0]) + len(wv[1]), wv[0], wv[1]))
+    terms = elem.terms
+    keys = sorted(terms, key=_leavitt_order)
     letters = set().union(*itertools.chain.from_iterable(keys))
-    name, star = {i: f"x{i}" for i in letters}, {i: f"x{i}*" for i in letters}
-    items = [(elem.terms[w, v], " ".join([star[i] for i in reversed(w)] + [name[i] for i in v])) for w, v in keys]
+    name = {i: f"x{i}" for i in letters}.__getitem__
+    star = {i: f"x{i}*" for i in letters}.__getitem__
+    items = [(terms[w, v], " ".join([*map(star, reversed(w)), *map(name, v)])) for w, v in keys]
     return _format_terms(elem.algebra.field, items)
 
 

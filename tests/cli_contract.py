@@ -104,6 +104,21 @@ def _ge16() -> str:
     return "field: QQ\nd: 2\ngens: [0]\nrels:\n" + "".join(" ".join(f"x{a}" for a in w) + "\n" for w in words)
 
 
+def _unit(u) -> str:
+    """The text of the Leavitt monomial u* u."""
+    return " ".join([f"x{i}*" for i in reversed(u)] + [f"x{i}" for i in u])
+
+
+def _words(k: int) -> list:
+    return list(itertools.product(range(2), repeat=k))
+
+
+# 1 written out at level 6, x0^7* x0^7 at level 7, and -3/2 at level 0: the
+# degree-0 part is raised to level 7, -1/2 u* u at each word u of length 7
+# but 0^7, where it is 1/2; the degree-1 term keeps its level 1
+MIXED_LEVELS = " + ".join(_unit(u) for u in _words(6)) + f" + {_unit((0,) * 7)} - 3/2 - 3 x1* x0 x0"
+MIXED_LEVELS_TEXT = "-3 x1* x0 x0 " + " ".join(("- " if any(u) else "+ ") + "1/2 " + _unit(u) for u in _words(7))
+
 FREE = {"free.pres": _golden("free.pres")}
 LETTERQ = {"letterq.pres": _golden("letterq.pres")}
 E01 = {"e01.json": _golden("e01.json")}
@@ -156,6 +171,10 @@ CASES = [
          {"x08.pres": "field: QQ\nd: 2\ngens: [0]\nrels:\nx0 x0 x0 x0 x0 x0 x0 x0\n"}),
     # limit algebra and Leavitt algebra
     Case("leavitt-eval", ("leavitt-eval", "x0 x0*"), 0, {"result.text": "1"}, 60),
+    # a 2.9k-character input of three levels, printed as 7.1k characters:
+    # 0.21-0.27 s and 17 MB on a 2-vCPU VM
+    Case("leavitt-eval-mixed-levels", ("leavitt-eval", MIXED_LEVELS), 0,
+         {"result.text": MIXED_LEVELS_TEXT, "result.degrees": [0, 1]}, 3, rss_mb=24),
     # a level-11 matrix of a level-2 element, its units placed directly: 0.5 s
     # on a 2-vCPU VM (1 s through a raised element), 91 MB for the dense
     # 2048^2 table

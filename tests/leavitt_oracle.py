@@ -1,13 +1,16 @@
 """The element-level Leavitt paths and the token-by-token text front end
-that the fast paths replaced.
+that the fast paths replaced, and the accumulate loops on field methods.
 
 The lexer matches one regex per token and reads each letter index with
 `read_int`; `parse_poly` sums one term at a time; `parse_leavitt`
 multiplies out one `LeavittElement` product per letter and rebuilds the sum
 once per term; `mono_mul` cancels the junction letter by letter; the flat
-filtration reassembles with one element product and one sum per word.  Kept
-verbatim as the oracles the fast paths must match exactly: same terms, same
-dict key order, same errors.
+filtration reassembles with one element product and one sum per word.
+`add_terms` and `add_products` are `linalg._add_terms` and
+`linalg._add_products` as they were on field methods, `field.add` and
+`field.mul` per term or pair.  Kept verbatim as the oracles the fast paths
+must match exactly: same terms, same values and value types, same dict key
+order, same errors.
 """
 
 import re
@@ -17,9 +20,34 @@ from freeproj.errors import LevelDecrease, NotDegreeZero, NotInFiltrationLevel, 
 from freeproj.fields import read_int
 from freeproj.freealg import FreeAlgebra, NcPoly
 from freeproj.leavitt import LeavittElement, mono_degree
-from freeproj.linalg import _add_terms
 
 _TOKEN = re.compile(r"\s*(x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-])")
+
+
+def add_terms(field, acc: dict, terms):
+    """acc += terms, in place, for (key, value) pairs; a zero sum drops its
+    key, and a later term inserts it again at the end."""
+    for k, v in terms:
+        s = field.add(acc.get(k, field.zero), v)
+        if s == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+
+
+def add_products(field, acc: dict, left: dict, right: dict, key):
+    """acc += a*b at key(k, l) for each term (k, a) of left and (l, b) of
+    right, in place, in that nested order; a key of None skips the pair and
+    a zero sum drops its key as in `add_terms`."""
+    for k, a in left.items():
+        for l, b in right.items():
+            m = key(k, l)
+            if m is not None:
+                s = field.add(acc.get(m, field.zero), field.mul(a, b))
+                if s == 0:
+                    acc.pop(m, None)
+                else:
+                    acc[m] = s
 
 
 def _tokenize(text: str, line=None):
@@ -91,7 +119,7 @@ def parse_poly(algebra, text: str, line=None):
             if not 0 <= idx < algebra.d:
                 raise ParseError(f"letter x{idx} out of range for d={algebra.d}", line)
             word.append(idx)
-        _add_terms(F, terms, [(tuple(word), coeff)])
+        add_terms(F, terms, [(tuple(word), coeff)])
     return NcPoly(algebra, terms)
 
 

@@ -85,6 +85,7 @@ ALLOWLIST = {
     "errors.ParseError.__init__": ERROR_PATH,
     "freealg.GradedFreeModule.gen": BRANCH,  # FpModule.truncate, generators above the cut
     "parsing.format_poly": BRANCH,  # NcPoly.__str__
+    "fields.PrimeField.add": BRANCH,  # linalg.dense_add, a sum of AF matrices over GF(p)
     "fields.PrimeField.sub": ORACLE,  # row_reduce_oracle.py
     "fields.RationalField.sub": ORACLE,  # row_reduce_oracle.py
     "leavitt.LeavittElement.from_poly": ORACLE,  # leavitt_oracle.py

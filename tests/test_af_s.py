@@ -544,3 +544,22 @@ def test_product_by_one_is_the_canonical_form_itself(field):
         assert c * one is c and one * c is c and c.scale(Fraction(2, 2)) is c
         assert_same_matrix(a * one, oracle_mul(a, one))
         assert_same_matrix(one * a.embed(level + 1), oracle_mul(one, a.embed(level + 1)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_a_product_is_scanned_for_its_canonical_form_once(field):
+    # a*x*a scans a*x when the product is formed and not again as a factor;
+    # every product keeps the oracle's value, embedded factors included
+    rng = random.Random(43)
+    for la, lx, up in ((1, 1, 0), (2, 1, 1), (1, 2, 1), (2, 2, 0), (0, 2, 2), (3, 1, 0)):
+        a, x = (AFMatrix(2, lv, [[_af_value(rng, field) for _ in range(2**lv)] for _ in range(2**lv)], field)
+                for lv in (la, lx))
+        a = a.embed(la + up)
+        for witness in (x, a.vn_regular_witness()):
+            ax = a * witness
+            assert_same_matrix(ax, oracle_mul(a, witness))
+            rows, ax.entries = ax.entries, None  # a second scan would read them
+            assert ax.canonical() is ax
+            ax.entries = rows
+            assert_same_matrix(ax * a, oracle_mul(oracle_mul(a, witness), a))
+        assert a * a.vn_regular_witness() * a == a

@@ -5,6 +5,8 @@ from math import prod
 import hypothesis
 import hypothesis.strategies as st
 from dense_mul_oracle import dense_mul as oracle_dense_mul
+from leavitt_oracle import add_products as oracle_add_products
+from leavitt_oracle import add_terms as oracle_add_terms
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 from row_reduce_oracle import row_axpy as oracle_row_axpy
 from row_reduce_oracle import row_reduce as oracle_row_reduce
@@ -14,6 +16,8 @@ from freeproj import linalg
 from freeproj.fields import GF, QQ, is_prime
 from freeproj.linalg import (
     SparseMatrix,
+    _add_products,
+    _add_terms,
     _row_axpy,
     dense_mul,
     generalized_inverse,
@@ -826,3 +830,54 @@ def test_sparse_mul_matches_frozen_product(case):
         if len(r) == 1:
             [(k, a)] = r.items()
             assert (out is B.rows[k]) == (type(a) is int and a == 1)
+
+
+def _typed(acc):
+    return [(k, type(v), v) for k, v in acc.items()]
+
+
+# QQ ints and Fractions, some pairs of them summing to an int or a Fraction
+# with denominator 1, and GF(7) values; keys 0..5 so terms meet and cancel
+ACC_VALUES = {
+    QQ: st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 1)]),
+    GF(7): st.integers(0, 6),
+}
+
+
+@st.composite
+def accumulate_cases(draw):
+    """(field, acc, terms, left, right): an accumulator in random key order,
+    (key, value) terms, and two term dicts for a product."""
+    field = draw(st.sampled_from(list(ACC_VALUES)))
+    values, keys = ACC_VALUES[field], st.integers(0, 5)
+    acc = draw(st.dictionaries(keys, values.filter(bool), max_size=5))
+    acc = {k: acc[k] for k in draw(st.permutations(list(acc)))}
+    terms = draw(st.lists(st.tuples(keys, values), max_size=12))
+    left = draw(st.dictionaries(keys, values.filter(bool), max_size=4))
+    right = draw(st.dictionaries(keys, values.filter(bool), max_size=4))
+    return field, acc, terms, left, right
+
+
+def _product_key(k, l):
+    """None for some pairs; the others meet at a few keys."""
+    return None if (k + 2 * l) % 4 == 3 else (k * l) % 5
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(accumulate_cases())
+@hypothesis.example((QQ, {}, [(0, Fraction(1, 2)), (0, Fraction(1, 2))], {}, {}))
+@hypothesis.example((QQ, {0: 1, 1: 2}, [(0, -1), (2, 3), (0, 1)], {}, {}))
+@hypothesis.example((GF(7), {3: 4}, [(3, 3), (1, 6), (3, 5)], {0: 1, 1: 6}, {1: 1, 2: 1}))
+def test_accumulate_helpers_match_field_method_loops(case):
+    # same keys in the same order, equal values of the same types: a
+    # cancellation drops its key and a later term puts it back at the end
+    field, acc, terms, left, right = case
+    got, want = dict(acc), dict(acc)
+    _add_terms(field, got, terms)
+    oracle_add_terms(field, want, terms)
+    assert _typed(got) == _typed(want)
+    for key in (_product_key, lambda k, l: k + l):
+        got, want = dict(acc), dict(acc)
+        _add_products(field, got, left, right, key)
+        oracle_add_products(field, want, left, right, key)
+        assert _typed(got) == _typed(want)

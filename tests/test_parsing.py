@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 
 import leavitt_oracle
-from freeproj import FreeAlgebra
+from freeproj import FreeAlgebra, parsing
 from freeproj.errors import ParseError
 from freeproj.fields import GF, QQ
 from freeproj.leavitt import LeavittElement
@@ -49,6 +49,28 @@ def test_parse_poly_rejects_bad_input(A2):
             parse_poly(A2, text)
 
 
+@pytest.mark.parametrize("field, text, printed", [
+    (QQ, "x1 - 2 x0 x1 + 3/2", "-2 x0 x1 + x1 + 3/2"),
+    (QQ, "-1/2 - x0 + x1 x1", "x1 x1 - x0 - 1/2"),
+    (QQ, "-1", "-1"),
+    (QQ, "x0 - x0", "0"),
+    (GF(7), "-1/2 - x0 + x1 x1", "x1 x1 + 6 x0 + 3"),
+])
+def test_format_poly_signs_each_term_and_fixes_the_first(field, text, printed):
+    assert format_poly(parse_poly(FreeAlgebra(2, field), text)) == printed
+
+
+@pytest.mark.parametrize("field, text, printed", [
+    (QQ, "-2 x1* x0 x0 + x0* - 1/3", "-1/3 + x0* - 2 x1* x0 x0"),
+    (QQ, "x0* x1 - x1 x0", "-x1 x0 + x0* x1"),
+    (QQ, "-x0* x0* x0 x1", "-x0* x0* x0 x1"),
+    (QQ, "x0* x0 + x1* x1 - 1", "0"),
+    (GF(7), "-x1* x0 + 1/2 x0*", "4 x0* + 6 x1* x0"),
+])
+def test_format_leavitt_signs_each_term_and_fixes_the_first(field, text, printed):
+    assert str(parse_leavitt(FreeAlgebra(2, field), text)) == printed
+
+
 def test_poly_print_parse_round_trip(A2):
     from freeproj.randgen import make_rng, random_poly
 
@@ -71,25 +93,59 @@ def test_parse_leavitt(A2):
     assert mix.terms[((1,), (0,))] == Fraction(1, 2)
 
 
+# separators between tokens: \xa0 and \x1c are whitespace to the grammar,
+# and none at all juxtaposes two tokens ("2x0x1*", "x0" "1" as "x01")
+SEPARATORS = st.sampled_from([" "] * 6 + ["  ", "\t", "\n", "\xa0", "\x1c", ""])
+SPACES = st.sampled_from([" "] * 6 + ["  ", "\t", "\n", "\xa0", "\x1c"])
+# a run of signs, spaced or not, now and then in place of one sign
+SIGNS = st.sampled_from(["+", "-"] * 6 + ["- -", "+-", "-\t+ -"])
+# d = 258 is above the letters a letter table holds
+DEGREES = st.sampled_from([1, 2, 3, 3, 258])
+
+
+@st.composite
+def blanks(draw):
+    """Empty or whitespace-only text."""
+    return draw(st.text(st.sampled_from(" \t\n\xa0\x1c"), max_size=3))
+
+
+@st.composite
+def letters_of(draw, d, starred):
+    """A letter of k<x0..x_{d-1}>, starred now and then when starred is set;
+    at d = 258 often one of x256, x257."""
+    i = draw(st.integers(0, d - 1) | st.integers(max(d - 2, 0), d - 1))
+    return f"x{i}" + ("*" if starred and draw(st.booleans()) else "")
+
+
 @st.composite
 def leavitt_texts(draw):
-    """Leavitt expressions over QQ or GF(7) at d = 1..3: zero coefficients,
-    bare 1, runs of one letter (cancelling and killing junctions), and now
-    and then one letter out of range or one misplaced coefficient."""
-    algebra = FreeAlgebra(draw(st.integers(1, 3)), draw(st.sampled_from([QQ, GF(7)])))
-    letter = st.tuples(st.integers(0, algebra.d - 1), st.booleans()).map(
-        lambda t: f"x{t[0]}{'*' if t[1] else ''}")
+    """Leavitt expressions over QQ or GF(7) at d in DEGREES: zero
+    coefficients, bare 1 (also between letters), runs of one letter
+    (cancelling and killing junctions), runs of signs, any SEPARATORS and
+    leading or trailing whitespace; now and then one letter at d or far
+    above, an index with a leading zero or one misplaced coefficient; or
+    blanks.  Half the texts are smooth: spaced, with no bare 1 after a
+    letter and no mistake, so the term reader reads most of them."""
+    algebra = FreeAlgebra(draw(DEGREES), draw(st.sampled_from([QQ, GF(7)])))
+    if draw(st.integers(0, 15)) == 0:
+        return algebra, draw(blanks())
+    rough = draw(st.booleans())
+    letter = letters_of(algebra.d, True)
+    atom = st.one_of(letter, letter, letter, st.just("1")) if rough else letter
     terms = []
     for n in range(draw(st.integers(1, 5))):
-        sign = draw(st.sampled_from(["+", "-"] if n else ["", "-"]))
+        sign = draw(SIGNS if n else st.sampled_from(["", "-", "- -"]))
         coeff = draw(st.sampled_from(["", "", "0", "1", "2", "3/2", "-"]))
-        atoms = draw(st.lists(st.one_of(letter, letter, letter, st.just("1")), max_size=6))
+        atoms = draw(st.lists(atom, max_size=6))
         terms.append(([t for t in [sign, coeff] if t], atoms))
-    mistake = draw(st.sampled_from([None] * 4 + [f"x{algebra.d}", f"x{algebra.d + 1}*", "5"]))
+    mistake = draw(st.sampled_from([None] * 6 + [f"x{algebra.d}", f"x{algebra.d + 1}*", f"x{algebra.d + 999}",
+                                                 "x01", "x00*", "5"])) if rough else None
     if mistake:
         atoms = draw(st.sampled_from(terms))[1]
         atoms.insert(draw(st.integers(0, len(atoms))), mistake)
-    return algebra, " ".join(" ".join(head + atoms) for head, atoms in terms)
+    tokens = [t for head, atoms in terms for t in head + atoms]
+    text = "".join(tok + draw(SEPARATORS if rough else SPACES) for tok in tokens)
+    return algebra, draw(blanks()) + text + draw(blanks())
 
 
 def _parsed(parse, algebra, text):
@@ -139,28 +195,33 @@ def test_parse_leavitt_matches_oracle_on_examples():
 # the malformed pieces of test_text_fuzz.py, a letter out of range, a
 # starred letter, a misplaced coefficient and bad characters
 POLY_MISTAKES = ["x" + "9" * 4400, "x" + "0" * 4400 + "1", "9" * 4301, "2/0", "1e3", "/", "*", "x0*", "x3",
-                 "5", "&", "x\u0661", "+ +", "-"]
+                 "5", "&", "x\u0661", "+ +", "-", "x01", "x999", "x1*x0", "2x0x1"]
 
 
 @st.composite
 def poly_texts(draw):
-    """Polynomial texts over QQ or GF(7) at d = 1..3, their tokens joined by
-    any run of spaces or none, now and then with one of POLY_MISTAKES put
-    anywhere, so also after a valid prefix."""
-    algebra = FreeAlgebra(draw(st.integers(1, 3)), draw(st.sampled_from([QQ, GF(7)])))
-    letter = st.integers(0, algebra.d - 1).map(lambda i: f"x{i}")
+    """Polynomial texts over QQ or GF(7) at d in DEGREES, their tokens
+    joined by any SEPARATORS, with runs of signs and leading or trailing
+    whitespace; now and then with one of POLY_MISTAKES put anywhere, so
+    also after a valid prefix; or blanks.  Half the texts are smooth, as in
+    `leavitt_texts`."""
+    algebra = FreeAlgebra(draw(DEGREES), draw(st.sampled_from([QQ, GF(7)])))
+    line = draw(st.sampled_from([None, 5]))
+    if draw(st.integers(0, 15)) == 0:
+        return algebra, draw(blanks()), line
+    rough = draw(st.booleans())
+    letter = letters_of(algebra.d, False)
     tokens = []
     for n in range(draw(st.integers(1, 5))):
-        tokens += [draw(st.sampled_from(["+", "-"] if n else ["", "-"]))]
+        tokens += [draw(SIGNS if n else st.sampled_from(["", "-"]))]
         tokens += [draw(st.sampled_from(["", "", "0", "1", "2", "3/2", "1/7", "007", "9" * 4300]))]
-        tokens += draw(st.lists(st.one_of(letter, letter, st.just("1")), max_size=6))
+        tokens += draw(st.lists(st.one_of(letter, letter, st.just("1")) if rough else letter, max_size=6))
     tokens = [t for t in tokens if t]
-    mistake = draw(st.sampled_from([None] * 4 + POLY_MISTAKES))
+    mistake = draw(st.sampled_from([None] * 4 + POLY_MISTAKES)) if rough else None
     if mistake:
         tokens.insert(draw(st.integers(0, len(tokens))), mistake)
-    spaces = st.sampled_from([" ", " ", "  ", "\t", "\n", ""])
-    text = "".join(tok + draw(spaces) for tok in tokens)
-    return algebra, draw(st.sampled_from(["", " "])) + text, draw(st.sampled_from([None, 5]))
+    text = "".join(tok + draw(SEPARATORS if rough else SPACES) for tok in tokens)
+    return algebra, draw(blanks()) + text + draw(blanks()), line
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -171,6 +232,49 @@ def test_parse_poly_matches_oracle(case):
     hypothesis.assume(not _sign_run(text))
     assert _parsed(lambda A, t: parse_poly(A, t, line), algebra, text) == _parsed(
         lambda A, t: leavitt_oracle.parse_poly(A, t, line), algebra, text)
+
+
+def _read(reader, algebra, text, line, starred):
+    try:
+        terms = reader(algebra.field, algebra.d, text, line, starred)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(letters, type(c), c) for letters, c in terms]
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(st.one_of(leavitt_texts().map(lambda case: (*case, None, True)),
+                            poly_texts().map(lambda case: (*case, False))))
+def test_term_reader_matches_token_loop(case):
+    # on every text, sign runs too: the same terms in order with the same
+    # value types, or the same error; and the term reader raises none
+    algebra, text, line, starred = case
+    read = parsing._read_terms(algebra.field, algebra.d, text, starred)
+    hypothesis.event("term reader" if read is not None else "token loop")
+    want = _read(parsing._token_terms, algebra, text, line, starred)
+    assert _read(parsing._terms, algebra, text, line, starred) == want
+    if read is not None:
+        assert [(letters, type(c), c) for letters, c in read] == want
+
+
+@pytest.mark.parametrize("text", [
+    "x0 x1* - 2 x1", "3/2x0x1*", "x0\tx1\n- x0\xa0x1*\x1c+ 1", "  - - x0 ", "x01 x0", "x0 1 x1", "x2", "x999",
+    "", " \t", "x0 -", "2 3", "x0* x1", "1 x0 + 01 x1",
+])
+@pytest.mark.parametrize("starred", [False, True])
+def test_term_reader_matches_token_loop_on_examples(A2, text, starred):
+    assert _read(parsing._terms, A2, text, 7, starred) == _read(parsing._token_terms, A2, text, 7, starred)
+
+
+def test_term_reader_reads_printed_text_and_leaves_the_rest(A2):
+    # printed canonical forms need no token loop; juxtaposed, out-of-range
+    # and misplaced atoms are left to it
+    text = "x0* x1 + x1* x1 x0 - 3/2 x0 + 2"
+    assert parsing._read_terms(A2.field, 2, text, True) == [
+        ((~0, 1), 1), ((~1, 1, 0), 1), ((0,), Fraction(-3, 2)), ((), 2)]
+    for text in ("x0x1", "x01", "x2", "x0 1 x1", "x0 2", "x0*", "x0 -", "", "2/0"):
+        assert parsing._read_terms(A2.field, 2, text, False) is None
+    assert parsing._read_terms(QQ, 300, "x255 x256", False) is None
 
 
 @pytest.mark.parametrize("mistake", POLY_MISTAKES)
