@@ -11,13 +11,20 @@ The normalized rank rank / d^r is invariant under the embedding; it
 computes the class of an idempotent in the dyadic-style group Z[1/d].
 
 Entries are canonical field values (an int for every integral QQ value,
-ints 0..p-1 over GF(p)).  The constructor coerces them, as do
-`matrix_unit`, `scalar` and `+` through it; `from_json` reads each entry
-with the field's `from_str`, `embed` and `canonical` slice canonical
-entries, `scale` coerces each product itself (none by 1), `*` takes the
-`dense_mul` of canonical forms and the vN witness is `generalized_inverse`'s,
-so they skip the constructor via `_from_canonical`.  A product never
-embeds: a lower-level factor acts on each diagonal block of the other, N^2 n
+ints 0..p-1 over GF(p)).  The constructor coerces them, as do `scalar`
+and `+` through it; `from_json` reads each entry with the field's
+`from_str`, `zero`, `matrix_unit` and the simplicity units place
+`field.zero`, `field.one` and the inverse of an entry, `embed` and
+`canonical` slice canonical entries, `scale` coerces each product itself
+(none by 1), `*` takes the `dense_mul` of canonical forms and the vN
+witness is `generalized_inverse`'s, so they skip the constructor via
+`_from_canonical`.  A QQ witness from the prime route is x = rows/den,
+rows of ints over den = |det| (`_from_ints`): its `entries` slot stays
+unset and `__getattr__` makes it rational on the first read, while
+`canonical` scans the int rows (den*x has x's block pattern) and a
+product with x on the right hands them to `dense_mul` with den, so
+a*x*a == a makes no entry of x rational.  A product never embeds: a
+lower-level factor acts on each diagonal block of the other, N^2 n
 products for canonical sides N >= n, on packed rows of the right factor
 from side 8 over GF(p), 16 over QQ.  `canonical` marks the matrix it
 returns, so a product, canonical when made, is not scanned again as the
@@ -31,6 +38,7 @@ from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, Ze
 from .fields import QQ, read_int
 from .linalg import (
     SparseMatrix,
+    _ratio,
     dense_add,
     dense_mul,
     generalized_inverse,
@@ -53,8 +61,11 @@ MAX_SIMPLICITY_ENTRIES = 2**22
 class AFMatrix:
     """A leveled matrix representative of an element of the limit algebra."""
 
-    # _least: canonical() returned this matrix, so it is its own canonical form
-    __slots__ = ("d", "field", "level", "entries", "_least")
+    # _least: canonical() returned this matrix, so it is its own canonical form;
+    # _ints: None, or (den, rows) with entries = rows/den, rows of ints over a
+    # QQ denominator den > 1, the prime route's witness, whose entries slot
+    # stays unset until __getattr__ fills it on the first read
+    __slots__ = ("d", "field", "level", "entries", "_least", "_ints")
 
     def __init__(self, d: int, level: int, entries, field=QQ):
         if d < 1 or level < 0:
@@ -69,13 +80,31 @@ class AFMatrix:
         self.level = level
         self.entries = entries
         self._least = False
+        self._ints = None
 
     @classmethod
     def _from_canonical(cls, d: int, level: int, rows: tuple, field) -> "AFMatrix":
         """An AFMatrix on tuple rows of canonical values: no coercion or check."""
         out = object.__new__(cls)
-        out.d, out.field, out.level, out.entries, out._least = d, field, level, rows, False
+        out.d, out.field, out.level, out.entries, out._least, out._ints = d, field, level, rows, False, None
         return out
+
+    @classmethod
+    def _from_ints(cls, d: int, level: int, den: int, rows: tuple) -> "AFMatrix":
+        """The QQ matrix rows/den, for tuple rows of ints and den > 1, its
+        entries unset until they are read."""
+        out = object.__new__(cls)
+        out.d, out.field, out.level, out._least, out._ints = d, QQ, level, False, (den, rows)
+        return out
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the entries of a matrix held as
+        # rows of ints over den, made rational once, on the first read
+        if name != "entries" or self._ints is None:
+            raise AttributeError(name)
+        den, rows = self._ints
+        self.entries = tuple(tuple(_ratio(v, den) for v in row) for row in rows)
+        return self.entries
 
     # -- constructors ---------------------------------------------------------
 
@@ -87,7 +116,7 @@ class AFMatrix:
     def zero(cls, d: int, level: int = 0, field=QQ) -> "AFMatrix":
         _check_side(d, level, error=BudgetExceeded)
         n = d**level
-        return cls(d, level, [[field.zero] * n for _ in range(n)], field)
+        return cls._from_canonical(d, level, ((field.zero,) * n,) * n, field)
 
     @classmethod
     def matrix_unit(cls, d: int, u, v, field=QQ) -> "AFMatrix":
@@ -97,10 +126,15 @@ class AFMatrix:
             raise ValueError("matrix unit needs words of equal length")
         level = len(u)
         _check_side(d, level, error=BudgetExceeded)
-        n = d**level
-        rows = [[field.zero] * n for _ in range(n)]
-        rows[word_rank(d, u)][word_rank(d, v)] = field.one
-        return cls(d, level, rows, field)
+        return cls._unit(d, level, word_rank(d, u), word_rank(d, v), field.one, field)
+
+    @classmethod
+    def _unit(cls, d: int, level: int, i: int, j: int, value, field) -> "AFMatrix":
+        """value times E_{i,j} at a level, for a canonical value: zero rows
+        shared, no coercion."""
+        zero = (field.zero,) * d**level
+        rows = (zero,) * len(zero)
+        return cls._from_canonical(d, level, rows[:i] + (zero[:j] + (value,) + zero[j + 1:],) + rows[i + 1:], field)
 
     # -- level handling ---------------------------------------------------------
 
@@ -123,7 +157,8 @@ class AFMatrix:
         out = self
         while out.level > 0 and not out._least:
             d, n = out.d, out.d ** (out.level - 1)
-            rows = out.entries
+            # den*x has the zero pattern and the equal blocks of x
+            rows = out.entries if out._ints is None else out._ints[1]
             zeros = (0,) * (n * (d - 1))
             for k, row in enumerate(rows):
                 lo = k // n * n
@@ -131,8 +166,11 @@ class AFMatrix:
                     out._least = True
                     return out
             # at d = 1 every level is the same 1x1 algebra: one step reaches level 0
-            lower = 0 if d == 1 else out.level - 1
-            out = AFMatrix._from_canonical(d, lower, tuple(row[:n] for row in rows[:n]), out.field)
+            lower, rows = 0 if d == 1 else out.level - 1, tuple(row[:n] for row in rows[:n])
+            if out._ints is None:
+                out = AFMatrix._from_canonical(d, lower, rows, out.field)
+            else:
+                out = AFMatrix._from_ints(d, lower, out._ints[0], rows)
         return out
 
     def _common(self, other: "AFMatrix"):
@@ -157,15 +195,17 @@ class AFMatrix:
         a, b = self.canonical(), other.canonical()
         if a.level == 0 or b.level == 0:
             return b.scale(a.entries[0][0]) if a.level == 0 else a.scale(b.entries[0][0])
-        F, A, B, n = a.field, a.entries, b.entries, len(b.entries)
+        # b held as rows of ints over den is multiplied in that form
+        den, B = (1, b.entries) if b._ints is None else b._ints
+        F, A, n = a.field, a.entries, len(B)
         if len(A) > n:  # a * diag(b, .., b): column block k is a's column block k times b
             live = [i for i, r in enumerate(A) if any(r)]  # a zero row of a stays zero
             rows = [[F.zero] * len(A) for _ in A]
             for k in range(0, len(A), n):
-                for i, part in zip(live, dense_mul(F, [A[i][k:k + n] for i in live], B)):
+                for i, part in zip(live, dense_mul(F, [A[i][k:k + n] for i in live], B, den)):
                     rows[i][k:k + n] = part
         else:  # diag(a, .., a) * b: row block k is a times b's row block k
-            rows = [row for k in range(0, n, len(A)) for row in dense_mul(F, A, B[k:k + len(A)])]
+            rows = [row for k in range(0, n, len(A)) for row in dense_mul(F, A, B[k:k + len(A)], den)]
         rows = tuple(map(tuple, rows))
         return AFMatrix._from_canonical(a.d, max(a.level, b.level), rows, F).canonical()
 
@@ -214,10 +254,15 @@ class AFMatrix:
         is the transform row of the pivot in column c, all other rows zero.
         a*Q is the pivot columns of a and C writes every column of a over
         them, so a*x*a = (a*Q)*C = a.  The elimination's values are
-        canonical, so x skips the constructor's coercion.
+        canonical, so x skips the constructor's coercion.  A dense QQ a
+        inverted mod primes gives x as rows of ints over den = |det| > 1,
+        and x is kept so: its entries are made rational on their first
+        read, and a product with x on the right never makes them.
         """
-        x = generalized_inverse(self.field, self.entries)
-        return AFMatrix._from_canonical(self.d, self.level, tuple(map(tuple, x)), self.field)
+        den, x = generalized_inverse(self.field, self.entries)
+        if den == 1:
+            return AFMatrix._from_canonical(self.d, self.level, tuple(map(tuple, x)), self.field)
+        return AFMatrix._from_ints(self.d, self.level, den, tuple(x))
 
     def simplicity_witness(self):
         """Rows (u_i), (v_i) with sum u_i * a * v_i = 1, witnessing simplicity.
@@ -240,14 +285,8 @@ class AFMatrix:
         inv = F.invert(self.entries[p][q])
         # at d = 1 every level is the same 1x1 algebra: the level-0 pair is a witness
         level = 0 if self.d == 1 else self.level
-        wp = word_unrank(self.d, p, level)
-        wq = word_unrank(self.d, q, level)
-        us = []
-        vs = []
-        for i in range(n):
-            wi = word_unrank(self.d, i, level)
-            us.append(AFMatrix.matrix_unit(self.d, wi, wp, F).scale(inv))
-            vs.append(AFMatrix.matrix_unit(self.d, wq, wi, F))
+        us = [AFMatrix._unit(self.d, level, i, p, inv, F) for i in range(n)]
+        vs = [AFMatrix._unit(self.d, level, q, i, F.one, F) for i in range(n)]
         return us, vs
 
     # -- serialization ----------------------------------------------------------

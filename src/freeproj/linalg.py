@@ -13,7 +13,8 @@ per column.  Everything else is a view of it:
   only that residue is eliminated, and with no end pass over QQ;
 * `solve_left` reduces each target against the pivot rows;
 * `generalized_inverse` places the pivot transform rows at the pivot columns;
-  a dense matrix is eliminated on packed rows instead, over QQ mod primes.
+  a dense matrix is eliminated on packed rows instead, over QQ mod primes,
+  whose inverse it returns as integer rows over one denominator, |det|.
 
 Over QQ the field's arithmetic builds a `Fraction`, with a gcd, at every
 step, and the denominators of a dense elimination grow to many digits.  So
@@ -59,7 +60,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import count, repeat
 from math import lcm
 from operator import attrgetter, mul
 
@@ -421,8 +422,9 @@ def solve_left(mat: SparseMatrix, targets) -> list:
 # dense helpers for small matrices
 
 
-def dense_mul(field, A, B):
-    """A*B on canonical values; a zero row of A gives a zero row and a zero
+def dense_mul(field, A, B, den=1):
+    """A*B on canonical values, or A*(B/den) for B of ints over a QQ
+    denominator den > 1; a zero row of A gives a zero row and a zero
     column of B a zero column, the int 0, with no product formed.  A row of
     A with one nonzero entry a, at column k, is a times row k of B, so a
     permutation costs n^2 products, not n^3.
@@ -431,22 +433,24 @@ def dense_mul(field, A, B):
     other rows are Kronecker substitution (Dumas, Fousse and Salvy, J. Symb.
     Comput. 46, 2011).  Row k of B, packed on first use, is one int with a
     slot per column; over QQ the slots are integers over the lcm D of all of
-    B's denominators plus beta = max|b|.  Row i of A*B is sum_k a_ik*row_k,
-    one bigint multiply-add per nonzero a_ik, plus (half - beta*sum_k a_ik)
-    times the all-ones row, so each slot reads back, once, as half + its
-    entry, reduced mod p or over da*D.  half is 0 over GF(p), where
-    len(B)*(p-1)^2 bounds a slot, and len(B)*max|a|*max|b| over QQ, which
-    bounds every |entry|.  Below the gates each entry is an integer dot
-    product, over QQ on the lifts of its row of A and column of B.  The
-    values are the field's own sum of products, an int for every integral
-    QQ value.
+    B's denominators (den itself for B of ints over den) plus beta = max|b|.
+    Row i of A*B is sum_k a_ik*row_k, one bigint multiply-add per nonzero
+    a_ik, plus (half - beta*sum_k a_ik) times the all-ones row, so each slot
+    reads back, once, as half + its entry, reduced mod p or over da*D.
+    half is 0 over GF(p), where len(B)*(p-1)^2 bounds a slot, and
+    len(B)*max|a|*max|b| over QQ, which bounds every |entry|.  Below the
+    gates each entry is an integer dot product, over QQ on the lifts of its
+    row of A and column of B, a column of ints over den taken as it is.
+    The values are the field's own sum of products, an int for every
+    integral QQ value, and den is folded into the one division per entry:
+    no entry of B/den is formed.
     """
     Bt = list(zip(*B))
     live = [j for j, Bj in enumerate(Bt) if any(Bj)]
     if len(live) < len(Bt):
         # the product on B's nonzero columns, spread back with zeros between
         out = [[0] * len(Bt) for _ in A]
-        for row, part in zip(out, dense_mul(field, A, [[r[j] for j in live] for r in B])):
+        for row, part in zip(out, dense_mul(field, A, [[r[j] for j in live] for r in B], den)):
             for j, v in zip(live, part):
                 row[j] = v
         return out
@@ -458,6 +462,10 @@ def dense_mul(field, A, B):
             out.append([0] * len(Bt))
         elif nonzero == 1:
             k, a = next((k, a) for k, a in enumerate(Ai) if a)
+            if den != 1:
+                n, da = a.numerator, a.denominator * den
+                out.append([_ratio(n * b, da) for b in B[k]])
+                continue
             row = [a * b for b in B[k]]
             out.append([v % p for v in row] if p else [v.numerator if v.denominator == 1 else v for v in row])
         else:
@@ -465,7 +473,7 @@ def dense_mul(field, A, B):
             out.append(Ai)
     if many and Bt and len(B) >= (8 if p else 16):
         m, flat = len(Bt), [b for row in B for b in row]
-        D, flat = (1, flat) if p else _integer_vector(flat)
+        D, flat = (den, flat) if p or den != 1 else _integer_vector(flat)
         lifts = [(1, out[i]) if p else _integer_vector(out[i]) for i in many]
         beta = 0 if p else max(map(abs, flat))
         half = 0 if p else len(B) * max(abs(a) for _, ai in lifts for a in ai) * beta
@@ -484,8 +492,8 @@ def dense_mul(field, A, B):
         for i in many:
             out[i] = [sum(map(mul, out[i], Bj)) % p for Bj in Bt]
     elif many:
-        cols = [_integer_vector(Bj) for Bj in Bt]
-        integral = all(db == 1 for db, _ in cols)
+        cols = [(den, Bj) for Bj in Bt] if den != 1 else [_integer_vector(Bj) for Bj in Bt]
+        integral = den == 1 and all(db == 1 for db, _ in cols)
         for i in many:
             da, ai = _integer_vector(out[i])
             if da == 1 and integral:
@@ -500,25 +508,29 @@ def dense_add(field, A, B):
 
 
 def generalized_inverse(field, A):
-    """X with A*X*A = A, from one elimination with transform.
+    """(den, rows): X = rows/den with A*X*A = A, from one elimination with
+    transform.
 
     T*A = [C; 0] with C the k nonzero RREF rows.  Row c of X is transform
     row r for each pivot (r, c), every other row is zero: X = Q*T_k with Q
     selecting the pivot columns.  Then A*X*A = (A*Q)*C = A, because A*Q
     holds the pivot columns of A and C expresses every column over them.
+    Here den is 1 and rows holds X's canonical values.
 
     A matrix with at least half its entries nonzero is eliminated on packed
     rows instead (`_packed_inverse`), to the same X; over QQ a square one of
     side 5 to 64, mod primes (`_crt_inverse`): if its determinant is nonzero
-    mod the first prime, A is invertible and X = Q*T_k is the unique A^-1,
-    value for value and type for type.  Packed rows read n*m slots whatever
-    the zeros, so a sparser matrix, which may not fill in (a side-256
-    permutation: 4 ms here, 80 ms packed), stays here.
+    mod the first prime, A is invertible and X is the unique A^-1, returned
+    as the integer rows of den*A^-1 over den = |det diag(d_i)*A|, d_i the
+    lcm of row i's denominators; each rows[i][j]/den, made rational, is X's
+    entry value for value and type for type.  Packed rows read n*m slots
+    whatever the zeros, so a sparser matrix, which may not fill in (a
+    side-256 permutation: 4 ms here, 80 ms packed), stays here.
     """
     p = field.characteristic
     if (p or 4 < len(A) == len(A[0]) <= 64) and 2 * sum(row.count(0) for row in A) <= sum(map(len, A)):
         if p:
-            return _packed_inverse(field, A)[0]
+            return 1, _packed_inverse(field, A)[0]
         if (X := _crt_inverse(A)) is not None:
             return X
     mat = SparseMatrix.from_dense(field, A)
@@ -527,24 +539,26 @@ def generalized_inverse(field, A):
     for r, c in pivots:
         for j, v in trans[r].items():
             X[c][j] = v
-    return X
+    return 1, X
 
 
 def _crt_inverse(A):
-    """A^-1 of a square QQ matrix by primes and the Chinese remainder
-    theorem (S. Cabay, SYMSAC 1971; von zur Gathen and Gerhard, Modern
-    Computer Algebra, ch. 5), or None when A is singular mod the first prime
-    or outside the size rule.  The rule is sides 5 to 64, which the caller
-    checks, and H^2 of at most n^2 bits: where in-process probes found the
-    route no slower than Bareiss.
+    """(D, rows) with A^-1 = rows/D for a square QQ matrix, by primes and
+    the Chinese remainder theorem (S. Cabay, SYMSAC 1971; von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5), or None when A is singular mod
+    the first prime or outside the size rule.  The rule is sides 5 to 64,
+    which the caller checks, and H^2 of at most n^2 bits: where in-process
+    probes found the route no slower than Bareiss.
 
     L = diag(den)*A has integer rows, and H^2 = prod ||L_i||^2 bounds
     |det L| and every |adj(L) entry| by H (Hadamard).  `_packed_inverse`
     mod each prime gives L^-1 and det L there, so adj(L) = det*L^-1; a prime
     that divides det is skipped.  Once the primes used multiply to M with
     M^2 > 4*H^2, det and adj are their CRT values in the symmetric range,
-    and A^-1[i][j] = adj[i][j]*den[j]/det.  Rows are lifted and H^2
-    multiplied out one at a time, stopping once it passes the size rule.
+    and A^-1 = adj(L)*diag(den)/det.  So D = |det| > 0 and the rows are the
+    tuples of ints sign(det)*adj(L)*diag(den), no entry made rational.  Rows
+    are lifted and H^2 multiplied out one at a time, stopping once it
+    passes the size rule.
     """
     den, L, h2 = [], [], 1
     for d, ints in map(_integer_vector, A):
@@ -569,8 +583,11 @@ def _crt_inverse(A):
     w = [det * (M // p) * pow(M // p, -1, p) % M for p, _, det in used]
     half = M // 2
     det = (sum(w) + half) % M - half
-    return [[_ratio(((sum(map(mul, residues, w)) + half) % M - half) * d, det)
-             for d, residues in zip(den, zip(*rows))] for rows in zip(*(X for _, X, _ in used))]
+    # sign(det)*w: the symmetric residue of sign(det)*adj, times den[j]
+    if det < 0:
+        w = [M - v for v in w]
+    return abs(det), [tuple(((sum(map(mul, residues, w)) + half) % M - half) * d
+                            for d, residues in zip(den, zip(*rows))) for rows in zip(*(X for _, X, _ in used))]
 
 
 @cache
@@ -638,7 +655,7 @@ def _pack(values, width: int) -> int:
     """The int with values[j] in bytes [width*j, width*(j+1)), little-endian."""
     if width == 8:
         return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little")
 
 
 def _unpack(row: int, count: int, width: int):
@@ -646,4 +663,5 @@ def _unpack(row: int, count: int, width: int):
     data = row.to_bytes(width * count, "little")
     if width == 8:
         return struct.unpack(f"<{count}Q", data)
-    return [int.from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
+    read = int.from_bytes
+    return [read(data[j:j + width], "little") for j in range(0, len(data), width)]

@@ -89,6 +89,7 @@ ALLOWLIST = {
     "fields.PrimeField.sub": ORACLE,  # row_reduce_oracle.py
     "fields.RationalField.sub": ORACLE,  # row_reduce_oracle.py
     "leavitt.LeavittElement.from_poly": ORACLE,  # leavitt_oracle.py
+    "af_s.word_unrank": ORACLE,  # leavitt_oracle.py
 }
 
 

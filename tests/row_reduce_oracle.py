@@ -3,8 +3,11 @@
 It scans every row for every pivot column.  Kept verbatim as the oracle the
 column-indexed kernel must match exactly: same pivots, same reduced rows,
 same transform.  Its row update is the field-method loop that the kernel's
-`_row_axpy` replaced, so the oracle does its own arithmetic.
+`_row_axpy` replaced, so the oracle does its own arithmetic.  `determinant`
+is plain Gaussian elimination on Fractions, for the tests of the prime route.
 """
+
+from fractions import Fraction
 
 from freeproj.linalg import SparseMatrix
 
@@ -68,3 +71,20 @@ def generalized_inverse(field, A):
         for j, v in trans[r].items():
             X[c][j] = v
     return X
+
+
+def determinant(A):
+    """det A over QQ by plain Gaussian elimination on Fractions."""
+    A = [[Fraction(v) for v in row] for row in A]
+    det = Fraction(1)
+    for c in range(len(A)):
+        pi = next((i for i in range(c, len(A)) if A[i][c]), None)
+        if pi is None:
+            return 0
+        if pi != c:
+            A[c], A[pi], det = A[pi], A[c], -det
+        det *= A[c][c]
+        for i in range(c + 1, len(A)):
+            f = A[i][c] / A[c][c]
+            A[i] = [a - f * b for a, b in zip(A[i], A[c])]
+    return det

@@ -8,6 +8,7 @@ import pytest
 from af_oracle import canonical as oracle_canonical
 from af_oracle import embed as oracle_embed
 from af_oracle import mul as oracle_mul
+from row_reduce_oracle import determinant
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 
 from freeproj.af_s import AFMatrix, word_rank, word_unrank
@@ -563,3 +564,147 @@ def test_a_product_is_scanned_for_its_canonical_form_once(field):
             ax.entries = rows
             assert_same_matrix(ax * a, oracle_mul(oracle_mul(a, witness), a))
         assert a * a.vn_regular_witness() * a == a
+
+
+def holds_entries(m):
+    """Whether m's entries slot is set, read past __getattr__."""
+    try:
+        AFMatrix.entries.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+def routed_witness_cases():
+    """Dense QQ matrices that the prime route inverts: sides 5-12 with
+    entries +-1, +-2, with and without rows of fractions +-1/2, +-1/3, each
+    with a positive and a negative determinant; and d = 2 ones embedded
+    from level 2, whose witness is canonical one level down."""
+    rng = random.Random(47)
+
+    def dense(n, fractions):
+        while True:
+            rows = [[rng.choice((-2, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
+            for i in rng.sample(range(n), n // 2) if fractions else ():
+                q = rng.choice((2, 3))
+                rows[i] = [Fraction(rng.choice((-1, 1)), q) for _ in range(n)]
+            if determinant(rows):
+                return rows
+
+    out = []
+    for d, level in ((5, 1), (6, 1), (7, 1), (2, 3), (3, 2), (10, 1), (11, 1), (12, 1)):
+        for fractions in (False, True):
+            rows = dense(d**level, fractions)
+            out.append(AFMatrix(d, level, rows))
+            out.append(AFMatrix(d, level, [[-v for v in rows[0]]] + rows[1:]))
+    for fractions in (False, True):
+        out.append(AFMatrix(2, 2, dense(4, fractions)).embed(3))
+    return out
+
+
+def k0_or_refusal(m):
+    try:
+        return m.k0_class()
+    except NotIdempotent:
+        return NotIdempotent
+
+
+def assert_same_result(got, want):
+    if isinstance(want, AFMatrix):
+        assert_same_matrix(got, want)
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_result(g, w)
+    else:
+        assert got == want and type(got) is type(want)
+
+
+def test_witness_held_as_ints_reads_as_the_oracle():
+    # every reader of a witness the prime route keeps as ints over den gives
+    # what it gives on the eager oracle matrix, and leaves the entries, read
+    # afterwards, equal to the oracle's value for value and type for type
+    rng = random.Random(53)
+    signs = set()
+    for a in routed_witness_cases():
+        d, level = a.d, a.level
+        want = AFMatrix(d, level, oracle_generalized_inverse(QQ, [list(row) for row in a.entries]))
+        half = AFMatrix.scalar(d, Fraction(1, 2))
+        readers = [
+            lambda x: x.entries,
+            lambda x: x.to_json(),
+            lambda x: (x == a, a == x, x == want, want == x, x == x),
+            lambda x: (x + a, a + x, x + x),
+            lambda x: (x.scale(Fraction(-3, 2)), x.scale(1)),
+            lambda x: x.rank(),
+            k0_or_refusal,
+            lambda x: x.canonical(),
+            lambda x: (a * x, x * a, x * x, half * x, x * half),
+        ]
+        if d**level <= 9:  # one level up, at sides up to 27
+            n = d ** (level + 1)
+            up = AFMatrix(d, level + 1, [[_af_value(rng, QQ) for _ in range(n)] for _ in range(n)])
+            readers += [lambda x: x.embed(level + 1), lambda x: (up * x, x * up, a.embed(level + 1) * x)]
+        if level > 1:  # diag(low, .., low) * x, row block by row block
+            n = d ** (level - 1)
+            low = AFMatrix(d, level - 1, [[_af_value(rng, QQ) for _ in range(n)] for _ in range(n)])
+            readers.append(lambda x: (low * x, x * low))
+        for read in readers:
+            x = a.vn_regular_witness()
+            assert x._ints is not None and not holds_entries(x)
+            signs.add(determinant([list(row) for row in a.entries]) > 0)
+            assert_same_result(read(x), read(want))
+            assert_same_matrix(x, want)
+    assert signs == {False, True}
+    # the embedded cases are canonical one level down
+    assert [a.vn_regular_witness().canonical().level for a in routed_witness_cases()[-2:]] == [2, 2]
+
+
+def test_a_x_a_leaves_the_witness_held_as_ints():
+    # the certificate and the canonical form of x read only its int rows
+    for a in routed_witness_cases():
+        x = a.vn_regular_witness()
+        low = x.canonical()
+        assert a * x * a == a
+        assert not holds_entries(x) and not holds_entries(low)
+        assert low._ints is not None and (low is x) == (a.level == low.level)
+
+
+def test_deficient_sparse_and_gfp_witnesses_are_eager():
+    rng = random.Random(59)
+    n = 8
+    dense = [[rng.choice((-2, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
+    deficient = dense[:-1] + [[u + v for u, v in zip(dense[0], dense[1])]]
+    sparse = [[v if (i + j) % 3 == 0 else 0 for j, v in enumerate(row)] for i, row in enumerate(dense)]
+    for rows, field in ((deficient, QQ), (sparse, QQ), (dense, GF(10007))):
+        a = AFMatrix(2, 3, rows, field)
+        x = a.vn_regular_witness()
+        assert x._ints is None and holds_entries(x)
+        assert [list(row) for row in x.entries] == oracle_generalized_inverse(field, [list(row) for row in a.entries])
+        assert a * x * a == a
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_units_are_built_without_coercion(field, monkeypatch):
+    # matrix_unit, zero and the simplicity units hold canonical values as
+    # they are made: the same matrices as the coercing constructor's
+    rng = random.Random(61)
+    for d, level in ((2, 1), (2, 2), (3, 2)):
+        n = d**level
+        a = AFMatrix(d, level, [[_af_value(rng, field) for _ in range(n)] for _ in range(n)], field)
+        if a.is_zero():
+            continue
+        p, q = next((i, j) for i in range(n) for j in range(n) if a.entries[i][j] != 0)
+        inv = field.invert(a.entries[p][q])
+        words = [word_unrank(d, i, level) for i in range(n)]
+        with monkeypatch.context() as patch:
+            patch.setattr(type(field), "coerce", lambda *args: pytest.fail("coerce was called"))
+            us, vs = a.simplicity_witness()
+            units = [AFMatrix.matrix_unit(d, u, v, field) for u in words[:2] for v in words[-2:]]
+            zero = AFMatrix.zero(d, level, field)
+        for i, (u, v) in enumerate(zip(us, vs)):
+            assert_same_matrix(u, AFMatrix(d, level, AFMatrix.matrix_unit(d, words[i], words[p], field).scale(inv).entries, field))
+            assert_same_matrix(v, AFMatrix(d, level, AFMatrix.matrix_unit(d, words[q], words[i], field).entries, field))
+        for m in units + [zero]:
+            assert_same_matrix(m, AFMatrix(d, level, m.entries, field))
+        assert zero.is_zero()

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import hypothesis
 import hypothesis.strategies as st
 from dense_mul_oracle import dense_mul as oracle_dense_mul
 from leavitt_oracle import add_products as oracle_add_products
 from leavitt_oracle import add_terms as oracle_add_terms
+from row_reduce_oracle import determinant
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 from row_reduce_oracle import row_axpy as oracle_row_axpy
 from row_reduce_oracle import row_reduce as oracle_row_reduce
@@ -417,6 +418,19 @@ def test_dense_mul_matches_frozen_product(case):
     assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
 
 
+def witness(field, A):
+    """The values of generalized_inverse(field, A): its (den, rows), checked
+    for shape, rows of ints over den > 1 only over QQ, each entry then read
+    as the rational rows[i][j]/den."""
+    den, rows = generalized_inverse(field, A)
+    assert type(den) is int and den >= 1
+    assert len(rows) == len(A[0]) and all(len(row) == len(A) for row in rows)
+    if den == 1:
+        return [list(row) for row in rows]
+    assert field is QQ and all(type(v) is int for row in rows for v in row)
+    return [[QQ.coerce(Fraction(v, den)) for v in row] for row in rows]
+
+
 def test_generalized_inverse():
     rng = random.Random(3)
     for field in (QQ, GF(10007)):
@@ -429,7 +443,7 @@ def test_generalized_inverse():
         cases.append([[0] * 3 for _ in range(3)])
         for dense in cases:
             a = [[field.coerce(v) for v in row] for row in dense]
-            x = generalized_inverse(field, a)
+            x = witness(field, a)
             assert len(x) == len(a[0]) and len(x[0]) == len(a)
             assert dense_mul(field, dense_mul(field, a, x), a) == a
 
@@ -482,7 +496,7 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
         # generalized_inverse picks for it
         field, A = case
         want = [[(type(v), v) for v in row] for row in oracle_generalized_inverse(field, A)]
-        for x in (linalg._packed_inverse(field, A)[0], generalized_inverse(field, A)):
+        for x in (linalg._packed_inverse(field, A)[0], witness(field, A)):
             assert [[(type(v), v) for v in row] for row in x] == want
             assert dense_mul(field, dense_mul(field, A, x), A) == A
 
@@ -492,14 +506,14 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
 
 
 @st.composite
-def packed_product_cases(draw):
+def packed_product_cases(draw, primes=(0,) + PACKED_PRIMES):
     """(field, A, B) with inner side 1-40, on both sides of the packing gates
     (8 over GF(p), 16 over QQ): over a prime of PACKED_PRIMES, or over QQ
     with negative entries, each row's fractions over its own denominators
     and, in about half the cases, numerators past 100 bits.  A has zero
     rows, rows with one nonzero entry and rows with several; B has zero
-    rows, zero columns and zero entries."""
-    p = draw(st.sampled_from((0,) + PACKED_PRIMES))
+    rows, zero columns and zero entries.  p = 0 stands for QQ in primes."""
+    p = draw(st.sampled_from(primes))
     field = GF(p) if p else QQ
     n, k, m = draw(st.integers(0, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 8))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -541,6 +555,27 @@ def test_packed_product_matches_frozen_product(monkeypatch):
     assert 8 in packed and max(packed) > 8, packed
 
 
+def test_product_by_ints_over_a_denominator_matches_frozen_product(monkeypatch):
+    # A*(B/den) for B of ints over den > 1, as the QQ witness of the prime
+    # route is held: value and type of the product with B made rational, on
+    # dot products below the gate, packed rows at it and one-entry rows
+    packed = set()
+    pack = linalg._pack
+    monkeypatch.setattr(linalg, "_pack", lambda values, width: packed.add(width) or pack(values, width))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(packed_product_cases((0,)), st.integers(2, 2**90))
+    def check(case, scale):
+        _, A, B = case
+        den = scale * lcm(*(Fraction(b).denominator for row in B for b in row))
+        ints = [[int(b * den) for b in row] for row in B]
+        got, want = dense_mul(QQ, A, ints, den), oracle_dense_mul(QQ, A, B)
+        assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
+
+    check()
+    assert packed
+
+
 def test_generalized_inverse_packs_only_half_nonzero_gfp(monkeypatch):
     packed = []
     inverse = linalg._packed_inverse
@@ -551,7 +586,7 @@ def test_generalized_inverse_packs_only_half_nonzero_gfp(monkeypatch):
     permutation = [[int(j == (3 * i + 1) % 4) for j in range(4)] for i in range(4)]
     for field, A, want in ((GF(7), half, True), (GF(7), below, False), (GF(7), permutation, False), (QQ, half, False)):
         packed.clear()
-        x = generalized_inverse(field, A)
+        x = witness(field, A)
         assert bool(packed) is want, (field, A)
         assert x == oracle_generalized_inverse(field, A)
 
@@ -572,23 +607,6 @@ def hadamard(n):
     return H
 
 
-def determinant(A):
-    """det A over QQ by plain Gaussian elimination on Fractions."""
-    A = [[Fraction(v) for v in row] for row in A]
-    det = Fraction(1)
-    for c in range(len(A)):
-        pi = next((i for i in range(c, len(A)) if A[i][c]), None)
-        if pi is None:
-            return 0
-        if pi != c:
-            A[c], A[pi], det = A[pi], A[c], -det
-        det *= A[c][c]
-        for i in range(c + 1, len(A)):
-            f = A[i][c] / A[c][c]
-            A[i] = [a - f * b for a, b in zip(A[i], A[c])]
-    return det
-
-
 def prime(k):
     return linalg._crt_field(k).characteristic
 
@@ -605,7 +623,7 @@ def assert_inverse_matches_oracle(A):
     # the oracle's field arithmetic may leave an integral Fraction where the
     # Bareiss kernel, and so the prime route, gives an int
     want = [[(type(QQ.coerce(v)), v) for v in row] for row in oracle_generalized_inverse(QQ, A)]
-    assert [[(type(v), v) for v in row] for row in generalized_inverse(QQ, A)] == want
+    assert [[(type(v), v) for v in row] for row in witness(QQ, A)] == want
 
 
 def test_generalized_inverse_routes_dense_qq_through_primes(monkeypatch):
@@ -704,6 +722,9 @@ def test_prime_route_matches_bareiss_oracle(monkeypatch):
     def record(A):
         X = real(A)
         if X is not None:
+            # den is |det L| for L = A with each row times its denominators' lcm
+            lift = prod(lcm(*(Fraction(v).denominator for v in row)) for row in A)
+            assert X[0] == abs(determinant(A) * lift)
             routed.append(A)
         return X
 
