@@ -29,6 +29,7 @@ from .qgr import (
     normalized_rank,
     pi_star,
     split_sequence,
+    tower_morphism,
 )
 from .submodules import FreeBasis, kernel, weak_basis
 
@@ -63,6 +64,7 @@ __all__ = [
     "normalized_rank",
     "pi_star",
     "split_sequence",
+    "tower_morphism",
     "FreeBasis",
     "kernel",
     "weak_basis",

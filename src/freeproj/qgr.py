@@ -114,16 +114,6 @@ class QgrObject:
             raise ValueError("witness does not match the class")
         self.witness = (i0, t0)
 
-    @classmethod
-    def structure(cls, d: int) -> "QgrObject":
-        """The structure object O, class 1."""
-        return cls(d, QgrClass(1, 0, d), (0, 1))
-
-    @classmethod
-    def twisted_sum(cls, d: int, i: int, r: int) -> "QgrObject":
-        """O(i)^r."""
-        return cls(d, QgrClass(r, -i, d), (max(-i, 0), r * d ** max(i, 0)))
-
     def decompose(self, i: int) -> int:
         """Multiplicity r with this object isomorphic to O(i)^r."""
         return self.cls.multiplicity_at(i)
@@ -162,41 +152,16 @@ def normalized_rank(module: FpModule, r: int) -> Fraction:
 # the endomorphism tower of the structure object
 
 
-def induced_endo_matrix(f: AFMatrix, degree: int):
-    """Degree-`degree` matrix (column convention) of the endomorphism of the
-    tail R_{>= level f} obtained from f by extending left-linearly: a word
-    splits as prefix * suffix and f rewrites the suffix."""
-    d, i = f.d, f.level
-    if degree < i:
-        raise ValueError("degree below the level of f")
-    n = d**degree
-    npre = d ** (degree - i)
-    ni = d**i
-    F = f.field
-    out = [[F.zero] * n for _ in range(n)]
-    for p in range(npre):
-        off = p * ni
-        for s2 in range(ni):
-            row = out[off + s2]
-            src = f.entries[s2]
-            for s in range(ni):
-                row[off + s] = src[s]
-    return out
-
-
-def tower_transition(f: AFMatrix) -> AFMatrix:
-    """One step up the tower: the new first tensor index is untouched."""
-    return f.embed(f.level + 1)
-
-
-def tower_square_commutes(f: AFMatrix, degrees: int = 3) -> bool:
-    """Check that restricting the induced endomorphism agrees with inducing
-    from the transitioned element, degree by degree."""
-    g = tower_transition(f)
-    for j in range(f.level + 1, f.level + 1 + degrees):
-        if induced_endo_matrix(f, j) != induced_endo_matrix(g, j):
-            return False
-    return True
+def tower_morphism(f: AFMatrix) -> FpModuleMorphism:
+    """A level-n f as the endomorphism of R_{>= n} = R(-n)^(d^n), generator
+    alpha standing for the word w_alpha: e_alpha goes to
+    sum_beta f[beta][alpha] e_beta (column convention).  On a word u * w_alpha
+    it acts on the suffix, so the module layer's restriction to degree n + k
+    is I (x) f, the tower step `AFMatrix.embed`, read without it."""
+    A = FreeAlgebra(f.d, f.field)
+    free = FpModule.free(A, [f.level] * f.d**f.level)
+    images = [[A.poly({(): v}) for v in column] for column in zip(*f.entries)]
+    return FpModuleMorphism(free, free, ModuleMap(free.F0, free.F0, images))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from test_submodules import module_maps
 from freeproj import qgr
 
 from freeproj import FreeAlgebra, FpModule
-from freeproj.af_s import AFMatrix
+from freeproj.af_s import AFMatrix, word_unrank
 from freeproj.errors import (
     NotExactInput,
     NotExpressibleAtTwist,
@@ -25,13 +25,10 @@ from freeproj.qgr import (
     QgrClass,
     QgrObject,
     ext1_k_R_dim,
-    induced_endo_matrix,
     is_isomorphic,
     normalized_rank,
     pi_star,
     split_sequence,
-    tower_square_commutes,
-    tower_transition,
 )
 from freeproj.randgen import make_rng, random_af, random_exact_sequence
 from freeproj.submodules import kernel
@@ -104,17 +101,17 @@ def test_pi_star_invariant_under_truncation(A2):
 
 
 def test_is_isomorphic_examples(A2):
-    O = QgrObject.structure(2)
-    assert is_isomorphic(O, QgrObject.twisted_sum(2, -1, 2))
-    assert not is_isomorphic(O, QgrObject.twisted_sum(2, 1, 1))
-    assert is_isomorphic(QgrObject.twisted_sum(2, 0, 0), pi_star(FpModule.residue(A2)))
+    O = pi_star(FpModule.free(A2, [0]))
+    assert is_isomorphic(O, pi_star(FpModule.free(A2, [1, 1])))
+    assert not is_isomorphic(O, pi_star(FpModule.free(A2, [-1])))
+    assert is_isomorphic(QgrObject(2, QgrClass(0, 0, 2)), pi_star(FpModule.residue(A2)))
 
 
 def test_twist_examples(A2):
     # the twist M(m) of a module multiplies its class by d^m
-    O = QgrObject.structure(2)
-    assert QgrObject.twisted_sum(2, 1, 1).cls == QgrClass(2, 0, 2)
-    assert QgrObject.twisted_sum(2, 0, 1) == O
+    O = pi_star(FpModule.free(A2, [0]))
+    assert QgrObject(2, QgrClass(1, -1, 2), (0, 2)).cls == QgrClass(2, 0, 2)
+    assert QgrObject(2, QgrClass(1, 0, 2)) == O
     assert pi_star(FpModule.free(A2, [0]).shift(1)).cls == QgrClass(2, 0, 2)
     M = letter_quotient(A2)
     half = pi_star(M)
@@ -122,13 +119,13 @@ def test_twist_examples(A2):
     assert pi_star(M.shift(3).shift(-3)) == half
 
 
-def test_decompose_examples():
-    O = QgrObject.structure(2)
+def test_decompose_examples(A2):
+    O = pi_star(FpModule.free(A2, [0]))
     assert O.decompose(-1) == 2
     assert O.decompose(-3) == 8
     with pytest.raises(NotExpressibleAtTwist):
         QgrObject(2, QgrClass(1, 1, 2)).decompose(0)
-    assert QgrObject.twisted_sum(2, 0, 0).decompose(5) == 0
+    assert QgrObject(2, QgrClass(0, 0, 2)).decompose(5) == 0
 
 
 def test_far_classes_use_exponents_only():
@@ -140,7 +137,8 @@ def test_far_classes_use_exponents_only():
     with pytest.raises(NotExpressibleAtTwist):
         far.multiplicity_at(3 - 10**12)
     assert QgrClass(5, 10**12, 1).multiplicity_at(10**12) == 5
-    assert QgrObject.twisted_sum(2, -(10**12), 3).cls == QgrClass(3, 10**12, 2)
+    far_sum = QgrObject(2, QgrClass(3, 10**12, 2))
+    assert far_sum.witness == (10**12, 3) and far_sum.decompose(-(10**12)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def test_decomposition_pair_composes_to_identities(A2, r):
 
 
 def test_decomposition_pair_matches_class_arithmetic(A2):
-    O = QgrObject.structure(2)
+    O = pi_star(FpModule.free(A2, [0]))
     for r in (1, 2, 3):
         assert O.decompose(-r) == 2**r == len(DecompositionPair(A2, r).words)
 
@@ -351,26 +349,62 @@ def test_free_tail_lifts_solve_nothing(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the endomorphism tower diagram
+# the endomorphism tower: the module layer against embed
 
 
-def test_tower_square_commutes_random(A2):
+def restriction(f, degree):
+    """The degree-`degree` matrix of `tower_morphism(f)` as
+    {(target word, source word): value}, the basis element (alpha, u) of
+    R(-n)^(d^n) read as the word u * w_alpha."""
+    phi = qgr.tower_morphism(f)
+    words = [u + word_unrank(f.d, alpha, f.level) for alpha, u in phi.source.std_basis(degree)]
+    return {(words[c], words[p]): v
+            for p, row in enumerate(phi.matrix_in_degree(degree).rows) for c, v in row.items()}
+
+
+def tower_cases():
     rng = make_rng(13)
-    for level in (0, 1, 2, 3):
-        for _ in range(10):
-            f = random_af(rng, 2, level, A2.field)
-            assert tower_square_commutes(f, 3)
+    for field in (QQ, GF(7)):
+        for d in (1, 2, 3):
+            for level in (0, 1, 2):
+                yield pytest.param([random_af(rng, d, level, field) for _ in range(3)], {},
+                                   id=f"{field}-d{d}-level{level}")
+    # E_{(0),(1)} sends e_1 to e_0: in degree 2, x0x1 -> x0x0 and x1x1 -> x1x0
+    yield pytest.param([AFMatrix.matrix_unit(2, (0,), (1,))], {2: {((0, 0), (0, 1)): 1, ((1, 0), (1, 1)): 1}},
+                       id="hand-E01")
 
 
-def test_induced_endo_matches_hand_example(A2):
-    f = AFMatrix.matrix_unit(2, (0,), (1,))
-    m = induced_endo_matrix(f, 2)
-    # on degree-2 words, prefix p stays, suffix 1 becomes 0: e.g. x0x1 -> x0x0
-    r = {w: i for i, w in enumerate(A2.words(2))}
-    assert m[r[(0, 0)]][r[(0, 1)]] == 1
-    assert m[r[(1, 0)]][r[(1, 1)]] == 1
-    assert sum(v != 0 for row in m for v in row) == 2
-    assert tower_transition(f).level == 2
+def assert_tower_routes_agree(fs, pinned):
+    """The module layer's restriction of each f to degrees n..n+2 is
+    f.embed there (column convention), and matches any pinned matrix."""
+    for f in fs:
+        for degree in range(f.level, f.level + 3):
+            entries = f.embed(degree).entries
+            index = {w: i for i, w in enumerate(FreeAlgebra(f.d).words(degree))}
+            embedded = {(v, w): entries[index[v]][index[w]] for v in index for w in index
+                        if entries[index[v]][index[w]] != 0}
+            assert restriction(f, degree) == embedded == pinned.get(degree, embedded)
+
+
+@pytest.mark.parametrize("fs, pinned", tower_cases())
+def test_tower_restriction_is_embed(fs, pinned):
+    assert_tower_routes_agree(fs, pinned)
+
+
+def test_tower_restriction_catches_a_row_reading(monkeypatch):
+    # the helper reading f in row convention, e_alpha -> sum_beta f[alpha][beta] e_beta,
+    # fails every case that holds an f other than its transpose
+    column_reading = qgr.tower_morphism
+    monkeypatch.setattr(qgr, "tower_morphism", lambda f: column_reading(
+        AFMatrix(f.d, f.level, list(zip(*f.entries)), f.field)))
+    checked = 0
+    for case in tower_cases():
+        fs, pinned = case.values
+        if any(f.entries != tuple(zip(*f.entries)) for f in fs):
+            with pytest.raises(AssertionError):
+                assert_tower_routes_agree(fs, pinned)
+            checked += 1
+    assert checked >= 5
 
 
 # ---------------------------------------------------------------------------
