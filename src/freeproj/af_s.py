@@ -11,12 +11,13 @@ The normalized rank rank / d^r is invariant under the embedding; it
 computes the class of an idempotent in the dyadic-style group Z[1/d].
 
 Entries are canonical field values (an int for every integral QQ value,
-ints 0..p-1 over GF(p)).  The constructor coerces them, as do `scalar`
-and `+` through it; `from_json` reads each entry with the field's
-`from_str`, `zero`, `matrix_unit` and the simplicity units place
-`field.zero`, `field.one` and the inverse of an entry, `embed` and
-`canonical` slice canonical entries, `scale` coerces each product itself
-(none by 1), `*` takes the `dense_mul` of canonical forms and the vN
+ints 0..p-1 over GF(p)).  The constructor coerces them, as does `scalar`
+through it; `from_json` reads each entry with the field's `from_str`,
+`zero`, `matrix_unit` and the simplicity units place `field.zero`,
+`field.one` and the inverse of an entry, `embed` and `canonical` slice
+canonical entries, `scale` coerces each product itself (none by 1), `+`
+adds mod p or coerces a QQ sum of two Fractions (the one sum that may be
+integral), `*` takes the `dense_mul` of canonical forms and the vN
 witness is `generalized_inverse`'s, so they skip the constructor via
 `_from_canonical`.  A QQ witness from the prime route is x = rows/den,
 rows of ints over den = |det| (`_from_ints`): its `entries` slot stays
@@ -39,7 +40,6 @@ from .fields import QQ, read_int
 from .linalg import (
     SparseMatrix,
     _ratio,
-    dense_add,
     dense_mul,
     generalized_inverse,
     rank,
@@ -183,7 +183,11 @@ class AFMatrix:
 
     def __add__(self, other):
         a, b = self._common(other)
-        return AFMatrix(a.d, a.level, dense_add(a.field, a.entries, b.entries), a.field).canonical()
+        F, p = a.field, a.field.characteristic
+        rows = tuple(tuple([(x + y) % p for x, y in zip(ra, rb)] if p else
+                           [x + y if type(x) is int or type(y) is int else F.coerce(x + y) for x, y in zip(ra, rb)])
+                     for ra, rb in zip(a.entries, b.entries))
+        return AFMatrix._from_canonical(a.d, a.level, rows, F).canonical()
 
     def __mul__(self, other):
         """The product of the canonical forms at the higher of their levels;

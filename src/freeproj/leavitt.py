@@ -63,11 +63,12 @@ def mono_degree(mon) -> int:
 class LeavittElement(_Terms):
     """A linear combination of monomials w* v with exact coefficients."""
 
-    __slots__ = ("algebra",)
+    __slots__ = ("algebra", "_least")  # _least: canonical() returned it
 
     def __init__(self, algebra: FreeAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
+        self._least = False
 
     @property
     def _field(self):
@@ -139,7 +140,9 @@ class LeavittElement(_Terms):
         return self._raised({degree: r})
 
     def canonical(self) -> "LeavittElement":
-        """Each graded component raised to its own maximal level; self when already so."""
+        """Each graded component raised to its own maximal level, self when already so, marked: not rescanned."""
+        if self._least:
+            return self
         levels: dict = {}
         mixed = False
         for w, v in self.terms:
@@ -147,7 +150,9 @@ class LeavittElement(_Terms):
             if r != len(w):
                 mixed = True
                 levels[len(v) - len(w)] = max(r, len(w))
-        return self._raised(levels) if mixed else self
+        out = self._raised(levels) if mixed else self
+        out._least = True
+        return out
 
     def _raised(self, levels: dict) -> "LeavittElement":
         """Raise each monomial of a degree m in `levels` to starred length
@@ -250,10 +255,9 @@ def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
         r = level
     _check_side(A.d, r, error=BudgetExceeded)
     n = A.d**r
+    units = [(word_rank(A.d, w), word_rank(A.d, v), A.d ** len(w), c) for (w, v), c in a.terms.items()]
     placed: dict = {}
-    for (w, v), c in a.terms.items():
-        i, j = word_rank(A.d, w), word_rank(A.d, v)
-        _add_terms(A.field, placed, [((t + i, t + j), c) for t in range(0, n, A.d ** len(w))])
+    _add_terms(A.field, placed, [((t + i, t + j), c) for i, j, step, c in units for t in range(0, n, step)])
     rows = [[A.field.zero] * n for _ in range(n)]
     for (i, j), c in placed.items():
         rows[i][j] = A.field.coerce(c)

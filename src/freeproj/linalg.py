@@ -1,58 +1,51 @@
 """Exact linear algebra over a coefficient field.
 
-One kernel does all the elimination: `row_reduce`, exact Gauss-Jordan
-(on field values over GF(p), on integer rows over QQ), optionally recording
-the transform T with T*A = RREF(A).  A column index (column -> row positions
-that may hold a nonzero there) lets it find each pivot and clear each column
-by visiting only the rows that hold it, not every row; the matrices of
-degreewise module maps are close to permutation matrices, with a few entries
-per column.  Everything else is a view of it:
+One kernel does all the sparse elimination: `row_reduce`, exact
+Gauss-Jordan (on field values over GF(p), on integer rows over QQ),
+optionally recording the transform T with T*A = RREF(A).  A column index
+(column -> row positions that may hold a nonzero there) lets it find each
+pivot and clear each column by visiting only the rows that hold it, not
+every row; the matrices of degreewise module maps are close to permutation
+matrices, with a few entries per column.  Everything else is a view of it:
 
 * `rank` counts its pivots, after a pre-pass that counts the columns of the
   rows with a single entry and drops those columns from the other rows, so
   only that residue is eliminated, and with no end pass over QQ;
 * `solve_left` reduces each target against the pivot rows;
-* `generalized_inverse` places the pivot transform rows at the pivot columns;
-  a dense matrix is eliminated on packed rows instead, over QQ mod primes,
-  whose inverse it returns as integer rows over one denominator, |det|.
+* `generalized_inverse` places the pivot transform rows at the pivot columns.
 
-Over QQ the field's arithmetic builds a `Fraction`, with a gcd, at every
-step, and the denominators of a dense elimination grow to many digits.  So
-`row_reduce` lifts each row once, at entry, to integer numerators over its
-denominator d_i, clears with Bareiss's fraction-free update, and makes each
-entry rational once at the end.  Each integer row is q_i times the row that
-field arithmetic would hold, q_i = 1 at entry, and a clear by pivot p
-divides (p*row - a*prow) by q_i with no gcd: exactly, since the quotient
-is, up to sign, a row of minors of the lifted input (Sylvester's identity;
-E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 22, 1968; see `_eliminate`).  Zero
-pattern, pivots and dict key order do not change, and the output equals
-field arithmetic's value for value.  `dense_mul` likewise takes integer dot
-products, on the lift of `_integer_vector`, or, once B has 8 rows over GF(p)
-or 16 over QQ, one bigint multiply-add per nonzero entry of A on B's rows
-packed into ints (Kronecker substitution), and a row of A with one nonzero
-entry as a multiple of a row of B.
+Over QQ `row_reduce` lifts each row once, at entry, to integer numerators
+over its denominator, clears with Bareiss's fraction-free update, divided
+exactly by the row's scale with no gcd (see `_eliminate`), and makes each
+entry rational once at the end: no `Fraction` per step, and the zero
+pattern, pivots, dict key order and values of field arithmetic.
+
+A dense matrix's generalized inverse comes from one packed kernel instead,
+`_packed_eliminate`: in-place Gauss-Jordan mod p on rows of one int with a
+slot per column, the transform kept in the slots of the pivot columns.  It
+runs over GF(p), and for a dense square QQ matrix mod primes whose raw
+slots the Chinese remainder theorem combines, one multiply-add per entry
+and prime, into integer rows over one denominator, |det|.  `dense_mul`
+takes integer dot products, on the lift of `_integer_vector`, or, once B
+has 8 rows over GF(p) or 16 over QQ, one bigint multiply-add per nonzero
+entry of A on B's rows packed into ints (Kronecker substitution), and a
+row of A with one nonzero entry as a multiple of a row of B.
 
 `_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
-sparse product; it works on the plain values of `fields`, reducing mod p
-itself over GF(p), with no field method call per entry, and reads a row of
-the left factor with one entry as a scaled row (`_scaled_row`).  Next to it,
-`_add_terms` (a sum of terms) and `_add_products` (the pairwise products of
-two term dicts, placed by a key function) are the one accumulate loop for
-every sparse {key: value} dict: polynomials, module elements, Leavitt
-elements, parsed terms and the submodule reduction all add through them.
-They too add and multiply plain values, reduce mod p themselves and call
-no field method per term or pair.
-Two representations are used:
+sparse product, reading a left row with one entry as a scaled row
+(`_scaled_row`).  `_add_terms` (a sum of terms) and `_add_products` (the
+pairwise products of two term dicts, placed by a key function) are the one
+accumulate loop for every sparse {key: value} dict: polynomials, module
+elements, Leavitt elements, parsed terms and the submodule reduction.  All
+of them work on the plain values of `fields`, reducing mod p themselves,
+with no field method call per entry, term or pair.
 
-* sparse: a matrix is a list of rows, each row a dict {column: nonzero value},
-  plus an explicit column count.  All degreewise module computations use this
-  (the matrices realizing graded maps are extremely sparse).
-* dense: a list of lists, used for the leveled matrices of the limit
-  algebra: `dense_mul`, `dense_add` and `generalized_inverse`.
-
-Row-vector convention throughout: a sparse matrix A represents the map
-v -> v*A, so kernels are left kernels {v : v*A = 0}.
+Two representations are used: sparse, a list of row dicts {column: nonzero
+value} plus a column count, for every degreewise module computation (the
+matrices realizing graded maps are extremely sparse); and dense, a list of
+lists, for the leveled matrices of the limit algebra (`dense_mul` and
+`generalized_inverse`).  Row-vector convention throughout: a sparse matrix
+A represents the map v -> v*A, so kernels are left kernels {v : v*A = 0}.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, repeat
 from math import lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 
 from .fields import GF, is_prime
 
@@ -476,7 +469,7 @@ def dense_mul(field, A, B, den=1):
         D, flat = (den, flat) if p or den != 1 else _integer_vector(flat)
         lifts = [(1, out[i]) if p else _integer_vector(out[i]) for i in many]
         beta = 0 if p else max(map(abs, flat))
-        half = 0 if p else len(B) * max(abs(a) for _, ai in lifts for a in ai) * beta
+        half = 0 if p else len(B) * max(max(map(abs, ai)) for _, ai in lifts) * beta
         width = _slot_width(2 * half or len(B) * (p - 1) ** 2)
         ones, packed = _pack([1] * m, width), [None] * len(B)
         for i, (da, ai) in zip(many, lifts):
@@ -486,8 +479,8 @@ def dense_mul(field, A, B, den=1):
                     if packed[k] is None:  # a zero row packs as beta's, not as 0
                         packed[k] = _pack([b + beta for b in flat[k * m:k * m + m]], width)
                     acc += a * packed[k]
-            slots = _unpack(acc, m, width)
-            out[i] = [v % p for v in slots] if p else [_ratio(v - half, da * D) for v in slots]
+            slots, dd = _unpack(acc, m, width), da * D
+            out[i] = [v % p for v in slots] if p else [_ratio(v - half, dd) if v != half else 0 for v in slots]
     elif p:
         for i in many:
             out[i] = [sum(map(mul, out[i], Bj)) % p for Bj in Bt]
@@ -503,10 +496,6 @@ def dense_mul(field, A, B, den=1):
     return out
 
 
-def dense_add(field, A, B):
-    return [[field.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def generalized_inverse(field, A):
     """(den, rows): X = rows/den with A*X*A = A, from one elimination with
     transform.
@@ -518,14 +507,13 @@ def generalized_inverse(field, A):
     Here den is 1 and rows holds X's canonical values.
 
     A matrix with at least half its entries nonzero is eliminated on packed
-    rows instead (`_packed_inverse`), to the same X; over QQ a square one of
-    side 5 to 64, mod primes (`_crt_inverse`): if its determinant is nonzero
-    mod the first prime, A is invertible and X is the unique A^-1, returned
-    as the integer rows of den*A^-1 over den = |det diag(d_i)*A|, d_i the
-    lcm of row i's denominators; each rows[i][j]/den, made rational, is X's
-    entry value for value and type for type.  Packed rows read n*m slots
-    whatever the zeros, so a sparser matrix, which may not fill in (a
-    side-256 permutation: 4 ms here, 80 ms packed), stays here.
+    rows instead (`_packed_eliminate`), to the same X; over QQ a square one
+    of side 5 to 64, mod primes (`_crt_inverse`): if det A is nonzero mod
+    the first prime, X is the unique A^-1, returned as the integer rows of
+    den*A^-1 over den = |det diag(d_i)*A|, d_i the lcm of row i's
+    denominators, each rows[i][j]/den X's entry value for value and type
+    for type.  Packed rows read n*m slots whatever the zeros, so a sparser
+    matrix (a side-256 permutation: 4 ms here, 80 ms packed) stays here.
     """
     p = field.characteristic
     if (p or 4 < len(A) == len(A[0]) <= 64) and 2 * sum(row.count(0) for row in A) <= sum(map(len, A)):
@@ -551,14 +539,15 @@ def _crt_inverse(A):
     probes found the route no slower than Bareiss.
 
     L = diag(den)*A has integer rows, and H^2 = prod ||L_i||^2 bounds
-    |det L| and every |adj(L) entry| by H (Hadamard).  `_packed_inverse`
-    mod each prime gives L^-1 and det L there, so adj(L) = det*L^-1; a prime
-    that divides det is skipped.  Once the primes used multiply to M with
-    M^2 > 4*H^2, det and adj are their CRT values in the symmetric range,
-    and A^-1 = adj(L)*diag(den)/det.  So D = |det| > 0 and the rows are the
-    tuples of ints sign(det)*adj(L)*diag(den), no entry made rational.  Rows
-    are lifted and H^2 multiplied out one at a time, stopping once it
-    passes the size rule.
+    |det L| and every |adj(L) entry| by H (Hadamard).  `_packed_eliminate`
+    mod each prime gives det L and row c of L^-1 as u*xs, xs raw slots, so
+    row c of adj(L) = det*L^-1 is det*u*xs there; a prime that divides det
+    is skipped.  Once the primes used multiply to M with M^2 > 4*H^2, det
+    and adj are their CRT values in the symmetric range, one multiply-add
+    per entry and prime, and A^-1 = adj(L)*diag(den)/det.  So D = |det| > 0
+    and the rows are the tuples of ints sign(det)*adj(L)*diag(den), no
+    entry made rational.  Rows are lifted and H^2 multiplied out one at a
+    time, stopping once it passes the size rule.
     """
     den, L, h2 = [], [], 1
     for d, ints in map(_integer_vector, A):
@@ -570,30 +559,30 @@ def _crt_inverse(A):
     M, used = 1, []
     for F in map(_crt_field, count()):
         p = F.characteristic
-        X, det = _packed_inverse(F, [[v % p for v in row] for row in L])
+        pivots, det = _packed_eliminate(F, [[v % p for v in row] for row in L])
         if det:
-            used.append((p, X, det))
+            used.append((p, pivots, det))
             M *= p
             if M * M > 4 * h2:
                 break
         elif not used:
             return None
-    # det mod p times the CRT basis value that is 1 mod p and 0 mod the
-    # others; (x + half) % M - half is x mod M in the symmetric range
-    w = [det * (M // p) * pow(M // p, -1, p) % M for p, _, det in used]
-    half = M // 2
-    det = (sum(w) + half) % M - half
-    # sign(det)*w: the symmetric residue of sign(det)*adj, times den[j]
-    if det < 0:
-        w = [M - v for v in w]
-    return abs(det), [tuple(((sum(map(mul, residues, w)) + half) % M - half) * d
-                            for d, residues in zip(den, zip(*rows))) for rows in zip(*(X for _, X, _ in used))]
+    # q*t: det times the basis value 1 mod p, 0 mod the others; (x + half) % M - half is x mod M, symmetric
+    half, basis = M // 2, [(M // p, det * pow(M // p, -1, p) % p, p) for p, _, det in used]
+    det = (sum(q * t for q, t, _ in basis) + half) % M - half
+    sign, rows = -1 if det < 0 else 1, []
+    for row in zip(*(pivots for _, pivots, _ in used)):
+        acc = repeat(half)
+        for (q, t, p), (_, u, xs) in zip(basis, row):
+            acc = list(map(add, acc, map((sign * q * (t * u % p)).__mul__, xs)))
+        rows.append(tuple([(v % M - half) * d for v, d in zip(acc, den)]))
+    return abs(det), rows
 
 
 @cache
 def _crt_field(k: int):
     """GF(p) for the primes p below 2^29, largest first from k = 0, found on
-    first use: 64*(p-1)^2 + p < 2^64 keeps `_packed_inverse` on 64-bit slots."""
+    first use: 64*(p-1)^2 + p < 2^64 keeps `_packed_eliminate` on 64-bit slots."""
     p = _crt_field(k - 1).characteristic - 2 if k else 2**29 - 1
     while not is_prime(p):
         p -= 2
@@ -601,48 +590,62 @@ def _crt_field(k: int):
 
 
 def _packed_inverse(field, A):
-    """(X, det): `generalized_inverse` over GF(p) of canonical values,
-    eliminating [A | I] on packed rows, and det A mod p for a square A (the
-    product of the pivots, negated per swap), 0 for any other.
+    """(X, det): `generalized_inverse` over GF(p), and det A mod p, read off `_packed_eliminate`."""
+    (pivots, det), p = _packed_eliminate(field, A), field.characteristic
+    X = [[0] * len(A) for _ in A[0]] if A else []
+    for c, u, xs in pivots:
+        X[c] = [v * u % p for v in xs]
+    return X, det
 
-    Row i is one int with a B-bit slot per column, column c at bit B*c.  A
-    clear by the reduced pivot row P (pivot 1) is one bigint multiply-add,
-    R += (p - a)*P, with no mod p: it adds less than (p-1)^2 to each slot
-    and sets slot c to 0 mod p.  A row takes at most k = min(rows, cols)
-    clears between reductions, so B is the bit length of k*(p-1)^2 + p
-    rounded up to a multiple of 64 (delayed reduction: Dumas, Giorgi and
-    Pernet, ACM TOMS 35, 2008; packing: Dumas, Fousse and Salvy, J. Symb.
-    Comput. 46, 2011).  A row is reduced when it becomes the pivot, and the
-    pivot rows' transform slots at the end.  Pivots follow `row_reduce`:
-    columns ascending, the least row >= r nonzero mod p, swapped with row r.
+
+def _packed_eliminate(field, A):
+    """(pivots, det): in-place Gauss-Jordan of A over GF(p) on packed rows,
+    and det A mod p for a square A (the product of the pivots, negated per
+    swap), 0 for any other.  pivots holds (c, u, xs) per pivot column c,
+    ascending: row c of X is u*xs mod p, xs raw slots indexed by A's rows.
+
+    Row i is one int with a B-bit slot per column, column c at bit B*c.
+    Slot c of the row where row j of A became the pivot of column c holds
+    column j of the transform T (T*A = RREF), not c's identity column.  A
+    pivot row P of value v, reduced mod p but unscaled, clears each other
+    row with one multiply-add and no mod p, R += (p - a/v mod p)*C, for C
+    the P with slot c at (1 + v) mod p: slot c of R reads -a/v, T's new
+    entry, and each slot gains less than (p-1)^2.  Slot c of P is then 1,
+    so row r is v times its normalized row.  A row takes at most k =
+    min(rows, cols) clears between reductions, so B is the bit length of
+    k*(p-1)^2 + p rounded up to a multiple of 64 (Dumas, Giorgi and Pernet,
+    ACM TOMS 35, 2008; packing: Dumas, Fousse and Salvy, J. Symb. Comput.
+    46, 2011).  Pivots follow `row_reduce`: columns ascending, the least
+    row >= r nonzero mod p, swapped with row r.
     """
     p = field.characteristic
     n, m = len(A), len(A[0]) if A else 0
     width = _slot_width(min(n, m) * (p - 1) ** 2 + p)
-    bits, mask, size = 8 * width, (1 << 8 * width) - 1, m + n
-    rows = [_pack(row, width) | 1 << bits * (m + i) for i, row in enumerate(A)]
+    bits, mask = 8 * width, (1 << 8 * width) - 1
+    rows, source = [_pack(row, width) for row in A], list(range(n))
     pivots, det = [], 1
     for c in range(m):
-        r = len(pivots)
-        if r == n:
-            break
-        col = [(R >> bits * c & mask) % p for R in rows]
-        pi = next((i for i in range(r, n) if col[i]), None)
-        if pi is None:
+        r = pi = len(pivots)
+        shift = bits * c
+        while pi < n and not (v := (rows[pi] >> shift & mask) % p):
+            pi += 1
+        if pi == n:
             continue
-        det = det * (col[pi] if pi == r else p - col[pi]) % p
-        rows[r], rows[pi] = rows[pi], rows[r]
-        col[r], col[pi] = col[pi], col[r]
-        inv = field.invert(col[r])
-        P = rows[r] = _pack([v * inv % p for v in _unpack(rows[r], size, width)], width)
-        for i, a in enumerate(col):
-            if a and i != r:
-                rows[i] += (p - a) * P
-        pivots.append(c)
-    X = [[0] * n for _ in range(m)]
-    for R, c in zip(rows, pivots):
-        X[c] = [v % p for v in _unpack(R, size, width)[m:]]
-    return X, det if len(pivots) == n == m else 0
+        det = det * (v if pi == r else p - v) % p
+        rows[r], rows[pi], source[r], source[pi] = rows[pi], rows[r], source[pi], source[r]
+        u = field.invert(v)
+        P = _pack([x % p for x in _unpack(rows[r], m, width)], width) - (v - 1 << shift)
+        C, w = P + ((v + 1) % p - 1 << shift), p - u
+        for i, R in enumerate(rows):
+            if i != r and (a := (R >> shift & mask) % p):
+                rows[i] = R + a * w % p * C
+        rows[r] = P
+        pivots.append((c, u))
+    pivot_of = dict(zip(source, [c for c, _ in pivots]))  # a row never a pivot reads slot m: 0
+    at = [pivot_of.get(j, m) for j in range(n)]
+    slots = [_unpack(R, m + 1, width) for R in rows[:len(pivots)]]
+    return [(c, u, list(map(s.__getitem__, at))) for s, (c, u) in zip(slots, pivots)], \
+        det if len(pivots) == n == m else 0
 
 
 def _slot_width(bound: int) -> int:
@@ -661,7 +664,7 @@ def _pack(values, width: int) -> int:
 def _unpack(row: int, count: int, width: int):
     """The first count slots of a packed row, as `_pack` lays them out."""
     data = row.to_bytes(width * count, "little")
-    if width == 8:
-        return struct.unpack(f"<{count}Q", data)
-    read = int.from_bytes
-    return [read(data[j:j + width], "little") for j in range(0, len(data), width)]
+    if width > 16:
+        return [int.from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
+    words = struct.unpack(f"<{count * width // 8}Q", data)  # 16 bytes: one pair of words per slot
+    return words if width == 8 else [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]

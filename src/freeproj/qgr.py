@@ -9,6 +9,7 @@ exactly when their classes agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .af_s import AFMatrix, word_rank
@@ -158,10 +159,13 @@ def tower_morphism(f: AFMatrix) -> FpModuleMorphism:
     sum_beta f[beta][alpha] e_beta (column convention).  On a word u * w_alpha
     it acts on the suffix, so the module layer's restriction to degree n + k
     is I (x) f, the tower step `AFMatrix.embed`, read without it."""
-    A = FreeAlgebra(f.d, f.field)
-    free = FpModule.free(A, [f.level] * f.d**f.level)
-    images = [[A.poly({(): v}) for v in column] for column in zip(*f.entries)]
+    free = _tower_module(f.d, f.field, f.level)
+    images = [[free.algebra.poly({(): v}) for v in column] for column in zip(*f.entries)]
     return FpModuleMorphism(free, free, ModuleMap(free.F0, free.F0, images))
+
+
+# R(-level)^(d^level), built once for every f of `tower_morphism` at that level (8 kept)
+_tower_module = lru_cache(maxsize=8)(lambda d, field, level: FpModule.free(FreeAlgebra(d, field), [level] * d**level))
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,16 @@ def _golden(name: str) -> Callable[[], str]:
     return lambda: (GOLDEN / name).read_text(encoding="utf-8")
 
 
-def _dense(side: int, level: int, seed: int) -> Callable[[], str]:
+def _dense(side: int, level: int, seed: int, singular: bool = False) -> Callable[[], str]:
     """A d = 2 AF file of the given side, every entry a nonzero integer in
-    [-9, 9] drawn by random.Random(seed), row by row."""
+    [-9, 9] drawn by random.Random(seed), row by row; when singular, the
+    last row is instead the sum of the first two, its zero sums left out."""
     def text():
         r = random.Random(seed)
-        entries = [[i, j, str(r.randint(-9, 9) or 1)] for i in range(side) for j in range(side)]
+        rows = [[r.randint(-9, 9) or 1 for _ in range(side)] for _ in range(side)]
+        if singular:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        entries = [[i, j, str(v)] for i, row in enumerate(rows) for j, v in enumerate(row) if v]
         return json.dumps({"d": 2, "level": level, "entries": entries})
     return text
 
@@ -233,6 +237,11 @@ SLOW_CASES = [
          {"ge16.pres": _ge16}),
     Case("regular-dense256-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "regular", "dense256.json"),
          0, {"result.verified": True}, 30, {"dense256.json": _dense(256, 8, 256)}),
+    # the rank-deficient path of the packed witness at scale, rank 255: about
+    # 1.0-1.5 s and 40 MB for the whole command on a 2-vCPU VM
+    Case("regular-dense256-singular-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "regular",
+                                           "singular256.json"), 0, {"result.verified": True}, 10,
+         {"singular256.json": _dense(256, 8, 256, singular=True)}, rss_mb=64),
     # a side-256 square on packed rows of B
     Case("mul-dense256-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "mul", "dense256.json",
                               "dense256.json"), 0, {"result.element.level": 8}, 30,

@@ -85,7 +85,8 @@ ALLOWLIST = {
     "errors.ParseError.__init__": ERROR_PATH,
     "freealg.GradedFreeModule.gen": BRANCH,  # FpModule.truncate, generators above the cut
     "parsing.format_poly": BRANCH,  # NcPoly.__str__
-    "fields.PrimeField.add": BRANCH,  # linalg.dense_add, a sum of AF matrices over GF(p)
+    "fields.PrimeField.add": ORACLE,  # leavitt_oracle.py
+    "fields.RationalField.add": ORACLE,  # leavitt_oracle.py
     "fields.PrimeField.sub": ORACLE,  # row_reduce_oracle.py
     "fields.RationalField.sub": ORACLE,  # row_reduce_oracle.py
     "leavitt.LeavittElement.from_poly": ORACLE,  # leavitt_oracle.py

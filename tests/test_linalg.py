@@ -506,6 +506,54 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
 
 
 @st.composite
+def packed_kernel_cases(draw):
+    """(field, A, kind, shape) for the packed kernel over GF(2), GF(3),
+    GF(7), GF(10007) or the first CRT prime, square, wide or tall with 1-18
+    rows and columns: dense, rank-deficient (rank below min(rows, cols),
+    zero included), or a shuffled staircase, each row zero before a random
+    column, whose leading zeros force row swaps and skip zero columns."""
+    p = draw(st.sampled_from((2, 3, 7, 10007, prime(0))))
+    shape = draw(st.sampled_from(("square", "wide", "tall")))
+    k, extra = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    n, m = {"square": (k, k), "wide": (k, k + extra), "tall": (k + extra, k)}[shape]
+    kind = draw(st.sampled_from(("dense", "deficient", "staircase")))
+    rng = draw(st.randoms(use_true_random=False))
+    field = GF(p)
+    A = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+    if kind == "deficient":
+        r = rng.randrange(min(n, m))
+        left = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+        A = dense_mul(field, left, [[rng.randrange(p) for _ in range(m)] for _ in range(r)]) if r else \
+            [[0] * m for _ in range(n)]
+    elif kind == "staircase":
+        for row in A:
+            lead = rng.randrange(m + 1)
+            row[:lead] = [0] * lead
+    return field, A, kind, shape
+
+
+def test_packed_kernel_matches_oracle():
+    # X value for value and type for type, and det A mod p (0 off the square)
+    seen = set()
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(packed_kernel_cases())
+    def check(case):
+        field, A, kind, shape = case
+        X, det = linalg._packed_inverse(field, A)
+        want = oracle_generalized_inverse(field, A)
+        assert [[(type(v), v) for v in row] for row in X] == [[(type(v), v) for v in row] for row in want]
+        p = field.characteristic
+        assert det == (int(determinant(A)) % p if shape == "square" else 0)
+        seen.add((kind, shape))
+        if A[0][0] == 0 and any(row[0] for row in A):
+            seen.add("swap")  # the first pivot is below row 0
+
+    check()
+    assert "swap" in seen and len(seen) == 10, seen
+
+
+@st.composite
 def packed_product_cases(draw, primes=(0,) + PACKED_PRIMES):
     """(field, A, B) with inner side 1-40, on both sides of the packing gates
     (8 over GF(p), 16 over QQ): over a prime of PACKED_PRIMES, or over QQ
@@ -760,14 +808,14 @@ def test_prime_route_skips_primes_that_divide_det(monkeypatch):
     # det = p * (a 15 x 15 minor): p = the first prime takes Bareiss, and
     # p = the second prime is skipped
     dets, eliminated = {}, []
-    packed, eliminate = linalg._packed_inverse, linalg._eliminate
+    packed, eliminate = linalg._packed_eliminate, linalg._eliminate
 
     def record_packed(field, A):
-        X, det = packed(field, A)
+        pivots, det = packed(field, A)
         dets[field.characteristic] = det
-        return X, det
+        return pivots, det
 
-    monkeypatch.setattr(linalg, "_packed_inverse", record_packed)
+    monkeypatch.setattr(linalg, "_packed_eliminate", record_packed)
     monkeypatch.setattr(linalg, "_eliminate", lambda mat, t: eliminated.append(mat) or eliminate(mat, t))
     rng = random.Random(61)
     base = [[rng.randint(-2, 2) or 1 for _ in range(16)] for _ in range(16)]
