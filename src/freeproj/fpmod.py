@@ -57,7 +57,9 @@ x_i * u is standard, so the row of x_i * u is the row of u one degree down
 times the target's letter matrix of x_i.
 `FpModuleMorphism.matrix_in_degree` builds each degree from the one below
 by this one-letter extension; only generator rows map a representative
-through the cover and reduce it against the target's relations.
+through the cover and reduce it against the target's relations.  Past both
+free bounds `_tail_matrix` only moves columns by the two layouts (below), so
+past n a morphism is its degree-n matrix plus the two layouts.
 
 The stable profile records the certified index i0 at which the tail of M
 becomes free with all its basis in one degree; every degree-0 map between
@@ -398,6 +400,17 @@ class FpModule:
             raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
         return [(row, n, d * row) for row, n in zip(starts, counts)]
 
+    def _tail_matrix(self, prev: SparseMatrix, target: "FpModule", k: int) -> SparseMatrix:
+        """Degree k of a map M -> target from its degree-(k-1) matrix prev past both free bounds: per block
+        (s, n, _) of M's layout and letter i, rows s..s+n-1 of prev with column c of target's block
+        (t, m, off) moved to off + i * m + c - t.  Held to MAX_STD_WORDS against M's ledger first, not added."""
+        self._check_budget(None, [(k, self.hilbert(k), "tail-map rows")])
+        cols = [[off + i * m + p for _, m, off in target._free_layout(k - 1) for p in range(m)]
+                for i in range(self.algebra.d)]
+        rows = [{col[c]: a for c, a in row.items()}
+                for s, n, _ in self._free_layout(k - 1) for col in cols for row in prev.rows[s:s + n]]
+        return SparseMatrix(prev.field, len(rows), target.hilbert(k), rows)
+
     def _mult_bijective(self, j: int) -> bool:
         """Is V tensor M_j -> M_{j+1} bijective?  Exact check.
 
@@ -621,11 +634,11 @@ class FpModuleMorphism:
         below j by one-letter extension (module docstring): the row of a word
         x_i * u at coordinate alpha is the degree-(j-1) row of u times the
         target's letter matrix of x_i, and only the generator rows (alpha, ())
-        map a representative through the cover and reduce it.  Each row lists
-        its columns in decreasing `term_key` order of the target's standard
-        words, as the normal forms of `coords` do: a one-entry row of u gives
-        a letter row scaled, a unit row or a normal form, which is in that
-        order already."""
+        map a representative through the cover and reduce it.  Past both free
+        bounds `FpModule._tail_matrix` moves the columns of u's row instead, and
+        reads no word.  Each row lists its columns in decreasing `term_key`
+        order of the target's standard words, as the normal forms of `coords`
+        do; a moved, scaled or unit row is in that order already."""
         cache = self._matrix_cache
         if j in cache:
             return cache[j]
@@ -633,6 +646,9 @@ class FpModuleMorphism:
         F = source.algebra.field
         neg = F.neg
         for k in _missing(cache, j, source.min_degree):
+            if k - 1 >= max(source._free_bound(), target._free_bound()):
+                cache[k] = source._tail_matrix(cache[k - 1], target, k)
+                continue
             prev, below = cache.get(k - 1), source._std_index(k - 1)
             columns = target.std_basis(k)
             letters: dict = {}

@@ -258,13 +258,11 @@ def split_sequence(
     time: sigma_j(x_a * n) = x_a * sigma_{j-1}(n), solved against N's
     stacked letter matrices out of N_{j-1}, which are square past i.
 
-    From N's free bound b on (j - 1 >= b) those stacked matrices are the
-    unit rows that `FpModule._free_layout` places: row p of coordinate
-    alpha in the block of letter a is the unit row at column
-    off + a * n_alpha + p.  So row c of sigma_j is the image row
-    sigma_{j-1}(row start + p) * x_a that the layout sends to c, read off
-    with no elimination.  sigma_j * G_j is checked to be the identity in
-    every degree.
+    From N's free bound b on (j - 1 >= b) the stacked matrices are the unit
+    rows `FpModule._free_layout` places, so sigma_j's rows are the images
+    sigma_{j-1} * x_a in N's layout order; from n, past M's bound too, they
+    are moved columns (`FpModule._tail_matrix`): sigma is sigma_n plus two
+    layouts.  sigma_j * G_j is checked to be the identity in every degree.
     """
     L, M, N = f.source, f.target, g.target
     if not (
@@ -298,10 +296,11 @@ def split_sequence(
     sigma = SparseMatrix(field, t, M.hilbert(i), lifts)
     matrices = {}
     letters = range(M.algebra.d)
-    bound = N._free_bound()
     for j in range(i, hi + 1):
         unit = SparseMatrix.identity(field, N.hilbert(j))
-        if j > i and j - 1 >= bound:
+        if j > i and j - 1 >= max(N._free_bound(), M._free_bound()):
+            sigma = N._tail_matrix(sigma, M, j)
+        elif j > i and j - 1 >= N._free_bound():
             images = [sigma.mul(M.letter_matrix(a, j - 1)).rows for a in letters]
             sigma = SparseMatrix(field, N.hilbert(j), M.hilbert(j), [
                 images[a][start + p] for start, n, _ in N._free_layout(j - 1) for a in letters for p in range(n)])

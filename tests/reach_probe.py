@@ -53,7 +53,6 @@ KINDS = (DUNDER, ERROR_PATH, BRANCH, ORACLE)
 ALLOWLIST = {
     "af_s.AFMatrix.__repr__": DUNDER,
     "fields.PrimeField.__hash__": DUNDER,
-    "fields.RationalField.__hash__": DUNDER,
     "fpmod.FpModule.__repr__": DUNDER,
     "fpmod.FpModuleMorphism.__repr__": DUNDER,
     "fpmod.StableProfile.__repr__": DUNDER,

@@ -348,7 +348,10 @@ def test_torsion_refuses_over_budget_before_building(monkeypatch):
 
 def test_split_sequence_past_the_bound_refuses_before_building(monkeypatch):
     # 0 -> R -> (R/Rx0) + R -> R/Rx0 -> 0 split at i = 6, past every bound:
-    # the middle module's last build is its free-tail rows out of M_8
+    # past the bounds no word and no letter matrix is built, and each tail
+    # degree's rows are held against their source module's ledger, not
+    # added to it, so the largest build of the middle module S is g's
+    # degree-9 matrix on top of S's held words and rows
     A2 = FreeAlgebra(2)
 
     def sequence():
@@ -364,12 +367,17 @@ def test_split_sequence_past_the_bound_refuses_before_building(monkeypatch):
     mods = (f.source, f.target, g.target)
     assert all(M._held == held_in_caches(M) for M in mods)
     S = f.target
-    assert S._held == max(M._held for M in mods) and S._free_bound() < 6
-    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", S._held - 1)
+    b = S._free_bound()
+    assert b < 6 and max(S._std_cache) == b and max(j for _, j in S._letter_cache) < b
+    held = S._held
+    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", held + S.hilbert(9))
+    assert split_sequence(*sequence(), 6, degrees=3).verify()
+    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", held + S.hilbert(8) - 1)
     f, g = sequence()
-    with pytest.raises(BudgetExceeded, match=f"degree 8 would add {S.hilbert(8)} letter-matrix rows"):
+    with pytest.raises(BudgetExceeded, match=f"degree 8 would add {S.hilbert(8)} tail-map rows, bringing the "
+                                             f"module's held words and rows to {held + S.hilbert(8)},"):
         split_sequence(f, g, 6, degrees=3)
-    assert (0, 8) in f.target._letter_cache and (1, 8) not in f.target._letter_cache
+    assert max(g._matrix_cache) == 7 and max(f._matrix_cache) == 8
     assert all(M._held == held_in_caches(M) <= fpmod.MAX_STD_WORDS for M in (f.source, f.target, g.target))
 
 

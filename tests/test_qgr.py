@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import hypothesis
+import hypothesis.strategies as st
 import pytest
+from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
 from section_oracle import section_matrices as oracle_section_matrices
 from section_oracle import solve_split_sequence
-from test_fpmod import count_calls, typed_rows
+from test_fpmod import assert_morphism_matrix_matches_oracle, coefficients, count_calls, draw_element, typed_rows
 from test_submodules import module_maps
 
 from freeproj import qgr
@@ -20,6 +22,7 @@ from freeproj.errors import (
 from freeproj.fields import GF, QQ
 from freeproj.fpmod import FpModuleMorphism
 from freeproj.freealg import ModuleMap
+from freeproj.linalg import SparseMatrix
 from freeproj.qgr import (
     DecompositionPair,
     QgrClass,
@@ -32,6 +35,7 @@ from freeproj.qgr import (
 )
 from freeproj.randgen import make_rng, random_af, random_exact_sequence
 from freeproj.submodules import kernel
+from freeproj.verify import run_criterion
 
 
 def letter_quotient(A):
@@ -346,6 +350,112 @@ def test_free_tail_lifts_solve_nothing(monkeypatch):
     assert sec.verify()
     assert calls["solve_left"] == 3
     assert typed_matrices(sec.matrices) == typed_matrices(solve_split_sequence(*sequence_of(phi), 0, 4).matrices)
+
+
+# ---------------------------------------------------------------------------
+# past both free bounds: morphism and section matrices by moving columns
+
+
+@st.composite
+def tail_presentations(draw):
+    """(F, R, K, order) over QQ (with fractions) or GF(5), d = 2 or 3: F free
+    on 1-3 coordinates of distinct shifts, M = F / R and N = F / (R + K),
+    with order the sign of bound(M) - bound(N).  The order is drawn first:
+    equal bounds keep R and K within the top shift s; a K element of degree
+    s + 1 lifts N's bound; and a relation of degree s + 1 at the coordinate
+    alpha of shift s lifts M's bound, while K holds e_alpha, which cuts it
+    from N's relations.  The test rejects the draws whose bounds miss it."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    A = FreeAlgebra(draw(st.sampled_from([2, 3])), field)
+    shifts = draw(st.lists(st.integers(0, 4 - A.d), min_size=1, max_size=3, unique=True))
+    F = A.free_module(shifts)
+    order = draw(st.sampled_from([-1, 0, 1]) if len(shifts) > 1 else st.sampled_from([-1, 0]))
+    coef = coefficients(field, fractions=True)
+    s, alpha = max(shifts), shifts.index(max(shifts))
+
+    def elements(count, top):
+        return [draw_element(draw, F, draw(st.integers(min(shifts), top)), coef) for _ in range(count)]
+
+    R = elements(draw(st.integers(0, 2)), s)
+    K = elements(draw(st.integers(order >= 0, 2)), s)
+    if order < 0:
+        K.append(draw_element(draw, F, s + 1, coef))
+    elif order > 0:
+        R.append(F.element({(alpha, (draw(st.integers(0, A.d - 1)),)): field.one}))
+        K.append(F.gen(alpha))
+    hypothesis.assume(any(not k.is_zero() for k in K))
+    return F, R, K, order
+
+
+def tail_sequence(F, R, K):
+    """0 -> L -> F / R -> F / (R + K) -> 0, L the image of K presented, each
+    call on fresh modules."""
+    K = [k for k in K if not k.is_zero()]
+    M, N = FpModule(F, R), FpModule(F, R + K)
+    L = M.submodule_presentation(K)
+    f = FpModuleMorphism(L, M, ModuleMap(L.F0, F, [k.polys() for k in K]))
+    return f, FpModuleMorphism(M, N, ModuleMap.identity(F))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(tail_presentations())
+def test_tail_matrices_and_sections_match_oracles(presentation):
+    # the inclusion f and the quotient g against the per-monomial oracle, and
+    # sections from i0 and from past both bounds against the solving loop run
+    # on fresh modules with the oracle's matrices, through two degrees past
+    # both bounds: value, type and key order
+    F, R, K, order = presentation
+    f, g = tail_sequence(F, R, K)
+    M, N = g.source, g.target
+    bm, bn = M._free_bound(), N._free_bound()
+    hypothesis.assume((bm > bn) - (bm < bn) == order)
+    hypothesis.event(f"d = {F.algebra.d}, {F.algebra.field}, bound order {order}")
+    top = max(bm, bn) + 2
+    for phi in (f, g):
+        for j in range(phi.source.min_degree - 1, top + 1):
+            assert_morphism_matrix_matches_oracle(phi, j)
+    i0 = N.stable_profile().i0
+    for i in sorted({i0, max(i0, bm, bn)}):
+        got = split_sequence(f, g, i, degrees=top - i)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FpModuleMorphism, "matrix_in_degree", oracle_matrix_in_degree)
+            want = solve_split_sequence(*tail_sequence(F, R, K), i, degrees=top - i)
+        assert typed_matrices(got.matrices) == typed_matrices(want.matrices)
+        assert got.verify()
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(st.sampled_from([QQ, GF(5)]), st.sampled_from([2, 3]), st.integers(1, 3), st.randoms())
+def test_tower_tail_matches_oracle(field, d, level, rng):
+    # criterion 8's input: a level-n f with Fraction entries over QQ, as an
+    # endomorphism of R(-n)^(d^n), whose bound is n, in degrees n..n+2
+    n = d**level
+    entries = [[field.coerce(Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3]))) for _ in range(n)]
+               for _ in range(n)]
+    phi = qgr.tower_morphism(AFMatrix(d, level, entries, field))
+    for j in range(level, level + 3):
+        assert_morphism_matrix_matches_oracle(phi, j)
+
+
+def test_swapped_letter_blocks_fail_splitting_and_tower(monkeypatch):
+    # a tail map that exchanges the first two letter blocks of its first
+    # nonempty source block: criterion 4's sections and criterion 8's tower
+    # restrictions both read their tails through it, and both must fail
+    assert run_criterion(4).passed and run_criterion(8).passed
+    moved = FpModule._tail_matrix
+
+    def swapped(self, prev, target, k):
+        out = moved(self, prev, target, k)
+        s, n, _ = next(block for block in self._free_layout(k - 1) if block[1])
+        a, rows = self.algebra.d * s, list(out.rows)
+        rows[a:a + 2 * n] = rows[a + n:a + 2 * n] + rows[a:a + n]
+        return SparseMatrix(out.field, out.nrows, out.ncols, rows)
+
+    monkeypatch.setattr(FpModule, "_tail_matrix", swapped)
+    splitting, tower = run_criterion(4), run_criterion(8)
+    assert not splitting.passed and not tower.passed
+    # the sections are built and fail their own check, sigma_j * G_j = I
+    assert all("constructed section fails" in why for _, why in splitting.details["failures"])
 
 
 # ---------------------------------------------------------------------------
