@@ -54,12 +54,12 @@ matrices and take the rank, downward; no other degree scans a word.
 Morphism matrices grow by the same closure.  A morphism phi is left
 R-linear, phi(x_i * m) = x_i * phi(m), and the suffix u of a standard word
 x_i * u is standard, so the row of x_i * u is the row of u one degree down
-times the target's letter matrix of x_i.
+times the target's letter matrix of x_i, one `linalg._row_product`.
 `FpModuleMorphism.matrix_in_degree` builds each degree from the one below
-by this one-letter extension; only generator rows map a representative
-through the cover and reduce it against the target's relations.  Past both
-free bounds `_tail_matrix` only moves columns by the two layouts (below), so
-past n a morphism is its degree-n matrix plus the two layouts.
+by this one-letter extension; only generator rows reduce the cover's image
+of their generator.  Past both free bounds, the rule of `_tail_step` that
+`qgr.split_sequence` shares, `_tail_matrix` only moves columns by the two
+layouts (below): past n a morphism is its degree-n matrix plus the layouts.
 
 The stable profile records the certified index i0 at which the tail of M
 becomes free with all its basis in one degree; every degree-0 map between
@@ -96,7 +96,7 @@ import itertools
 from .errors import BudgetExceeded, CertificateMismatch
 from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
-from .linalg import SparseMatrix, _row_axpy, _scaled_row, rank, row_reduce
+from .linalg import SparseMatrix, _row_product, rank, row_reduce
 from .submodules import FreeBasis, kernel, weak_basis
 
 # The most standard words and letter-matrix rows an FpModule holds over all
@@ -400,6 +400,12 @@ class FpModule:
             raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
         return [(row, n, d * row) for row, n in zip(starts, counts)]
 
+    def _tail_step(self, prev: SparseMatrix | None, target: "FpModule", k: int) -> SparseMatrix | None:
+        """`_tail_matrix(prev, target, k)` if k - 1 is past both free bounds, else None."""
+        if k - 1 >= max(self._free_bound(), target._free_bound()):
+            return self._tail_matrix(prev, target, k)
+        return None
+
     def _tail_matrix(self, prev: SparseMatrix, target: "FpModule", k: int) -> SparseMatrix:
         """Degree k of a map M -> target from its degree-(k-1) matrix prev past both free bounds: per block
         (s, n, _) of M's layout and letter i, rows s..s+n-1 of prev with column c of target's block
@@ -428,8 +434,13 @@ class FpModule:
             layout = self._free_layout(j)
             return (_tiles([(start, n) for start, n, _ in layout], hj)
                     and _tiles([(off, d * n) for _, n, off in layout], hj1))
+        return rank(self._stacked_letters(j)) == hj1
+
+    def _stacked_letters(self, j: int) -> SparseMatrix:
+        """V tensor M_j -> M_{j+1}: the d letter matrices out of M_j stacked, x_0's rows first."""
+        d = self.algebra.d
         stacked = [row for i in range(d) for row in self.letter_matrix(i, j).rows]
-        return rank(SparseMatrix(self.algebra.field, d * hj, hj1, stacked)) == hj1
+        return SparseMatrix(self.algebra.field, d * self.hilbert(j), self.hilbert(j + 1), stacked)
 
     # -- stable structure ---------------------------------------------------
 
@@ -632,22 +643,21 @@ class FpModuleMorphism:
 
         Missing degrees are filled upward from the highest cached degree
         below j by one-letter extension (module docstring): the row of a word
-        x_i * u at coordinate alpha is the degree-(j-1) row of u times the
-        target's letter matrix of x_i, and only the generator rows (alpha, ())
-        map a representative through the cover and reduce it.  Past both free
-        bounds `FpModule._tail_matrix` moves the columns of u's row instead, and
-        reads no word.  Each row lists its columns in decreasing `term_key`
-        order of the target's standard words, as the normal forms of `coords`
-        do; a moved, scaled or unit row is in that order already."""
+        x_i * u at coordinate alpha is the `linalg._row_product` of u's
+        degree-(j-1) row and the target's letter matrix of x_i, and only the
+        generator rows (alpha, ()) reduce the cover's image of e_alpha.  Past
+        both free bounds `FpModule._tail_step` moves columns instead, and reads
+        no word.  Each row lists its columns in decreasing `term_key` order of
+        the target's standard words, as the normal forms of `coords` do; a
+        moved, scaled or unit row is in that order already, a sum is sorted."""
         cache = self._matrix_cache
         if j in cache:
             return cache[j]
         source, target = self.source, self.target
         F = source.algebra.field
-        neg = F.neg
         for k in _missing(cache, j, source.min_degree):
-            if k - 1 >= max(source._free_bound(), target._free_bound()):
-                cache[k] = source._tail_matrix(cache[k - 1], target, k)
+            if (tail := source._tail_step(cache.get(k - 1), target, k)) is not None:
+                cache[k] = tail
                 continue
             prev, below = cache.get(k - 1), source._std_index(k - 1)
             columns = target.std_basis(k)
@@ -655,22 +665,15 @@ class FpModuleMorphism:
             rows = []
             for alpha, w in source.std_basis(k):
                 if not w:
-                    rep = source.F0.element({(alpha, w): F.one})
-                    rows.append(target.coords(self.map0.apply(rep), k))
+                    rows.append(target.coords(target.F0.from_polys(self.map0.matrix[alpha]), k))
                     continue
                 i = w[0]
                 mat = letters.get(i)
                 if mat is None:
                     mat = letters[i] = target.letter_matrix(i, k - 1).rows
                 row = prev.rows[below[(alpha, w[1:])]]
-                if len(row) == 1:
-                    [(c, a)] = row.items()
-                    rows.append(_scaled_row(F, a, mat[c]))
-                    continue
-                acc: dict = {}
-                for c, a in row.items():
-                    _row_axpy(F, acc, neg(a), mat[c])
-                if len(acc) > 1:
+                acc = _row_product(F, row, mat)
+                if len(row) > 1 and len(acc) > 1:
                     acc = {c: acc[c] for c in sorted(acc, key=lambda c: term_key(columns[c]), reverse=True)}
                 rows.append(acc)
             cache[k] = SparseMatrix(F, len(rows), target.hilbert(k), rows)

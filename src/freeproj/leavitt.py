@@ -325,23 +325,30 @@ def strongly_graded_witness(algebra: FreeAlgebra, r: int) -> StrongGradingWitnes
 def flat_decompose(a: LeavittElement, r: int) -> dict:
     """Write a as sum over length-r words w of w* times a plain polynomial.
 
-    a is made canonical first, and lowered too if a raise would pass
+    The output holds d^r polynomials: d^r > MAX_RAISED_TERMS is refused
+    first.  a is made canonical, and lowered too if a raise would pass
     MAX_RAISED_TERMS (its output then follows the lowered terms' order).
     Under the flat gate, starred length at most r and a raise within
     MAX_RAISED_TERMS, one raise to level r groups its monomials w* v by w;
     past it the coefficient at w is left multiplication with w, which kills
     every other summand, and lowering.  The reassembled element must equal
-    the input, otherwise a is not in the filtration piece.
+    the input, on the flat gate its raise, otherwise a is not in the
+    filtration piece.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    a = a.canonical()
     A = a.algebra
+    # (bits(d) - 1) * r >= bits(MAX) means d^r > MAX; below it d^r has at most twice that many bits
+    if (A.d.bit_length() - 1) * r >= MAX_RAISED_TERMS.bit_length() or A.d**r > MAX_RAISED_TERMS:
+        raise BudgetExceeded(f"a level-{r} decomposition holds {A.d}^{r} polynomials, "
+                             f"above the bound {MAX_RAISED_TERMS}")
+    a = a.canonical()
     if len(a.terms) * A.d**r > MAX_RAISED_TERMS:
         a = a.lowered()  # 1 written as 2^17 terms is 1, not 2^33 products at r = 16
     if len(a.terms) * A.d**r <= MAX_RAISED_TERMS and all(len(u) <= r for u, v in a.terms):
+        a = a._raised({len(v) - len(u): r for u, v in a.terms})
         groups: dict = {w: {} for w in A.words(r)}
-        for (u, v), c in a._raised({len(v) - len(u): r for u, v in a.terms}).terms.items():
+        for (u, v), c in a.terms.items():
             groups[u][v] = c
         out = {w: NcPoly(A, terms) for w, terms in groups.items()}
     else:

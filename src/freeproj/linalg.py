@@ -31,14 +31,15 @@ has 8 rows over GF(p) or 16 over QQ, one bigint multiply-add per nonzero
 entry of A on B's rows packed into ints (Kronecker substitution), and a
 row of A with one nonzero entry as a multiple of a row of B.
 
-`_row_axpy` is the one sparse row update and `SparseMatrix.mul` the one
-sparse product, reading a left row with one entry as a scaled row
-(`_scaled_row`).  `_add_terms` (a sum of terms) and `_add_products` (the
-pairwise products of two term dicts, placed by a key function) are the one
-accumulate loop for every sparse {key: value} dict: polynomials, module
-elements, Leavitt elements, parsed terms and the submodule reduction.  All
-of them work on the plain values of `fields`, reducing mod p themselves,
-with no field method call per entry, term or pair.
+`_row_axpy` is the one sparse row update and `_row_product`, behind
+`SparseMatrix.mul` and `fpmod`'s morphism matrices, the one sparse row
+product, reading a left row with one entry as a scaled row.
+`_add_terms` (a sum of terms) and `_add_products` (the pairwise products of
+two term dicts, placed by a key function) are the one accumulate loop for
+every sparse {key: value} dict: polynomials, module elements, Leavitt
+elements, parsed terms and the submodule reduction.  All of them work on
+the plain values of `fields`, reducing mod p themselves, with no field
+method call per entry, term or pair.
 
 Two representations are used: sparse, a list of row dicts {column: nonzero
 value} plus a column count, for every degreewise module computation (the
@@ -86,20 +87,11 @@ class SparseMatrix:
         return cls(field, n, n, [{i: field.one} for i in range(n)])
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
+        """self * other, one `_row_product` per row of self."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        F = self.field
-        out = []
-        for r in self.rows:
-            if len(r) == 1:
-                [(k, a)] = r.items()
-                out.append(_scaled_row(F, a, other.rows[k]))
-                continue
-            acc: dict = {}
-            for k, a in r.items():
-                _row_axpy(F, acc, F.neg(a), other.rows[k])
-            out.append(acc)
-        return SparseMatrix(F, self.nrows, other.ncols, out)
+        F, rows = self.field, other.rows
+        return SparseMatrix(F, self.nrows, other.ncols, [_row_product(F, r, rows) for r in self.rows])
 
     def __eq__(self, other):
         return (
@@ -127,14 +119,21 @@ def _row_axpy(field, target: dict, coef, source: dict):
             target.pop(j, None)
 
 
-def _scaled_row(field, a, row: dict) -> dict:
-    """a * row for a nonzero a, in row's key order, with the values and types
-    of `_row_axpy` into an empty row: row itself, unmutated and shared, when a
-    is the int 1."""
-    if type(a) is int and a == 1:
-        return row
-    p = field.characteristic
-    return {j: a * v % p for j, v in row.items()} if p else {j: a * v for j, v in row.items()}
+def _row_product(field, row: dict, rows) -> dict:
+    """row * B, B given by its rows (F. G. Gustavson, ACM TOMS 4, 1978): a
+    `_row_axpy` per entry into an empty row.  A row with one entry a at k is
+    a * rows[k] in its key order, with the values and types of that axpy:
+    rows[k] itself, unmutated and shared, when a is the int 1."""
+    if len(row) == 1:
+        [(k, a)] = row.items()
+        if type(a) is int and a == 1:
+            return rows[k]
+        p = field.characteristic
+        return {j: a * v % p for j, v in rows[k].items()} if p else {j: a * v for j, v in rows[k].items()}
+    acc: dict = {}
+    for k, a in row.items():
+        _row_axpy(field, acc, field.neg(a), rows[k])
+    return acc
 
 
 def _add_terms(field, acc: dict, terms):

@@ -255,14 +255,14 @@ def split_sequence(
     Verifies degreewise exactness of 0 -> L -> M -> N -> 0 along the checked
     range, demands that the quotient tail is free from degree i on, lifts a
     degree-i standard basis of N through g, and extends one letter at a
-    time: sigma_j(x_a * n) = x_a * sigma_{j-1}(n), solved against N's
-    stacked letter matrices out of N_{j-1}, which are square past i.
+    time: sigma_j(x_a * n) = x_a * sigma_{j-1}(n), by one of two routes.
 
-    From N's free bound b on (j - 1 >= b) the stacked matrices are the unit
-    rows `FpModule._free_layout` places, so sigma_j's rows are the images
-    sigma_{j-1} * x_a in N's layout order; from n, past M's bound too, they
-    are moved columns (`FpModule._tail_matrix`): sigma is sigma_n plus two
-    layouts.  sigma_j * G_j is checked to be the identity in every degree.
+    Past both free bounds `FpModule._tail_step` moves the columns of
+    sigma_{j-1} by the two layouts: sigma is sigma_n plus two layouts.
+    Below, sigma_j solves against N's stacked letter matrices out of N_{j-1}
+    (`FpModule._stacked_letters`, square past i), with the images
+    sigma_{j-1} * x_a.  sigma_j * G_j is checked to be the identity in every
+    degree.
     """
     L, M, N = f.source, f.target, g.target
     if not (
@@ -295,19 +295,13 @@ def split_sequence(
         raise NotExactInput("could not lift the degree-i basis through g")
     sigma = SparseMatrix(field, t, M.hilbert(i), lifts)
     matrices = {}
-    letters = range(M.algebra.d)
     for j in range(i, hi + 1):
         unit = SparseMatrix.identity(field, N.hilbert(j))
-        if j > i and j - 1 >= max(N._free_bound(), M._free_bound()):
-            sigma = N._tail_matrix(sigma, M, j)
-        elif j > i and j - 1 >= N._free_bound():
-            images = [sigma.mul(M.letter_matrix(a, j - 1)).rows for a in letters]
-            sigma = SparseMatrix(field, N.hilbert(j), M.hilbert(j), [
-                images[a][start + p] for start, n, _ in N._free_layout(j - 1) for a in letters for p in range(n)])
+        if j > i and (tail := N._tail_step(sigma, M, j)) is not None:
+            sigma = tail
         elif j > i:
-            T = SparseMatrix(field, len(letters) * N.hilbert(j - 1), N.hilbert(j),
-                             [r for a in letters for r in N.letter_matrix(a, j - 1).rows])
-            images = [r for a in letters for r in sigma.mul(M.letter_matrix(a, j - 1)).rows]
+            T = N._stacked_letters(j - 1)
+            images = [r for a in range(M.algebra.d) for r in sigma.mul(M.letter_matrix(a, j - 1)).rows]
             coords = solve_left(T, unit.rows)
             if any(c is None for c in coords):
                 raise TruncationNotFree(f"quotient tail is not free at degree {j}")

@@ -83,6 +83,7 @@ ALLOWLIST = {
     "cli._Parser.error": ERROR_PATH,  # argparse's usage errors, exit 2
     "errors.ParseError.__init__": ERROR_PATH,
     "freealg.GradedFreeModule.gen": BRANCH,  # FpModule.truncate, generators above the cut
+    "freealg.ModuleMap.apply": BRANCH,  # FpModuleMorphism's descent check of source relations
     "parsing.format_poly": BRANCH,  # NcPoly.__str__
     "fields.PrimeField.add": ORACLE,  # leavitt_oracle.py
     "fields.RationalField.add": ORACLE,  # leavitt_oracle.py

@@ -12,8 +12,13 @@ stacked letter matrices out of N_{j-1}, also where they are the unit-row
 permutation of the free tail, and multiplied the solution into the images.
 Kept verbatim, as the oracle whose `Section` matrices `split_sequence` must
 equal row by row, with the same value types and dict key order.
+
+Both read the matrices of f and g through `morphism_matrix_oracle`, the
+per-monomial `matrix_in_degree`, so they run none of the one-letter or
+free-tail extension they are compared with.
 """
 
+from morphism_matrix_oracle import matrix_in_degree
 from torsion_oracle import word_levels
 
 from freeproj.errors import CertificateMismatch, NotExactInput, TruncationNotFree
@@ -28,7 +33,7 @@ def section_matrices(g, i: int, degrees: int = 4) -> dict:
     hi = i + degrees
     field = M.algebra.field
     t = N.hilbert(i)
-    lifts = solve_left(g.matrix_in_degree(i), SparseMatrix.identity(field, t).rows)
+    lifts = solve_left(matrix_in_degree(g, i), SparseMatrix.identity(field, t).rows)
     if any(x is None for x in lifts):
         raise NotExactInput("could not lift the degree-i basis through g")
     lift_mat = SparseMatrix(field, t, M.hilbert(i), lifts)
@@ -44,7 +49,7 @@ def section_matrices(g, i: int, degrees: int = 4) -> dict:
             raise TruncationNotFree(f"quotient tail is not free at degree {j}")
         sigma = SparseMatrix(field, len(coords), len(images), coords).mul(
             SparseMatrix(field, len(images), M.hilbert(j), images))
-        if sigma.mul(g.matrix_in_degree(j)) != unit:
+        if sigma.mul(matrix_in_degree(g, j)) != unit:
             raise CertificateMismatch(f"constructed section fails in degree {j}")
         matrices[j] = sigma
     return matrices
@@ -76,8 +81,8 @@ def solve_split_sequence(
     lo = min(L.min_degree, M.min_degree, N.min_degree)
     hi = i + degrees
     for j in range(lo, hi + 1):
-        fr = rank(f.matrix_in_degree(j))
-        gr = rank(g.matrix_in_degree(j))
+        fr = rank(matrix_in_degree(f, j))
+        gr = rank(matrix_in_degree(g, j))
         if fr != L.hilbert(j):
             raise NotExactInput(f"f is not injective in degree {j}")
         if gr != N.hilbert(j):
@@ -87,7 +92,7 @@ def solve_split_sequence(
 
     field = M.algebra.field
     t = N.hilbert(i)
-    lifts = solve_left(g.matrix_in_degree(i), SparseMatrix.identity(field, t).rows)
+    lifts = solve_left(matrix_in_degree(g, i), SparseMatrix.identity(field, t).rows)
     if any(x is None for x in lifts):
         raise NotExactInput("could not lift the degree-i basis through g")
     sigma = SparseMatrix(field, t, M.hilbert(i), lifts)
@@ -104,7 +109,7 @@ def solve_split_sequence(
                 raise TruncationNotFree(f"quotient tail is not free at degree {j}")
             sigma = SparseMatrix(field, len(coords), len(images), coords).mul(
                 SparseMatrix(field, len(images), M.hilbert(j), images))
-        if sigma.mul(g.matrix_in_degree(j)) != unit:
+        if sigma.mul(matrix_in_degree(g, j)) != unit:
             raise CertificateMismatch(f"constructed section fails in degree {j}")
         matrices[j] = sigma
     return Section(g, matrices)

@@ -463,6 +463,35 @@ def test_flat_decompose_lowers_an_element_past_the_raise_budget(A2, monkeypatch)
         assert _outcome(flat_decompose, raised, r) == _outcome(flat_decompose, raised.canonical().lowered(), r)
 
 
+def test_flat_decompose_refuses_more_words_than_the_raise_budget(A2, monkeypatch):
+    # the output holds d^r polynomials: refused from r and the bits of d,
+    # before any word or group is built, whatever the element
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 2**6)
+    zero, one = LeavittElement.zero(A2), LeavittElement.one(A2)
+    assert len(flat_decompose(zero, 6)) == 2**6
+    with time_limit(5):
+        for a, r in ((zero, 7), (one, 7), (one, 10**6)):
+            with pytest.raises(BudgetExceeded, match=f"holds 2\\^{r} polynomials, above the bound 64"):
+                flat_decompose(a, r)
+    A3 = FreeAlgebra(3)
+    with pytest.raises(BudgetExceeded, match="holds 3\\^4 polynomials"):
+        flat_decompose(LeavittElement.zero(A3), 4)  # 81 > 64, though 4 * (bits(3) - 1) < bits(64)
+    assert len(flat_decompose(LeavittElement.one(FreeAlgebra(1)), 10**6)) == 1
+
+
+def test_flat_decompose_at_the_edge_of_the_raise_budget(A2, monkeypatch):
+    # x0 + x1 x1 raised to level 7 is exactly the 2^8 terms of the budget:
+    # grouped on the flat gate, and its reassembly compared with that raise,
+    # not with x0 + x1 x1 raised again beside it
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 2**8)
+    a = LeavittElement.gen(A2, 0) + LeavittElement.monomial(A2, (), (1, 1))
+    out = flat_decompose(a, 7)
+    assert len(out) == 2**7
+    assert all(p.terms == {w + (0,): 1, w + (1, 1): 1} for w, p in out.items())
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 2**20)
+    assert flat_reassemble(A2, out).equals(a)
+
+
 def test_canonical_of_canonical_is_itself():
     # the shortcut for an element already in canonical form must give what
     # raising it again gives, key order included

@@ -3,7 +3,6 @@ from fractions import Fraction
 import hypothesis
 import hypothesis.strategies as st
 import pytest
-from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
 from section_oracle import section_matrices as oracle_section_matrices
 from section_oracle import solve_split_sequence
 from test_fpmod import assert_morphism_matrix_matches_oracle, coefficients, count_calls, draw_element, typed_rows
@@ -387,6 +386,14 @@ def tail_presentations(draw):
     return F, R, K, order
 
 
+def bound_gap():
+    """(F, R, K, 1) for F = R + R(-1), M = F / (x0 e1) and N = F / (x0 e1, e1):
+    bound(M) = 2 > bound(N) = 1 and i0(N) = 0, so a section from 0 reaches
+    degree 2, past N's free bound but not past M's."""
+    F = FreeAlgebra(2).free_module([0, 1])
+    return F, [F.element({(1, (0,)): 1})], [F.gen(1)], 1
+
+
 def tail_sequence(F, R, K):
     """0 -> L -> F / R -> F / (R + K) -> 0, L the image of K presented, each
     call on fresh modules."""
@@ -399,11 +406,12 @@ def tail_sequence(F, R, K):
 
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(tail_presentations())
+@hypothesis.example(bound_gap())
 def test_tail_matrices_and_sections_match_oracles(presentation):
     # the inclusion f and the quotient g against the per-monomial oracle, and
     # sections from i0 and from past both bounds against the solving loop run
-    # on fresh modules with the oracle's matrices, through two degrees past
-    # both bounds: value, type and key order
+    # on fresh modules, which reads the oracle's matrices, through two degrees
+    # past both bounds: value, type and key order
     F, R, K, order = presentation
     f, g = tail_sequence(F, R, K)
     M, N = g.source, g.target
@@ -417,11 +425,22 @@ def test_tail_matrices_and_sections_match_oracles(presentation):
     i0 = N.stable_profile().i0
     for i in sorted({i0, max(i0, bm, bn)}):
         got = split_sequence(f, g, i, degrees=top - i)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(FpModuleMorphism, "matrix_in_degree", oracle_matrix_in_degree)
-            want = solve_split_sequence(*tail_sequence(F, R, K), i, degrees=top - i)
+        want = solve_split_sequence(*tail_sequence(F, R, K), i, degrees=top - i)
         assert typed_matrices(got.matrices) == typed_matrices(want.matrices)
         assert got.verify()
+
+
+def test_section_past_the_quotient_bound_alone_matches_solve_oracle():
+    # degree 2 of this section from 0 solves against N's stacked letter
+    # matrices, as every degree below both free bounds does; degree 3 on moves columns
+    F, R, K, _ = bound_gap()
+    f, g = tail_sequence(F, R, K)
+    M, N = g.source, g.target
+    assert (M._free_bound(), N._free_bound(), N.stable_profile().i0) == (2, 1, 0)
+    got = split_sequence(f, g, 0, degrees=4)
+    want = solve_split_sequence(*tail_sequence(F, R, K), 0, degrees=4)
+    assert typed_matrices(got.matrices) == typed_matrices(want.matrices)
+    assert got.verify()
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
