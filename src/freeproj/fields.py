@@ -4,6 +4,12 @@ Field elements are plain Python values (int / Fraction for QQ, canonical
 ints 0..p-1 for GF(p)); a field object supplies the arithmetic.  Keeping
 rational values as ints whenever possible makes the hot dict-arithmetic
 paths run on machine integers.
+
+A canonical QQ value is an int exactly when it is integral.  `QQ.div`,
+`coerce` and `from_str` return canonical values, and so do elimination
+(`linalg`) and reduction (`submodules`), which make each output value by
+one exact division; plain Fraction arithmetic elsewhere may leave a
+Fraction(k, 1), equal to k, which `coerce` maps to k.
 """
 
 from __future__ import annotations

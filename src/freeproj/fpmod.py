@@ -81,7 +81,8 @@ at alpha ending in distinct leads v are disjoint: `_free_layout` reads
 n_alpha(b) = d^(b - shift(alpha)) - sum_v d^(b - shift(alpha) - |v|) off the
 lead index once, after checking in O(sum |v|) probes that no lead at alpha
 ends in another, and takes n_alpha(j) = d^(j-b) * n_alpha(b).  It builds no
-word and checks each degree's count against its Hilbert value.
+word, checks each degree's count against its Hilbert value, and lays out
+each degree once.
 `letter_matrix` places its rows by that layout, and `_mult_bijective`
 checks the layout alone and builds no row: unit rows that hit each column
 once have full rank.  The row blocks must tile [0, h_j), and the column
@@ -92,6 +93,7 @@ tile [0, h_{j+1}); a tiling is one pass over sorted blocks.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .errors import BudgetExceeded, CertificateMismatch
 from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS
@@ -193,10 +195,12 @@ class FpModule:
         "_rel_basis",
         "_std_cache",
         "_hilbert_cache",
+        "_degree_counts",
         "_letter_cache",
         "_profile",
         "_bound",
         "_bound_counts",
+        "_layouts",
         "_held",
     )
 
@@ -214,10 +218,12 @@ class FpModule:
         self._rel_basis = None
         self._std_cache = {}
         self._hilbert_cache = {}
+        self._degree_counts = None
         self._letter_cache = {}
         self._profile = None
         self._bound = None
         self._bound_counts = None
+        self._layouts = {}
         self._held = 0
 
     # -- constructors ----------------------------------------------------
@@ -258,12 +264,18 @@ class FpModule:
     # -- degreewise structure ---------------------------------------------
 
     def hilbert(self, j: int) -> int:
-        """dim_k M_j, exact: monomials of F0 minus the reducible ones.  The
-        closed form is summed once per degree and cached, as the module is
-        immutable once built."""
+        """dim_k M_j, exact: monomials of F0 minus the reducible ones, from
+        the histogram n_a of generators minus relation basis elements per
+        degree: d * h(j-1) + n_j when degree j - 1 is cached, else the
+        closed form sum n_a d^(j-a) over a <= j.  Cached per queried degree."""
         h = self._hilbert_cache.get(j)
         if h is None:
-            h = self._hilbert_cache[j] = self.F0.graded_piece_dim(j) - self.relation_basis().submodule_dim(j)
+            if (counts := self._degree_counts) is None:
+                counts = self._degree_counts = Counter(self.F0.shifts)
+                counts.subtract(self.relation_basis().degrees())
+            d, prev = self.algebra.d, self._hilbert_cache.get(j - 1)
+            h = self._hilbert_cache[j] = (sum(n * d ** (j - a) for a, n in counts.items() if a <= j)
+                                          if prev is None else d * prev + counts[j])
         return h
 
     def std_basis(self, j: int):
@@ -385,8 +397,10 @@ class FpModule:
     def _free_layout(self, j: int) -> list:
         """(row start, n_alpha(j), column offset) per coordinate alpha of the
         letter maps out of M_j, j >= b, read off the relation leads (module
-        docstring).  It builds no word, so it is bounded by `_check_span`
-        alone."""
+        docstring) and built once per degree.  It builds no word, so it is
+        bounded by `_check_span` alone."""
+        if j in self._layouts:
+            return self._layouts[j]
         b, d = self._free_bound(), self.algebra.d
         if self._bound_counts is None:
             leads = self.relation_basis()._by_coord
@@ -398,7 +412,8 @@ class FpModule:
         starts = list(itertools.accumulate(counts, initial=0))
         if starts[-1] != self.hilbert(j) or d * starts[-1] != self.hilbert(j + 1):
             raise CertificateMismatch("standard monomial count disagrees with Hilbert value")
-        return [(row, n, d * row) for row, n in zip(starts, counts)]
+        layout = self._layouts[j] = [(row, n, d * row) for row, n in zip(starts, counts)]
+        return layout
 
     def _tail_step(self, prev: SparseMatrix | None, target: "FpModule", k: int) -> SparseMatrix | None:
         """`_tail_matrix(prev, target, k)` if k - 1 is past both free bounds, else None."""
@@ -649,7 +664,8 @@ class FpModuleMorphism:
         both free bounds `FpModule._tail_step` moves columns instead, and reads
         no word.  Each row lists its columns in decreasing `term_key` order of
         the target's standard words, as the normal forms of `coords` do; a
-        moved, scaled or unit row is in that order already, a sum is sorted."""
+        moved, scaled or unit row is in that order already, a sum is sorted.
+        Its values are canonical (`fields`), as theirs are."""
         cache = self._matrix_cache
         if j in cache:
             return cache[j]
@@ -675,6 +691,8 @@ class FpModuleMorphism:
                 acc = _row_product(F, row, mat)
                 if len(row) > 1 and len(acc) > 1:
                     acc = {c: acc[c] for c in sorted(acc, key=lambda c: term_key(columns[c]), reverse=True)}
+                if any(type(v) is not int and v.denominator == 1 for v in acc.values()):
+                    acc = {c: F.coerce(v) for c, v in acc.items()}  # a product Fraction(k, 1) becomes k
                 rows.append(acc)
             cache[k] = SparseMatrix(F, len(rows), target.hilbert(k), rows)
         return cache[j]

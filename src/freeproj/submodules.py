@@ -30,6 +30,16 @@ basis (Q) is read from the reductions of `_full_reduce` on demand.  Every
 other basis (relation bases, the kernel's own basis of its rows, the
 checks of `verify`) is built by the same loop without them.
 
+Reduction is fraction-free (Bareiss, Math. Comp. 22, 1968, as in
+`linalg.row_reduce`), in one loop for QQ and GF(p), `_full_reduce`: the
+work is integer numerators over one denominator W, and a monic basis
+element is B / db with B primitive and integral.  Reducing a numerator c
+scales everything by s = db / gcd(c, db) when s != 1, subtracts
+(c * s / db) * u * B and divides out the common gcd; an output value is one
+exact division by W.  Nonzero integer scales keep every zero pattern, so
+monomials, key order and values are field arithmetic's, integral ones as
+ints.  Over GF(p) W = db = 1.  A basis builds its elements on first read.
+
 `FpModule.mod_torsion` adds the torsion generators to the relations and
 rebuilds their basis here, but most modules have none to add.  For t0 > 0
 a module M has no torsion exactly when m -> (x_a * m)_a is injective from
@@ -40,7 +50,8 @@ itself and no basis is rebuilt.
 
 from __future__ import annotations
 
-from operator import add
+from math import gcd, lcm
+from operator import add, floordiv, mul
 
 from .freealg import (
     FreeModuleElement,
@@ -49,7 +60,7 @@ from .freealg import (
     NcPoly,
     term_key,
 )
-from .linalg import _add_products, _add_terms, _row_axpy
+from .linalg import _add_products, _add_terms, _denominator, _ratio
 
 
 class FreeBasis:
@@ -61,21 +72,37 @@ class FreeBasis:
     {index: NcPoly} with coefficients acting on the left; on every other
     basis it is None.  Input generator i is expressed over the basis on
     demand, by reducing it.  _by_coord is `weak_basis`'s lead index {alpha:
-    {leading word at alpha: index}}.
+    {leading word at alpha: index}}; _ints holds the elements as `_entry`
+    makes them, derived from the elements when not given.
     """
 
-    __slots__ = ("ambient", "elements", "from_generators", "_by_coord", "_degrees")
+    __slots__ = ("ambient", "_elements", "from_generators", "_by_coord", "_degrees", "_ints")
 
-    def __init__(self, ambient, elements, from_generators, by_coord, degrees):
+    def __init__(self, ambient, elements, from_generators, by_coord, degrees, ints=None):
         self.ambient = ambient
-        self.elements = tuple(elements)
+        self._elements = None if elements is None else tuple(elements)
         self.from_generators = None if from_generators is None else tuple(from_generators)
         self._by_coord = by_coord
         self._degrees = tuple(degrees)
+        if ints is None:  # from monic elements
+            F, ints = ambient.algebra.field, []
+            for b in self._elements:
+                work = _lift(F, b.terms)[0]
+                lead = max(work, key=term_key)
+                ints.append(_entry(F, {lead: work.pop(lead), **work}))
+        self._ints = ints
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:  # each lead first, as the normal forms order it
+            leads = {i: (alpha, w) for alpha, words in self._by_coord.items() for w, i in words.items()}
+            self._elements = tuple(FreeModuleElement(self.ambient, {leads[i]: 1, **_values(dict(tail), db)})
+                                   for i, (db, tail) in enumerate(self._ints))
+        return self._elements
 
     @property
     def rank(self) -> int:
-        return len(self.elements)
+        return len(self._ints)
 
     def degrees(self) -> tuple:
         return self._degrees
@@ -90,7 +117,9 @@ class FreeBasis:
         return sum(d ** (j - a) for a in self.degrees() if a <= j)
 
     def reduce(self, elem: FreeModuleElement) -> FreeModuleElement:
-        return _full_reduce(elem, self.elements, self._by_coord)
+        F = elem.module.algebra.field
+        return FreeModuleElement(elem.module, _values(*_full_reduce(F, *_lift(F, elem.terms), self._ints,
+                                                                    self._by_coord)))
 
     def __repr__(self):
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
@@ -107,32 +136,80 @@ def _find_reducer(alpha, w, by_coord):
     return None, None
 
 
-def _full_reduce(elem, basis, by_coord, uses=None):
-    """The normal form nf of elem: every monomial reduced against the monic
-    basis.  Terms are processed in decreasing order, so the result is the
-    canonical fully reduced form.  When uses is a dict it receives the
-    cofactors {basis index: {word: coef}}, elem = nf + sum uses[i]*basis[i].
-    """
-    F = elem.module.algebra.field
-    work = dict(elem.terms)
+def _lift(F, terms: dict):
+    """(work, W): the values as integer numerators over W, the lcm of their
+    denominators, over QQ; reduced mod p, W = 1, over GF(p)."""
+    if p := F.characteristic:
+        return {m: c % p for m, c in terms.items()}, 1
+    if all(type(c) is int for c in terms.values()):
+        return dict(terms), 1
+    W = lcm(*map(_denominator, terms.values()))
+    return {m: c.numerator * (W // c.denominator) for m, c in terms.items()}, W
+
+
+def _values(nums: dict, W: int) -> dict:
+    """The field values of the numerators over W: one exact division each."""
+    return nums if W == 1 else {m: _ratio(v, W) for m, v in nums.items()}
+
+
+def _entry(F, nums: dict) -> tuple:
+    """(db, tail): nums divided by its value at its first monomial, the lead,
+    as B / db with B primitive and integral, db > 0, over QQ, and db = 1 over
+    GF(p); tail is B off the lead, in nums's order."""
+    terms = iter(nums.items())
+    L = next(terms)[1]
+    if L == 1:
+        return 1, tuple(terms)
+    if p := F.characteristic:
+        inv = pow(L, -1, p)
+        return 1, tuple((m, v * inv % p) for m, v in terms)
+    g = gcd(*nums.values()) if L > 0 else -gcd(*nums.values())
+    return L // g, tuple(terms) if g == 1 else tuple((m, v // g) for m, v in terms)
+
+
+def _rescale(parts, op, k: int):
+    """Each value v of the dicts parts becomes op(v, k), in place."""
+    for part in parts:
+        for m, v in part.items():
+            part[m] = op(v, k)
+
+
+def _full_reduce(F, work: dict, W: int, ints, by_coord, uses=None):
+    """(nf, W'): the normal form of work / W against the basis with
+    `FreeBasis._ints` ints, as numerators nf over W' (module docstring).
+    Terms are processed in decreasing order, so nf is the canonical fully
+    reduced form, in that order.  When uses is a dict it receives the
+    cofactors {basis index: {word: value}}, with
+    work / W = nf / W' + sum uses[i] * basis[i].  work is consumed."""
     nf: dict = {}
     while work:
         mon = max(work, key=term_key)
-        coef = work.pop(mon)
+        c = work.pop(mon)
         alpha, w = mon
         idx, u = _find_reducer(alpha, w, by_coord)
         if idx is None:
-            nf[mon] = coef
+            nf[mon] = c
             continue
-        # work -= coef * u * b, except at b's lead: b is monic, so the lead
-        # cancels mon, which is already popped
-        lead = (alpha, w[len(u):])
-        _row_axpy(F, work, coef, {
-            (beta, u + wb): cb for (beta, wb), cb in basis[idx].terms.items() if (beta, wb) != lead
-        })
+        db, tail = ints[idx]
+        g = gcd(c, db)
+        q, s = c // g, db // g
+        if s != 1:
+            W, c = W * s, c * s
+            _rescale((work, nf, *(uses or {}).values()), mul, s)
+        # work -= q * u * B, except at B's lead, which cancels the popped mon
+        _add_terms(F, work, (((beta, u + wb), -q * v) for (beta, wb), v in tail))
         if uses is not None:
-            _add_terms(F, uses.setdefault(idx, {}), [(u, coef)])
-    return FreeModuleElement(elem.module, nf)
+            _add_terms(F, uses.setdefault(idx, {}), [(u, c)])
+        if s != 1:
+            parts = (work, nf, *(uses or {}).values())
+            g = gcd(W, *(v for part in parts for v in part.values()))
+            if g != 1:
+                W //= g
+                _rescale(parts, floordiv, g)
+    if uses and W != 1:
+        for i, q in uses.items():
+            uses[i] = _values(q, W)
+    return nf, W
 
 
 def _combine_cofactors(F, base_row: dict, uses: dict, rows: list) -> dict:
@@ -171,28 +248,26 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
         if degs:
             degree[i] = degs.pop()
 
-    basis: list = []
     degrees: list = []
     leads: list = []
-    cof_rows: list = []  # with _cofactors, row i: basis[i] over the input generators
+    ints: list = []  # the `FreeBasis._ints` of the basis
+    cof_rows: list = []  # with _cofactors, row i: basis element i over the input generators
     by_coord: dict = {}  # the lead index FreeBasis keeps
     for i in sorted(degree, key=degree.get):  # stable: by degree, then index
         uses = {} if _cofactors else None
-        nf = _full_reduce(generators[i], basis, by_coord, uses)
-        if nf.is_zero():
+        nf, W = _full_reduce(F, *_lift(F, generators[i].terms), ints, by_coord, uses)
+        if not nf:
             continue
-        lead, lc = nf.leading_term()
-        if lc != F.one:
-            inv = F.invert(lc)
-            nf = nf.scale(inv)
+        lead = next(iter(nf))  # nf is in decreasing order, its lead first
         if _cofactors:
             row = _combine_cofactors(F, {i: {(): F.one}}, uses, cof_rows)
-            if lc != F.one:
+            if nf[lead] != W:
+                inv = F.div(W, nf[lead])  # 1 / the lead value
                 row = {k: {u: F.mul(inv, c) for u, c in t.items()} for k, t in row.items()}
             cof_rows.append(row)
-        by_coord.setdefault(lead[0], {})[lead[1]] = len(basis)
+        by_coord.setdefault(lead[0], {})[lead[1]] = len(ints)
         leads.append(lead)
-        basis.append(nf)
+        ints.append(_entry(F, nf))
         degrees.append(degree[i])
 
     # one tail interreduction pass (see the module docstring); an element's
@@ -201,19 +276,19 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
     # The normal form keeps exactly the tail's monomials when nothing
     # reduces, and drops the first one that does.
     for idx, lead in enumerate(leads):
-        b = basis[idx]
-        if len(b.terms) == 1 or degrees[idx + 1:idx + 2] != [degrees[idx]]:
+        db, tail = ints[idx]
+        if not tail or degrees[idx + 1:idx + 2] != [degrees[idx]]:
             continue
-        tail = dict(b.terms)
-        lc = tail.pop(lead)
         uses = {} if _cofactors else None
-        nf = _full_reduce(FreeModuleElement(b.module, tail), basis, by_coord, uses)
-        if nf.terms.keys() != tail.keys():
-            basis[idx] = FreeModuleElement(b.module, {lead: lc, **nf.terms})
+        nf, W = _full_reduce(F, dict(tail), db, ints, by_coord, uses)
+        if nf.keys() != {m for m, _ in tail}:
+            ints[idx] = _entry(F, {lead: W, **nf})
             if _cofactors:
                 cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
-    from_generators = [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows] if _cofactors else None
-    return FreeBasis(ambient, basis, from_generators, by_coord, degrees)
+    # `_combine_cofactors` may leave a Fraction(k, 1), which coerce makes k
+    from_generators = [{i: NcPoly(A, {u: F.coerce(c) for u, c in t.items()}) for i, t in row.items()}
+                       for row in cof_rows] if _cofactors else None
+    return FreeBasis(ambient, None, from_generators, by_coord, degrees, ints)
 
 
 def kernel(phi: ModuleMap) -> FreeBasis:
@@ -227,7 +302,7 @@ def kernel(phi: ModuleMap) -> FreeBasis:
     rows = []
     for i, g in enumerate(images):
         Q: dict = {}
-        _full_reduce(g, basis.elements, basis._by_coord, Q)
+        _full_reduce(F, *_lift(F, g.terms), basis._ints, basis._by_coord, Q)
         acc = _combine_cofactors(F, {i: {(): F.one}}, Q, P)
         rows.append(FreeModuleElement(phi.source, {(l, w): c for l, t in acc.items() for w, c in t.items()}))
     return weak_basis([r for r in rows if not r.is_zero()], ambient=phi.source)

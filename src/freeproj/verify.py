@@ -112,9 +112,9 @@ def check_truncation(rng) -> dict:
             failures.append(("basis", i, B.rank, B.degrees()))
             continue
         for j in range(0, i + 6):
-            # a rank-2^i free module on degree-i generators has piece d^j at
-            # degree j >= i and nothing below
-            want = 2**j if j >= i else 0
+            # the basis spans R_{>=i}: the piece R_j at degree j >= i and
+            # nothing below
+            want = R.graded_piece_dim(j) if j >= i else 0
             got_formula = B.submodule_dim(j)
             rows = []
             for g in B.elements:

@@ -25,7 +25,7 @@ from freeproj import FreeAlgebra, FpModule, fpmod
 from freeproj.errors import BudgetExceeded, CertificateMismatch
 from freeproj.fields import GF, QQ
 from freeproj.fpmod import MAX_STD_WORDS, FpModuleMorphism
-from freeproj.freealg import ModuleMap
+from freeproj.freealg import ModuleMap, NcPoly
 from freeproj.linalg import SparseMatrix, rank
 from freeproj.parsing import parse_presentation
 from freeproj.qgr import QgrClass, split_sequence
@@ -426,8 +426,12 @@ def test_free_tail_layout_check_matches_rank_oracle(M):
     for which in (0, 2):
         moved = MovedLayout(M, which)
         assert not any(moved._mult_bijective(j) for j in range(b, b + 3))
+    # (layouts are cached per degree: the counts are read, and the Hilbert
+    # values built, through b + 4 by laying out b + 3 alone, and corrupted
+    # before the first layout of b..b+2)
     wrong = FpModule(M.F0, M.relations)
-    wrong._free_layout(b)
+    wrong._free_layout(b + 3)
+    assert list(wrong._layouts) == [b + 3]
     wrong._bound_counts[next(a for a, n in enumerate(wrong._bound_counts) if n)] += 1
     for j in range(b, b + 3):
         with pytest.raises(CertificateMismatch, match="Hilbert value"):
@@ -841,6 +845,16 @@ def morphisms(draw):
         for _ in range(draw(st.integers(0, 2)))
     ]
     return FpModuleMorphism(M, FpModule(G, [psi.apply(r) for r in M.relations] + extra), psi)
+
+
+def test_generator_rows_reduce_a_cover_coefficient_mod_p():
+    # a ModuleMap built directly over GF(7) may hold 9; the generator row of
+    # degree 0 reads its class 2, as every row the letters extend does
+    A = FreeAlgebra(2, GF(7))
+    M = FpModule.free(A, [0])
+    phi = FpModuleMorphism(M, M, ModuleMap(M.F0, M.F0, [[NcPoly(A, {(): 9})]]))
+    assert phi.matrix_in_degree(0).rows == ({0: 2},)
+    assert phi.matrix_in_degree(1).rows == ({0: 2}, {1: 2})
 
 
 def assert_morphism_matrix_matches_oracle(phi, j):

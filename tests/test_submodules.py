@@ -1,12 +1,15 @@
+from fractions import Fraction
+from math import lcm
+
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
 from freeproj import FpModule, FreeAlgebra, kernel, weak_basis
 from freeproj.fields import GF, QQ
-from freeproj.freealg import ModuleMap, NcPoly
+from freeproj.freealg import FreeModuleElement, ModuleMap, NcPoly
 from freeproj.randgen import make_rng, random_module_map
-from freeproj.submodules import _find_reducer, _full_reduce
+from freeproj.submodules import _find_reducer, _full_reduce, _lift, _values
 
 import cofactor_oracle
 from conftest import span_dim
@@ -23,11 +26,19 @@ def poly_mul(elem, p):
     return acc
 
 
+def reduced(B, e):
+    """(normal form, cofactors) of e against B by `_full_reduce`, in field
+    values, as `kernel` reads them."""
+    F, uses = B.ambient.algebra.field, {}
+    nf, W = _full_reduce(F, *_lift(F, e.terms), B._ints, B._by_coord, uses)
+    return FreeModuleElement(e.module, _values(nf, W)), uses
+
+
 def rebuilt(B, g):
     """sum q_i * basis_i over the cofactors of g that `kernel` reads from its
     reduction, which must reduce g to zero."""
-    uses = {}
-    assert _full_reduce(g, B.elements, B._by_coord, uses).is_zero()
+    nf, uses = reduced(B, g)
+    assert nf.is_zero()
     acc = B.ambient.element({})
     for i, q in uses.items():
         acc = acc + poly_mul(B.elements[i], NcPoly(B.ambient.algebra, q))
@@ -340,25 +351,33 @@ def test_weak_basis_multicoordinate_ambient(A2):
 # against the weak algorithm that built cofactors for every basis
 
 
-def typed_element(e):
+def typed_terms(terms, value=None):
+    """(key, type, value) per term in key order; value, when given, maps each
+    value first: the oracle's, through `QQ.coerce`, which are field
+    arithmetic's and may hold a Fraction(k, 1) where the library gives k."""
+    values = terms.values() if value is None else map(value, terms.values())
+    return [(k, type(c), c) for k, c in zip(terms, values)]
+
+
+def typed_element(e, value=None):
     """A module element's terms with key order and value types made visible."""
-    return [(mon, type(c), c) for mon, c in e.terms.items()]
+    return typed_terms(e.terms, value)
 
 
-def typed_basis(B):
+def typed_basis(B, value=None):
     """A FreeBasis's elements, lead index and degrees, key order and value
     types made visible."""
     index = [(alpha, list(leads.items())) for alpha, leads in B._by_coord.items()]
-    return [typed_element(b) for b in B.elements], index, B.degrees()
+    return [typed_element(b, value) for b in B.elements], index, B.degrees()
 
 
-def typed_uses(uses):
+def typed_uses(uses, value=None):
     """Cofactors {index: {word: coef}} with key order and value types made visible."""
-    return [(i, [(w, type(c), c) for w, c in q.items()]) for i, q in uses.items()]
+    return [(i, typed_terms(q, value)) for i, q in uses.items()]
 
 
-def typed_cofactors(B):
-    return [typed_uses({i: p.terms for i, p in row.items()}) for row in B.from_generators]
+def typed_cofactors(B, value=None):
+    return [typed_uses({i: p.terms for i, p in row.items()}, value) for row in B.from_generators]
 
 
 @st.composite
@@ -378,33 +397,32 @@ def module_maps(draw):
 def test_relation_basis_and_reduce_match_cofactor_oracle(M, data):
     B = FpModule(M.F0, M.relations).relation_basis()
     want = cofactor_oracle.weak_basis(M.relations, ambient=M.F0)
-    assert typed_basis(B) == typed_basis(want)
+    assert typed_basis(B) == typed_basis(want, QQ.coerce)
     assert B.from_generators is None
     # with cofactors, as `kernel` builds it, the rows are the oracle's too
     C = weak_basis(M.relations, ambient=M.F0, _cofactors=True)
-    assert typed_basis(C) == typed_basis(want)
-    assert typed_cofactors(C) == typed_cofactors(want)
+    assert typed_basis(C) == typed_basis(want, QQ.coerce)
+    assert typed_cofactors(C) == typed_cofactors(want, QQ.coerce)
     coef = coefficients(M.algebra.field, fractions=True)
     for _ in range(3):
         e = draw_element(data.draw, M.F0, data.draw(st.integers(M.min_degree, M.min_degree + 4)), coef)
         nf, uses = cofactor_oracle._full_reduce(e, want.elements, want._by_coord)
-        got_uses = {}
-        assert typed_element(B.reduce(e)) == typed_element(nf)
-        assert typed_element(_full_reduce(e, B.elements, B._by_coord, got_uses)) == typed_element(nf)
-        assert typed_uses(got_uses) == typed_uses(uses)
+        got, got_uses = reduced(B, e)
+        assert typed_element(B.reduce(e)) == typed_element(got) == typed_element(nf, QQ.coerce)
+        assert typed_uses(got_uses) == typed_uses(uses, QQ.coerce)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(module_maps())
 def test_kernel_matches_cofactor_oracle(phi):
     K, want = kernel(phi), cofactor_oracle.kernel(phi)
-    assert typed_basis(K) == typed_basis(want)
+    assert typed_basis(K) == typed_basis(want, QQ.coerce)
     assert K.from_generators is None
     images = phi.row_elements()
     first = weak_basis(images, ambient=phi.target, _cofactors=True)
     want_first = cofactor_oracle.weak_basis(images, ambient=phi.target)
-    assert typed_basis(first) == typed_basis(want_first)
-    assert typed_cofactors(first) == typed_cofactors(want_first)
+    assert typed_basis(first) == typed_basis(want_first, QQ.coerce)
+    assert typed_cofactors(first) == typed_cofactors(want_first, QQ.coerce)
 
 
 def test_full_reduce_adds_back_a_cancelled_monomial(A2):
@@ -416,8 +434,7 @@ def test_full_reduce_adds_back_a_cancelled_monomial(A2):
     B = weak_basis([R.from_polys([x1 * x1 + x0 * x1]), R.from_polys([x1 * x0 - x0 * x1])], ambient=R)
     assert list(B._by_coord[0]) == [(1, 1), (1, 0)]
     e = R.from_polys([x1 * x1 + x1 * x0 + x0 * x1])
-    uses = {}
-    nf = _full_reduce(e, B.elements, B._by_coord, uses)
+    nf, uses = reduced(B, e)
     want, want_uses = cofactor_oracle._full_reduce(e, B.elements, B._by_coord)
     assert typed_element(nf) == typed_element(want) == [((0, (0, 1)), int, 1)]
     assert typed_uses(uses) == typed_uses(want_uses) == [(0, [((), int, 1)]), (1, [((), int, 1)])]
@@ -441,9 +458,9 @@ def test_full_reduce_matches_cofactor_oracle_on_basis_combinations(M, data):
                 u = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=j - a, max_size=j - a)))
                 e = e + b.word_mul(u).scale(data.draw(coef))
         nf, uses = cofactor_oracle._full_reduce(e, B.elements, B._by_coord)
-        got_uses = {}
-        assert typed_element(_full_reduce(e, B.elements, B._by_coord, got_uses)) == typed_element(nf)
-        assert typed_uses(got_uses) == typed_uses(uses)
+        got, got_uses = reduced(B, e)
+        assert typed_element(got) == typed_element(nf, QQ.coerce)
+        assert typed_uses(got_uses) == typed_uses(uses, QQ.coerce)
 
 
 @st.composite
@@ -481,9 +498,9 @@ def test_same_degree_tails_match_cofactor_oracle(case):
     want = cofactor_oracle.weak_basis(gens, ambient=F)
     B = weak_basis(gens, ambient=F)
     C = weak_basis(gens, ambient=F, _cofactors=True)
-    assert typed_basis(B) == typed_basis(C) == typed_basis(want)
+    assert typed_basis(B) == typed_basis(C) == typed_basis(want, QQ.coerce)
     assert B.from_generators is None
-    assert typed_cofactors(C) == typed_cofactors(want)
+    assert typed_cofactors(C) == typed_cofactors(want, QQ.coerce)
 
 
 def test_later_same_degree_lead_rewrites_an_earlier_tail(A2):
@@ -520,3 +537,61 @@ def test_weak_basis_checks_each_generator(A2):
         weak_basis([R.from_polys([x0]), A2.free_module([1]).from_polys([x0])])
     B = weak_basis([R.element({}), A2.free_module([0]).from_polys([x0])], ambient=R)
     assert typed_basis(B) == ([[((0, (0,)), int, 1)]], [(0, [((0,), 0)])], (1,))
+
+
+# ---------------------------------------------------------------------------
+# integer numerators: canonical values, and the denominator carried
+
+
+def canonical(c) -> bool:
+    """Is the field value an int exactly when it is integral?"""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(presented_modules(fractions=True), module_maps(), st.data())
+def test_values_are_ints_exactly_when_integral(M, phi, data):
+    # over QQ, with leads 2..4, 1/2 and -2/3, and over GF(5) and GF(7): the
+    # relation basis, normal forms, coordinates, letter matrices below the
+    # free bound, torsion generators, kernel elements and cofactor rows
+    B = M.relation_basis()
+    values = [c for b in B.elements for c in b.terms.values()]
+    coef = coefficients(M.algebra.field, fractions=True)
+    for _ in range(3):
+        j = data.draw(st.integers(M.min_degree, M.min_degree + 4))
+        e = draw_element(data.draw, M.F0, j, coef)
+        values += B.reduce(e).terms.values()
+        values += M.coords(e, j).values()
+    for j in range(M.min_degree, M._free_bound()):
+        values += [c for i in range(M.algebra.d) for row in M.letter_matrix(i, j).rows for c in row.values()]
+    values += [c for g in M.torsion().generators for c in g.terms.values()]
+    values += [c for b in kernel(phi).elements for c in b.terms.values()]
+    C = weak_basis(phi.row_elements(), ambient=phi.target, _cofactors=True)
+    values += [c for row in C.from_generators for poly in row.values() for c in poly.terms.values()]
+    assert all(map(canonical, values))
+
+
+def test_chained_half_leads_carry_the_fractions_lcm():
+    # the relations 2 x1 x0^k + x0^(k+1), k = 1..n, are their own basis, each
+    # x1 x0^k + 1/2 x0^(k+1) with db = 2; the word x1^m x0^(n+1-m) reduces
+    # along x1^(m-1) x0^(n+2-m), ... to a multiple of x0^(n+1), one odd
+    # numerator reduced by a db = 2 element per step, which doubles W
+    n = 12
+    A = FreeAlgebra(2)
+    R = A.free_module([0])
+    gens = [R.element({(0, (1,) + (0,) * k): 2, (0, (0,) * (k + 1)): 1}) for k in range(1, n + 1)]
+    B = weak_basis(gens)
+    assert [db for db, _ in B._ints] == [2] * n
+    assert typed_basis(B) == typed_basis(cofactor_oracle.weak_basis(gens, ambient=R), QQ.coerce)
+    chain = R.element({(0, (1,) * n + (0,)): 1})
+    family = R.element({(0, (1,) * m + (0,) * (n + 1 - m)): m for m in range(1, n + 1)})
+    for e in (chain, family, family.scale(Fraction(1, 3))):
+        want, want_uses = cofactor_oracle._full_reduce(e, B.elements, B._by_coord)
+        uses = {}
+        nf, W = _full_reduce(QQ, *_lift(QQ, e.terms), B._ints, B._by_coord, uses)
+        assert sum(map(len, uses.values())) == n
+        assert typed_element(FreeModuleElement(R, _values(nf, W))) == typed_element(want, QQ.coerce)
+        assert typed_uses(uses) == typed_uses(want_uses, QQ.coerce)
+        fractions = list(want.terms.values()) + [c for q in want_uses.values() for c in q.values()]
+        assert W <= lcm(*(c.denominator for c in fractions))
+    assert typed_element(B.reduce(chain)) == [((0, (0,) * (n + 1)), Fraction, Fraction((-1) ** n, 2**n))]
