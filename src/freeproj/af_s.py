@@ -10,40 +10,35 @@ least-level representative.
 The normalized rank rank / d^r is invariant under the embedding; it
 computes the class of an idempotent in the dyadic-style group Z[1/d].
 
-Entries are canonical field values (an int for every integral QQ value,
-ints 0..p-1 over GF(p)).  The constructor coerces them, as does `scalar`
-through it; `from_json` reads each entry with the field's `from_str`,
-`zero`, `matrix_unit` and the simplicity units place `field.zero`,
-`field.one` and the inverse of an entry, `embed` and `canonical` slice
-canonical entries, `scale` coerces each product itself (none by 1), `+`
-adds mod p or coerces a QQ sum of two Fractions (the one sum that may be
-integral), `*` takes the `dense_mul` of canonical forms and the vN
-witness is `generalized_inverse`'s, so they skip the constructor via
-`_from_canonical`.  A QQ witness from the prime route is x = rows/den,
-rows of ints over den = |det| (`_from_ints`): its `entries` slot stays
-unset and `__getattr__` makes it rational on the first read, while
-`canonical` scans the int rows (den*x has x's block pattern) and a
-product with x on the right hands them to `dense_mul` with den, so
-a*x*a == a makes no entry of x rational.  A product never embeds: a
-lower-level factor acts on each diagonal block of the other, N^2 n
-products for canonical sides N >= n, on packed rows of the right factor
-from side 8 over GF(p), 16 over QQ.  `canonical` marks the matrix it
-returns, so a product, canonical when made, is not scanned again as the
+An element is held as rows / den: `rows` tuple rows of ints, `den` one
+denominator >= 1, in lowest terms (the gcd of den and every entry is 1),
+so two equal elements at one level have equal (den, rows).  Over GF(p)
+den is 1 and the ints are 0..p-1.  `entries`, the field values, is a
+read-only view: rows itself over den 1, otherwise each v/den, made once on
+its first read.  The constructor coerces and lifts (`linalg._integer_rows`),
+`from_json` and the vN witness lift canonical values, and every other
+matrix is made by `_new` on ints: `embed` and `canonical` slice rows at the
+same den, `+` scales both sides to the lcm of their denominators, `scale`
+multiplies by a numerator and a denominator, `*` takes the `dense_mul` of
+the int rows over den_a * den_b, and the prime route's witness keeps its
+(|det|, rows); a new common factor is divided out only where one can
+appear: in products, sums, scales and witnesses.  So every operation works
+on integers, and a*x*a == a makes no entry rational.  A product never
+embeds: a lower-level factor acts on each diagonal block of the other,
+N^2 n products for canonical sides N >= n, on packed rows of the right
+factor from side 8 over GF(p), 16 over QQ.  `canonical` marks the matrix
+it returns, so a product, canonical when made, is not scanned again as the
 factor of the next product.  Every constructor refuses a side above
 MAX_SIDE before building any row.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, ZeroElement
 from .fields import QQ, read_int
-from .linalg import (
-    SparseMatrix,
-    _ratio,
-    dense_mul,
-    generalized_inverse,
-    rank,
-)
+from .linalg import SparseMatrix, _integer_rows, _ratio, dense_mul, generalized_inverse, rank
 
 
 # The largest side d**level that `AFMatrix.from_json` allocates (2048^2
@@ -61,62 +56,61 @@ MAX_SIMPLICITY_ENTRIES = 2**22
 class AFMatrix:
     """A leveled matrix representative of an element of the limit algebra."""
 
-    # _least: canonical() returned this matrix, so it is its own canonical form;
-    # _ints: None, or (den, rows) with entries = rows/den, rows of ints over a
-    # QQ denominator den > 1, the prime route's witness, whose entries slot
-    # stays unset until __getattr__ fills it on the first read
-    __slots__ = ("d", "field", "level", "entries", "_least", "_ints")
+    # _entries: None until `entries` first makes the values of rows over den > 1;
+    # _least: canonical() returned this matrix, so it is its own canonical form
+    __slots__ = ("d", "field", "level", "den", "rows", "_entries", "_least")
 
     def __init__(self, d: int, level: int, entries, field=QQ):
         if d < 1 or level < 0:
             raise ValueError("need d >= 1 and level >= 0")
         _check_side(d, level, error=BudgetExceeded)
         n = d**level
-        entries = tuple(tuple(field.coerce(v) for v in row) for row in entries)
-        if len(entries) != n or any(len(row) != n for row in entries):
+        values = [tuple(map(field.coerce, row)) for row in entries]
+        if len(values) != n or any(len(row) != n for row in values):
             raise ValueError(f"expected a {n}x{n} matrix at level {level}")
-        self.d = d
-        self.field = field
-        self.level = level
-        self.entries = entries
-        self._least = False
-        self._ints = None
+        self.den, self.rows = _integer_rows(field, values)
+        self.d, self.field, self.level, self._entries, self._least = d, field, level, None, False
 
     @classmethod
-    def _from_canonical(cls, d: int, level: int, rows: tuple, field) -> "AFMatrix":
-        """An AFMatrix on tuple rows of canonical values: no coercion or check."""
+    def _new(cls, d: int, level: int, rows: tuple, field, den: int = 1, lowest: bool = False) -> "AFMatrix":
+        """rows/den for tuple rows of ints and den >= 1 (ints 0..p-1 and den
+        1 over GF(p)), in lowest terms: the gcd of den and every entry,
+        taken row by row until it is 1, is divided out, unless the caller
+        knows rows/den is in lowest terms already (lowest).  No coercion or
+        check."""
+        if den != 1 and not lowest:
+            g = den
+            for row in rows:
+                if (g := gcd(g, *row)) == 1:
+                    break
+            if g != 1:
+                den, rows = den // g, tuple(tuple([v // g for v in row]) for row in rows)
         out = object.__new__(cls)
-        out.d, out.field, out.level, out.entries, out._least, out._ints = d, field, level, rows, False, None
+        out.d, out.field, out.level, out.den, out.rows, out._entries, out._least = d, field, level, den, rows, None, False
         return out
 
-    @classmethod
-    def _from_ints(cls, d: int, level: int, den: int, rows: tuple) -> "AFMatrix":
-        """The QQ matrix rows/den, for tuple rows of ints and den > 1, its
-        entries unset until they are read."""
-        out = object.__new__(cls)
-        out.d, out.field, out.level, out._least, out._ints = d, QQ, level, False, (den, rows)
-        return out
-
-    def __getattr__(self, name):
-        # reached only for an unset slot: the entries of a matrix held as
-        # rows of ints over den, made rational once, on the first read
-        if name != "entries" or self._ints is None:
-            raise AttributeError(name)
-        den, rows = self._ints
-        self.entries = tuple(tuple(_ratio(v, den) for v in row) for row in rows)
-        return self.entries
+    @property
+    def entries(self) -> tuple:
+        """The canonical field values: rows itself over den 1, else each
+        v/den, made once."""
+        if self.den == 1:
+            return self.rows
+        if self._entries is None:
+            den = self.den
+            self._entries = tuple(tuple([_ratio(v, den) for v in row]) for row in self.rows)
+        return self._entries
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def scalar(cls, d: int, value, field=QQ) -> "AFMatrix":
-        return cls(d, 0, [[field.coerce(value)]], field)
+        return cls(d, 0, [[value]], field)
 
     @classmethod
     def zero(cls, d: int, level: int = 0, field=QQ) -> "AFMatrix":
         _check_side(d, level, error=BudgetExceeded)
         n = d**level
-        return cls._from_canonical(d, level, ((field.zero,) * n,) * n, field)
+        return cls._new(d, level, ((0,) * n,) * n, field)
 
     @classmethod
     def matrix_unit(cls, d: int, u, v, field=QQ) -> "AFMatrix":
@@ -132,9 +126,10 @@ class AFMatrix:
     def _unit(cls, d: int, level: int, i: int, j: int, value, field) -> "AFMatrix":
         """value times E_{i,j} at a level, for a canonical value: zero rows
         shared, no coercion."""
-        zero = (field.zero,) * d**level
+        zero = (0,) * d**level
         rows = (zero,) * len(zero)
-        return cls._from_canonical(d, level, rows[:i] + (zero[:j] + (value,) + zero[j + 1:],) + rows[i + 1:], field)
+        row = zero[:j] + (value.numerator,) + zero[j + 1:]
+        return cls._new(d, level, rows[:i] + (row,) + rows[i + 1:], field, value.denominator, lowest=True)
 
     # -- level handling ---------------------------------------------------------
 
@@ -144,10 +139,10 @@ class AFMatrix:
             raise LevelDecrease(f"cannot embed level {self.level} down to {level}")
         d, out = self.d, self
         while out.level < level:
-            pad = (out.field.zero,) * d**out.level
-            rows = tuple(pad * b + src + pad * (d - 1 - b) for b in range(d) for src in out.entries)
+            pad = (0,) * d**out.level
+            rows = tuple(pad * b + src + pad * (d - 1 - b) for b in range(d) for src in out.rows)
             # at d = 1 every level is the same 1x1 algebra: one step reaches the target
-            out = AFMatrix._from_canonical(d, level if d == 1 else out.level + 1, rows, out.field)
+            out = AFMatrix._new(d, level if d == 1 else out.level + 1, rows, out.field, out.den, lowest=True)
         return out
 
     def canonical(self) -> "AFMatrix":
@@ -156,9 +151,7 @@ class AFMatrix:
         unscanned."""
         out = self
         while out.level > 0 and not out._least:
-            d, n = out.d, out.d ** (out.level - 1)
-            # den*x has the zero pattern and the equal blocks of x
-            rows = out.entries if out._ints is None else out._ints[1]
+            d, n, rows = out.d, out.d ** (out.level - 1), out.rows
             zeros = (0,) * (n * (d - 1))
             for k, row in enumerate(rows):
                 lo = k // n * n
@@ -166,11 +159,8 @@ class AFMatrix:
                     out._least = True
                     return out
             # at d = 1 every level is the same 1x1 algebra: one step reaches level 0
-            lower, rows = 0 if d == 1 else out.level - 1, tuple(row[:n] for row in rows[:n])
-            if out._ints is None:
-                out = AFMatrix._from_canonical(d, lower, rows, out.field)
-            else:
-                out = AFMatrix._from_ints(d, lower, out._ints[0], rows)
+            rows = tuple(row[:n] for row in rows[:n])
+            out = AFMatrix._new(d, 0 if d == 1 else out.level - 1, rows, out.field, out.den, lowest=True)
         return out
 
     def _common(self, other: "AFMatrix"):
@@ -183,11 +173,11 @@ class AFMatrix:
 
     def __add__(self, other):
         a, b = self._common(other)
-        F, p = a.field, a.field.characteristic
-        rows = tuple(tuple([(x + y) % p for x, y in zip(ra, rb)] if p else
-                           [x + y if type(x) is int or type(y) is int else F.coerce(x + y) for x, y in zip(ra, rb)])
-                     for ra, rb in zip(a.entries, b.entries))
-        return AFMatrix._from_canonical(a.d, a.level, rows, F).canonical()
+        p, den = a.field.characteristic, lcm(a.den, b.den)
+        s, t = den // a.den, den // b.den
+        rows = tuple(tuple([(x + y) % p for x, y in zip(ra, rb)] if p else [s * x + t * y for x, y in zip(ra, rb)])
+                     for ra, rb in zip(a.rows, b.rows))
+        return AFMatrix._new(a.d, a.level, rows, a.field, den).canonical()
 
     def __mul__(self, other):
         """The product of the canonical forms at the higher of their levels;
@@ -199,29 +189,31 @@ class AFMatrix:
         a, b = self.canonical(), other.canonical()
         if a.level == 0 or b.level == 0:
             return b.scale(a.entries[0][0]) if a.level == 0 else a.scale(b.entries[0][0])
-        # b held as rows of ints over den is multiplied in that form
-        den, B = (1, b.entries) if b._ints is None else b._ints
-        F, A, n = a.field, a.entries, len(B)
+        p, A, B = a.field.characteristic, a.rows, b.rows
+        n = len(B)
         if len(A) > n:  # a * diag(b, .., b): column block k is a's column block k times b
             live = [i for i, r in enumerate(A) if any(r)]  # a zero row of a stays zero
-            rows = [[F.zero] * len(A) for _ in A]
+            rows = [[0] * len(A) for _ in A]
             for k in range(0, len(A), n):
-                for i, part in zip(live, dense_mul(F, [A[i][k:k + n] for i in live], B, den)):
+                for i, part in zip(live, dense_mul(p, [A[i][k:k + n] for i in live], B)):
                     rows[i][k:k + n] = part
         else:  # diag(a, .., a) * b: row block k is a times b's row block k
-            rows = [row for k in range(0, n, len(A)) for row in dense_mul(F, A, B[k:k + len(A)], den)]
+            rows = [row for k in range(0, n, len(A)) for row in dense_mul(p, A, B[k:k + len(A)])]
         rows = tuple(map(tuple, rows))
-        return AFMatrix._from_canonical(a.d, max(a.level, b.level), rows, F).canonical()
+        return AFMatrix._new(a.d, max(a.level, b.level), rows, a.field, a.den * b.den).canonical()
 
     def scale(self, c) -> "AFMatrix":
-        F, c = self.field, self.field.coerce(c)
-        if c == 1:  # the entries are canonical already
+        """c times the element: its rows times c's numerator, over den times
+        c's denominator."""
+        c, p = self.field.coerce(c), self.field.characteristic
+        if c == 1:
             return self.canonical()
-        rows = tuple(tuple(F.coerce(F.mul(c, v)) for v in row) for row in self.entries)
-        return AFMatrix._from_canonical(self.d, self.level, rows, F).canonical()
+        num = c.numerator
+        rows = tuple(tuple([num * v % p for v in row] if p else [num * v for v in row]) for row in self.rows)
+        return AFMatrix._new(self.d, self.level, rows, self.field, self.den * c.denominator).canonical()
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, AFMatrix):
@@ -229,7 +221,7 @@ class AFMatrix:
         if (self.d, self.field) != (other.d, other.field):
             return False
         a, b = self._common(other)
-        return a.entries == b.entries
+        return a.den == b.den and a.rows == b.rows
 
     def __repr__(self):
         return f"AFMatrix(d={self.d}, level={self.level})"
@@ -237,7 +229,7 @@ class AFMatrix:
     # -- invariants ----------------------------------------------------------------
 
     def rank(self) -> int:
-        return rank(SparseMatrix.from_dense(self.field, self.entries))
+        return rank(SparseMatrix.from_dense(self.field, self.rows))
 
     def k0_class(self):
         """rank(e) * d^(-level) for an idempotent e, as a class in Z[1/d]; rank(e)
@@ -247,8 +239,8 @@ class AFMatrix:
         if self * self != self:
             raise NotIdempotent("k0_class requires an idempotent")
         p = self.field.characteristic
-        tr = sum(row[i] for i, row in enumerate(self.entries))
-        r = self.rank() if 0 < p <= len(self.entries) else int(tr % p if p else tr)
+        tr = sum(row[i] for i, row in enumerate(self.rows))
+        r = self.rank() if 0 < p <= len(self.rows) else tr % p if p else tr // self.den
         return QgrClass(r, self.level, self.d)
 
     def vn_regular_witness(self) -> "AFMatrix":
@@ -260,13 +252,12 @@ class AFMatrix:
         them, so a*x*a = (a*Q)*C = a.  The elimination's values are
         canonical, so x skips the constructor's coercion.  A dense QQ a
         inverted mod primes gives x as rows of ints over den = |det| > 1,
-        and x is kept so: its entries are made rational on their first
-        read, and a product with x on the right never makes them.
+        which x keeps, divided by their common factor: no entry is made
+        rational.
         """
         den, x = generalized_inverse(self.field, self.entries)
-        if den == 1:
-            return AFMatrix._from_canonical(self.d, self.level, tuple(map(tuple, x)), self.field)
-        return AFMatrix._from_ints(self.d, self.level, den, tuple(x))
+        lift, x = _integer_rows(self.field, x)
+        return AFMatrix._new(self.d, self.level, x, self.field, den * lift)
 
     def simplicity_witness(self):
         """Rows (u_i), (v_i) with sum u_i * a * v_i = 1, witnessing simplicity.
@@ -277,16 +268,14 @@ class AFMatrix:
         """
         if self.is_zero():
             raise ZeroElement("no simplicity witness for 0")
-        F = self.field
-        n = len(self.entries)
+        F, rows = self.field, self.rows
+        n = len(rows)
         if 2 * n**3 > MAX_SIMPLICITY_ENTRIES:
             raise BudgetExceeded(
                 f"a simplicity witness at d={self.d}, level={self.level} is {2 * n} matrices "
                 f"of side {n}, more than MAX_SIMPLICITY_ENTRIES = {MAX_SIMPLICITY_ENTRIES} entries in all")
-        p, q = next(
-            (i, j) for i in range(n) for j in range(n) if self.entries[i][j] != 0
-        )
-        inv = F.invert(self.entries[p][q])
+        p, q = next((i, j) for i in range(n) for j in range(n) if rows[i][j] != 0)
+        inv = F.invert(rows[p][q]) * self.den  # 1 / a_pq, with the numerator and denominator of a value
         # at d = 1 every level is the same 1x1 algebra: the level-0 pair is a witness
         level = 0 if self.d == 1 else self.level
         us = [AFMatrix._unit(self.d, level, i, p, inv, F) for i in range(n)]
@@ -296,11 +285,8 @@ class AFMatrix:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = []
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if v != 0:
-                    entries.append([i, j, self.field.to_str(v)])
+        F, den = self.field, self.den
+        entries = [[i, j, F.to_str(_ratio(v, den))] for i, row in enumerate(self.rows) for j, v in enumerate(row) if v]
         return {"d": self.d, "level": self.level, "entries": entries}
 
     @classmethod
@@ -336,7 +322,8 @@ class AFMatrix:
                 raise ParseError(f"entries[{given[i, j]}] and entries[{k}] both give entry [{i}, {j}]")
             given[i, j] = k
             rows[i][j] = field.from_str(str(s))
-        return cls._from_canonical(d, level, tuple(map(tuple, rows)), field)
+        den, rows = _integer_rows(field, rows)
+        return cls._new(d, level, rows, field, den, lowest=True)
 
 
 def _check_side(d: int, level: int, where: str = "", error=ParseError) -> None:

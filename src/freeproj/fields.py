@@ -5,10 +5,12 @@ ints 0..p-1 for GF(p)); a field object supplies the arithmetic.  Keeping
 rational values as ints whenever possible makes the hot dict-arithmetic
 paths run on machine integers.
 
-A canonical QQ value is an int exactly when it is integral.  `QQ.div`,
-`coerce` and `from_str` return canonical values, and so do elimination
-(`linalg`) and reduction (`submodules`), which make each output value by
-one exact division; plain Fraction arithmetic elsewhere may leave a
+A canonical QQ value is an int exactly when it is integral, and never an
+int subclass such as bool.  `QQ.div`, `coerce` and `from_str` return
+canonical values, and so do elimination (`linalg`), reduction
+(`submodules`) and the limit algebra's `AFMatrix.entries` (`af_s`), which
+make each output value from integers by one exact division
+(`linalg._ratio`); plain Fraction arithmetic elsewhere may leave a
 Fraction(k, 1), equal to k, which `coerce` maps to k.
 """
 
@@ -89,8 +91,10 @@ class RationalField:
 
     @staticmethod
     def coerce(x):
-        if isinstance(x, int):
+        if type(x) is int:
             return x
+        if isinstance(x, int):
+            return int(x)  # a bool or other int subclass as the int itself
         if isinstance(x, Fraction):
             return int(x) if x.denominator == 1 else x
         raise TypeError(f"cannot coerce {x!r} into QQ")

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fpmod import FpModule
 from .freealg import FreeAlgebra, NcPoly, _Terms
-from .linalg import _add_products, _add_terms
+from .linalg import _add_products, _add_terms, _lift
 
 
 # raising a monomial by k levels emits d**k terms of a few hundred bytes each
@@ -244,7 +244,8 @@ def _lower_once(comp: LeavittElement):
 
 def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
     """Identify a degree-zero element with a leveled matrix: w* v becomes the
-    matrix unit E_{w,v} at each of its block positions, with no raise."""
+    matrix unit E_{w,v} at each of its block positions, with no raise; the
+    coefficients' numerators over one denominator are placed in the rows."""
     A = a.algebra
     if any(mono_degree(m) != 0 for m in a.terms):
         raise NotDegreeZero("element has nonzero graded components")
@@ -255,13 +256,14 @@ def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
         r = level
     _check_side(A.d, r, error=BudgetExceeded)
     n = A.d**r
-    units = [(word_rank(A.d, w), word_rank(A.d, v), A.d ** len(w), c) for (w, v), c in a.terms.items()]
+    nums, den = _lift(A.field, a.terms)
+    units = [(word_rank(A.d, w), word_rank(A.d, v), A.d ** len(w), c) for (w, v), c in nums.items()]
     placed: dict = {}
     _add_terms(A.field, placed, [((t + i, t + j), c) for i, j, step, c in units for t in range(0, n, step)])
-    rows = [[A.field.zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for (i, j), c in placed.items():
-        rows[i][j] = A.field.coerce(c)
-    return AFMatrix._from_canonical(A.d, r, tuple(map(tuple, rows)), A.field).canonical()
+        rows[i][j] = c
+    return AFMatrix._new(A.d, r, tuple(map(tuple, rows)), A.field, den).canonical()
 
 
 def s_to_l0(s: AFMatrix, algebra: FreeAlgebra = None) -> LeavittElement:

@@ -26,10 +26,16 @@ slot per column, the transform kept in the slots of the pivot columns.  It
 runs over GF(p), and for a dense square QQ matrix mod primes whose raw
 slots the Chinese remainder theorem combines, one multiply-add per entry
 and prime, into integer rows over one denominator, |det|.  `dense_mul`
-takes integer dot products, on the lift of `_integer_vector`, or, once B
-has 8 rows over GF(p) or 16 over QQ, one bigint multiply-add per nonzero
-entry of A on B's rows packed into ints (Kronecker substitution), and a
-row of A with one nonzero entry as a multiple of a row of B.
+multiplies rows of ints, reduced mod p when p != 0: integer dot products
+or, once B has 8 rows mod p or 16 over the integers, one bigint
+multiply-add per nonzero entry of A on B's rows packed into ints
+(Kronecker substitution), and a row of A with one nonzero entry as a
+multiple of a row of B.
+
+QQ values become integers over a denominator here alone: a list by
+`_integer_vector`, a {key: value} dict by `_lift` (back by `_values`) and
+the rows of a limit-algebra matrix by `_integer_rows`; `_ratio` makes each
+value back, one exact division.
 
 `_row_axpy` is the one sparse row update and `_row_product`, behind
 `SparseMatrix.mul` and `fpmod`'s morphism matrices, the one sparse row
@@ -44,8 +50,9 @@ method call per entry, term or pair.
 Two representations are used: sparse, a list of row dicts {column: nonzero
 value} plus a column count, for every degreewise module computation (the
 matrices realizing graded maps are extremely sparse); and dense, a list of
-lists, for the leveled matrices of the limit algebra (`dense_mul` and
-`generalized_inverse`).  Row-vector convention throughout: a sparse matrix
+rows, for the leveled matrices of the limit algebra: rows of ints, the
+numerators over one denominator, for `dense_mul`, and field values for
+`generalized_inverse`.  Row-vector convention throughout: a sparse matrix
 A represents the map v -> v*A, so kernels are left kernels {v : v*A = 0}.
 """
 
@@ -251,12 +258,9 @@ def _eliminate(mat: SparseMatrix, want_transform):
     else:
         den, work = [], []
         for row in mat.rows:
-            d = lcm(*map(_denominator, row.values()))
+            w, d = _lift(F, row)
+            work.append(w)
             den.append(d)
-            if d == 1:
-                work.append(dict(zip(row, map(_numerator, row.values()))))
-            else:
-                work.append({j: v.numerator * (d // v.denominator) for j, v in row.items()})
         scale = [1] * n
         last = 1
     trans = [{i: d} for i, d in enumerate(den or [F.one] * n)] if want_transform else None
@@ -350,6 +354,34 @@ _denominator = attrgetter("denominator")
 _numerator = attrgetter("numerator")
 
 
+def _lift(F, terms: dict):
+    """(work, W): the values of a {key: value} dict as integer numerators
+    over W, the lcm of their denominators, over QQ; reduced mod p, W = 1,
+    over GF(p)."""
+    if p := F.characteristic:
+        return {m: c % p for m, c in terms.items()}, 1
+    if all(type(c) is int for c in terms.values()):
+        return dict(terms), 1
+    W = lcm(*map(_denominator, terms.values()))
+    return {m: c.numerator * (W // c.denominator) for m, c in terms.items()}, W
+
+
+def _values(nums: dict, W: int) -> dict:
+    """The field values of the numerators over W: one exact division each."""
+    return nums if W == 1 else {m: _ratio(v, W) for m, v in nums.items()}
+
+
+def _integer_rows(F, rows):
+    """(den, rows): rows of canonical values as tuple rows of ints over den,
+    the lcm of their denominators, taken row by row, so in lowest terms;
+    den is 1 and the rows are the values over GF(p)."""
+    rows = tuple(map(tuple, rows))
+    if F.characteristic or all(type(v) is int for row in rows for v in row):
+        return 1, rows
+    den = lcm(*[lcm(*map(_denominator, row)) for row in rows])
+    return den, tuple(tuple([v.numerator * (den // v.denominator) for v in row]) for row in rows)
+
+
 def _integer_vector(values):
     """(d, numerators): the QQ values as a list of ints over the lcm d of
     their denominators, in their order; a Fraction(k, 1) becomes the int k."""
@@ -414,39 +446,33 @@ def solve_left(mat: SparseMatrix, targets) -> list:
 # dense helpers for small matrices
 
 
-def dense_mul(field, A, B, den=1):
-    """A*B on canonical values, or A*(B/den) for B of ints over a QQ
-    denominator den > 1; a zero row of A gives a zero row and a zero
-    column of B a zero column, the int 0, with no product formed.  A row of
-    A with one nonzero entry a, at column k, is a times row k of B, so a
-    permutation costs n^2 products, not n^3.
+def dense_mul(p: int, A, B):
+    """A*B for rows of ints, reduced mod p when p != 0 (ints 0..p-1 in
+    that case); a zero row of A gives a zero row and a zero column of B a
+    zero column, with no product formed.  A row of A with one nonzero entry
+    a, at column k, is a times row k of B, so a permutation costs n^2
+    products, not n^3.
 
-    Once B has 8 rows over GF(p), 16 over QQ (the gates measured in README),
-    other rows are Kronecker substitution (Dumas, Fousse and Salvy, J. Symb.
-    Comput. 46, 2011).  Row k of B, packed on first use, is one int with a
-    slot per column; over QQ the slots are integers over the lcm D of all of
-    B's denominators (den itself for B of ints over den) plus beta = max|b|.
-    Row i of A*B is sum_k a_ik*row_k, one bigint multiply-add per nonzero
-    a_ik, plus (half - beta*sum_k a_ik) times the all-ones row, so each slot
-    reads back, once, as half + its entry, reduced mod p or over da*D.
-    half is 0 over GF(p), where len(B)*(p-1)^2 bounds a slot, and
-    len(B)*max|a|*max|b| over QQ, which bounds every |entry|.  Below the
-    gates each entry is an integer dot product, over QQ on the lifts of its
-    row of A and column of B, a column of ints over den taken as it is.
-    The values are the field's own sum of products, an int for every
-    integral QQ value, and den is folded into the one division per entry:
-    no entry of B/den is formed.
+    Once B has 8 rows mod p, 16 over the integers (the gates measured in
+    README), other rows are Kronecker substitution (Dumas, Fousse and Salvy,
+    J. Symb. Comput. 46, 2011).  Row k of B, packed on first use, is one int
+    with a slot per column, each entry plus beta = max|b|.  Row i of A*B is
+    sum_k a_ik*row_k, one bigint multiply-add per nonzero a_ik, plus
+    (half - beta*sum_k a_ik) times the all-ones row, so each slot reads
+    back, once, as half + its entry, then reduced mod p.  half is 0 mod p,
+    where len(B)*(p-1)^2 bounds a slot, and len(B)*max|a|*max|b| over the
+    integers, which bounds every |entry|.  Below the gates each entry is an
+    integer dot product.
     """
     Bt = list(zip(*B))
     live = [j for j, Bj in enumerate(Bt) if any(Bj)]
     if len(live) < len(Bt):
         # the product on B's nonzero columns, spread back with zeros between
         out = [[0] * len(Bt) for _ in A]
-        for row, part in zip(out, dense_mul(field, A, [[r[j] for j in live] for r in B], den)):
+        for row, part in zip(out, dense_mul(p, A, [[r[j] for j in live] for r in B])):
             for j, v in zip(live, part):
                 row[j] = v
         return out
-    p = field.characteristic
     out, many = [], []
     for Ai in A:
         nonzero = len(Ai) - Ai.count(0)
@@ -454,44 +480,30 @@ def dense_mul(field, A, B, den=1):
             out.append([0] * len(Bt))
         elif nonzero == 1:
             k, a = next((k, a) for k, a in enumerate(Ai) if a)
-            if den != 1:
-                n, da = a.numerator, a.denominator * den
-                out.append([_ratio(n * b, da) for b in B[k]])
-                continue
-            row = [a * b for b in B[k]]
-            out.append([v % p for v in row] if p else [v.numerator if v.denominator == 1 else v for v in row])
+            out.append([a * b % p for b in B[k]] if p else [a * b for b in B[k]])
         else:
             many.append(len(out))
             out.append(Ai)
     if many and Bt and len(B) >= (8 if p else 16):
-        m, flat = len(Bt), [b for row in B for b in row]
-        D, flat = (den, flat) if p or den != 1 else _integer_vector(flat)
-        lifts = [(1, out[i]) if p else _integer_vector(out[i]) for i in many]
-        beta = 0 if p else max(map(abs, flat))
-        half = 0 if p else len(B) * max(max(map(abs, ai)) for _, ai in lifts) * beta
+        m = len(Bt)
+        beta = 0 if p else max(max(map(abs, row)) for row in B)
+        half = 0 if p else len(B) * max(max(map(abs, out[i])) for i in many) * beta
         width = _slot_width(2 * half or len(B) * (p - 1) ** 2)
         ones, packed = _pack([1] * m, width), [None] * len(B)
-        for i, (da, ai) in zip(many, lifts):
+        for i in many:
+            ai = out[i]
             acc = (half - beta * sum(ai)) * ones
             for k, a in enumerate(ai):
                 if a:
                     if packed[k] is None:  # a zero row packs as beta's, not as 0
-                        packed[k] = _pack([b + beta for b in flat[k * m:k * m + m]], width)
+                        packed[k] = _pack([b + beta for b in B[k]], width)
                     acc += a * packed[k]
-            slots, dd = _unpack(acc, m, width), da * D
-            out[i] = [v % p for v in slots] if p else [_ratio(v - half, dd) if v != half else 0 for v in slots]
-    elif p:
+            slots = _unpack(acc, m, width)
+            out[i] = [v % p for v in slots] if p else [v - half for v in slots]
+    else:
         for i in many:
-            out[i] = [sum(map(mul, out[i], Bj)) % p for Bj in Bt]
-    elif many:
-        cols = [(den, Bj) for Bj in Bt] if den != 1 else [_integer_vector(Bj) for Bj in Bt]
-        integral = den == 1 and all(db == 1 for db, _ in cols)
-        for i in many:
-            da, ai = _integer_vector(out[i])
-            if da == 1 and integral:
-                out[i] = [sum(map(mul, ai, bj)) for _, bj in cols]
-            else:
-                out[i] = [_ratio(sum(map(mul, ai, bj)), da * db) for db, bj in cols]
+            ai = out[i]
+            out[i] = [sum(map(mul, ai, Bj)) % p for Bj in Bt] if p else [sum(map(mul, ai, Bj)) for Bj in Bt]
     return out
 
 

@@ -50,7 +50,7 @@ itself and no basis is rebuilt.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import add, floordiv, mul
 
 from .freealg import (
@@ -60,7 +60,7 @@ from .freealg import (
     NcPoly,
     term_key,
 )
-from .linalg import _add_products, _add_terms, _denominator, _ratio
+from .linalg import _add_products, _add_terms, _lift, _values
 
 
 class FreeBasis:
@@ -134,22 +134,6 @@ def _find_reducer(alpha, w, by_coord):
         if (idx := leads.get(w[k:])) is not None:
             return idx, w[:k]
     return None, None
-
-
-def _lift(F, terms: dict):
-    """(work, W): the values as integer numerators over W, the lcm of their
-    denominators, over QQ; reduced mod p, W = 1, over GF(p)."""
-    if p := F.characteristic:
-        return {m: c % p for m, c in terms.items()}, 1
-    if all(type(c) is int for c in terms.values()):
-        return dict(terms), 1
-    W = lcm(*map(_denominator, terms.values()))
-    return {m: c.numerator * (W // c.denominator) for m, c in terms.items()}, W
-
-
-def _values(nums: dict, W: int) -> dict:
-    """The field values of the numerators over W: one exact division each."""
-    return nums if W == 1 else {m: _ratio(v, W) for m, v in nums.items()}
 
 
 def _entry(F, nums: dict) -> tuple:

@@ -4,14 +4,17 @@ and the product that embedded both operands.
 `embed` and `canonical` fill a dense table entry by entry and test the block
 pattern with a nested flag loop, building each matrix through the coercing
 constructor.  `mul` embeds both operands to the higher of their given
-levels and takes one `dense_mul` at that size.  Kept verbatim, as functions
-of the matrices, as the oracles the faster versions must match exactly:
-same level, same entries, same value types.
+levels, takes one frozen dense product (`dense_mul_oracle`) of their
+values at that size and builds the result through the coercing
+constructor.  Kept, as functions of the matrices, as the oracles the
+faster versions must match exactly: same level, same entries, same value
+types.
 """
+
+from dense_mul_oracle import dense_mul
 
 from freeproj.af_s import AFMatrix
 from freeproj.errors import LevelDecrease
-from freeproj.linalg import dense_mul
 
 
 def embed(self, level: int) -> "AFMatrix":
@@ -72,5 +75,4 @@ def mul(self, other) -> "AFMatrix":
         raise ValueError("elements live in different limit algebras")
     r = max(self.level, other.level)
     a, b = self.embed(r), other.embed(r)
-    rows = tuple(map(tuple, dense_mul(a.field, a.entries, b.entries)))
-    return AFMatrix._from_canonical(a.d, a.level, rows, a.field).canonical()
+    return AFMatrix(a.d, a.level, dense_mul(a.field, a.entries, b.entries), a.field).canonical()

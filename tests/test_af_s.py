@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import hypothesis
 import hypothesis.strategies as st
@@ -11,9 +12,11 @@ from af_oracle import mul as oracle_mul
 from row_reduce_oracle import determinant
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 
+from freeproj import linalg
 from freeproj.af_s import AFMatrix, word_rank, word_unrank
 from freeproj.errors import BudgetExceeded, LevelDecrease, NotIdempotent, ZeroElement
 from freeproj.fields import GF, QQ
+from freeproj.leavitt import l0_to_s, s_to_l0
 from freeproj.qgr import QgrClass
 from freeproj.randgen import make_rng, random_af, random_nonzero_af
 
@@ -281,6 +284,13 @@ def test_json_round_trip():
     # integral floats and digit strings are still read as integers
     loose = {"d": 2.0, "level": "1", "entries": [[0, 0.0, "1/2"], ["1", 0, 3], [1, 1.0, -1]]}
     assert AFMatrix.from_json(loose) == a
+
+
+def test_bool_entries_round_trip_through_json():
+    a = AFMatrix(2, 1, [[True, 0], [0, 1]])
+    data = a.to_json()
+    assert [text for _, _, text in data["entries"]] == ["1", "1"]
+    assert AFMatrix.from_json(data) == a == AFMatrix.scalar(2, 1)
 
 
 def test_from_json_builds_the_constructors_matrix():
@@ -559,20 +569,11 @@ def test_a_product_is_scanned_for_its_canonical_form_once(field):
         for witness in (x, a.vn_regular_witness()):
             ax = a * witness
             assert_same_matrix(ax, oracle_mul(a, witness))
-            rows, ax.entries = ax.entries, None  # a second scan would read them
+            rows, ax.rows = ax.rows, None  # a second scan would read them
             assert ax.canonical() is ax
-            ax.entries = rows
+            ax.rows = rows
             assert_same_matrix(ax * a, oracle_mul(oracle_mul(a, witness), a))
         assert a * a.vn_regular_witness() * a == a
-
-
-def holds_entries(m):
-    """Whether m's entries slot is set, read past __getattr__."""
-    try:
-        AFMatrix.entries.__get__(m)
-    except AttributeError:
-        return False
-    return True
 
 
 def routed_witness_cases():
@@ -651,7 +652,7 @@ def test_witness_held_as_ints_reads_as_the_oracle():
             readers.append(lambda x: (low * x, x * low))
         for read in readers:
             x = a.vn_regular_witness()
-            assert x._ints is not None and not holds_entries(x)
+            assert x.den > 1 and x._entries is None
             signs.add(determinant([list(row) for row in a.entries]) > 0)
             assert_same_result(read(x), read(want))
             assert_same_matrix(x, want)
@@ -666,11 +667,52 @@ def test_a_x_a_leaves_the_witness_held_as_ints():
         x = a.vn_regular_witness()
         low = x.canonical()
         assert a * x * a == a
-        assert not holds_entries(x) and not holds_entries(low)
-        assert low._ints is not None and (low is x) == (a.level == low.level)
+        assert x._entries is None and low._entries is None
+        assert low.den == x.den > 1 and (low is x) == (a.level == low.level)
 
 
-def test_deficient_sparse_and_gfp_witnesses_are_eager():
+def assert_lowest_terms(m):
+    """rows/den in lowest terms: tuple rows of ints and den >= 1 whose gcd
+    with every entry is 1; den 1 and ints 0..p-1 over GF(p)."""
+    assert type(m.den) is int and m.den >= 1 and type(m.rows) is tuple
+    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in m.rows)
+    assert gcd(m.den, *(v for row in m.rows for v in row)) == 1
+    if p := m.field.characteristic:
+        assert m.den == 1 and all(0 <= v < p for row in m.rows for v in row)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.sampled_from([QQ, GF(7)]), st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 1)]),
+                  st.integers(0, 2**32))
+def test_every_operation_returns_lowest_terms(field, shape, seed):
+    # whatever constructor or operation made a matrix, it is in lowest
+    # terms, so == (on den and rows) agrees with equal entries at a common level
+    (d, level), rng = shape, random.Random(seed)
+    n = d**level
+    a, b = (AFMatrix(d, level, [[_af_value(rng, field) for _ in range(n)] for _ in range(n)], field) for _ in "ab")
+    c, x = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))), a.vn_regular_witness()
+    made = [a, b, a + b, a + a.scale(-1), a * b, b * a, x, a * x, a * x * a, a.scale(c), a.scale(c).scale(c),
+            a.embed(level + 1), a.embed(level + 1).canonical(), AFMatrix.scalar(d, c, field),
+            AFMatrix.zero(d, level, field), AFMatrix.from_json(a.to_json(), field), l0_to_s(s_to_l0(a)),
+            AFMatrix.matrix_unit(d, word_unrank(d, 0, level), word_unrank(d, n - 1, level), field)]
+    if not a.is_zero():
+        made += [m for pair in zip(*a.simplicity_witness()) for m in pair][:4]
+    for m in made:
+        assert_lowest_terms(m)
+    same = [a.scale(2).scale(Fraction(1, 2)).embed(level + 1), a * AFMatrix.scalar(d, 1, field), b.embed(level + 1)]
+    for u in made[:10]:
+        for v in made[:10] + same:
+            r = max(u.level, v.level)
+            assert (u == v) == (u.embed(r).entries == v.embed(r).entries)
+    assert a * x * a == a
+
+
+def test_deficient_sparse_and_gfp_witnesses_are_eager(monkeypatch):
+    # off the prime route: the kernel's values, lifted to rows over the lcm
+    # of their denominators
+    routed = []
+    real = linalg._crt_inverse
+    monkeypatch.setattr(linalg, "_crt_inverse", lambda A: routed.append(A) or real(A))
     rng = random.Random(59)
     n = 8
     dense = [[rng.choice((-2, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
@@ -679,9 +721,11 @@ def test_deficient_sparse_and_gfp_witnesses_are_eager():
     for rows, field in ((deficient, QQ), (sparse, QQ), (dense, GF(10007))):
         a = AFMatrix(2, 3, rows, field)
         x = a.vn_regular_witness()
-        assert x._ints is None and holds_entries(x)
-        assert [list(row) for row in x.entries] == oracle_generalized_inverse(field, [list(row) for row in a.entries])
+        want = oracle_generalized_inverse(field, [list(row) for row in a.entries])
+        assert x.den == lcm(*(Fraction(v).denominator for row in want for v in row))
+        assert [list(row) for row in x.entries] == want
         assert a * x * a == a
+    assert all(real(A) is None for A in routed)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])

@@ -8,6 +8,7 @@ import pytest
 
 from freeproj.errors import BudgetExceeded, ParseError
 from freeproj.fields import GF, MAX_LITERAL_DIGITS, PRIME_BOUND, QQ, field_from_spec, is_prime, read_int
+from freeproj.freealg import FreeAlgebra
 
 
 def test_qq_arithmetic_is_exact():
@@ -22,6 +23,15 @@ def test_qq_prefers_ints():
     assert QQ.coerce(Fraction(6, 3)) == 2
     assert QQ.from_str("-1/2") == Fraction(-1, 2)
     assert QQ.to_str(Fraction(-1, 2)) == "-1/2"
+
+
+def test_qq_coerces_a_bool_to_its_int():
+    # a canonical QQ value is an int, not an int subclass, as over GF(p)
+    for x in (True, False):
+        assert type(QQ.coerce(x)) is int and QQ.coerce(x) == x
+        assert type(GF(7).coerce(x)) is int
+    A = FreeAlgebra(2)
+    assert [type(c) for c in A.poly({(0,): True}).terms.values()] == [int]
 
 
 def test_qq_literals_are_bounded_from_the_text():

@@ -4,6 +4,7 @@ from math import lcm, prod
 
 import hypothesis
 import hypothesis.strategies as st
+from af_oracle import mul as oracle_mul
 from dense_mul_oracle import dense_mul as oracle_dense_mul
 from leavitt_oracle import add_products as oracle_add_products
 from leavitt_oracle import add_terms as oracle_add_terms
@@ -14,6 +15,7 @@ from row_reduce_oracle import row_reduce as oracle_row_reduce
 from sparse_mul_oracle import sparse_mul as oracle_sparse_mul
 
 from freeproj import linalg
+from freeproj.af_s import AFMatrix
 from freeproj.fields import GF, QQ, is_prime
 from freeproj.linalg import (
     SparseMatrix,
@@ -347,10 +349,9 @@ def sum_field(field, values):
 
 
 def test_dense_mul_matches_triple_loop():
+    # int rows: over the integers (p = 0) and mod p
     rng = random.Random(17)
-    fractions = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3, 5)]
-    for field, draw in ((QQ, lambda: QQ.coerce(rng.choice(fractions))),
-                        (GF(10007), lambda: rng.randrange(10007))):
+    for field, draw in ((QQ, lambda: rng.randint(-30, 30)), (GF(10007), lambda: rng.randrange(10007))):
         for n, k, m in ((3, 4, 2), (5, 5, 5), (1, 1, 1), (2, 0, 3), (0, 3, 2)):
             A = [[draw() for _ in range(k)] for _ in range(n)]
             B = [[draw() for _ in range(m)] for _ in range(k)]
@@ -358,41 +359,40 @@ def test_dense_mul_matches_triple_loop():
                 A[1] = [field.zero] * k
             if k > 1:
                 B[0] = [field.zero] * m
-            assert dense_mul(field, A, B) == triple_loop_mul(field, A, B)
+            assert dense_mul(field.characteristic, A, B) == triple_loop_mul(field, A, B)
 
 
 def test_dense_mul_skips_zero_columns_of_b(monkeypatch):
-    # columns of B that are zero give the int 0 with no column lifted or
-    # dotted; the rest are the canonical values of the field's own products
+    # columns of B that are zero give the int 0 with no column dotted: the
+    # product itself is taken on B's other columns alone; the rest are the
+    # values of the field's own products
     seen = []
-    real = linalg._integer_vector
-    monkeypatch.setattr(linalg, "_integer_vector", lambda v: seen.append(tuple(v)) or real(v))
+    real = linalg.dense_mul
+    monkeypatch.setattr(linalg, "dense_mul", lambda p, A, B: seen.append(list(zip(*B))) or real(p, A, B))
     rng = random.Random(29)
-    fractions = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
-    for field, draw in ((QQ, lambda: QQ.coerce(rng.choice(fractions))),
-                        (GF(7), lambda: rng.randrange(7))):
+    for field, draw in ((QQ, lambda: rng.randint(-6, 6)), (GF(7), lambda: rng.randrange(7))):
         for n, k, m in ((3, 4, 6), (2, 2, 8), (1, 3, 1), (4, 1, 5)):
             A = [[draw() for _ in range(k)] for _ in range(n)]
             B = [[draw() for _ in range(m)] for _ in range(k)]
             dead = set(rng.sample(range(m), rng.randint(1, m)))
             B = [[field.zero if j in dead else v for j, v in enumerate(row)] for row in B]
-            got = dense_mul(field, A, B)
-            want = [[field.coerce(v) for v in row] for row in triple_loop_mul(field, A, B)]
+            seen.clear()
+            got = linalg.dense_mul(field.characteristic, A, B)
+            want = triple_loop_mul(field, A, B)
             assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
             assert all(row[j] == 0 and type(row[j]) is int for row in got for j in dead)
-    assert seen and not any(v and not any(v) for v in seen)
+            # the call given B's live columns, made once the dead ones are seen
+            assert len(seen) == 2 and len(seen[1]) == m - len(dead) and all(map(any, seen[1]))
 
 
 @st.composite
 def product_cases(draw):
-    """(field, A, B) over QQ or a prime field, down to 0 rows, inner size or
-    columns: each row of A zero, with one nonzero entry (a permutation's
-    rows) or with several, and B with zero entries and zero columns."""
+    """(field, A, B) of int rows over the integers (QQ) or a prime field,
+    down to 0 rows, inner size or columns: each row of A zero, with one
+    nonzero entry (a permutation's rows) or with several, and B with zero
+    entries and zero columns."""
     field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(10007)]))
-    if field is QQ:
-        values = st.fractions(-4, 4, max_denominator=4).map(QQ.coerce)
-    else:
-        values = st.integers(0, field.characteristic - 1)
+    values = st.integers(-16, 16) if field is QQ else st.integers(0, field.characteristic - 1)
     n, k, m = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
     A = []
     for _ in range(n):
@@ -414,7 +414,7 @@ def product_cases(draw):
 def test_dense_mul_matches_frozen_product(case):
     # one-entry rows are a scaled row of B, value and type as before
     field, A, B = case
-    got, want = dense_mul(field, A, B), oracle_dense_mul(field, A, B)
+    got, want = dense_mul(field.characteristic, A, B), oracle_dense_mul(field, A, B)
     assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
 
 
@@ -439,13 +439,13 @@ def test_generalized_inverse():
             # rank-deficient: a 4x5 product through a k-dimensional space
             left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(4)]
             right = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(k)]
-            cases.append(dense_mul(QQ, left, right))
+            cases.append(oracle_dense_mul(QQ, left, right))
         cases.append([[0] * 3 for _ in range(3)])
         for dense in cases:
             a = [[field.coerce(v) for v in row] for row in dense]
             x = witness(field, a)
             assert len(x) == len(a[0]) and len(x[0]) == len(a)
-            assert dense_mul(field, dense_mul(field, a, x), a) == a
+            assert oracle_dense_mul(field, oracle_dense_mul(field, a, x), a) == a
 
 
 # 2^31 - 1 takes 64-bit slots up to 3 pivots and wide ones from 4, the two
@@ -474,7 +474,7 @@ def witness_cases(draw):
         # through a space of dimension k < min(n, m); below 2 it is zero
         k = rng.randrange(1, min(n, m))
         left = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
-        A = dense_mul(field, left, [[rng.randrange(p) for _ in range(m)] for _ in range(k)])
+        A = oracle_dense_mul(field, left, [[rng.randrange(p) for _ in range(m)] for _ in range(k)])
     elif kind == "permutation":
         A = [[int(j == i) for j in range(n)] for i in rng.sample(range(n), n)]
     else:
@@ -498,7 +498,7 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
         want = [[(type(v), v) for v in row] for row in oracle_generalized_inverse(field, A)]
         for x in (linalg._packed_inverse(field, A)[0], witness(field, A)):
             assert [[(type(v), v) for v in row] for row in x] == want
-            assert dense_mul(field, dense_mul(field, A, x), A) == A
+            assert oracle_dense_mul(field, oracle_dense_mul(field, A, x), A) == A
 
     check()
     # 64-bit slots and wide ones both ran
@@ -523,7 +523,7 @@ def packed_kernel_cases(draw):
     if kind == "deficient":
         r = rng.randrange(min(n, m))
         left = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
-        A = dense_mul(field, left, [[rng.randrange(p) for _ in range(m)] for _ in range(r)]) if r else \
+        A = oracle_dense_mul(field, left, [[rng.randrange(p) for _ in range(m)] for _ in range(r)]) if r else \
             [[0] * m for _ in range(n)]
     elif kind == "staircase":
         for row in A:
@@ -554,30 +554,29 @@ def test_packed_kernel_matches_oracle():
 
 
 @st.composite
-def packed_product_cases(draw, primes=(0,) + PACKED_PRIMES):
-    """(field, A, B) with inner side 1-40, on both sides of the packing gates
-    (8 over GF(p), 16 over QQ): over a prime of PACKED_PRIMES, or over QQ
-    with negative entries, each row's fractions over its own denominators
-    and, in about half the cases, numerators past 100 bits.  A has zero
-    rows, rows with one nonzero entry and rows with several; B has zero
-    rows, zero columns and zero entries.  p = 0 stands for QQ in primes."""
-    p = draw(st.sampled_from(primes))
+def packed_product_cases(draw):
+    """(field, A, B) of int rows with inner side 1-40, on both sides of the
+    packing gates (8 over GF(p), 16 over QQ): over a prime of
+    PACKED_PRIMES, or over QQ with negative entries and, in about half the
+    cases, entries past 100 bits.  A has zero rows, rows with one nonzero
+    entry and rows with several; B has zero rows, zero columns and zero
+    entries.  p = 0 stands for QQ."""
+    p = draw(st.sampled_from((0,) + PACKED_PRIMES))
     field = GF(p) if p else QQ
     n, k, m = draw(st.integers(0, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 8))
     rng = random.Random(draw(st.integers(0, 2**32)))
     bits = draw(st.sampled_from((4, 110)))
 
     def row(size, density):
-        dens = rng.sample((1, 2, 3, 4, 5, 7, 9, 12), 2)
-        return [(rng.randrange(p) if p else QQ.coerce(Fraction(rng.randint(-2**bits, 2**bits), rng.choice(dens))))
-                if rng.random() < density else field.zero for _ in range(size)]
+        return [(rng.randrange(p) if p else rng.randint(-2**bits, 2**bits)) if rng.random() < density else 0
+                for _ in range(size)]
 
     A = []
     for _ in range(n):
         kind = draw(st.sampled_from(("zero", "one", "many")))
         A.append(row(k, 0.8) if kind == "many" else [field.zero] * k)
         if kind == "one":
-            A[-1][rng.randrange(k)] = rng.randrange(1, p) if p else QQ.coerce(Fraction(rng.randint(1, 9), 7))
+            A[-1][rng.randrange(k)] = rng.randrange(1, p) if p else rng.choice((-1, 1)) * rng.randint(1, 2**bits)
     B = [row(m, 0.8) if rng.random() < 0.8 else [field.zero] * m for _ in range(k)]
     for j in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
         for r in B:
@@ -595,7 +594,7 @@ def test_packed_product_matches_frozen_product(monkeypatch):
     def check(case):
         # value and type, on dot products below the gates and packed rows at them
         field, A, B = case
-        got, want = dense_mul(field, A, B), oracle_dense_mul(field, A, B)
+        got, want = dense_mul(field.characteristic, A, B), oracle_dense_mul(field, A, B)
         assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
 
     check()
@@ -604,21 +603,41 @@ def test_packed_product_matches_frozen_product(monkeypatch):
 
 
 def test_product_by_ints_over_a_denominator_matches_frozen_product(monkeypatch):
-    # A*(B/den) for B of ints over den > 1, as the QQ witness of the prime
-    # route is held: value and type of the product with B made rational, on
-    # dot products below the gate, packed rows at it and one-entry rows
-    packed = set()
-    pack = linalg._pack
+    # a*x for x the QQ witness of the prime route, ints over den = |det| > 1:
+    # value and type of the oracle's product of the values, on dot products
+    # below the gate, packed rows at it and one-entry rows of a
+    packed, routed = set(), []
+    pack, crt = linalg._pack, linalg._crt_inverse
     monkeypatch.setattr(linalg, "_pack", lambda values, width: packed.add(width) or pack(values, width))
+    monkeypatch.setattr(linalg, "_crt_inverse", lambda A: routed.append(A) or crt(A))
 
-    @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(packed_product_cases((0,)), st.integers(2, 2**90))
-    def check(case, scale):
-        _, A, B = case
-        den = scale * lcm(*(Fraction(b).denominator for row in B for b in row))
-        ints = [[int(b * den) for b in row] for row in B]
-        got, want = dense_mul(QQ, A, ints, den), oracle_dense_mul(QQ, A, B)
-        assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from(((2, 3), (3, 2), (2, 4))), st.integers(0, 2**32), st.booleans())
+    def check(shape, seed, fractions):
+        (d, level), rng = shape, random.Random(seed)
+        n = d**level
+        while True:
+            rows = [[rng.choice((-2, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
+            for i in rng.sample(range(n), n // 2) if fractions else ():
+                rows[i] = [Fraction(v, rng.choice((2, 3))) for v in rows[i]]
+            if abs(determinant(rows)) > 1:
+                break
+        del routed[:]
+        x = AFMatrix(d, level, rows).vn_regular_witness()
+        assert routed and x.den > 1 and x._entries is None
+        left = []
+        for _ in range(n):
+            kind = rng.choice(("zero", "one", "many"))
+            left.append([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7))) if kind == "many" else 0
+                         for _ in range(n)])
+            if kind == "one":
+                left[-1][rng.randrange(n)] = Fraction(rng.randint(1, 9), 7)
+        a = AFMatrix(d, level, left)
+        got = a * x
+        assert x._entries is None
+        want = oracle_mul(a, x)
+        assert (got.level, got.den) == (want.level, want.den)
+        assert [[(type(v), v) for v in row] for row in got.entries] == [[(type(v), v) for v in row] for row in want.entries]
 
     check()
     assert packed
@@ -754,7 +773,7 @@ def qq_witness_cases(draw):
     elif kind == "deficient" and n > 1:
         k = rng.randrange(1, n)
         left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
-        A = dense_mul(QQ, left, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
+        A = oracle_dense_mul(QQ, left, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
     elif kind == "zero":
         A = [[0] * n for _ in range(n)]
     elif kind == "below":
