@@ -16,20 +16,21 @@ so two equal elements at one level have equal (den, rows).  Over GF(p)
 den is 1 and the ints are 0..p-1.  `entries`, the field values, is a
 read-only view: rows itself over den 1, otherwise each v/den, made once on
 its first read.  The constructor coerces and lifts (`linalg._integer_rows`),
-`from_json` and the vN witness lift canonical values, and every other
-matrix is made by `_new` on ints: `embed` and `canonical` slice rows at the
-same den, `+` scales both sides to the lcm of their denominators, `scale`
-multiplies by a numerator and a denominator, `*` takes the `dense_mul` of
-the int rows over den_a * den_b, and the prime route's witness keeps its
-(|det|, rows); a new common factor is divided out only where one can
+`from_json` lifts the given entries alone (`linalg._lift`) into zero rows,
+and every other matrix is made by `_new` on ints: `embed` and `canonical`
+slice rows at the same den, `+` scales both sides to the lcm of their
+denominators, `scale` multiplies by a numerator and a denominator, `*`
+takes the `dense_mul` of the int rows over den_a * den_b, and the vN
+witness is `generalized_inverse` of the int rows, its rows times den over
+its own denominator; a new common factor is divided out only where one can
 appear: in products, sums, scales and witnesses.  So every operation works
-on integers, and a*x*a == a makes no entry rational.  A product never
-embeds: a lower-level factor acts on each diagonal block of the other,
-N^2 n products for canonical sides N >= n, on packed rows of the right
-factor from side 8 over GF(p), 16 over QQ.  `canonical` marks the matrix
-it returns, so a product, canonical when made, is not scanned again as the
-factor of the next product.  Every constructor refuses a side above
-MAX_SIDE before building any row.
+on integers, and neither the witness nor a*x*a == a makes an entry
+rational.  A product never embeds: a lower-level factor acts on each
+diagonal block of the other, N^2 n products for canonical sides N >= n, on
+packed rows of the right factor from side 8 over GF(p), 16 over QQ.
+`canonical` marks the matrix it returns, so a product, canonical when
+made, is not scanned again as the factor of the next product.  Every
+constructor refuses a side above MAX_SIDE before building any row.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import gcd, lcm
 
 from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, ZeroElement
 from .fields import QQ, read_int
-from .linalg import SparseMatrix, _integer_rows, _ratio, dense_mul, generalized_inverse, rank
+from .linalg import SparseMatrix, _integer_rows, _lift, _ratio, dense_mul, generalized_inverse, rank
 
 
 # The largest side d**level that `AFMatrix.from_json` allocates (2048^2
@@ -83,8 +84,8 @@ class AFMatrix:
             for row in rows:
                 if (g := gcd(g, *row)) == 1:
                     break
-            if g != 1:
-                den, rows = den // g, tuple(tuple([v // g for v in row]) for row in rows)
+            if g != 1:  # a zero row stays as it is
+                den, rows = den // g, tuple(tuple([v // g for v in row]) if any(row) else row for row in rows)
         out = object.__new__(cls)
         out.d, out.field, out.level, out.den, out.rows, out._entries, out._least = d, field, level, den, rows, None, False
         return out
@@ -249,15 +250,15 @@ class AFMatrix:
         With T*a = [C; 0] in reduced row echelon form, x = Q*T_k: row c of x
         is the transform row of the pivot in column c, all other rows zero.
         a*Q is the pivot columns of a and C writes every column of a over
-        them, so a*x*a = (a*Q)*C = a.  The elimination's values are
-        canonical, so x skips the constructor's coercion.  A dense QQ a
-        inverted mod primes gives x as rows of ints over den = |det| > 1,
-        which x keeps, divided by their common factor: no entry is made
-        rational.
+        them, so a*x*a = (a*Q)*C = a.  The elimination reads a's int rows
+        and gives x' = rows'/den' with rows*x'*rows = rows, so x = den*x',
+        its rows times a's den over den' in lowest terms: no entry is made
+        rational on any route.
         """
-        den, x = generalized_inverse(self.field, self.entries)
-        lift, x = _integer_rows(self.field, x)
-        return AFMatrix._new(self.d, self.level, x, self.field, den * lift)
+        den, x = generalized_inverse(self.field, self.rows)
+        s = self.den
+        rows = tuple(tuple([v * s for v in row]) if s != 1 and any(row) else tuple(row) for row in x)
+        return AFMatrix._new(self.d, self.level, rows, self.field, den)
 
     def simplicity_witness(self):
         """Rows (u_i), (v_i) with sum u_i * a * v_i = 1, witnessing simplicity.
@@ -308,8 +309,7 @@ class AFMatrix:
         if not isinstance(data["entries"], (list, tuple)):
             raise ParseError("field 'entries' must be a list of [i, j, value] entries")
         n = d**level
-        rows = [[field.zero] * n for _ in range(n)]
-        given = {}
+        given, values = {}, {}
         for k, entry in enumerate(data["entries"]):
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ParseError(f"entries[{k}] must be a list [i, j, value], got {entry!r}")
@@ -321,8 +321,12 @@ class AFMatrix:
             if (i, j) in given:
                 raise ParseError(f"entries[{given[i, j]}] and entries[{k}] both give entry [{i}, {j}]")
             given[i, j] = k
-            rows[i][j] = field.from_str(str(s))
-        den, rows = _integer_rows(field, rows)
+            values[i, j] = field.from_str(str(s))
+        nums, den = _lift(field, values)
+        zero, rows = (0,) * n, {}
+        for (i, j), v in nums.items():
+            rows.setdefault(i, list(zero))[j] = v
+        rows = tuple(tuple(rows[i]) if i in rows else zero for i in range(n))
         return cls._new(d, level, rows, field, den, lowest=True)
 
 
@@ -351,11 +355,3 @@ def word_rank(d: int, w) -> int:
             raise ValueError(f"letter {i} out of range")
         r = r * d + i
     return r
-
-
-def word_unrank(d: int, rank: int, length: int):
-    digits = []
-    for _ in range(length):
-        rank, i = divmod(rank, d)
-        digits.append(i)
-    return tuple(reversed(digits))

@@ -12,7 +12,8 @@ matrices, with a few entries per column.  Everything else is a view of it:
   rows with a single entry and drops those columns from the other rows, so
   only that residue is eliminated, and with no end pass over QQ;
 * `solve_left` reduces each target against the pivot rows;
-* `generalized_inverse` places the pivot transform rows at the pivot columns.
+* `generalized_inverse` places the pivot transform rows at the pivot
+  columns, each scaled to the lcm of the pivot scales over QQ.
 
 Over QQ `row_reduce` lifts each row once, at entry, to integer numerators
 over its denominator, clears with Bareiss's fraction-free update, divided
@@ -25,17 +26,17 @@ A dense matrix's generalized inverse comes from one packed kernel instead,
 slot per column, the transform kept in the slots of the pivot columns.  It
 runs over GF(p), and for a dense square QQ matrix mod primes whose raw
 slots the Chinese remainder theorem combines, one multiply-add per entry
-and prime, into integer rows over one denominator, |det|.  `dense_mul`
-multiplies rows of ints, reduced mod p when p != 0: integer dot products
-or, once B has 8 rows mod p or 16 over the integers, one bigint
-multiply-add per nonzero entry of A on B's rows packed into ints
-(Kronecker substitution), and a row of A with one nonzero entry as a
-multiple of a row of B.
+and prime, into integer rows over one denominator, |det|.  So every route
+of `generalized_inverse` takes rows of ints and gives rows of ints over one
+denominator, with no `Fraction` made.  `dense_mul` multiplies rows of ints,
+reduced mod p when p != 0: integer dot products or, once B has 8 rows mod p
+or 16 over the integers, one bigint multiply-add per nonzero entry of A on
+B's rows packed into ints (Kronecker substitution), and a row of A with one
+nonzero entry as a multiple of a row of B.
 
-QQ values become integers over a denominator here alone: a list by
-`_integer_vector`, a {key: value} dict by `_lift` (back by `_values`) and
-the rows of a limit-algebra matrix by `_integer_rows`; `_ratio` makes each
-value back, one exact division.
+QQ values become integers over a denominator here alone: a {key: value}
+dict by `_lift` (back by `_values`) and the rows of a limit-algebra matrix
+by `_integer_rows`; `_ratio` makes each value back, one exact division.
 
 `_row_axpy` is the one sparse row update and `_row_product`, behind
 `SparseMatrix.mul` and `fpmod`'s morphism matrices, the one sparse row
@@ -51,7 +52,7 @@ Two representations are used: sparse, a list of row dicts {column: nonzero
 value} plus a column count, for every degreewise module computation (the
 matrices realizing graded maps are extremely sparse); and dense, a list of
 rows, for the leveled matrices of the limit algebra: rows of ints, the
-numerators over one denominator, for `dense_mul`, and field values for
+numerators over one denominator, for `dense_mul` and
 `generalized_inverse`.  Row-vector convention throughout: a sparse matrix
 A represents the map v -> v*A, so kernels are left kernels {v : v*A = 0}.
 """
@@ -351,7 +352,6 @@ def _bareiss(row: dict, a: int, prow: dict, p: int, q: int) -> dict:
 
 
 _denominator = attrgetter("denominator")
-_numerator = attrgetter("numerator")
 
 
 def _lift(F, terms: dict):
@@ -380,15 +380,6 @@ def _integer_rows(F, rows):
         return 1, rows
     den = lcm(*[lcm(*map(_denominator, row)) for row in rows])
     return den, tuple(tuple([v.numerator * (den // v.denominator) for v in row]) for row in rows)
-
-
-def _integer_vector(values):
-    """(d, numerators): the QQ values as a list of ints over the lcm d of
-    their denominators, in their order; a Fraction(k, 1) becomes the int k."""
-    d = lcm(*map(_denominator, values))
-    if d == 1:
-        return 1, list(map(_numerator, values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _ratio(n: int, d: int):
@@ -508,23 +499,25 @@ def dense_mul(p: int, A, B):
 
 
 def generalized_inverse(field, A):
-    """(den, rows): X = rows/den with A*X*A = A, from one elimination with
-    transform.
+    """(den, rows): X = rows/den with A*X*A = A for tuple rows A of ints
+    (0..p-1 over GF(p)), rows again of ints, from one elimination with
+    transform; no route makes a value rational.
 
     T*A = [C; 0] with C the k nonzero RREF rows.  Row c of X is transform
     row r for each pivot (r, c), every other row is zero: X = Q*T_k with Q
     selecting the pivot columns.  Then A*X*A = (A*Q)*C = A, because A*Q
     holds the pivot columns of A and C expresses every column over them.
-    Here den is 1 and rows holds X's canonical values.
+    The sparse kernel `_eliminate` holds pivot row r over QQ at its scale
+    q_r, so row c is trans[r] * (den // q_r) over den, the lcm of the pivot
+    scales, with no pass that divides a row; over GF(p) den is 1.
 
     A matrix with at least half its entries nonzero is eliminated on packed
     rows instead (`_packed_eliminate`), to the same X; over QQ a square one
     of side 5 to 64, mod primes (`_crt_inverse`): if det A is nonzero mod
     the first prime, X is the unique A^-1, returned as the integer rows of
-    den*A^-1 over den = |det diag(d_i)*A|, d_i the lcm of row i's
-    denominators, each rows[i][j]/den X's entry value for value and type
-    for type.  Packed rows read n*m slots whatever the zeros, so a sparser
-    matrix (a side-256 permutation: 4 ms here, 80 ms packed) stays here.
+    adj(A) over den = |det A|.  Packed rows read n*m slots whatever the
+    zeros, so a sparser matrix (a side-256 permutation: 4 ms here, 80 ms
+    packed) stays on the sparse kernel.
     """
     p = field.characteristic
     if (p or 4 < len(A) == len(A[0]) <= 64) and 2 * sum(row.count(0) for row in A) <= sum(map(len, A)):
@@ -533,44 +526,44 @@ def generalized_inverse(field, A):
         if (X := _crt_inverse(A)) is not None:
             return X
     mat = SparseMatrix.from_dense(field, A)
-    pivots, _, trans = row_reduce(mat, want_transform=True)
-    X = [[field.zero] * mat.nrows for _ in range(mat.ncols)]
+    pivots, _, trans, _, scale = _eliminate(mat, True)
+    scale = scale or [1] * mat.nrows  # GF(p) pivot rows are normalized
+    den, zero = lcm(*[scale[r] for r, _ in pivots]), (0,) * mat.nrows
+    X = [zero] * mat.ncols  # one shared zero row
     for r, c in pivots:
+        s, row = den // scale[r], list(zero)
         for j, v in trans[r].items():
-            X[c][j] = v
-    return 1, X
+            row[j] = v * s
+        X[c] = tuple(row)
+    return den, X
 
 
 def _crt_inverse(A):
-    """(D, rows) with A^-1 = rows/D for a square QQ matrix, by primes and
-    the Chinese remainder theorem (S. Cabay, SYMSAC 1971; von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 5), or None when A is singular mod
-    the first prime or outside the size rule.  The rule is sides 5 to 64,
-    which the caller checks, and H^2 of at most n^2 bits: where in-process
-    probes found the route no slower than Bareiss.
+    """(D, rows) with A^-1 = rows/D for a square integer matrix, by primes
+    and the Chinese remainder theorem (S. Cabay, SYMSAC 1971; von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 5), or None when A is singular
+    mod the first prime or outside the size rule.  The rule is sides 5 to
+    64, which the caller checks, and H^2 of at most n^2 bits: where
+    in-process probes found the route no slower than Bareiss.
 
-    L = diag(den)*A has integer rows, and H^2 = prod ||L_i||^2 bounds
-    |det L| and every |adj(L) entry| by H (Hadamard).  `_packed_eliminate`
-    mod each prime gives det L and row c of L^-1 as u*xs, xs raw slots, so
-    row c of adj(L) = det*L^-1 is det*u*xs there; a prime that divides det
-    is skipped.  Once the primes used multiply to M with M^2 > 4*H^2, det
-    and adj are their CRT values in the symmetric range, one multiply-add
-    per entry and prime, and A^-1 = adj(L)*diag(den)/det.  So D = |det| > 0
-    and the rows are the tuples of ints sign(det)*adj(L)*diag(den), no
-    entry made rational.  Rows are lifted and H^2 multiplied out one at a
-    time, stopping once it passes the size rule.
+    H^2 = prod ||A_i||^2 bounds |det A| and every |adj(A) entry| by H
+    (Hadamard).  `_packed_eliminate` mod each prime gives det A and row c of
+    A^-1 as u*xs, xs raw slots, so row c of adj(A) = det*A^-1 is det*u*xs
+    there; a prime that divides det is skipped.  Once the primes used
+    multiply to M with M^2 > 4*H^2, det and adj are their CRT values in the
+    symmetric range, one multiply-add per entry and prime.  So D = |det| > 0
+    and the rows are the tuples of ints sign(det)*adj(A).  H^2 is multiplied
+    out one row at a time, stopping once it passes the size rule.
     """
-    den, L, h2 = [], [], 1
-    for d, ints in map(_integer_vector, A):
-        h2 *= sum(map(mul, ints, ints))
+    h2 = 1
+    for row in A:
+        h2 *= sum(map(mul, row, row))
         if h2.bit_length() > len(A) ** 2:
             return None
-        den.append(d)
-        L.append(ints)
     M, used = 1, []
     for F in map(_crt_field, count()):
         p = F.characteristic
-        pivots, det = _packed_eliminate(F, [[v % p for v in row] for row in L])
+        pivots, det = _packed_eliminate(F, [[v % p for v in row] for row in A])
         if det:
             used.append((p, pivots, det))
             M *= p
@@ -586,7 +579,7 @@ def _crt_inverse(A):
         acc = repeat(half)
         for (q, t, p), (_, u, xs) in zip(basis, row):
             acc = list(map(add, acc, map((sign * q * (t * u % p)).__mul__, xs)))
-        rows.append(tuple([(v % M - half) * d for v, d in zip(acc, den)]))
+        rows.append(tuple([v % M - half for v in acc]))
     return abs(det), rows
 
 

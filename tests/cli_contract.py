@@ -130,6 +130,7 @@ BIG10 = '{"d": 2, "level": 10, "entries": [[3, 700, "5/3"]]}\n'
 LEVEL11 = "x0* x0 - 2 x1* x0 + 1/2 x1* x0* x0 x1 - 1/2"
 K20 = {"k20.pres": "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"}
 ONE1024 = {"one1024.json": '{"d": 2, "level": 10, "entries": [[700, 300, "5"]]}\n'}
+HALF2048 = {"half2048.json": '{"d": 2, "level": 11, "entries": [[5, 7, "3/2"]]}\n'}
 
 CASES = [
     # acceptance suites
@@ -242,6 +243,18 @@ SLOW_CASES = [
     Case("regular-dense256-singular-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "regular",
                                            "singular256.json"), 0, {"result.verified": True}, 10,
          {"singular256.json": _dense(256, 8, 256, singular=True)}, rss_mb=64),
+    # one fractional entry at level 11, read with no dense 2048^2 table of
+    # field values: 0.28-0.36 s and 17 MB for the whole command on a 2-vCPU
+    # VM.  Through such a table it took 0.45-0.53 s and 81 MB, and 1.3-1.4 s
+    # and 113 MB with the table lifted to integer rows entry by entry
+    Case("canonical-one-entry-level11", ("--level-cap", "11", "s-calc", "canonical", "half2048.json"), 0,
+         {"result.element": {"d": 2, "entries": [[5, 7, "3/2"]], "level": 11}}, 3, HALF2048, rss_mb=96),
+    # and its witness, on the sparse kernel's integer rows: 1.05-1.44 s and
+    # 114 MB.  Through the table it took 1.2-1.5 s and 178 MB, and 4.0-4.6 s
+    # and 210 MB with the witness lifted from values twice more
+    Case("regular-one-entry-level11", ("--level-cap", "11", "s-calc", "regular", "half2048.json"), 0,
+         {"result.verified": True, "result.witness": {"d": 2, "entries": [[7, 5, "2/3"]], "level": 11}}, 6,
+         HALF2048, rss_mb=195),
     # a side-256 square on packed rows of B
     Case("mul-dense256-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "mul", "dense256.json",
                               "dense256.json"), 0, {"result.element.level": 8}, 30,

@@ -1,16 +1,16 @@
 """`freeproj.linalg.dense_mul` as it was before rows with one nonzero entry
-were read as a scaled row of B.  Kept verbatim as the oracle the product
-must match exactly, value and type: every row of A with two or more
-nonzero entries is still taken this way."""
+were read as a scaled row of B, on its own Fraction arithmetic: the oracle
+the product must match exactly, value and type.  Every row of A with two or
+more nonzero entries is still taken this way."""
 
+from fractions import Fraction
 from operator import mul
-
-from freeproj.linalg import _integer_vector, _ratio
 
 
 def dense_mul(field, A, B):
-    """A*B on integer dot products; a zero row of A gives a zero row and a
-    zero column of B a zero column, the int 0, with no product formed."""
+    """A*B on dot products; a zero row of A gives a zero row and a zero
+    column of B a zero column, the int 0, with no product formed.  Over QQ
+    an entry is an int when it is integral and a Fraction otherwise."""
     Bt = list(zip(*B))
     live = [j for j, Bj in enumerate(Bt) if any(Bj)]
     if len(live) < len(Bt):
@@ -21,18 +21,19 @@ def dense_mul(field, A, B):
                 row[j] = v
         return out
     p = field.characteristic
-    if p:
-        return [[sum(map(mul, Ai, Bj)) % p for Bj in Bt] if any(Ai) else [0] * len(Bt) for Ai in A]
-    cols = [_integer_vector(Bj) for Bj in Bt]
-    integral = all(db == 1 for db, _ in cols)
+    integral = p or all(type(v) is int for rows in (A, B) for row in rows for v in row)
     out = []
     for Ai in A:
         if not any(Ai):
-            out.append([0] * len(cols))
-            continue
-        da, ai = _integer_vector(Ai)
-        if da == 1 and integral:
-            out.append([sum(map(mul, ai, bj)) for _, bj in cols])
+            out.append([0] * len(Bt))
+        elif integral:
+            out.append([sum(map(mul, Ai, Bj)) % p if p else sum(map(mul, Ai, Bj)) for Bj in Bt])
         else:
-            out.append([_ratio(sum(map(mul, ai, bj)), da * db) for db, bj in cols])
+            ai = list(map(Fraction, Ai))
+            out.append([_value(sum(map(mul, ai, Bj), Fraction(0))) for Bj in Bt])
     return out
+
+
+def _value(x: Fraction):
+    """x as an int when it is integral, else x."""
+    return x.numerator if x.denominator == 1 else x

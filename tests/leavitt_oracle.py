@@ -15,13 +15,23 @@ order, same errors.
 
 import re
 
-from freeproj.af_s import AFMatrix, word_rank, word_unrank
+from freeproj.af_s import AFMatrix, word_rank
 from freeproj.errors import LevelDecrease, NotDegreeZero, NotInFiltrationLevel, ParseError
 from freeproj.fields import read_int
 from freeproj.freealg import FreeAlgebra, NcPoly
 from freeproj.leavitt import LeavittElement, mono_degree
 
 _TOKEN = re.compile(r"\s*(x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-])")
+
+
+def word_unrank(d: int, rank: int, length: int):
+    """The word of the given length with lex rank `rank` (first letter most
+    significant): the inverse of `freeproj.af_s.word_rank`."""
+    digits = []
+    for _ in range(length):
+        rank, i = divmod(rank, d)
+        digits.append(i)
+    return tuple(reversed(digits))
 
 
 def add_terms(field, acc: dict, terms):

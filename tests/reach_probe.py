@@ -92,7 +92,6 @@ ALLOWLIST = {
     "leavitt.LeavittElement.from_poly": ORACLE,  # leavitt_oracle.py
     "freealg.FreeModuleElement.leading_term": ORACLE,  # cofactor_oracle.py
     "freealg._Terms.scale": ORACLE,  # cofactor_oracle.py, leavitt_oracle.py
-    "af_s.word_unrank": ORACLE,  # leavitt_oracle.py
 }
 
 

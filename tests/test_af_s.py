@@ -9,11 +9,12 @@ import pytest
 from af_oracle import canonical as oracle_canonical
 from af_oracle import embed as oracle_embed
 from af_oracle import mul as oracle_mul
+from leavitt_oracle import word_unrank
 from row_reduce_oracle import determinant
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 
 from freeproj import linalg
-from freeproj.af_s import AFMatrix, word_rank, word_unrank
+from freeproj.af_s import AFMatrix, word_rank
 from freeproj.errors import BudgetExceeded, LevelDecrease, NotIdempotent, ZeroElement
 from freeproj.fields import GF, QQ
 from freeproj.leavitt import l0_to_s, s_to_l0
@@ -708,8 +709,8 @@ def test_every_operation_returns_lowest_terms(field, shape, seed):
 
 
 def test_deficient_sparse_and_gfp_witnesses_are_eager(monkeypatch):
-    # off the prime route: the kernel's values, lifted to rows over the lcm
-    # of their denominators
+    # off the prime route: the sparse or packed kernel's int rows, in lowest
+    # terms over the lcm of the denominators of the oracle's values
     routed = []
     real = linalg._crt_inverse
     monkeypatch.setattr(linalg, "_crt_inverse", lambda A: routed.append(A) or real(A))

@@ -1,7 +1,8 @@
 import pytest
+from leavitt_oracle import word_unrank
 
 from freeproj import FreeAlgebra
-from freeproj.af_s import word_rank, word_unrank
+from freeproj.af_s import word_rank
 from freeproj.fpmod import FpModule, FpModuleMorphism
 from freeproj.freealg import ModuleMap
 from freeproj.linalg import SparseMatrix

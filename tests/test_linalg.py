@@ -279,6 +279,28 @@ def test_rank_builds_no_rational_at_the_end(monkeypatch):
     assert rank(M([[Fraction(1, 2), 3, 0], [0, 3, 0], [4, 0, 0]])) == 2
 
 
+def test_rank_deficient_qq_witness_builds_no_rational(monkeypatch):
+    # the sparse route scales each pivot's transform row to the lcm of the
+    # pivot scales, and the product check compares (den, rows): no `_ratio`
+    # runs and x's values are never made
+    def fail(n, d):
+        raise AssertionError("a rational was made")
+
+    monkeypatch.setattr(linalg, "_ratio", fail)
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    top = [[half, 3, 0, 1], [2, third, 5, 0]]
+    a = AFMatrix(2, 2, top + [[3 * u + 2 * v for u, v in zip(*top)], [0, 0, 0, 0]])
+    dense = [[Fraction(i + 2 * j + 1, 3 + i % 2) for j in range(8)] for i in range(7)]
+    b = AFMatrix(2, 3, dense + [[u - v for u, v in zip(dense[0], dense[1])]])  # rank 2, on the prime route's sides
+    dens = []
+    for m in (a, b):
+        x = m.vn_regular_witness()
+        assert m * x * m == m
+        assert x._entries is None
+        dens.append(x.den)
+    assert max(dens) > 1
+
+
 def test_sparse_matrix_owns_its_rows():
     row = {1: 3}
     a = SparseMatrix(QQ, 1, 2, [row])
@@ -418,17 +440,27 @@ def test_dense_mul_matches_frozen_product(case):
     assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
 
 
+def lift(A):
+    """(D, L): the QQ matrix A as the int rows L = D*A, D the lcm of the
+    denominators of all its entries."""
+    D = lcm(*(Fraction(v).denominator for row in A for v in row))
+    return D, [[int(v * D) for v in row] for row in A]
+
+
 def witness(field, A):
-    """The values of generalized_inverse(field, A): its (den, rows), checked
-    for shape, rows of ints over den > 1 only over QQ, each entry then read
-    as the rational rows[i][j]/den."""
-    den, rows = generalized_inverse(field, A)
-    assert type(den) is int and den >= 1
+    """The values of a generalized inverse X of A, from
+    generalized_inverse(field, L) on the int rows L = D*A: its (den, rows),
+    checked for shape and for rows of ints over den >= 1 (den 1 over GF(p)),
+    each entry then read as the value D*rows[i][j]/den, since A*X*A = A for
+    X = D*L^-."""
+    D, L = lift(A) if field is QQ else (1, A)
+    den, rows = generalized_inverse(field, L)
+    assert type(den) is int and den >= 1 and (field is QQ or den == 1)
     assert len(rows) == len(A[0]) and all(len(row) == len(A) for row in rows)
-    if den == 1:
+    assert all(type(v) is int for row in rows for v in row)
+    if D == den == 1:
         return [list(row) for row in rows]
-    assert field is QQ and all(type(v) is int for row in rows for v in row)
-    return [[QQ.coerce(Fraction(v, den)) for v in row] for row in rows]
+    return [[QQ.coerce(Fraction(D * v, den)) for v in row] for row in rows]
 
 
 def test_generalized_inverse():
@@ -703,7 +735,7 @@ def test_generalized_inverse_routes_dense_qq_through_primes(monkeypatch):
 
     def routed(A):
         try:
-            generalized_inverse(QQ, A)
+            generalized_inverse(QQ, lift(A)[1])
         except AssertionError:
             return False
         return True
@@ -717,40 +749,52 @@ def test_generalized_inverse_routes_dense_qq_through_primes(monkeypatch):
     singular[5] = [a - b for a, b in zip(half[0], half[1])]
     permutation = [[int(j == (5 * i + 2) % 7) for j in range(7)] for i in range(7)]
     # the size rule: sides 5 to 64, and H^2 of at most n^2 bits, here
-    # exactly n^2 bits at side 8 and one bit more
-    inside, outside = hadamard(8), hadamard(8)
+    # exactly n^2 bits at side 8 and one bit more; with two rows scaled by
+    # 2^20 and the others over 2..7, the product passes it at the second row
+    inside, outside, early = hadamard(8), hadamard(8), hadamard(8)
     inside[0][0], outside[0][0] = 2**21, 3 * 2**20
     bits = [prod(sum(v * v for v in row) for row in A).bit_length() for A in (inside, outside)]
     assert bits == [64, 65]
+    early[0], early[1] = ([2**20 * v for v in row] for row in early[:2])
+    for i in range(2, 8):
+        early[i] = [QQ.coerce(Fraction(v, i)) for v in early[i]]
     five = dense(5)
     assert determinant(five)
     for A in (half, five, dense(64), inside):
         assert routed(A)
-    for A in (singular, below, permutation, dense(4), dense(65), outside):
+    for A in (singular, below, permutation, dense(4), dense(65), outside, early):
         assert not routed(A)
     monkeypatch.undo()
-    for A in (half, below, singular, permutation, inside, outside):
+    for A in (half, below, singular, permutation, inside, outside, early):
         assert_inverse_matches_oracle(A)
 
 
-def test_prime_route_stops_lifting_once_past_the_size_rule(monkeypatch):
+class CountedRows(list):
+    """A list of rows that counts the rows its iterators hand out."""
+
+    read = 0
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.read += 1
+            yield row
+
+
+def test_prime_route_stops_lifting_once_past_the_size_rule():
     # side 8 allows H^2 of 64 bits: with two rows scaled by 2^20 the running
-    # product passes it at the second row, and no later row is lifted; at
-    # one bit inside or outside the rule every row is
-    lifted = []
-    real = linalg._integer_vector
-    monkeypatch.setattr(linalg, "_integer_vector", lambda v: lifted.append(v) or real(v))
+    # product passes it at the second row, and no later row is read; at one
+    # bit outside the rule every row is read once, and inside it every row
+    # is read again for each prime
     early = hadamard(8)
     early[0], early[1] = ([2**20 * v for v in row] for row in early[:2])
     for i in range(2, 8):
         early[i] = [QQ.coerce(Fraction(v, i)) for v in early[i]]
     inside, outside = hadamard(8), hadamard(8)
     inside[0][0], outside[0][0] = 2**21, 3 * 2**20
-    for A, calls, routed in ((early, 2, False), (inside, 8, True), (outside, 8, False)):
-        lifted.clear()
-        assert (linalg._crt_inverse(A) is not None) == routed
-        assert len(lifted) == calls
-    monkeypatch.undo()
+    for A, reads, routed in ((early, {2}, False), (inside, range(9, 10**3), True), (outside, {8}, False)):
+        L = CountedRows(lift(A)[1])
+        assert (linalg._crt_inverse(L) is not None) == routed
+        assert L.read in reads
     for A in (early, inside, outside):
         assert_inverse_matches_oracle(A)
 
@@ -783,29 +827,38 @@ def qq_witness_cases(draw):
 
 
 def test_prime_route_matches_bareiss_oracle(monkeypatch):
-    routed = []
+    routed, lifts = [], []
     real = linalg._crt_inverse
 
-    def record(A):
-        X = real(A)
+    def record(L):
+        X = real(L)
         if X is not None:
-            # den is |det L| for L = A with each row times its denominators' lcm
-            lift = prod(lcm(*(Fraction(v).denominator for v in row)) for row in A)
-            assert X[0] == abs(determinant(A) * lift)
-            routed.append(A)
+            # den is |det L| for the int rows L it was given
+            assert X[0] == abs(determinant(L))
+            routed.append(L)
         return X
 
     monkeypatch.setattr(linalg, "_crt_inverse", record)
+    # a routed case of each kind the closing asserts need, whatever the
+    # draws: a halved row lifted over a denominator of 2, to det L = -2^19
+    signed = hadamard(8)
+    signed[0] = [-v for v in signed[0]]
+    signed[1] = [QQ.coerce(Fraction(v, 2)) for v in signed[1]]
 
     @hypothesis.settings(max_examples=250, deadline=None)
     @hypothesis.given(qq_witness_cases())
+    @hypothesis.example(signed)
     def check(A):
+        before = len(routed)
         assert_inverse_matches_oracle(A)
+        if len(routed) > before:
+            lifts.append(lift(A)[0])
 
     check()
-    # the route ran on negative determinants and on rows with fractions
-    assert any(determinant(A) < 0 for A in routed)
-    assert any(isinstance(v, Fraction) for A in routed for row in A for v in row)
+    # the route ran on negative determinants and on a fractional matrix,
+    # given as int rows over a denominator above 1
+    assert any(determinant(L) < 0 for L in routed)
+    assert max(lifts) > 1
 
 
 def test_prime_route_stops_at_twice_hadamards_bound(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import hypothesis
 import hypothesis.strategies as st
 import pytest
+from leavitt_oracle import word_unrank
 from section_oracle import section_matrices as oracle_section_matrices
 from section_oracle import solve_split_sequence
 from test_fpmod import assert_morphism_matrix_matches_oracle, coefficients, count_calls, draw_element, typed_rows
@@ -11,7 +12,7 @@ from test_submodules import module_maps
 from freeproj import qgr
 
 from freeproj import FreeAlgebra, FpModule
-from freeproj.af_s import AFMatrix, word_unrank
+from freeproj.af_s import AFMatrix
 from freeproj.errors import (
     NotExactInput,
     NotExpressibleAtTwist,
