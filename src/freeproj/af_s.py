@@ -200,7 +200,8 @@ class AFMatrix:
                     rows[i][k:k + n] = part
         else:  # diag(a, .., a) * b: row block k is a times b's row block k
             rows = [row for k in range(0, n, len(A)) for row in dense_mul(p, A, B[k:k + len(A)])]
-        rows = tuple(map(tuple, rows))
+        zero = (0,) * len(rows)
+        rows = tuple(tuple(row) if any(row) else zero for row in rows)
         return AFMatrix._new(a.d, max(a.level, b.level), rows, a.field, a.den * b.den).canonical()
 
     def scale(self, c) -> "AFMatrix":
@@ -287,7 +288,8 @@ class AFMatrix:
 
     def to_json(self) -> dict:
         F, den = self.field, self.den
-        entries = [[i, j, F.to_str(_ratio(v, den))] for i, row in enumerate(self.rows) for j, v in enumerate(row) if v]
+        entries = [[i, j, F.to_str(_ratio(v, den))] for i, row in enumerate(self.rows) if any(row)
+                   for j, v in enumerate(row) if v]
         return {"d": self.d, "level": self.level, "entries": entries}
 
     @classmethod

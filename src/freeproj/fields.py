@@ -65,14 +65,6 @@ class RationalField:
     one = 1
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
     def mul(a, b):
         return a * b
 
@@ -178,12 +170,6 @@ class PrimeField:
         self.name = f"GF({p})"
         self.zero = 0
         self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

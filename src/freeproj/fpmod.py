@@ -30,7 +30,12 @@ identity on M_{i0}: the torsion of M_j is the left kernel of S_j, whose
 column blocks are letter_matrix(a, j) * Q_{j+1} for each letter a.  One
 `row_reduce` of S_j gives that kernel as the transforms of its zero rows,
 and Q_j is S_j on its pivot columns, which span its columns, so Q_j has the
-same left kernel and at most h_j columns.
+same left kernel and at most h_j columns.  A finite-dimensional module is
+all torsion, and its torsion in degree j is its Hilbert value h_j, read
+with no standard word.  Either way the report, `by_degree` and
+`dimension`, needs no generator, so `Torsion.generators` is built on its
+first read: the standard words of each degree below i0 as elements, or the
+kernels' rows as elements of F0.
 
 Most modules have no torsion, and that needs no kernel.  For
 t0 > 0, M has no torsion exactly when for each j from i0 - 1 down to the
@@ -173,14 +178,22 @@ class StableProfile:
 class Torsion:
     """The largest finite-dimensional graded submodule of an FpModule: a basis
     of it as representatives in F0, and by_degree, {j: its dimension in
-    degree j} for each degree below i0, empty when there is no torsion."""
+    degree j} for each degree below i0, made empty when there is no torsion.
+    generators is a sequence, or a function that returns one, called on the
+    first read of `generators`; the dimension is read off by_degree."""
 
-    __slots__ = ("by_degree", "dimension", "generators")
+    __slots__ = ("by_degree", "dimension", "_generators")
 
     def __init__(self, by_degree, generators):
-        self.by_degree = dict(by_degree)
-        self.generators = tuple(generators)
-        self.dimension = len(self.generators)
+        self.by_degree = dict(by_degree) if any(by_degree.values()) else {}
+        self.dimension = sum(self.by_degree.values())
+        self._generators = generators if callable(generators) else tuple(generators)
+
+    @property
+    def generators(self) -> tuple:
+        if callable(self._generators):
+            self._generators = tuple(self._generators())
+        return self._generators
 
     def __repr__(self):
         return f"Torsion(dim={self.dimension})"
@@ -205,17 +218,13 @@ class FpModule:
     )
 
     def __init__(self, F0: GradedFreeModule, relations=()):
+        """The relation basis is built here, and its checks are the only
+        ones: a relation in another free module or not homogeneous raises
+        `weak_basis`'s ValueError."""
+        relations = tuple(relations)
+        self._rel_basis = weak_basis(relations, ambient=F0)
         self.F0 = F0
-        rels = []
-        for r in relations:
-            if r.module != F0:
-                raise ValueError("relation lives in the wrong free module")
-            if not r.is_homogeneous():
-                raise ValueError("relations must be homogeneous")
-            if not r.is_zero():
-                rels.append(r)
-        self.relations = tuple(rels)
-        self._rel_basis = None
+        self.relations = tuple(r for r in relations if r.terms)
         self._std_cache = {}
         self._hilbert_cache = {}
         self._degree_counts = None
@@ -257,8 +266,6 @@ class FpModule:
         return min(self.F0.shifts) if self.F0.shifts else 0
 
     def relation_basis(self) -> FreeBasis:
-        if self._rel_basis is None:
-            self._rel_basis = weak_basis(self.relations, ambient=self.F0)
         return self._rel_basis
 
     # -- degreewise structure ---------------------------------------------
@@ -533,31 +540,31 @@ class FpModule:
     def torsion(self) -> Torsion:
         """The largest finite-dimensional graded submodule, by the one-letter
         recursion of the module docstring.  A finite-dimensional module is all
-        torsion: its kernel in each degree is the identity on M_j.  Zero
-        torsion is certified first, by a rank at each degree that holds a dead
-        end (module docstring), and only a module that fails that check runs
-        the recursion."""
+        torsion: h_j in each degree j below i0.  Zero torsion is certified
+        first, by a rank at each degree that holds a dead end (module
+        docstring), and only a module that fails that check runs the
+        recursion.  The generators are built on first read."""
         profile = self.stable_profile()
-        i0 = profile.i0
+        i0, low = profile.i0, self.min_degree
         F = self.algebra.field
         if profile.t0 == 0:
-            kernels = [(j, [{k: F.one} for k in range(self.hilbert(j))]) for j in range(self.min_degree, i0)]
-        elif all(rank(self._letters_side_by_side(j)) == self.hilbert(j)
-                 for j in sorted(self._dead_ends(i0), reverse=True)):
-            return Torsion({}, [])
-        else:
-            Q = SparseMatrix.identity(F, self.hilbert(i0))
-            kernels = []
-            for j in range(i0 - 1, self.min_degree - 1, -1):
-                letters = self._letters_side_by_side(j, Q)
-                pivots, reduced, trans = row_reduce(letters, want_transform=True)
-                kernels.append((j, [t for t, r in zip(trans, reduced) if not r]))
-                cols = {c: k for k, (_, c) in enumerate(pivots)}
-                Q = SparseMatrix(F, letters.nrows, len(cols),
-                                 [{cols[c]: v for c, v in r.items() if c in cols} for r in letters.rows])
-            kernels.reverse()
-        gens = [self.element_from_coords(t, j) for j, ker in kernels for t in ker]
-        return Torsion({j: len(ker) for j, ker in kernels} if gens else {}, gens)
+            return Torsion({j: self.hilbert(j) for j in range(low, i0)}, lambda: [
+                self.F0.element({mon: F.one}) for j in range(low, i0) for mon in self.std_basis(j)])
+        if all(rank(self._letters_side_by_side(j)) == self.hilbert(j)
+               for j in sorted(self._dead_ends(i0), reverse=True)):
+            return Torsion({}, ())
+        Q = SparseMatrix.identity(F, self.hilbert(i0))
+        kernels = []
+        for j in range(i0 - 1, low - 1, -1):
+            letters = self._letters_side_by_side(j, Q)
+            pivots, reduced, trans = row_reduce(letters, want_transform=True)
+            kernels.append((j, [t for t, r in zip(trans, reduced) if not r]))
+            cols = {c: k for k, (_, c) in enumerate(pivots)}
+            Q = SparseMatrix(F, letters.nrows, len(cols),
+                             [{cols[c]: v for c, v in r.items() if c in cols} for r in letters.rows])
+        kernels.reverse()
+        return Torsion({j: len(ker) for j, ker in kernels},
+                       lambda: [self.element_from_coords(t, j) for j, ker in kernels for t in ker])
 
     def mod_torsion(self) -> "FpModule":
         tors = self.torsion()

@@ -283,11 +283,6 @@ class FreeModuleElement(_Terms):
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def leading_term(self):
-        """((alpha, word), coeff) at the maximal monomial."""
-        mon = max(self.terms, key=term_key)
-        return mon, self.terms[mon]
-
     def word_mul(self, u) -> "FreeModuleElement":
         """Left multiplication by a word."""
         u = tuple(u)

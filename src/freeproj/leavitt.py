@@ -106,11 +106,6 @@ class LeavittElement(_Terms):
         return cls(algebra, {(w, v): c} if c != 0 else {})
 
     @classmethod
-    def from_poly(cls, p: NcPoly) -> "LeavittElement":
-        """The canonical (injective) image of a plain polynomial."""
-        return cls(p.algebra, {((), w): c for w, c in p.terms.items()})
-
-    @classmethod
     def word_star(cls, algebra, w) -> "LeavittElement":
         return cls.monomial(algebra, w, ())
 

@@ -86,7 +86,7 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, field, dense):
-        rows = [{j: v for j, v in enumerate(row) if v != 0} for row in dense]
+        rows = [{j: v for j, v in enumerate(row) if v != 0} if any(row) else {} for row in dense]
         ncols = len(dense[0]) if dense else 0
         return cls(field, len(dense), ncols, rows)
 
@@ -439,10 +439,12 @@ def solve_left(mat: SparseMatrix, targets) -> list:
 
 def dense_mul(p: int, A, B):
     """A*B for rows of ints, reduced mod p when p != 0 (ints 0..p-1 in
-    that case); a zero row of A gives a zero row and a zero column of B a
-    zero column, with no product formed.  A row of A with one nonzero entry
-    a, at column k, is a times row k of B, so a permutation costs n^2
-    products, not n^3.
+    that case); a zero row of A gives a zero row, all of them one shared
+    list, and a zero column of B a zero column, with no product formed.  A
+    row of A with one nonzero entry a, at column k, is a times row k of B,
+    so a permutation costs n^2 products, not n^3.  B's columns are read,
+    and its zero columns looked for, only when a row of A has two or more
+    nonzero entries.
 
     Once B has 8 rows mod p, 16 over the integers (the gates measured in
     README), other rows are Kronecker substitution (Dumas, Fousse and Salvy,
@@ -455,28 +457,29 @@ def dense_mul(p: int, A, B):
     integers, which bounds every |entry|.  Below the gates each entry is an
     integer dot product.
     """
-    Bt = list(zip(*B))
-    live = [j for j, Bj in enumerate(Bt) if any(Bj)]
-    if len(live) < len(Bt):
-        # the product on B's nonzero columns, spread back with zeros between
-        out = [[0] * len(Bt) for _ in A]
-        for row, part in zip(out, dense_mul(p, A, [[r[j] for j in live] for r in B])):
-            for j, v in zip(live, part):
-                row[j] = v
-        return out
-    out, many = [], []
+    m = len(B[0]) if B else 0
+    if any(len(Ai) - Ai.count(0) > 1 for Ai in A):  # B's columns are dotted
+        Bt = list(zip(*B))
+        live = [j for j, Bj in enumerate(Bt) if any(Bj)]
+        if len(live) < m:
+            # the product on B's nonzero columns, spread back with zeros between
+            out = [[0] * m for _ in A]
+            for row, part in zip(out, dense_mul(p, A, [[r[j] for j in live] for r in B])):
+                for j, v in zip(live, part):
+                    row[j] = v
+            return out
+    out, many, zero = [], [], [0] * m
     for Ai in A:
         nonzero = len(Ai) - Ai.count(0)
         if nonzero == 0:
-            out.append([0] * len(Bt))
+            out.append(zero)
         elif nonzero == 1:
             k, a = next((k, a) for k, a in enumerate(Ai) if a)
             out.append([a * b % p for b in B[k]] if p else [a * b for b in B[k]])
         else:
             many.append(len(out))
             out.append(Ai)
-    if many and Bt and len(B) >= (8 if p else 16):
-        m = len(Bt)
+    if many and m and len(B) >= (8 if p else 16):
         beta = 0 if p else max(max(map(abs, row)) for row in B)
         half = 0 if p else len(B) * max(max(map(abs, out[i])) for i in many) * beta
         width = _slot_width(2 * half or len(B) * (p - 1) ** 2)

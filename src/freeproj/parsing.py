@@ -20,6 +20,13 @@ sorted into letter, number or sign by its regex group.  A Leavitt term
 whose stars all come before its plain letters is the monomial (reversed
 stars, plain letters) as it stands; `mono_mul` multiplies in only the
 letters from a star after a plain letter on.
+
+A presentation file's relation line is read once: the terms of each cell
+are summed straight into one {(coordinate, word): coefficient} dict, the
+key order `parse_poly` per cell and then `from_polys` would give, and the
+homogeneity check reads that dict's keys.  The file holds each relation as
+that element of its free module F0, and `module()` hands them to FpModule
+as they are.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from functools import cache
 from .errors import ParseError
 from .fields import MAX_LITERAL_DIGITS, field_from_spec, read_int
 from .fpmod import FpModule
-from .freealg import FreeAlgebra, NcPoly
+from .freealg import FreeAlgebra, FreeModuleElement, NcPoly
 from .leavitt import LeavittElement, mono_mul
 from .linalg import _add_terms
 
@@ -225,23 +232,19 @@ def format_leavitt(elem) -> str:
 
 
 class PresentationFile:
-    """A parsed module presentation: field, d, name, generator shifts, relation rows."""
+    """A parsed module presentation: field, d, name, the free module F0 on
+    the generator shifts, and each relation line as an element of F0."""
 
-    def __init__(self, field, d, name, shifts, rel_rows):
-        self.field = field
-        self.d = d
+    def __init__(self, name, F0, relations):
+        self.field = F0.algebra.field
+        self.d = F0.algebra.d
         self.name = name
-        self.shifts = tuple(shifts)
-        self.rel_rows = rel_rows  # list of lists of NcPoly
-
-    def algebra(self):
-        return FreeAlgebra(self.d, self.field)
+        self.shifts = F0.shifts
+        self.F0 = F0
+        self.relations = tuple(relations)
 
     def module(self):
-        A = self.algebra()
-        F0 = A.free_module(self.shifts)
-        rels = [F0.from_polys(row) for row in self.rel_rows]
-        return FpModule(F0, rels)
+        return FpModule(self.F0, self.relations)
 
 
 def parse_presentation(text: str) -> PresentationFile:
@@ -293,21 +296,19 @@ def parse_presentation(text: str) -> PresentationFile:
     if shifts is None:
         raise ParseError("missing 'gens:' header")
 
-    A = FreeAlgebra(d, field)
-    rows = []
+    F0 = FreeAlgebra(d, field).free_module(shifts)
+    relations = []
     for ln, line in rel_lines:
         cells = line.split(",")
         if len(cells) != len(shifts):
             raise ParseError(
                 f"relation row has {len(cells)} entries, expected {len(shifts)}", ln
             )
-        row = [parse_poly(A, cell, ln) for cell in cells]
-        # homogeneity against the shifts
-        degs = set()
-        for beta, p in enumerate(row):
-            for w in p.terms:
-                degs.add(len(w) + shifts[beta])
+        terms: dict = {}
+        _add_terms(field, terms, [((beta, w), c)
+                                  for beta, cell in enumerate(cells) for w, c in _terms(field, d, cell, ln)])
+        degs = {len(w) + shifts[beta] for beta, w in terms}
         if len(degs) > 1:
             raise ParseError(f"relation row is not homogeneous (degrees {sorted(degs)})", ln)
-        rows.append(row)
-    return PresentationFile(field, d, name, shifts, rows)
+        relations.append(FreeModuleElement(F0, terms))
+    return PresentationFile(name, F0, relations)

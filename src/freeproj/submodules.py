@@ -11,14 +11,16 @@ is a complete membership test.
 Elements are inserted in degree order and fully reduced, so at each
 coordinate the leading words are suffix-free: none is a suffix of a later,
 at least as long one.  So at most one is a suffix of a word w, found by
-looking up the |w| + 1 suffixes of w in the coordinate's {leading word:
-index} dict, which `weak_basis` builds and `FreeBasis` keeps.  One tail
-interreduction pass suffices: whether a monomial is reducible depends only
-on the leading words, and interreduction never changes them (reduction
-only adds smaller terms), so an element once reduced stays reduced.  The
-pass skips an element with an empty tail or no later element of its
-degree: it was reduced against every earlier lead, and a tail monomial at
-beta, of length deg - shift(beta), cannot end in a lead of higher degree.
+looking up in the coordinate's {leading word: index} dict the suffixes of w
+whose lengths are lengths of leads there, one probe per such length
+(R/R_{>=m} has one).  `weak_basis` builds the dict and the lengths, and
+`FreeBasis` keeps both.  One tail interreduction pass suffices: whether a
+monomial is reducible depends only on the leading words, and
+interreduction never changes them (reduction only adds smaller terms), so
+an element once reduced stays reduced.  The pass skips an element with an
+empty tail or no later element of its degree: it was reduced against every
+earlier lead, and a tail monomial at beta, of length deg - shift(beta),
+cannot end in a lead of higher degree.
 
 Kernels come from cofactors: if the generators g satisfy g = Q*b and
 b = P*g for a free basis b, then every kernel row r satisfies r*Q = 0,
@@ -72,17 +74,19 @@ class FreeBasis:
     {index: NcPoly} with coefficients acting on the left; on every other
     basis it is None.  Input generator i is expressed over the basis on
     demand, by reducing it.  _by_coord is `weak_basis`'s lead index {alpha:
-    {leading word at alpha: index}}; _ints holds the elements as `_entry`
-    makes them, derived from the elements when not given.
+    {leading word at alpha: index}} and _lengths {alpha: the lengths of
+    those words}; _ints holds the elements as `_entry` makes them, derived
+    from the elements when not given.
     """
 
-    __slots__ = ("ambient", "_elements", "from_generators", "_by_coord", "_degrees", "_ints")
+    __slots__ = ("ambient", "_elements", "from_generators", "_by_coord", "_lengths", "_degrees", "_ints")
 
     def __init__(self, ambient, elements, from_generators, by_coord, degrees, ints=None):
         self.ambient = ambient
         self._elements = None if elements is None else tuple(elements)
         self.from_generators = None if from_generators is None else tuple(from_generators)
         self._by_coord = by_coord
+        self._lengths = {alpha: {len(w) for w in words} for alpha, words in by_coord.items()}
         self._degrees = tuple(degrees)
         if ints is None:  # from monic elements
             F, ints = ambient.algebra.field, []
@@ -119,20 +123,23 @@ class FreeBasis:
     def reduce(self, elem: FreeModuleElement) -> FreeModuleElement:
         F = elem.module.algebra.field
         return FreeModuleElement(elem.module, _values(*_full_reduce(F, *_lift(F, elem.terms), self._ints,
-                                                                    self._by_coord)))
+                                                                    self._by_coord, self._lengths)))
 
     def __repr__(self):
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
 
 
-def _find_reducer(alpha, w, by_coord):
+def _find_reducer(alpha, w, by_coord, lengths):
     """(index, prefix) of the basis element whose leading word is a suffix
-    of w = prefix + leading word at alpha, or (None, None); the leads at
-    alpha are suffix-free, so at most one suffix of w is found."""
+    of w = prefix + leading word at alpha, or (None, None): the suffixes of
+    w of the lengths of the leads at alpha are looked up, and since those
+    leads are suffix-free, at most one is found."""
     leads = by_coord.get(alpha)
-    for k in range(len(w) + 1 if leads else 0):
-        if (idx := leads.get(w[k:])) is not None:
-            return idx, w[:k]
+    if leads:
+        n = len(w)
+        for k in lengths[alpha]:
+            if k <= n and (idx := leads.get(w[n - k:])) is not None:
+                return idx, w[:n - k]
     return None, None
 
 
@@ -158,9 +165,10 @@ def _rescale(parts, op, k: int):
             part[m] = op(v, k)
 
 
-def _full_reduce(F, work: dict, W: int, ints, by_coord, uses=None):
+def _full_reduce(F, work: dict, W: int, ints, by_coord, lengths, uses=None):
     """(nf, W'): the normal form of work / W against the basis with
-    `FreeBasis._ints` ints, as numerators nf over W' (module docstring).
+    `FreeBasis._ints` ints and lead index by_coord, lengths, as numerators
+    nf over W' (module docstring).
     Terms are processed in decreasing order, so nf is the canonical fully
     reduced form, in that order.  When uses is a dict it receives the
     cofactors {basis index: {word: value}}, with
@@ -170,7 +178,7 @@ def _full_reduce(F, work: dict, W: int, ints, by_coord, uses=None):
         mon = max(work, key=term_key)
         c = work.pop(mon)
         alpha, w = mon
-        idx, u = _find_reducer(alpha, w, by_coord)
+        idx, u = _find_reducer(alpha, w, by_coord, lengths)
         if idx is None:
             nf[mon] = c
             continue
@@ -237,9 +245,10 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
     ints: list = []  # the `FreeBasis._ints` of the basis
     cof_rows: list = []  # with _cofactors, row i: basis element i over the input generators
     by_coord: dict = {}  # the lead index FreeBasis keeps
+    lengths: dict = {}  # {alpha: the lengths of the leads at alpha}
     for i in sorted(degree, key=degree.get):  # stable: by degree, then index
         uses = {} if _cofactors else None
-        nf, W = _full_reduce(F, *_lift(F, generators[i].terms), ints, by_coord, uses)
+        nf, W = _full_reduce(F, *_lift(F, generators[i].terms), ints, by_coord, lengths, uses)
         if not nf:
             continue
         lead = next(iter(nf))  # nf is in decreasing order, its lead first
@@ -250,6 +259,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
                 row = {k: {u: F.mul(inv, c) for u, c in t.items()} for k, t in row.items()}
             cof_rows.append(row)
         by_coord.setdefault(lead[0], {})[lead[1]] = len(ints)
+        lengths.setdefault(lead[0], set()).add(len(lead[1]))
         leads.append(lead)
         ints.append(_entry(F, nf))
         degrees.append(degree[i])
@@ -264,7 +274,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
         if not tail or degrees[idx + 1:idx + 2] != [degrees[idx]]:
             continue
         uses = {} if _cofactors else None
-        nf, W = _full_reduce(F, dict(tail), db, ints, by_coord, uses)
+        nf, W = _full_reduce(F, dict(tail), db, ints, by_coord, lengths, uses)
         if nf.keys() != {m for m, _ in tail}:
             ints[idx] = _entry(F, {lead: W, **nf})
             if _cofactors:
@@ -286,7 +296,7 @@ def kernel(phi: ModuleMap) -> FreeBasis:
     rows = []
     for i, g in enumerate(images):
         Q: dict = {}
-        _full_reduce(F, *_lift(F, g.terms), basis._ints, basis._by_coord, Q)
+        _full_reduce(F, *_lift(F, g.terms), basis._ints, basis._by_coord, basis._lengths, Q)
         acc = _combine_cofactors(F, {i: {(): F.one}}, Q, P)
         rows.append(FreeModuleElement(phi.source, {(l, w): c for l, t in acc.items() for w, c in t.items()}))
     return weak_basis([r for r in rows if not r.is_zero()], ambient=phi.source)

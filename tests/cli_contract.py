@@ -102,10 +102,12 @@ def _permutation(side: int, level: int, seed: int) -> Callable[[], str]:
     return text
 
 
-def _ge16() -> str:
-    """R/R_{>=16} at d = 2: every word of length 16 is a relation."""
-    words = itertools.product(range(2), repeat=16)
-    return "field: QQ\nd: 2\ngens: [0]\nrels:\n" + "".join(" ".join(f"x{a}" for a in w) + "\n" for w in words)
+def _tail_quotient(m: int) -> Callable[[], str]:
+    """R/R_{>=m} at d = 2: every word of length m is a relation."""
+    def text():
+        words = itertools.product(range(2), repeat=m)
+        return "field: QQ\nd: 2\ngens: [0]\nrels:\n" + "".join(" ".join(f"x{a}" for a in w) + "\n" for w in words)
+    return text
 
 
 def _unit(u) -> str:
@@ -234,8 +236,16 @@ CASES = [
 ]
 
 SLOW_CASES = [
+    # the relation front end at scale, all torsion: 0.95-1.3 s and 67 MB for
+    # the whole command on a 2-vCPU VM; 1.7-2.5 s and 141 MB when each
+    # relation was parsed into polynomials, copied into an element, checked
+    # twice, and the report built 65535 generators it does not print
     Case("torsion-r-mod-r-ge16", ("torsion", "ge16.pres"), 0, {"result.dimension": 65535}, 60,
-         {"ge16.pres": _ge16}),
+         {"ge16.pres": _tail_quotient(16)}, rss_mb=100),
+    # and at 2^18 relations, the most MAX_STD_WORDS admits: 4.0-5.4 s and
+    # 233 MB, against 9.8-10.7 s and 536 MB on that path
+    Case("torsion-r-mod-r-ge18", ("torsion", "ge18.pres"), 0, {"result.dimension": 262143}, 40,
+         {"ge18.pres": _tail_quotient(18)}, rss_mb=300),
     Case("regular-dense256-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "regular", "dense256.json"),
          0, {"result.verified": True}, 30, {"dense256.json": _dense(256, 8, 256)}),
     # the rank-deficient path of the packed witness at scale, rank 255: about
@@ -249,12 +259,14 @@ SLOW_CASES = [
     # and 113 MB with the table lifted to integer rows entry by entry
     Case("canonical-one-entry-level11", ("--level-cap", "11", "s-calc", "canonical", "half2048.json"), 0,
          {"result.element": {"d": 2, "entries": [[5, 7, "3/2"]], "level": 11}}, 3, HALF2048, rss_mb=96),
-    # and its witness, on the sparse kernel's integer rows: 1.05-1.44 s and
-    # 114 MB.  Through the table it took 1.2-1.5 s and 178 MB, and 4.0-4.6 s
-    # and 210 MB with the witness lifted from values twice more
+    # and its witness, on the sparse kernel's integer rows, with no pass
+    # over zero rows in products, printing or the sparse lift: 0.60-0.76 s
+    # and 18 MB.  With those passes it took 1.05-1.54 s and 114 MB; through
+    # the table 1.2-1.5 s and 178 MB, and 4.0-4.6 s and 210 MB with the
+    # witness lifted from values twice more
     Case("regular-one-entry-level11", ("--level-cap", "11", "s-calc", "regular", "half2048.json"), 0,
          {"result.verified": True, "result.witness": {"d": 2, "entries": [[7, 5, "2/3"]], "level": 11}}, 6,
-         HALF2048, rss_mb=195),
+         HALF2048, rss_mb=48),
     # a side-256 square on packed rows of B
     Case("mul-dense256-gfp", ("--level-cap", "8", "--field", "GF:10007", "s-calc", "mul", "dense256.json",
                               "dense256.json"), 0, {"result.element.level": 8}, 30,

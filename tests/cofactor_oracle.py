@@ -14,7 +14,15 @@ from operator import add
 
 from freeproj.freealg import FreeModuleElement, GradedFreeModule, ModuleMap, NcPoly, term_key
 from freeproj.linalg import _add_products, _add_terms, _row_axpy
-from freeproj.submodules import FreeBasis, _find_reducer
+from freeproj.submodules import FreeBasis
+
+from std_basis_oracle import find_reducer_by_scan
+
+
+def leading_term(elem):
+    """((alpha, word), coeff) at the maximal monomial of elem."""
+    mon = max(elem.terms, key=term_key)
+    return mon, elem.terms[mon]
 
 
 def _full_reduce(elem, basis, by_coord):
@@ -32,7 +40,7 @@ def _full_reduce(elem, basis, by_coord):
         mon = max(work, key=term_key)
         coef = work.pop(mon)
         alpha, w = mon
-        idx, u = _find_reducer(alpha, w, by_coord)
+        idx, u = find_reducer_by_scan(alpha, w, by_coord)
         if idx is None:
             nf[mon] = coef
             continue
@@ -89,7 +97,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
         if nf.is_zero():
             continue
         row = _combine_cofactors(F, {i: {(): F.one}}, uses, cof_rows)
-        lead, lc = nf.leading_term()
+        lead, lc = leading_term(nf)
         if lc != F.one:
             inv = F.invert(lc)
             nf = nf.scale(inv)

@@ -7,10 +7,11 @@ multiplies out one `LeavittElement` product per letter and rebuilds the sum
 once per term; `mono_mul` cancels the junction letter by letter; the flat
 filtration reassembles with one element product and one sum per word.
 `add_terms` and `add_products` are `linalg._add_terms` and
-`linalg._add_products` as they were on field methods, `field.add` and
-`field.mul` per term or pair.  Kept verbatim as the oracles the fast paths
-must match exactly: same terms, same values and value types, same dict key
-order, same errors.
+`linalg._add_products` as they were on field methods, `field_add` and
+`field.mul` per term or pair.  `from_poly` embeds the free algebra in the
+Leavitt algebra.  Kept verbatim as the oracles the fast paths must match
+exactly: same terms, same values and value types, same dict key order,
+same errors.
 """
 
 import re
@@ -20,6 +21,7 @@ from freeproj.errors import LevelDecrease, NotDegreeZero, NotInFiltrationLevel, 
 from freeproj.fields import read_int
 from freeproj.freealg import FreeAlgebra, NcPoly
 from freeproj.leavitt import LeavittElement, mono_degree
+from row_reduce_oracle import field_add
 
 _TOKEN = re.compile(r"\s*(x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-])")
 
@@ -34,11 +36,16 @@ def word_unrank(d: int, rank: int, length: int):
     return tuple(reversed(digits))
 
 
+def from_poly(p: NcPoly) -> LeavittElement:
+    """The canonical (injective) image of a plain polynomial."""
+    return LeavittElement(p.algebra, {((), w): c for w, c in p.terms.items()})
+
+
 def add_terms(field, acc: dict, terms):
     """acc += terms, in place, for (key, value) pairs; a zero sum drops its
     key, and a later term inserts it again at the end."""
     for k, v in terms:
-        s = field.add(acc.get(k, field.zero), v)
+        s = field_add(field, acc.get(k, field.zero), v)
         if s == 0:
             acc.pop(k, None)
         else:
@@ -53,7 +60,7 @@ def add_products(field, acc: dict, left: dict, right: dict, key):
         for l, b in right.items():
             m = key(k, l)
             if m is not None:
-                s = field.add(acc.get(m, field.zero), field.mul(a, b))
+                s = field_add(field, acc.get(m, field.zero), field.mul(a, b))
                 if s == 0:
                     acc.pop(m, None)
                 else:
@@ -182,7 +189,7 @@ def flat_decompose(a, r: int) -> dict:
             raise NotInFiltrationLevel(f"projection at {w} is not a plain polynomial")
         poly = NcPoly(A, {v: c for (u, v), c in proj.terms.items()})
         out[w] = poly
-        reassembled = reassembled + LeavittElement.word_star(A, w) * LeavittElement.from_poly(poly)
+        reassembled = reassembled + LeavittElement.word_star(A, w) * from_poly(poly)
     if not reassembled.equals(a):
         raise NotInFiltrationLevel(f"element is not in filtration level {r}")
     return out
@@ -191,7 +198,7 @@ def flat_decompose(a, r: int) -> dict:
 def flat_reassemble(algebra, coeffs: dict):
     out = LeavittElement.zero(algebra)
     for w, poly in coeffs.items():
-        out = out + LeavittElement.word_star(algebra, w) * LeavittElement.from_poly(poly)
+        out = out + LeavittElement.word_star(algebra, w) * from_poly(poly)
     return out
 
 

@@ -16,7 +16,7 @@ A public function is a module-level function of `freeproj` whose name has no
 leading underscore, or a method, property, classmethod or staticmethod of a
 class defined there whose name has no leading underscore or is a dunder.
 Every one must be entered, or be named in ALLOWLIST with its reason, one of
-the four kinds in KINDS.  The probe prints the unreached names that the
+the three kinds in KINDS.  The probe prints the unreached names that the
 allowlist does not name and exits 1 if there are any, or if an allowlist
 entry names no public function or gives another reason.  The name has no
 `test_` prefix, so pytest does not collect it.
@@ -47,8 +47,7 @@ BENCH_SEED = 1
 DUNDER = "a __repr__, __str__, __eq__ or __hash__ kept for the data model"
 ERROR_PATH = "an error path, taken only on input that no entry point gives"
 BRANCH = "called by kept src code on a branch the probe does not take"
-ORACLE = "called by a tests/*_oracle.py file"
-KINDS = (DUNDER, ERROR_PATH, BRANCH, ORACLE)
+KINDS = (DUNDER, ERROR_PATH, BRANCH)
 
 ALLOWLIST = {
     "af_s.AFMatrix.__repr__": DUNDER,
@@ -85,13 +84,7 @@ ALLOWLIST = {
     "freealg.GradedFreeModule.gen": BRANCH,  # FpModule.truncate, generators above the cut
     "freealg.ModuleMap.apply": BRANCH,  # FpModuleMorphism's descent check of source relations
     "parsing.format_poly": BRANCH,  # NcPoly.__str__
-    "fields.PrimeField.add": ORACLE,  # leavitt_oracle.py
-    "fields.RationalField.add": ORACLE,  # leavitt_oracle.py
-    "fields.PrimeField.sub": ORACLE,  # row_reduce_oracle.py
-    "fields.RationalField.sub": ORACLE,  # row_reduce_oracle.py
-    "leavitt.LeavittElement.from_poly": ORACLE,  # leavitt_oracle.py
-    "freealg.FreeModuleElement.leading_term": ORACLE,  # cofactor_oracle.py
-    "freealg._Terms.scale": ORACLE,  # cofactor_oracle.py, leavitt_oracle.py
+    "freealg._Terms.scale": BRANCH,  # NcPoly.__mul__ and LeavittElement.__mul__ by a scalar
 }
 
 
@@ -182,7 +175,7 @@ def main() -> int:
     for n in unknown:
         print(f"allowlist names no public function: {n}")
     for n in bad_reason:
-        print(f"allowlist reason is not one of the four kinds: {n}")
+        print(f"allowlist reason is not one of the three kinds: {n}")
     for n in missing:
         print(f"unreached: {n}")
     return 1 if missing or unknown or bad_reason else 0

@@ -3,8 +3,9 @@
 It scans every row for every pivot column.  Kept verbatim as the oracle the
 column-indexed kernel must match exactly: same pivots, same reduced rows,
 same transform.  Its row update is the field-method loop that the kernel's
-`_row_axpy` replaced, so the oracle does its own arithmetic.  `determinant`
-is plain Gaussian elimination on Fractions, for the tests of the prime route.
+`_row_axpy` replaced, so the oracle does its own arithmetic (`field_add`,
+`field_sub`).  `determinant` is plain Gaussian elimination on Fractions,
+for the tests of the prime route.
 """
 
 from fractions import Fraction
@@ -12,11 +13,23 @@ from fractions import Fraction
 from freeproj.linalg import SparseMatrix
 
 
+def field_add(field, a, b):
+    """a + b in the field: reduced mod p over GF(p)."""
+    p = field.characteristic
+    return (a + b) % p if p else a + b
+
+
+def field_sub(field, a, b):
+    """a - b in the field: reduced mod p over GF(p)."""
+    p = field.characteristic
+    return (a - b) % p if p else a - b
+
+
 def row_axpy(field, target: dict, coef, source: dict):
     """target -= coef * source, in place, dropping zeros: the field-method
     loop that `freeproj.linalg._row_axpy` replaced, kept as its oracle."""
     for j, v in source.items():
-        s = field.sub(target.get(j, field.zero), field.mul(coef, v))
+        s = field_sub(field, target.get(j, field.zero), field.mul(coef, v))
         if s == 0:
             target.pop(j, None)
         else:

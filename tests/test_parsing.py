@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -346,7 +347,7 @@ def render(pf) -> str:
     """The presentation file text of a parsed presentation."""
     lines = [f"name: {pf.name}"] if pf.name else []
     lines += [f"field: {pf.field.name}", f"d: {pf.d}", f"gens: {list(pf.shifts)}", "rels:"]
-    lines += [", ".join(format_poly(p) for p in row) for row in pf.rel_rows]
+    lines += [", ".join(format_poly(p) for p in rel.polys()) for rel in pf.relations]
     return "\n".join(lines) + "\n"
 
 
@@ -354,7 +355,7 @@ def test_presentation_round_trip():
     pf = parse_presentation(PRESENTATION)
     again = parse_presentation(render(pf))
     assert again.shifts == pf.shifts
-    assert again.rel_rows == pf.rel_rows
+    assert [r.polys() for r in again.relations] == [r.polys() for r in pf.relations]
     assert render(again) == render(pf)
 
 
@@ -362,7 +363,7 @@ def test_presentation_multi_column():
     text = "field: GF(5)\nd: 2\ngens: [0, 1]\nrels:\nx0 x1, x0\nx1 x1, x1\n"
     pf = parse_presentation(text)
     assert pf.field == GF(5)
-    assert len(pf.rel_rows) == 2
+    assert len(pf.relations) == 2
     M = pf.module()
     assert M.hilbert(0) == 1
 
@@ -392,7 +393,11 @@ def test_presentation_errors_carry_line_numbers():
     inhom = "field: QQ\nd: 2\ngens: [0]\nrels:\nx0 + 1\n"
     with pytest.raises(ParseError) as info:
         parse_presentation(inhom)
-    assert "homogeneous" in str(info.value)
+    assert str(info.value) == "line 5: relation row is not homogeneous (degrees [0, 1])"
+    # the degrees of all the cells of a row, each against its generator's shift
+    with pytest.raises(ParseError) as info:
+        parse_presentation("field: QQ\nd: 2\ngens: [0, 1]\nrels:\nx0 x1, x1\nx0, x1\n")
+    assert str(info.value) == "line 6: relation row is not homogeneous (degrees [1, 2])"
 
     with pytest.raises(ParseError):
         parse_presentation("d: 2\ngens: [0]\nrels:\n")  # missing field
@@ -403,3 +408,31 @@ def test_presentation_errors_carry_line_numbers():
         with pytest.raises(ParseError) as info:
             parse_presentation(text)
         assert str(info.value) == f"line 6: repeated {key!r} header; the first is on line {first}"
+
+
+def test_presentation_relations_keep_the_key_order_of_their_cells():
+    # each relation line is summed straight into one element of F0: its keys,
+    # values and value types are those of parse_poly per cell, then from_polys,
+    # cancellations and terms that come back after one included
+    rng = random.Random(4242)
+    for field in (QQ, GF(5)):
+        for d in (1, 2, 3):
+            A = FreeAlgebra(d, field)
+            shifts = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+            lines = []
+            for _ in range(6):
+                top = max(shifts) + rng.randint(0, 2)
+                cells = []
+                for b in shifts:
+                    words = [" ".join(f"x{rng.randrange(d)}" for _ in range(top - b)) or "1" for _ in range(3)]
+                    terms = [f"{rng.choice(['+', '-'])} {rng.choice(['', '2', '1/3'])} {rng.choice(words)}"
+                             for _ in range(rng.randint(0, 6))]
+                    cells.append(" ".join(terms).lstrip("+ ") or "0")
+                lines.append(", ".join(cells))
+            pf = parse_presentation(f"field: {field.name}\nd: {d}\ngens: {shifts}\nrels:\n" + "\n".join(lines) + "\n")
+            assert len(pf.relations) == len(lines)
+            for rel, line in zip(pf.relations, lines):
+                want = pf.F0.from_polys([parse_poly(A, cell) for cell in line.split(",")])
+                assert rel.module is pf.F0
+                assert [(m, type(c), c) for m, c in rel.terms.items()] == \
+                       [(m, type(c), c) for m, c in want.terms.items()]
