@@ -10,15 +10,17 @@ least-level representative.
 The normalized rank rank / d^r is invariant under the embedding; it
 computes the class of an idempotent in the dyadic-style group Z[1/d].
 
-An element is held as rows / den: `rows` tuple rows of ints, `den` one
-denominator >= 1, in lowest terms (the gcd of den and every entry is 1),
-so two equal elements at one level have equal (den, rows).  Over GF(p)
-den is 1 and the ints are 0..p-1.  `entries`, the field values, is a
-read-only view: rows itself over den 1, otherwise each v/den, made once on
-its first read.  The constructor coerces and lifts (`linalg._integer_rows`),
-`from_json` lifts the given entries alone (`linalg._lift`) into zero rows,
-and every other matrix is made by `_new` on ints: `embed` and `canonical`
-slice rows at the same den, `+` scales both sides to the lcm of their
+An element is held as rows / den: `rows` one dict row {column: nonzero
+int} per row, its columns ascending, and `den` one denominator >= 1, in
+lowest terms (the gcd of den and every entry is 1), so two equal elements
+at one level have equal (den, rows).  Over GF(p) den is 1 and the ints are
+1..p-1.  A matrix unit, the image of a Leavitt monomial w* v, is one
+stored entry, and every operation reads the stored entries alone.
+`entries`, the field values, is a read-only n x n view, made on its first
+read.  The constructor and `from_json` lift their nonzero values, as dict
+rows, to ints over the lcm of their denominators (`_lifted`), and every
+other matrix is made by `_new` on ints: `embed` shifts rows into the diagonal blocks and `canonical` compares
+them there at the same den, `+` scales both sides to the lcm of their
 denominators, `scale` multiplies by a numerator and a denominator, `*`
 takes the `dense_mul` of the int rows over den_a * den_b, and the vN
 witness is `generalized_inverse` of the int rows, its rows times den over
@@ -35,15 +37,16 @@ constructor refuses a side above MAX_SIDE before building any row.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from math import gcd, lcm
 
 from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, ZeroElement
 from .fields import QQ, read_int
-from .linalg import SparseMatrix, _integer_rows, _lift, _ratio, dense_mul, generalized_inverse, rank
+from .linalg import SparseMatrix, _add_terms, _denominator, _ratio, dense_mul, generalized_inverse, rank
 
 
-# The largest side d**level that `AFMatrix.from_json` allocates (2048^2
-# entries), and that the CLI lets `s-calc embed` and `leavitt-eval --level`
+# The largest side d**level that `AFMatrix.from_json` allocates (2048
+# rows), and that the CLI lets `s-calc embed` and `leavitt-eval --level`
 # build.  For d >= 2 a level of MAX_SIDE.bit_length() or more is over it,
 # which is refused before d**level is formed.
 MAX_SIDE = 2048
@@ -57,8 +60,8 @@ MAX_SIMPLICITY_ENTRIES = 2**22
 class AFMatrix:
     """A leveled matrix representative of an element of the limit algebra."""
 
-    # _entries: None until `entries` first makes the values of rows over den > 1;
-    # _least: canonical() returned this matrix, so it is its own canonical form
+    # _entries: None until `entries` is first read; _least: the canonical form once known,
+    # True for this matrix itself (never self: no matrix is in a reference cycle)
     __slots__ = ("d", "field", "level", "den", "rows", "_entries", "_least")
 
     def __init__(self, d: int, level: int, entries, field=QQ):
@@ -69,36 +72,34 @@ class AFMatrix:
         values = [tuple(map(field.coerce, row)) for row in entries]
         if len(values) != n or any(len(row) != n for row in values):
             raise ValueError(f"expected a {n}x{n} matrix at level {level}")
-        self.den, self.rows = _integer_rows(field, values)
-        self.d, self.field, self.level, self._entries, self._least = d, field, level, None, False
+        self.den, self.rows = _lifted(field, [dict(compress(enumerate(row), row)) for row in values])
+        self.d, self.field, self.level, self._entries, self._least = d, field, level, None, None
 
     @classmethod
     def _new(cls, d: int, level: int, rows: tuple, field, den: int = 1, lowest: bool = False) -> "AFMatrix":
-        """rows/den for tuple rows of ints and den >= 1 (ints 0..p-1 and den
-        1 over GF(p)), in lowest terms: the gcd of den and every entry,
-        taken row by row until it is 1, is divided out, unless the caller
-        knows rows/den is in lowest terms already (lowest).  No coercion or
-        check."""
+        """rows/den for dict rows of nonzero ints, columns ascending, and den
+        >= 1 (ints 1..p-1 and den 1 over GF(p)), in lowest terms: the gcd of
+        den and every entry, taken row by row over the rows with entries
+        until it is 1, is divided out, unless the caller knows rows/den is
+        in lowest terms already (lowest).  No coercion or check."""
         if den != 1 and not lowest:
             g = den
-            for row in rows:
-                if (g := gcd(g, *row)) == 1:
+            for row in filter(None, rows):
+                if (g := gcd(g, *row.values())) == 1:
                     break
-            if g != 1:  # a zero row stays as it is
-                den, rows = den // g, tuple(tuple([v // g for v in row]) if any(row) else row for row in rows)
+            if g != 1:
+                den, rows = den // g, tuple({j: v // g for j, v in row.items()} for row in rows)
         out = object.__new__(cls)
-        out.d, out.field, out.level, out.den, out.rows, out._entries, out._least = d, field, level, den, rows, None, False
+        out.d, out.field, out.level, out.den, out.rows, out._entries, out._least = d, field, level, den, rows, None, None
         return out
 
     @property
     def entries(self) -> tuple:
-        """The canonical field values: rows itself over den 1, else each
-        v/den, made once."""
-        if self.den == 1:
-            return self.rows
+        """The canonical field values as n x n tuple rows, made once."""
         if self._entries is None:
-            den = self.den
-            self._entries = tuple(tuple([_ratio(v, den) for v in row]) for row in self.rows)
+            den, cols, zero = self.den, range(len(self.rows)), repeat(0)
+            values = self.rows if den == 1 else [{j: _ratio(v, den) for j, v in row.items()} for row in self.rows]
+            self._entries = tuple(tuple(map(row.get, cols, zero)) for row in values)
         return self._entries
 
     # -- constructors ---------------------------------------------------------
@@ -110,8 +111,7 @@ class AFMatrix:
     @classmethod
     def zero(cls, d: int, level: int = 0, field=QQ) -> "AFMatrix":
         _check_side(d, level, error=BudgetExceeded)
-        n = d**level
-        return cls._new(d, level, ((0,) * n,) * n, field)
+        return cls._new(d, level, tuple({} for _ in range(d**level)), field)
 
     @classmethod
     def matrix_unit(cls, d: int, u, v, field=QQ) -> "AFMatrix":
@@ -125,60 +125,66 @@ class AFMatrix:
 
     @classmethod
     def _unit(cls, d: int, level: int, i: int, j: int, value, field) -> "AFMatrix":
-        """value times E_{i,j} at a level, for a canonical value: zero rows
-        shared, no coercion."""
-        zero = (0,) * d**level
-        rows = (zero,) * len(zero)
-        row = zero[:j] + (value.numerator,) + zero[j + 1:]
-        return cls._new(d, level, rows[:i] + (row,) + rows[i + 1:], field, value.denominator, lowest=True)
+        """value times E_{i,j} at a level, for a canonical value: one stored
+        entry, no coercion."""
+        rows = [{} for _ in range(d**level)]
+        rows[i] = {j: value.numerator}
+        return cls._new(d, level, tuple(rows), field, value.denominator, lowest=True)
 
     # -- level handling ---------------------------------------------------------
 
     def embed(self, level: int) -> "AFMatrix":
-        """The same element at a higher level: iterated identity-tensor."""
+        """The same element at a higher level, each row shifted into each
+        diagonal block, with the canonical form of self if it is known."""
         if level < self.level:
             raise LevelDecrease(f"cannot embed level {self.level} down to {level}")
         d, out = self.d, self
         while out.level < level:
-            pad = (0,) * d**out.level
-            rows = tuple(pad * b + src + pad * (d - 1 - b) for b in range(d) for src in out.rows)
+            n = len(out.rows)
+            rows = out.rows + tuple(_shifted(src, b * n) for b in range(1, d) for src in out.rows)
             # at d = 1 every level is the same 1x1 algebra: one step reaches the target
             out = AFMatrix._new(d, level if d == 1 else out.level + 1, rows, out.field, out.den, lowest=True)
+        if out is not self:
+            out._least = self if self._least is True else self._least
         return out
 
     def canonical(self) -> "AFMatrix":
-        """Least-level representative: peel off identity tensor factors.  A
-        matrix it returned above level 0 is marked, and comes back at once,
-        unscanned."""
+        """Least-level representative: peel off identity tensor factors.  It
+        is kept on self and on itself, so a second call, on either, or on an
+        embedding of either, scans nothing."""
+        if self._least is not None:
+            return self if self._least is True else self._least
         out = self
-        while out.level > 0 and not out._least:
-            d, n, rows = out.d, out.d ** (out.level - 1), out.rows
-            zeros = (0,) * (n * (d - 1))
-            for k, row in enumerate(rows):
-                lo = k // n * n
-                if row[:lo] + row[lo + n:] != zeros or row[lo:lo + n] != rows[k - lo][:n]:
-                    out._least = True
-                    return out
+        while out.level > 0:
+            d, rows = out.d, out.rows
+            n = len(rows) // d
+            # diag(c, .., c) for c = rows[:n]: row k is row k mod n shifted by
+            # its block, and in the last block that keeps c in n columns
+            if any(len(rows[k]) != len(rows[k % n]) or rows[k] != _shifted(rows[k % n], k - k % n)
+                   for k in range(n, len(rows))):
+                break
             # at d = 1 every level is the same 1x1 algebra: one step reaches level 0
-            rows = tuple(row[:n] for row in rows[:n])
-            out = AFMatrix._new(d, 0 if d == 1 else out.level - 1, rows, out.field, out.den, lowest=True)
+            out = AFMatrix._new(d, 0 if d == 1 else out.level - 1, rows[:n], out.field, out.den, lowest=True)
+        out._least = True
+        if out is not self:
+            self._least = out
         return out
-
-    def _common(self, other: "AFMatrix"):
-        if (self.d, self.field) != (other.d, other.field):
-            raise ValueError("elements live in different limit algebras")
-        r = max(self.level, other.level)
-        return self.embed(r), other.embed(r)
 
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._common(other)
-        p, den = a.field.characteristic, lcm(a.den, b.den)
+        if (self.d, self.field) != (other.d, other.field):
+            raise ValueError("elements live in different limit algebras")
+        r = max(self.level, other.level)
+        a, b = self.embed(r), other.embed(r)
+        F, den = a.field, lcm(a.den, b.den)
         s, t = den // a.den, den // b.den
-        rows = tuple(tuple([(x + y) % p for x, y in zip(ra, rb)] if p else [s * x + t * y for x, y in zip(ra, rb)])
-                     for ra, rb in zip(a.rows, b.rows))
-        return AFMatrix._new(a.d, a.level, rows, a.field, den).canonical()
+        rows = []
+        for ra, rb in zip(a.rows, b.rows):
+            row = {j: s * v for j, v in ra.items()}
+            _add_terms(F, row, [(j, t * v) for j, v in rb.items()])
+            rows.append(dict(sorted(row.items())))
+        return AFMatrix._new(a.d, a.level, tuple(rows), F, den).canonical()
 
     def __mul__(self, other):
         """The product of the canonical forms at the higher of their levels;
@@ -190,19 +196,21 @@ class AFMatrix:
         a, b = self.canonical(), other.canonical()
         if a.level == 0 or b.level == 0:
             return b.scale(a.entries[0][0]) if a.level == 0 else a.scale(b.entries[0][0])
-        p, A, B = a.field.characteristic, a.rows, b.rows
+        F, A, B = a.field, a.rows, b.rows
         n = len(B)
         if len(A) > n:  # a * diag(b, .., b): column block k is a's column block k times b
-            live = [i for i, r in enumerate(A) if any(r)]  # a zero row of a stays zero
-            rows = [[0] * len(A) for _ in A]
-            for k in range(0, len(A), n):
-                for i, part in zip(live, dense_mul(p, [A[i][k:k + n] for i in live], B)):
-                    rows[i][k:k + n] = part
+            blocks: dict = {}  # k -> {i: the entries of row i of a in column block k, shifted to block 0}
+            for i, row in enumerate(A):
+                for c, v in row.items():
+                    blocks.setdefault(c // n, {}).setdefault(i, {})[c % n] = v
+            rows = [{} for _ in A]
+            for k in sorted(blocks):
+                part, shift = blocks[k], k * n
+                for i, prod in zip(part, dense_mul(F, list(part.values()), B, n)):
+                    rows[i].update(_shifted(prod, shift))
         else:  # diag(a, .., a) * b: row block k is a times b's row block k
-            rows = [row for k in range(0, n, len(A)) for row in dense_mul(p, A, B[k:k + len(A)])]
-        zero = (0,) * len(rows)
-        rows = tuple(tuple(row) if any(row) else zero for row in rows)
-        return AFMatrix._new(a.d, max(a.level, b.level), rows, a.field, a.den * b.den).canonical()
+            rows = [row for k in range(0, n, len(A)) for row in dense_mul(F, A, B[k:k + len(A)], n)]
+        return AFMatrix._new(a.d, max(a.level, b.level), tuple(rows), F, a.den * b.den).canonical()
 
     def scale(self, c) -> "AFMatrix":
         """c times the element: its rows times c's numerator, over den times
@@ -211,19 +219,19 @@ class AFMatrix:
         if c == 1:
             return self.canonical()
         num = c.numerator
-        rows = tuple(tuple([num * v % p for v in row] if p else [num * v for v in row]) for row in self.rows)
+        rows = tuple({j: x for j, v in row.items() if (x := num * v % p if p else num * v)} for row in self.rows)
         return AFMatrix._new(self.d, self.level, rows, self.field, self.den * c.denominator).canonical()
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
+        return not any(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, AFMatrix):
             return NotImplemented
         if (self.d, self.field) != (other.d, other.field):
             return False
-        a, b = self._common(other)
-        return a.den == b.den and a.rows == b.rows
+        a, b = self.canonical(), other.canonical()
+        return a.level == b.level and a.den == b.den and a.rows == b.rows
 
     def __repr__(self):
         return f"AFMatrix(d={self.d}, level={self.level})"
@@ -231,7 +239,8 @@ class AFMatrix:
     # -- invariants ----------------------------------------------------------------
 
     def rank(self) -> int:
-        return rank(SparseMatrix.from_dense(self.field, self.rows))
+        n = len(self.rows)
+        return rank(SparseMatrix(self.field, n, n, self.rows))
 
     def k0_class(self):
         """rank(e) * d^(-level) for an idempotent e, as a class in Z[1/d]; rank(e)
@@ -241,7 +250,7 @@ class AFMatrix:
         if self * self != self:
             raise NotIdempotent("k0_class requires an idempotent")
         p = self.field.characteristic
-        tr = sum(row[i] for i, row in enumerate(self.rows))
+        tr = sum(row.get(i, 0) for i, row in enumerate(self.rows))
         r = self.rank() if 0 < p <= len(self.rows) else tr % p if p else tr // self.den
         return QgrClass(r, self.level, self.d)
 
@@ -256,9 +265,9 @@ class AFMatrix:
         its rows times a's den over den' in lowest terms: no entry is made
         rational on any route.
         """
-        den, x = generalized_inverse(self.field, self.rows)
-        s = self.den
-        rows = tuple(tuple([v * s for v in row]) if s != 1 and any(row) else tuple(row) for row in x)
+        n, s = len(self.rows), self.den
+        den, x = generalized_inverse(SparseMatrix(self.field, n, n, self.rows))
+        rows = tuple({j: v * s for j, v in row.items()} for row in x) if s != 1 else tuple(x)
         return AFMatrix._new(self.d, self.level, rows, self.field, den)
 
     def simplicity_witness(self):
@@ -276,8 +285,9 @@ class AFMatrix:
             raise BudgetExceeded(
                 f"a simplicity witness at d={self.d}, level={self.level} is {2 * n} matrices "
                 f"of side {n}, more than MAX_SIMPLICITY_ENTRIES = {MAX_SIMPLICITY_ENTRIES} entries in all")
-        p, q = next((i, j) for i in range(n) for j in range(n) if rows[i][j] != 0)
-        inv = F.invert(rows[p][q]) * self.den  # 1 / a_pq, with the numerator and denominator of a value
+        p, row = next((i, row) for i, row in enumerate(rows) if row)
+        q = min(row)
+        inv = F.invert(row[q]) * self.den  # 1 / a_pq, with the numerator and denominator of a value
         # at d = 1 every level is the same 1x1 algebra: the level-0 pair is a witness
         level = 0 if self.d == 1 else self.level
         us = [AFMatrix._unit(self.d, level, i, p, inv, F) for i in range(n)]
@@ -288,8 +298,7 @@ class AFMatrix:
 
     def to_json(self) -> dict:
         F, den = self.field, self.den
-        entries = [[i, j, F.to_str(_ratio(v, den))] for i, row in enumerate(self.rows) if any(row)
-                   for j, v in enumerate(row) if v]
+        entries = [[i, j, F.to_str(_ratio(v, den))] for i, row in enumerate(self.rows) for j, v in row.items()]
         return {"d": self.d, "level": self.level, "entries": entries}
 
     @classmethod
@@ -323,13 +332,33 @@ class AFMatrix:
             if (i, j) in given:
                 raise ParseError(f"entries[{given[i, j]}] and entries[{k}] both give entry [{i}, {j}]")
             given[i, j] = k
-            values[i, j] = field.from_str(str(s))
-        nums, den = _lift(field, values)
-        zero, rows = (0,) * n, {}
-        for (i, j), v in nums.items():
-            rows.setdefault(i, list(zero))[j] = v
-        rows = tuple(tuple(rows[i]) if i in rows else zero for i in range(n))
+            if v := field.from_str(str(s)):
+                values[i, j] = v
+        den, rows = _lifted(field, _placed(n, values))
         return cls._new(d, level, rows, field, den, lowest=True)
+
+
+def _lifted(F, rows) -> tuple:
+    """(den, rows): dict rows of nonzero canonical values as dict rows of
+    ints over den, the lcm of their denominators, so in lowest terms; the
+    rows themselves over 1 when every value is an int, as over GF(p)."""
+    if F.characteristic or all(type(v) is int for row in rows for v in row.values()):
+        return 1, tuple(rows)
+    den = lcm(*[lcm(*map(_denominator, row.values())) for row in rows])
+    return den, tuple({j: v.numerator * (den // v.denominator) for j, v in row.items()} for row in rows)
+
+
+def _placed(n: int, values: dict) -> tuple:
+    """n dict rows holding the nonzero values {(i, j): v}, columns ascending."""
+    rows = [{} for _ in range(n)]
+    for (i, j), v in sorted(values.items()):
+        rows[i][j] = v
+    return tuple(rows)
+
+
+def _shifted(row: dict, k: int) -> dict:
+    """row with every column moved k places right."""
+    return {j + k: v for j, v in row.items()}
 
 
 def _check_side(d: int, level: int, where: str = "", error=ParseError) -> None:

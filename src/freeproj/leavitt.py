@@ -24,7 +24,7 @@ refused.
 
 from __future__ import annotations
 
-from .af_s import AFMatrix, _check_side, word_rank
+from .af_s import AFMatrix, _check_side, _placed, word_rank
 from .errors import (
     BudgetExceeded,
     CertificateMismatch,
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fpmod import FpModule
 from .freealg import FreeAlgebra, NcPoly, _Terms
-from .linalg import _add_products, _add_terms, _lift
+from .linalg import _add_products, _add_terms, _lift, _ratio
 
 
 # raising a monomial by k levels emits d**k terms of a few hundred bytes each
@@ -240,7 +240,8 @@ def _lower_once(comp: LeavittElement):
 def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
     """Identify a degree-zero element with a leveled matrix: w* v becomes the
     matrix unit E_{w,v} at each of its block positions, with no raise; the
-    coefficients' numerators over one denominator are placed in the rows."""
+    coefficients' numerators over one denominator are placed in the rows,
+    one stored entry per position."""
     A = a.algebra
     if any(mono_degree(m) != 0 for m in a.terms):
         raise NotDegreeZero("element has nonzero graded components")
@@ -255,10 +256,7 @@ def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
     units = [(word_rank(A.d, w), word_rank(A.d, v), A.d ** len(w), c) for (w, v), c in nums.items()]
     placed: dict = {}
     _add_terms(A.field, placed, [((t + i, t + j), c) for i, j, step, c in units for t in range(0, n, step)])
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), c in placed.items():
-        rows[i][j] = c
-    return AFMatrix._new(A.d, r, tuple(map(tuple, rows)), A.field, den).canonical()
+    return AFMatrix._new(A.d, r, _placed(n, placed), A.field, den).canonical()
 
 
 def s_to_l0(s: AFMatrix, algebra: FreeAlgebra = None) -> LeavittElement:
@@ -266,13 +264,9 @@ def s_to_l0(s: AFMatrix, algebra: FreeAlgebra = None) -> LeavittElement:
     A = algebra if algebra is not None else FreeAlgebra(s.d, s.field)
     if A.d != s.d or A.field != s.field:
         raise ValueError("algebra does not match the matrix element")
-    words = list(A.words(s.level))
-    terms = {}
-    for w, row in zip(words, s.entries):
-        for v, c in zip(words, row):
-            if c != 0:
-                terms[(w, v)] = c
-    return LeavittElement(A, terms)
+    words, den = list(A.words(s.level)), s.den
+    return LeavittElement(A, {(words[i], words[j]): _ratio(c, den) for i, row in enumerate(s.rows)
+                              for j, c in row.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -29,18 +29,18 @@ slots the Chinese remainder theorem combines, one multiply-add per entry
 and prime, into integer rows over one denominator, |det|.  So every route
 of `generalized_inverse` takes rows of ints and gives rows of ints over one
 denominator, with no `Fraction` made.  `dense_mul` multiplies rows of ints,
-reduced mod p when p != 0: integer dot products or, once B has 8 rows mod p
-or 16 over the integers, one bigint multiply-add per nonzero entry of A on
-B's rows packed into ints (Kronecker substitution), and a row of A with one
-nonzero entry as a multiple of a row of B.
+reduced mod p when p != 0: a row of A with one nonzero entry as a multiple
+of a row of B, other rows as integer dot products or, once B has 8 rows
+mod p or 16 over the integers, one bigint multiply-add per nonzero entry of
+A on B's rows packed into ints (Kronecker substitution).
 
-QQ values become integers over a denominator here alone: a {key: value}
-dict by `_lift` (back by `_values`) and the rows of a limit-algebra matrix
-by `_integer_rows`; `_ratio` makes each value back, one exact division.
+QQ values become integers over a denominator here alone, a {key: value}
+dict by `_lift` (back by `_values`); `_ratio` makes each value back, one
+exact division.
 
 `_row_axpy` is the one sparse row update and `_row_product`, behind
-`SparseMatrix.mul` and `fpmod`'s morphism matrices, the one sparse row
-product, reading a left row with one entry as a scaled row.
+`SparseMatrix.mul`, `dense_mul` and `fpmod`'s morphism matrices, the one
+sparse row product, reading a left row with one entry as a scaled row.
 `_add_terms` (a sum of terms) and `_add_products` (the pairwise products of
 two term dicts, placed by a key function) are the one accumulate loop for
 every sparse {key: value} dict: polynomials, module elements, Leavitt
@@ -48,13 +48,14 @@ elements, parsed terms and the submodule reduction.  All of them work on
 the plain values of `fields`, reducing mod p themselves, with no field
 method call per entry, term or pair.
 
-Two representations are used: sparse, a list of row dicts {column: nonzero
-value} plus a column count, for every degreewise module computation (the
-matrices realizing graded maps are extremely sparse); and dense, a list of
-rows, for the leveled matrices of the limit algebra: rows of ints, the
-numerators over one denominator, for `dense_mul` and
-`generalized_inverse`.  Row-vector convention throughout: a sparse matrix
-A represents the map v -> v*A, so kernels are left kernels {v : v*A = 0}.
+One representation is used: a list of row dicts {column: nonzero value},
+plus a column count where it is needed, for every degreewise module
+computation (the matrices realizing graded maps are extremely sparse) and
+for the leveled matrices of the limit algebra, whose rows are ints, the
+numerators over one denominator, with their columns ascending.  The packed
+kernels read such rows into their slots and write their results back as
+such rows.  Row-vector convention throughout: a sparse matrix A represents
+the map v -> v*A, so kernels are left kernels {v : v*A = 0}.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class SparseMatrix:
         self.rows = tuple(rows)
         if len(self.rows) != nrows:
             raise ValueError("row count mismatch")
-
-    @classmethod
-    def from_dense(cls, field, dense):
-        rows = [{j: v for j, v in enumerate(row) if v != 0} if any(row) else {} for row in dense]
-        ncols = len(dense[0]) if dense else 0
-        return cls(field, len(dense), ncols, rows)
 
     @classmethod
     def identity(cls, field, n):
@@ -371,17 +366,6 @@ def _values(nums: dict, W: int) -> dict:
     return nums if W == 1 else {m: _ratio(v, W) for m, v in nums.items()}
 
 
-def _integer_rows(F, rows):
-    """(den, rows): rows of canonical values as tuple rows of ints over den,
-    the lcm of their denominators, taken row by row, so in lowest terms;
-    den is 1 and the rows are the values over GF(p)."""
-    rows = tuple(map(tuple, rows))
-    if F.characteristic or all(type(v) is int for row in rows for v in row):
-        return 1, rows
-    den = lcm(*[lcm(*map(_denominator, row)) for row in rows])
-    return den, tuple(tuple([v.numerator * (den // v.denominator) for v in row]) for row in rows)
-
-
 def _ratio(n: int, d: int):
     """n/d as an int when d divides n, else as one Fraction."""
     q, m = divmod(n, d)
@@ -434,77 +418,64 @@ def solve_left(mat: SparseMatrix, targets) -> list:
 
 
 # ---------------------------------------------------------------------------
-# dense helpers for small matrices
+# the products and witnesses of the limit algebra
 
 
-def dense_mul(p: int, A, B):
-    """A*B for rows of ints, reduced mod p when p != 0 (ints 0..p-1 in
-    that case); a zero row of A gives a zero row, all of them one shared
-    list, and a zero column of B a zero column, with no product formed.  A
-    row of A with one nonzero entry a, at column k, is a times row k of B,
-    so a permutation costs n^2 products, not n^3.  B's columns are read,
-    and its zero columns looked for, only when a row of A has two or more
-    nonzero entries.
+def dense_mul(field, A, B, m: int) -> list:
+    """A*B for dict rows of ints {column: nonzero int}, B with m columns,
+    reduced mod p over GF(p) (ints 1..p-1 there): the rows of A*B, each
+    with its columns ascending when B's are.  A zero row of A, or one with
+    a single nonzero entry a at column k, is a `_row_product`: an empty
+    row, or a times row k of B, so a permutation costs n^2 products, not
+    n^3.
 
-    Once B has 8 rows mod p, 16 over the integers (the gates measured in
-    README), other rows are Kronecker substitution (Dumas, Fousse and Salvy,
-    J. Symb. Comput. 46, 2011).  Row k of B, packed on first use, is one int
-    with a slot per column, each entry plus beta = max|b|.  Row i of A*B is
-    sum_k a_ik*row_k, one bigint multiply-add per nonzero a_ik, plus
-    (half - beta*sum_k a_ik) times the all-ones row, so each slot reads
-    back, once, as half + its entry, then reduced mod p.  half is 0 mod p,
-    where len(B)*(p-1)^2 bounds a slot, and len(B)*max|a|*max|b| over the
-    integers, which bounds every |entry|.  Below the gates each entry is an
-    integer dot product.
+    Other rows are integer dot products with B's columns, on the columns
+    where B has an entry, until B has 8 rows mod p, 16 over the integers
+    (the gates measured in README).  From there they are Kronecker
+    substitution (Dumas, Fousse and Salvy, J. Symb. Comput. 46, 2011).  Row
+    k of B, packed on first use, is one int with a slot per column, each
+    entry plus beta = max|b|.  Row i of A*B is sum_k a_ik*row_k, one bigint
+    multiply-add per nonzero a_ik, plus (half - beta*sum_k a_ik) times the
+    all-ones row, so each slot reads back, once, as half + its entry, then
+    reduced mod p.  half is 0 mod p, where len(B)*(p-1)^2 bounds a slot,
+    and len(B)*max|a|*max|b| over the integers, which bounds every |entry|.
     """
-    m = len(B[0]) if B else 0
-    if any(len(Ai) - Ai.count(0) > 1 for Ai in A):  # B's columns are dotted
-        Bt = list(zip(*B))
-        live = [j for j, Bj in enumerate(Bt) if any(Bj)]
-        if len(live) < m:
-            # the product on B's nonzero columns, spread back with zeros between
-            out = [[0] * m for _ in A]
-            for row, part in zip(out, dense_mul(p, A, [[r[j] for j in live] for r in B])):
-                for j, v in zip(live, part):
-                    row[j] = v
-            return out
-    out, many, zero = [], [], [0] * m
-    for Ai in A:
-        nonzero = len(Ai) - Ai.count(0)
-        if nonzero == 0:
-            out.append(zero)
-        elif nonzero == 1:
-            k, a = next((k, a) for k, a in enumerate(Ai) if a)
-            out.append([a * b % p for b in B[k]] if p else [a * b for b in B[k]])
-        else:
-            many.append(len(out))
-            out.append(Ai)
-    if many and m and len(B) >= (8 if p else 16):
-        beta = 0 if p else max(max(map(abs, row)) for row in B)
-        half = 0 if p else len(B) * max(max(map(abs, out[i])) for i in many) * beta
-        width = _slot_width(2 * half or len(B) * (p - 1) ** 2)
-        ones, packed = _pack([1] * m, width), [None] * len(B)
+    p, n, zero = field.characteristic, len(B), repeat(0)
+    out = [Ai if len(Ai) > 1 else _row_product(field, Ai, B) for Ai in A]
+    many = [i for i, Ai in enumerate(A) if len(Ai) > 1]
+    if many and n >= (8 if p else 16):
+        beta = 0 if p else max(max(map(abs, row.values()), default=0) for row in B)
+        half = 0 if p else n * max(max(map(abs, A[i].values())) for i in many) * beta
+        width = _slot_width(2 * half or n * (p - 1) ** 2)
+        ones, packed = _pack([1] * m, width), [None] * n
         for i in many:
-            ai = out[i]
-            acc = (half - beta * sum(ai)) * ones
-            for k, a in enumerate(ai):
-                if a:
-                    if packed[k] is None:  # a zero row packs as beta's, not as 0
-                        packed[k] = _pack([b + beta for b in B[k]], width)
-                    acc += a * packed[k]
+            ai = A[i]
+            acc = (half - beta * sum(ai.values())) * ones
+            for k, a in ai.items():
+                if (row := packed[k]) is None:  # a zero row packs as beta's, not as 0
+                    slots = [beta] * m
+                    for j, b in B[k].items():
+                        slots[j] = b + beta
+                    row = packed[k] = _pack(slots, width)
+                acc += a * row
             slots = _unpack(acc, m, width)
-            out[i] = [v % p for v in slots] if p else [v - half for v in slots]
-    else:
+            out[i] = {j: x for j, v in enumerate(slots) if (x := v % p)} if p else \
+                {j: x for j, v in enumerate(slots) if (x := v - half)}
+    elif many:
+        live = sorted(set().union(*B))  # B's zero columns: no product formed
+        cols = list(zip(*[list(map(row.get, live, zero)) for row in B]))
         for i in many:
-            ai = out[i]
-            out[i] = [sum(map(mul, ai, Bj)) % p for Bj in Bt] if p else [sum(map(mul, ai, Bj)) for Bj in Bt]
+            ai = list(map(A[i].get, range(n), zero))
+            dots = [sum(map(mul, ai, c)) for c in cols]
+            out[i] = {j: x for j, v in zip(live, dots) if (x := v % p if p else v)}
     return out
 
 
-def generalized_inverse(field, A):
-    """(den, rows): X = rows/den with A*X*A = A for tuple rows A of ints
-    (0..p-1 over GF(p)), rows again of ints, from one elimination with
-    transform; no route makes a value rational.
+def generalized_inverse(mat: SparseMatrix):
+    """(den, rows): X = rows/den with A*X*A = A for a matrix A of int rows
+    (1..p-1 over GF(p)), columns ascending; rows, one per column of A, are
+    such rows again, from one elimination with transform; no route makes a
+    value rational.
 
     T*A = [C; 0] with C the k nonzero RREF rows.  Row c of X is transform
     row r for each pivot (r, c), every other row is zero: X = Q*T_k with Q
@@ -522,22 +493,20 @@ def generalized_inverse(field, A):
     zeros, so a sparser matrix (a side-256 permutation: 4 ms here, 80 ms
     packed) stays on the sparse kernel.
     """
-    p = field.characteristic
-    if (p or 4 < len(A) == len(A[0]) <= 64) and 2 * sum(row.count(0) for row in A) <= sum(map(len, A)):
+    F, n, m = mat.field, mat.nrows, mat.ncols
+    p = F.characteristic
+    if (p or 4 < n == m <= 64) and 2 * sum(map(len, mat.rows)) >= n * m:
+        A = [list(map(row.get, range(m), repeat(0))) for row in mat.rows]  # the values the slots are packed from
         if p:
-            return 1, _packed_inverse(field, A)[0]
+            return 1, _packed_inverse(F, A)[0]
         if (X := _crt_inverse(A)) is not None:
             return X
-    mat = SparseMatrix.from_dense(field, A)
     pivots, _, trans, _, scale = _eliminate(mat, True)
-    scale = scale or [1] * mat.nrows  # GF(p) pivot rows are normalized
-    den, zero = lcm(*[scale[r] for r, _ in pivots]), (0,) * mat.nrows
-    X = [zero] * mat.ncols  # one shared zero row
+    scale = scale or [1] * n  # GF(p) pivot rows are normalized
+    den, X = lcm(*[scale[r] for r, _ in pivots]), [{} for _ in range(m)]
     for r, c in pivots:
-        s, row = den // scale[r], list(zero)
-        for j, v in trans[r].items():
-            row[j] = v * s
-        X[c] = tuple(row)
+        s = den // scale[r]
+        X[c] = {j: v * s for j, v in sorted(trans[r].items())}
     return den, X
 
 
@@ -555,7 +524,7 @@ def _crt_inverse(A):
     there; a prime that divides det is skipped.  Once the primes used
     multiply to M with M^2 > 4*H^2, det and adj are their CRT values in the
     symmetric range, one multiply-add per entry and prime.  So D = |det| > 0
-    and the rows are the tuples of ints sign(det)*adj(A).  H^2 is multiplied
+    and the rows are the dict rows of ints sign(det)*adj(A).  H^2 is multiplied
     out one row at a time, stopping once it passes the size rule.
     """
     h2 = 1
@@ -582,7 +551,7 @@ def _crt_inverse(A):
         acc = repeat(half)
         for (q, t, p), (_, u, xs) in zip(basis, row):
             acc = list(map(add, acc, map((sign * q * (t * u % p)).__mul__, xs)))
-        rows.append(tuple([v % M - half for v in acc]))
+        rows.append({j: x for j, v in enumerate(acc) if (x := v % M - half)})
     return abs(det), rows
 
 
@@ -597,11 +566,12 @@ def _crt_field(k: int):
 
 
 def _packed_inverse(field, A):
-    """(X, det): `generalized_inverse` over GF(p), and det A mod p, read off `_packed_eliminate`."""
+    """(X, det): `generalized_inverse` over GF(p) of the value rows A, as
+    dict rows, and det A mod p, read off `_packed_eliminate`."""
     (pivots, det), p = _packed_eliminate(field, A), field.characteristic
-    X = [[0] * len(A) for _ in A[0]] if A else []
+    X = [{} for _ in A[0]] if A else []
     for c, u, xs in pivots:
-        X[c] = [v * u % p for v in xs]
+        X[c] = {j: x for j, v in enumerate(xs) if (x := v * u % p)}
     return X, det
 
 

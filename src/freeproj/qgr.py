@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fpmod import FpModule, FpModuleMorphism
 from .freealg import FreeAlgebra, ModuleMap
-from .linalg import SparseMatrix, rank, solve_left
+from .linalg import SparseMatrix, _ratio, rank, solve_left
 
 
 class QgrClass:
@@ -160,7 +160,11 @@ def tower_morphism(f: AFMatrix) -> FpModuleMorphism:
     it acts on the suffix, so the module layer's restriction to degree n + k
     is I (x) f, the tower step `AFMatrix.embed`, read without it."""
     free = _tower_module(f.d, f.field, f.level)
-    images = [[free.algebra.poly({(): v}) for v in column] for column in zip(*f.entries)]
+    A, n = free.algebra, len(f.rows)
+    images = [[A.zero()] * n for _ in range(n)]
+    for beta, row in enumerate(f.rows):
+        for alpha, v in row.items():
+            images[alpha][beta] = A.poly({(): _ratio(v, f.den)})
     return FpModuleMorphism(free, free, ModuleMap(free.F0, free.F0, images))
 
 

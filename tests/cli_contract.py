@@ -182,16 +182,17 @@ CASES = [
     # 0.21-0.27 s and 17 MB on a 2-vCPU VM
     Case("leavitt-eval-mixed-levels", ("leavitt-eval", MIXED_LEVELS), 0,
          {"result.text": MIXED_LEVELS_TEXT, "result.degrees": [0, 1]}, 3, rss_mb=24),
-    # a level-11 matrix of a level-2 element, its units placed directly: 0.5 s
-    # on a 2-vCPU VM (1 s through a raised element), 91 MB for the dense
-    # 2048^2 table
+    # a level-11 matrix of a level-2 element, its units placed directly as
+    # the stored entries of sparse rows: 0.2 s and 18 MB on a 2-vCPU VM;
+    # 0.5 s and 91 MB through a dense 2048^2 table (1 s through a raised
+    # element)
     Case("leavitt-eval-level11", ("--level-cap", "11", "leavitt-eval", "--level", "11", LEVEL11), 0,
          {"result.matrix": {"d": 2, "level": 2, "entries": [
-             [0, 0, "1/2"], [1, 0, "-2"], [2, 2, "1/2"], [3, 2, "-2"], [3, 3, "-1/2"]]}}, 10, rss_mb=110),
+             [0, 0, "1/2"], [1, 0, "-2"], [2, 2, "1/2"], [3, 2, "-2"], [3, 3, "-1/2"]]}}, 10, rss_mb=32),
     Case("leavitt-eval-level11-gf7", ("--level-cap", "11", "--field", "GF:7", "leavitt-eval", "--level", "11",
                                       LEVEL11), 0,
          {"result.matrix": {"d": 2, "level": 2, "entries": [
-             [0, 0, "4"], [1, 0, "5"], [2, 2, "4"], [3, 2, "5"], [3, 3, "3"]]}}, 10, rss_mb=110),
+             [0, 0, "4"], [1, 0, "5"], [2, 2, "4"], [3, 2, "5"], [3, 3, "3"]]}}, 10, rss_mb=32),
     Case("regular-e01", ("s-calc", "regular", "e01.json"), 0, {"result.verified": True}, 60, E01),
     Case("regular-e01-gf7", ("--field", "GF:7", "s-calc", "regular", "e01.json"), 0,
          {"result.verified": True}, 60, E01),
@@ -204,19 +205,21 @@ CASES = [
     # and over QQ off the prime route: 0.37 s on a 2-vCPU VM
     Case("regular-one-entry-level10-qq", ("--level-cap", "10", "s-calc", "regular", "one1024.json"), 0,
          {"result.verified": True}, 3, ONE1024),
-    # a permutation's product is one scaled row per row: 0.6 s on a 2-vCPU
-    # VM, 35-41 s with a dot product per entry
+    # a permutation's product is one scaled row per row: 0.3 s and 18 MB on a
+    # 2-vCPU VM, 0.4 s and 50 MB on dense rows, 35-41 s with a dot product
+    # per entry
     Case("regular-permutation-level10-gfp", ("--level-cap", "10", "--field", "GF:10007", "s-calc", "regular",
                                              "perm1024.json"), 0, {"result.verified": True}, 5,
-         {"perm1024.json": _permutation(1024, 10, 1024)}),
-    # level-10 products multiply at their own levels
+         {"perm1024.json": _permutation(1024, 10, 1024)}, rss_mb=32),
+    # level-10 products multiply at their own levels, on sparse rows: 17 MB
+    # each on a 2-vCPU VM, 24 MB on dense rows
     Case("mul-level0-by-level10", ("--level-cap", "10", "s-calc", "mul", "two.json", "big.json"), 0,
          {"result.element": {"d": 2, "entries": [[3, 700, "10/3"]], "level": 10}}, 10,
-         {"two.json": '{"d": 2, "level": 0, "entries": [[0, 0, "2"]]}\n', "big.json": BIG10}),
+         {"two.json": '{"d": 2, "level": 0, "entries": [[0, 0, "2"]]}\n', "big.json": BIG10}, rss_mb=24),
     Case("mul-level1-by-level10", ("--level-cap", "10", "s-calc", "mul", "l1.json", "big.json"), 0,
          {"result.element": {"d": 2, "entries": [[2, 700, "10/3"], [3, 700, "5"]], "level": 10}}, 10,
          {"l1.json": '{"d": 2, "level": 1, "entries": [[0, 0, "1"], [0, 1, "2"], [1, 0, "-1/2"], [1, 1, "3"]]}\n',
-          "big.json": BIG10}),
+          "big.json": BIG10}, rss_mb=24),
     # parse refusals
     Case("canonical-huge-literal", ("s-calc", "canonical", "huge.json"), 2, {"kind": "parse"}, 10,
          {"huge.json": '{"d": 2, "level": 1, "entries": [[0, 0, "1e300000000"]]}\n'}),

@@ -5,12 +5,20 @@ column-indexed kernel must match exactly: same pivots, same reduced rows,
 same transform.  Its row update is the field-method loop that the kernel's
 `_row_axpy` replaced, so the oracle does its own arithmetic (`field_add`,
 `field_sub`).  `determinant` is plain Gaussian elimination on Fractions,
-for the tests of the prime route.
+for the tests of the prime route.  `from_dense` reads a dense list of rows
+as a `SparseMatrix`, for the tests that state their matrices densely.
 """
 
 from fractions import Fraction
 
 from freeproj.linalg import SparseMatrix
+
+
+def from_dense(field, dense):
+    """The SparseMatrix of the dense rows: row dicts {column: nonzero value},
+    columns ascending."""
+    rows = [{j: v for j, v in enumerate(row) if v != 0} for row in dense]
+    return SparseMatrix(field, len(dense), len(dense[0]) if dense else 0, rows)
 
 
 def field_add(field, a, b):
@@ -77,7 +85,7 @@ def generalized_inverse(field, A):
     """X with A*X*A = A as the sparse kernel built it before GF(p) rows were
     packed: row c of X is the transform row of the pivot in column c, every
     other row zero.  The oracle of `freeproj.linalg.generalized_inverse`."""
-    mat = SparseMatrix.from_dense(field, A)
+    mat = from_dense(field, A)
     pivots, _, trans = row_reduce(mat, want_transform=True)
     X = [[field.zero] * mat.nrows for _ in range(mat.ncols)]
     for r, c in pivots:

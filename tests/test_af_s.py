@@ -13,7 +13,7 @@ from leavitt_oracle import word_unrank
 from row_reduce_oracle import determinant
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 
-from freeproj import linalg
+from freeproj import af_s, linalg
 from freeproj.af_s import AFMatrix, word_rank
 from freeproj.errors import BudgetExceeded, LevelDecrease, NotIdempotent, ZeroElement
 from freeproj.fields import GF, QQ
@@ -673,13 +673,16 @@ def test_a_x_a_leaves_the_witness_held_as_ints():
 
 
 def assert_lowest_terms(m):
-    """rows/den in lowest terms: tuple rows of ints and den >= 1 whose gcd
-    with every entry is 1; den 1 and ints 0..p-1 over GF(p)."""
-    assert type(m.den) is int and m.den >= 1 and type(m.rows) is tuple
-    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in m.rows)
-    assert gcd(m.den, *(v for row in m.rows for v in row)) == 1
+    """rows/den in lowest terms: one dict row {column: nonzero int} per row
+    of the side, its columns ascending, and den >= 1 whose gcd with every
+    entry is 1; den 1 and ints 1..p-1 over GF(p)."""
+    n = m.d**m.level
+    assert type(m.den) is int and m.den >= 1 and type(m.rows) is tuple and len(m.rows) == n
+    assert all(type(row) is dict and list(row) == sorted(row) and all(type(j) is int and 0 <= j < n for j in row)
+               and all(type(v) is int and v != 0 for v in row.values()) for row in m.rows)
+    assert gcd(m.den, *(v for row in m.rows for v in row.values())) == 1
     if p := m.field.characteristic:
-        assert m.den == 1 and all(0 <= v < p for row in m.rows for v in row)
+        assert m.den == 1 and all(0 < v < p for row in m.rows for v in row.values())
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -753,3 +756,17 @@ def test_units_are_built_without_coercion(field, monkeypatch):
         for m in units + [zero]:
             assert_same_matrix(m, AFMatrix(d, level, m.entries, field))
         assert zero.is_zero()
+
+
+def test_a_one_entry_level11_matrix_takes_no_gcd_per_zero_row(monkeypatch):
+    # 3/2 at (5, 7) of a side-2048 matrix: lowest terms, its product, its
+    # witness and its printing take a gcd over the rows with entries alone,
+    # not one per row of the side
+    calls = []
+    monkeypatch.setattr(af_s, "gcd", lambda *args: calls.append(len(args)) or gcd(*args))
+    three = AFMatrix.from_json({"d": 2, "level": 11, "entries": [[5, 7, "3"]]})
+    a = AFMatrix._new(2, 11, three.rows, QQ, 2)
+    x = a.vn_regular_witness()
+    assert a * x * a == a and not (a * x).is_zero() and not x.is_zero()
+    assert a.to_json()["entries"] == [[5, 7, "3/2"]] and x.to_json()["entries"] == [[7, 5, "2/3"]]
+    assert len(calls) <= 8, len(calls)

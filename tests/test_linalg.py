@@ -8,7 +8,7 @@ from af_oracle import mul as oracle_mul
 from dense_mul_oracle import dense_mul as oracle_dense_mul
 from leavitt_oracle import add_products as oracle_add_products
 from leavitt_oracle import add_terms as oracle_add_terms
-from row_reduce_oracle import determinant, field_add
+from row_reduce_oracle import determinant, field_add, from_dense
 from row_reduce_oracle import generalized_inverse as oracle_generalized_inverse
 from row_reduce_oracle import row_axpy as oracle_row_axpy
 from row_reduce_oracle import row_reduce as oracle_row_reduce
@@ -31,7 +31,7 @@ from freeproj.linalg import (
 
 
 def M(dense, field=QQ):
-    return SparseMatrix.from_dense(field, dense)
+    return from_dense(field, dense)
 
 
 def test_rank_hand_computed():
@@ -358,9 +358,9 @@ def test_row_reduce_matches_oracle_on_dense_rational_matrices():
                     assert_matches_oracle(M(rows), want_transform)
 
 
-def triple_loop_mul(field, A, B):
+def triple_loop_mul(field, A, B, m):
     return [[sum_field(field, [field.mul(A[i][t], B[t][j]) for t in range(len(B))])
-             for j in range(len(B[0]) if B else 0)] for i in range(len(A))]
+             for j in range(m)] for i in range(len(A))]
 
 
 def sum_field(field, values):
@@ -368,6 +368,29 @@ def sum_field(field, values):
     for v in values:
         s = field_add(field, s, v)
     return s
+
+
+def dict_rows(dense):
+    """The dict rows {column: nonzero value} of dense rows."""
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def dense_rows(rows, m):
+    """Dict rows of nonzero ints, their columns ascending and below m (the
+    format of every matrix `dense_mul` and `generalized_inverse` return),
+    as dense rows of m entries, the int 0 where a row has no entry."""
+    for row in rows:
+        assert list(row) == sorted(row) and all(0 <= j < m for j in row)
+        assert all(type(v) is int and v != 0 for v in row.values())
+    return [[row.get(j, 0) for j in range(m)] for row in rows]
+
+
+def product(field, A, B, m):
+    """`dense_mul` on the dict rows of dense A and of dense B, with m
+    columns, read back densely."""
+    out = dense_mul(field, dict_rows(A), dict_rows(B), m)
+    assert len(out) == len(A)
+    return dense_rows(out, m)
 
 
 def test_dense_mul_matches_triple_loop():
@@ -381,16 +404,16 @@ def test_dense_mul_matches_triple_loop():
                 A[1] = [field.zero] * k
             if k > 1:
                 B[0] = [field.zero] * m
-            assert dense_mul(field.characteristic, A, B) == triple_loop_mul(field, A, B)
+            assert product(field, A, B, m) == triple_loop_mul(field, A, B, m)
 
 
 def test_dense_mul_skips_zero_columns_of_b(monkeypatch):
-    # columns of B that are zero give the int 0 with no column dotted: the
-    # product itself is taken on B's other columns alone; the rest are the
-    # values of the field's own products
-    seen = []
-    real = linalg.dense_mul
-    monkeypatch.setattr(linalg, "dense_mul", lambda p, A, B: seen.append(list(zip(*B))) or real(p, A, B))
+    # columns of B with no entry give no entry and no product: a row of A
+    # with two or more entries is dotted with B's other columns alone, and
+    # a row with one entry, a scaled row of B, with none; the entries are
+    # the values of the field's own products
+    products = []
+    monkeypatch.setattr(linalg, "mul", lambda a, b: products.append(1) or a * b)
     rng = random.Random(29)
     for field, draw in ((QQ, lambda: rng.randint(-6, 6)), (GF(7), lambda: rng.randrange(7))):
         for n, k, m in ((3, 4, 6), (2, 2, 8), (1, 3, 1), (4, 1, 5)):
@@ -398,26 +421,23 @@ def test_dense_mul_skips_zero_columns_of_b(monkeypatch):
             B = [[draw() for _ in range(m)] for _ in range(k)]
             dead = set(rng.sample(range(m), rng.randint(1, m)))
             B = [[field.zero if j in dead else v for j, v in enumerate(row)] for row in B]
-            seen.clear()
-            got = linalg.dense_mul(field.characteristic, A, B)
-            want = triple_loop_mul(field, A, B)
+            products.clear()
+            got = product(field, A, B, m)
+            want = triple_loop_mul(field, A, B, m)
             assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
-            assert all(row[j] == 0 and type(row[j]) is int for row in got for j in dead)
-            # the call given B's live columns, made once the dead ones are
-            # seen, when a row of A has two nonzero entries: otherwise no
-            # column of B is dotted, and none is looked at
-            if any(sum(1 for v in row if v) > 1 for row in A):
-                assert len(seen) == 2 and len(seen[1]) == m - len(dead) and all(map(any, seen[1]))
-            else:
-                assert len(seen) == 1
+            # below the packing gates: one product per entry of a dotted row
+            # of B's live columns, and none for the other rows
+            live = sum(1 for j in range(m) if any(row[j] for row in B))
+            many = sum(1 for row in A if sum(1 for v in row if v) > 1)
+            assert live <= m - len(dead) and len(products) == many * k * live
 
 
 @st.composite
 def product_cases(draw):
-    """(field, A, B) of int rows over the integers (QQ) or a prime field,
-    down to 0 rows, inner size or columns: each row of A zero, with one
-    nonzero entry (a permutation's rows) or with several, and B with zero
-    entries and zero columns."""
+    """(field, A, B, m) of int rows over the integers (QQ) or a prime field,
+    B with m columns, down to 0 rows, inner size or columns: each row of A
+    zero, with one nonzero entry (a permutation's rows) or with several,
+    and B with zero entries and zero columns."""
     field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(10007)]))
     values = st.integers(-16, 16) if field is QQ else st.integers(0, field.characteristic - 1)
     n, k, m = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
@@ -433,15 +453,16 @@ def product_cases(draw):
     for j in draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else ():
         for row in B:
             row[j] = field.zero
-    return field, A, draw(st.sampled_from((list, tuple)))(map(tuple, B))
+    return field, A, B, m
 
 
 @hypothesis.settings(max_examples=200)
 @hypothesis.given(product_cases())
 def test_dense_mul_matches_frozen_product(case):
     # one-entry rows are a scaled row of B, value and type as before
-    field, A, B = case
-    got, want = dense_mul(field.characteristic, A, B), oracle_dense_mul(field, A, B)
+    field, A, B, m = case
+    # with no rows in B the oracle cannot see m: every row is m zeros
+    got, want = product(field, A, B, m), oracle_dense_mul(field, A, B) if B else [[0] * m for _ in A]
     assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
 
 
@@ -454,15 +475,15 @@ def lift(A):
 
 def witness(field, A):
     """The values of a generalized inverse X of A, from
-    generalized_inverse(field, L) on the int rows L = D*A: its (den, rows),
-    checked for shape and for rows of ints over den >= 1 (den 1 over GF(p)),
-    each entry then read as the value D*rows[i][j]/den, since A*X*A = A for
-    X = D*L^-."""
+    generalized_inverse on the dict rows of the int rows L = D*A: its (den,
+    rows), checked for shape and for dict rows of ints over den >= 1 (den 1
+    over GF(p)), each entry then read as the value D*rows[i][j]/den, since
+    A*X*A = A for X = D*L^-."""
     D, L = lift(A) if field is QQ else (1, A)
-    den, rows = generalized_inverse(field, L)
+    den, rows = generalized_inverse(from_dense(field, L))
     assert type(den) is int and den >= 1 and (field is QQ or den == 1)
-    assert len(rows) == len(A[0]) and all(len(row) == len(A) for row in rows)
-    assert all(type(v) is int for row in rows for v in row)
+    assert len(rows) == len(A[0])
+    rows = dense_rows(rows, len(A))
     if D == den == 1:
         return [list(row) for row in rows]
     return [[QQ.coerce(Fraction(D * v, den)) for v in row] for row in rows]
@@ -533,7 +554,7 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
         # generalized_inverse picks for it
         field, A = case
         want = [[(type(v), v) for v in row] for row in oracle_generalized_inverse(field, A)]
-        for x in (linalg._packed_inverse(field, A)[0], witness(field, A)):
+        for x in (dense_rows(linalg._packed_inverse(field, A)[0], len(A)), witness(field, A)):
             assert [[(type(v), v) for v in row] for row in x] == want
             assert oracle_dense_mul(field, oracle_dense_mul(field, A, x), A) == A
 
@@ -578,7 +599,7 @@ def test_packed_kernel_matches_oracle():
     def check(case):
         field, A, kind, shape = case
         X, det = linalg._packed_inverse(field, A)
-        want = oracle_generalized_inverse(field, A)
+        X, want = dense_rows(X, len(A)), oracle_generalized_inverse(field, A)
         assert [[(type(v), v) for v in row] for row in X] == [[(type(v), v) for v in row] for row in want]
         p = field.characteristic
         assert det == (int(determinant(A)) % p if shape == "square" else 0)
@@ -592,12 +613,13 @@ def test_packed_kernel_matches_oracle():
 
 @st.composite
 def packed_product_cases(draw):
-    """(field, A, B) of int rows with inner side 1-40, on both sides of the
-    packing gates (8 over GF(p), 16 over QQ): over a prime of
-    PACKED_PRIMES, or over QQ with negative entries and, in about half the
-    cases, entries past 100 bits.  A has zero rows, rows with one nonzero
-    entry and rows with several; B has zero rows, zero columns and zero
-    entries.  p = 0 stands for QQ."""
+    """(field, A, B, m) of int rows with inner side 1-40, on both sides of
+    the packing gates (8 over GF(p), 16 over QQ), B with m columns: over a
+    prime of PACKED_PRIMES, or over QQ with negative entries and, in about
+    half the cases, entries past 100 bits.  A has zero rows, rows with one
+    nonzero entry and rows with several; B has zero rows, zero columns and
+    zero entries, and is sparse (a tenth of its entries drawn) or dense.
+    p = 0 stands for QQ."""
     p = draw(st.sampled_from((0,) + PACKED_PRIMES))
     field = GF(p) if p else QQ
     n, k, m = draw(st.integers(0, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 8))
@@ -614,15 +636,16 @@ def packed_product_cases(draw):
         A.append(row(k, 0.8) if kind == "many" else [field.zero] * k)
         if kind == "one":
             A[-1][rng.randrange(k)] = rng.randrange(1, p) if p else rng.choice((-1, 1)) * rng.randint(1, 2**bits)
-    B = [row(m, 0.8) if rng.random() < 0.8 else [field.zero] * m for _ in range(k)]
+    density = draw(st.sampled_from((0.1, 0.8)))
+    B = [row(m, density) if rng.random() < 0.8 else [field.zero] * m for _ in range(k)]
     for j in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
         for r in B:
             r[j] = field.zero
-    return field, A, B
+    return field, A, B, m
 
 
 def test_packed_product_matches_frozen_product(monkeypatch):
-    packed = set()
+    packed, sides = set(), set()
     pack = linalg._pack
     monkeypatch.setattr(linalg, "_pack", lambda values, width: packed.add(width) or pack(values, width))
 
@@ -630,13 +653,16 @@ def test_packed_product_matches_frozen_product(monkeypatch):
     @hypothesis.given(packed_product_cases())
     def check(case):
         # value and type, on dot products below the gates and packed rows at them
-        field, A, B = case
-        got, want = dense_mul(field.characteristic, A, B), oracle_dense_mul(field, A, B)
+        field, A, B, m = case
+        got, want = product(field, A, B, m), oracle_dense_mul(field, A, B)
         assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
+        p = field.characteristic
+        sides.add((p == 0, len(B) >= (8 if p else 16)))
 
     check()
-    # 64-bit slots and wide ones both ran
+    # 64-bit slots and wide ones both ran, and each field on both sides of its gate
     assert 8 in packed and max(packed) > 8, packed
+    assert len(sides) == 4, sides
 
 
 def test_product_by_ints_over_a_denominator_matches_frozen_product(monkeypatch):
@@ -740,7 +766,7 @@ def test_generalized_inverse_routes_dense_qq_through_primes(monkeypatch):
 
     def routed(A):
         try:
-            generalized_inverse(QQ, lift(A)[1])
+            generalized_inverse(from_dense(QQ, lift(A)[1]))
         except AssertionError:
             return False
         return True
