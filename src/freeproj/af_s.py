@@ -28,8 +28,9 @@ its own denominator; a new common factor is divided out only where one can
 appear: in products, sums, scales and witnesses.  So every operation works
 on integers, and neither the witness nor a*x*a == a makes an entry
 rational.  A product never embeds: a lower-level factor acts on each
-diagonal block of the other, N^2 n products for canonical sides N >= n, on
-packed rows of the right factor from side 8 over GF(p), 16 over QQ.
+diagonal block of the other, N^2 n products for canonical sides N >= n:
+sparse row products for n below 8, and on packed rows of the right factor
+from 8, over either field.
 `canonical` marks the matrix it returns, so a product, canonical when
 made, is not scanned again as the factor of the next product.  Every
 constructor refuses a side above MAX_SIDE before building any row.
@@ -37,11 +38,11 @@ constructor refuses a side above MAX_SIDE before building any row.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd, lcm
 
 from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, ZeroElement
-from .fields import QQ, read_int
+from .fields import QQ, power_above, read_int
 from .linalg import SparseMatrix, _add_terms, _denominator, _ratio, dense_mul, generalized_inverse, rank
 
 
@@ -65,14 +66,15 @@ class AFMatrix:
     __slots__ = ("d", "field", "level", "den", "rows", "_entries", "_least")
 
     def __init__(self, d: int, level: int, entries, field=QQ):
+        """The element of the n x n values `entries`, a sequence of n sequences, at a level."""
         if d < 1 or level < 0:
             raise ValueError("need d >= 1 and level >= 0")
         _check_side(d, level, error=BudgetExceeded)
-        n = d**level
-        values = [tuple(map(field.coerce, row)) for row in entries]
-        if len(values) != n or any(len(row) != n for row in values):
+        n, coerce = d**level, field.coerce
+        rows = [{j: x for j, v in enumerate(row) if (x := coerce(v))} for row in entries]
+        if len(rows) != n or any(len(row) != n for row in entries):
             raise ValueError(f"expected a {n}x{n} matrix at level {level}")
-        self.den, self.rows = _lifted(field, [dict(compress(enumerate(row), row)) for row in values])
+        self.den, self.rows = _lifted(field, rows)
         self.d, self.field, self.level, self._entries, self._least = d, field, level, None, None
 
     @classmethod
@@ -364,7 +366,7 @@ def _shifted(row: dict, k: int) -> dict:
 def _check_side(d: int, level: int, where: str = "", error=ParseError) -> None:
     """`error`, its message prefixed by `where`, if the side d**level is
     above MAX_SIDE; a huge level is refused before d**level is formed."""
-    if d > 1 and (level >= MAX_SIDE.bit_length() or d**level > MAX_SIDE):
+    if power_above(1, d, level, MAX_SIDE):
         raise error(f"{where}a matrix at d={d}, level={level} has more than {MAX_SIDE} rows")
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .af_s import AFMatrix, _check_side
 from .errors import BudgetExceeded, FreeProjError, ParseError
-from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QQ, field_from_spec, read_int
+from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QQ, field_from_spec, power_above, read_int
 from .freealg import FreeAlgebra
 from .leavitt import l0_to_s
 from .parsing import parse_leavitt, parse_presentation
@@ -90,10 +90,9 @@ def _field(args):
 
 def _check_digits(n: int, d: int, k: int, what: str) -> None:
     """Refuse `what`, the int n * d^k with k >= 0, when it can have more than
-    MAX_LITERAL_DIGITS digits, the most JSON prints from an int.  As
-    d^k >= 2^(k*(bits(d)-1)), a large k is refused before any power of d is
-    formed, and d^k is formed only below 2^(2*bits(_DIGIT_BOUND))."""
-    if n and (k * (d.bit_length() - 1) >= _DIGIT_BOUND.bit_length() or n * d**k >= _DIGIT_BOUND):
+    MAX_LITERAL_DIGITS digits, the most JSON prints from an int, decided by
+    `power_above` before any huge power of d is formed."""
+    if power_above(n, d, k, _DIGIT_BOUND - 1):
         raise BudgetExceeded(
             f"{what} {n} * {d}^{k}, which has more than "
             f"fields.MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")

@@ -38,6 +38,16 @@ def read_int(text: str, what: str, line=None) -> int:
     return int(text)
 
 
+def power_above(n: int, d: int, k: int, bound: int) -> bool:
+    """Whether n * d^k > bound, exactly, for ints n, d, bound >= 0 and k >= 0.
+    For n >= 1 and d >= 2, n * d^k >= 2^(bits(n) - 1 + k*(bits(d) - 1)), so a
+    large k is decided from bit lengths, and no product of more than three
+    times the bits of bound is formed."""
+    if not n or d < 2:
+        return n * d ** min(k, 1) > bound  # d^k is d^min(k, 1) for d = 0, 1
+    return n.bit_length() - 1 + k * (d.bit_length() - 1) >= bound.bit_length() or n * d**k > bound
+
+
 def _too_long(s: str) -> bool:
     """Whether the value of the literal s has more than MAX_LITERAL_DIGITS
     digits, read from the text.  `Fraction` refuses a longer digit run

@@ -32,6 +32,7 @@ from .errors import (
     NotDegreeZero,
     NotInFiltrationLevel,
 )
+from .fields import power_above
 from .fpmod import FpModule
 from .freealg import FreeAlgebra, NcPoly, _Terms
 from .linalg import _add_products, _add_terms, _lift, _ratio
@@ -329,8 +330,7 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
     if r < 0:
         raise ValueError("r must be nonnegative")
     A = a.algebra
-    # (bits(d) - 1) * r >= bits(MAX) means d^r > MAX; below it d^r has at most twice that many bits
-    if (A.d.bit_length() - 1) * r >= MAX_RAISED_TERMS.bit_length() or A.d**r > MAX_RAISED_TERMS:
+    if power_above(1, A.d, r, MAX_RAISED_TERMS):
         raise BudgetExceeded(f"a level-{r} decomposition holds {A.d}^{r} polynomials, "
                              f"above the bound {MAX_RAISED_TERMS}")
     a = a.canonical()

@@ -30,9 +30,9 @@ and prime, into integer rows over one denominator, |det|.  So every route
 of `generalized_inverse` takes rows of ints and gives rows of ints over one
 denominator, with no `Fraction` made.  `dense_mul` multiplies rows of ints,
 reduced mod p when p != 0: a row of A with one nonzero entry as a multiple
-of a row of B, other rows as integer dot products or, once B has 8 rows
-mod p or 16 over the integers, one bigint multiply-add per nonzero entry of
-A on B's rows packed into ints (Kronecker substitution).
+of a row of B, other rows as sparse row products or, once B has 8 rows,
+one bigint multiply-add per nonzero entry of A on B's rows packed into ints
+(Kronecker substitution).
 
 QQ values become integers over a denominator here alone, a {key: value}
 dict by `_lift` (back by `_values`); `_ratio` makes each value back, one
@@ -429,21 +429,24 @@ def dense_mul(field, A, B, m: int) -> list:
     row, or a times row k of B, so a permutation costs n^2 products, not
     n^3.
 
-    Other rows are integer dot products with B's columns, on the columns
-    where B has an entry, until B has 8 rows mod p, 16 over the integers
-    (the gates measured in README).  From there they are Kronecker
-    substitution (Dumas, Fousse and Salvy, J. Symb. Comput. 46, 2011).  Row
-    k of B, packed on first use, is one int with a slot per column, each
-    entry plus beta = max|b|.  Row i of A*B is sum_k a_ik*row_k, one bigint
-    multiply-add per nonzero a_ik, plus (half - beta*sum_k a_ik) times the
-    all-ones row, so each slot reads back, once, as half + its entry, then
-    reduced mod p.  half is 0 mod p, where len(B)*(p-1)^2 bounds a slot,
-    and len(B)*max|a|*max|b| over the integers, which bounds every |entry|.
+    Other rows take one of two routes, over both fields, by the one gate
+    measured in README.  While B has fewer than 8 rows, a row is a
+    `_row_product` too, the product of `SparseMatrix.mul`, with its columns
+    sorted ascending: it reads the stored entries of the rows of B that its
+    entries select, and no zero column of B.  From 8 rows on it is
+    Kronecker substitution (Dumas, Fousse and Salvy, J. Symb. Comput. 46,
+    2011).  Row k of B, packed on first use, is one int with a slot per
+    column, each entry plus beta = max|b|.  Row i of A*B is sum_k
+    a_ik*row_k, one bigint multiply-add per nonzero a_ik, plus (half -
+    beta*sum_k a_ik) times the all-ones row, so each slot reads back, once,
+    as half + its entry, then reduced mod p.  half is 0 mod p, where
+    len(B)*(p-1)^2 bounds a slot, and len(B)*max|a|*max|b| over the
+    integers, which bounds every |entry|.
     """
-    p, n, zero = field.characteristic, len(B), repeat(0)
+    p, n = field.characteristic, len(B)
     out = [Ai if len(Ai) > 1 else _row_product(field, Ai, B) for Ai in A]
     many = [i for i, Ai in enumerate(A) if len(Ai) > 1]
-    if many and n >= (8 if p else 16):
+    if many and n >= 8:
         beta = 0 if p else max(max(map(abs, row.values()), default=0) for row in B)
         half = 0 if p else n * max(max(map(abs, A[i].values())) for i in many) * beta
         width = _slot_width(2 * half or n * (p - 1) ** 2)
@@ -461,13 +464,9 @@ def dense_mul(field, A, B, m: int) -> list:
             slots = _unpack(acc, m, width)
             out[i] = {j: x for j, v in enumerate(slots) if (x := v % p)} if p else \
                 {j: x for j, v in enumerate(slots) if (x := v - half)}
-    elif many:
-        live = sorted(set().union(*B))  # B's zero columns: no product formed
-        cols = list(zip(*[list(map(row.get, live, zero)) for row in B]))
+    else:
         for i in many:
-            ai = list(map(A[i].get, range(n), zero))
-            dots = [sum(map(mul, ai, c)) for c in cols]
-            out[i] = {j: x for j, v in zip(live, dots) if (x := v % p if p else v)}
+            out[i] = dict(sorted(_row_product(field, A[i], B).items()))
     return out
 
 
@@ -494,16 +493,18 @@ def generalized_inverse(mat: SparseMatrix):
     packed) stays on the sparse kernel.
     """
     F, n, m = mat.field, mat.nrows, mat.ncols
-    p = F.characteristic
+    p, X = F.characteristic, [{} for _ in range(m)]
     if (p or 4 < n == m <= 64) and 2 * sum(map(len, mat.rows)) >= n * m:
         A = [list(map(row.get, range(m), repeat(0))) for row in mat.rows]  # the values the slots are packed from
         if p:
-            return 1, _packed_inverse(F, A)[0]
-        if (X := _crt_inverse(A)) is not None:
-            return X
+            for c, u, xs in _packed_eliminate(F, A)[0]:
+                X[c] = {j: x for j, v in enumerate(xs) if (x := v * u % p)}
+            return 1, X
+        if (crt := _crt_inverse(A)) is not None:
+            return crt
     pivots, _, trans, _, scale = _eliminate(mat, True)
     scale = scale or [1] * n  # GF(p) pivot rows are normalized
-    den, X = lcm(*[scale[r] for r, _ in pivots]), [{} for _ in range(m)]
+    den = lcm(*[scale[r] for r, _ in pivots])
     for r, c in pivots:
         s = den // scale[r]
         X[c] = {j: v * s for j, v in sorted(trans[r].items())}
@@ -563,16 +564,6 @@ def _crt_field(k: int):
     while not is_prime(p):
         p -= 2
     return GF(p)
-
-
-def _packed_inverse(field, A):
-    """(X, det): `generalized_inverse` over GF(p) of the value rows A, as
-    dict rows, and det A mod p, read off `_packed_eliminate`."""
-    (pivots, det), p = _packed_eliminate(field, A), field.characteristic
-    X = [{} for _ in A[0]] if A else []
-    for c, u, xs in pivots:
-        X[c] = {j: x for j, v in enumerate(xs) if (x := v * u % p)}
-    return X, det
 
 
 def _packed_eliminate(field, A):

@@ -75,25 +75,18 @@ class FreeBasis:
     basis it is None.  Input generator i is expressed over the basis on
     demand, by reducing it.  _by_coord is `weak_basis`'s lead index {alpha:
     {leading word at alpha: index}} and _lengths {alpha: the lengths of
-    those words}; _ints holds the elements as `_entry` makes them, derived
-    from the elements when not given.
+    those words}; _ints holds the elements as `_entry` makes them.
     """
 
     __slots__ = ("ambient", "_elements", "from_generators", "_by_coord", "_lengths", "_degrees", "_ints")
 
-    def __init__(self, ambient, elements, from_generators, by_coord, degrees, ints=None):
+    def __init__(self, ambient, elements, from_generators, by_coord, degrees, ints):
         self.ambient = ambient
         self._elements = None if elements is None else tuple(elements)
         self.from_generators = None if from_generators is None else tuple(from_generators)
         self._by_coord = by_coord
         self._lengths = {alpha: {len(w) for w in words} for alpha, words in by_coord.items()}
         self._degrees = tuple(degrees)
-        if ints is None:  # from monic elements
-            F, ints = ambient.algebra.field, []
-            for b in self._elements:
-                work = _lift(F, b.terms)[0]
-                lead = max(work, key=term_key)
-                ints.append(_entry(F, {lead: work.pop(lead), **work}))
         self._ints = ints
 
     @property

@@ -13,8 +13,8 @@ basis `kernel` builds with cofactors, the same from_generators rows.
 from operator import add
 
 from freeproj.freealg import FreeModuleElement, GradedFreeModule, ModuleMap, NcPoly, term_key
-from freeproj.linalg import _add_products, _add_terms, _row_axpy
-from freeproj.submodules import FreeBasis
+from freeproj.linalg import _add_products, _add_terms, _lift, _row_axpy
+from freeproj.submodules import FreeBasis, _entry
 
 from std_basis_oracle import find_reducer_by_scan
 
@@ -118,8 +118,13 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
         if uses:
             basis[idx] = FreeModuleElement(b.module, {lead: lc, **nf.terms})
             cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
+    ints = []  # each element as `_entry` makes it: its lead first
+    for b in basis:
+        work = _lift(F, b.terms)[0]
+        lead = max(work, key=term_key)
+        ints.append(_entry(F, {lead: work.pop(lead), **work}))
     return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows], by_coord,
-                     [b.degree() for b in basis])
+                     [b.degree() for b in basis], ints)
 
 
 def kernel(phi: ModuleMap) -> FreeBasis:

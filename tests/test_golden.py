@@ -55,10 +55,10 @@ for _field in ("QQ", "GF:7"):
 for _field in ("QQ", "GF:10007", "GF:3317044064679887385961813"):
     _tag = _field.replace(":", "")
     CASES[f"s-calc-regular-dense27-{_tag}"] = ["--field", _field, "s-calc", "regular", "dense27.json"]
-    # its square: a side-27 product, past the packed-product gates of both fields
+    # its square: a side-27 product, past the packed-product gate
     CASES[f"s-calc-mul-dense27-dense27-{_tag}"] = ["--field", _field, "s-calc", "mul", "dense27.json", "dense27.json"]
 # a dense side-16 QQ matrix (d = 2, level 4) whose rows have fractions over
-# different denominators: the packed QQ product at its gate, and a witness
+# different denominators: a packed QQ product, and a witness
 # whose a*x is the identity
 for _field in ("QQ", "GF:10007"):
     _tag = _field.replace(":", "")

@@ -407,29 +407,45 @@ def test_dense_mul_matches_triple_loop():
             assert product(field, A, B, m) == triple_loop_mul(field, A, B, m)
 
 
-def test_dense_mul_skips_zero_columns_of_b(monkeypatch):
-    # columns of B with no entry give no entry and no product: a row of A
-    # with two or more entries is dotted with B's other columns alone, and
-    # a row with one entry, a scaled row of B, with none; the entries are
-    # the values of the field's own products
-    products = []
-    monkeypatch.setattr(linalg, "mul", lambda a, b: products.append(1) or a * b)
+def test_dense_mul_skips_zero_columns_of_b():
+    # a product reads only the stored entries of the rows of B that A's
+    # entries select, so B's zero columns and zero entries cost nothing: a
+    # row with one entry 1 is row k of B itself and reads nothing, another
+    # row reads each selected row once below the gate (a row product) and
+    # packs it once from 8 rows of B; the entries are those of the field's
+    # own products
+    reads = []
+
+    class Watched(dict):
+        """Row k of B, recording each (k, column) its items() yields."""
+
+        def __init__(self, k, row):
+            super().__init__(row)
+            self.k = k
+
+        def items(self):
+            for j, v in super().items():
+                reads.append((self.k, j))
+                yield j, v
+
     rng = random.Random(29)
     for field, draw in ((QQ, lambda: rng.randint(-6, 6)), (GF(7), lambda: rng.randrange(7))):
-        for n, k, m in ((3, 4, 6), (2, 2, 8), (1, 3, 1), (4, 1, 5)):
+        for n, k, m in ((3, 4, 6), (2, 2, 8), (1, 3, 1), (4, 1, 5), (5, 7, 6), (5, 9, 6)):
             A = [[draw() for _ in range(k)] for _ in range(n)]
+            A[0] = [int(j == k - 1) for j in range(k)]  # one entry 1: no read
             B = [[draw() for _ in range(m)] for _ in range(k)]
             dead = set(rng.sample(range(m), rng.randint(1, m)))
             B = [[field.zero if j in dead else v for j, v in enumerate(row)] for row in B]
-            products.clear()
-            got = product(field, A, B, m)
+            rows = [Watched(i, row) for i, row in enumerate(dict_rows(B))]
+            reads.clear()
+            got = dense_rows(dense_mul(field, dict_rows(A), rows, m), m)
             want = triple_loop_mul(field, A, B, m)
             assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
-            # below the packing gates: one product per entry of a dotted row
-            # of B's live columns, and none for the other rows
-            live = sum(1 for j in range(m) if any(row[j] for row in B))
-            many = sum(1 for row in A if sum(1 for v in row if v) > 1)
-            assert live <= m - len(dead) and len(products) == many * k * live
+            picks = [[i for i, v in enumerate(row) if v] for row in A]
+            scaled = [i for sel, row in zip(picks, A) if len(sel) == 1 and row[sel[0]] != 1 for i in sel]
+            many = [i for sel in picks if len(sel) > 1 for i in sel]
+            read = scaled + (many if k < 8 else sorted(set(many)))
+            assert sorted(reads) == sorted((i, j) for i in read for j in rows[i])
 
 
 @st.composite
@@ -542,6 +558,18 @@ def witness_cases(draw):
     return field, A
 
 
+def packed_inverse(field, A):
+    """(X, det) from `_packed_eliminate` on the value rows A, whatever their
+    density: X = generalized_inverse's dense GF(p) witness (row c is u*xs
+    mod p for each pivot (c, u, xs), every other row zero) as dense rows,
+    and det A mod p."""
+    pivots, det = linalg._packed_eliminate(field, A)
+    p, X = field.characteristic, [[0] * len(A) for _ in A[0]]
+    for c, u, xs in pivots:
+        X[c] = [v * u % p for v in xs]
+    return X, det
+
+
 def test_packed_witness_matches_sparse_kernel(monkeypatch):
     widths = set()
     pack = linalg._pack
@@ -554,7 +582,7 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
         # generalized_inverse picks for it
         field, A = case
         want = [[(type(v), v) for v in row] for row in oracle_generalized_inverse(field, A)]
-        for x in (dense_rows(linalg._packed_inverse(field, A)[0], len(A)), witness(field, A)):
+        for x in (packed_inverse(field, A)[0], witness(field, A)):
             assert [[(type(v), v) for v in row] for row in x] == want
             assert oracle_dense_mul(field, oracle_dense_mul(field, A, x), A) == A
 
@@ -598,8 +626,8 @@ def test_packed_kernel_matches_oracle():
     @hypothesis.given(packed_kernel_cases())
     def check(case):
         field, A, kind, shape = case
-        X, det = linalg._packed_inverse(field, A)
-        X, want = dense_rows(X, len(A)), oracle_generalized_inverse(field, A)
+        X, det = packed_inverse(field, A)
+        want = oracle_generalized_inverse(field, A)
         assert [[(type(v), v) for v in row] for row in X] == [[(type(v), v) for v in row] for row in want]
         p = field.characteristic
         assert det == (int(determinant(A)) % p if shape == "square" else 0)
@@ -613,8 +641,8 @@ def test_packed_kernel_matches_oracle():
 
 @st.composite
 def packed_product_cases(draw):
-    """(field, A, B, m) of int rows with inner side 1-40, on both sides of
-    the packing gates (8 over GF(p), 16 over QQ), B with m columns: over a
+    """(field, A, B, m) of int rows with inner side 1-40, 7 and 8 (the two
+    sides of the packing gate) drawn often, B with m columns: over a
     prime of PACKED_PRIMES, or over QQ with negative entries and, in about
     half the cases, entries past 100 bits.  A has zero rows, rows with one
     nonzero entry and rows with several; B has zero rows, zero columns and
@@ -622,7 +650,7 @@ def packed_product_cases(draw):
     p = 0 stands for QQ."""
     p = draw(st.sampled_from((0,) + PACKED_PRIMES))
     field = GF(p) if p else QQ
-    n, k, m = draw(st.integers(0, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    n, k, m = draw(st.integers(0, 6)), draw(st.sampled_from((7, 8)) | st.integers(1, 40)), draw(st.integers(1, 8))
     rng = random.Random(draw(st.integers(0, 2**32)))
     bits = draw(st.sampled_from((4, 110)))
 
@@ -652,30 +680,29 @@ def test_packed_product_matches_frozen_product(monkeypatch):
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(packed_product_cases())
     def check(case):
-        # value and type, on dot products below the gates and packed rows at them
+        # value and type, on row products below the gate and packed rows at it
         field, A, B, m = case
         got, want = product(field, A, B, m), oracle_dense_mul(field, A, B)
         assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
-        p = field.characteristic
-        sides.add((p == 0, len(B) >= (8 if p else 16)))
+        sides.add((field is QQ, len(B)))
 
     check()
-    # 64-bit slots and wide ones both ran, and each field on both sides of its gate
+    # 64-bit slots and wide ones both ran, and each field on both sides of the gate, at 7 and 8 rows of B
     assert 8 in packed and max(packed) > 8, packed
-    assert len(sides) == 4, sides
+    assert {(qq, k) for qq in (True, False) for k in (7, 8)} <= sides, sides
 
 
 def test_product_by_ints_over_a_denominator_matches_frozen_product(monkeypatch):
     # a*x for x the QQ witness of the prime route, ints over den = |det| > 1:
-    # value and type of the oracle's product of the values, on dot products
-    # below the gate, packed rows at it and one-entry rows of a
+    # value and type of the oracle's product of the values, on row products
+    # below the gate (sides 5 and 7), packed rows at it and one-entry rows of a
     packed, routed = set(), []
     pack, crt = linalg._pack, linalg._crt_inverse
     monkeypatch.setattr(linalg, "_pack", lambda values, width: packed.add(width) or pack(values, width))
     monkeypatch.setattr(linalg, "_crt_inverse", lambda A: routed.append(A) or crt(A))
 
     @hypothesis.settings(max_examples=40, deadline=None)
-    @hypothesis.given(st.sampled_from(((2, 3), (3, 2), (2, 4))), st.integers(0, 2**32), st.booleans())
+    @hypothesis.given(st.sampled_from(((5, 1), (7, 1), (2, 3), (3, 2), (2, 4))), st.integers(0, 2**32), st.booleans())
     def check(shape, seed, fractions):
         (d, level), rng = shape, random.Random(seed)
         n = d**level
@@ -708,8 +735,8 @@ def test_product_by_ints_over_a_denominator_matches_frozen_product(monkeypatch):
 
 def test_generalized_inverse_packs_only_half_nonzero_gfp(monkeypatch):
     packed = []
-    inverse = linalg._packed_inverse
-    monkeypatch.setattr(linalg, "_packed_inverse", lambda field, A: packed.append(A) or inverse(field, A))
+    eliminate = linalg._packed_eliminate
+    monkeypatch.setattr(linalg, "_packed_eliminate", lambda field, A: packed.append(A) or eliminate(field, A))
     half = [[1, 0, 2, 0], [0, 3, 0, 4], [5, 6, 0, 0], [0, 0, 1, 1]]
     below = [row[:] for row in half]
     below[3][3] = 0
