@@ -26,13 +26,14 @@ A dense matrix's generalized inverse comes from one packed kernel instead,
 slot per column, the transform kept in the slots of the pivot columns.  It
 runs over GF(p), and for a dense square QQ matrix mod primes whose raw
 slots the Chinese remainder theorem combines, one multiply-add per entry
-and prime, into integer rows over one denominator, |det|.  So every route
-of `generalized_inverse` takes rows of ints and gives rows of ints over one
-denominator, with no `Fraction` made.  `dense_mul` multiplies rows of ints,
-reduced mod p when p != 0: a row of A with one nonzero entry as a multiple
-of a row of B, other rows as sparse row products or, once B has 8 rows,
-one bigint multiply-add per nonzero entry of A on B's rows packed into ints
-(Kronecker substitution).
+and prime, into integer rows over one denominator, |det|: every route of
+`generalized_inverse` gives rows of ints over one denominator and makes no
+`Fraction`.  `dense_mul` multiplies rows of ints, reduced mod p over GF(p):
+a row of A with one nonzero entry as a multiple of a row of B, other rows
+as sparse row products or, once B has 8 rows, one bigint multiply-add per
+nonzero entry of A on B's rows packed into ints (Kronecker substitution).
+Both pack rows through `_codec`, one cached codec per row shape, in 32-bit
+slots where the bound fits, else in a multiple of 64 bits (`_slot_width`).
 
 QQ values become integers over a denominator here alone, a {key: value}
 dict by `_lift` (back by `_values`); `_ratio` makes each value back, one
@@ -123,19 +124,27 @@ def _row_axpy(field, target: dict, coef, source: dict):
 
 
 def _row_product(field, row: dict, rows) -> dict:
-    """row * B, B given by its rows (F. G. Gustavson, ACM TOMS 4, 1978): a
-    `_row_axpy` per entry into an empty row.  A row with one entry a at k is
-    a * rows[k] in its key order, with the values and types of that axpy:
-    rows[k] itself, unmutated and shared, when a is the int 1."""
+    """row * B, B given by its rows (F. G. Gustavson, ACM TOMS 4, 1978): each
+    a*v (a at k in row, v in rows[k]) added into an empty row, zeros dropped.
+    A row with one entry a at k is a * rows[k] in its key order, as that sum
+    gives it: rows[k] itself, unmutated and shared, when a is the int 1."""
+    p = field.characteristic
     if len(row) == 1:
         [(k, a)] = row.items()
         if type(a) is int and a == 1:
             return rows[k]
-        p = field.characteristic
         return {j: a * v % p for j, v in rows[k].items()} if p else {j: a * v for j, v in rows[k].items()}
     acc: dict = {}
+    get = acc.get
     for k, a in row.items():
-        _row_axpy(field, acc, field.neg(a), rows[k])
+        for j, v in rows[k].items():
+            s = get(j, 0) + a * v
+            if p:
+                s %= p
+            if s:
+                acc[j] = s
+            else:
+                acc.pop(j, None)
     return acc
 
 
@@ -436,12 +445,12 @@ def dense_mul(field, A, B, m: int) -> list:
     entries select, and no zero column of B.  From 8 rows on it is
     Kronecker substitution (Dumas, Fousse and Salvy, J. Symb. Comput. 46,
     2011).  Row k of B, packed on first use, is one int with a slot per
-    column, each entry plus beta = max|b|.  Row i of A*B is sum_k
-    a_ik*row_k, one bigint multiply-add per nonzero a_ik, plus (half -
-    beta*sum_k a_ik) times the all-ones row, so each slot reads back, once,
-    as half + its entry, then reduced mod p.  half is 0 mod p, where
-    len(B)*(p-1)^2 bounds a slot, and len(B)*max|a|*max|b| over the
-    integers, which bounds every |entry|.
+    column, each entry plus beta = max|b|.  Row i of A*B is sum_k a_ik*row_k,
+    one bigint multiply-add per nonzero a_ik, plus (half - beta*sum_k a_ik)
+    times the all-ones row, so each slot reads back as half + its entry, then
+    reduced mod p.  half is 0 mod p, where len(B)*(p-1)^2 bounds a slot, and
+    len(B)*max|a|*max|b| over the integers, bounding every |entry|; one
+    `_codec` packs and reads the rows, in slots as wide as `_slot_width` says.
     """
     p, n = field.characteristic, len(B)
     out = [Ai if len(Ai) > 1 else _row_product(field, Ai, B) for Ai in A]
@@ -449,8 +458,8 @@ def dense_mul(field, A, B, m: int) -> list:
     if many and n >= 8:
         beta = 0 if p else max(max(map(abs, row.values()), default=0) for row in B)
         half = 0 if p else n * max(max(map(abs, A[i].values())) for i in many) * beta
-        width = _slot_width(2 * half or n * (p - 1) ** 2)
-        ones, packed = _pack([1] * m, width), [None] * n
+        pack, unpack = _codec(m, _slot_width(2 * half or n * (p - 1) ** 2))
+        ones, packed = pack([1] * m), [None] * n
         for i in many:
             ai = A[i]
             acc = (half - beta * sum(ai.values())) * ones
@@ -459,9 +468,9 @@ def dense_mul(field, A, B, m: int) -> list:
                     slots = [beta] * m
                     for j, b in B[k].items():
                         slots[j] = b + beta
-                    row = packed[k] = _pack(slots, width)
+                    row = packed[k] = pack(slots)
                 acc += a * row
-            slots = _unpack(acc, m, width)
+            slots = unpack(acc)
             out[i] = {j: x for j, v in enumerate(slots) if (x := v % p)} if p else \
                 {j: x for j, v in enumerate(slots) if (x := v - half)}
     else:
@@ -580,17 +589,18 @@ def _packed_eliminate(field, A):
     the P with slot c at (1 + v) mod p: slot c of R reads -a/v, T's new
     entry, and each slot gains less than (p-1)^2.  Slot c of P is then 1,
     so row r is v times its normalized row.  A row takes at most k =
-    min(rows, cols) clears between reductions, so B is the bit length of
-    k*(p-1)^2 + p rounded up to a multiple of 64 (Dumas, Giorgi and Pernet,
-    ACM TOMS 35, 2008; packing: Dumas, Fousse and Salvy, J. Symb. Comput.
-    46, 2011).  Pivots follow `row_reduce`: columns ascending, the least
-    row >= r nonzero mod p, swapped with row r.
+    min(rows, cols) clears between reductions, so B is 32 when k*(p-1)^2 + p
+    < 2^32, else that bound's bit length rounded up to a multiple of 64
+    (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008; packing: Dumas, Fousse and
+    Salvy, J. Symb. Comput. 46, 2011).  Pivots follow `row_reduce`: columns
+    ascending, the least row >= r nonzero mod p, swapped with row r.
     """
     p = field.characteristic
     n, m = len(A), len(A[0]) if A else 0
     width = _slot_width(min(n, m) * (p - 1) ** 2 + p)
     bits, mask = 8 * width, (1 << 8 * width) - 1
-    rows, source = [_pack(row, width) for row in A], list(range(n))
+    pack, unpack = _codec(m, width)
+    rows, source = list(map(pack, A)), list(range(n))
     pivots, det = [], 1
     for c in range(m):
         r = pi = len(pivots)
@@ -602,7 +612,7 @@ def _packed_eliminate(field, A):
         det = det * (v if pi == r else p - v) % p
         rows[r], rows[pi], source[r], source[pi] = rows[pi], rows[r], source[pi], source[r]
         u = field.invert(v)
-        P = _pack([x % p for x in _unpack(rows[r], m, width)], width) - (v - 1 << shift)
+        P = pack([x % p for x in unpack(rows[r])]) - (v - 1 << shift)
         C, w = P + ((v + 1) % p - 1 << shift), p - u
         for i, R in enumerate(rows):
             if i != r and (a := (R >> shift & mask) % p):
@@ -610,29 +620,34 @@ def _packed_eliminate(field, A):
         rows[r] = P
         pivots.append((c, u))
     pivot_of = dict(zip(source, [c for c, _ in pivots]))  # a row never a pivot reads slot m: 0
-    at = [pivot_of.get(j, m) for j in range(n)]
-    slots = [_unpack(R, m + 1, width) for R in rows[:len(pivots)]]
-    return [(c, u, list(map(s.__getitem__, at))) for s, (c, u) in zip(slots, pivots)], \
+    at, read = [pivot_of.get(j, m) for j in range(n)], _codec(m + 1, width)[1]
+    return [(c, u, list(map(read(R).__getitem__, at))) for R, (c, u) in zip(rows, pivots)], \
         det if len(pivots) == n == m else 0
 
 
 def _slot_width(bound: int) -> int:
-    """The bytes of a packed slot that holds 0..bound: a multiple of 8, so
-    that 64-bit slots take `struct`'s path in `_pack` and `_unpack`."""
-    return -(-bound.bit_length() // 64) * 8
+    """The bytes of a slot holding 0..bound: 4 below 2^32, else a multiple of 8."""
+    return 4 if bound < 2**32 else -(-bound.bit_length() // 64) * 8
 
 
-def _pack(values, width: int) -> int:
-    """The int with values[j] in bytes [width*j, width*(j+1)), little-endian."""
-    if width == 8:
-        return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
-    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little")
+@cache
+def _codec(count: int, width: int):
+    """(pack, unpack) for rows of count slots of width bytes, values[j] in
+    bytes [width*j, width*(j+1)) of a little-endian int: widths 4 and 8 by
+    one compiled `struct.Struct`, 16 by pairs of its words, wider by slot."""
+    size = width * count
+    s = struct.Struct(f"<{count}I" if width == 4 else f"<{size // 8}Q")
+    if width <= 8:
+        return (lambda values: int.from_bytes(s.pack(*values), "little"),
+                lambda row: s.unpack(row.to_bytes(size, "little")))
 
+    def pack(values):
+        return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))), "little")
 
-def _unpack(row: int, count: int, width: int):
-    """The first count slots of a packed row, as `_pack` lays them out."""
-    data = row.to_bytes(width * count, "little")
-    if width > 16:
-        return [int.from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
-    words = struct.unpack(f"<{count * width // 8}Q", data)  # 16 bytes: one pair of words per slot
-    return words if width == 8 else [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
+    def unpack(row):
+        data = row.to_bytes(size, "little")
+        if width > 16:
+            return [int.from_bytes(data[j:j + width], "little") for j in range(0, size, width)]
+        words = s.unpack(data)  # 16 bytes: one pair of words per slot
+        return [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
+    return pack, unpack

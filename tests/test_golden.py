@@ -50,7 +50,7 @@ for _field in ("QQ", "GF:7"):
         CASES[f"s-calc-mul-{_a}-{_b}-{_tag}"] = ["--field", _field, "s-calc", "mul", f"{_a}.json", f"{_b}.json"]
     for _name in ("one", "idem"):
         CASES[f"s-calc-k0-{_name}-{_tag}"] = ["--field", _field, "s-calc", "k0", f"{_name}.json"]
-# a dense side-27 witness (d = 3, level 3): packed GF(p) rows in 64-bit slots
+# a dense side-27 witness (d = 3, level 3): packed GF(p) rows in 32-bit slots
 # at p = 10007 and in wide slots at the largest prime below PRIME_BOUND
 for _field in ("QQ", "GF:10007", "GF:3317044064679887385961813"):
     _tag = _field.replace(":", "")

@@ -522,10 +522,11 @@ def test_generalized_inverse():
             assert oracle_dense_mul(field, oracle_dense_mul(field, a, x), a) == a
 
 
-# 2^31 - 1 takes 64-bit slots up to 3 pivots and wide ones from 4, the two
-# after it always take wide ones; the last is the largest prime below
-# fields.PRIME_BOUND
-PACKED_PRIMES = (2, 3, 7, 10007, 2**31 - 1, 2**61 - 1, 3317044064679887385961813)
+# the primes up to 10007 take 32-bit slots at every size drawn here, 65521
+# 32-bit ones at one pivot and 64-bit ones past it and in every product,
+# 2^31 - 1 64-bit slots up to 3 pivots and wide ones from 4, the two after
+# it always wide ones; the last is the largest prime below fields.PRIME_BOUND
+PACKED_PRIMES = (2, 3, 7, 10007, 65521, 2**31 - 1, 2**61 - 1, 3317044064679887385961813)
 
 
 @st.composite
@@ -570,10 +571,15 @@ def packed_inverse(field, A):
     return X, det
 
 
+def watch_widths(monkeypatch):
+    """The set of slot widths that `linalg._codec` is asked for from now on."""
+    widths, codec = set(), linalg._codec
+    monkeypatch.setattr(linalg, "_codec", lambda count, width: widths.add(width) or codec(count, width))
+    return widths
+
+
 def test_packed_witness_matches_sparse_kernel(monkeypatch):
-    widths = set()
-    pack = linalg._pack
-    monkeypatch.setattr(linalg, "_pack", lambda values, width: widths.add(width) or pack(values, width))
+    widths = watch_widths(monkeypatch)
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(witness_cases())
@@ -587,8 +593,8 @@ def test_packed_witness_matches_sparse_kernel(monkeypatch):
             assert oracle_dense_mul(field, oracle_dense_mul(field, A, x), A) == A
 
     check()
-    # 64-bit slots and wide ones both ran
-    assert 8 in widths and max(widths) > 8, widths
+    # 32-bit, 64-bit and wide slots all ran
+    assert {4, 8} <= widths and max(widths) > 8, widths
 
 
 @st.composite
@@ -673,9 +679,7 @@ def packed_product_cases(draw):
 
 
 def test_packed_product_matches_frozen_product(monkeypatch):
-    packed, sides = set(), set()
-    pack = linalg._pack
-    monkeypatch.setattr(linalg, "_pack", lambda values, width: packed.add(width) or pack(values, width))
+    packed, sides = watch_widths(monkeypatch), set()
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(packed_product_cases())
@@ -687,8 +691,8 @@ def test_packed_product_matches_frozen_product(monkeypatch):
         sides.add((field is QQ, len(B)))
 
     check()
-    # 64-bit slots and wide ones both ran, and each field on both sides of the gate, at 7 and 8 rows of B
-    assert 8 in packed and max(packed) > 8, packed
+    # 32-bit, 64-bit and wide slots all ran, and each field on both sides of the gate, at 7 and 8 rows of B
+    assert {4, 8} <= packed and max(packed) > 8, packed
     assert {(qq, k) for qq in (True, False) for k in (7, 8)} <= sides, sides
 
 
@@ -696,9 +700,7 @@ def test_product_by_ints_over_a_denominator_matches_frozen_product(monkeypatch):
     # a*x for x the QQ witness of the prime route, ints over den = |det| > 1:
     # value and type of the oracle's product of the values, on row products
     # below the gate (sides 5 and 7), packed rows at it and one-entry rows of a
-    packed, routed = set(), []
-    pack, crt = linalg._pack, linalg._crt_inverse
-    monkeypatch.setattr(linalg, "_pack", lambda values, width: packed.add(width) or pack(values, width))
+    packed, routed, crt = watch_widths(monkeypatch), [], linalg._crt_inverse
     monkeypatch.setattr(linalg, "_crt_inverse", lambda A: routed.append(A) or crt(A))
 
     @hypothesis.settings(max_examples=40, deadline=None)
@@ -731,6 +733,43 @@ def test_product_by_ints_over_a_denominator_matches_frozen_product(monkeypatch):
 
     check()
     assert packed
+
+
+def test_slot_width_at_the_32_and_64_bit_edges():
+    assert [linalg._slot_width(b) for b in (2**32 - 1, 2**32, 2**64 - 1, 2**64)] == [4, 8, 8, 16]
+
+
+def test_packed_elimination_at_the_32_bit_edge(monkeypatch):
+    # GF(65521): a slot bound of 65520^2 + 65521 < 2^32 at one row, twice the
+    # square past 2^32 at two; entries at p - 1 or drawn, against the oracle
+    field, p, rng = GF(65521), 65521, random.Random(11)
+    assert (p - 1) ** 2 + p < 2**32 <= 2 * (p - 1) ** 2 + p
+    widths = watch_widths(monkeypatch)
+    for n, width in ((1, 4), (2, 8)):
+        for m in (2, 5, 9):
+            drawn = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(m)] for _ in range(n)]
+            for A in ([[p - 1] * m for _ in range(n)], drawn):
+                widths.clear()
+                X, det = packed_inverse(field, A)
+                assert widths == {width}, (n, m, widths)
+                want = oracle_generalized_inverse(field, A)
+                assert [[(type(v), v) for v in row] for row in X] == [[(type(v), v) for v in row] for row in want]
+                assert det == (int(determinant(A)) % p if n == m else 0)
+
+
+def test_packed_qq_product_at_the_32_bit_edge(monkeypatch):
+    # 8 rows of B, max|a| = 2^14 and max|b| = beta: 2*half = 16 * 2^14 * beta
+    # is 2^32 - 2^18 at beta = 2^14 - 1 and 2^32 at 2^14, and the first row
+    # of A reads both ends of the slot, 0 and 2*half
+    widths = watch_widths(monkeypatch)
+    for beta, width in ((2**14 - 1, 4), (2**14, 8)):
+        A = [[2**14] * 8, [2**14, -2**14] * 4, [2**14] + [0] * 6 + [-3], [0] * 7 + [5]]
+        B = [[beta, -beta, 0, (-1) ** k, k] for k in range(8)]
+        widths.clear()
+        got, want = product(QQ, A, B, 5), oracle_dense_mul(QQ, A, B)
+        assert widths == {width}, (beta, widths)
+        assert [[(type(v), v) for v in row] for row in got] == [[(type(v), v) for v in row] for row in want]
+        assert got[0][:2] == [2**14 * 8 * beta, -2**14 * 8 * beta]
 
 
 def test_generalized_inverse_packs_only_half_nonzero_gfp(monkeypatch):
