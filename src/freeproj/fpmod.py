@@ -62,9 +62,11 @@ x_i * u is standard, so the row of x_i * u is the row of u one degree down
 times the target's letter matrix of x_i, one `linalg._row_product`.
 `FpModuleMorphism.matrix_in_degree` builds each degree from the one below
 by this one-letter extension; only generator rows reduce the cover's image
-of their generator.  Past both free bounds, the rule of `_tail_step` that
-`qgr.split_sequence` shares, `_tail_matrix` only moves columns by the two
-layouts (below): past n a morphism is its degree-n matrix plus the layouts.
+of their generator.  Past both free bounds, from `_tail_from` on,
+`_tail_matrix` only moves columns by the two layouts (below): d copies of
+the degree-(k-1) matrix in disjoint rows and column images, one per letter.
+So ranks and Hilbert values grow by d, the move of a product is the product
+of the moves and of an identity an identity: a check at k restates k - 1's.
 
 The stable profile records the certified index i0 at which the tail of M
 becomes free with all its basis in one degree; every degree-0 map between
@@ -132,6 +134,12 @@ def _check_span(low: int, top: int, d: int):
             f"a stable profile over degrees {low}..{top} spans {span} degrees, whose dimensions "
             f"can reach rank * {d}^{span}, more than fields.MAX_LITERAL_DIGITS = "
             f"{MAX_LITERAL_DIGITS} digits; lower --degree-cap or the spread of the shifts")
+
+
+def _tail_from(*modules: "FpModule") -> int:
+    """The least k with k - 1 past the free bounds of all these modules: a map
+    among them is a `_tail_matrix` move from k on (module docstring)."""
+    return 1 + max(M._free_bound() for M in modules)
 
 
 def _tiles(blocks, size: int) -> bool:
@@ -423,10 +431,8 @@ class FpModule:
         return layout
 
     def _tail_step(self, prev: SparseMatrix | None, target: "FpModule", k: int) -> SparseMatrix | None:
-        """`_tail_matrix(prev, target, k)` if k - 1 is past both free bounds, else None."""
-        if k - 1 >= max(self._free_bound(), target._free_bound()):
-            return self._tail_matrix(prev, target, k)
-        return None
+        """`_tail_matrix(prev, target, k)` if k >= `_tail_from(self, target)`, else None."""
+        return self._tail_matrix(prev, target, k) if k >= _tail_from(self, target) else None
 
     def _tail_matrix(self, prev: SparseMatrix, target: "FpModule", k: int) -> SparseMatrix:
         """Degree k of a map M -> target from its degree-(k-1) matrix prev past both free bounds: per block

@@ -20,7 +20,7 @@ from .errors import (
     RankNotStabilized,
     TruncationNotFree,
 )
-from .fpmod import FpModule, FpModuleMorphism
+from .fpmod import FpModule, FpModuleMorphism, _tail_from
 from .freealg import FreeAlgebra, ModuleMap
 from .linalg import SparseMatrix, _ratio, rank, solve_left
 
@@ -212,7 +212,9 @@ class DecompositionPair:
         return SparseMatrix(F, len(rows), len(tgt_index), rows)
 
     def verify(self, degrees=4) -> bool:
-        """Both composites are identity matrices in every checked degree."""
+        """Both composites are identity matrices in degrees r..r+degrees-1, degrees >= 1."""
+        if degrees < 1:
+            raise ValueError("degrees must be at least 1")
         forward = FpModuleMorphism(self.source, self.target, self.forward)
         for j in range(self.r, self.r + degrees):
             U = forward.matrix_in_degree(j)
@@ -233,9 +235,9 @@ class DecompositionPair:
 class Section:
     """A degreewise section of a surjection, built by lifting a degree-i basis.
 
-    The data is one exact matrix per checked degree j: sigma_j maps the
+    The data is one exact matrix per degree j from i: sigma_j maps the
     degree-j piece of the quotient back into the middle so that following
-    with the surjection is the identity.
+    with the surjection is the identity, in every degree `verify` checks.
     """
 
     __slots__ = ("surjection", "matrices")
@@ -256,22 +258,24 @@ def split_sequence(
 ) -> Section:
     """Section of g on the tail from degree i, for an exact pair (f, g).
 
-    Verifies degreewise exactness of 0 -> L -> M -> N -> 0 along the checked
-    range, demands that the quotient tail is free from degree i on, lifts a
+    Demands that the quotient tail is free from degree i on, lifts a
     degree-i standard basis of N through g, and extends one letter at a
-    time: sigma_j(x_a * n) = x_a * sigma_{j-1}(n), by one of two routes.
+    time: sigma_j(x_a * n) = x_a * sigma_{j-1}(n).  Past both free bounds
+    `FpModule._tail_step` moves the columns of sigma_{j-1} by the two
+    layouts; below, sigma_j solves against N's stacked letter matrices out
+    of N_{j-1} (`FpModule._stacked_letters`, square past i), with the images
+    sigma_{j-1} * x_a.
 
-    Past both free bounds `FpModule._tail_step` moves the columns of
-    sigma_{j-1} by the two layouts: sigma is sigma_n plus two layouts.
-    Below, sigma_j solves against N's stacked letter matrices out of N_{j-1}
-    (`FpModule._stacked_letters`, square past i), with the images
-    sigma_{j-1} * x_a.  sigma_j * G_j is checked to be the identity in every
-    degree.
+    With n the largest free bound of L, M and N, exactness of
+    0 -> L -> M -> N -> 0 is checked on degrees lo..n+1 and sigma_j * G_j = I
+    on i..max(i, n)+1, cut at i + degrees: past there each check restates
+    the one below (`fpmod._tail_from`).  `Section.verify` checks every degree
+    returned.  A negative `degrees` raises ValueError.
     """
+    if degrees < 0:
+        raise ValueError("degrees must be nonnegative")
     L, M, N = f.source, f.target, g.target
-    if not (
-        g.source.F0 == M.F0 and g.source.relations == M.relations
-    ):
+    if not (g.source.F0 == M.F0 and g.source.relations == M.relations):
         raise NotExactInput("the maps are not composable as L -> M -> N")
     composite = f.compose(g)
     for e in composite.map0.row_elements():
@@ -281,8 +285,8 @@ def split_sequence(
     if i < profile.i0:
         raise TruncationNotFree(f"need i >= {profile.i0}, got {i}")
     lo = min(L.min_degree, M.min_degree, N.min_degree)
-    hi = i + degrees
-    for j in range(lo, hi + 1):
+    hi, past = i + degrees, _tail_from(L, M, N)
+    for j in range(lo, min(hi, past) + 1):
         fr = rank(f.matrix_in_degree(j))
         gr = rank(g.matrix_in_degree(j))
         if fr != L.hilbert(j):
@@ -311,7 +315,7 @@ def split_sequence(
                 raise TruncationNotFree(f"quotient tail is not free at degree {j}")
             sigma = SparseMatrix(field, len(coords), len(images), coords).mul(
                 SparseMatrix(field, len(images), M.hilbert(j), images))
-        if sigma.mul(g.matrix_in_degree(j)) != unit:
+        if j <= max(i + 1, past) and sigma.mul(g.matrix_in_degree(j)) != unit:
             raise CertificateMismatch(f"constructed section fails in degree {j}")
         matrices[j] = sigma
     return Section(g, matrices)

@@ -347,11 +347,13 @@ def test_torsion_refuses_over_budget_before_building(monkeypatch):
 
 
 def test_split_sequence_past_the_bound_refuses_before_building(monkeypatch):
-    # 0 -> R -> (R/Rx0) + R -> R/Rx0 -> 0 split at i = 6, past every bound:
+    # 0 -> R -> (R/Rx0) + R -> R/Rx0 -> 0 split at i = 6, past every bound n:
     # past the bounds no word and no letter matrix is built, and each tail
     # degree's rows are held against their source module's ledger, not
-    # added to it, so the largest build of the middle module S is g's
-    # degree-9 matrix on top of S's held words and rows
+    # added to it.  split_sequence builds f through n + 1, where exactness is
+    # last checked, and g through max(i, n) + 1 = 7, where sigma * G = I is;
+    # Section.verify builds g's degree-9 matrix on top of the middle module
+    # S's held words and rows, and refuses degree 8 under a lower bound
     A2 = FreeAlgebra(2)
 
     def sequence():
@@ -363,8 +365,12 @@ def test_split_sequence_past_the_bound_refuses_before_building(monkeypatch):
         return f, g
 
     f, g = sequence()
-    assert split_sequence(f, g, 6, degrees=3).verify()
     mods = (f.source, f.target, g.target)
+    n = max(M._free_bound() for M in mods)
+    sec = split_sequence(f, g, 6, degrees=3)
+    assert n + 1 < 6 and list(sec.matrices) == [6, 7, 8, 9]
+    assert max(f._matrix_cache) == n + 1 and max(g._matrix_cache) == 7
+    assert sec.verify() and max(g._matrix_cache) == 9
     assert all(M._held == held_in_caches(M) for M in mods)
     S = f.target
     b = S._free_bound()
@@ -374,10 +380,11 @@ def test_split_sequence_past_the_bound_refuses_before_building(monkeypatch):
     assert split_sequence(*sequence(), 6, degrees=3).verify()
     monkeypatch.setattr(fpmod, "MAX_STD_WORDS", held + S.hilbert(8) - 1)
     f, g = sequence()
+    sec = split_sequence(f, g, 6, degrees=3)
     with pytest.raises(BudgetExceeded, match=f"degree 8 would add {S.hilbert(8)} tail-map rows, bringing the "
                                              f"module's held words and rows to {held + S.hilbert(8)},"):
-        split_sequence(f, g, 6, degrees=3)
-    assert max(g._matrix_cache) == 7 and max(f._matrix_cache) == 8
+        sec.verify()
+    assert max(g._matrix_cache) == 7 and max(f._matrix_cache) == n + 1
     assert all(M._held == held_in_caches(M) <= fpmod.MAX_STD_WORDS for M in (f.source, f.target, g.target))
 
 

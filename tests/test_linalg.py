@@ -678,11 +678,23 @@ def packed_product_cases(draw):
     return field, A, B, m
 
 
+def pinned_product_case(p, k, b):
+    """(field, A, B, 3) over GF(p), or QQ for p = 0: one row of A with two
+    entries, over k rows of B whose every entry is b."""
+    return GF(p) if p else QQ, [[1, 2] + [0] * (k - 2)], [[b] * 3 for _ in range(k)], 3
+
+
 def test_packed_product_matches_frozen_product(monkeypatch):
     packed, sides = watch_widths(monkeypatch), set()
 
+    # each case a coverage assertion below needs, run at every hypothesis seed
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(packed_product_cases())
+    @hypothesis.example(pinned_product_case(7, 8, 6))  # 32-bit slots
+    @hypothesis.example(pinned_product_case(65521, 8, 65520))  # 64-bit slots: 8 * 65520^2 > 2^32
+    @hypothesis.example(pinned_product_case(0, 8, 2**110))  # wide slots
+    @hypothesis.example(pinned_product_case(65521, 7, 65520))
+    @hypothesis.example(pinned_product_case(0, 7, -2**110))
     def check(case):
         # value and type, on row products below the gate and packed rows at it
         field, A, B, m = case

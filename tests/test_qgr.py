@@ -9,7 +9,7 @@ from section_oracle import solve_split_sequence
 from test_fpmod import assert_morphism_matrix_matches_oracle, coefficients, count_calls, draw_element, typed_rows
 from test_submodules import module_maps
 
-from freeproj import qgr
+from freeproj import fpmod, qgr, verify
 
 from freeproj import FreeAlgebra, FpModule
 from freeproj.af_s import AFMatrix
@@ -22,7 +22,7 @@ from freeproj.errors import (
 from freeproj.fields import GF, QQ
 from freeproj.fpmod import FpModuleMorphism
 from freeproj.freealg import ModuleMap
-from freeproj.linalg import SparseMatrix
+from freeproj.linalg import SparseMatrix, rank
 from freeproj.qgr import (
     DecompositionPair,
     QgrClass,
@@ -334,6 +334,22 @@ def test_sections_match_solve_oracle(phi):
         assert got.verify()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_sections_at_degrees_8_match_solve_oracle(field):
+    # eight degrees past i reach past every free bound, where split_sequence
+    # checks no further and builds sigma by moving columns: every matrix is
+    # still the solving loop's, which checks each degree, in value, type and
+    # key order
+    A = FreeAlgebra(2, field)
+    for seed in range(800, 804):
+        f, g = random_exact_sequence(make_rng(seed), A)
+        i = g.target.stable_profile().i0
+        got = split_sequence(f, g, i, degrees=8)
+        want = solve_split_sequence(*random_exact_sequence(make_rng(seed), A), i, degrees=8)
+        assert typed_matrices(got.matrices) == typed_matrices(want.matrices)
+        assert got.verify()
+
+
 def test_free_tail_lifts_solve_nothing(monkeypatch):
     # N = (R + R(-2)) / R (x0 x0, -1), the image R of e0 -> 1, e1 -> x0 x0:
     # i0 = 0 below its free bound 2, so degrees j with j - 1 < 2 solve and
@@ -457,25 +473,106 @@ def test_tower_tail_matches_oracle(field, d, level, rng):
         assert_morphism_matrix_matches_oracle(phi, j)
 
 
+def swap_letter_blocks(module, out, k):
+    """out, the degree-k tail matrix of a map out of module, with the first
+    two letter blocks of its first nonempty source block exchanged."""
+    s, n, _ = next(block for block in module._free_layout(k - 1) if block[1])
+    a, rows = module.algebra.d * s, list(out.rows)
+    rows[a:a + 2 * n] = rows[a + n:a + 2 * n] + rows[a:a + n]
+    return SparseMatrix(out.field, out.nrows, out.ncols, rows)
+
+
 def test_swapped_letter_blocks_fail_splitting_and_tower(monkeypatch):
     # a tail map that exchanges the first two letter blocks of its first
     # nonempty source block: criterion 4's sections and criterion 8's tower
     # restrictions both read their tails through it, and both must fail
     assert run_criterion(4).passed and run_criterion(8).passed
     moved = FpModule._tail_matrix
-
-    def swapped(self, prev, target, k):
-        out = moved(self, prev, target, k)
-        s, n, _ = next(block for block in self._free_layout(k - 1) if block[1])
-        a, rows = self.algebra.d * s, list(out.rows)
-        rows[a:a + 2 * n] = rows[a + n:a + 2 * n] + rows[a:a + n]
-        return SparseMatrix(out.field, out.nrows, out.ncols, rows)
-
-    monkeypatch.setattr(FpModule, "_tail_matrix", swapped)
+    monkeypatch.setattr(FpModule, "_tail_matrix", lambda self, prev, target, k: swap_letter_blocks(
+        self, moved(self, prev, target, k), k))
     splitting, tower = run_criterion(4), run_criterion(8)
     assert not splitting.passed and not tower.passed
     # the sections are built and fail their own check, sigma_j * G_j = I
     assert all("constructed section fails" in why for _, why in splitting.details["failures"])
+
+
+def test_a_section_wrong_past_the_checked_range_fails_verify(monkeypatch):
+    # split_sequence checks sigma_j * G_j = I through max(i, n) + 1, n the
+    # largest free bound; a tail map that swaps two letter blocks of sigma
+    # only past there, while the section is built, goes past split_sequence,
+    # so Section.verify must refuse it, and criterion 4 reports "verify failed"
+    moved, split, past, wrong = FpModule._tail_matrix, qgr.split_sequence, [], []
+
+    def late_swap(self, prev, target, k):
+        out = moved(self, prev, target, k)
+        if past and k > past[0]:
+            wrong.append(k)
+            return swap_letter_blocks(self, out, k)
+        return out
+
+    def split_with_late_swaps(f, g, i, degrees=4):
+        past.append(max(i + 1, fpmod._tail_from(f.source, f.target, g.target)))
+        try:
+            return split(f, g, i, degrees)
+        finally:
+            past.clear()
+
+    monkeypatch.setattr(FpModule, "_tail_matrix", late_swap)
+    monkeypatch.setattr(verify, "split_sequence", split_with_late_swaps)
+    f, g = random_exact_sequence(make_rng(7), FreeAlgebra(2))
+    i = g.target.stable_profile().i0
+    sec = split_with_late_swaps(f, g, i, degrees=6)
+    assert wrong and max(i + 1, fpmod._tail_from(f.source, f.target, g.target)) < min(wrong)
+    assert not sec.verify()
+    splitting = run_criterion(4)
+    assert not splitting.passed and splitting.details["failures"]
+    assert all(why == "verify failed" for _, why in splitting.details["failures"])
+
+
+def test_split_sequence_and_decomposition_refuse_to_check_nothing():
+    # a negative degree count would return an empty Section whose verify() is
+    # True, and a pair checked in no degree would verify; both are refused
+    # before any work
+    A2 = FreeAlgebra(2)
+    f, g = random_exact_sequence(make_rng(3), A2)
+    for degrees in (-1, -3):
+        with pytest.raises(ValueError, match="degrees must be nonnegative"):
+            split_sequence(f, g, 5, degrees=degrees)
+    assert g.target._profile is None and not f._matrix_cache and not g._matrix_cache
+    assert list(split_sequence(f, g, g.target.stable_profile().i0, degrees=0).matrices) == [g.target._profile.i0]
+    pair = DecompositionPair(A2, 1)
+    for degrees in (0, -5):
+        with pytest.raises(ValueError, match="degrees must be at least 1"):
+            pair.verify(degrees)
+    assert pair.verify(1)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(tail_presentations())
+@hypothesis.example(bound_gap())
+def test_tail_moves_scale_ranks_and_carry_products(presentation):
+    # the layout lemma split_sequence leans on, past both free bounds of a
+    # map: its rank at k is d times its rank at k - 1, as each Hilbert value
+    # is, the move of a product is the product of the moves, and the move of
+    # an identity is an identity; over QQ and GF(5), d = 2 and 3
+    F, R, K, _ = presentation
+    f, g = tail_sequence(F, R, K)
+    L, M, N = f.source, f.target, g.target
+    d, n = F.algebra.d, fpmod._tail_from(L, M, N) - 1
+    sec = split_sequence(f, g, max(N.stable_profile().i0, n), degrees=0)
+    sigma, = sec.matrices.values()
+    k = max(sec.matrices) + 1
+    hypothesis.assume(M.hilbert(k))
+    hypothesis.event(f"{F.algebra.field}, L and N nonzero: {bool(L.hilbert(k) and N.hilbert(k))}")
+    for phi in (f, g):
+        assert rank(phi.matrix_in_degree(k)) == d * rank(phi.matrix_in_degree(k - 1))
+    for X in (L, M, N):
+        assert X.hilbert(k) == d * X.hilbert(k - 1)
+    G, Fk = g.matrix_in_degree(k - 1), f.matrix_in_degree(k - 1)
+    assert N._tail_matrix(sigma.mul(G), N, k) == N._tail_matrix(sigma, M, k).mul(M._tail_matrix(G, N, k))
+    assert L._tail_matrix(Fk.mul(G), N, k) == L._tail_matrix(Fk, M, k).mul(M._tail_matrix(G, N, k))
+    unit = SparseMatrix.identity(F.algebra.field, N.hilbert(k - 1))
+    assert N._tail_matrix(unit, N, k) == SparseMatrix.identity(F.algebra.field, N.hilbert(k))
 
 
 # ---------------------------------------------------------------------------
