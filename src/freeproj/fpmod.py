@@ -88,13 +88,19 @@ at alpha ending in distinct leads v are disjoint: `_free_layout` reads
 n_alpha(b) = d^(b - shift(alpha)) - sum_v d^(b - shift(alpha) - |v|) off the
 lead index once, after checking in O(sum |v|) probes that no lead at alpha
 ends in another, and takes n_alpha(j) = d^(j-b) * n_alpha(b).  It builds no
-word, checks each degree's count against its Hilbert value, and lays out
-each degree once.
-`letter_matrix` places its rows by that layout, and `_mult_bijective`
-checks the layout alone and builds no row: unit rows that hit each column
-once have full rank.  The row blocks must tile [0, h_j), and the column
-spans (off(alpha), d * n_alpha), each d consecutive letter blocks, must
-tile [0, h_{j+1}); a tiling is one pass over sorted blocks.
+word, checks the counts against the Hilbert values h_j and h_{j+1}, and
+lays out each degree once; `letter_matrix` places its rows by that layout.
+
+The layout at b is also the proof of the whole free tail, one check for
+every degree.  The free algebra is a free ideal ring (P. M. Cohn), and when
+no lead at a coordinate ends in another, h_b is the sum of the n_alpha(b)
+and h_{b+1} = d * h_b, M_{>=b} is free on the degree-b standard words: for
+each j >= b the stacked letter matrices out of M_j are unit rows, the d
+letter blocks of alpha covering its columns off(alpha) .. off(alpha) +
+d * n_alpha(j) once, so V tensor M_j -> M_{j+1} is bijective.
+`_free_layout(b)` runs exactly those three checks, so `stable_profile` runs
+it once for [b, infinity) and the exact rank check of `_mult_bijective`
+only on the walk down from b.
 """
 
 from __future__ import annotations
@@ -140,18 +146,6 @@ def _tail_from(*modules: "FpModule") -> int:
     """The least k with k - 1 past the free bounds of all these modules: a map
     among them is a `_tail_matrix` move from k on (module docstring)."""
     return 1 + max(M._free_bound() for M in modules)
-
-
-def _tiles(blocks, size: int) -> bool:
-    """Do the blocks (start, length) cover [0, size) once, with no overlap?
-    Sorted by start, each nonempty block must begin where the one before ends."""
-    end = 0
-    for start, n in sorted(blocks):
-        if n:
-            if start != end:
-                return False
-            end += n
-    return end == size
 
 
 class StableProfile:
@@ -446,23 +440,13 @@ class FpModule:
         return SparseMatrix(prev.field, len(rows), target.hilbert(k), rows)
 
     def _mult_bijective(self, j: int) -> bool:
-        """Is V tensor M_j -> M_{j+1} bijective?  Exact check.
-
-        For j >= b the stacked letter matrices are the unit rows placed by
-        `_free_layout(j)`: full rank iff the row blocks tile [0, h_j) and the
-        column spans (off, d * n_alpha) tile [0, h_{j+1}).  Below b they are
-        mostly unit rows (module docstring), which `rank` counts first."""
-        d = self.algebra.d
+        """Is V tensor M_j -> M_{j+1} bijective, for j below b?  Exact: the
+        stacked letter matrices, mostly unit rows (module docstring), have
+        rank h_{j+1} = d * h_j.  Past b the layout at b proves it."""
         hj, hj1 = self.hilbert(j), self.hilbert(j + 1)
-        if d * hj != hj1:
+        if self.algebra.d * hj != hj1:
             return False
-        if hj1 == 0:
-            return True
-        if j >= self._free_bound():
-            layout = self._free_layout(j)
-            return (_tiles([(start, n) for start, n, _ in layout], hj)
-                    and _tiles([(off, d * n) for _, n, off in layout], hj1))
-        return rank(self._stacked_letters(j)) == hj1
+        return hj1 == 0 or rank(self._stacked_letters(j)) == hj1
 
     def _stacked_letters(self, j: int) -> SparseMatrix:
         """V tensor M_j -> M_{j+1}: the d letter matrices out of M_j stacked, x_0's rows first."""
@@ -473,24 +457,27 @@ class FpModule:
     # -- stable structure ---------------------------------------------------
 
     def stable_profile(self, through: int = 0) -> StableProfile:
-        """(i0, t_{i0}), V tensor M_j -> M_{j+1} bijective for i0 <= j < max(b + 4,
-        through): the walk down from b proves [i0, b) and the loop the rest."""
+        """(i0, t_{i0}), V tensor M_j -> M_{j+1} bijective for every j >= i0: the
+        walk down from b proves [i0, b) by exact rank, once per module, and
+        `_free_layout(b)` proves [b, infinity) (module docstring).
+        certified_through is max(b + 4, through), the largest asked for, a
+        label under which every degree is proved; `_check_span` refuses one
+        whose dimensions pass the digit bound.  A later call with a larger
+        `through` checks that span and relabels, and runs no rank check."""
         bound = self._free_bound()
         target = max(bound + 4, through)
         if self._profile is not None and self._profile.certified_through >= target:
             return self._profile
         _check_span(self.min_degree, target, self.algebra.d)
-        i0 = bound
-        while i0 > self.min_degree and self._mult_bijective(i0 - 1):
-            i0 -= 1
-        for j in range(bound, target):
-            if not self._mult_bijective(j):
-                raise CertificateMismatch(
-                    f"multiplication map not bijective at degree {j} >= certified i0"
-                )
-        profile = StableProfile(i0, self.hilbert(i0), self.algebra.d, target)
-        self._profile = profile
-        return profile
+        if self._profile is None:
+            i0 = bound
+            while i0 > self.min_degree and self._mult_bijective(i0 - 1):
+                i0 -= 1
+            self._free_layout(bound)
+        else:
+            i0 = self._profile.i0
+        self._profile = StableProfile(i0, self.hilbert(i0), self.algebra.d, target)
+        return self._profile
 
     def is_fdim(self) -> bool:
         return self.stable_profile().t0 == 0

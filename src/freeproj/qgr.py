@@ -302,9 +302,10 @@ def split_sequence(
     if any(x is None for x in lifts):
         raise NotExactInput("could not lift the degree-i basis through g")
     sigma = SparseMatrix(field, t, M.hilbert(i), lifts)
-    matrices = {}
+    matrices, checked = {}, max(i + 1, past)
     for j in range(i, hi + 1):
-        unit = SparseMatrix.identity(field, N.hilbert(j))
+        # read by the check and by the solve route, which runs only below `past`
+        unit = SparseMatrix.identity(field, N.hilbert(j)) if j <= checked else None
         if j > i and (tail := N._tail_step(sigma, M, j)) is not None:
             sigma = tail
         elif j > i:
@@ -315,7 +316,7 @@ def split_sequence(
                 raise TruncationNotFree(f"quotient tail is not free at degree {j}")
             sigma = SparseMatrix(field, len(coords), len(images), coords).mul(
                 SparseMatrix(field, len(images), M.hilbert(j), images))
-        if j <= max(i + 1, past) and sigma.mul(g.matrix_in_degree(j)) != unit:
+        if unit is not None and sigma.mul(g.matrix_in_degree(j)) != unit:
             raise CertificateMismatch(f"constructed section fails in degree {j}")
         matrices[j] = sigma
     return Section(g, matrices)

@@ -127,6 +127,7 @@ MIXED_LEVELS_TEXT = "-3 x1* x0 x0 " + " ".join(("- " if any(u) else "+ ") + "1/2
 
 FREE = {"free.pres": _golden("free.pres")}
 LETTERQ = {"letterq.pres": _golden("letterq.pres")}
+D3 = {"d3.pres": _golden("d3.pres")}
 E01 = {"e01.json": _golden("e01.json")}
 BIG10 = '{"d": 2, "level": 10, "entries": [[3, 700, "5/3"]]}\n'
 LEVEL11 = "x0* x0 - 2 x1* x0 + 1/2 x1* x0* x0 x1 - 1/2"
@@ -170,6 +171,12 @@ CASES = [
          {"result.profile.certified_through": 30}, 20, LETTERQ),
     Case("profile-cap1000", ("--degree-cap", "1000", "profile", "letterq.pres"), 0,
          {"result.profile.certified_through": 1000}, 20, LETTERQ, rss_mb=48),
+    # the cap's own edge on d3.pres, least degree 0 at d = 3: a span of
+    # 14284 degrees is the widest the digit bound of the profile admits
+    Case("profile-cap-edge-d3", ("--degree-cap", "14284", "profile", "d3.pres"), 0,
+         {"result.profile.certified_through": 14284}, 20, D3),
+    Case("profile-cap-past-edge-d3", ("--degree-cap", "14285", "profile", "d3.pres"), 1,
+         {"kind": "BudgetExceeded"}, 20, D3),
     # torsion
     Case("torsion-gf5", ("torsion", "gf5.pres"), 0, {"result.dimension": 3}, 60, {"gf5.pres": _golden("gf5.pres")}),
     Case("torsion-point-beside-r24", ("torsion", "k24.pres"), 0, {"result.dimension": 1}, 10,

@@ -1,35 +1,16 @@
-"""The certification steps of the profile path before their one-pass forms.
+"""The torsion certification of the profile path before its one-pass form.
 
-`_tiles` sorted the nonempty blocks and compared their starts with the
-running sums of their lengths; `_mult_bijective` tiled [0, h_{j+1}) with
-the d column blocks (off + i * n, n) of each coordinate.  `torsion`
-certified zero torsion degree by degree with the word test: a degree
-passed when every standard word w of M_j keeps a letter (some x_a * w is
-in the degree-(j+1) index), and otherwise took the rank of the letter
-matrices side by side.  Kept verbatim, as functions of the blocks or of the
-module, as the oracles the new forms must match exactly: the same verdicts,
-the same torsion, and the same letter matrices, standard words and held
-count left in the module's caches.
+`torsion` certified zero torsion degree by degree with the word test: a
+degree passed when every standard word w of M_j keeps a letter (some
+x_a * w is in the degree-(j+1) index), and otherwise took the rank of the
+letter matrices side by side.  Kept verbatim, as functions of the module,
+as the oracles the new form must match exactly: the same verdicts, the
+same torsion, and the same letter matrices, standard words and held count
+left in the module's caches.
 """
-
-import itertools
 
 from freeproj.fpmod import Torsion
 from freeproj.linalg import SparseMatrix, rank, row_reduce
-
-
-def tiles(blocks, size: int) -> bool:
-    """Do the blocks (start, length) cover [0, size) once, with no overlap?
-    Sorted by start, each nonempty block must begin where the one before ends."""
-    blocks = sorted(block for block in blocks if block[1])
-    ends = itertools.accumulate((n for _, n in blocks), initial=0)
-    return [start for start, _ in blocks] + [size] == list(ends)
-
-
-def column_blocks_tile(layout, d: int, size: int) -> bool:
-    """The column check of `_mult_bijective` on the free tail: the blocks
-    off + i * n, one for each letter i, of each (row, n, off) in the layout."""
-    return tiles([(off + i * n, n) for _, n, off in layout for i in range(d)], size)
 
 
 def words_keep_a_letter(self, j: int) -> bool:

@@ -14,6 +14,7 @@ from freeproj.cli import main
 from freeproj.fields import MAX_LITERAL_DIGITS
 from freeproj.fpmod import MAX_STD_WORDS
 from freeproj.leavitt import MAX_RAISED_TERMS
+from freeproj.parsing import parse_presentation
 from freeproj.randgen import make_rng
 from freeproj.verify import CRITERIA, SUITE_NAMES, CriterionResult, run_criterion
 
@@ -72,8 +73,9 @@ def test_profile_command(files, capsys):
 
 
 def test_profile_command_checks_each_degree_once(capsys, mult_checks, tmp_path):
-    # one stable_profile call per report: each degree up to the cap is checked
-    # once, also on R + R(-1) by x0 * e0 = e1, where i0 < b
+    # one stable_profile call per report: the walk down from b checks each
+    # degree of [i0, b) once, and i0 - 1 when it stops there, also on
+    # R + R(-1) by x0 * e0 = e1, where i0 < b; no degree >= b is checked
     golden = os.path.join(os.path.dirname(__file__), "golden")
     early = tmp_path / "early.pres"
     early.write_text("field: QQ\nd: 2\ngens: [0, 1]\nrels:\nx0, -1\n")
@@ -81,10 +83,21 @@ def test_profile_command_checks_each_degree_once(capsys, mult_checks, tmp_path):
         mult_checks.clear()
         code, report = run(capsys, "--degree-cap", "12", "profile", path)
         i0 = report["result"]["profile"]["i0"]
+        with open(path) as fh:
+            b = parse_presentation(fh.read()).module()._free_bound()
         assert code == 0 and report["result"]["profile"]["certified_through"] == 12
-        # the walk down from b also checks i0 - 1 when it stops there
         assert len(mult_checks) == len(set(mult_checks))
-        assert set(range(i0, 12)) <= set(mult_checks) <= set(range(i0 - 1, 12))
+        assert set(range(i0, b)) <= set(mult_checks) <= set(range(i0 - 1, b))
+    # the cap only labels the report: caps 10, 1000 and 14284, the largest
+    # the digit bound admits on d3.pres, run the same checks
+    d3 = os.path.join(golden, "d3.pres")
+    checks = []
+    for cap in ("10", "1000", "14284"):
+        mult_checks.clear()
+        code, report = run(capsys, "--degree-cap", cap, "profile", d3)
+        assert code == 0 and report["result"]["profile"]["certified_through"] == int(cap)
+        checks.append(list(mult_checks))
+    assert checks[0] and checks[0] == checks[1] == checks[2]
 
 
 def test_k0_command(files, capsys):

@@ -399,50 +399,37 @@ def test_held_count_is_the_cached_words_and_rows():
         assert M._held == held_in_caches(M) > 0
 
 
-class MovedLayout(FpModule):
-    """An FpModule whose free-tail layout moves one entry of its first
-    nonempty coordinate by one: entry 0 is the row start, 2 the column
-    offset."""
-
-    def __init__(self, M, which):
-        super().__init__(M.F0, M.relations)
-        self.moved = which
-
-    def _free_layout(self, j):
-        layout = [list(entry) for entry in super()._free_layout(j)]
-        next(entry for entry in layout if entry[1])[self.moved] += 1
-        return [tuple(entry) for entry in layout]
-
-
 @hypothesis.settings(max_examples=80, deadline=None)
 @hypothesis.given(presented_modules(fractions=True))
 def test_free_tail_layout_check_matches_rank_oracle(M):
-    # the layout check of degrees b..b+4 against exact rank of the stacked
-    # lookup-built letter matrices, on a fresh copy of the module
+    # the lemma: the layout at b passes (suffix-free leads, h_b and
+    # h_{b+1} = d * h_b), and then V tensor M_j -> M_{j+1} is bijective at
+    # every j in b..b+5 by exact rank of the stacked lookup-built letter
+    # matrices, on a fresh copy of the module
     b = M._free_bound()
+    M._free_layout(b)
     slow = FpModule(M.F0, M.relations)
-    for j in range(b, b + 5):
-        assert M._mult_bijective(j) == oracle_mult_bijective(slow, j)
+    for j in range(b, b + 6):
+        assert oracle_mult_bijective(slow, j)
     # no letter matrix and no word past b was built for the check
     assert M._letter_cache == {}
     assert max(M._std_cache, default=b) <= b
     if M.hilbert(b) == 0:
         return
-    # a corrupted layout is not certified: a moved row start or column
-    # offset leaves a gap or an overlap, a wrong count fails its Hilbert value
-    for which in (0, 2):
-        moved = MovedLayout(M, which)
-        assert not any(moved._mult_bijective(j) for j in range(b, b + 3))
-    # (layouts are cached per degree: the counts are read, and the Hilbert
-    # values built, through b + 4 by laying out b + 3 alone, and corrupted
-    # before the first layout of b..b+2)
+    # a wrong count fails its Hilbert value, in the profile and in every
+    # degree laid out after it (layouts are cached per degree: the counts
+    # are read, and the Hilbert values built, through b + 4 by laying out
+    # b + 3 alone, and corrupted before the first layout of b..b+2)
     wrong = FpModule(M.F0, M.relations)
     wrong._free_layout(b + 3)
     assert list(wrong._layouts) == [b + 3]
     wrong._bound_counts[next(a for a, n in enumerate(wrong._bound_counts) if n)] += 1
+    with pytest.raises(CertificateMismatch, match="Hilbert value"):
+        wrong.stable_profile()
+    assert wrong._profile is None
     for j in range(b, b + 3):
         with pytest.raises(CertificateMismatch, match="Hilbert value"):
-            wrong._mult_bijective(j)
+            wrong._free_layout(j)
 
 
 @st.composite
@@ -504,72 +491,28 @@ def test_free_layout_refuses_a_lead_ending_in_another(rename):
     assert M._bound_counts is None and M._std_cache == {}
 
 
-@st.composite
-def block_lists(draw):
-    """(blocks, size) for `_tiles`: a shuffled tiling of [0, size) with empty
-    blocks, then maybe a block moved, a block added or the size changed; or
-    blocks drawn at random, negative, overlapping and past the size."""
-    if draw(st.booleans()):
-        blocks = draw(st.lists(st.tuples(st.integers(-2, 12), st.integers(-1, 6)), max_size=6))
-        return blocks, draw(st.integers(0, 14))
-    lengths = draw(st.lists(st.integers(0, 4), max_size=6))
-    blocks = [list(b) for b in zip(itertools.accumulate(lengths, initial=0), lengths)]
-    size = sum(lengths)
-    change = draw(st.sampled_from(["none", "move", "add", "size"]))
-    if change == "move" and blocks:
-        draw(st.sampled_from(blocks))[0] += draw(st.sampled_from([-1, 1]))
-    elif change == "add":
-        blocks.append([draw(st.integers(0, size)), draw(st.integers(0, 2))])
-    elif change == "size":
-        size += draw(st.sampled_from([-1, 1]))
-    return [tuple(b) for b in draw(st.permutations(blocks))], size
-
-
-@hypothesis.settings(max_examples=400, deadline=None)
-@hypothesis.given(block_lists())
-def test_tiles_matches_frozen_copy(case):
-    blocks, size = case
-    assert fpmod._tiles(blocks, size) == profile_path_oracle.tiles(blocks, size)
-
-
-@st.composite
-def free_tail_layouts(draw):
-    """(d, layout, size): a free-tail layout (row start, n, column offset)
-    with offsets d * row and size d * h_j, then maybe offsets moved and the
-    size changed by one."""
-    d = draw(st.integers(1, 3))
-    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
-    starts = list(itertools.accumulate(counts, initial=0))
-    layout = [[row, n, d * row] for row, n in zip(starts, counts)]
-    for _ in range(draw(st.integers(0, 2))):
-        draw(st.sampled_from(layout))[2] += draw(st.integers(-3, 3))
-    return d, [tuple(entry) for entry in layout], d * starts[-1] + draw(st.sampled_from([0, 0, -1, 1]))
-
-
-@hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(free_tail_layouts())
-def test_column_spans_tile_exactly_when_column_blocks_do(case):
-    # the span (off, d * n) of a coordinate against its d blocks (off + i * n, n)
-    d, layout, size = case
-    spans = fpmod._tiles([(off, d * n) for _, n, off in layout], size)
-    assert spans == profile_path_oracle.column_blocks_tile(layout, d, size)
-
-
 def test_stable_profile_checks_each_degree_once(mult_checks, A2):
-    # R + R(-1) by x0 * e0 = e1 is free from degree 0 < b = 1, so the walk
-    # down from b proves degree 0 and the certification loop starts at b
+    # R + R(-1) by x0 * e0 = e1 is free from degree 0 < b = 1: the walk down
+    # from b checks exactly [i0, b), and i0 - 1 too where it stops above the
+    # least degree; the layout at b proves every degree past it, so no
+    # degree >= b is checked and only b is laid out, whatever the cap
     F = A2.free_module([0, 1])
     M = FpModule(F, [F.from_polys([A2.gen(0), A2.one().scale(-1)])])
     b = M._free_bound()
-    for through, want in ((0, b + 4), (b + 2, b + 4), (b + 9, b + 9)):
+    for through, want in ((0, b + 4), (b + 2, b + 4), (b + 9, b + 9), (1000, 1000)):
         mult_checks.clear()
         M._profile = None
         p = M.stable_profile(through)
         assert p.i0 < b and p.certified_through == want
-        assert sorted(mult_checks) == list(range(p.i0, want))
-    # a profile certified far enough is returned as it is
+        assert mult_checks == list(range(b - 1, max(p.i0 - 1, M.min_degree) - 1, -1))
+        assert list(M._layouts) == [b]
+    # a profile certified far enough is returned as it is; a larger cap is
+    # a relabel that runs no check
     mult_checks.clear()
     assert M.stable_profile(b + 5) is p and not mult_checks
+    q = M.stable_profile(2000)
+    assert (q.i0, q.t0, q.certified_through) == (p.i0, p.t0, 2000) and not mult_checks
+    assert list(M._layouts) == [b]
 
 
 def test_stable_profile_builds_no_free_tail_letter_matrix():
