@@ -19,9 +19,11 @@ Standard words are closed under taking suffixes: a relation leading word that
 is a suffix of a word's suffix is a suffix of the word.  So for a standard
 word w at coordinate alpha, x_i * w is standard unless it is itself a leading
 word at alpha, since its proper suffixes are suffixes of w.  `std_basis`
-builds each degree from the one below by this one-letter extension,
-`letter_matrix` writes a unit row for every standard product, and below the
-free tail the rank check of `_mult_bijective` meets mostly those unit rows.
+builds each degree from the one below by this one-letter extension, and
+`letter_matrix` writes a unit row for every standard product and reads any
+other, a lead, off its monic basis element: minus the tail, which the weak
+algorithm (P. M. Cohn) has already reduced.  Below the free tail the rank
+check of `_mult_bijective` meets mostly unit rows.
 
 Torsion is found one letter at a time too.  The tail M_{>=i0} of the stable
 profile is free, so an element of M_j is torsion exactly when each x_a times
@@ -53,8 +55,10 @@ in which every standard word w keeps a letter (some x_a * w is standard)
 passes with no matrix.  By suffix closure a standard w keeps no letter only
 when all d words x_a * w are leading words at alpha, a dead end of degree
 shift(alpha) + |w|, which `torsion` reads off the relation basis's lead
-index.  Only the degrees below i0 that hold one build their letter
-matrices and take the rank, downward; no other degree scans a word.
+index with no standard word: w is a proper suffix of a lead, so standard
+once `_free_layout(b)` has checked that no lead at alpha ends in another.
+Only the degrees below i0 that hold one build their letter matrices and
+take the rank, downward; no other degree scans a word.
 
 Morphism matrices grow by the same closure.  A morphism phi is left
 R-linear, phi(x_i * m) = x_i * phi(m), and the suffix u of a standard word
@@ -106,12 +110,11 @@ only on the walk down from b.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .errors import BudgetExceeded, CertificateMismatch
 from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
-from .linalg import SparseMatrix, _row_product, rank, row_reduce
+from .linalg import SparseMatrix, _ratio, _row_product, rank, row_reduce
 from .submodules import FreeBasis, kernel, weak_basis
 
 # The most standard words and letter-matrix rows an FpModule holds over all
@@ -274,17 +277,20 @@ class FpModule:
 
     def hilbert(self, j: int) -> int:
         """dim_k M_j, exact: monomials of F0 minus the reducible ones, from
-        the histogram n_a of generators minus relation basis elements per
-        degree: d * h(j-1) + n_j when degree j - 1 is cached, else the
+        the dict n_a of generators minus relation basis elements per degree,
+        built once: d * h(j-1) + n_j when degree j - 1 is cached, else the
         closed form sum n_a d^(j-a) over a <= j.  Cached per queried degree."""
         h = self._hilbert_cache.get(j)
         if h is None:
             if (counts := self._degree_counts) is None:
-                counts = self._degree_counts = Counter(self.F0.shifts)
-                counts.subtract(self.relation_basis().degrees())
+                counts = self._degree_counts = {}
+                for a in self.F0.shifts:
+                    counts[a] = counts.get(a, 0) + 1
+                for a in self.relation_basis().degrees():
+                    counts[a] = counts.get(a, 0) - 1
             d, prev = self.algebra.d, self._hilbert_cache.get(j - 1)
             h = self._hilbert_cache[j] = (sum(n * d ** (j - a) for a, n in counts.items() if a <= j)
-                                          if prev is None else d * prev + counts[j])
+                                          if prev is None else d * prev + counts.get(j, 0))
         return h
 
     def std_basis(self, j: int):
@@ -368,7 +374,8 @@ class FpModule:
         Row k is the class of x_i * w for the k-th standard monomial w.  By
         suffix closure (module docstring) x_i * w is standard unless it is a
         relation leading word: a product found in the degree-(j+1) index is
-        a unit row, and only the rest are reduced.
+        a unit row, and any other, a lead, is -v / db over the tail v of
+        its basis element B / db, in its order (module docstring).
 
         On the free tail, j >= b with b the bound of `stable_profile`, every
         row is a unit row placed by `_free_layout` from the per-coordinate
@@ -386,12 +393,14 @@ class FpModule:
             for start, n, off in layout:
                 rows[start:start + n] = ({c: one} for c in range(off + i * n, off + (i + 1) * n))
         else:
-            std = self.std_basis(j)
-            index = self._std_index(j + 1)
+            index, basis = self._std_index(j + 1), self.relation_basis()
             rows = []
-            for alpha, w in std:
-                k = index.get(mon := (alpha, (i,) + w))
-                rows.append(self.coords(self.F0.element({mon: one}), j + 1) if k is None else {k: one})
+            for alpha, w in self.std_basis(j):
+                if (k := index.get((alpha, u := (i,) + w))) is not None:
+                    rows.append({k: one})
+                    continue
+                db, tail = basis._ints[basis._by_coord[alpha][u]]
+                rows.append({index[m]: F.neg(v) if db == 1 else _ratio(-v, db) for m, v in tail})
         out = self._letter_cache[(i, j)] = SparseMatrix(F, hj, self.hilbert(j + 1), rows)
         self._held += hj
         return out
@@ -412,11 +421,16 @@ class FpModule:
             return self._layouts[j]
         b, d = self._free_bound(), self.algebra.d
         if self._bound_counts is None:
-            leads = self.relation_basis()._by_coord
-            if any(v[k:] in vs for vs in leads.values() for v in vs for k in range(1, len(v) + 1)):
-                raise CertificateMismatch("a relation leading word ends in another at its coordinate")
-            self._bound_counts = [d ** (b - s) - sum(d ** (b - s - len(v)) for v in leads.get(alpha, ()))
-                                  for alpha, s in enumerate(self.F0.shifts)]
+            shifts, counts = self.F0.shifts, [d ** (b - s) for s in self.F0.shifts]
+            for alpha, vs in self.relation_basis()._by_coord.items():
+                lengths = {len(v) for v in vs}
+                for v in vs:
+                    n = len(v)
+                    for k in lengths:
+                        if k < n and v[n - k:] in vs:
+                            raise CertificateMismatch("a relation leading word ends in another at its coordinate")
+                    counts[alpha] -= d ** (b - shifts[alpha] - n)
+            self._bound_counts = counts
         counts = [n * d ** (j - b) for n in self._bound_counts]
         starts = list(itertools.accumulate(counts, initial=0))
         if starts[-1] != self.hilbert(j) or d * starts[-1] != self.hilbert(j + 1):
@@ -487,35 +501,34 @@ class FpModule:
         and cross-checked against the stable profile.  The presentation class
         is read as n * d^(-m), m the largest shift or relation degree, so no
         negative power of d is formed, and only after the profile has held
-        the spread of those degrees to its bound."""
+        the spread of those degrees to its bound.  As i0 <= m, the two agree
+        exactly when n == t_{i0} * d^(m - i0), one integer identity."""
         from .qgr import QgrClass
 
         profile = self.stable_profile()
         d, m = self.algebra.d, self._free_bound()
         degrees = self.relation_basis().degrees()
         n = sum(d ** (m - b) for b in self.F0.shifts) - sum(d ** (m - a) for a in degrees)
-        cls = QgrClass(profile.t0, profile.i0, d)
-        if n < 0 or QgrClass(n, m, d) != cls:
+        if n != profile.t0 * d ** (m - profile.i0):
             raise CertificateMismatch(
                 f"presentation class {n} * {d}^{-m} != profile class {profile.t0} * {d}^{-profile.i0}"
             )
-        return cls
+        return QgrClass(profile.t0, profile.i0, d)
 
     # -- torsion --------------------------------------------------------------
 
     def _dead_ends(self, top: int) -> set:
-        """The degrees j in [min_degree, top) that hold a dead end (module
-        docstring): a standard word w at some alpha whose products x_0 * w,
-        ..., x_{d-1} * w are all leading words at alpha, read off the
-        relation basis's lead index."""
-        d, shifts, low = self.algebra.d, self.F0.shifts, self.min_degree
+        """The degrees j < top that hold a dead end (module docstring): a
+        word w at some alpha whose products x_0 * w, ..., x_{d-1} * w are
+        all leading words at alpha, read off the lead index alone: w is
+        standard and j >= min_degree once `stable_profile` has run."""
+        d, shifts = self.algebra.d, self.F0.shifts
         out = set()
         for alpha, leads in self.relation_basis()._by_coord.items():
             for v in leads:
-                if v and v[0] == 0 and all((a,) + v[1:] in leads for a in range(1, d)):
-                    j = shifts[alpha] + len(v) - 1
-                    if low <= j < top and (alpha, v[1:]) in self._std_index(j):
-                        out.add(j)
+                if v and v[0] == 0 and (j := shifts[alpha] + len(v) - 1) < top and all(
+                        (a,) + v[1:] in leads for a in range(1, d)):
+                    out.add(j)
         return out
 
     def _letters_side_by_side(self, j: int, Q: SparseMatrix | None = None) -> SparseMatrix:

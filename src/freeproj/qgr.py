@@ -58,7 +58,8 @@ class QgrClass:
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self.t) * Fraction(self.d) ** (-self.i)
+        """t * d^(-i) as one Fraction of two integers, in lowest terms."""
+        return Fraction(self.t * self.d ** max(-self.i, 0), self.d ** max(self.i, 0))
 
     def multiplicity_at(self, i: int) -> int:
         """r with value = r * d^i, if r is a nonnegative integer.  For the

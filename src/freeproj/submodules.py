@@ -80,12 +80,12 @@ class FreeBasis:
 
     __slots__ = ("ambient", "_elements", "from_generators", "_by_coord", "_lengths", "_degrees", "_ints")
 
-    def __init__(self, ambient, elements, from_generators, by_coord, degrees, ints):
+    def __init__(self, ambient, elements, from_generators, by_coord, lengths, degrees, ints):
         self.ambient = ambient
         self._elements = None if elements is None else tuple(elements)
         self.from_generators = None if from_generators is None else tuple(from_generators)
         self._by_coord = by_coord
-        self._lengths = {alpha: {len(w) for w in words} for alpha, words in by_coord.items()}
+        self._lengths = lengths
         self._degrees = tuple(degrees)
         self._ints = ints
 
@@ -168,7 +168,7 @@ def _full_reduce(F, work: dict, W: int, ints, by_coord, lengths, uses=None):
     work / W = nf / W' + sum uses[i] * basis[i].  work is consumed."""
     nf: dict = {}
     while work:
-        mon = max(work, key=term_key)
+        mon = max(work, key=term_key) if len(work) > 1 else next(iter(work))
         c = work.pop(mon)
         alpha, w = mon
         idx, u = _find_reducer(alpha, w, by_coord, lengths)
@@ -275,7 +275,7 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
     # `_combine_cofactors` may leave a Fraction(k, 1), which coerce makes k
     from_generators = [{i: NcPoly(A, {u: F.coerce(c) for u, c in t.items()}) for i, t in row.items()}
                        for row in cof_rows] if _cofactors else None
-    return FreeBasis(ambient, None, from_generators, by_coord, degrees, ints)
+    return FreeBasis(ambient, None, from_generators, by_coord, lengths, degrees, ints)
 
 
 def kernel(phi: ModuleMap) -> FreeBasis:

@@ -123,8 +123,9 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None) -> FreeBasis
         work = _lift(F, b.terms)[0]
         lead = max(work, key=term_key)
         ints.append(_entry(F, {lead: work.pop(lead), **work}))
+    lengths = {alpha: {len(w) for w in words} for alpha, words in by_coord.items()}
     return FreeBasis(ambient, basis, [{i: NcPoly(A, t) for i, t in row.items()} for row in cof_rows], by_coord,
-                     [b.degree() for b in basis], ints)
+                     lengths, [b.degree() for b in basis], ints)
 
 
 def kernel(phi: ModuleMap) -> FreeBasis:

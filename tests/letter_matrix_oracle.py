@@ -1,11 +1,14 @@
 """The lookup-built `FpModule.letter_matrix` that the free-tail rows replaced
-past the stable bound, and the rank check of `FpModule._mult_bijective` that
-the free-tail layout check replaced there.
+past the stable bound and the lead rows below it, and the rank check of
+`FpModule._mult_bijective` that the free-tail layout check replaced there.
 
-`letter_matrix` builds every standard word of degrees j and j+1 and looks up
-each product x_i * w in the degree-(j+1) index.  Kept verbatim, as a function
-of the module, as the oracle the count-built rows must match exactly: same
-rows, same column count, same value types and dict key order.
+`letter_matrix` builds every standard word of degrees j and j+1, looks up
+each product x_i * w in the degree-(j+1) index and reduces every product
+not found, a relation leading word, with `coords`.  Kept verbatim, as a
+function of the module, as the oracle that the count-built rows past the
+bound and the lead rows read off the relation basis below it must match
+exactly: same rows, same column count, same value types and dict key
+order.
 `mult_bijective` stacks those rows and runs exact `rank` in every degree.
 """
 

@@ -205,9 +205,42 @@ def test_letter_matrix_matches_slow_rows():
                 slow = [M.coords(M.F0.element({mon: one}), j + 1) for mon in products]
                 fast = M.letter_matrix(i, j)
                 assert (fast.nrows, fast.ncols) == (len(slow), M.hilbert(j + 1))
-                assert [list(r.items()) for r in fast.rows] == [list(r.items()) for r in slow]
+                # by type as well: 2 == Fraction(2) would pass a value test
+                assert typed_rows(fast) == typed_rows(SparseMatrix(M.algebra.field, len(slow), fast.ncols, slow))
                 reduced += sum(1 for mon in products if mon not in std_next)
     assert reduced > 0
+
+
+def pinned_lead_module(field, c):
+    """R / (c * x1 + x0) at d = 2 over field: the lead x1 has tail x0 / c,
+    so its row in the matrix of x1 out of degree 0 is -1/c, a Fraction
+    with db = c > 1 over QQ and F.neg of 1/c over GF(p)."""
+    A = FreeAlgebra(2, field)
+    return FpModule.cyclic(A, [A.gen(1).scale(field.coerce(c)) + A.gen(0)])
+
+
+def test_lead_rows_match_lookup_oracle():
+    # below the bound every product that is a lead is read off the relation
+    # basis; the oracle reduces it with `coords`.  Value, type and key order
+    kinds = set()
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(presented_modules(fractions=True))
+    @hypothesis.example(pinned_lead_module(QQ, 2))  # a lead of db = 2
+    @hypothesis.example(pinned_lead_module(GF(7), 3))  # a GF(7) lead with a tail
+    def check(M):
+        slow, basis = FpModule(M.F0, M.relations), M.relation_basis()
+        gfp = M.algebra.field.characteristic != 0
+        for j in range(M.min_degree - 1, M._free_bound()):
+            for i in range(M.algebra.d):
+                assert typed_rows(M.letter_matrix(i, j)) == typed_rows(oracle_letter_matrix(slow, i, j))
+                for alpha, w in M.std_basis(j):
+                    if (idx := basis._by_coord.get(alpha, {}).get((i,) + w)) is not None:
+                        db, tail = basis._ints[idx]
+                        kinds.add("GF(p) tail" if gfp and tail else "QQ db > 1" if db > 1 else "other")
+
+    check()
+    assert {"QQ db > 1", "GF(p) tail"} <= kinds, kinds
 
 
 class LookupLetters(FpModule):
@@ -703,6 +736,20 @@ def test_dead_ends_match_frozen_word_test(M):
     assert_dead_ends_match_word_test(M)
 
 
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(twisted_modules())
+def test_dead_end_candidates_are_standard_words(M):
+    # what `_dead_ends` relies on to look no word up: for a lead v whose d
+    # words (a,) + v[1:] are all leads at alpha, v[1:], a proper suffix of a
+    # lead, is a standard word, in a degree at or above min_degree
+    d, shifts = M.algebra.d, M.F0.shifts
+    for alpha, leads in M.relation_basis()._by_coord.items():
+        for v in leads:
+            if v and all((a,) + v[1:] in leads for a in range(d)):
+                j = shifts[alpha] + len(v) - 1
+                assert j >= M.min_degree and (alpha, v[1:]) in M.std_basis(j)
+
+
 def test_dead_ends_match_frozen_word_test_on_golden_and_battery():
     A1, A2, A3 = FreeAlgebra(1), FreeAlgebra(2), FreeAlgebra(3, GF(5))
     x0, x1 = A2.gen(0), A2.gen(1)
@@ -988,6 +1035,31 @@ def test_k0_class_examples(A2):
         assert cls.value == Fraction(1, 2**i)
     assert FpModule.residue(A2).k0_class().value == 0
     assert quotient_by_first_letter(A2).k0_class().value == Fraction(1, 2)
+
+
+def test_k0_class_refuses_a_profile_the_presentation_disagrees_with(monkeypatch):
+    # R/Rx0: b = 1, n = 2 - 1 = 1 and the profile (i0, t0) = (1, 1).  A
+    # genuine relation basis gives n = h_b >= 0, equal to t0 * d^(b - i0),
+    # so the refusal is reached only by corrupting one side: t0 or i0 of the
+    # profile, or the relation degrees, which make n negative
+    A2 = FreeAlgebra(2)
+    cases = [
+        (fpmod.StableProfile(1, 2, 2, 5), None, "presentation class 1 * 2^-1 != profile class 2 * 2^-1"),
+        (fpmod.StableProfile(0, 1, 2, 5), None, "presentation class 1 * 2^-1 != profile class 1 * 2^0"),
+        (fpmod.StableProfile(1, 0, 2, 5), None, "presentation class 1 * 2^-1 != profile class 0 * 2^-1"),
+        (None, (1, 1, 1), "presentation class -1 * 2^-1 != profile class 1 * 2^-1"),
+    ]
+    for profile, degrees, message in cases:
+        M = quotient_by_first_letter(A2)
+        assert (M.stable_profile().i0, M.stable_profile().t0, M._free_bound()) == (1, 1, 1)
+        assert M.k0_class() == QgrClass(1, 1, 2)
+        if profile is not None:
+            monkeypatch.setattr(M, "_profile", profile)
+        if degrees is not None:
+            monkeypatch.setattr(M.relation_basis(), "_degrees", degrees)
+        with pytest.raises(CertificateMismatch) as err:
+            M.k0_class()
+        assert str(err.value) == message
 
 
 def test_k0_additive_on_kernel_sequences(A2):

@@ -62,6 +62,22 @@ def test_class_equality_cross_multiplied():
     assert QgrClass(12, 4, 2) == QgrClass(3, 2, 2)
 
 
+def test_value_is_the_fraction_of_its_powers():
+    # every normal form t * d^(-i) of t = 0..40, i = -4..6 at d = 1..6, in
+    # value and in type, against the product of Fractions
+    forms = 0
+    for d in range(1, 7):
+        for t in range(41):
+            for i in range(-4, 7):
+                cls = QgrClass(t, i, d)
+                if (cls.t, cls.i) == (t, i):
+                    got, want = cls.value, Fraction(t) * Fraction(d) ** (-i)
+                    assert (type(got), got) == (type(want), want)
+                    forms += 1
+    # at d = 1 and at t = 0 only i = 0 is a normal form; at d >= 2 every i is, for each t > 0 prime to d
+    assert forms == 41 + sum(1 + 11 * sum(1 for t in range(1, 41) if t % d) for d in range(2, 7))
+
+
 def test_class_arithmetic():
     half = QgrClass(1, 1, 2)
     one = QgrClass(1, 0, 2)
