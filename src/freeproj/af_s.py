@@ -42,7 +42,7 @@ from itertools import repeat
 from math import gcd, lcm
 
 from .errors import BudgetExceeded, LevelDecrease, NotIdempotent, ParseError, ZeroElement
-from .fields import QQ, power_above, read_int
+from .fields import QQ, QgrClass, power_above, read_int
 from .linalg import SparseMatrix, _add_terms, _denominator, _ratio, dense_mul, generalized_inverse, rank
 
 
@@ -247,8 +247,6 @@ class AFMatrix:
     def k0_class(self):
         """rank(e) * d^(-level) for an idempotent e, as a class in Z[1/d]; rank(e)
         is tr(e) read as an integer over QQ and over GF(p) for p above the side."""
-        from .qgr import QgrClass
-
         if self * self != self:
             raise NotIdempotent("k0_class requires an idempotent")
         p = self.field.characteristic

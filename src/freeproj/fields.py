@@ -12,14 +12,18 @@ canonical values, and so do elimination (`linalg`), reduction
 make each output value from integers by one exact division
 (`linalg._ratio`); plain Fraction arithmetic elsewhere may leave a
 Fraction(k, 1), equal to k, which `coerce` maps to k.
+
+`QgrClass`, a K0 class t * d^(-i) in Z[1/d], is here, below both `fpmod`
+and `af_s`, so that each imports it at load time.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, NotExpressibleAtTwist, ParseError
 
 # The most digits the numerator or denominator of a QQ literal, read or
 # printed, may have: the most CPython prints from an int by default.
@@ -241,3 +245,75 @@ def field_from_spec(spec: str):
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown field {spec!r} (expected QQ or GF(p))")
+
+
+class QgrClass:
+    """An element t * d^(-i) of Z[1/d] in normal form.
+
+    Normal form: i is the least integer making t a nonnegative integer; in
+    particular d does not divide t when t > 0 (for d >= 2), and zero is
+    stored as (0, 0).
+    """
+
+    __slots__ = ("t", "i", "d")
+
+    def __init__(self, t: int, i: int, d: int):
+        if d < 1:
+            raise ValueError("d must be at least 1")
+        if t < 0:
+            raise ValueError("classes are nonnegative")
+        self.t, self.i = QgrClass._strip(t, i, d)
+        self.d = d
+
+    @staticmethod
+    def _strip(t: int, i: int, d: int):
+        """Normal form of t * d^(-i) for an integer t, from the exponents
+        alone: factors of d move from t into i, and no power of d is formed."""
+        if t == 0:
+            return 0, 0
+        if d == 1:
+            return t, 0
+        while t % d == 0:
+            t //= d
+            i -= 1
+        return t, i
+
+    @property
+    def value(self) -> Fraction:
+        """t * d^(-i) as one Fraction of two integers, in lowest terms."""
+        return Fraction(self.t * self.d ** max(-self.i, 0), self.d ** max(self.i, 0))
+
+    def multiplicity_at(self, i: int) -> int:
+        """r with value = r * d^i, if r is a nonnegative integer.  For the
+        normal form t * d^(-c) that is t * d^(-c-i), integral exactly when
+        -c-i >= 0 (d does not divide t), read from the exponents."""
+        e = -self.i - i
+        if e < 0 and self.t and self.d > 1:
+            raise NotExpressibleAtTwist(
+                f"class {self.t} * {self.d}^{-self.i} is not integral at twist {i}")
+        return self.t * self.d ** max(e, 0)
+
+    def expressible_in(self, e: int) -> bool:
+        """Does this value lie in Z[1/e]?"""
+        den = self.value.denominator
+        while den > 1:
+            g = gcd(den, e)
+            if g == 1:
+                return False
+            den //= g
+        return True
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, QgrClass)
+            and (self.t, self.i, self.d) == (other.t, other.i, other.d)
+        )
+
+    def __hash__(self):
+        return hash((self.t, self.i, self.d))
+
+    def to_json(self):
+        return {"t": self.t, "i": self.i, "d": self.d}
+
+    def __repr__(self):
+        return f"QgrClass({self.t}*{self.d}^-{self.i})"

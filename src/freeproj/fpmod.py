@@ -112,7 +112,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BudgetExceeded, CertificateMismatch
-from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS
+from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QgrClass
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
 from .linalg import SparseMatrix, _ratio, _row_product, rank, row_reduce
 from .submodules import FreeBasis, kernel, weak_basis
@@ -222,12 +222,12 @@ class FpModule:
         "_held",
     )
 
-    def __init__(self, F0: GradedFreeModule, relations=()):
-        """The relation basis is built here, and its checks are the only
-        ones: a relation in another free module or not homogeneous raises
-        `weak_basis`'s ValueError."""
+    def __init__(self, F0: GradedFreeModule, relations=(), _basis: FreeBasis | None = None):
+        """The relation basis is built here by `weak_basis`, whose checks are
+        the only ones (a relation in another free module or not homogeneous
+        raises its ValueError), or is _basis, from `shift` or `direct_sum`."""
         relations = tuple(relations)
-        self._rel_basis = weak_basis(relations, ambient=F0)
+        self._rel_basis = weak_basis(relations, ambient=F0) if _basis is None else _basis
         self.F0 = F0
         self.relations = tuple(r for r in relations if r.terms)
         self._std_cache = {}
@@ -503,8 +503,6 @@ class FpModule:
         negative power of d is formed, and only after the profile has held
         the spread of those degrees to its bound.  As i0 <= m, the two agree
         exactly when n == t_{i0} * d^(m - i0), one integer identity."""
-        from .qgr import QgrClass
-
         profile = self.stable_profile()
         d, m = self.algebra.d, self._free_bound()
         degrees = self.relation_basis().degrees()
@@ -624,12 +622,13 @@ class FpModule:
         return self.submodule_presentation(gens)
 
     def shift(self, m: int) -> "FpModule":
-        """The twist M(m), with degrees moved down by m."""
+        """The twist M(m), with degrees moved down by m, its basis moved too."""
         F0 = self.F0.shifted(m)
         rels = [FreeModuleElement(F0, dict(r.terms)) for r in self.relations]
-        return FpModule(F0, rels)
+        return FpModule(F0, rels, self._rel_basis._shifted(F0, m))
 
     def direct_sum(self, other: "FpModule") -> "FpModule":
+        """M + N, N's coordinates after M's, on the summands' merged bases."""
         if self.algebra != other.algebra:
             raise ValueError("summands live over different algebras")
         F0 = self.F0.direct_sum(other.F0)
@@ -639,7 +638,7 @@ class FpModule:
             FreeModuleElement(F0, {(alpha + offset, w): c for (alpha, w), c in r.terms.items()})
             for r in other.relations
         )
-        return FpModule(F0, rels)
+        return FpModule(F0, rels, self._rel_basis._summed(other._rel_basis, F0))
 
     def __repr__(self):
         return f"FpModule(shifts={self.F0.shifts}, relations={len(self.relations)})"

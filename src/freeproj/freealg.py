@@ -21,12 +21,20 @@ degreewise basis, Hilbert-checked and held to the word budget.
 from __future__ import annotations
 
 import itertools
-from operator import add
+from operator import add, index
 
 from .fields import QQ
 from .linalg import _add_products, _add_terms
 
 Word = tuple  # words are plain tuples of letter indices
+
+
+def _degree(b) -> int:
+    """b as an int shift or twist; anything but an integer is a ValueError."""
+    try:
+        return index(b)
+    except TypeError:
+        raise ValueError(f"shifts and twists must be integers, got {b!r}") from None
 
 
 def term_key(mon):
@@ -195,7 +203,7 @@ class GradedFreeModule:
 
     def __init__(self, algebra: FreeAlgebra, shifts):
         self.algebra = algebra
-        self.shifts = tuple(int(b) for b in shifts)
+        self.shifts = tuple(map(_degree, shifts))
 
     @property
     def rank(self) -> int:
@@ -235,6 +243,7 @@ class GradedFreeModule:
 
     def shifted(self, m: int) -> "GradedFreeModule":
         """The twist by m: degrees drop by m, so shifts b become b - m."""
+        m = _degree(m)
         return GradedFreeModule(self.algebra, tuple(b - m for b in self.shifts))
 
     def direct_sum(self, other: "GradedFreeModule") -> "GradedFreeModule":

@@ -364,10 +364,11 @@ def _lift(F, terms: dict):
     over GF(p)."""
     if p := F.characteristic:
         return {m: c % p for m, c in terms.items()}, 1
-    if all(type(c) is int for c in terms.values()):
-        return dict(terms), 1
-    W = lcm(*map(_denominator, terms.values()))
-    return {m: c.numerator * (W // c.denominator) for m, c in terms.items()}, W
+    for c in terms.values():
+        if type(c) is not int:
+            W = lcm(*map(_denominator, terms.values()))
+            return {m: c.numerator * (W // c.denominator) for m, c in terms.items()}, W
+    return dict(terms), 1
 
 
 def _values(nums: dict, W: int) -> dict:

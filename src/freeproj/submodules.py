@@ -17,10 +17,14 @@ whose lengths are lengths of leads there, one probe per such length
 `FreeBasis` keeps both.  One tail interreduction pass suffices: whether a
 monomial is reducible depends only on the leading words, and
 interreduction never changes them (reduction only adds smaller terms), so
-an element once reduced stays reduced.  The pass skips an element with an
-empty tail or no later element of its degree: it was reduced against every
-earlier lead, and a tail monomial at beta, of length deg - shift(beta),
-cannot end in a lead of higher degree.
+an element once reduced stays reduced.  A tail monomial, reduced against
+every earlier lead, can end only in a later lead of its element's degree,
+of its own length: the pass reduces only a tail that holds a lead.
+
+A twist moves every degree alike and the summands of a sum share no
+coordinate, so `weak_basis` takes their relations in the same order and
+reduces them alike: `FpModule.shift` and `direct_sum` derive their bases
+from their operands' (`FreeBasis._shifted`, `_summed`).
 
 Kernels come from cofactors: if the generators g satisfy g = Q*b and
 b = P*g for a free basis b, then every kernel row r satisfies r*Q = 0,
@@ -52,6 +56,7 @@ itself and no basis is rebuilt.
 
 from __future__ import annotations
 
+from bisect import insort
 from math import gcd
 from operator import add, floordiv, mul
 
@@ -118,22 +123,29 @@ class FreeBasis:
         return FreeModuleElement(elem.module, _values(*_full_reduce(F, *_lift(F, elem.terms), self._ints,
                                                                     self._by_coord, self._lengths)))
 
+    def _shifted(self, ambient, m: int) -> "FreeBasis":
+        """This basis in ambient, its ambient shifted by m (module docstring),
+        sharing the containers, which no basis changes once built."""
+        return FreeBasis(ambient, None, None, self._by_coord, self._lengths, [a - m for a in self._degrees], self._ints)
+
+    def _summed(self, other: "FreeBasis", ambient) -> "FreeBasis":
+        """The basis of both bases' relations in ambient, the direct sum of
+        their ambients (module docstring): the merge by degree, this one's
+        first, other's coordinates moved past this one's."""
+        off, by_coord, lengths, ints = self.ambient.rank, {}, {}, []
+        merged = sorted((a, side, i) for side, B in enumerate((self, other)) for i, a in enumerate(B._degrees))
+        leads = [{i: (alpha + k, w) for alpha, words in B._by_coord.items() for w, i in words.items()}
+                 for B, k in ((self, 0), (other, off))]
+        for _, side, i in merged:
+            alpha, w = leads[side][i]
+            by_coord.setdefault(alpha, {})[w] = len(ints)
+            lengths.setdefault(alpha, set()).add(len(w))
+            db, tail = (self, other)[side]._ints[i]
+            ints.append((db, tuple(((beta + off, v), c) for (beta, v), c in tail)) if side else (db, tail))
+        return FreeBasis(ambient, None, None, by_coord, lengths, [a for a, _, _ in merged], ints)
+
     def __repr__(self):
         return f"FreeBasis(rank={self.rank}, degrees={self.degrees()})"
-
-
-def _find_reducer(alpha, w, by_coord, lengths):
-    """(index, prefix) of the basis element whose leading word is a suffix
-    of w = prefix + leading word at alpha, or (None, None): the suffixes of
-    w of the lengths of the leads at alpha are looked up, and since those
-    leads are suffix-free, at most one is found."""
-    leads = by_coord.get(alpha)
-    if leads:
-        n = len(w)
-        for k in lengths[alpha]:
-            if k <= n and (idx := leads.get(w[n - k:])) is not None:
-                return idx, w[:n - k]
-    return None, None
 
 
 def _entry(F, nums: dict) -> tuple:
@@ -163,18 +175,34 @@ def _full_reduce(F, work: dict, W: int, ints, by_coord, lengths, uses=None):
     `FreeBasis._ints` ints and lead index by_coord, lengths, as numerators
     nf over W' (module docstring).
     Terms are processed in decreasing order, so nf is the canonical fully
-    reduced form, in that order.  When uses is a dict it receives the
-    cofactors {basis index: {word: value}}, with
-    work / W = nf / W' + sum uses[i] * basis[i].  work is consumed."""
+    reduced form, in that order: the work is sorted once, and a monomial a
+    reduction adds, below the popped one (the order is stable under left
+    multiplication), inserted; an entry that has left work is skipped.
+    When uses is a dict it receives the cofactors {basis index: {word:
+    value}}, with work / W = nf / W' + sum uses[i] * basis[i].  work is
+    consumed, and may be returned as nf."""
+    if not by_coord:  # nothing reduces: nf is the sorted work
+        return (work if len(work) < 2 else {m: work[m] for m in sorted(work, key=term_key, reverse=True)}), W
+    order = sorted(work, key=term_key) if len(work) > 1 else list(work)
+    p = F.characteristic
     nf: dict = {}
-    while work:
-        mon = max(work, key=term_key) if len(work) > 1 else next(iter(work))
-        c = work.pop(mon)
+    while order:
+        mon = order.pop()
+        c = work.pop(mon, 0)
+        if not c:
+            continue
         alpha, w = mon
-        idx, u = _find_reducer(alpha, w, by_coord, lengths)
+        # the reducer: at most one lead at alpha is a suffix of w (module docstring)
+        leads, idx = by_coord.get(alpha), None
+        if leads:
+            n = len(w)
+            for k in lengths[alpha]:
+                if k <= n and (idx := leads.get(w[n - k:])) is not None:
+                    break
         if idx is None:
             nf[mon] = c
             continue
+        u = w[:n - k]
         db, tail = ints[idx]
         g = gcd(c, db)
         q, s = c // g, db // g
@@ -182,7 +210,15 @@ def _full_reduce(F, work: dict, W: int, ints, by_coord, lengths, uses=None):
             W, c = W * s, c * s
             _rescale((work, nf, *(uses or {}).values()), mul, s)
         # work -= q * u * B, except at B's lead, which cancels the popped mon
-        _add_terms(F, work, (((beta, u + wb), -q * v) for (beta, wb), v in tail))
+        for (beta, wb), v in tail:
+            m = (beta, u + wb)
+            if m not in work:
+                insort(order, m, key=term_key)
+            t = work.get(m, 0) - q * v
+            if t := t % p if p else t:
+                work[m] = t
+            else:
+                del work[m]
         if uses is not None:
             _add_terms(F, uses.setdefault(idx, {}), [(u, c)])
         if s != 1:
@@ -213,25 +249,26 @@ def _combine_cofactors(F, base_row: dict, uses: dict, rows: list) -> dict:
 
 
 def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactors=False) -> FreeBasis:
-    """Free basis of the left submodule generated by homogeneous elements.
-    With _cofactors, which only `kernel` sets, it also records each element
-    over the generators in `FreeBasis.from_generators` (module docstring)."""
+    """Free basis of the left submodule generated by homogeneous elements,
+    taken by degree, then input order.  With _cofactors, which only `kernel`
+    sets, it also records each element over them in `from_generators`."""
     generators = list(generators)
     if ambient is None:
         if not generators:
             raise ValueError("ambient module required for an empty generating set")
         ambient = generators[0].module
-    A = ambient.algebra
+    A, shifts = ambient.algebra, ambient.shifts
     F = A.field
     degree: dict = {}  # {index: degree} of the nonzero generators, read once each
     for i, g in enumerate(generators):
         if g.module is not ambient and g.module != ambient:
             raise ValueError("generators live in different modules")
-        degs = {len(w) + ambient.shifts[alpha] for alpha, w in g.terms}
-        if len(degs) > 1:
-            raise ValueError("generators must be homogeneous")
-        if degs:
-            degree[i] = degs.pop()
+        if g.terms:
+            alpha, w = next(iter(g.terms))
+            a = degree[i] = len(w) + shifts[alpha]
+            for beta, v in g.terms:
+                if len(v) + shifts[beta] != a:
+                    raise ValueError("generators must be homogeneous")
 
     degrees: list = []
     leads: list = []
@@ -257,21 +294,19 @@ def weak_basis(generators, ambient: GradedFreeModule | None = None, *, _cofactor
         ints.append(_entry(F, nf))
         degrees.append(degree[i])
 
-    # one tail interreduction pass (see the module docstring); an element's
-    # own leading word is no suffix of a tail monomial at its coordinate,
-    # which has the same length, so each tail reduces against all leads.
-    # The normal form keeps exactly the tail's monomials when nothing
-    # reduces, and drops the first one that does.
-    for idx, lead in enumerate(leads):
-        db, tail = ints[idx]
-        if not tail or degrees[idx + 1:idx + 2] != [degrees[idx]]:
+    # one tail interreduction pass, of the tails that hold a lead (module docstring)
+    lead_set = set(leads)
+    for idx, (db, tail) in enumerate(ints):
+        for m, _ in tail:
+            if m in lead_set:
+                break
+        else:
             continue
         uses = {} if _cofactors else None
         nf, W = _full_reduce(F, dict(tail), db, ints, by_coord, lengths, uses)
-        if nf.keys() != {m for m, _ in tail}:
-            ints[idx] = _entry(F, {lead: W, **nf})
-            if _cofactors:
-                cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
+        ints[idx] = _entry(F, {leads[idx]: W, **nf})
+        if _cofactors:
+            cof_rows[idx] = _combine_cofactors(F, cof_rows[idx], uses, cof_rows)
     # `_combine_cofactors` may leave a Fraction(k, 1), which coerce makes k
     from_generators = [{i: NcPoly(A, {u: F.coerce(c) for u, c in t.items()}) for i, t in row.items()}
                        for row in cof_rows] if _cofactors else None

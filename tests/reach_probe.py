@@ -52,6 +52,8 @@ KINDS = (DUNDER, ERROR_PATH, BRANCH)
 ALLOWLIST = {
     "af_s.AFMatrix.__repr__": DUNDER,
     "fields.PrimeField.__hash__": DUNDER,
+    "fields.QgrClass.__hash__": DUNDER,
+    "fields.QgrClass.__repr__": DUNDER,
     "fpmod.FpModule.__repr__": DUNDER,
     "fpmod.FpModuleMorphism.__repr__": DUNDER,
     "fpmod.StableProfile.__repr__": DUNDER,
@@ -72,8 +74,6 @@ ALLOWLIST = {
     "leavitt.LeavittElement.__repr__": DUNDER,
     "leavitt.StrongGradingWitness.__repr__": DUNDER,
     "linalg.SparseMatrix.__repr__": DUNDER,
-    "qgr.QgrClass.__hash__": DUNDER,
-    "qgr.QgrClass.__repr__": DUNDER,
     "qgr.QgrObject.__eq__": DUNDER,
     "qgr.QgrObject.__repr__": DUNDER,
     "submodules.FreeBasis.__repr__": DUNDER,

@@ -99,13 +99,15 @@ def draw_element(draw, F, degree, coef):
 
 
 @st.composite
-def presented_modules(draw, fractions=False):
-    """Random presentations over QQ or GF(5), d = 1..3, with 1-3 generators
-    of shift 0..2 and 0-3 random homogeneous relations; optionally a
-    generator killed outright (leading word ()) and a coordinate cut off at
-    length 1 or 2, which gives torsion."""
-    field = draw(st.sampled_from([QQ, GF(5)]))
-    A = FreeAlgebra(draw(st.integers(1, 3)), field)
+def presented_modules(draw, fractions=False, algebra=None):
+    """Random presentations over QQ or GF(5), d = 1..3, or over algebra when
+    given, with 1-3 generators of shift 0..2 and 0-3 random homogeneous
+    relations; optionally a generator killed outright (leading word ()) and
+    a coordinate cut off at length 1 or 2, which gives torsion."""
+    if algebra is None:
+        field = draw(st.sampled_from([QQ, GF(5)]))
+        algebra = FreeAlgebra(draw(st.integers(1, 3)), field)
+    A, field = algebra, algebra.field
     F = A.free_module(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
     coef = coefficients(field, fractions)
     rels = []
@@ -1085,6 +1087,15 @@ def test_shift_and_direct_sum(A2):
     D = S.direct_sum(FpModule.free(A2, [0]))
     for j in range(8):
         assert D.hilbert(j) == S.hilbert(j) + 2**j
+
+
+@pytest.mark.parametrize("m", [1.5, "1"])
+def test_shifts_and_twists_must_be_integers(A2, m):
+    # a float or a string is refused, not truncated or parsed: R(1.5) is not R(1)
+    for build in (lambda: A2.free_module([m]), lambda: A2.free_module([0]).shifted(m),
+                  lambda: FpModule.free(A2, [0]).shift(m), lambda: FpModule.free(A2, []).shift(m)):
+        with pytest.raises(ValueError, match="shifts and twists must be integers"):
+            build()
 
 
 def test_morphism_descent_validation(A2):

@@ -5,11 +5,11 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from freeproj import FpModule, FreeAlgebra, kernel, weak_basis
+from freeproj import FpModule, FreeAlgebra, kernel, submodules, weak_basis
 from freeproj.fields import GF, QQ
 from freeproj.freealg import FreeModuleElement, ModuleMap, NcPoly
 from freeproj.randgen import make_rng, random_module_map
-from freeproj.submodules import _find_reducer, _full_reduce, _lift, _values
+from freeproj.submodules import _full_reduce, _lift, _values
 
 import cofactor_oracle
 from conftest import span_dim
@@ -245,12 +245,24 @@ def test_weak_basis_random_freeness(A2, A3):
             assert all(B.reduce(b).is_zero() for b in B2.elements)
 
 
+def first_reducer(B, mon):
+    """(index, prefix) of the basis element `_full_reduce` reduces the single
+    monomial mon by, its first cofactor, or (None, None) when mon is normal."""
+    uses: dict = {}
+    _full_reduce(B.ambient.algebra.field, {mon: 1}, 1, B._ints, B._by_coord, B._lengths, uses)
+    if not uses:
+        return None, None
+    idx = next(iter(uses))
+    return idx, next(iter(uses[idx]))
+
+
 def test_suffix_lookup_matches_scan():
     # random presentations over QQ and GF(5), d = 1..3 (at d = 1 every word
     # is all 0s), with monomial relations among them so that many leads
     # share a coordinate; every monomial of the relations, of the basis, of
     # random elements and of their normal forms, and every word of length
-    # <= 5 at each coordinate, gets the same reducer from both searches
+    # <= 5 at each coordinate, gets the same reducer from `_full_reduce`'s
+    # suffix lookup as from the scan
     rng = make_rng(2111)
     checked = found = 0
     for field in (QQ, GF(5)):
@@ -268,7 +280,7 @@ def test_suffix_lookup_matches_scan():
                 mons = {mon for g in elems + [B.reduce(g) for g in elems] for mon in g.terms}
                 mons.update((alpha, w) for alpha in range(F.rank) for n in range(6) for w in A.words(n))
                 for alpha, w in mons:
-                    got = _find_reducer(alpha, w, B._by_coord, B._lengths)
+                    got = first_reducer(B, (alpha, w))
                     assert got == find_reducer_by_scan(alpha, w, B._by_coord), (alpha, w)
                     checked += 1
                     found += got[0] is not None
@@ -412,6 +424,60 @@ def test_relation_basis_and_reduce_match_cofactor_oracle(M, data):
         assert typed_uses(got_uses) == typed_uses(uses, QQ.coerce)
 
 
+def basis_data(B):
+    """A FreeBasis's `_ints`, lead index, lead lengths and degrees, key order
+    and value types made visible."""
+    ints = [(db, type(db), [(m, type(v), v) for m, v in tail]) for db, tail in B._ints]
+    return ints, [(alpha, list(words.items())) for alpha, words in B._by_coord.items()], B._lengths, tuple(B.degrees())
+
+
+@st.composite
+def summand_pairs(draw):
+    """Two presented modules over one algebra, as `presented_modules` draws them."""
+    M = draw(presented_modules(fractions=True))
+    return M, draw(presented_modules(fractions=True, algebra=M.algebra))
+
+
+def pinned_pair():
+    """R / (2 x1 x0 + x0 x1) and R / (x1 + 3 x0) over QQ at d = 2: the right
+    summand's basis comes first in the sum, its coordinate first in the
+    lead index, and the left one's lead has db = 2."""
+    A = FreeAlgebra(2)
+    x0, x1 = A.gen(0), A.gen(1)
+    return FpModule.cyclic(A, [(x1 * x0).scale(2) + x0 * x1]), FpModule.cyclic(A, [x1 + x0.scale(3)])
+
+
+def test_twists_and_sums_match_cofactor_oracle():
+    # the bases `shift` and `direct_sum` derive from their operands' are the
+    # ones the weak algorithm builds on the same relations: `_ints` by value
+    # and type, the lead index with its key order, lengths and degrees
+    kinds = set()
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(summand_pairs(), st.integers(-3, 3))
+    @hypothesis.example(pinned_pair(), 1)
+    def check(pair, m):
+        M, N = pair
+        Z = FpModule(M.algebra.free_module([]))
+        for X in (M.shift(m), M.direct_sum(N), N.direct_sum(M), M.direct_sum(Z), Z.direct_sum(M)):
+            want = cofactor_oracle.weak_basis(X.relations, ambient=X.F0)
+            B = X.relation_basis()
+            assert basis_data(B) == basis_data(want)
+            assert typed_basis(B) == typed_basis(want, QQ.coerce)
+        S = M.direct_sum(N).relation_basis()
+        if M.relation_basis().rank and N.relation_basis().rank:
+            kinds.add("both summands with relations")
+            if min(N.relation_basis().degrees()) < min(M.relation_basis().degrees()):
+                kinds.add("right summand first")
+        if any(db > 1 for db, _ in S._ints):
+            kinds.add("QQ db > 1")
+        if M.relation_basis().rank and m:
+            kinds.add("twist")
+
+    check()
+    assert {"both summands with relations", "right summand first", "QQ db > 1", "twist"} <= kinds, kinds
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(module_maps())
 def test_kernel_matches_cofactor_oracle(phi):
@@ -438,6 +504,33 @@ def test_full_reduce_adds_back_a_cancelled_monomial(A2):
     want, want_uses = cofactor_oracle._full_reduce(e, B.elements, B._by_coord)
     assert typed_element(nf) == typed_element(want) == [((0, (0, 1)), int, 1)]
     assert typed_uses(uses) == typed_uses(want_uses) == [(0, [((), int, 1)]), (1, [((), int, 1)])]
+    # one degree up, with x0 x0 x1 + x0 x0 x0: x0 x0 x1 is cancelled by x0 * b0,
+    # added back by x0 * b1 and then reduced itself, so the sorted work holds
+    # it twice, and the second entry, whose monomial has left the work, is skipped
+    B = weak_basis([R.from_polys([x1 * x1 + x0 * x1]), R.from_polys([x1 * x0 - x0 * x1]),
+                    R.from_polys([x0 * x0 * x1 + x0 * x0 * x0])], ambient=R)
+    e = R.from_polys([x0 * x1 * x1 + x0 * x1 * x0 + x0 * x0 * x1])
+    nf, uses = reduced(B, e)
+    want, want_uses = cofactor_oracle._full_reduce(e, B.elements, B._by_coord)
+    assert typed_element(nf) == typed_element(want) == [((0, (0, 0, 0)), int, -1)]
+    assert typed_uses(uses) == typed_uses(want_uses) == [
+        (0, [((0,), int, 1)]), (1, [((0,), int, 1)]), (2, [((), int, 1)])]
+
+
+def test_full_reduce_tail_meets_a_pending_monomial(A2):
+    # reducing x1 x1 by x1 x1 + x0 x1 subtracts x0 x1 from the pending 2 x0 x1,
+    # and over QQ from the pending 3/2 x0 x1, against a lead of db = 2 as well
+    x0, x1 = A2.gen(0), A2.gen(1)
+    R = A2.free_module([0])
+    for lead in (1, 2):
+        B = weak_basis([R.from_polys([x1 * x1.scale(lead) + x0 * x1])], ambient=R)
+        for c in (2, Fraction(3, 2)):
+            e = R.from_polys([x1 * x1 + x0 * x1.scale(c)])
+            nf, uses = reduced(B, e)
+            want, want_uses = cofactor_oracle._full_reduce(e, B.elements, B._by_coord)
+            assert typed_element(nf) == typed_element(want, QQ.coerce)
+            assert typed_uses(uses) == typed_uses(want_uses, QQ.coerce) == [(0, [((), int, 1)])]
+            assert nf.terms == {(0, (0, 1)): c - Fraction(1, lead)}
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -491,9 +584,9 @@ def same_degree_generators(draw):
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(same_degree_generators())
 def test_same_degree_tails_match_cofactor_oracle(case):
-    # the tail pass visits only elements with a later lead of their degree:
-    # elements, value types, key order, lead index, degrees and cofactor rows
-    # as the oracle's pass over every element
+    # the tail pass reduces only a tail that holds a lead, one of a later
+    # element of its degree: elements, value types, key order, lead index,
+    # degrees and cofactor rows as the oracle's pass over every element
     F, gens = case
     want = cofactor_oracle.weak_basis(gens, ambient=F)
     B = weak_basis(gens, ambient=F)
@@ -501,6 +594,43 @@ def test_same_degree_tails_match_cofactor_oracle(case):
     assert typed_basis(B) == typed_basis(C) == typed_basis(want, QQ.coerce)
     assert B.from_generators is None
     assert typed_cofactors(C) == typed_cofactors(want, QQ.coerce)
+
+
+def counting_full_reduce(monkeypatch):
+    """A list that receives one entry per `_full_reduce` call `weak_basis` makes."""
+    calls, real = [], submodules._full_reduce
+
+    def counted(*args):
+        calls.append(args[1:2])
+        return real(*args)
+    monkeypatch.setattr(submodules, "_full_reduce", counted)
+    return calls
+
+
+def test_tail_pass_reduces_only_a_tail_that_holds_a_lead(A2, monkeypatch):
+    # x1 x1 + x0 x0 and x1 x0 + x0 x1 share degree 2, and neither tail is the
+    # other's lead: one reduction per generator, and no tail pass.  With
+    # x1 x1 + x1 x0 first, its tail is the second lead: one more, for that tail
+    x0, x1 = A2.gen(0), A2.gen(1)
+    R = A2.free_module([0])
+    calls = counting_full_reduce(monkeypatch)
+    gens = [R.from_polys([x1 * x1 + x0 * x0]), R.from_polys([x1 * x0 + x0 * x1])]
+    B = weak_basis(gens, ambient=R)
+    assert len(calls) == 2
+    assert typed_basis(B) == typed_basis(cofactor_oracle.weak_basis(gens, ambient=R)) == (
+        [[((0, (1, 1)), int, 1), ((0, (0, 0)), int, 1)], [((0, (1, 0)), int, 1), ((0, (0, 1)), int, 1)]],
+        [(0, [((1, 1), 0), ((1, 0), 1)])],
+        (2, 2),
+    )
+    calls.clear()
+    gens = [R.from_polys([x1 * x1 + x1 * x0]), R.from_polys([x1 * x0 + x0 * x1])]
+    B = weak_basis(gens, ambient=R)
+    assert len(calls) == 3
+    assert typed_basis(B) == typed_basis(cofactor_oracle.weak_basis(gens, ambient=R)) == (
+        [[((0, (1, 1)), int, 1), ((0, (0, 1)), int, -1)], [((0, (1, 0)), int, 1), ((0, (0, 1)), int, 1)]],
+        [(0, [((1, 1), 0), ((1, 0), 1)])],
+        (2, 2),
+    )
 
 
 def test_later_same_degree_lead_rewrites_an_earlier_tail(A2):
