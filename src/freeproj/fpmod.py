@@ -110,6 +110,7 @@ only on the walk down from b.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import BudgetExceeded, CertificateMismatch
 from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QgrClass
@@ -254,8 +255,11 @@ class FpModule:
 
     @classmethod
     def residue(cls, algebra: FreeAlgebra) -> "FpModule":
-        """The module k = R / R_{>=1}."""
-        return cls.cyclic(algebra, [algebra.gen(i) for i in range(algebra.d)])
+        """The module k = R / R_{>=1}, on its relation basis built once per
+        algebra and moved into this module's F0; caches and ledger its own."""
+        F0 = algebra.free_module([0])
+        rels = [F0.from_polys([algebra.gen(i)]) for i in range(algebra.d)]
+        return cls(F0, rels, _residue_basis(algebra)._shifted(F0, 0))
 
     @classmethod
     def tail_quotient(cls, algebra: FreeAlgebra, m: int) -> "FpModule":
@@ -642,6 +646,10 @@ class FpModule:
 
     def __repr__(self):
         return f"FpModule(shifts={self.F0.shifts}, relations={len(self.relations)})"
+
+
+# the relation basis of R / R_{>=1}, built once for each algebra of `FpModule.residue` (8 kept)
+_residue_basis = lru_cache(maxsize=8)(lambda A: FpModule.cyclic(A, [A.gen(i) for i in range(A.d)]).relation_basis())
 
 
 class FpModuleMorphism:

@@ -27,6 +27,7 @@ from .fields import QQ
 from .linalg import _add_products, _add_terms
 
 Word = tuple  # words are plain tuples of letter indices
+_INT = frozenset([int])  # the one type a letter may have
 
 
 def _degree(b) -> int:
@@ -82,8 +83,8 @@ class FreeAlgebra:
         return NcPoly(self, {(): self.field.one})
 
     def gen(self, i: int) -> "NcPoly":
-        if not 0 <= i < self.d:
-            raise ValueError(f"letter index {i} out of range")
+        if type(i) is not int or not 0 <= i < self.d:
+            raise ValueError(f"letter index {i!r} out of range")
         return NcPoly(self, {(i,): self.field.one})
 
     def monomial(self, word) -> "NcPoly":
@@ -95,7 +96,9 @@ class FreeAlgebra:
         return parse_poly(self, text)
 
     def _check_word(self, w):
-        if any(not (0 <= i < self.d) for i in w):
+        """A ValueError unless every letter is an int (not a bool) in 0..d-1:
+        its types as one set, its range by min and max."""
+        if w and not (_INT.issuperset(map(type, w)) and 0 <= min(w) and max(w) < self.d):
             raise ValueError(f"word {w} has letters outside 0..{self.d - 1}")
 
     # -- word bookkeeping ----------------------------------------------------

@@ -8,15 +8,18 @@ again a monomial or zero (`mono_mul`), so the span of these monomials is
 closed under multiplication; the grading counts plain letters minus starred
 ones.  Terms are built at this level: the parser folds each term's letters
 into one monomial, and the flat filtration writes its monomials w* v
-directly, each summed once with `linalg._add_terms`.
+directly, each summed once with `linalg._add_terms`; a product runs the
+junction rule inline over its pairs of terms.
 
 Canonical forms raise every monomial of a fixed degree to a common level
 r = max |w| by the rewriting w* v = sum_i (x_i w)* (x_i v); at a fixed level
 the monomials are linearly independent (left multiplication by plain words
 of length r separates them), so equality is a dictionary comparison after
-raising.  The degree-zero part at level r is exactly the d^r x d^r matrix
-algebra, matching the limit-algebra picture unit by unit: raising w* v is
-the block embedding a -> diag(a, .., a), so at level r its units sit at rows
+raising.  `equals` raises only the monomials whose coefficients differ, and
+only if some degree holds two of their levels: at one level they differ.
+The degree-zero part at level r is exactly the d^r x d^r matrix algebra,
+matching the limit-algebra picture unit by unit: raising w* v is the block
+embedding a -> diag(a, .., a), so at level r its units sit at rows
 t + rank(w), columns t + rank(v), for t a multiple of d^|w| below d^r;
 `l0_to_s` places them there, once a side d^r above `af_s.MAX_SIDE` is
 refused.
@@ -24,7 +27,9 @@ refused.
 
 from __future__ import annotations
 
-from .af_s import AFMatrix, _check_side, _placed, word_rank
+from itertools import chain
+
+from .af_s import AFMatrix, _check_side, word_rank
 from .errors import (
     BudgetExceeded,
     CertificateMismatch,
@@ -35,7 +40,7 @@ from .errors import (
 from .fields import power_above
 from .fpmod import FpModule
 from .freealg import FreeAlgebra, NcPoly, _Terms
-from .linalg import _add_products, _add_terms, _lift, _ratio
+from .linalg import _add_terms, _lift, _ratio
 
 
 # raising a monomial by k levels emits d**k terms of a few hundred bytes each
@@ -113,10 +118,29 @@ class LeavittElement(_Terms):
     # -- basic arithmetic ------------------------------------------------------
 
     def __mul__(self, other):
+        """`mono_mul`'s rule inline over the pairs, in `_add_products`' order."""
         if not isinstance(other, LeavittElement):
             return self.scale(other)
+        p = self.algebra.field.characteristic
         out: dict = {}
-        _add_products(self.algebra.field, out, self.terms, other.terms, mono_mul)
+        get = out.get
+        right = [(w2, len(w2), v2, b) for (w2, v2), b in other.terms.items()]
+        for (w1, v1), a in self.terms.items():
+            n = len(v1)
+            for w2, k, v2, b in right:
+                if k <= n and v1[n - k:] == w2:
+                    m = (w1, v1[:n - k] + v2)
+                elif k > n and w2[k - n:] == v1:
+                    m = (w2[:k - n] + w1, v2)
+                else:
+                    continue
+                s = get(m, 0) + a * b
+                if p:
+                    s %= p
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
         return LeavittElement(self.algebra, out)
 
     # -- grading ------------------------------------------------------------------
@@ -139,24 +163,19 @@ class LeavittElement(_Terms):
         """Each graded component raised to its own maximal level, self when already so, marked: not rescanned."""
         if self._least:
             return self
-        levels: dict = {}
-        mixed = False
-        for w, v in self.terms:
-            r = levels.setdefault(len(v) - len(w), len(w))
-            if r != len(w):
-                mixed = True
-                levels[len(v) - len(w)] = max(r, len(w))
+        levels, mixed = _levels(self.terms)
         out = self._raised(levels) if mixed else self
         out._least = True
         return out
 
-    def _raised(self, levels: dict) -> "LeavittElement":
+    def _raised(self, levels: dict, counted=None) -> "LeavittElement":
         """Raise each monomial of a degree m in `levels` to starred length
         levels[m], in one pass: no two components share a monomial.  The
-        terms it would emit are counted first, against MAX_RAISED_TERMS."""
+        terms a raise of the monomials `counted` (by default self's) would
+        emit are counted first, against MAX_RAISED_TERMS."""
         d = self.algebra.d
         count = 0
-        for w, v in self.terms:
+        for w, v in self.terms if counted is None else counted:
             r = levels.get(len(v) - len(w))
             if r is not None:
                 if len(w) > r:
@@ -182,7 +201,19 @@ class LeavittElement(_Terms):
         return not self.canonical().terms
 
     def equals(self, other: "LeavittElement") -> bool:
-        return (self - other).is_zero()
+        """Whether self - other is zero, read on the monomials D whose
+        coefficients differ: no if each degree of D sits at one level, else
+        both sides on D raised as `canonical` raises the difference, compared."""
+        a, b = self.terms, other.terms
+        if a == b:
+            return True
+        diff = [m for m, c in a.items() if b.get(m) != c] + [m for m in b if m not in a]
+        levels, mixed = _levels(diff)
+        if not mixed:
+            return False
+        A = self.algebra  # D is counted once, with the first side
+        return (LeavittElement(A, {m: a[m] for m in diff if m in a})._raised(levels, diff).terms
+                == LeavittElement(A, {m: b[m] for m in diff if m in b})._raised(levels, ()).terms)
 
     def __eq__(self, other):
         return isinstance(other, LeavittElement) and self.algebra == other.algebra and self.equals(other)
@@ -214,6 +245,18 @@ class LeavittElement(_Terms):
         return f"LeavittElement({self})"
 
 
+def _levels(monomials):
+    """({degree: its largest starred length}, whether a degree holds two)."""
+    levels: dict = {}
+    mixed = False
+    for w, v in monomials:
+        r = levels.setdefault(len(v) - len(w), len(w))
+        if r != len(w):
+            mixed = True
+            levels[len(v) - len(w)] = max(r, len(w))
+    return levels, mixed
+
+
 def _lower_once(comp: LeavittElement):
     """One level down if every monomial groups as sum_i (x_i u)* (x_i u')."""
     A = comp.algebra
@@ -241,23 +284,35 @@ def _lower_once(comp: LeavittElement):
 def l0_to_s(a: LeavittElement, level=None) -> AFMatrix:
     """Identify a degree-zero element with a leveled matrix: w* v becomes the
     matrix unit E_{w,v} at each of its block positions, with no raise; the
-    coefficients' numerators over one denominator are placed in the rows,
-    one stored entry per position."""
-    A = a.algebra
-    if any(mono_degree(m) != 0 for m in a.terms):
-        raise NotDegreeZero("element has nonzero graded components")
-    r = max([len(w) for (w, v) in a.terms] + [0])
-    if level is not None:
-        if level < r:
-            raise LevelDecrease(f"need level >= {r}")
-        r = level
-    _check_side(A.d, r, error=BudgetExceeded)
-    n = A.d**r
+    coefficients' numerators over one denominator are summed into the rows,
+    at the element's own level max |w|: at a higher requested level the
+    placement is its embedding, of the same canonical form."""
+    A, d = a.algebra, a.algebra.d
+    r = 0
+    for w, v in a.terms:
+        if len(w) != len(v):
+            raise NotDegreeZero("element has nonzero graded components")
+        if len(w) > r:
+            r = len(w)
+    if level is not None and level < r:
+        raise LevelDecrease(f"need level >= {r}")
+    _check_side(d, r if level is None else level, error=BudgetExceeded)
+    n, p = d**r, A.field.characteristic
     nums, den = _lift(A.field, a.terms)
-    units = [(word_rank(A.d, w), word_rank(A.d, v), A.d ** len(w), c) for (w, v), c in nums.items()]
-    placed: dict = {}
-    _add_terms(A.field, placed, [((t + i, t + j), c) for i, j, step, c in units for t in range(0, n, step)])
-    return AFMatrix._new(A.d, r, _placed(n, placed), A.field, den).canonical()
+    rows = [{} for _ in range(n)]
+    for (w, v), c in nums.items():
+        i, j = word_rank(d, w), word_rank(d, v)
+        for t in range(0, n, d ** len(w)):
+            row, k = rows[t + i], t + j
+            s = row.get(k, 0) + c
+            if p:
+                s %= p
+            if s:
+                row[k] = s
+            else:
+                row.pop(k, None)
+    rows = tuple(dict(sorted(row.items())) if len(row) > 1 else row for row in rows)
+    return AFMatrix._new(d, r, rows, A.field, den).canonical()
 
 
 def s_to_l0(s: AFMatrix, algebra: FreeAlgebra = None) -> LeavittElement:
@@ -280,6 +335,8 @@ class StrongGradingWitness:
     __slots__ = ("algebra", "r", "positive_pair", "negative_pairs", "verified")
 
     def __init__(self, algebra: FreeAlgebra, r: int):
+        if power_above(2, algebra.d, r, MAX_RAISED_TERMS):  # d^r products, and 1 raised to compare their sum
+            raise BudgetExceeded(f"a degree-{r} witness checks 2 * {algebra.d}^{r} terms, above {MAX_RAISED_TERMS}")
         self.algebra = algebra
         self.r = r
         one = LeavittElement.one(algebra)
@@ -295,10 +352,10 @@ class StrongGradingWitness:
             for w in algebra.words(r)
         ]
         lhs = self.positive_pair[0] * self.positive_pair[1]
-        rhs = LeavittElement.zero(algebra)
+        rhs: dict = {}
         for a, b in self.negative_pairs:
-            rhs = rhs + a * b
-        self.verified = lhs.equals(one) and rhs.equals(one)
+            _add_terms(algebra.field, rhs, (a * b).terms.items())
+        self.verified = lhs.equals(one) and LeavittElement(algebra, rhs).equals(one)
 
     def __repr__(self):
         return f"StrongGradingWitness(r={self.r}, verified={self.verified})"
@@ -355,11 +412,14 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
 
 
 def flat_reassemble(algebra: FreeAlgebra, coeffs: dict) -> LeavittElement:
-    """The sum over w of w* times coeffs[w]: the monomials w* v, in one pass."""
-    terms = []
-    for w, poly in coeffs.items():
-        algebra._check_word(w)
-        terms += [((w, v), c) for v, c in poly.terms.items()]
+    """The sum over w of w* times coeffs[w]: the monomials w* v, in one pass,
+    the words' letters checked at once (word by word only to name a bad one)."""
+    try:
+        algebra._check_word(tuple(chain.from_iterable(coeffs)))
+    except ValueError:
+        for w in coeffs:
+            algebra._check_word(w)
+    terms = [((w, v), c) for w, poly in coeffs.items() for v, c in poly.terms.items()]
     out: dict = {}
     _add_terms(algebra.field, out, terms)
     return LeavittElement(algebra, out)
@@ -372,9 +432,10 @@ def flat_reassemble(algebra: FreeAlgebra, coeffs: dict) -> LeavittElement:
 def tensor_vanishes(module: FpModule):
     """Does tensoring with the Leavitt algebra kill the module?
 
-    True exactly for finite-dimensional modules.  Two independent routes are
-    compared: the stable profile's tail rank, and the normalized rank at the
-    certified index; disagreement raises.
+    True exactly for finite-dimensional modules: the stable profile's tail
+    rank t0 = dim M_{i0} is zero.  The normalized rank dim M_{i0} / d^{i0}
+    reads the same Hilbert value, so their agreement (else a raise) checks
+    the profile's bookkeeping, not a second route, and computes nothing in L.
     Returns (vanishes, certificate).
     """
     from .qgr import normalized_rank

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import cache
+from functools import cache, lru_cache
 
 from .errors import ParseError
 from .fields import MAX_LITERAL_DIGITS, field_from_spec, read_int
@@ -217,12 +217,17 @@ def format_poly(poly) -> str:
     return _format_terms(poly.algebra.field, [(terms[w], " ".join(map(name, w))) for w in words])
 
 
+@lru_cache(maxsize=32)
+def _letter_names(letters) -> tuple:
+    """The lookups i -> "x{i}" and i -> "x{i}*" over the letters, range(d) up to x255."""
+    return {i: f"x{i}" for i in letters}.__getitem__, {i: f"x{i}*" for i in letters}.__getitem__
+
+
 def format_leavitt(elem) -> str:
-    terms = elem.terms
+    terms, d = elem.terms, elem.algebra.d
     keys = sorted(terms, key=_leavitt_order)
-    letters = set().union(*itertools.chain.from_iterable(keys))
-    name = {i: f"x{i}" for i in letters}.__getitem__
-    star = {i: f"x{i}*" for i in letters}.__getitem__
+    letters = range(d) if d <= _TABLE_LETTERS else frozenset().union(*itertools.chain.from_iterable(keys))
+    name, star = _letter_names(letters)
     items = [(terms[w, v], " ".join([*map(star, reversed(w)), *map(name, v)])) for w, v in keys]
     return _format_terms(elem.algebra.field, items)
 

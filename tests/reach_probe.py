@@ -58,7 +58,6 @@ ALLOWLIST = {
     "fpmod.FpModuleMorphism.__repr__": DUNDER,
     "fpmod.StableProfile.__repr__": DUNDER,
     "fpmod.Torsion.__repr__": DUNDER,
-    "freealg.FreeAlgebra.__hash__": DUNDER,
     "freealg.FreeAlgebra.__repr__": DUNDER,
     "freealg.FreeModuleElement.__eq__": DUNDER,
     "freealg.FreeModuleElement.__repr__": DUNDER,

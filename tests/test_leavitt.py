@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import signal
+from unittest import mock
 from fractions import Fraction
 
 import hypothesis
@@ -12,6 +13,7 @@ from freeproj import FpModule, FreeAlgebra, NcPoly, leavitt
 from freeproj.af_s import MAX_SIDE, AFMatrix
 from freeproj.errors import BudgetExceeded, LevelDecrease, NotDegreeZero, NotInFiltrationLevel
 from freeproj.fields import GF, QQ
+from freeproj.parsing import parse_leavitt
 from freeproj.leavitt import (
     LeavittElement,
     flat_decompose,
@@ -541,3 +543,232 @@ def test_lowered_reaches_minimal_form(A2):
     assert raised.lowered().terms == one.terms
     e = LeavittElement.monomial(A2, (0,), (0,))
     assert e.lowered().terms == e.terms  # not a raise pattern
+
+
+# ---------------------------------------------------------------------------
+# the product, equality and placement against the element-level oracles
+
+
+def _typed(m):
+    """An AFMatrix's d, level, field, den and rows, with each value's type."""
+    return m.d, m.level, m.field, m.den, [[(j, type(v), v) for j, v in row.items()] for row in m.rows]
+
+
+def _eq_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _monomials(rng, A, count, top=3):
+    """A sum of `count` random monomials w* v, |w|, |v| <= top, with
+    coefficients in -3/2..3/2 (at most three in a row at one degree)."""
+    a = LeavittElement.zero(A)
+    for _ in range(count):
+        w = tuple(rng.randrange(A.d) for _ in range(rng.randint(0, top)))
+        v = tuple(rng.randrange(A.d) for _ in range(rng.randint(0, top)))
+        a = a + LeavittElement.monomial(A, w, v, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return a
+
+
+def _zero_at_two_levels(A, c):
+    """c (x0* x0 + .. + x_{d-1}* x_{d-1} - 1): zero, written at levels 1 and 0."""
+    z = LeavittElement.one(A).scale(-1)
+    for i in range(A.d):
+        z = z + LeavittElement.monomial(A, (i,), (i,))
+    return z.scale(c)
+
+
+OTHER = ("copy", "raised", "plus zero", "plus monomial", "random")
+
+
+@st.composite
+def element_pairs(draw):
+    """(A, a's terms, b's terms, budget) over QQ, GF(3) or GF(7) at d = 1..3:
+    a a sum of up to six monomials; b a's terms in reverse order, a with one
+    degree raised one or two levels, a plus zero written at two levels, a
+    plus a monomial, or a random element; the raise budget 2^20 or 16.  The
+    terms are handed over as dicts, whose repr needs no canonical form."""
+    field = draw(st.sampled_from([QQ, GF(3), GF(7)]))
+    A = FreeAlgebra(draw(st.integers(1, 3)), field)
+    rng = draw(st.randoms(use_true_random=False))
+    a = _monomials(rng, A, rng.randint(0, 6))
+    kind = draw(st.sampled_from(OTHER))
+    if kind == "copy":
+        b = LeavittElement(A, dict(reversed(a.terms.items())))
+    elif kind == "raised" and a.terms:
+        m = rng.choice(a.degrees())
+        b = a.raise_level(m, a.level_in_degree(m) + rng.randint(1, 2))
+    elif kind == "plus zero":
+        b = a + _zero_at_two_levels(A, rng.randint(1, 3))
+    elif kind == "plus monomial":
+        b = a + _monomials(rng, A, 1)
+    else:
+        b = _monomials(rng, A, rng.randint(0, 4))
+    return A, a.terms, b.terms, draw(st.sampled_from([2**20, 16]))
+
+
+def _big_level_pair(other):
+    """x0* ^24 x0 ^24 + 1 against other: 2^24 + 1 terms once raised."""
+    A = FreeAlgebra(2)
+    a = LeavittElement.word_star(A, (0,) * 24) * LeavittElement.monomial(A, (), (0,) * 24) + LeavittElement.one(A)
+    return A, a.terms, LeavittElement.one(A).scale(other).terms, 2**20
+
+
+def _cancelling_pair(field):
+    """(x0 + x1) * (3 x0* + 4 x1*), and (x0 + x1) * (x0* - x1*): every
+    pair of terms lands on 1, whose sum is 7, so 0 over GF(7), and 1 - 1."""
+    A = FreeAlgebra(2, field)
+    x = LeavittElement.gen(A, 0) + LeavittElement.gen(A, 1)
+    s0, s1 = LeavittElement.gen_star(A, 0), LeavittElement.gen_star(A, 1)
+    return A, x.terms, (s0.scale(3) + s1.scale(4) if field == GF(7) else s0 - s1).terms, 2**20
+
+
+def _sum_to_zero_mod_7():
+    """3 x1 + 4 x1 over GF(7), summed term by term to 0, against 0."""
+    A = FreeAlgebra(2, GF(7))
+    x1 = LeavittElement.gen(A, 1)
+    return A, (x1.scale(3) + x1.scale(4)).terms, {}, 2**20
+
+
+def test_equality_refuses_a_raise_past_the_budget_on_both_routes(monkeypatch):
+    # x0*^24 x0^24 + 1 differs from 1 in one monomial, at one level: no; from
+    # 0 and 2 in two levels of degree 0, a raise of 2^24 + 1 terms: refused
+    for other, want in ((1, False), (0, BudgetExceeded), (2, BudgetExceeded)):
+        A, a_terms, b_terms, _ = _big_level_pair(other)
+        a, b = LeavittElement(A, a_terms), LeavittElement(A, b_terms)
+        for fn in (LeavittElement.equals, leavitt_oracle.equals):
+            if want is False:
+                assert fn(a, b) is False
+            else:
+                with pytest.raises(BudgetExceeded, match="raising emits 16777217 terms"):
+                    fn(a, b)
+    # at a budget of 16, x0*^4 x0^4 + 1 against 0 raises 17 terms: refused;
+    # against itself plus x0* x0 + x1* x1 - 1 only the 3 differing monomials
+    # are raised, to level 1: 4 terms, and equal
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 16)
+    A = FreeAlgebra(2)
+    a = LeavittElement.monomial(A, (0,) * 4, (0,) * 4) + LeavittElement.one(A)
+    for fn in (LeavittElement.equals, leavitt_oracle.equals):
+        with pytest.raises(BudgetExceeded, match="raising emits 17 terms, above the bound 16"):
+            fn(a, LeavittElement.zero(A))
+        assert fn(a, a + _zero_at_two_levels(A, 1)) is True
+
+
+def test_product_and_equality_match_oracle():
+    # the inline product against `add_products` with one `mono_mul` per
+    # pair (values, types, key order), and `equals` against the canonical
+    # form of the whole difference (answers and BudgetExceeded refusals)
+    kinds = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(element_pairs())
+    @hypothesis.example(_cancelling_pair(QQ))
+    @hypothesis.example(_cancelling_pair(GF(7)))
+    @hypothesis.example(_sum_to_zero_mod_7())
+    @hypothesis.example(_big_level_pair(1))
+    @hypothesis.example(_big_level_pair(0))
+    @hypothesis.example(_big_level_pair(2))
+    def check(case):
+        A, a_terms, b_terms, budget = case
+        a, b = LeavittElement(A, a_terms), LeavittElement(A, b_terms)
+        with mock.patch.object(leavitt, "MAX_RAISED_TERMS", budget):
+            for x, y in ((a, b), (b, a)):
+                if len(x.terms) * len(y.terms) < 100:
+                    assert _items(x * y) == _items(leavitt_oracle.product(x, y))
+                got = _eq_outcome(x.equals, y)
+                assert got == _eq_outcome(leavitt_oracle.equals, x, y)
+                assert _eq_outcome(x.__eq__, y) == got
+        diff = (a - b).terms
+        levels = {}
+        for w, v in diff:
+            levels.setdefault(len(v) - len(w), set()).add(len(w))
+        kinds.add("equal dicts" if a.terms == b.terms else
+                  "one level a degree" if all(len(s) == 1 for s in levels.values()) else
+                  "refused" if isinstance(got, tuple) else "raised, equal" if got else "raised, unequal")
+        if a.algebra.field != QQ:
+            kinds.add("GF(p)")
+        if len(a.terms) > 1 and not (a * b).terms and a.terms and b.terms:
+            kinds.add("product zero")
+
+    check()
+    assert {"equal dicts", "one level a degree", "refused", "raised, equal", "raised, unequal", "GF(p)",
+            "product zero"} <= kinds, kinds
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(placement_cases())
+@hypothesis.example((LeavittElement.monomial(FreeAlgebra(2, GF(7)), (1,), (0,), 3)
+                     + LeavittElement.one(FreeAlgebra(2, GF(7))).scale(4), 3, None))
+def test_placement_matches_placed_oracle(case):
+    # l0_to_s placed at the element's own level against every unit placed
+    # at the requested level: d, level, den, rows with key order and types
+    a, level, _ = case
+    got, want = _matrix_typed(l0_to_s, a, level), _matrix_typed(leavitt_oracle.placed_l0_to_s, a, level)
+    assert got == want
+
+
+def _matrix_typed(fn, *args):
+    try:
+        return _typed(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_strongly_graded_witness_holds_through_r4():
+    for d in (2, 3):
+        for r in (1, 2, 3, 4):
+            w = strongly_graded_witness(FreeAlgebra(d), r)
+            assert w.verified and len(w.negative_pairs) == d**r
+
+
+def test_strongly_graded_witness_refuses_more_products_than_the_budget(monkeypatch):
+    # its d^r products, and 1 raised to level r to compare their sum with,
+    # are 2 d^r terms: past MAX_RAISED_TERMS, refused from d and r before
+    # any word is enumerated; at the bound, built and verified
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 2**6)
+    assert strongly_graded_witness(FreeAlgebra(2), 5).verified
+    monkeypatch.setattr(FreeAlgebra, "words", lambda self, n: pytest.fail("a word was enumerated"))
+    A2, A3 = FreeAlgebra(2), FreeAlgebra(3)
+    with time_limit(5):
+        for A, r in ((A2, 6), (A3, 4), (A2, 10**9)):
+            with pytest.raises(BudgetExceeded, match=f"checks 2 \\* {A.d}\\^{r} terms, above 64"):
+                strongly_graded_witness(A, r)
+
+
+def test_words_refuse_letters_that_are_not_ints(A2):
+    # 0.5 once printed "x0.5*", True "xTrue*", and 1.0 was stored as a key
+    for bad in ((0.5,), (True,), (1.0,), (0, False), ("0",)):
+        for make in (lambda w: LeavittElement.monomial(A2, w, ()), lambda w: LeavittElement.monomial(A2, (), w),
+                     A2.monomial, lambda w: flat_reassemble(A2, {w: A2.one()}),
+                     lambda w: A2.free_module([0]).element({(0, w): 1})):
+            with pytest.raises(ValueError, match="has letters outside 0..1"):
+                make(bad)
+    for bad in (True, 1.0):
+        for make in (LeavittElement.gen, LeavittElement.gen_star, FreeAlgebra.gen):
+            with pytest.raises(ValueError):
+                make(A2, bad)
+    # a bad word among good ones is named in the error
+    with pytest.raises(ValueError, match=r"word \(0, 2\) has letters"):
+        flat_reassemble(A2, {(1,): A2.one(), (0, 2): A2.one()})
+    # what is accepted prints as text the parser reads back
+    a = LeavittElement.monomial(A2, (1, 0), (0,), Fraction(-1, 2))
+    assert str(a) == "-1/2 x0* x1* x0"
+    assert _items(parse_leavitt(A2, str(a))) == _items(a)
+
+
+def test_residue_basis_is_built_once_and_ledgers_stay_apart():
+    for A in (FreeAlgebra(2), FreeAlgebra(3, GF(5))):
+        k1, k2 = FpModule.residue(A), FpModule.residue(A)
+        fresh = FpModule.cyclic(A, [A.gen(i) for i in range(A.d)])
+        for k in (k1, k2):
+            B, want = k.relation_basis(), fresh.relation_basis()
+            assert B.ambient is k.F0
+            assert (B._ints, list(B._by_coord.items()), B._lengths, B.degrees()) == \
+                (want._ints, list(want._by_coord.items()), want._lengths, want.degrees())
+            assert [e.terms for e in B.elements] == [e.terms for e in want.elements]
+            assert [r.terms for r in k.relations] == [r.terms for r in fresh.relations]
+        assert k1._rel_basis is not k2._rel_basis and k1._rel_basis._ints is k2._rel_basis._ints
+        k1.std_basis(0)
+        assert k1._held == 1 and k2._held == 0 and k2._std_cache == {}
