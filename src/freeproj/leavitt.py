@@ -27,8 +27,6 @@ refused.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .af_s import AFMatrix, _check_side, word_rank
 from .errors import (
     BudgetExceeded,
@@ -168,14 +166,13 @@ class LeavittElement(_Terms):
         out._least = True
         return out
 
-    def _raised(self, levels: dict, counted=None) -> "LeavittElement":
+    def _raised(self, levels: dict) -> "LeavittElement":
         """Raise each monomial of a degree m in `levels` to starred length
         levels[m], in one pass: no two components share a monomial.  The
-        terms a raise of the monomials `counted` (by default self's) would
-        emit are counted first, against MAX_RAISED_TERMS."""
+        terms it would emit are counted first, against MAX_RAISED_TERMS."""
         d = self.algebra.d
         count = 0
-        for w, v in self.terms if counted is None else counted:
+        for w, v in self.terms:
             r = levels.get(len(v) - len(w))
             if r is not None:
                 if len(w) > r:
@@ -203,17 +200,15 @@ class LeavittElement(_Terms):
     def equals(self, other: "LeavittElement") -> bool:
         """Whether self - other is zero, read on the monomials D whose
         coefficients differ: no if each degree of D sits at one level, else
-        both sides on D raised as `canonical` raises the difference, compared."""
+        the difference on D raised as `canonical` raises it, and checked."""
         a, b = self.terms, other.terms
         if a == b:
             return True
-        diff = [m for m, c in a.items() if b.get(m) != c] + [m for m in b if m not in a]
+        F = self._field
+        diff = {m: c for m, c in a.items() if b.get(m) != c}
+        _add_terms(F, diff, [(m, F.neg(c)) for m, c in b.items() if a.get(m) != c])
         levels, mixed = _levels(diff)
-        if not mixed:
-            return False
-        A = self.algebra  # D is counted once, with the first side
-        return (LeavittElement(A, {m: a[m] for m in diff if m in a})._raised(levels, diff).terms
-                == LeavittElement(A, {m: b[m] for m in diff if m in b})._raised(levels, ()).terms)
+        return mixed and not LeavittElement(self.algebra, diff)._raised(levels).terms
 
     def __eq__(self, other):
         return isinstance(other, LeavittElement) and self.algebra == other.algebra and self.equals(other)
@@ -412,14 +407,11 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
 
 
 def flat_reassemble(algebra: FreeAlgebra, coeffs: dict) -> LeavittElement:
-    """The sum over w of w* times coeffs[w]: the monomials w* v, in one pass,
-    the words' letters checked at once (word by word only to name a bad one)."""
-    try:
-        algebra._check_word(tuple(chain.from_iterable(coeffs)))
-    except ValueError:
-        for w in coeffs:
-            algebra._check_word(w)
-    terms = [((w, v), c) for w, poly in coeffs.items() for v, c in poly.terms.items()]
+    """The sum over w of w* times coeffs[w]: the monomials w* v, in one pass."""
+    terms = []
+    for w, poly in coeffs.items():
+        algebra._check_word(w)
+        terms += [((w, v), c) for v, c in poly.terms.items()]
     out: dict = {}
     _add_terms(algebra.field, out, terms)
     return LeavittElement(algebra, out)

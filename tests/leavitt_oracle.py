@@ -9,11 +9,10 @@ filtration reassembles with one element product and one sum per word.
 `add_terms` and `add_products` are `linalg._add_terms` and
 `linalg._add_products` as they were on field methods, `field_add` and
 `field.mul` per term or pair.  `from_poly` embeds the free algebra in the
-Leavitt algebra.  `product`, `equals` and `placed_l0_to_s` are the element
-product by `linalg._add_products` with one `mono_mul` call per pair, the
-equality by the canonical form of the whole difference, and the placement
-of every unit at the requested level through one (row, column) dict, as
-they stood before the product and equality ran on the terms they change.
+Leavitt algebra.  `product` and `equals` are the element product by
+`linalg._add_products` with one `mono_mul` call per pair and the equality
+by the canonical form of the whole difference, as they stood before the
+product and equality ran on the terms they change.
 Kept verbatim as the oracles the fast paths must match exactly: same terms,
 same values and value types, same dict key order, same errors.
 """
@@ -21,12 +20,12 @@ same values and value types, same dict key order, same errors.
 import re
 
 from freeproj import leavitt
-from freeproj.af_s import AFMatrix, _check_side, _placed, word_rank
-from freeproj.errors import BudgetExceeded, LevelDecrease, NotDegreeZero, NotInFiltrationLevel, ParseError
+from freeproj.af_s import AFMatrix, word_rank
+from freeproj.errors import LevelDecrease, NotDegreeZero, NotInFiltrationLevel, ParseError
 from freeproj.fields import read_int
 from freeproj.freealg import FreeAlgebra, NcPoly
 from freeproj.leavitt import LeavittElement, mono_degree
-from freeproj.linalg import _add_products, _add_terms, _lift
+from freeproj.linalg import _add_products
 from row_reduce_oracle import field_add
 
 _TOKEN = re.compile(r"\s*(x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-])")
@@ -250,23 +249,3 @@ def product(a, b):
 def equals(a, b) -> bool:
     """Whether a - b is zero: the whole difference built and made canonical."""
     return (a - b).is_zero()
-
-
-def placed_l0_to_s(a, level=None):
-    """l0_to_s with every unit placed at the requested level: positions
-    summed into one (row, column) dict, then sorted into rows."""
-    A = a.algebra
-    if any(mono_degree(m) != 0 for m in a.terms):
-        raise NotDegreeZero("element has nonzero graded components")
-    r = max([len(w) for (w, v) in a.terms] + [0])
-    if level is not None:
-        if level < r:
-            raise LevelDecrease(f"need level >= {r}")
-        r = level
-    _check_side(A.d, r, error=BudgetExceeded)
-    n = A.d**r
-    nums, den = _lift(A.field, a.terms)
-    units = [(word_rank(A.d, w), word_rank(A.d, v), A.d ** len(w), c) for (w, v), c in nums.items()]
-    placed: dict = {}
-    _add_terms(A.field, placed, [((t + i, t + j), c) for i, j, step, c in units for t in range(0, n, step)])
-    return AFMatrix._new(A.d, r, _placed(n, placed), A.field, den).canonical()

@@ -243,7 +243,7 @@ def _matrix_outcome(fn, *args):
         m = fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    return m.d, m.level, m.field, [[(type(v), v) for v in row] for row in m.entries]
+    return _typed(m), [[(type(v), v) for v in row] for row in m.entries]
 
 
 def _element_outcome(fn, *args):
@@ -291,9 +291,12 @@ def _check_placement(a, level, matrix=None):
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(placement_cases())
+@hypothesis.example((LeavittElement.monomial(FreeAlgebra(2, GF(7)), (1,), (0,), 3)
+                     + LeavittElement.one(FreeAlgebra(2, GF(7))).scale(4), 3, None))
 def test_placement_matches_dense_oracle(case):
     # l0_to_s and s_to_l0 against the dense table and unranking they
-    # replaced: level, each entry's value and type, key order, and errors
+    # replaced: level, den, rows with key order, each entry's value and
+    # type, and errors
     _check_placement(*case)
 
 
@@ -656,6 +659,35 @@ def test_equality_refuses_a_raise_past_the_budget_on_both_routes(monkeypatch):
         assert fn(a, a + _zero_at_two_levels(A, 1)) is True
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_equality_raises_each_differing_monomial_once(field, monkeypatch):
+    # a = 2 + x0*^4 x0^4 and b = 5 share the monomial 1 with coefficients
+    # that differ: the difference on D takes b's one term, and its raise
+    # emits 1 raised to 16 terms plus the one at level 4, 17 in all, within
+    # a budget of 17; each side raised on its own would build 17 + 16.  At
+    # a budget of 16 both routes refuse.
+    A = FreeAlgebra(2, field)
+    a = LeavittElement.one(A).scale(2) + LeavittElement.monomial(A, (0,) * 4, (0,) * 4)
+    b = LeavittElement.one(A).scale(5)
+    built = []
+
+    def counted(field, acc, terms):
+        built.append(len(terms))
+        return add_terms(field, acc, terms)
+
+    add_terms = leavitt._add_terms
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 17)
+    monkeypatch.setattr(leavitt, "_add_terms", counted)
+    answer = a.equals(b)
+    assert answer is False and built == [1, 17]
+    monkeypatch.setattr(leavitt, "_add_terms", add_terms)
+    assert leavitt_oracle.equals(a, b) is False
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 16)
+    for fn in (LeavittElement.equals, leavitt_oracle.equals):
+        with pytest.raises(BudgetExceeded, match="raising emits 17 terms, above the bound 16"):
+            fn(a, b)
+
+
 def test_product_and_equality_match_oracle():
     # the inline product against `add_products` with one `mono_mul` per
     # pair (values, types, key order), and `equals` against the canonical
@@ -695,25 +727,6 @@ def test_product_and_equality_match_oracle():
     check()
     assert {"equal dicts", "one level a degree", "refused", "raised, equal", "raised, unequal", "GF(p)",
             "product zero"} <= kinds, kinds
-
-
-@hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(placement_cases())
-@hypothesis.example((LeavittElement.monomial(FreeAlgebra(2, GF(7)), (1,), (0,), 3)
-                     + LeavittElement.one(FreeAlgebra(2, GF(7))).scale(4), 3, None))
-def test_placement_matches_placed_oracle(case):
-    # l0_to_s placed at the element's own level against every unit placed
-    # at the requested level: d, level, den, rows with key order and types
-    a, level, _ = case
-    got, want = _matrix_typed(l0_to_s, a, level), _matrix_typed(leavitt_oracle.placed_l0_to_s, a, level)
-    assert got == want
-
-
-def _matrix_typed(fn, *args):
-    try:
-        return _typed(fn(*args))
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def test_strongly_graded_witness_holds_through_r4():
