@@ -22,8 +22,7 @@ word at alpha, since its proper suffixes are suffixes of w.  `std_basis`
 builds each degree from the one below by this one-letter extension, and
 `letter_matrix` writes a unit row for every standard product and reads any
 other, a lead, off its monic basis element: minus the tail, which the weak
-algorithm (P. M. Cohn) has already reduced.  Below the free tail the rank
-check of `_mult_bijective` meets mostly unit rows.
+algorithm (P. M. Cohn) has already reduced.
 
 Torsion is found one letter at a time too.  The tail M_{>=i0} of the stable
 profile is free, so an element of M_j is torsion exactly when each x_a times
@@ -75,8 +74,8 @@ of the moves and of an identity an identity: a check at k restates k - 1's.
 The stable profile records the certified index i0 at which the tail of M
 becomes free with all its basis in one degree; every degree-0 map between
 such tails is a scalar matrix, which is what makes i0 = max(generator
-degrees, relation-basis degrees) a valid bound.  The reported i0 is the
-least index certified by exact rank checks of the multiplication maps.
+degrees, relation-basis degrees) a valid bound, and i0 is the least index
+from which every multiplication map is proved bijective.
 
 Past that bound b the letter maps need no words at all.  Every relation
 basis element is homogeneous, so its leading word has degree <= b, and for
@@ -95,16 +94,16 @@ ends in another, and takes n_alpha(j) = d^(j-b) * n_alpha(b).  It builds no
 word, checks the counts against the Hilbert values h_j and h_{j+1}, and
 lays out each degree once; `letter_matrix` places its rows by that layout.
 
-The layout at b is also the proof of the whole free tail, one check for
-every degree.  The free algebra is a free ideal ring (P. M. Cohn), and when
-no lead at a coordinate ends in another, h_b is the sum of the n_alpha(b)
-and h_{b+1} = d * h_b, M_{>=b} is free on the degree-b standard words: for
-each j >= b the stacked letter matrices out of M_j are unit rows, the d
-letter blocks of alpha covering its columns off(alpha) .. off(alpha) +
-d * n_alpha(j) once, so V tensor M_j -> M_{j+1} is bijective.
-`_free_layout(b)` runs exactly those three checks, so `stable_profile` runs
-it once for [b, infinity) and the exact rank check of `_mult_bijective`
-only on the walk down from b.
+The stable profile builds no word.  The relation module K is free on its
+basis B (the free algebra is a free ideal ring), so K_{j+1} = V * K_j +
+k * B_{j+1} and F_{j+1} = V * F_j + k * G_{j+1}, both direct, with G_{j+1}
+the generators of degree j + 1.  So V tensor M_j -> M_{j+1} has the left
+kernel and the cokernel of C_{j+1}, the |B_{j+1}| x |G_{j+1}| matrix of the
+basis elements' coefficients at those generators' empty words: it is
+bijective exactly when C_{j+1} is square and invertible.  `_mult_bijective`
+answers at once when B_{j+1} and G_{j+1} are both empty, as past b, or
+differ in size, else by the rank of C_{j+1}, read off `FreeBasis._ints`;
+`stable_profile` runs `_free_layout(b)` once, for the tail's layout.
 """
 
 from __future__ import annotations
@@ -458,30 +457,31 @@ class FpModule:
         return SparseMatrix(prev.field, len(rows), target.hilbert(k), rows)
 
     def _mult_bijective(self, j: int) -> bool:
-        """Is V tensor M_j -> M_{j+1} bijective, for j below b?  Exact: the
-        stacked letter matrices, mostly unit rows (module docstring), have
-        rank h_{j+1} = d * h_j.  Past b the layout at b proves it."""
-        hj, hj1 = self.hilbert(j), self.hilbert(j + 1)
-        if self.algebra.d * hj != hj1:
-            return False
-        return hj1 == 0 or rank(self._stacked_letters(j)) == hj1
-
-    def _stacked_letters(self, j: int) -> SparseMatrix:
-        """V tensor M_j -> M_{j+1}: the d letter matrices out of M_j stacked, x_0's rows first."""
-        d = self.algebra.d
-        stacked = [row for i in range(d) for row in self.letter_matrix(i, j).rows]
-        return SparseMatrix(self.algebra.field, d * self.hilbert(j), self.hilbert(j + 1), stacked)
+        """Is V tensor M_j -> M_{j+1} bijective?  Exactly when C_{j+1}, the
+        empty-word coefficients of B = db * lead + tail at the degree-(j+1)
+        generators, is square and invertible (module docstring)."""
+        basis, k = self.relation_basis(), j + 1
+        cols = {alpha: c for c, alpha in enumerate(a for a, s in enumerate(self.F0.shifts) if s == k)}
+        if (n := basis._degrees.count(k)) != len(cols) or not n:
+            return n == len(cols)
+        rows = []
+        for alpha, leads in basis._by_coord.items():
+            for w, i in leads.items():
+                if basis._degrees[i] == k:
+                    db, tail = basis._ints[i]
+                    rows.append({cols[beta]: v for (beta, u), v in (((alpha, w), db), *tail) if not u})
+        return rank(SparseMatrix(self.algebra.field, len(rows), len(cols), rows)) == len(cols)
 
     # -- stable structure ---------------------------------------------------
 
     def stable_profile(self, through: int = 0) -> StableProfile:
-        """(i0, t_{i0}), V tensor M_j -> M_{j+1} bijective for every j >= i0: the
-        walk down from b proves [i0, b) by exact rank, once per module, and
-        `_free_layout(b)` proves [b, infinity) (module docstring).
-        certified_through is max(b + 4, through), the largest asked for, a
-        label under which every degree is proved; `_check_span` refuses one
-        whose dimensions pass the digit bound.  A later call with a larger
-        `through` checks that span and relabels, and runs no rank check."""
+        """(i0, t_{i0}), V tensor M_j -> M_{j+1} bijective for every j >= i0:
+        proved on [i0, b) by `_mult_bijective` on the walk down from b, once
+        per module, and past b, where every C_{j+1} is empty (module
+        docstring).  certified_through is max(b + 4, through), the largest
+        degree asked for, a label; `_check_span` refuses one whose
+        dimensions pass the digit bound.  A later call with a larger
+        `through` checks that span and relabels, and checks no degree."""
         bound = self._free_bound()
         target = max(bound + 4, through)
         if self._profile is not None and self._profile.certified_through >= target:

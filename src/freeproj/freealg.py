@@ -219,7 +219,7 @@ class GradedFreeModule:
     # -- element constructors ------------------------------------------------
 
     def gen(self, alpha: int) -> "FreeModuleElement":
-        return FreeModuleElement(self, {(alpha, ()): self.algebra.field.one})
+        return self.element({(alpha, ()): self.algebra.field.one})
 
     def element(self, terms) -> "FreeModuleElement":
         F = self.algebra.field
@@ -227,7 +227,7 @@ class GradedFreeModule:
         for (alpha, w), c in dict(terms).items():
             c = F.coerce(c)
             if c != 0:
-                if not 0 <= alpha < self.rank:
+                if type(alpha) is not int or not 0 <= alpha < self.rank:  # a bool or 1.0 is no coordinate
                     raise ValueError(f"coordinate {alpha} out of range")
                 self.algebra._check_word(w)
                 clean[(alpha, tuple(w))] = c

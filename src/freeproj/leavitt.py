@@ -231,13 +231,13 @@ class LeavittElement(_Terms):
                     changed = True
         return out
 
-    def __str__(self):
+    def __str__(self):  # the canonical form
         from .parsing import format_leavitt
-
         return format_leavitt(self.canonical())
 
-    def __repr__(self):
-        return f"LeavittElement({self})"
+    def __repr__(self):  # the stored terms, which need no raise
+        from .parsing import format_leavitt
+        return f"LeavittElement({format_leavitt(self)})"
 
 
 def _levels(monomials):

@@ -186,8 +186,7 @@ def split_sequence(
     time: sigma_j(x_a * n) = x_a * sigma_{j-1}(n).  Past both free bounds
     `FpModule._tail_step` moves the columns of sigma_{j-1} by the two
     layouts; below, sigma_j solves against N's stacked letter matrices out
-    of N_{j-1} (`FpModule._stacked_letters`, square past i), with the images
-    sigma_{j-1} * x_a.
+    of N_{j-1} (square past i), with the images sigma_{j-1} * x_a.
 
     With n the largest free bound of L, M and N, exactness of
     0 -> L -> M -> N -> 0 is checked on degrees lo..n+1 and sigma_j * G_j = I
@@ -219,7 +218,7 @@ def split_sequence(
         if M.hilbert(j) - gr != fr:
             raise NotExactInput(f"sequence not exact in the middle in degree {j}")
 
-    field = M.algebra.field
+    field, d = M.algebra.field, M.algebra.d
     t = N.hilbert(i)
     lifts = solve_left(g.matrix_in_degree(i), SparseMatrix.identity(field, t).rows)
     if any(x is None for x in lifts):
@@ -232,8 +231,9 @@ def split_sequence(
         if j > i and (tail := N._tail_step(sigma, M, j)) is not None:
             sigma = tail
         elif j > i:
-            T = N._stacked_letters(j - 1)
-            images = [r for a in range(M.algebra.d) for r in sigma.mul(M.letter_matrix(a, j - 1)).rows]
+            T = SparseMatrix(field, d * N.hilbert(j - 1), N.hilbert(j),
+                             [r for a in range(d) for r in N.letter_matrix(a, j - 1).rows])
+            images = [r for a in range(d) for r in sigma.mul(M.letter_matrix(a, j - 1)).rows]
             coords = solve_left(T, unit.rows)
             if any(c is None for c in coords):
                 raise TruncationNotFree(f"quotient tail is not free at degree {j}")

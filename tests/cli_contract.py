@@ -132,6 +132,14 @@ E01 = {"e01.json": _golden("e01.json")}
 BIG10 = '{"d": 2, "level": 10, "entries": [[3, 700, "5/3"]]}\n'
 LEVEL11 = "x0* x0 - 2 x1* x0 + 1/2 x1* x0* x0 x1 - 1/2"
 K20 = {"k20.pres": "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"}
+
+
+def _r_by_power(k: int) -> dict:
+    """M_k = (R + R(-k)) / (x0^k * e0 - e1) at d = 2 over QQ, which is R."""
+    return {f"m{k}.pres": "field: QQ\nd: 2\ngens: [0, %d]\nrels:\n%s, -1\n" % (k, " ".join(["x0"] * k))}
+
+
+M20, M1000 = _r_by_power(20), _r_by_power(1000)
 ONE1024 = {"one1024.json": '{"d": 2, "level": 10, "entries": [[700, 300, "5"]]}\n'}
 HALF2048 = {"half2048.json": '{"d": 2, "level": 11, "entries": [[5, 7, "3/2"]]}\n'}
 
@@ -149,13 +157,17 @@ CASES = [
     Case("profile-far-spread", ("profile", "spread.pres"), 1, {"kind": "BudgetExceeded"}, 10,
          {"spread.pres": "field: QQ\nd: 2\ngens: [0, 1000000000000]\nrels:\n"}),
     # R + k(-20) at d = 2: torsion reads its dead end at degree 20 in the
-    # standard words, and the words through degree 18 already pass the bound
+    # standard words, and the words through degree 18 already pass the bound.
+    # A route bound: the torsion is k(-20), of dimension 1; no item lifts it
+    # yet (ROADMAP item 33)
     Case("torsion-word-budget-k20", ("--degree-cap", "1", "torsion", "k20.pres"), 1,
          {"kind": "BudgetExceeded",
           "error": f"degree 18 would add {2**18} standard words, bringing the module's held words and rows to "
                    f"{2**19 - 1}, over the bound fpmod.MAX_STD_WORDS = {2**18}"}, 20, K20),
     Case("mul-literal-digits", ("s-calc", "mul", "big.json", "big.json"), 1, {"kind": "BudgetExceeded"}, 60,
          {"big.json": '{"d": 1, "level": 0, "entries": [[0, 0, "1e4000"]]}\n'}),
+    # a route bound: the witness is 2n one-entry units, counted as 2n^3 dense
+    # entries; item 5 (sparse limit algebra) lifts it
     Case("simplicity-level-cap", ("--level-cap", "7", "s-calc", "simplicity", "u8.json"), 1,
          {"kind": "BudgetExceeded"}, 10, {"u8.json": '{"d": 2, "level": 8, "entries": [[0, 0, "1"]]}\n'}),
     # profiles certified past the word budget, in bounded memory; R + k(-20)
@@ -175,8 +187,20 @@ CASES = [
     # 14284 degrees is the widest the digit bound of the profile admits
     Case("profile-cap-edge-d3", ("--degree-cap", "14284", "profile", "d3.pres"), 0,
          {"result.profile.certified_through": 14284}, 20, D3),
+    # a route bound: the profile is proved on all of [i0, infinity) from the
+    # degrees up to b, and the cap guards only the printed certified_through
+    # label; item 32's report question lifts it
     Case("profile-cap-past-edge-d3", ("--degree-cap", "14285", "profile", "d3.pres"), 1,
          {"kind": "BudgetExceeded"}, 20, D3),
+    # M_k is R: the walk below b reads C_{j+1} off the relation basis and
+    # builds no word, where the rank walk was refused at degree 18 of M_20;
+    # 0.16-0.21 s and 17.0-17.7 MB each, whole command, on a 2-vCPU VM
+    Case("profile-r-by-power-20", ("profile", "m20.pres"), 0,
+         {"result.profile": {"certified_through": 24, "i0": 0, "t": [1, 2, 4, 8, 16]}}, 10, M20, rss_mb=30),
+    Case("k0-r-by-power-20", ("k0", "m20.pres"), 0, {"result.k0": {"d": 2, "i": 0, "t": 1}}, 10, M20, rss_mb=30),
+    Case("torsion-r-by-power-20", ("torsion", "m20.pres"), 0, {"result.dimension": 0}, 10, M20, rss_mb=30),
+    Case("profile-r-by-power-1000", ("profile", "m1000.pres"), 0,
+         {"result.profile": {"certified_through": 1004, "i0": 0, "t": [1, 2, 4, 8, 16]}}, 10, M1000, rss_mb=30),
     # torsion
     Case("torsion-gf5", ("torsion", "gf5.pres"), 0, {"result.dimension": 3}, 60, {"gf5.pres": _golden("gf5.pres")}),
     Case("torsion-point-beside-r24", ("torsion", "k24.pres"), 0, {"result.dimension": 1}, 10,
@@ -185,6 +209,11 @@ CASES = [
          {"x08.pres": "field: QQ\nd: 2\ngens: [0]\nrels:\nx0 x0 x0 x0 x0 x0 x0 x0\n"}),
     # limit algebra and Leavitt algebra
     Case("leavitt-eval", ("leavitt-eval", "x0 x0*"), 0, {"result.text": "1"}, 60),
+    # a route bound: x1*^30 x1^30 - 1 has a normal form of 30 terms, but its
+    # canonical form raises to level 30; item 31 (a normal form with no
+    # raise) lifts it
+    Case("leavitt-eval-raise-budget", ("--d", "2", "leavitt-eval", " ".join(["x1*"] * 30 + ["x1"] * 30) + " - 1"), 1,
+         {"kind": "BudgetExceeded"}, 10, stderr="raising emits 1073741825 terms"),
     # a 2.9k-character input of three levels, printed as 7.1k characters:
     # 0.21-0.27 s and 17 MB on a 2-vCPU VM
     Case("leavitt-eval-mixed-levels", ("leavitt-eval", MIXED_LEVELS), 0,
@@ -228,6 +257,10 @@ CASES = [
          {"l1.json": '{"d": 2, "level": 1, "entries": [[0, 0, "1"], [0, 1, "2"], [1, 0, "-1/2"], [1, 1, "3"]]}\n',
           "big.json": BIG10}, rss_mb=24),
     # parse refusals
+    # a route bound: a level-16 matrix unit stores one entry, but MAX_SIDE
+    # refuses a side above 2048; item 5 (sparse limit algebra) lifts it
+    Case("canonical-level16-unit", ("--level-cap", "15", "s-calc", "canonical", "u16.json"), 2, {"kind": "parse"},
+         10, {"u16.json": '{"d": 2, "level": 16, "entries": [[0, 0, "1"]]}\n'}, stderr="has more than 2048 rows"),
     Case("canonical-huge-literal", ("s-calc", "canonical", "huge.json"), 2, {"kind": "parse"}, 10,
          {"huge.json": '{"d": 2, "level": 1, "entries": [[0, 0, "1e300000000"]]}\n'}),
     Case("profile-repeated-header", ("profile", "twice.pres"), 2, {"kind": "parse"}, 60,

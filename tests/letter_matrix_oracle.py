@@ -1,6 +1,6 @@
 """The lookup-built `FpModule.letter_matrix` that the free-tail rows replaced
-past the stable bound and the lead rows below it, and the rank check of
-`FpModule._mult_bijective` that the free-tail layout check replaced there.
+past the stable bound and the lead rows below it, and the rank walk that
+the basis test of `FpModule._mult_bijective` replaced in every degree.
 
 `letter_matrix` builds every standard word of degrees j and j+1, looks up
 each product x_i * w in the degree-(j+1) index and reduces every product
@@ -9,7 +9,10 @@ function of the module, as the oracle that the count-built rows past the
 bound and the lead rows read off the relation basis below it must match
 exactly: same rows, same column count, same value types and dict key
 order.
-`mult_bijective` stacks those rows and runs exact `rank` in every degree.
+`mult_bijective` stacks those rows and runs exact `rank` in every degree:
+V tensor M_j -> M_{j+1} is bijective when d * h_j = h_{j+1} is their rank.
+The basis test, C_{j+1} square and invertible (`fpmod` module docstring),
+builds no word and must give the same answer at every j.
 """
 
 from freeproj.linalg import SparseMatrix, rank

@@ -550,29 +550,68 @@ def test_stable_profile_checks_each_degree_once(mult_checks, A2):
     assert list(M._layouts) == [b]
 
 
+def free_from_degree_zero():
+    """R + R(-1) at d = 2 by x0 * e0 - e1: C_1 is the 1 x 1 matrix (-1)."""
+    A2 = FreeAlgebra(2)
+    F = A2.free_module([0, 1])
+    return FpModule(F, [F.from_polys([A2.gen(0), A2.one().scale(-1)])])
+
+
 def test_stable_profile_builds_no_free_tail_letter_matrix():
     # the third module is R by x0 * e0 = e1, free from degree 0 < b = 1
-    A2 = FreeAlgebra(2)
     golden = Path(__file__).parent / "golden" / "gf5.pres"
-    F = A2.free_module([0, 1])
     mods = [
-        quotient_by_first_letter(A2),
+        quotient_by_first_letter(FreeAlgebra(2)),
         parse_presentation(golden.read_text()).module(),
-        FpModule(F, [F.from_polys([A2.gen(0), A2.one().scale(-1)])]),
+        free_from_degree_zero(),
     ]
-    below = 0
     for M in mods:
         M.stable_profile(M._free_bound() + 6)
         b = M._free_bound()
-        assert all(j < b for _, j in M._letter_cache)
-        below += len(M._letter_cache)
+        # the walk below b reads the relation basis: no letter matrix, no word
+        assert M._letter_cache == {} and M._std_cache == {}
         # asked for afterwards, the tail matrices are the oracle's
         slow = FpModule(M.F0, M.relations)
         for j in range(b, b + 3):
             for i in range(M.algebra.d):
                 assert typed_rows(M.letter_matrix(i, j)) == typed_rows(oracle_letter_matrix(slow, i, j))
-    # the rank check below b still builds its letter matrices
-    assert below > 0
+
+
+def square_singular_module():
+    """R + R(-1) + R(-1) at d = 2 by x0 * e0 - e1 - e2 and x1 * e0 - e1 - e2:
+    C_1 is the 2 x 2 matrix of -1s, square and singular."""
+    A2 = FreeAlgebra(2)
+    F = A2.free_module([0, 1, 1])
+    minus = A2.one().scale(-1)
+    return FpModule(F, [F.from_polys([A2.gen(a), minus, minus]) for a in range(2)])
+
+
+def test_mult_bijective_matches_rank_oracle():
+    # the basis test (module docstring) against the rank walk of the stacked
+    # lookup-built letter matrices on a fresh copy, at every j from
+    # min_degree - 1 to b + 1, and (i0, t0) against the oracle's walk;
+    # C_{j+1} is drawn empty, not square, square invertible and square singular
+    kinds = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(presented_modules())
+    @hypothesis.example(FpModule.free(FreeAlgebra(2), [0]))  # C empty in every degree
+    @hypothesis.example(quotient_by_first_letter(FreeAlgebra(3, GF(5))))  # C_1 is 1 x 0
+    @hypothesis.example(free_from_degree_zero())  # C_1 = (-1)
+    @hypothesis.example(square_singular_module())
+    def check(M):
+        slow, basis = FpModule(M.F0, M.relations), M.relation_basis()
+        for j in range(M.min_degree - 1, M._free_bound() + 2):
+            want = oracle_mult_bijective(slow, j)
+            assert M._mult_bijective(j) == want
+            n, g = basis.degrees().count(j + 1), M.F0.shifts.count(j + 1)
+            kinds.add("empty" if n == g == 0 else "not square" if n != g else "invertible" if want else "singular")
+        got, walk = M.stable_profile(), LookupLetters(M.F0, M.relations).stable_profile()
+        assert (got.i0, got.t0) == (walk.i0, walk.t0)
+        assert M._letter_cache == {} and M._std_cache == {}
+
+    check()
+    assert kinds == {"empty", "not square", "invertible", "singular"}, kinds
 
 
 def typed_rows(mat):

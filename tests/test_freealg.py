@@ -138,3 +138,17 @@ def test_element_degree_and_leading_term(A2):
     assert mon == (0, (0, 1)) and e.terms[mon] == 1  # longer word wins
     mixed = F.element({(0, ()): 1, (0, (0,)): 1})
     assert not mixed.is_homogeneous()
+
+
+@pytest.mark.parametrize("alpha", [5, -1, 1.0, True])
+def test_gen_refuses_what_element_refuses(A2, alpha):
+    # on a rank-1 module only the int 0 is a coordinate, for gen as for
+    # element; on a rank-2 module a bool or a float equal to a coordinate is
+    # still none
+    F = A2.free_module([0])
+    for make in (F.gen, lambda a: F.element({(a, ()): 1})):
+        with pytest.raises(ValueError, match=f"^coordinate {alpha} out of range$"):
+            make(alpha)
+    if type(alpha) is not int:
+        with pytest.raises(ValueError, match=f"^coordinate {alpha} out of range$"):
+            A2.free_module([0, 1]).gen(alpha)

@@ -659,6 +659,16 @@ def test_equality_refuses_a_raise_past_the_budget_on_both_routes(monkeypatch):
         assert fn(a, a + _zero_at_two_levels(A, 1)) is True
 
 
+def test_repr_prints_the_stored_terms_with_no_raise():
+    # str of x0*^24 x0^24 + 1 is its canonical form, a raise of 2^24 + 1
+    # terms, refused; repr prints the two stored terms
+    A = FreeAlgebra(2)
+    a = LeavittElement.monomial(A, (0,) * 24, (0,) * 24) + LeavittElement.one(A)
+    with pytest.raises(BudgetExceeded, match="raising emits 16777217 terms"):
+        str(a)
+    assert repr(a) == f"LeavittElement(1 + {' '.join(['x0*'] * 24 + ['x0'] * 24)})"
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 def test_equality_raises_each_differing_monomial_once(field, monkeypatch):
     # a = 2 + x0*^4 x0^4 and b = 5 share the monomial 1 with coefficients
