@@ -310,6 +310,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    if (value := _integer(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="freeproj", description=__doc__)
     parser.add_argument("--d", type=_positive_int, default=2, help="number of generators (for expression commands)")
@@ -354,13 +360,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("leavitt-eval", help="evaluate a Leavitt expression")
     p.add_argument("expr")
-    p.add_argument("--level", type=_integer, default=None)
+    p.add_argument("--level", type=_nonnegative_int, default=None)
     p.set_defaults(fn=cmd_leavitt_eval)
 
     p = sub.add_parser("s-calc", help="limit-algebra calculator on JSON elements")
     p.add_argument("sub", choices=["canonical", "k0", "mul", "embed", "regular", "simplicity"])
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--level", type=_integer, default=None)
+    p.add_argument("--level", type=_nonnegative_int, default=None)
     p.set_defaults(fn=cmd_s_calc)
 
     p = sub.add_parser("verify", help="run acceptance suites")

@@ -11,12 +11,18 @@ into one monomial, and the flat filtration writes its monomials w* v
 directly, each summed once with `linalg._add_terms`; a product runs the
 junction rule inline over its pairs of terms.
 
-Canonical forms raise every monomial of a fixed degree to a common level
-r = max |w| by the rewriting w* v = sum_i (x_i w)* (x_i v); at a fixed level
-the monomials are linearly independent (left multiplication by plain words
-of length r separates them), so equality is a dictionary comparison after
-raising.  `equals` raises only the monomials whose coefficients differ, and
-only if some degree holds two of their levels: at one level they differ.
+Canonical forms, which reports print, raise every monomial of a fixed
+degree to a common level r = max |w| by the rewriting
+w* v = sum_i (x_i w)* (x_i v); at a fixed level the monomials are linearly
+independent (left multiplication by plain words of length r separates
+them).  Equality and zero tests raise nothing: they read the normal form in
+the basis of monomials w* v whose words do not both start with x_{d-1}
+(G. M. Bergman's diamond lemma on the rules x_i x_j* -> delta_ij and
+x_{d-1}* x_{d-1} -> 1 - sum_{i<d-1} x_i* x_i), where a monomial with k
+leading letters x_{d-1} in common has 1 + k(d - 1) terms and its raise by k
+levels d^k.  `equals` reads only the monomials whose coefficients differ,
+and takes their normal form only if some degree holds two of their levels:
+at one level they differ.
 The degree-zero part at level r is exactly the d^r x d^r matrix algebra,
 matching the limit-algebra picture unit by unit: raising w* v is the block
 embedding a -> diag(a, .., a), so at level r its units sit at rows
@@ -146,11 +152,6 @@ class LeavittElement(_Terms):
     def degrees(self):
         return sorted({mono_degree(m) for m in self.terms})
 
-    def graded_component(self, m: int) -> "LeavittElement":
-        return LeavittElement(
-            self.algebra, {mon: c for mon, c in self.terms.items() if mono_degree(mon) == m}
-        )
-
     # -- canonical form --------------------------------------------------------------
 
     def raise_level(self, degree: int, r: int) -> "LeavittElement":
@@ -191,45 +192,28 @@ class LeavittElement(_Terms):
         _add_terms(self.algebra.field, out, terms)
         return LeavittElement(self.algebra, out)
 
-    def level_in_degree(self, m: int):
-        return max((len(w) for w, v in self.terms if len(v) - len(w) == m), default=None)
-
     def is_zero(self) -> bool:
-        return not self.canonical().terms
+        """Whether the normal form is empty.  With each degree at one level,
+        as in a canonical form, the monomials are independent, and only the
+        element with no terms is zero."""
+        _, mixed = _levels(self.terms)
+        return not _normal_form(self.algebra, self.terms.items()) if mixed else not self.terms
 
     def equals(self, other: "LeavittElement") -> bool:
         """Whether self - other is zero, read on the monomials D whose
         coefficients differ: no if each degree of D sits at one level, else
-        the difference on D raised as `canonical` raises it, and checked."""
+        whether the normal form of the difference on D is empty."""
         a, b = self.terms, other.terms
         if a == b:
             return True
         F = self._field
         diff = {m: c for m, c in a.items() if b.get(m) != c}
         _add_terms(F, diff, [(m, F.neg(c)) for m, c in b.items() if a.get(m) != c])
-        levels, mixed = _levels(diff)
-        return mixed and not LeavittElement(self.algebra, diff)._raised(levels).terms
+        _, mixed = _levels(diff)
+        return mixed and not _normal_form(self.algebra, diff.items())
 
     def __eq__(self, other):
         return isinstance(other, LeavittElement) and self.algebra == other.algebra and self.equals(other)
-
-    def lowered(self) -> "LeavittElement":
-        """Cosmetic inverse of raising: undo one level wherever each degree
-        component matches the pattern of a raise exactly."""
-        out = self
-        changed = True
-        while changed:
-            changed = False
-            for m in out.degrees():
-                r = out.level_in_degree(m)
-                if not r:
-                    continue
-                comp = out.graded_component(m)
-                lowered = _lower_once(comp)
-                if lowered is not None:
-                    out = (out - comp) + lowered
-                    changed = True
-        return out
 
     def __str__(self):  # the canonical form
         from .parsing import format_leavitt
@@ -252,24 +236,28 @@ def _levels(monomials):
     return levels, mixed
 
 
-def _lower_once(comp: LeavittElement):
-    """One level down if every monomial groups as sum_i (x_i u)* (x_i u')."""
-    A = comp.algebra
-    F = A.field
-    groups: dict = {}
-    for (w, v), c in comp.terms.items():
-        if not w or not v or w[0] != v[0]:
-            return None
-        groups.setdefault((w[1:], v[1:]), {})[w[0]] = c
-    out = {}
-    for key, per_letter in groups.items():
-        if len(per_letter) != A.d:
-            return None
-        vals = set(per_letter.values())
-        if len(vals) != 1:
-            return None
-        out[key] = vals.pop()
-    return LeavittElement(A, out)
+def _normal_form(algebra, items) -> dict:
+    """The terms ((w, v), c) summed in the basis of monomials w* v whose words
+    do not both start with x_t, t = d - 1: with k the number of leading
+    positions at which both words hold t, w* v = (w[k:])* v[k:] minus the sum
+    over j = 1..k and i < t of (x_i w[j:])* (x_i v[j:]), by
+    x_t* x_t = 1 - sum_{i<t} x_i* x_i."""
+    t = algebra.d - 1
+    F = algebra.field
+    terms = []
+    for (w, v), c in items:
+        k = 0
+        for a, b in zip(w, v):
+            if a != t or b != t:
+                break
+            k += 1
+        terms.append(((w[k:], v[k:]), c))
+        if k:
+            c = F.neg(c)
+            terms += [(((i,) + w[j:], (i,) + v[j:]), c) for j in range(1, k + 1) for i in range(t)]
+    out: dict = {}
+    _add_terms(F, out, terms)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +318,7 @@ class StrongGradingWitness:
     __slots__ = ("algebra", "r", "positive_pair", "negative_pairs", "verified")
 
     def __init__(self, algebra: FreeAlgebra, r: int):
-        if power_above(2, algebra.d, r, MAX_RAISED_TERMS):  # d^r products, and 1 raised to compare their sum
+        if power_above(2, algebra.d, r, MAX_RAISED_TERMS):  # d^r products and their d^r-term sum
             raise BudgetExceeded(f"a degree-{r} witness checks 2 * {algebra.d}^{r} terms, above {MAX_RAISED_TERMS}")
         self.algebra = algebra
         self.r = r
@@ -370,14 +358,15 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
     """Write a as sum over length-r words w of w* times a plain polynomial.
 
     The output holds d^r polynomials: d^r > MAX_RAISED_TERMS is refused
-    first.  a is made canonical, and lowered too if a raise would pass
-    MAX_RAISED_TERMS (its output then follows the lowered terms' order).
-    Under the flat gate, starred length at most r and a raise within
-    MAX_RAISED_TERMS, one raise to level r groups its monomials w* v by w;
-    past it the coefficient at w is left multiplication with w, which kills
-    every other summand, and lowering.  The reassembled element must equal
-    the input, on the flat gate its raise, otherwise a is not in the
-    filtration piece.
+    first.  a is made canonical, and put in normal form if a raise would
+    pass MAX_RAISED_TERMS (its output then follows the normal form's
+    order).  Under the flat gate, starred length at most r and a raise
+    within MAX_RAISED_TERMS, one raise to level r groups its monomials w* v
+    by w; past it the coefficient at w is the normal form of w a: left
+    multiplication with w kills every other summand, and the normal form of
+    a plain polynomial is itself.  The reassembled element must equal the
+    input, on the flat gate its raise, otherwise a is not in the filtration
+    piece.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -386,8 +375,8 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
         raise BudgetExceeded(f"a level-{r} decomposition holds {A.d}^{r} polynomials, "
                              f"above the bound {MAX_RAISED_TERMS}")
     a = a.canonical()
-    if len(a.terms) * A.d**r > MAX_RAISED_TERMS:
-        a = a.lowered()  # 1 written as 2^17 terms is 1, not 2^33 products at r = 16
+    if len(a.terms) * A.d**r > MAX_RAISED_TERMS:  # 1 written as 2^17 terms is 1, not 2^33 products at r = 16
+        a = LeavittElement(A, _normal_form(A, a.terms.items()))
     if len(a.terms) * A.d**r <= MAX_RAISED_TERMS and all(len(u) <= r for u, v in a.terms):
         a = a._raised({len(v) - len(u): r for u, v in a.terms})
         groups: dict = {w: {} for w in A.words(r)}
@@ -397,10 +386,10 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
     else:
         out = {}
         for w in A.words(r):
-            proj = (LeavittElement.monomial(A, (), w) * a).lowered()
-            if any(u for (u, v) in proj.terms):
+            proj = _normal_form(A, (LeavittElement.monomial(A, (), w) * a).terms.items())
+            if any(u for (u, v) in proj):
                 raise NotInFiltrationLevel(f"projection at {w} is not a plain polynomial")
-            out[w] = NcPoly(A, {v: c for (u, v), c in proj.terms.items()})
+            out[w] = NcPoly(A, {v: c for (u, v), c in proj.items()})
     if not flat_reassemble(A, out).equals(a):
         raise NotInFiltrationLevel(f"element is not in filtration level {r}")
     return out

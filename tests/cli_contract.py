@@ -209,9 +209,10 @@ CASES = [
          {"x08.pres": "field: QQ\nd: 2\ngens: [0]\nrels:\nx0 x0 x0 x0 x0 x0 x0 x0\n"}),
     # limit algebra and Leavitt algebra
     Case("leavitt-eval", ("leavitt-eval", "x0 x0*"), 0, {"result.text": "1"}, 60),
-    # a route bound: x1*^30 x1^30 - 1 has a normal form of 30 terms, but its
-    # canonical form raises to level 30; item 31 (a normal form with no
-    # raise) lifts it
+    # a route bound: x1*^30 x1^30 - 1 has a normal form of 30 terms, and
+    # its zero test reads that form, but the report prints the canonical
+    # form, raised to level 30; only printing raises now, and printing the
+    # normal form past the raise budget is a report change left open
     Case("leavitt-eval-raise-budget", ("--d", "2", "leavitt-eval", " ".join(["x1*"] * 30 + ["x1"] * 30) + " - 1"), 1,
          {"kind": "BudgetExceeded"}, 10, stderr="raising emits 1073741825 terms"),
     # a 2.9k-character input of three levels, printed as 7.1k characters:
@@ -275,6 +276,10 @@ CASES = [
     Case("usage-underscore-argument", ("hilbert", "free.pres", "1_2"), 2, {"kind": "parse"}, 60, FREE,
          stderr="must be an integer"),
     Case("usage-d-zero", ("--d", "0", "leavitt-eval", "x0"), 2, {"kind": "parse"}, 60, stderr="usage error"),
+    Case("usage-leavitt-eval-negative-level", ("leavitt-eval", "--level", "-1", "x0"), 2, {"kind": "parse"}, 60,
+         stderr="expected a nonnegative integer"),
+    Case("usage-embed-negative-level", ("s-calc", "embed", "--level", "-1", "e01.json"), 2, {"kind": "parse"}, 60,
+         E01, stderr="expected a nonnegative integer"),
     Case("usage-unknown-command", ("nope",), 2, {"kind": "parse"}, 60, stderr="usage error"),
 ]
 

@@ -5,14 +5,18 @@ The lexer matches one regex per token and reads each letter index with
 `read_int`; `parse_poly` sums one term at a time; `parse_leavitt`
 multiplies out one `LeavittElement` product per letter and rebuilds the sum
 once per term; `mono_mul` cancels the junction letter by letter; the flat
-filtration reassembles with one element product and one sum per word.
+filtration reads each projection by `lowered`, which undoes raises one
+level at a time, and reassembles with one element product and one sum per
+word.
 `add_terms` and `add_products` are `linalg._add_terms` and
 `linalg._add_products` as they were on field methods, `field_add` and
 `field.mul` per term or pair.  `from_poly` embeds the free algebra in the
 Leavitt algebra.  `product` and `equals` are the element product by
 `linalg._add_products` with one `mono_mul` call per pair and the equality
-by the canonical form of the whole difference, as they stood before the
-product and equality ran on the terms they change.
+by the canonical form of the whole difference, raised to each degree's
+top level, as they stood before the product ran on the terms it changes
+and equality on the normal form.  No oracle here decides zero or equality
+through `LeavittElement.equals` or `is_zero`, which read that normal form.
 Kept verbatim as the oracles the fast paths must match exactly: same terms,
 same values and value types, same dict key order, same errors.
 """
@@ -180,22 +184,62 @@ def parse_leavitt(algebra, text: str, line=None):
     return total
 
 
+def _lower_once(comp: LeavittElement):
+    """One level down if every monomial groups as sum_i (x_i u)* (x_i u')."""
+    A = comp.algebra
+    F = A.field
+    groups: dict = {}
+    for (w, v), c in comp.terms.items():
+        if not w or not v or w[0] != v[0]:
+            return None
+        groups.setdefault((w[1:], v[1:]), {})[w[0]] = c
+    out = {}
+    for key, per_letter in groups.items():
+        if len(per_letter) != A.d:
+            return None
+        vals = set(per_letter.values())
+        if len(vals) != 1:
+            return None
+        out[key] = vals.pop()
+    return LeavittElement(A, out)
+
+
+def lowered(a: LeavittElement) -> LeavittElement:
+    """Cosmetic inverse of raising: undo one level wherever each degree
+    component matches the pattern of a raise exactly."""
+    out = a
+    changed = True
+    while changed:
+        changed = False
+        for m in out.degrees():
+            r = max(len(w) for w, v in out.terms if len(v) - len(w) == m)
+            if not r:
+                continue
+            comp = LeavittElement(out.algebra, {mon: c for mon, c in out.terms.items() if mono_degree(mon) == m})
+            low = _lower_once(comp)
+            if low is not None:
+                out = (out - comp) + low
+                changed = True
+    return out
+
+
 def flat_decompose(a, r: int) -> dict:
     """Write a as sum over length-r words w of w* times a plain polynomial,
-    reassembling with one element product and one sum per word."""
+    reading each projection by `lowered` and reassembling with one element
+    product and one sum per word."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     A = a.algebra
     out = {}
     reassembled = LeavittElement.zero(A)
     for w in A.words(r):
-        proj = (LeavittElement.monomial(A, (), w) * a).lowered()
+        proj = lowered(LeavittElement.monomial(A, (), w) * a)
         if any(u for (u, v) in proj.terms):
             raise NotInFiltrationLevel(f"projection at {w} is not a plain polynomial")
         poly = NcPoly(A, {v: c for (u, v), c in proj.terms.items()})
         out[w] = poly
         reassembled = reassembled + LeavittElement.word_star(A, w) * from_poly(poly)
-    if not reassembled.equals(a):
+    if not equals(reassembled, a):
         raise NotInFiltrationLevel(f"element is not in filtration level {r}")
     return out
 
@@ -247,5 +291,6 @@ def product(a, b):
 
 
 def equals(a, b) -> bool:
-    """Whether a - b is zero: the whole difference built and made canonical."""
-    return (a - b).is_zero()
+    """Whether a - b is zero: the whole difference built and made canonical,
+    each degree raised to its top level, where its monomials are independent."""
+    return not (a - b).canonical().terms

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import signal
+import time
 from unittest import mock
 from fractions import Fraction
 
@@ -99,6 +100,11 @@ def test_raise_level(A2):
         e2.raise_level(0, 1)
 
 
+def _top_level(a, m):
+    """The largest starred length among a's monomials of degree m."""
+    return max(len(w) for w, v in a.terms if len(v) - len(w) == m)
+
+
 def _raise_one_degree(terms, A, degree, r):
     """Reference raise: w* v -> sum_s (s w)* (s v) term by term into one dict."""
     out = {}
@@ -124,9 +130,9 @@ def test_canonical_matches_raising_each_degree_in_turn(A2, A3):
             a = a * star(a) - a
             want = a.terms
             for m in a.degrees():
-                want = _raise_one_degree(want, A, m, a.level_in_degree(m))
-                assert list(a.raise_level(m, a.level_in_degree(m)).terms) == list(
-                    _raise_one_degree(a.terms, A, m, a.level_in_degree(m)))
+                want = _raise_one_degree(want, A, m, _top_level(a, m))
+                assert list(a.raise_level(m, _top_level(a, m)).terms) == list(
+                    _raise_one_degree(a.terms, A, m, _top_level(a, m)))
             assert list(a.canonical().terms.items()) == list(want.items())
 
 
@@ -144,8 +150,6 @@ def test_graded_components(A2):
     one, xs, stars = gens(A2)
     mixed = xs[0] + stars[1]
     assert mixed.degrees() == [-1, 1]
-    assert mixed.graded_component(1).equals(xs[0])
-    assert mixed.graded_component(-1).equals(stars[1])
     assert one.degrees() == [0]
     m = LeavittElement.monomial(A2, (0,), (1, 1))
     assert m.degrees() == [1]
@@ -382,11 +386,21 @@ def _outcome(fn, *args):
     return [(w, _items(p)) for w, p in out.items()]
 
 
+def _by_key(outcome):
+    """An `_outcome` with each polynomial's key order dropped."""
+    if isinstance(outcome, tuple):
+        return outcome
+    return [(w, {k: (t, c) for k, t, c in items}) for w, items in outcome]
+
+
 def test_flat_paths_match_element_products():
     # flat_decompose and flat_reassemble against the per-word element
-    # products they replaced: same output, key order and errors, on both
-    # sides of the flat gate: a member, the same member written one level
-    # above r, a sum that usually is not one, and a deep star
+    # products and lowering they replaced, on both sides of the flat gate: a
+    # member, the same member written one level above r, a sum that usually
+    # is not one, and a deep star.  On the gate (starred length at most r,
+    # at this budget) the output, key order and errors are the same; past it
+    # each projection is read in normal form, so its values, their types,
+    # keys and errors are the same, in the normal form's key order
     rng = make_rng(31)
     for A in (FreeAlgebra(1), FreeAlgebra(2), FreeAlgebra(3, GF(7))):
         for r in (0, 1, 2, 3):
@@ -399,8 +413,12 @@ def test_flat_paths_match_element_products():
                 # the oracle lowers only components written at one level,
                 # so it gets b in the canonical form flat_decompose makes first
                 for b in (a, raised, a + random_leavitt(rng, A, wmax=3), deep):
-                    assert _outcome(flat_decompose, b, r) == _outcome(
-                        leavitt_oracle.flat_decompose, b.canonical(), r)
+                    b = b.canonical()
+                    got, want = _outcome(flat_decompose, b, r), _outcome(leavitt_oracle.flat_decompose, b, r)
+                    if all(len(u) <= r for u, v in b.terms):
+                        assert got == want
+                    else:
+                        assert _by_key(got) == _by_key(want)
     # GF(7) values outside 0..6 come out reduced, as the products made them
     A = FreeAlgebra(2, GF(7))
     odd = {(1,): NcPoly(A, {(0,): 9, (1,): -3, (): 7})}
@@ -415,20 +433,20 @@ def test_flat_paths_match_element_products():
 
 def test_flat_decompose_past_the_raise_budget_takes_products(monkeypatch):
     # a member whose raise could pass MAX_RAISED_TERMS is read by products
-    # and lowering, as before the flat gate, and never refused
+    # and normal forms, as before the flat gate, and never refused
     monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 4)
-    lowered = []
-    real = LeavittElement.lowered
-    monkeypatch.setattr(LeavittElement, "lowered", lambda self: lowered.append(self) or real(self))
+    calls = []
+    real = leavitt._normal_form
+    monkeypatch.setattr(leavitt, "_normal_form", lambda A, items: calls.append(A) or real(A, items))
     rng = make_rng(37)
     A = FreeAlgebra(2)
     for r in (1, 2):
         for _ in range(10):
             a, _ = random_filtration_member(rng, A, r)
-            lowered.clear()
+            calls.clear()
             got = _outcome(flat_decompose, a, r)
-            assert bool(lowered) == (len(a.terms) * 2**r > 4)
-            assert got == _outcome(leavitt_oracle.flat_decompose, a, r)
+            assert bool(calls) == (len(a.terms) * 2**r > 4)
+            assert _by_key(got) == _by_key(_outcome(leavitt_oracle.flat_decompose, a, r))
 
 
 @contextlib.contextmanager
@@ -449,14 +467,13 @@ def time_limit(seconds):
 def test_flat_decompose_lowers_an_element_past_the_raise_budget(A2, monkeypatch):
     # 1 written as the 2^14 terms of level 14 is 2^27 monomial products on
     # the product path at r = 13 (at level 17 and r = 16 it ran for minutes);
-    # lowered first, it is 1 on the flat gate
+    # in normal form first, it is 1 on the flat gate
     one = LeavittElement.one(A2)
     with time_limit(30):
         got = _outcome(flat_decompose, one.raise_level(0, 14), 13)
     assert got == _outcome(flat_decompose, one, 13)
     # with the budget cut down so that the product path can run: its values,
-    # in the term order of the lowered element (lowering moves each lowered
-    # component to the end)
+    # in the term order of the element's normal form
     x = LeavittElement.monomial(A2, (), (), Fraction(-3, 2)) + LeavittElement.monomial(A2, (1,), (1, 0))
     cases = [(r, x.raise_level(0, r + 1)) for r in (6, 7)]
     wants = [leavitt_oracle.flat_decompose(raised, r) for r, raised in cases]
@@ -465,7 +482,8 @@ def test_flat_decompose_lowers_an_element_past_the_raise_budget(A2, monkeypatch)
         assert len(raised.terms) * 2**r > leavitt.MAX_RAISED_TERMS
         got = flat_decompose(raised, r)
         assert {w: p.terms for w, p in got.items()} == {w: p.terms for w, p in want.items()}
-        assert _outcome(flat_decompose, raised, r) == _outcome(flat_decompose, raised.canonical().lowered(), r)
+        normal = LeavittElement(A2, leavitt._normal_form(A2, raised.canonical().terms.items()))
+        assert _outcome(flat_decompose, raised, r) == _outcome(flat_decompose, normal, r)
 
 
 def test_flat_decompose_refuses_more_words_than_the_raise_budget(A2, monkeypatch):
@@ -505,7 +523,7 @@ def test_canonical_of_canonical_is_itself():
         for _ in range(80):
             a = random_leavitt(rng, A, max_terms=6, wmax=3)
             c = (a * star(a) + a).canonical()
-            levels = {m: c.level_in_degree(m) for m in c.degrees()}
+            levels = {m: _top_level(c, m) for m in c.degrees()}
             assert _items(c.canonical()) == _items(c) == _items(c._raised(levels))
 
 
@@ -540,12 +558,20 @@ def test_tensor_vanishes(A2):
     assert vanish
 
 
-def test_lowered_reaches_minimal_form(A2):
+def test_normal_form_reaches_minimal_form(A2):
     one = LeavittElement.one(A2)
     raised = one.raise_level(0, 2)
-    assert raised.lowered().terms == one.terms
+    assert leavitt._normal_form(A2, raised.terms.items()) == one.terms
     e = LeavittElement.monomial(A2, (0,), (0,))
-    assert e.lowered().terms == e.terms  # not a raise pattern
+    assert leavitt._normal_form(A2, e.terms.items()) == e.terms  # a basis monomial
+    # (x1 x1)* x1 x1 x0 = x0 - (x0 x1)* x0 x1 x0 - x0* x0 x0 at d = 2, by
+    # x1* x1 = 1 - x0* x0 twice
+    m = LeavittElement.monomial(A2, (1, 1), (1, 1, 0), 5)
+    assert leavitt._normal_form(A2, m.terms.items()) == {
+        ((), (0,)): 5, ((0, 1), (0, 1, 0)): -5, ((0,), (0, 0)): -5}
+    # at d = 1 the rule strips the common letters
+    A1 = FreeAlgebra(1)
+    assert leavitt._normal_form(A1, {((0, 0, 0), (0,)): 2}.items()) == {((0, 0), ()): 2}
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +628,7 @@ def element_pairs(draw):
         b = LeavittElement(A, dict(reversed(a.terms.items())))
     elif kind == "raised" and a.terms:
         m = rng.choice(a.degrees())
-        b = a.raise_level(m, a.level_in_degree(m) + rng.randint(1, 2))
+        b = a.raise_level(m, _top_level(a, m) + rng.randint(1, 2))
     elif kind == "plus zero":
         b = a + _zero_at_two_levels(A, rng.randint(1, 3))
     elif kind == "plus monomial":
@@ -635,28 +661,56 @@ def _sum_to_zero_mod_7():
     return A, (x1.scale(3) + x1.scale(4)).terms, {}, 2**20
 
 
-def test_equality_refuses_a_raise_past_the_budget_on_both_routes(monkeypatch):
-    # x0*^24 x0^24 + 1 differs from 1 in one monomial, at one level: no; from
-    # 0 and 2 in two levels of degree 0, a raise of 2^24 + 1 terms: refused
-    for other, want in ((1, False), (0, BudgetExceeded), (2, BudgetExceeded)):
+def _answered_in_time(fn, *args):
+    """fn(*args), whose best of three runs must take under half a second:
+    no route of d^k terms at the levels k of these inputs does."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        answer = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5, best
+    return answer
+
+
+def test_equality_answers_where_the_raise_route_refuses(monkeypatch):
+    # x0*^24 x0^24 + 1 differs from 1 in one monomial, at one level: no on
+    # both routes; from 0 and 2 in two levels of degree 0, which the raise
+    # route refuses (2^24 + 1 terms), and the normal form, its own 2 terms,
+    # answers no
+    for other in (1, 0, 2):
         A, a_terms, b_terms, _ = _big_level_pair(other)
         a, b = LeavittElement(A, a_terms), LeavittElement(A, b_terms)
-        for fn in (LeavittElement.equals, leavitt_oracle.equals):
-            if want is False:
-                assert fn(a, b) is False
-            else:
-                with pytest.raises(BudgetExceeded, match="raising emits 16777217 terms"):
-                    fn(a, b)
-    # at a budget of 16, x0*^4 x0^4 + 1 against 0 raises 17 terms: refused;
-    # against itself plus x0* x0 + x1* x1 - 1 only the 3 differing monomials
-    # are raised, to level 1: 4 terms, and equal
-    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 16)
+        assert _answered_in_time(a.equals, b) is False
+        if other == 1:
+            assert leavitt_oracle.equals(a, b) is False
+        else:
+            with pytest.raises(BudgetExceeded, match="raising emits 16777217 terms"):
+                leavitt_oracle.equals(a, b)
+        assert repr(a).startswith("LeavittElement(1 + x0*")
+    # x1*^30 x1^30 - 1 = -x0* x0 - (x0 x1)* x0 x1 - .. - (x0 x1^29)* x0 x1^29
     A = FreeAlgebra(2)
-    a = LeavittElement.monomial(A, (0,) * 4, (0,) * 4) + LeavittElement.one(A)
+    one = LeavittElement.one(A)
+    b = LeavittElement.monomial(A, (1,) * 30, (1,) * 30) - one
+    assert _answered_in_time(b.is_zero) is False
+    with pytest.raises(BudgetExceeded, match="raising emits 1073741825 terms"):
+        leavitt_oracle.equals(b, LeavittElement.zero(A))
+    # x1*^400 x1^400 is its 401-term expansion 1 - sum_{j<400} (x0 x1^j)* x0 x1^j
+    c = LeavittElement.monomial(A, (1,) * 400, (1,) * 400)
+    expansion = {((), ()): 1} | {((0,) + (1,) * j, (0,) + (1,) * j): -1 for j in range(400)}
+    e = LeavittElement(A, expansion)
+    assert _answered_in_time(c.equals, e) is True and e.equals(c) and (c - e).is_zero()
+    assert not c.equals(e + LeavittElement.monomial(A, (0,) + (1,) * 399, (0,) + (1,) * 399))
+    assert repr(c).startswith("LeavittElement(x1*")
+    # at a budget of 16, x0*^4 x0^4 + 1 against itself plus x0* x0 + x1* x1 - 1
+    # is equal on both routes; against 0 the raise route refuses 17 terms
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 16)
+    a = LeavittElement.monomial(A, (0,) * 4, (0,) * 4) + one
     for fn in (LeavittElement.equals, leavitt_oracle.equals):
-        with pytest.raises(BudgetExceeded, match="raising emits 17 terms, above the bound 16"):
-            fn(a, LeavittElement.zero(A))
         assert fn(a, a + _zero_at_two_levels(A, 1)) is True
+    assert a.equals(LeavittElement.zero(A)) is False
+    with pytest.raises(BudgetExceeded, match="raising emits 17 terms, above the bound 16"):
+        leavitt_oracle.equals(a, LeavittElement.zero(A))
 
 
 def test_repr_prints_the_stored_terms_with_no_raise():
@@ -669,16 +723,28 @@ def test_repr_prints_the_stored_terms_with_no_raise():
     assert repr(a) == f"LeavittElement(1 + {' '.join(['x0*'] * 24 + ['x0'] * 24)})"
 
 
+def test_is_zero_at_one_level_a_degree_takes_no_normal_form(A2, monkeypatch):
+    # a canonical form holds each degree at one level, where its monomials
+    # are independent: `leavitt-eval` asks is_zero of one, here of 2^12 - 1
+    # terms, and reads no normal form of them to answer
+    monkeypatch.setattr(leavitt, "_normal_form", lambda A, items: pytest.fail("a normal form was taken"))
+    a = (LeavittElement.monomial(A2, (1,) * 12, (1,) * 12) - LeavittElement.one(A2)).canonical()
+    assert len(a.terms) == 2**12 - 1 and a.is_zero() is False
+    assert LeavittElement.zero(A2).is_zero() and not (LeavittElement.gen(A2, 0) + LeavittElement.gen_star(A2, 1)).is_zero()
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)])
-def test_equality_raises_each_differing_monomial_once(field, monkeypatch):
+def test_equality_makes_no_raise(field, monkeypatch):
     # a = 2 + x0*^4 x0^4 and b = 5 share the monomial 1 with coefficients
-    # that differ: the difference on D takes b's one term, and its raise
-    # emits 1 raised to 16 terms plus the one at level 4, 17 in all, within
-    # a budget of 17; each side raised on its own would build 17 + 16.  At
-    # a budget of 16 both routes refuse.
+    # that differ: the difference on D takes b's one term, and its normal
+    # form, its own 2 terms, is summed once; no raise is made, so the answer
+    # stands at a budget of 1, where the raise route refuses
     A = FreeAlgebra(2, field)
     a = LeavittElement.one(A).scale(2) + LeavittElement.monomial(A, (0,) * 4, (0,) * 4)
     b = LeavittElement.one(A).scale(5)
+    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 1)
+    with pytest.raises(BudgetExceeded, match="raising emits 17 terms, above the bound 1"):
+        leavitt_oracle.equals(a, b)
     built = []
 
     def counted(field, acc, terms):
@@ -686,22 +752,16 @@ def test_equality_raises_each_differing_monomial_once(field, monkeypatch):
         return add_terms(field, acc, terms)
 
     add_terms = leavitt._add_terms
-    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 17)
     monkeypatch.setattr(leavitt, "_add_terms", counted)
-    answer = a.equals(b)
-    assert answer is False and built == [1, 17]
-    monkeypatch.setattr(leavitt, "_add_terms", add_terms)
-    assert leavitt_oracle.equals(a, b) is False
-    monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 16)
-    for fn in (LeavittElement.equals, leavitt_oracle.equals):
-        with pytest.raises(BudgetExceeded, match="raising emits 17 terms, above the bound 16"):
-            fn(a, b)
+    monkeypatch.setattr(LeavittElement, "_raised", lambda self, levels: pytest.fail("a raise was made"))
+    assert a.equals(b) is False and built == [1, 2]
 
 
 def test_product_and_equality_match_oracle():
     # the inline product against `add_products` with one `mono_mul` per
     # pair (values, types, key order), and `equals` against the canonical
-    # form of the whole difference (answers and BudgetExceeded refusals)
+    # form of the whole difference where that route answers; where it
+    # refuses a raise past the budget, `equals` answers
     kinds = set()
 
     @hypothesis.settings(max_examples=300, deadline=None)
@@ -719,24 +779,110 @@ def test_product_and_equality_match_oracle():
             for x, y in ((a, b), (b, a)):
                 if len(x.terms) * len(y.terms) < 100:
                     assert _items(x * y) == _items(leavitt_oracle.product(x, y))
-                got = _eq_outcome(x.equals, y)
-                assert got == _eq_outcome(leavitt_oracle.equals, x, y)
-                assert _eq_outcome(x.__eq__, y) == got
-        diff = (a - b).terms
-        levels = {}
-        for w, v in diff:
-            levels.setdefault(len(v) - len(w), set()).add(len(w))
-        kinds.add("equal dicts" if a.terms == b.terms else
-                  "one level a degree" if all(len(s) == 1 for s in levels.values()) else
-                  "refused" if isinstance(got, tuple) else "raised, equal" if got else "raised, unequal")
+                want = _check_equals(x, y)
+                assert (x == y) is x.equals(y)
+        kinds.add(_equality_kind(a, b, want))
         if a.algebra.field != QQ:
             kinds.add("GF(p)")
         if len(a.terms) > 1 and not (a * b).terms and a.terms and b.terms:
             kinds.add("product zero")
 
     check()
-    assert {"equal dicts", "one level a degree", "refused", "raised, equal", "raised, unequal", "GF(p)",
-            "product zero"} <= kinds, kinds
+    assert {"equal dicts", "one level a degree", "oracle refuses, new route answers", "normal form, equal",
+            "normal form, unequal", "GF(p)", "product zero"} <= kinds, kinds
+
+
+def _check_equals(x, y):
+    """x.equals(y) against the raise route, which it must match wherever
+    that route answers; where it refuses, equals still answers.  Returns
+    the raise route's outcome."""
+    got = x.equals(y)
+    want = _eq_outcome(leavitt_oracle.equals, x, y)
+    if isinstance(want, tuple):
+        assert want[0] is BudgetExceeded and isinstance(got, bool)
+    else:
+        assert got is want
+    return want
+
+
+def _equality_kind(a, b, want):
+    """Which route decides a against b, and, past the fast exits, how."""
+    levels = {}
+    for w, v in (a - b).terms:
+        levels.setdefault(len(v) - len(w), set()).add(len(w))
+    if a.terms == b.terms:
+        return "equal dicts"
+    if all(len(s) == 1 for s in levels.values()):
+        return "one level a degree"
+    if isinstance(want, tuple):
+        return "oracle refuses, new route answers"
+    return "normal form, equal" if want else "normal form, unequal"
+
+
+def _normal(A, terms):
+    return leavitt._normal_form(A, terms.items())
+
+
+@st.composite
+def normal_form_cases(draw):
+    """An `element_pairs` draw, a monomial (w, v) with |w|, |v| <= 3 and a
+    coefficient, and a third element over the same algebra."""
+    A, a_terms, b_terms, budget = draw(element_pairs())
+    rng = draw(st.randoms(use_true_random=False))
+    c = _monomials(rng, A, rng.randint(0, 4))
+    mon = LeavittElement.monomial(A, *rng.choice(list(c.terms) or [((), ())]), rng.choice((1, 2, Fraction(-1, 2))))
+    return A, a_terms, b_terms, budget, mon.terms, c.terms
+
+
+def _normal_case(a, b, mon=None, c=None, budget=2**20):
+    """A `normal_form_cases` draw from a and b, with a monomial and a third
+    element over a's algebra, by default x1* x1 x0 times 3 and x1* + (x1 x1)* x1."""
+    A = a.algebra
+    mon = mon or LeavittElement.monomial(A, (1,), (1, 0), 3)
+    c = c or LeavittElement.gen_star(A, 1) + LeavittElement.monomial(A, (1, 1), (1,))
+    return A, a.terms, b.terms, budget, mon.terms, c.terms
+
+
+def test_normal_form_matches_raise_route():
+    # the normal form in the basis of monomials w* v whose words do not
+    # both start with x_{d-1}: equals against the raise route on every
+    # draw that route answers, and against the comparison of the two whole
+    # normal forms on every draw; the normal form of a raise
+    # sum_i (x_i w)* (x_i v) is that of w* v; and products of normal forms,
+    # reduced in either grouping, have the normal form of the product
+    kinds = set()
+    A2, A3 = FreeAlgebra(2), FreeAlgebra(3, GF(7))
+    one, one3 = LeavittElement.one(A2), LeavittElement.one(A3)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(normal_form_cases())
+    @hypothesis.example(_normal_case(one, LeavittElement(A2, dict(one.terms))))
+    @hypothesis.example(_normal_case(LeavittElement.gen(A2, 0), LeavittElement.gen(A2, 1)))
+    @hypothesis.example(_normal_case(one, one.raise_level(0, 2)))
+    @hypothesis.example(_normal_case(one, LeavittElement.monomial(A2, (1,), (1,))))
+    @hypothesis.example(_big_level_pair(0) + (LeavittElement.monomial(A2, (1, 1), (1, 1)).terms, one.terms))
+    @hypothesis.example(_normal_case(one3.raise_level(0, 1), one3.raise_level(0, 2),
+                                     mon=LeavittElement.monomial(A3, (2, 2, 1), (2, 2), 6)))
+    def check(case):
+        A, a_terms, b_terms, budget, mon_terms, c_terms = case
+        a, b, c = (LeavittElement(A, t) for t in (a_terms, b_terms, c_terms))
+        with mock.patch.object(leavitt, "MAX_RAISED_TERMS", budget):
+            want = _check_equals(a, b)
+        assert a.equals(b) == (_normal(A, a.terms) == _normal(A, b.terms)) == b.equals(a)
+        ((w, v), coeff), = mon_terms.items()
+        raised = {((i,) + w, (i,) + v): coeff for i in range(A.d)}
+        assert _normal(A, raised) == _normal(A, mon_terms)
+        na, nb, nc = (LeavittElement(A, _normal(A, x.terms)) for x in (a, b, c))
+        product = _normal(A, (a * (b * c)).terms)
+        assert _normal(A, (LeavittElement(A, _normal(A, (na * nb).terms)) * nc).terms) == product
+        assert _normal(A, (na * LeavittElement(A, _normal(A, (nb * nc).terms))).terms) == product
+        kinds.add(_equality_kind(a, b, want))
+        if A.field != QQ:
+            kinds.add("GF(p)")
+
+    check()
+    assert {"equal dicts", "one level a degree", "normal form, equal", "normal form, unequal",
+            "oracle refuses, new route answers", "GF(p)"} <= kinds, kinds
 
 
 def test_strongly_graded_witness_holds_through_r4():
@@ -747,9 +893,9 @@ def test_strongly_graded_witness_holds_through_r4():
 
 
 def test_strongly_graded_witness_refuses_more_products_than_the_budget(monkeypatch):
-    # its d^r products, and 1 raised to level r to compare their sum with,
-    # are 2 d^r terms: past MAX_RAISED_TERMS, refused from d and r before
-    # any word is enumerated; at the bound, built and verified
+    # its d^r products and their d^r-term sum are 2 d^r terms: past
+    # MAX_RAISED_TERMS, refused from d and r before any word is
+    # enumerated; at the bound, built and verified
     monkeypatch.setattr(leavitt, "MAX_RAISED_TERMS", 2**6)
     assert strongly_graded_witness(FreeAlgebra(2), 5).verified
     monkeypatch.setattr(FreeAlgebra, "words", lambda self, n: pytest.fail("a word was enumerated"))
