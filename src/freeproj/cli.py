@@ -25,21 +25,26 @@ from .verify import CRITERIA, SUITE_NAMES, run_criterion
 
 
 def _jsonable(value):
+    """The JSON value of a report, refusing with `BudgetExceeded` an int
+    that has more than MAX_LITERAL_DIGITS digits, the most JSON prints."""
     if isinstance(value, Fraction):
-        return str(value)
+        return QQ.to_str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if type(value) is int and abs(value) >= _DIGIT_BOUND:
+        raise BudgetExceeded(f"a computed value of {value.bit_length()} bits has over "
+                             f"fields.MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
     return value
 
 
 def _emit(report: dict, args) -> None:
     if args.text:
         for key, value in report.items():
-            print(f"{key}: {json.dumps(_jsonable(value), sort_keys=True)}")
+            print(f"{key}: {json.dumps(value, sort_keys=True)}")
     else:
-        print(json.dumps(_jsonable(report), sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
 
 
 def _load_presentation(path: str, field_spec):
@@ -91,10 +96,12 @@ def _field(args):
 def _check_digits(n: int, d: int, k: int, what: str) -> None:
     """Refuse `what`, the int n * d^k with k >= 0, when it can have more than
     MAX_LITERAL_DIGITS digits, the most JSON prints from an int, decided by
-    `power_above` before any huge power of d is formed."""
+    `power_above` before any huge power of d is formed; an n past that bound
+    is named by its bit length."""
     if power_above(n, d, k, _DIGIT_BOUND - 1):
+        shown = n if n < _DIGIT_BOUND else f"({n.bit_length()}-bit int)"
         raise BudgetExceeded(
-            f"{what} {n} * {d}^{k}, which has more than "
+            f"{what} {shown} * {d}^{k}, which has more than "
             f"fields.MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
 
 
@@ -113,13 +120,10 @@ def cmd_hilbert(args) -> dict:
 
 def cmd_profile(args) -> dict:
     pf = _load_presentation(args.file, args.field)
-    M = pf.module()
-    p = M.stable_profile(args.degree_cap)
     return {
         "command": "profile",
         "inputs": {"file": args.file, "d": pf.d, "field": pf.field.name},
-        "result": {"profile": p.as_dict()},
-        "certificates": {"certified_through": p.certified_through},
+        "result": {"profile": pf.module().stable_profile().as_dict()},
     }
 
 
@@ -321,7 +325,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--d", type=_positive_int, default=2, help="number of generators (for expression commands)")
     parser.add_argument("--field", default=None,
                         help="QQ or GF:p (default QQ); a presentation file's field: line must match it")
-    parser.add_argument("--degree-cap", type=_integer, default=8, dest="degree_cap")
     parser.add_argument("--level-cap", type=_integer, default=3, dest="level_cap")
     parser.add_argument("--seed", type=_integer, default=0)
     parser.add_argument("--text", action="store_true", help="line-oriented output instead of JSON")
@@ -400,7 +403,7 @@ def _run(argv) -> int:
         return 2
     start = time.perf_counter()
     try:
-        report = args.fn(args)
+        report = _jsonable(args.fn(args))
     except ParseError as exc:
         print(json.dumps({"error": str(exc), "kind": "parse"}))
         print(f"parse error: {exc}", file=sys.stderr)

@@ -126,23 +126,26 @@ MAX_STD_WORDS = 2**18
 def _missing(cache, j: int, least: int) -> range:
     """The degrees a degreewise cache still has to build, upward, to hold j:
     from the highest cached degree at or below j, else from min(j, least)."""
+    if j in cache:
+        return range(0)
     start = max((k for k in cache if k <= j), default=min(j, least) - 1)
     return range(start + 1, j + 1)
 
 
 def _check_span(low: int, top: int, d: int):
     """Refuse with `BudgetExceeded` a stable profile over the degrees
-    low..top that is too wide to walk.  Its Hilbert values reach
-    rank * d^k over the span k = top - low, so k * max(bits(d) - 1, 1), a
-    lower bound on the bits of d^k for d >= 2 and the span itself for d = 1,
-    is held under the bits of a MAX_LITERAL_DIGITS-digit int.  Decided from
-    the degrees alone, before any power of d is formed or any degree walked."""
+    low..top, the least shift to b + 4, that is too wide to walk.  Its
+    Hilbert values reach rank * d^k over the span k = top - low, so
+    k * max(bits(d) - 1, 1), a lower bound on the bits of d^k for d >= 2 and
+    the span itself for d = 1, is held under the bits of a
+    MAX_LITERAL_DIGITS-digit int.  Decided from the degrees alone, before any
+    power of d is formed or any degree walked."""
     span = top - low
     if span * max(d.bit_length() - 1, 1) >= _DIGIT_BOUND.bit_length():
         raise BudgetExceeded(
             f"a stable profile over degrees {low}..{top} spans {span} degrees, whose dimensions "
             f"can reach rank * {d}^{span}, more than fields.MAX_LITERAL_DIGITS = "
-            f"{MAX_LITERAL_DIGITS} digits; lower --degree-cap or the spread of the shifts")
+            f"{MAX_LITERAL_DIGITS} digits; lower the spread of the shifts")
 
 
 def _tail_from(*modules: "FpModule") -> int:
@@ -153,15 +156,15 @@ def _tail_from(*modules: "FpModule") -> int:
 
 class StableProfile:
     """The data (i0, t_{i0}): M_{>=i} is free on t_i generators of degree i
-    for every i >= i0, with t_{i+1} = d * t_i forced by the ambient ring."""
+    for every i >= i0, with t_{i+1} = d * t_i forced by the ambient ring.
+    `stable_profile` proves all of [i0, oo), so no upper degree is kept."""
 
-    __slots__ = ("i0", "t0", "d", "certified_through")
+    __slots__ = ("i0", "t0", "d")
 
-    def __init__(self, i0: int, t0: int, d: int, certified_through: int):
+    def __init__(self, i0: int, t0: int, d: int):
         self.i0 = i0
         self.t0 = t0
         self.d = d
-        self.certified_through = certified_through
 
     def t(self, i: int) -> int:
         if i < self.i0:
@@ -169,12 +172,8 @@ class StableProfile:
         return self.t0 * self.d ** (i - self.i0)
 
     def as_dict(self):
-        """i0, the first five tail dimensions and the certified degree."""
-        return {
-            "i0": self.i0,
-            "t": [self.t(self.i0 + k) for k in range(5)],
-            "certified_through": self.certified_through,
-        }
+        """i0 and the first five tail dimensions."""
+        return {"i0": self.i0, "t": [self.t(self.i0 + k) for k in range(5)]}
 
     def __repr__(self):
         return f"StableProfile(i0={self.i0}, t0={self.t0}, d={self.d})"
@@ -474,27 +473,21 @@ class FpModule:
 
     # -- stable structure ---------------------------------------------------
 
-    def stable_profile(self, through: int = 0) -> StableProfile:
+    def stable_profile(self) -> StableProfile:
         """(i0, t_{i0}), V tensor M_j -> M_{j+1} bijective for every j >= i0:
-        proved on [i0, b) by `_mult_bijective` on the walk down from b, once
-        per module, and past b, where every C_{j+1} is empty (module
-        docstring).  certified_through is max(b + 4, through), the largest
-        degree asked for, a label; `_check_span` refuses one whose
-        dimensions pass the digit bound.  A later call with a larger
-        `through` checks that span and relabels, and checks no degree."""
-        bound = self._free_bound()
-        target = max(bound + 4, through)
-        if self._profile is not None and self._profile.certified_through >= target:
-            return self._profile
-        _check_span(self.min_degree, target, self.algebra.d)
+        proved on [i0, b) by `_mult_bijective` on the walk down from b, and
+        past b, where every C_{j+1} is empty (module docstring).  Computed
+        once per module, after `_check_span` has held the degrees from the
+        least shift to b + 4 to the digit bound; a later call returns the
+        same profile."""
         if self._profile is None:
+            bound = self._free_bound()
+            _check_span(self.min_degree, bound + 4, self.algebra.d)
             i0 = bound
             while i0 > self.min_degree and self._mult_bijective(i0 - 1):
                 i0 -= 1
             self._free_layout(bound)
-        else:
-            i0 = self._profile.i0
-        self._profile = StableProfile(i0, self.hilbert(i0), self.algebra.d, target)
+            self._profile = StableProfile(i0, self.hilbert(i0), self.algebra.d)
         return self._profile
 
     def is_fdim(self) -> bool:

@@ -126,12 +126,13 @@ MIXED_LEVELS = " + ".join(_unit(u) for u in _words(6)) + f" + {_unit((0,) * 7)} 
 MIXED_LEVELS_TEXT = "-3 x1* x0 x0 " + " ".join(("- " if any(u) else "+ ") + "1/2 " + _unit(u) for u in _words(7))
 
 FREE = {"free.pres": _golden("free.pres")}
-LETTERQ = {"letterq.pres": _golden("letterq.pres")}
-D3 = {"d3.pres": _golden("d3.pres")}
 E01 = {"e01.json": _golden("e01.json")}
 BIG10 = '{"d": 2, "level": 10, "entries": [[3, 700, "5/3"]]}\n'
 LEVEL11 = "x0* x0 - 2 x1* x0 + 1/2 x1* x0* x0 x1 - 1/2"
 K20 = {"k20.pres": "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"}
+WIDE3 = {"wide3.pres": "field: QQ\nd: 3\ngens: [0, 10000]\nrels:\n"}
+WIDE2 = {"wide2.pres": "field: QQ\nd: 2\ngens: [%s]\nrels:\n" % ", ".join(["0"] * 20 + ["14280"])}
+K9100 = {"k9100.pres": "field: QQ\nd: 3\ngens: [0, 9100]\nrels:\nx0, 0\nx1, 0\nx2, 0\n"}
 
 
 def _r_by_power(k: int) -> dict:
@@ -160,7 +161,7 @@ CASES = [
     # standard words, and the words through degree 18 already pass the bound.
     # A route bound: the torsion is k(-20), of dimension 1; no item lifts it
     # yet (ROADMAP item 33)
-    Case("torsion-word-budget-k20", ("--degree-cap", "1", "torsion", "k20.pres"), 1,
+    Case("torsion-word-budget-k20", ("torsion", "k20.pres"), 1,
          {"kind": "BudgetExceeded",
           "error": f"degree 18 would add {2**18} standard words, bringing the module's held words and rows to "
                    f"{2**19 - 1}, over the bound fpmod.MAX_STD_WORDS = {2**18}"}, 20, K20),
@@ -172,35 +173,35 @@ CASES = [
          {"kind": "BudgetExceeded"}, 10, {"u8.json": '{"d": 2, "level": 8, "entries": [[0, 0, "1"]]}\n'}),
     # profiles certified past the word budget, in bounded memory; R + k(-20)
     # counts its 2^21 words of degree b = 21 off the relation leads
-    Case("profile-word-budget-k20", ("--degree-cap", "1", "profile", "k20.pres"), 0,
-         {"result.profile": {"certified_through": 25, "i0": 21, "t": [2**21, 2**22, 2**23, 2**24, 2**25]}}, 20,
-         K20, rss_mb=48),
-    Case("profile-cap18", ("--degree-cap", "18", "profile", "letterq.pres"), 0,
-         {"result.profile.certified_through": 18}, 20, LETTERQ, rss_mb=48),
-    Case("profile-cap19", ("--degree-cap", "19", "profile", "letterq.pres"), 0,
-         {"result.profile.certified_through": 19}, 20, LETTERQ),
-    Case("profile-cap30", ("--degree-cap", "30", "profile", "letterq.pres"), 0,
-         {"result.profile.certified_through": 30}, 20, LETTERQ),
-    Case("profile-cap1000", ("--degree-cap", "1000", "profile", "letterq.pres"), 0,
-         {"result.profile.certified_through": 1000}, 20, LETTERQ, rss_mb=48),
-    # the cap's own edge on d3.pres, least degree 0 at d = 3: a span of
-    # 14284 degrees is the widest the digit bound of the profile admits
-    Case("profile-cap-edge-d3", ("--degree-cap", "14284", "profile", "d3.pres"), 0,
-         {"result.profile.certified_through": 14284}, 20, D3),
-    # a route bound: the profile is proved on all of [i0, infinity) from the
-    # degrees up to b, and the cap guards only the printed certified_through
-    # label; item 32's report question lifts it
-    Case("profile-cap-past-edge-d3", ("--degree-cap", "14285", "profile", "d3.pres"), 1,
-         {"kind": "BudgetExceeded"}, 20, D3),
+    Case("profile-word-budget-k20", ("profile", "k20.pres"), 0,
+         {"result.profile": {"i0": 21, "t": [2**21, 2**22, 2**23, 2**24, 2**25]}}, 20, K20, rss_mb=48),
+    # values past the digit bound, cheap to compute, refused when the report
+    # is built: R + R(-10000) at d = 3 has t0 = 3^10000 + 1, and 20 R + R(-14280)
+    # at d = 2 has t0 = 20 * 2^14280 + 1, which decompose refuses by its bits
+    Case("profile-digits-d3", ("profile", "wide3.pres"), 1, {"kind": "BudgetExceeded"}, 10, WIDE3),
+    Case("qgr-class-digits-d3", ("qgr-class", "wide3.pres"), 1, {"kind": "BudgetExceeded"}, 10, WIDE3),
+    Case("decompose-digits-d2", ("decompose", "wide2.pres", "0"), 1, {"kind": "BudgetExceeded"}, 10, WIDE2),
+    # k + R(-9100) at d = 3: a spread of 9100 degrees with small values
+    Case("profile-small-t-wide-spread", ("profile", "k9100.pres"), 0,
+         {"result.profile": {"i0": 9100, "t": [1, 3, 9, 27, 81]}}, 10, K9100),
+    # a route bound: k + R(-14281) has the same t, but its span from the
+    # least shift to b + 4 passes the rule of fpmod._check_span, which bounds
+    # rank * d^span and not the dimensions; item 33 would lift it
+    Case("profile-small-t-past-span", ("profile", "k14281.pres"), 1, {"kind": "BudgetExceeded"}, 10,
+         {"k14281.pres": "field: QQ\nd: 3\ngens: [0, 14281]\nrels:\nx0, 0\nx1, 0\nx2, 0\n"}),
+    # its torsion walks the 9100 degrees below i0 once each: 0.31-0.37 s for
+    # the whole command on a 2-vCPU VM, 7.5-7.8 s when each degree's budget
+    # check scanned every cached degree
+    Case("torsion-wide-spread", ("torsion", "k9100.pres"), 0, {"result.dimension": 1}, 3, K9100),
     # M_k is R: the walk below b reads C_{j+1} off the relation basis and
     # builds no word, where the rank walk was refused at degree 18 of M_20;
     # 0.16-0.21 s and 17.0-17.7 MB each, whole command, on a 2-vCPU VM
     Case("profile-r-by-power-20", ("profile", "m20.pres"), 0,
-         {"result.profile": {"certified_through": 24, "i0": 0, "t": [1, 2, 4, 8, 16]}}, 10, M20, rss_mb=30),
+         {"result.profile": {"i0": 0, "t": [1, 2, 4, 8, 16]}}, 10, M20, rss_mb=30),
     Case("k0-r-by-power-20", ("k0", "m20.pres"), 0, {"result.k0": {"d": 2, "i": 0, "t": 1}}, 10, M20, rss_mb=30),
     Case("torsion-r-by-power-20", ("torsion", "m20.pres"), 0, {"result.dimension": 0}, 10, M20, rss_mb=30),
     Case("profile-r-by-power-1000", ("profile", "m1000.pres"), 0,
-         {"result.profile": {"certified_through": 1004, "i0": 0, "t": [1, 2, 4, 8, 16]}}, 10, M1000, rss_mb=30),
+         {"result.profile": {"i0": 0, "t": [1, 2, 4, 8, 16]}}, 10, M1000, rss_mb=30),
     # torsion
     Case("torsion-gf5", ("torsion", "gf5.pres"), 0, {"result.dimension": 3}, 60, {"gf5.pres": _golden("gf5.pres")}),
     Case("torsion-point-beside-r24", ("torsion", "k24.pres"), 0, {"result.dimension": 1}, 10,
@@ -281,6 +282,8 @@ CASES = [
     Case("usage-embed-negative-level", ("s-calc", "embed", "--level", "-1", "e01.json"), 2, {"kind": "parse"}, 60,
          E01, stderr="expected a nonnegative integer"),
     Case("usage-unknown-command", ("nope",), 2, {"kind": "parse"}, 60, stderr="usage error"),
+    Case("usage-degree-cap", ("--degree-cap", "8", "profile", "free.pres"), 2, {"kind": "parse"}, 60, FREE,
+         stderr="usage error"),
 ]
 
 SLOW_CASES = [

@@ -81,23 +81,17 @@ def test_profile_command_checks_each_degree_once(capsys, mult_checks, tmp_path):
     early.write_text("field: QQ\nd: 2\ngens: [0, 1]\nrels:\nx0, -1\n")
     for path in [os.path.join(golden, f"{n}.pres") for n in ("d3", "letterq", "gf5", "two")] + [str(early)]:
         mult_checks.clear()
-        code, report = run(capsys, "--degree-cap", "12", "profile", path)
+        code, report = run(capsys, "profile", path)
         i0 = report["result"]["profile"]["i0"]
         with open(path) as fh:
             b = parse_presentation(fh.read()).module()._free_bound()
-        assert code == 0 and report["result"]["profile"]["certified_through"] == 12
+        assert code == 0 and set(report) == {"command", "inputs", "result"}
         assert len(mult_checks) == len(set(mult_checks))
         assert set(range(i0, b)) <= set(mult_checks) <= set(range(i0 - 1, b))
-    # the cap only labels the report: caps 10, 1000 and 14284, the largest
-    # the digit bound admits on d3.pres, run the same checks
-    d3 = os.path.join(golden, "d3.pres")
-    checks = []
-    for cap in ("10", "1000", "14284"):
+        # a second run reads a new module, and checks the same degrees
+        checks = list(mult_checks)
         mult_checks.clear()
-        code, report = run(capsys, "--degree-cap", cap, "profile", d3)
-        assert code == 0 and report["result"]["profile"]["certified_through"] == int(cap)
-        checks.append(list(mult_checks))
-    assert checks[0] and checks[0] == checks[1] == checks[2]
+        assert run(capsys, "profile", path) == (code, report) and mult_checks == checks
 
 
 def test_k0_command(files, capsys):
@@ -361,7 +355,7 @@ def _on(argv, path):
 @pytest.mark.parametrize("argv", [
     ["hilbert", "{free}", "1_2"],
     ["decompose", "{free}", " 1"],
-    ["--degree-cap", "1_2", "profile", "{free}"],
+    ["--seed", "1_2", "profile", "{free}"],
     ["--d", "\u0662", "leavitt-eval", "x0"],
     ["--level-cap", "+3 ", "leavitt-eval", "x0"],
     ["--seed", "1_0", "verify", "--suite", "hilbert"],
@@ -369,7 +363,7 @@ def _on(argv, path):
     ["--field", "GF:1_1", "s-calc", "canonical", "{e01}"],
 ])
 def test_integer_arguments_are_sign_and_ascii_digits(capsys, argv):
-    # int() reads each of these: j = 12, i = 1, cap 12, d = 2, level cap 3,
+    # int() reads each of these: j = 12, i = 1, seed 12, d = 2, level cap 3,
     # seed 10, criterion 1 and GF(11)
     argv = [a.format(free=os.path.join(GOLDEN, "free.pres"), e01=os.path.join(GOLDEN, "e01.json")) for a in argv]
     assert main(argv) == 2
@@ -484,13 +478,12 @@ R_PLUS_K20 = "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"
 
 
 def test_profile_certifies_past_the_word_budget(tmp_path):
-    # past the stable bound b a profile builds no word and no row, so any cap
-    # within the digit rule is certified: R/Rx0 at d=2 would have 2**999
-    # standard words in degree 1000.  R + k(-20) counts the 2**21 words of
-    # its degree 21 off the relation leads, so its profile is certified too,
-    # while its torsion needs the words below its dead end at degree 20 and
-    # is refused at degree 18, whatever the cap.  As above, the child runs
-    # under a 1.5 GB address-space limit.
+    # past the stable bound b a profile builds no word and no row: R + k(-20)
+    # counts the 2**21 words of its degree 21 off the relation leads, so its
+    # profile is certified, while its torsion needs the words below its dead
+    # end at degree 20 and is refused at degree 18.  The d = 4 probe and
+    # letterq.pres are profiled too.  As above, the child runs under a 1.5 GB
+    # address-space limit.
     letterq = os.path.join(os.path.dirname(__file__), "golden", "letterq.pres")
     probe, far = tmp_path / "d4.pres", tmp_path / "far.pres"
     probe.write_text(D4_PROBE)
@@ -503,30 +496,28 @@ def test_profile_certifies_past_the_word_budget(tmp_path):
     src = os.path.dirname(os.path.dirname(freeproj.__file__))
     env = dict(os.environ, PYTHONPATH=src)
 
-    def profile(degree_cap, pres, command="profile"):
+    def profile(pres, command="profile"):
         proc = subprocess.run(
-            [sys.executable, "-m", "freeproj.cli", "--degree-cap", degree_cap, command, str(pres)],
+            [sys.executable, "-m", "freeproj.cli", command, str(pres)],
             capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
         )
         assert "Traceback" not in proc.stderr
         return proc.returncode, json.loads(proc.stdout)
 
     start = time.perf_counter()
-    for pres in (letterq, probe):
-        for degree_cap in ("19", "30", "1000"):
-            code, report = profile(degree_cap, pres)
-            assert code == 0
-            assert report["result"]["profile"]["certified_through"] == int(degree_cap)
-    for degree_cap in ("1", "8"):
-        code, report = profile(degree_cap, far)
-        assert code == 0
-        assert report["result"]["profile"] == {"certified_through": 25, "i0": 21, "t": [2**k for k in range(21, 26)]}
-        code, report = profile(degree_cap, far, "torsion")
-        assert code == 1
-        assert report["kind"] == "BudgetExceeded"
-        assert report["error"].startswith(f"degree 18 would add {2**18} standard words, bringing the module's "
-                                          f"held words and rows to {2**19 - 1},")
-        assert str(MAX_STD_WORDS) in report["error"] and "--degree-cap" not in report["error"]
+    for pres, d in ((letterq, 2), (probe, 4)):
+        code, report = profile(pres)
+        t = report["result"]["profile"]["t"]
+        assert code == 0 and all(t[k + 1] == d * t[k] for k in range(4))
+    code, report = profile(far)
+    assert code == 0
+    assert report["result"]["profile"] == {"i0": 21, "t": [2**k for k in range(21, 26)]}
+    code, report = profile(far, "torsion")
+    assert code == 1
+    assert report["kind"] == "BudgetExceeded"
+    assert report["error"].startswith(f"degree 18 would add {2**18} standard words, bringing the module's "
+                                      f"held words and rows to {2**19 - 1},")
+    assert str(MAX_STD_WORDS) in report["error"]
     assert time.perf_counter() - start < 20
 
 
@@ -697,12 +688,6 @@ def test_text_mode(files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "result:" in out and '"dim": 4' in out
-
-
-def test_degree_cap_extends_certification(files, capsys):
-    code, report = run(capsys, "--degree-cap", "9", "profile", files["letterq"])
-    assert code == 0
-    assert report["certificates"]["certified_through"] >= 9
 
 
 def test_level_cap_guards_leavitt_eval(capsys):

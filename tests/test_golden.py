@@ -70,10 +70,6 @@ for _suite in ("hilbert", "truncation", "profiles", "splitting", "decomposition"
                "tower", "leavitt", "filtration", "vanishing", "ext1"):
     CASES[f"verify-{_suite}"] = ["verify", "--suite", _suite]
 CASES["verify-12"] = ["verify", "--suite", "12"]
-for _name in ("letterq", "d3", "two"):
-    CASES[f"profile-cap12-{_name}"] = ["--degree-cap", "12", "profile", f"{_name}.pres"]
-# a cap below b + 4 still certifies through b + 4
-CASES["profile-cap2-d3"] = ["--degree-cap", "2", "profile", "d3.pres"]
 # R/R_{>=6} at d = 2: 64 monomial relations through the weak algorithm
 CASES["torsion-ge6"] = ["torsion", "ge6.pres"]
 # R/R x0^4 at d = 2: no torsion, i0 = 4 and t0 = 15, so the zero-torsion

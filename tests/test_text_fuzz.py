@@ -135,7 +135,7 @@ PRESENTATION_COMMANDS = (
 def test_profile_ends_in_one_json_object(tmp_path_factory, text, command):
     path = tmp_path_factory.mktemp("pres") / "m.pres"
     path.write_text(text)
-    run_cli(["--degree-cap", "2", *command(str(path))])
+    run_cli(command(str(path)))
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
