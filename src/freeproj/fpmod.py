@@ -55,7 +55,8 @@ passes with no matrix.  By suffix closure a standard w keeps no letter only
 when all d words x_a * w are leading words at alpha, a dead end of degree
 shift(alpha) + |w|, which `torsion` reads off the relation basis's lead
 index with no standard word: w is a proper suffix of a lead, so standard
-once `_free_layout(b)` has checked that no lead at alpha ends in another.
+once `_free_layout(b)` has checked that no lead at alpha ends in another,
+which `torsion` runs first.
 Only the degrees below i0 that hold one build their letter matrices and
 take the rank, downward; no other degree scans a word.
 
@@ -102,8 +103,10 @@ kernel and the cokernel of C_{j+1}, the |B_{j+1}| x |G_{j+1}| matrix of the
 basis elements' coefficients at those generators' empty words: it is
 bijective exactly when C_{j+1} is square and invertible.  `_mult_bijective`
 answers at once when B_{j+1} and G_{j+1} are both empty, as past b, or
-differ in size, else by the rank of C_{j+1}, read off `FreeBasis._ints`;
-`stable_profile` runs `_free_layout(b)` once, for the tail's layout.
+differ in size, else by the rank of C_{j+1}, read off `FreeBasis._ints`.
+Past b every C_{j+1} is empty, so the walk alone proves [i0, oo), and
+`stable_profile` lays out no degree: `_free_layout` runs where a layout
+is read, in `torsion` before the dead ends and in the tail matrices.
 """
 
 from __future__ import annotations
@@ -476,17 +479,16 @@ class FpModule:
     def stable_profile(self) -> StableProfile:
         """(i0, t_{i0}), V tensor M_j -> M_{j+1} bijective for every j >= i0:
         proved on [i0, b) by `_mult_bijective` on the walk down from b, and
-        past b, where every C_{j+1} is empty (module docstring).  Computed
-        once per module, after `_check_span` has held the degrees from the
-        least shift to b + 4 to the digit bound; a later call returns the
-        same profile."""
+        past b, where every C_{j+1} is empty (module docstring), with no
+        layout.  Computed once per module, after `_check_span` has held the
+        degrees from the least shift to b + 4 to the digit bound; a later
+        call returns the same profile."""
         if self._profile is None:
             bound = self._free_bound()
             _check_span(self.min_degree, bound + 4, self.algebra.d)
             i0 = bound
             while i0 > self.min_degree and self._mult_bijective(i0 - 1):
                 i0 -= 1
-            self._free_layout(bound)
             self._profile = StableProfile(i0, self.hilbert(i0), self.algebra.d)
         return self._profile
 
@@ -516,7 +518,8 @@ class FpModule:
         """The degrees j < top that hold a dead end (module docstring): a
         word w at some alpha whose products x_0 * w, ..., x_{d-1} * w are
         all leading words at alpha, read off the lead index alone: w is
-        standard and j >= min_degree once `stable_profile` has run."""
+        standard once `_free_layout(b)` has checked the leads suffix-free,
+        and j >= min_degree once `stable_profile` has run."""
         d, shifts = self.algebra.d, self.F0.shifts
         out = set()
         for alpha, leads in self.relation_basis()._by_coord.items():
@@ -543,7 +546,8 @@ class FpModule:
         recursion of the module docstring.  A finite-dimensional module is all
         torsion: h_j in each degree j below i0.  Zero torsion is certified
         first, by a rank at each degree that holds a dead end (module
-        docstring), and only a module that fails that check runs the
+        docstring), once `_free_layout(b)` has certified the leads those
+        are read off; only a module that fails that check runs the
         recursion.  The generators are built on first read."""
         profile = self.stable_profile()
         i0, low = profile.i0, self.min_degree
@@ -551,6 +555,7 @@ class FpModule:
         if profile.t0 == 0:
             return Torsion({j: self.hilbert(j) for j in range(low, i0)}, lambda: [
                 self.F0.element({mon: F.one}) for j in range(low, i0) for mon in self.std_basis(j)])
+        self._free_layout(self._free_bound())
         if all(rank(self._letters_side_by_side(j)) == self.hilbert(j)
                for j in sorted(self._dead_ends(i0), reverse=True)):
             return Torsion({}, ())

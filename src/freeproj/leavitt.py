@@ -358,10 +358,12 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
     """Write a as sum over length-r words w of w* times a plain polynomial.
 
     The output holds d^r polynomials: d^r > MAX_RAISED_TERMS is refused
-    first.  a is made canonical, and put in normal form if a raise would
-    pass MAX_RAISED_TERMS (its output then follows the normal form's
-    order).  Under the flat gate, starred length at most r and a raise
-    within MAX_RAISED_TERMS, one raise to level r groups its monomials w* v
+    first.  The gate and the shrink read a's own terms, so a short element
+    is never raised first: a is put in normal form if a raise of its terms
+    to level r would pass MAX_RAISED_TERMS (its output then follows the
+    normal form's order).  Under the flat gate, starred length at most r
+    and |a| * d^r within MAX_RAISED_TERMS, a is made canonical, a raise the
+    gate's bound covers, and one raise to level r groups its monomials w* v
     by w; past it the coefficient at w is the normal form of w a: left
     multiplication with w kills every other summand, and the normal form of
     a plain polynomial is itself.  The reassembled element must equal the
@@ -374,10 +376,10 @@ def flat_decompose(a: LeavittElement, r: int) -> dict:
     if power_above(1, A.d, r, MAX_RAISED_TERMS):
         raise BudgetExceeded(f"a level-{r} decomposition holds {A.d}^{r} polynomials, "
                              f"above the bound {MAX_RAISED_TERMS}")
-    a = a.canonical()
     if len(a.terms) * A.d**r > MAX_RAISED_TERMS:  # 1 written as 2^17 terms is 1, not 2^33 products at r = 16
         a = LeavittElement(A, _normal_form(A, a.terms.items()))
     if len(a.terms) * A.d**r <= MAX_RAISED_TERMS and all(len(u) <= r for u, v in a.terms):
+        a = a.canonical()
         a = a._raised({len(v) - len(u): r for u, v in a.terms})
         groups: dict = {w: {} for w in A.words(r)}
         for (u, v), c in a.terms.items():

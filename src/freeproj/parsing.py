@@ -7,19 +7,20 @@ juxtaposed with spaces, or "1" for the empty word.  The Leavitt grammar
 adds starred letters "x0*".  Printing emits exactly this grammar, so
 parse and print are mutually inverse on canonical forms.
 
-An expression is read a term at a time: one anchored regex match per term
-gives its sign run, its coefficient and its run of letters, and each letter
-is looked up in a table of the in-range letters of d, up to x255 ("x0" ->
-0, and "x0*" -> ~0 in the Leavitt grammar), which also checks its range.  The
-token loop is kept for every text that reader cannot account for
-(juxtaposed letters, a bare "1" between letters, an out-of-range or
-malformed letter, any fault) and is the one source of every ParseError:
-one anchored match checks the whole text, and where it stops is the first
-character no token starts; one `findall` then hands over the tokens, each
-sorted into letter, number or sign by its regex group.  A Leavitt term
-whose stars all come before its plain letters is the monomial (reversed
-stars, plain letters) as it stands; `mono_mul` multiplies in only the
-letters from a star after a plain letter on.
+An expression is read a term at a time, by one reader: one anchored regex
+match per term gives its sign run, its coefficient and its run of words, and
+each word is looked up in a table of the in-range letters of d, up to x255
+("x0" -> 0, and "x0*" -> ~0 in the Leavitt grammar), which also checks its
+range.  A run the table misses (juxtaposed letters "x0x1", "x01", a "1"
+between letters, a letter past the table or out of range) is read again a
+letter at a time.  The same reader raises every ParseError, as reading one
+token at a time would meet it: a character that starts no token, anywhere,
+wins (one anchored match of the token grammar finds it, on the error path
+only); otherwise the first fault in reading order, a letter out of range
+being reported when its term closes, at the next sign or the end.  A
+Leavitt term whose stars all come before its plain letters is the monomial
+(reversed stars, plain letters) as it stands; `mono_mul` multiplies in
+only the letters from a star after a plain letter on.
 
 A presentation file's relation line is read once: the terms of each cell
 are summed straight into one {(coordinate, word): coefficient} dict, the
@@ -42,16 +43,20 @@ from .freealg import FreeAlgebra, FreeModuleElement, NcPoly
 from .leavitt import LeavittElement, mono_mul
 from .linalg import _add_terms
 
-# one token as (letter index, star, number, sign): the one group it fills
-_TOKEN = re.compile(r"\s*(?:x([0-9]+)(\*?)|([0-9]+/[0-9]+|[0-9]+)|([+-]))")
-# Tokens and the space between them in one greedy match.  It never needs to
-# backtrack into a token, so it ends where reading one token at a time
-# stops: at the first character that starts no token, or at the end.
-_TOKENS = re.compile(rf"(?:{_TOKEN.pattern})*\s*")
-# One term as (sign run, coefficient, letter run), each part optional, read
-# greedily with no backtracking.  A letter run's words are its letters only
-# where spaces part them: "x0x1" is one word, which no letter table holds.
-_TERM = re.compile(r"\s*([+-][\s+-]*)?([0-9]+/[0-9]+|[0-9]+)?\s*((?:x[0-9]+\*?\s*)*)")
+# Tokens and the space between them in one greedy match, read on the error
+# path only.  It never needs to backtrack into a token, so it ends where
+# reading one token at a time stops: at the first character that starts no
+# token, or at the end.
+_TOKENS = re.compile(r"(?:\s*(?:x[0-9]+\*?|[0-9]+/[0-9]+|[0-9]+|[+-]))*\s*")
+# One term as (sign run, coefficient, word run), each part optional, read
+# greedily with no backtracking.  A word is a letter or "1", the empty word,
+# where no digit or "/" follows it; the run is its letters, then each "1"
+# with the letters after it.  The words of a run are its letters only where
+# spaces part them: "x0x1" is one word, which no letter table holds.
+_LETTERS = r"(?:x[0-9]+\*?\s*)*"
+_TERM = re.compile(rf"\s*([+-][\s+-]*)?([0-9]+/[0-9]+|[0-9]+)?\s*({_LETTERS}(?:1(?![0-9/])\s*{_LETTERS})*)")
+# one letter of a run as (index, star)
+_LETTER = re.compile(r"x([0-9]+)(\*?)")
 # the most letters a letter table holds, so that a huge d builds no huge table
 _TABLE_LETTERS = 256
 
@@ -66,82 +71,61 @@ def _letter_table(n: int, starred: bool) -> dict:
 
 
 def _terms(field, d, text: str, line=None, starred=False):
-    """[(letters, coefficient)] for the terms of text, in order; letters is
-    a tuple, the letter x_i is i and x_i* is ~i.  `_token_terms` reads a
-    text that `_read_terms` cannot account for, and raises every error."""
-    return _read_terms(field, d, text, starred) or _token_terms(field, d, text, line, starred)
-
-
-def _read_terms(field, d, text: str, starred=False):
-    """The terms of text, one `_TERM` match each, or None.  It is None
-    unless the matches cover the text, each term has a coefficient or a
-    letter, each after the first opens with a sign, each coefficient reads
-    and each word of a letter run is in the letter table of d: an
-    in-range letter, starred only when starred is set."""
+    """[(letters, coefficient)] for the terms of text, in order, one `_TERM`
+    match each; letters is a tuple, the letter x_i is i and x_i* is ~i.  A
+    run of signs multiplies and opens every term after the first; a number
+    is a coefficient only as a term's first atom.  A run the letter table
+    misses is read by `_run_letters`.  Faults are raised as a token loop
+    meets them (module docstring): a bad character anywhere first, else the
+    first in reading order, a letter out of range when its term closes."""
     lookup = _letter_table(min(d, _TABLE_LETTERS), starred).__getitem__
     one, neg, from_str, match = field.one, field.neg, field.from_str, _TERM.match
-    terms, pos, end = [], 0, len(text)
+    terms, pos, end, wide = [], 0, len(text), None  # wide: the open term's range error
     try:
         while True:
             m = match(text, pos)
             signs, number, run = m.groups()
-            if not (number or run) or terms and not signs:
-                return None
+            if not (number or run) or terms and not signs or wide:
+                if terms and not signs:  # a number inside the open term, or a bad character
+                    raise ParseError(f"unexpected coefficient {number!r} inside a term", line)
+                if wide:
+                    raise wide
+                # a trailing sign, or a bad character
+                raise ParseError("the expression ends in a sign" if terms else "empty expression", line)
             coeff = from_str(number) if number else one
             if signs and signs.count("-") & 1:
                 coeff = neg(coeff)
-            terms.append((tuple(map(lookup, run.split())), coeff))
+            try:
+                letters = tuple(map(lookup, run.split()))
+            except KeyError:
+                letters, wide = _run_letters(run, d, starred, line)
+            terms.append((letters, coeff))
             pos = m.end()
             if pos == end:
+                if wide:
+                    raise wide
                 return terms
-    except (KeyError, ParseError):
-        return None
+    except ParseError:
+        end = _TOKENS.match(text).end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}", line) from None
+        raise
 
 
-def _token_terms(field, d, text: str, line=None, starred=False):
-    """The terms of text read a token at a time, as `_terms` gives them,
-    or the ParseError of the first fault.  A run of signs multiplies, its
-    first sign closes the term before it, and a trailing sign is refused.
-    A number is a coefficient only as a term's first atom; "1" is the empty
-    word.  Each term's atoms are read, then its letters range checked."""
-    end = _TOKENS.match(text).end()
-    if end < len(text):
-        raise ParseError(f"unexpected character {text[end]!r}", line)
-    terms = []
-    sign, coeff, letters, k, seen = 1, field.one, [], 0, False  # k: atoms read in the term
-    for digits, star, number, op in _TOKEN.findall(text):
-        if op:
-            if k:
-                terms.append(_checked(field, sign, coeff, letters, d, line))
-                sign, coeff, letters, k = 1, field.one, [], 0
-            if op == "-":
-                sign = -sign
-            continue
-        if digits:
-            if star and not starred:
-                raise ParseError(f"starred letter {'x' + digits + star!r} not allowed here", line)
-            # the lexer read ASCII digits; read_int only refuses a too-long index
-            i = int(digits) if len(digits) <= MAX_LITERAL_DIGITS else read_int(digits, "a letter index", line)
-            letters.append(~i if star else i)
-        elif number != "1":  # "1" is the empty word
-            if k:
-                raise ParseError(f"unexpected coefficient {number!r} inside a term", line)
-            coeff = field.from_str(number)
-        k += 1
-        seen = True
-    if not k:
-        raise ParseError("the expression ends in a sign" if seen else "empty expression", line)
-    terms.append(_checked(field, sign, coeff, letters, d, line))
-    return terms
-
-
-def _checked(field, sign, coeff, letters, d, line):
-    """The letters and the signed coefficient of a term; ParseError naming
-    its first letter, in text order, whose index is not below d."""
-    if letters and (max(letters) >= d or min(letters) < -d):
-        i = next(i for i in letters if not -d <= i < d)
-        raise ParseError(f"letter x{~i if i < 0 else i} out of range for d={d}", line)
-    return tuple(letters), (field.neg(coeff) if sign < 0 else coeff)
+def _run_letters(run: str, d, starred, line):
+    """(the letters of a word run, read a letter at a time, the ParseError
+    of its first letter whose index is not below d, or None).  A starred
+    letter where none is allowed and a too-long index are raised at once."""
+    letters, wide = [], None
+    for digits, star in _LETTER.findall(run):
+        if star and not starred:
+            raise ParseError(f"starred letter {'x' + digits + star!r} not allowed here", line)
+        # the regex read ASCII digits; read_int only refuses a too-long index
+        i = int(digits) if len(digits) <= MAX_LITERAL_DIGITS else read_int(digits, "a letter index", line)
+        if i >= d and wide is None:
+            wide = ParseError(f"letter x{i} out of range for d={d}", line)
+        letters.append(~i if star else i)
+    return tuple(letters), wide
 
 
 def parse_poly(algebra, text: str, line=None):

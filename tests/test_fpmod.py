@@ -450,17 +450,18 @@ def test_free_tail_layout_check_matches_rank_oracle(M):
     assert max(M._std_cache, default=b) <= b
     if M.hilbert(b) == 0:
         return
-    # a wrong count fails its Hilbert value, in the profile and in every
-    # degree laid out after it (layouts are cached per degree: the counts
-    # are read, and the Hilbert values built, through b + 4 by laying out
-    # b + 3 alone, and corrupted before the first layout of b..b+2)
+    # a wrong count fails its Hilbert value, in torsion and in every degree
+    # laid out after it, while the profile, which lays out nothing, answers
+    # (layouts are cached per degree: the counts are read, and the Hilbert
+    # values built, through b + 4 by laying out b + 3 alone, and corrupted
+    # before the first layout of b..b+2)
     wrong = FpModule(M.F0, M.relations)
     wrong._free_layout(b + 3)
     assert list(wrong._layouts) == [b + 3]
     wrong._bound_counts[next(a for a, n in enumerate(wrong._bound_counts) if n)] += 1
+    assert wrong.stable_profile().as_dict() == M.stable_profile().as_dict()
     with pytest.raises(CertificateMismatch, match="Hilbert value"):
-        wrong.stable_profile()
-    assert wrong._profile is None
+        wrong.torsion()
     for j in range(b, b + 3):
         with pytest.raises(CertificateMismatch, match="Hilbert value"):
             wrong._free_layout(j)
@@ -512,7 +513,8 @@ def test_free_layout_refuses_a_lead_ending_in_another(rename):
     # R/(x1, x0 x0) at d = 2 with one lead renamed in its index, keeping its
     # length or not: x1 ends x0 x1, and every word ends in ().  Renamed to
     # x0 x1 the counts still sum to the Hilbert values, so only the suffix
-    # certificate refuses it
+    # certificate refuses it, in torsion, which reads dead ends off the
+    # leads; the profile reads no lead and answers
     A2 = FreeAlgebra(2)
     x0, x1 = A2.gen(0), A2.gen(1)
     M = FpModule.cyclic(A2, [x1, x0 * x0])
@@ -520,27 +522,28 @@ def test_free_layout_refuses_a_lead_ending_in_another(rename):
     leads = M.relation_basis()._by_coord[0]
     assert list(leads) == [(1,), (0, 0)]
     leads[new] = leads.pop(old)
+    assert M.stable_profile().t0 > 0
     with pytest.raises(CertificateMismatch, match="a relation leading word ends in another at its coordinate"):
-        M.stable_profile()
+        M.torsion()
     assert M._bound_counts is None and M._std_cache == {}
 
 
 def test_stable_profile_checks_each_degree_once(mult_checks, A2):
     # R + R(-1) by x0 * e0 = e1 is free from degree 0 < b = 1: the walk down
     # from b checks exactly [i0, b), and i0 - 1 too where it stops above the
-    # least degree; the layout at b proves every degree past it, so no
-    # degree >= b is checked and only b is laid out
+    # least degree; every C_{j+1} past b is empty, so no degree >= b is
+    # checked and none is laid out
     F = A2.free_module([0, 1])
     M = FpModule(F, [F.from_polys([A2.gen(0), A2.one().scale(-1)])])
     b = M._free_bound()
     p = M.stable_profile()
     assert p.i0 < b
     assert mult_checks == list(range(b - 1, max(p.i0 - 1, M.min_degree) - 1, -1))
-    assert list(M._layouts) == [b]
+    assert list(M._layouts) == []
     # a second call returns the same profile and runs no check
     mult_checks.clear()
     assert M.stable_profile() is p and not mult_checks
-    assert list(M._layouts) == [b]
+    assert list(M._layouts) == []
 
 
 def free_from_degree_zero():

@@ -486,6 +486,21 @@ def test_flat_decompose_lowers_an_element_past_the_raise_budget(A2, monkeypatch)
         assert _outcome(flat_decompose, raised, r) == _outcome(flat_decompose, normal, r)
 
 
+def test_flat_decompose_reads_a_short_element_whose_canonical_form_passes_the_budget(A2):
+    # x1*^21 x1^21 + the sum over j < 21 of (x0 x1^j)* (x0 x1^j) is 1 in 22
+    # terms, but its canonical form raises them all to level 21, 2^21 terms:
+    # the gate and the shrink read the element's own terms, and no raise
+    # is made outside the gate
+    terms = {((1,) * 21, (1,) * 21): 1}
+    terms.update({((0,) + (1,) * j, (0,) + (1,) * j): 1 for j in range(21)})
+    a = LeavittElement(A2, terms)
+    assert len(a.terms) == 22
+    with pytest.raises(BudgetExceeded, match="raising emits 2097152 terms"):
+        a.canonical()
+    out = flat_decompose(a, 0)
+    assert {w: p.terms for w, p in out.items()} == {(): {(): 1}}
+
+
 def test_flat_decompose_refuses_more_words_than_the_raise_budget(A2, monkeypatch):
     # the output holds d^r polynomials: refused from r and the bits of d,
     # before any word or group is built, whatever the element

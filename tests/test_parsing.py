@@ -1,12 +1,14 @@
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
 import leavitt_oracle
+import text_oracle
 from freeproj import FreeAlgebra, parsing
 from freeproj.errors import ParseError
 from freeproj.fields import GF, QQ
@@ -126,7 +128,7 @@ def leavitt_texts(draw):
     leading or trailing whitespace; now and then one letter at d or far
     above, an index with a leading zero or one misplaced coefficient; or
     blanks.  Half the texts are smooth: spaced, with no bare 1 after a
-    letter and no mistake, so the term reader reads most of them."""
+    letter and no mistake, so the letter table reads most of them."""
     algebra = FreeAlgebra(draw(DEGREES), draw(st.sampled_from([QQ, GF(7)])))
     if draw(st.integers(0, 15)) == 0:
         return algebra, draw(blanks())
@@ -239,23 +241,58 @@ def _read(reader, algebra, text, line, starred):
     try:
         terms = reader(algebra.field, algebra.d, text, line, starred)
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "line", None)
     return [(letters, type(c), c) for letters, c in terms]
 
 
-@hypothesis.settings(max_examples=400, deadline=None)
-@hypothesis.given(st.one_of(leavitt_texts().map(lambda case: (*case, None, True)),
-                            poly_texts().map(lambda case: (*case, False))))
-def test_term_reader_matches_token_loop(case):
+# the fragment of each ParseError message the term reader raises
+ERROR_KINDS = ("unexpected character", "unexpected coefficient", "starred letter", "a letter index", "out of range",
+               "ends in a sign", "empty expression", "bad rational", "has no value")
+
+
+def _read_kind(algebra, text, line, starred):
+    """How `parsing._terms` reads text: "table run" when every word run is
+    looked up in the letter table, "word-by-word run" when one is read a
+    letter at a time, else the ERROR_KINDS fragment of its ParseError."""
+    with mock.patch.object(parsing, "_run_letters", wraps=parsing._run_letters) as by_letter:
+        try:
+            parsing._terms(algebra.field, algebra.d, text, line, starred)
+        except ParseError as exc:
+            return next(kind for kind in ERROR_KINDS if kind in str(exc))
+    return "word-by-word run" if by_letter.called else "table run"
+
+
+A2_QQ, A2_GF7, A300 = FreeAlgebra(2), FreeAlgebra(2, GF(7)), FreeAlgebra(300)
+
+
+def test_term_reader_matches_token_loop():
     # on every text, sign runs too: the same terms in order with the same
-    # value types, or the same error; and the term reader raises none
-    algebra, text, line, starred = case
-    read = parsing._read_terms(algebra.field, algebra.d, text, starred)
-    hypothesis.event("term reader" if read is not None else "token loop")
-    want = _read(parsing._token_terms, algebra, text, line, starred)
-    assert _read(parsing._terms, algebra, text, line, starred) == want
-    if read is not None:
-        assert [(letters, type(c), c) for letters, c in read] == want
+    # value types, or the same error with the same line; each way of
+    # reading and each error is drawn, and pinned by an example
+    kinds = set()
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.one_of(leavitt_texts().map(lambda case: (*case, None, True)),
+                                poly_texts().map(lambda case: (*case, False))))
+    @hypothesis.example((A2_QQ, "x0* x1 - 3/2 x0 + 2", None, True))
+    @hypothesis.example((A300, "x0 x1 + x255 x256", 5, False))
+    @hypothesis.example((A2_QQ, "x0 + &", None, False))
+    @hypothesis.example((A2_QQ, "x0 3", 5, False))
+    @hypothesis.example((A2_QQ, "x9 x0*", None, False))
+    @hypothesis.example((A2_QQ, "x" + "9" * 4400, None, True))
+    @hypothesis.example((A2_QQ, "x0 x9 - x1", 5, True))
+    @hypothesis.example((A2_QQ, "x0 -", None, True))
+    @hypothesis.example((A2_QQ, "- -", None, False))
+    @hypothesis.example((A2_QQ, "x0 - 2/0", None, False))
+    @hypothesis.example((A2_GF7, "1/7 x0", 5, False))
+    def check(case):
+        algebra, text, line, starred = case
+        want = _read(text_oracle._token_terms, algebra, text, line, starred)
+        assert _read(parsing._terms, algebra, text, line, starred) == want
+        kinds.add(_read_kind(algebra, text, line, starred))
+
+    check()
+    assert {"table run", "word-by-word run", *ERROR_KINDS} <= kinds, kinds
 
 
 @pytest.mark.parametrize("text", [
@@ -264,18 +301,36 @@ def test_term_reader_matches_token_loop(case):
 ])
 @pytest.mark.parametrize("starred", [False, True])
 def test_term_reader_matches_token_loop_on_examples(A2, text, starred):
-    assert _read(parsing._terms, A2, text, 7, starred) == _read(parsing._token_terms, A2, text, 7, starred)
+    assert _read(parsing._terms, A2, text, 7, starred) == _read(text_oracle._token_terms, A2, text, 7, starred)
 
 
-def test_term_reader_reads_printed_text_and_leaves_the_rest(A2):
-    # printed canonical forms need no token loop; juxtaposed, out-of-range
-    # and misplaced atoms are left to it
-    text = "x0* x1 + x1* x1 x0 - 3/2 x0 + 2"
-    assert parsing._read_terms(A2.field, 2, text, True) == [
-        ((~0, 1), 1), ((~1, 1, 0), 1), ((0,), Fraction(-3, 2)), ((), 2)]
-    for text in ("x0x1", "x01", "x2", "x0 1 x1", "x0 2", "x0*", "x0 -", "", "2/0"):
-        assert parsing._read_terms(A2.field, 2, text, False) is None
-    assert parsing._read_terms(QQ, 300, "x255 x256", False) is None
+@pytest.mark.parametrize("d, text, starred, want", [
+    (2, "x0x1", False, [((0, 1), 1)]),
+    (2, "2x0x1*", True, [((0, ~1), 2)]),
+    (2, "x01 x0", False, [((1, 0), 1)]),
+    (2, "x0 1 x1", False, [((0, 1), 1)]),
+    (2, "2 1", False, [((), 2)]),
+    (2, "1 1", False, [((), 1)]),
+    (300, "x255 x256 x299*", True, [((255, 256, ~299), 1)]),
+    (2, "x9 + &", False, "unexpected character '&'"),
+    (2, "x0 3", False, "unexpected coefficient '3' inside a term"),
+    (2, "x0*", False, "starred letter 'x0*' not allowed here"),
+    (2, "x9 x0*", False, "starred letter 'x0*' not allowed here"),
+    (2, "x" + "9" * 4400, True, "a letter index must be an integer of at most 4300 ASCII digits"),
+    (2, "2/0", False, "bad rational '2/0'"),
+    (2, "x0 -", True, "the expression ends in a sign"),
+    (2, "- -", False, "empty expression"),
+])
+def test_term_reader_reads_pinned_texts_as_the_token_loop(d, text, starred, want):
+    # spellings the letter table misses are read in place, and each error
+    # is the one the token loop raises first
+    algebra = FreeAlgebra(d)
+    got = _read(parsing._terms, algebra, text, 3, starred)
+    assert got == _read(text_oracle._token_terms, algebra, text, 3, starred)
+    if isinstance(want, list):
+        assert got == [(letters, int, c) for letters, c in want]
+    else:
+        assert got[0] is ParseError and want in got[1]
 
 
 @pytest.mark.parametrize("mistake", POLY_MISTAKES)
