@@ -106,20 +106,21 @@ class RationalField:
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
     @staticmethod
-    def from_str(s: str):
+    def from_str(s: str, line=None):
         """The value of a literal as `Fraction` reads it, from one word of
-        ASCII text without underscores; ParseError for any other text, for a
-        malformed literal or, before any number is built, a `_too_long` one."""
+        ASCII text without underscores; ParseError at line for any other
+        text, a malformed literal or, before any number is built, a
+        `_too_long` one."""
         if len(s) <= MAX_LITERAL_DIGITS and s.isascii() and s.isdigit():
             return int(s)  # what the checks and Fraction below return, sooner
         if not s.isascii() or "_" in s or s.split() != [s]:
-            raise ParseError(f"bad rational {s!r}")
+            raise ParseError(f"bad rational {s!r}", line)
         if _too_long(s):
-            raise ParseError(f"rational literal {s!r} has more than {MAX_LITERAL_DIGITS} digits")
+            raise ParseError(f"rational literal {s!r} has more than {MAX_LITERAL_DIGITS} digits", line)
         try:
             q = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {s!r}") from exc
+            raise ParseError(f"bad rational {s!r}", line) from exc
         return int(q) if q.denominator == 1 else q
 
     @staticmethod
@@ -206,11 +207,12 @@ class PrimeField:
             return self.div(x.numerator % self.p, x.denominator % self.p)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
-    def from_str(self, s: str):
+    def from_str(self, s: str, line=None):
         try:
-            return self.coerce(RationalField.from_str(s))
+            return self.coerce(RationalField.from_str(s, line))
         except ZeroDivisionError:
-            raise ParseError(f"{s!r} has no value in {self.name}: its denominator is divisible by {self.p}") from None
+            raise ParseError(f"{s!r} has no value in {self.name}: its denominator is divisible by {self.p}",
+                             line) from None
 
     def to_str(self, v) -> str:
         return str(v % self.p)

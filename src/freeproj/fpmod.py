@@ -24,42 +24,6 @@ builds each degree from the one below by this one-letter extension, and
 other, a lead, off its monic basis element: minus the tail, which the weak
 algorithm (P. M. Cohn) has already reduced.
 
-Torsion is found one letter at a time too.  The tail M_{>=i0} of the stable
-profile is free, so an element of M_j is torsion exactly when each x_a times
-it is.  `torsion` walks each degree below i0 once, downward from Q_{i0}, the
-identity on M_{i0}: the torsion of M_j is the left kernel of S_j, whose
-column blocks are letter_matrix(a, j) * Q_{j+1} for each letter a.  One
-`row_reduce` of S_j gives that kernel as the transforms of its zero rows,
-and Q_j is S_j on its pivot columns, which span its columns, so Q_j has the
-same left kernel and at most h_j columns.  A finite-dimensional module is
-all torsion, and its torsion in degree j is its Hilbert value h_j, read
-with no standard word.  Either way the report, `by_degree` and
-`dimension`, needs no generator, so `Torsion.generators` is built on its
-first read: the standard words of each degree below i0 as elements, or the
-kernels' rows as elements of F0.
-
-Most modules have no torsion, and that needs no kernel.  For
-t0 > 0, M has no torsion exactly when for each j from i0 - 1 down to the
-least generator degree the map m -> (x_a * m)_a from M_j to M_{j+1}^d is
-injective, that is when the letter matrices out of M_j, side by side as
-column blocks, have rank h_j.  A nonzero m whose every x_a * m is zero is
-torsion; a nonzero torsion element u has a last nonzero word multiple
-w * u, and that one is such an m; and from i0 on the letter maps are
-bijections.  `torsion` runs these checks first, downward, and the
-recursion above only when one of them fails.  Most degrees need no matrix:
-the order of `term_key` is stable under left multiplication and reduction
-only adds smaller terms, so if x_a * w is standard for the leading word w
-of m, it is the leading word of x_a * m, which is then nonzero.  A degree
-in which every standard word w keeps a letter (some x_a * w is standard)
-passes with no matrix.  By suffix closure a standard w keeps no letter only
-when all d words x_a * w are leading words at alpha, a dead end of degree
-shift(alpha) + |w|, which `torsion` reads off the relation basis's lead
-index with no standard word: w is a proper suffix of a lead, so standard
-once `_free_layout(b)` has checked that no lead at alpha ends in another,
-which `torsion` runs first.
-Only the degrees below i0 that hold one build their letter matrices and
-take the rank, downward; no other degree scans a word.
-
 Morphism matrices grow by the same closure.  A morphism phi is left
 R-linear, phi(x_i * m) = x_i * phi(m), and the suffix u of a standard word
 x_i * u is standard, so the row of x_i * u is the row of u one degree down
@@ -106,7 +70,34 @@ answers at once when B_{j+1} and G_{j+1} are both empty, as past b, or
 differ in size, else by the rank of C_{j+1}, read off `FreeBasis._ints`.
 Past b every C_{j+1} is empty, so the walk alone proves [i0, oo), and
 `stable_profile` lays out no degree: `_free_layout` runs where a layout
-is read, in `torsion` before the dead ends and in the tail matrices.
+is read, in the tail matrices.
+
+Torsion is read off the relation basis too, downward from i0.  M_{>=i0} is
+free, so tau_{i0} = 0, and m in M_j is torsion exactly when each x_a * m
+is: tau_j = {m : e_a tensor m in mu_j^{-1}(tau_{j+1}) for every a}, mu_j
+the map V tensor M_j -> M_{j+1}.  By the decompositions above, that
+preimage is spanned by the lifts x_a * u -> e_a tensor u of tau_{j+1}'s
+normal forms and of B_{j+1}'s elements, combined so that their parts at
+the degree-(j+1) generators cancel.  No lift needs a reduction: the suffix
+u of a standard x_a * u is standard, and so is a lead's proper suffix, as
+`_torsion_below` checks of each lead it lifts.  A degree is two
+eliminations on at most dim tau_{j+1} + |B_{j+1}| vectors: a `row_reduce`
+with the constant columns first and e_0's block last, whose rows with no
+constant pivot span the preimage and those with a pivot in e_0's block
+the m with e_0 tensor m in it; then the left kernel of the remainders of
+e_a tensor m, a >= 1, by those rows.  No word, letter matrix or layout.
+
+Dead ends gate the walk: a dead end of degree j is a standard word w at
+alpha of degree j whose d products x_a * w are all leads at alpha.  While
+tau_{j+1} = 0, a degree with no dead end has tau_j = 0: a nonzero m killed
+by every letter has a standard leading word w, and a standard x_a * w
+would lead x_a * m (the order of `term_key` is stable under left
+multiplication, and reduction only adds smaller terms).  That needs no
+suffix-freeness.  So the walk starts at the highest dead end.  As V tensor
+tau_j lies in the preimage, d * dim tau_j <= dim tau_{j+1} + |B_{j+1}|: a
+degree where that sum is below d is skipped too, and the sum is at most
+the basis elements of degree above j, so the walk never holds more vectors
+than the relation basis has elements.
 """
 
 from __future__ import annotations
@@ -117,7 +108,7 @@ from functools import lru_cache
 from .errors import BudgetExceeded, CertificateMismatch
 from .fields import _DIGIT_BOUND, MAX_LITERAL_DIGITS, QgrClass
 from .freealg import FreeAlgebra, FreeModuleElement, GradedFreeModule, ModuleMap, term_key
-from .linalg import SparseMatrix, _ratio, _row_product, rank, row_reduce
+from .linalg import SparseMatrix, _ratio, _row_axpy, _row_product, rank, row_reduce
 from .submodules import FreeBasis, kernel, weak_basis
 
 # The most standard words and letter-matrix rows an FpModule holds over all
@@ -184,10 +175,10 @@ class StableProfile:
 
 class Torsion:
     """The largest finite-dimensional graded submodule of an FpModule: a basis
-    of it as representatives in F0, and by_degree, {j: its dimension in
-    degree j} for each degree below i0, made empty when there is no torsion.
-    generators is a sequence, or a function that returns one, called on the
-    first read of `generators`; the dimension is read off by_degree."""
+    of it as normal forms in F0, and by_degree, {j: its dimension in degree
+    j} for each degree from the least shift to i0 - 1, made empty when there
+    is no torsion.  generators is a sequence, or a function that returns
+    one, called on its first read; the dimension is read off by_degree."""
 
     __slots__ = ("by_degree", "dimension", "_generators")
 
@@ -369,10 +360,6 @@ class FpModule:
         index = self._std_index(j)
         return {index[mon]: c for mon, c in nf.terms.items()}
 
-    def element_from_coords(self, row: dict, j: int) -> FreeModuleElement:
-        std = self.std_basis(j)
-        return self.F0.element({std[k]: c for k, c in row.items()})
-
     def letter_matrix(self, i: int, j: int) -> SparseMatrix:
         """Multiplication by x_i from M_j to M_{j+1}, row convention.
 
@@ -515,11 +502,9 @@ class FpModule:
     # -- torsion --------------------------------------------------------------
 
     def _dead_ends(self, top: int) -> set:
-        """The degrees j < top that hold a dead end (module docstring): a
-        word w at some alpha whose products x_0 * w, ..., x_{d-1} * w are
-        all leading words at alpha, read off the lead index alone: w is
-        standard once `_free_layout(b)` has checked the leads suffix-free,
-        and j >= min_degree once `stable_profile` has run."""
+        """The degrees j < top that hold a dead end (module docstring), read
+        off the lead index alone: a lead x_0 * w at alpha whose siblings
+        x_a * w are leads too, with no check that w is standard."""
         d, shifts = self.algebra.d, self.F0.shifts
         out = set()
         for alpha, leads in self.relation_basis()._by_coord.items():
@@ -529,48 +514,62 @@ class FpModule:
                     out.add(j)
         return out
 
-    def _letters_side_by_side(self, j: int, Q: SparseMatrix | None = None) -> SparseMatrix:
-        """The d letter matrices out of M_j, each times Q when Q is given,
-        side by side as column blocks: row k is (x_a * m_k)_a."""
-        d = self.algebra.d
-        n = self.hilbert(j + 1) if Q is None else Q.ncols
-        rows = [{} for _ in range(self.hilbert(j))]
-        for a in range(d):
-            block = self.letter_matrix(a, j) if Q is None else self.letter_matrix(a, j).mul(Q)
-            for row, part in zip(rows, block.rows):
-                row.update((a * n + c, v) for c, v in part.items())
-        return SparseMatrix(self.algebra.field, len(rows), d * n, rows)
-
     def torsion(self) -> Torsion:
-        """The largest finite-dimensional graded submodule, by the one-letter
-        recursion of the module docstring.  A finite-dimensional module is all
-        torsion: h_j in each degree j below i0.  Zero torsion is certified
-        first, by a rank at each degree that holds a dead end (module
-        docstring), once `_free_layout(b)` has certified the leads those
-        are read off; only a module that fails that check runs the
-        recursion.  The generators are built on first read."""
+        """The largest finite-dimensional graded submodule: all of a
+        finite-dimensional module, h_j in each degree j below i0, else the
+        walk of the module docstring down from the highest dead end, one
+        `_torsion_below` at each degree its gate lets through."""
         profile = self.stable_profile()
-        i0, low = profile.i0, self.min_degree
-        F = self.algebra.field
+        i0, low, F = profile.i0, self.min_degree, self.algebra.field
         if profile.t0 == 0:
             return Torsion({j: self.hilbert(j) for j in range(low, i0)}, lambda: [
                 self.F0.element({mon: F.one}) for j in range(low, i0) for mon in self.std_basis(j)])
-        self._free_layout(self._free_bound())
-        if all(rank(self._letters_side_by_side(j)) == self.hilbert(j)
-               for j in sorted(self._dead_ends(i0), reverse=True)):
+        if not (dead := self._dead_ends(i0)):
             return Torsion({}, ())
-        Q = SparseMatrix.identity(F, self.hilbert(i0))
-        kernels = []
-        for j in range(i0 - 1, low - 1, -1):
-            letters = self._letters_side_by_side(j, Q)
-            pivots, reduced, trans = row_reduce(letters, want_transform=True)
-            kernels.append((j, [t for t, r in zip(trans, reduced) if not r]))
-            cols = {c: k for k, (_, c) in enumerate(pivots)}
-            Q = SparseMatrix(F, letters.nrows, len(cols),
-                             [{cols[c]: v for c, v in r.items() if c in cols} for r in letters.rows])
-        kernels.reverse()
-        return Torsion({j: len(ker) for j, ker in kernels},
-                       lambda: [self.element_from_coords(t, j) for j, ker in kernels for t in ker])
+        basis, tops = self.relation_basis(), {}  # tops: {degree: [(alpha, lead, index)]}
+        for alpha, leads in basis._by_coord.items():
+            for v, i in leads.items():
+                tops.setdefault(basis._degrees[i], []).append((alpha, v, i))
+        held, spaces = [], {}
+        for j in range(max(dead), low - 1, -1):
+            top = tops.get(j + 1, ())
+            gate = (held or j in dead) and len(held) + len(top) >= self.algebra.d
+            held = spaces[j] = self._torsion_below(held, top) if gate else []
+        return Torsion({j: len(spaces.get(j, ())) for j in range(low, i0)},
+                       lambda: [self.F0.element(t) for j in sorted(spaces) for t in spaces[j]])
+
+    def _torsion_below(self, held: list, top) -> list:
+        """tau_j as normal forms {(alpha, u): value} from tau_{j+1}'s, held, and
+        B_{j+1}, top, as (alpha, lead, index), by the module docstring's two
+        eliminations, after one probe per lead length checks each lead's rest."""
+        F, d, basis, first = self.algebra.field, self.algebra.d, self.relation_basis(), self.F0.rank
+        vecs = list(held)
+        for alpha, v, i in top:
+            if any(k < len(v) and v[len(v) - k:] in basis._by_coord[alpha] for k in basis._lengths[alpha]):
+                raise CertificateMismatch("a relation leading word ends in another at its coordinate")
+            vecs.append({(alpha, v): basis._ints[i][0], **dict(basis._ints[i][1])})
+        # columns: the constant parts, then e_a tensor M_j for a = 1..d-1, and e_0 tensor M_j last
+        N, pos = sum(map(len, vecs)), {}
+        rows = [{first + (w[0] - 1) % d * N + pos.setdefault((alpha, w[1:]), len(pos)) if w else alpha: c
+                 for (alpha, w), c in vec.items()} for vec in vecs]
+        width, zero = first + d * N, first + (d - 1) * N
+        pivots, reduced, _ = row_reduce(SparseMatrix(F, len(rows), width, rows))
+        at = {c: reduced[r] for r, c in pivots if c >= first}  # mu_j^{-1}(tau_{j+1}), reduced
+        cand = [row for c, row in at.items() if c >= zero]  # its e_0 tensor m, on e_0's block
+        res = [{} for _ in cand]  # the remainders of e_a tensor m by at, a >= 1, side by side
+        for acc, row in zip(res, cand):
+            for a in range(1, d):
+                shift = (d - a) * N
+                part = {c - shift: v for c, v in row.items()}
+                for c, v in row.items():
+                    if (prow := at.get(c - shift)) is not None:
+                        _row_axpy(F, part, v, prow)
+                acc.update(((a - 1) * width + c, v) for c, v in part.items())
+        if any(res):
+            _, red, trans = row_reduce(SparseMatrix(F, len(res), (d - 1) * width, res), want_transform=True)
+            cand = [_row_product(F, t, cand) for t, r in zip(trans, red) if not r]
+        words = list(pos)
+        return [{words[c - zero]: v for c, v in m.items()} for m in cand]
 
     def mod_torsion(self) -> "FpModule":
         tors = self.torsion()

@@ -92,7 +92,7 @@ def _terms(field, d, text: str, line=None, starred=False):
                     raise wide
                 # a trailing sign, or a bad character
                 raise ParseError("the expression ends in a sign" if terms else "empty expression", line)
-            coeff = from_str(number) if number else one
+            coeff = from_str(number, line) if number else one
             if signs and signs.count("-") & 1:
                 coeff = neg(coeff)
             try:

@@ -47,11 +47,9 @@ monomials, key order and values are field arithmetic's, integral ones as
 ints.  Over GF(p) W = db = 1.  A basis builds its elements on first read.
 
 `FpModule.mod_torsion` adds the torsion generators to the relations and
-rebuilds their basis here, but most modules have none to add.  For t0 > 0
-a module M has no torsion exactly when m -> (x_a * m)_a is injective from
-M_j to M_{j+1}^d for every j below its stable index i0, a rank check on
-its letter matrices (`FpModule.torsion`); then `mod_torsion` returns M
-itself and no basis is rebuilt.
+rebuilds their basis here, but most modules have none to add: for t0 > 0
+`FpModule.torsion` reads the torsion off the relation basis, and a module
+whose lead index holds no dead end has none, so M itself is returned.
 """
 
 from __future__ import annotations

@@ -135,6 +135,17 @@ WIDE2 = {"wide2.pres": "field: QQ\nd: 2\ngens: [%s]\nrels:\n" % ", ".join(["0"] 
 K9100 = {"k9100.pres": "field: QQ\nd: 3\ngens: [0, 9100]\nrels:\nx0, 0\nx1, 0\nx2, 0\n"}
 
 
+def _d3_plus(name: str, shift: int, rows: list) -> dict:
+    """{name: the text of the golden d3.pres with a fourth generator of the
+    given shift, a zero cell added to each relation row, and the given rows}."""
+    def text():
+        head, rels = (GOLDEN / "d3.pres").read_text(encoding="utf-8").split("rels:\n")
+        head = head.replace("gens: [0, 1, 1]", f"gens: [0, 1, 1, {shift}]")
+        return head + "rels:\n" + "".join(f"{row}, 0\n" for row in rels.splitlines() if row) + "".join(
+            f"{row}\n" for row in rows)
+    return {name: text}
+
+
 def _r_by_power(k: int) -> dict:
     """M_k = (R + R(-k)) / (x0^k * e0 - e1) at d = 2 over QQ, which is R."""
     return {f"m{k}.pres": "field: QQ\nd: 2\ngens: [0, %d]\nrels:\n%s, -1\n" % (k, " ".join(["x0"] * k))}
@@ -157,14 +168,18 @@ CASES = [
          {"far.pres": "field: QQ\nd: 2\ngens: [1000000000000]\nrels:\n"}),
     Case("profile-far-spread", ("profile", "spread.pres"), 1, {"kind": "BudgetExceeded"}, 10,
          {"spread.pres": "field: QQ\nd: 2\ngens: [0, 1000000000000]\nrels:\n"}),
-    # R + k(-20) at d = 2: torsion reads its dead end at degree 20 in the
-    # standard words, and the words through degree 18 already pass the bound.
-    # A route bound: the torsion is k(-20), of dimension 1; no item lifts it
-    # yet (ROADMAP item 33)
-    Case("torsion-word-budget-k20", ("torsion", "k20.pres"), 1,
-         {"kind": "BudgetExceeded",
-          "error": f"degree 18 would add {2**18} standard words, bringing the module's held words and rows to "
-                   f"{2**19 - 1}, over the bound fpmod.MAX_STD_WORDS = {2**18}"}, 20, K20),
+    # torsion walked down the relation basis from its highest dead end, with
+    # no standard word: R + k(-20) at d = 2, refused by the word budget when
+    # torsion read its dead end in the standard words; and at d = 3 two
+    # inputs whose h_20 and h_16 letter-matrix rows ran out of memory: d3.pres
+    # + k(-20), and d3.pres with e3 in degree 15 and x0^16 e0 - x0 e3
+    Case("torsion-point-above-r-k20", ("torsion", "k20.pres"), 0,
+         {"result.dimension": 1, "result.by_degree.20": 1}, 1, K20, rss_mb=48),
+    Case("torsion-d3-beside-point-k20", ("torsion", "d3k20.pres"), 0,
+         {"result.dimension": 2, "result.by_degree.1": 1, "result.by_degree.20": 1}, 1,
+         _d3_plus("d3k20.pres", 20, ["0, 0, 0, x0", "0, 0, 0, x1", "0, 0, 0, x2"]), rss_mb=48),
+    Case("torsion-d3-hook-15", ("torsion", "d3hook15.pres"), 0, {"result.dimension": 1, "result.by_degree.1": 1},
+         1, _d3_plus("d3hook15.pres", 15, [" ".join(["x0"] * 16) + ", 0, 0, -x0"]), rss_mb=48),
     Case("mul-literal-digits", ("s-calc", "mul", "big.json", "big.json"), 1, {"kind": "BudgetExceeded"}, 60,
          {"big.json": '{"d": 1, "level": 0, "entries": [[0, 0, "1e4000"]]}\n'}),
     # a route bound: the witness is 2n one-entry units, counted as 2n^3 dense
@@ -189,9 +204,9 @@ CASES = [
     # rank * d^span and not the dimensions; item 33 would lift it
     Case("profile-small-t-past-span", ("profile", "k14281.pres"), 1, {"kind": "BudgetExceeded"}, 10,
          {"k14281.pres": "field: QQ\nd: 3\ngens: [0, 14281]\nrels:\nx0, 0\nx1, 0\nx2, 0\n"}),
-    # its torsion walks the 9100 degrees below i0 once each: 0.31-0.37 s for
-    # the whole command on a 2-vCPU VM, 7.5-7.8 s when each degree's budget
-    # check scanned every cached degree
+    # its torsion walks from its one dead end, at degree 0: 0.2 s for the
+    # whole command on a 2-vCPU VM, 0.31-0.37 s when it walked the 9100
+    # degrees below i0 on letter matrices
     Case("torsion-wide-spread", ("torsion", "k9100.pres"), 0, {"result.dimension": 1}, 3, K9100),
     # M_k is R: the walk below b reads C_{j+1} off the relation basis and
     # builds no word, where the rank walk was refused at degree 18 of M_20;

@@ -126,7 +126,7 @@ def _parse_term(field, sign, atoms, line=None, starred=False):
         elif tok == "1":
             continue  # the empty word
         elif k == 0:
-            coeff = field.from_str(tok)
+            coeff = field.from_str(tok, line)
         else:
             raise ParseError(f"unexpected coefficient {tok!r} inside a term", line)
     if sign < 0:

@@ -32,6 +32,7 @@ TESTS = [f"tests/test_linalg.py::{name}" for name in (
     "test_generalized_inverse_packs_only_half_nonzero_gfp",
 )] + ["tests/test_fpmod.py::test_lead_rows_match_lookup_oracle",
      "tests/test_fpmod.py::test_mult_bijective_matches_rank_oracle",
+     "tests/test_fpmod.py::test_torsion_matches_word_product_oracle",
      "tests/test_submodules.py::test_twists_and_sums_match_cofactor_oracle",
      "tests/test_leavitt.py::test_product_and_equality_match_oracle",
      "tests/test_leavitt.py::test_normal_form_matches_raise_route",

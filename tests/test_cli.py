@@ -12,7 +12,6 @@ import freeproj
 from freeproj.af_s import MAX_SIMPLICITY_ENTRIES
 from freeproj.cli import main
 from freeproj.fields import MAX_LITERAL_DIGITS
-from freeproj.fpmod import MAX_STD_WORDS
 from freeproj.leavitt import MAX_RAISED_TERMS
 from freeproj.parsing import parse_presentation
 from freeproj.randgen import make_rng
@@ -480,10 +479,10 @@ R_PLUS_K20 = "field: QQ\nd: 2\ngens: [0, 20]\nrels:\n0, x0\n0, x1\n"
 def test_profile_certifies_past_the_word_budget(tmp_path):
     # past the stable bound b a profile builds no word and no row: R + k(-20)
     # counts the 2**21 words of its degree 21 off the relation leads, so its
-    # profile is certified, while its torsion needs the words below its dead
-    # end at degree 20 and is refused at degree 18.  The d = 4 probe and
-    # letterq.pres are profiled too.  As above, the child runs under a 1.5 GB
-    # address-space limit.
+    # profile is certified, and its torsion, walked down from its dead end
+    # at degree 20 on the relation basis, builds none either.  The d = 4
+    # probe and letterq.pres are profiled too.  As above, the child runs
+    # under a 1.5 GB address-space limit.
     letterq = os.path.join(os.path.dirname(__file__), "golden", "letterq.pres")
     probe, far = tmp_path / "d4.pres", tmp_path / "far.pres"
     probe.write_text(D4_PROBE)
@@ -513,19 +512,16 @@ def test_profile_certifies_past_the_word_budget(tmp_path):
     assert code == 0
     assert report["result"]["profile"] == {"i0": 21, "t": [2**k for k in range(21, 26)]}
     code, report = profile(far, "torsion")
-    assert code == 1
-    assert report["kind"] == "BudgetExceeded"
-    assert report["error"].startswith(f"degree 18 would add {2**18} standard words, bringing the module's "
-                                      f"held words and rows to {2**19 - 1},")
-    assert str(MAX_STD_WORDS) in report["error"]
+    assert code == 0
+    assert report["result"] == {"dimension": 1, "by_degree": {str(j): int(j == 20) for j in range(21)}}
     assert time.perf_counter() - start < 20
 
 
 @pytest.mark.parametrize("far", [24, 1000])
 def test_torsion_of_a_point_beside_a_far_free_summand(tmp_path, far):
-    # k + R(-far) at d = 2: torsion walks each degree below i0 = far once,
-    # on letter matrices, with no word products.  As above, the child runs
-    # under a 1.5 GB address-space limit.
+    # k + R(-far) at d = 2: torsion walks from its one dead end, at degree
+    # 0, with no word and no letter matrix.  As above, the child runs under
+    # a 1.5 GB address-space limit.
     pres = tmp_path / "point_far.pres"
     pres.write_text(f"field: QQ\nd: 2\ngens: [0, {far}]\nrels:\nx0, 0\nx1, 0\n")
     limit = 1_500_000_000

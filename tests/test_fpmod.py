@@ -16,7 +16,6 @@ from letter_matrix_oracle import letter_matrix as oracle_letter_matrix
 from letter_matrix_oracle import mult_bijective as oracle_mult_bijective
 from std_basis_oracle import std_basis as oracle_std_basis
 from morphism_matrix_oracle import matrix_in_degree as oracle_matrix_in_degree
-import profile_path_oracle
 from torsion_oracle import torsion as oracle_torsion
 from torsion_recursion_oracle import torsion as oracle_torsion_recursion
 
@@ -360,24 +359,28 @@ def test_letter_matrix_below_the_bound_refuses_before_building(monkeypatch):
 
 
 def test_torsion_refuses_over_budget_before_building(monkeypatch):
-    # R + k(-2) at d = 2, b = 3: its profile holds no word and no row, and
-    # its torsion the words of degrees 0..3 and the rows of both letters out
-    # of degrees 0..2, the last of them built
-    text = "field: QQ\nd: 2\ngens: [0, 2]\nrels:\n0, x0\n0, x1\n"
-    for short in (1, 0):
-        M = parse_presentation(text).module()
-        M.stable_profile()
-        assert M._letter_cache == {} and M._std_cache == {} and M._held == 0
-        need = sum(map(M.hilbert, range(4))) + 2 * sum(map(M.hilbert, range(3)))
-        assert need == 16 + 16
-        monkeypatch.setattr(fpmod, "MAX_STD_WORDS", need - short)
-        if short:
-            with pytest.raises(BudgetExceeded, match="letter-matrix rows"):
-                M.torsion()
+    # R + k(-2) at d = 2: the walk holds normal forms, not words or rows, so
+    # it answers under a budget of 0.  A finite-dimensional module's report
+    # reads Hilbert values, and its generators, its standard words, are held
+    # to the budget on first read: R/R_{>=3} has 1 + 2 + 4 of them, and
+    # degree 2 is refused under 6 before any of its words is built
+    monkeypatch.setattr(fpmod, "MAX_STD_WORDS", 0)
+    M = parse_presentation("field: QQ\nd: 2\ngens: [0, 2]\nrels:\n0, x0\n0, x1\n").module()
+    tors = M.torsion()
+    assert tors.by_degree == {0: 0, 1: 0, 2: 1} and [g.terms for g in tors.generators] == [{(1, ()): 1}]
+    assert M._std_cache == {} and M._letter_cache == {} and M._held == 0
+    for budget in (6, 7):
+        monkeypatch.setattr(fpmod, "MAX_STD_WORDS", budget)
+        T = FpModule.tail_quotient(FreeAlgebra(2), 3)
+        tors = T.torsion()
+        assert tors.by_degree == {0: 1, 1: 2, 2: 4} and T._held == 0
+        if budget == 6:
+            with pytest.raises(BudgetExceeded, match="degree 2 would add 4 standard words"):
+                tors.generators
+            assert sorted(T._std_cache) == [0, 1]
         else:
-            assert M.torsion().dimension == 1
-        assert M._held == held_in_caches(M) <= fpmod.MAX_STD_WORDS
-    assert M._held == fpmod.MAX_STD_WORDS
+            assert len(tors.generators) == 7
+        assert T._held == held_in_caches(T) <= budget
 
 
 def test_split_sequence_past_the_bound_refuses_before_building(monkeypatch):
@@ -450,8 +453,8 @@ def test_free_tail_layout_check_matches_rank_oracle(M):
     assert max(M._std_cache, default=b) <= b
     if M.hilbert(b) == 0:
         return
-    # a wrong count fails its Hilbert value, in torsion and in every degree
-    # laid out after it, while the profile, which lays out nothing, answers
+    # a wrong count fails its Hilbert value in every degree laid out after
+    # it, while the profile and torsion, which lay out nothing, answer
     # (layouts are cached per degree: the counts are read, and the Hilbert
     # values built, through b + 4 by laying out b + 3 alone, and corrupted
     # before the first layout of b..b+2)
@@ -460,8 +463,7 @@ def test_free_tail_layout_check_matches_rank_oracle(M):
     assert list(wrong._layouts) == [b + 3]
     wrong._bound_counts[next(a for a, n in enumerate(wrong._bound_counts) if n)] += 1
     assert wrong.stable_profile().as_dict() == M.stable_profile().as_dict()
-    with pytest.raises(CertificateMismatch, match="Hilbert value"):
-        wrong.torsion()
+    assert wrong.torsion().by_degree == M.torsion().by_degree
     for j in range(b, b + 3):
         with pytest.raises(CertificateMismatch, match="Hilbert value"):
             wrong._free_layout(j)
@@ -513,8 +515,9 @@ def test_free_layout_refuses_a_lead_ending_in_another(rename):
     # R/(x1, x0 x0) at d = 2 with one lead renamed in its index, keeping its
     # length or not: x1 ends x0 x1, and every word ends in ().  Renamed to
     # x0 x1 the counts still sum to the Hilbert values, so only the suffix
-    # certificate refuses it, in torsion, which reads dead ends off the
-    # leads; the profile reads no lead and answers
+    # certificate refuses it, in the layout of the free tail; the profile
+    # reads no lead and answers, and so does torsion, as no degree holds a
+    # dead end (`test_torsion_refuses_a_lead_ending_in_another`)
     A2 = FreeAlgebra(2)
     x0, x1 = A2.gen(0), A2.gen(1)
     M = FpModule.cyclic(A2, [x1, x0 * x0])
@@ -522,10 +525,28 @@ def test_free_layout_refuses_a_lead_ending_in_another(rename):
     leads = M.relation_basis()._by_coord[0]
     assert list(leads) == [(1,), (0, 0)]
     leads[new] = leads.pop(old)
+    assert M.stable_profile().t0 > 0 and M.torsion().by_degree == {}
+    with pytest.raises(CertificateMismatch, match="a relation leading word ends in another at its coordinate"):
+        M._free_layout(M._free_bound())
+    assert M._bound_counts is None and M._std_cache == {}
+
+
+def test_torsion_refuses_a_lead_ending_in_another():
+    # R/(x0^3, x1 x0 x0, x1^3) at d = 2: x0 x0 is a dead end at degree 2,
+    # where the walk lifts all three leads.  With x1^3 renamed to x1 x0^3 in
+    # the lead index, that lead ends in x0^3, and the walk refuses it when
+    # it lifts it; the profile reads no lead and answers
+    A2 = FreeAlgebra(2)
+    x0, x1 = A2.gen(0), A2.gen(1)
+    M = FpModule.cyclic(A2, [x0 * x0 * x0, x1 * x0 * x0, x1 * x1 * x1])
+    assert FpModule(M.F0, M.relations).torsion().by_degree == {0: 0, 1: 0, 2: 1}
+    leads = M.relation_basis()._by_coord[0]
+    assert list(leads) == [(0, 0, 0), (1, 0, 0), (1, 1, 1)] and M._dead_ends(3) == {2}
+    leads[(1, 0, 0, 0)] = leads.pop((1, 1, 1))
     assert M.stable_profile().t0 > 0
     with pytest.raises(CertificateMismatch, match="a relation leading word ends in another at its coordinate"):
         M.torsion()
-    assert M._bound_counts is None and M._std_cache == {}
+    assert M._std_cache == {} and M._letter_cache == {}
 
 
 def test_stable_profile_checks_each_degree_once(mult_checks, A2):
@@ -615,11 +636,10 @@ def typed_rows(mat):
     return [[(c, type(v), v) for c, v in row.items()] for row in mat.rows]
 
 
-def assert_torsion_matches_oracle(M):
-    """Per degree, the torsion generators span the word-product oracle's
-    space: as many of them, independent, and their union has no larger rank."""
-    got, want = M.torsion(), oracle_torsion(FpModule(M.F0, M.relations))
-    assert got.dimension == want.dimension == len(got.generators)
+def assert_same_torsion_spaces(M, got, want):
+    """Per degree, the generators of got and want span one space of M_j:
+    as many of each, independent, and their union has no larger rank."""
+    assert got.dimension == want.dimension == len(got.generators) == len(want.generators)
     spaces = [{}, {}]
     for space, tors in zip(spaces, (got, want)):
         for g in tors.generators:
@@ -631,16 +651,17 @@ def assert_torsion_matches_oracle(M):
         other = spaces[1][j]
         assert len(rows) == len(other) == rank(SparseMatrix(F, len(rows), M.hilbert(j), rows))
         assert rank(SparseMatrix(F, 2 * len(rows), M.hilbert(j), rows + other)) == len(rows)
-    # by_degree against the Hilbert function of the presented torsion
+
+
+def assert_torsion_matches_oracle(M):
+    """The torsion generators span the word-product oracle's space in each
+    degree, and by_degree is the Hilbert function of the presented torsion;
+    returns the dimension."""
+    got, want = M.torsion(), oracle_torsion(FpModule(M.F0, M.relations))
+    assert_same_torsion_spaces(M, got, want)
     presented = range(M.min_degree, M.stable_profile().i0) if want.dimension else ()
     assert got.by_degree == {j: want.module.hilbert(j) for j in presented}
     return got.dimension
-
-
-@hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(presented_modules(fractions=True))
-def test_torsion_matches_word_product_oracle(M):
-    assert_torsion_matches_oracle(M)
 
 
 def test_torsion_matches_word_product_oracle_on_battery():
@@ -657,18 +678,78 @@ def test_torsion_matches_word_product_oracle_on_battery():
     assert sum(dim > 0 for dim in dims) >= 4
 
 
-def typed_torsion(tors):
-    """A Torsion with dict key order and value types made visible."""
-    gens = [[(mon, type(c), c) for mon, c in g.terms.items()] for g in tors.generators]
-    return list(tors.by_degree.items()), tors.dimension, gens
+@st.composite
+def twisted_modules(draw):
+    """`presented_modules(fractions=True)` twisted down by 0..2, so that
+    shifts run negative."""
+    return draw(presented_modules(fractions=True)).shift(draw(st.integers(0, 2)))
+
+
+def torsion_walk_kinds(M, tors) -> set:
+    """Where the walk runs (t0 > 0): no torsion, torsion in one degree or
+    in several, and torsion beside a generator killed outright (a () lead)."""
+    if not M.stable_profile().t0:
+        return set()
+    degrees = sum(map(bool, tors.by_degree.values()))
+    kinds = {"no torsion" if not degrees else "one degree" if degrees == 1 else "several degrees"}
+    if degrees and any(() in leads for leads in M.relation_basis()._by_coord.values()):
+        kinds.add("killed generator")
+    return kinds
+
+
+def pinned_torsion_modules() -> list:
+    """A module of each `torsion_walk_kinds` kind, over QQ and GF(p), d = 1..3."""
+    A2, A1, B2, B3 = FreeAlgebra(2), FreeAlgebra(1, GF(5)), FreeAlgebra(2, GF(5)), FreeAlgebra(3, GF(7))
+    x0, x1 = A2.gen(0), A2.gen(1)
+    return [
+        # a dead end at degree 1, x0 x1 and x1 x1 being leads, and no torsion
+        FpModule.cyclic(A2, [x1 * x1, x0 * x1 + x0 * x0]),
+        # k(-2) + R at d = 3
+        FpModule.residue(B3).shift(-2).direct_sum(FpModule.free(B3, [0])),
+        # k(-1) + k(-3) + R(-1): torsion in degrees 1 and 3, none between
+        FpModule.residue(B2).shift(-1).direct_sum(FpModule.residue(B2).shift(-3)).direct_sum(
+            FpModule.free(B2, [1])),
+        # k[x]/(x^3) + k[x](-1) at d = 1
+        FpModule.cyclic(A1, [A1.gen(0) * A1.gen(0) * A1.gen(0)]).direct_sum(FpModule.free(A1, [1])),
+        # e2 = -e1 is killed, e1 = x0 e0 and x1 e0 = 0: a dead end at e0,
+        # and no torsion there only because e1 is not one; e3 is a point
+        parse_presentation("field: QQ\nd: 2\ngens: [0, 1, 1, 1]\nrels:\n0, 1, 1, 0\nx0, -1, 0, 0\nx1, 0, 0, 0\n"
+                           "0, 0, 0, x0\n0, 0, 0, x1\n").module(),
+    ]
+
+
+def test_torsion_matches_word_product_oracle():
+    # by_degree and the torsion space in each degree match the word-product
+    # oracle on twisted presentations over QQ and GF(5), d = 1..3; each kind
+    # of `torsion_walk_kinds` is drawn, and pinned by an example
+    kinds = set()
+    pinned = pinned_torsion_modules()
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(twisted_modules())
+    @hypothesis.example(pinned[0])
+    @hypothesis.example(pinned[1])
+    @hypothesis.example(pinned[2])
+    @hypothesis.example(pinned[3])
+    @hypothesis.example(pinned[4])
+    def check(M):
+        assert_torsion_matches_oracle(M)
+        kinds.update(torsion_walk_kinds(M, M.torsion()))
+
+    check()
+    assert kinds == {"no torsion", "one degree", "several degrees", "killed generator"}, kinds
+    pins = [torsion_walk_kinds(M, M.torsion()) for M in pinned]
+    assert pins == [{"no torsion"}, {"one degree"}, {"several degrees"}, {"several degrees"},
+                    {"one degree", "killed generator"}], pins
 
 
 def assert_torsion_matches_recursion(M):
-    """M.torsion() equals the one-letter recursion's, on fresh copies of M;
-    returns (t0 > 0, dimension)."""
+    """M.torsion() has the one-letter recursion's by_degree and, in each
+    degree, its space, on fresh copies of M; returns (t0 > 0, dimension)."""
     got = FpModule(M.F0, M.relations).torsion()
     want = oracle_torsion_recursion(FpModule(M.F0, M.relations))
-    assert typed_torsion(got) == typed_torsion(want)
+    assert got.by_degree == want.by_degree
+    assert_same_torsion_spaces(FpModule(M.F0, M.relations), got, want)
     return M.stable_profile().t0 > 0, got.dimension
 
 
@@ -679,9 +760,9 @@ def test_torsion_matches_recursion_oracle(M):
 
 
 def test_torsion_matches_recursion_oracle_on_battery():
-    # every branch: no torsion, certified on words over several degrees or
-    # by a rank; torsion under a free tail (the recursion runs); all
-    # torsion (t0 = 0)
+    # every branch: no torsion, with no dead end or with one, over several
+    # degrees; torsion under a free tail (the walk runs); all torsion
+    # (t0 = 0)
     A2, A3 = FreeAlgebra(2), FreeAlgebra(3, GF(5))
     x0, x1 = A2.gen(0), A2.gen(1)
     mods = letter_battery() + [
@@ -716,55 +797,51 @@ def test_zero_torsion_is_certified_without_elimination(monkeypatch):
     calls = count_calls(monkeypatch, fpmod, ["rank", "row_reduce"])
     A2 = FreeAlgebra(2)
     x0, x1 = A2.gen(0), A2.gen(1)
-    # R/R x0^4: i0 = 4 and t0 = 15, no torsion.  Every standard word keeps
-    # a letter, so degrees 3..0 pass on words alone: no rank, no letter
-    # matrix below the profile's, no row_reduce with a transform
+    # R/R x0^4: i0 = 4 and t0 = 15, no torsion.  No degree holds a dead
+    # end, so the walk has nowhere to start: no elimination, no word, no
+    # letter matrix
     M = FpModule.cyclic(A2, [x0 * x0 * x0 * x0])
     assert (M.stable_profile().i0, M.stable_profile().t0) == (4, 15)
-    before, profile_ranks = set(M._letter_cache), calls["rank"]
+    profile_ranks = calls["rank"]
     tors = M.torsion()
     assert (tors.by_degree, tors.generators, tors.dimension) == ({}, (), 0)
-    assert calls == {"rank": profile_ranks, "row_reduce": 0} and set(M._letter_cache) == before
+    assert calls == {"rank": profile_ranks, "row_reduce": 0}
+    assert M._letter_cache == {} and M._std_cache == {}
     # R/(x1 x1, x0 x1 + x0 x0): both products of x1 are leading words, so
-    # degree 1 takes the rank, which is full (x0 * x1 = -x0 * x0 is not 0)
+    # the walk starts at degree 1, with two eliminations there: e_0 tensor
+    # (x1 + x0) lies in the lifts' span, e_1 tensor (x1 + x0) does not
     N = FpModule.cyclic(A2, [x1 * x1, x0 * x1 + x0 * x0])
     assert N.stable_profile().i0 == 2
     ranks = calls["rank"]
     assert N.torsion().dimension == 0
-    assert calls == {"rank": ranks + 1, "row_reduce": 0}
-    # one degree with a kernel sends the whole walk to the recursion
+    assert calls == {"rank": ranks, "row_reduce": 2}
+    # the point k(-2) is the one dead end: one elimination there, whose
+    # remainders are zero, and below it one held vector and no basis
+    # element, fewer than d, so no elimination
     k = FpModule.residue(A2).shift(-2).direct_sum(M)
     assert k.torsion().by_degree == {j: int(j == 2) for j in range(4)}
-    assert calls["row_reduce"] == 4
+    assert calls["row_reduce"] == 3
+
+
+def words_keep_a_letter(M, j: int) -> bool:
+    """The frozen word test: does every standard word w of M_j have a
+    standard product x_a * w?"""
+    d, index = M.algebra.d, M._std_index(j + 1)
+    return all(any((alpha, (a,) + w) in index for a in range(d)) for alpha, w in M.std_basis(j))
 
 
 def assert_dead_ends_match_word_test(M):
-    """On fresh copies of M: torsion() equals the frozen word-test path's,
-    which leaves the same letter matrices; the standard words left are the
-    word test's lowest degrees, since only a dead end or a letter matrix
-    below b builds words, and the held count is what the caches hold; and
-    below i0 a degree holds a dead end exactly when the frozen word test
-    fails there.  Returns (t0 > 0, dead ends below i0)."""
-    got, want = FpModule(M.F0, M.relations), FpModule(M.F0, M.relations)
-    assert typed_torsion(got.torsion()) == typed_torsion(profile_path_oracle.torsion(want))
-    assert list(got._letter_cache) == list(want._letter_cache)
-    assert all(typed_rows(got._letter_cache[k]) == typed_rows(want._letter_cache[k]) for k in got._letter_cache)
-    keys = list(got._std_cache)
-    assert keys == list(want._std_cache)[:len(keys)] and got._held == held_in_caches(got)
+    """On a fresh copy of M, below i0 a degree holds a dead end exactly
+    when the frozen word test fails there.  Returns (t0 > 0, dead ends
+    below i0)."""
+    got = FpModule(M.F0, M.relations)
     p = got.stable_profile()
     if not p.t0:
         return False, set()
     dead = got._dead_ends(p.i0)
     for j in range(got.min_degree, p.i0):
-        assert (j in dead) != profile_path_oracle.words_keep_a_letter(got, j)
+        assert (j in dead) != words_keep_a_letter(got, j)
     return True, dead
-
-
-@st.composite
-def twisted_modules(draw):
-    """`presented_modules(fractions=True)` twisted down by 0..2, so that
-    shifts run negative."""
-    return draw(presented_modules(fractions=True)).shift(draw(st.integers(0, 2)))
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
@@ -776,9 +853,10 @@ def test_dead_ends_match_frozen_word_test(M):
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(twisted_modules())
 def test_dead_end_candidates_are_standard_words(M):
-    # what `_dead_ends` relies on to look no word up: for a lead v whose d
-    # words (a,) + v[1:] are all leads at alpha, v[1:], a proper suffix of a
-    # lead, is a standard word, in a degree at or above min_degree
+    # on a valid basis `_dead_ends` lists only true dead ends: for a lead v
+    # whose d words (a,) + v[1:] are all leads at alpha, v[1:], a proper
+    # suffix of a lead, is a standard word, in a degree at or above
+    # min_degree
     d, shifts = M.algebra.d, M.F0.shifts
     for alpha, leads in M.relation_basis()._by_coord.items():
         for v in leads:
@@ -805,40 +883,41 @@ def test_dead_ends_match_frozen_word_test_on_golden_and_battery():
 
 
 def test_torsion_takes_a_rank_only_at_dead_ends(monkeypatch):
-    calls = count_calls(monkeypatch, fpmod, ["rank"])
-    sides = []
-    real = FpModule._letters_side_by_side
+    # while it holds nothing, the walk eliminates only at a degree that
+    # holds a dead end, and it starts at the highest one; a step's degree
+    # is one below its basis elements'
+    steps = []
+    real = FpModule._torsion_below
 
-    def recorded(self, j, Q=None):
-        sides.append(j)
-        return real(self, j, Q)
+    def recorded(self, held, top):
+        steps.extend({self.relation_basis().degrees()[i] - 1 for _, _, i in top})
+        return real(self, held, top)
 
-    monkeypatch.setattr(FpModule, "_letters_side_by_side", recorded)
+    monkeypatch.setattr(FpModule, "_torsion_below", recorded)
     A2 = FreeAlgebra(2)
     x0, x1 = A2.gen(0), A2.gen(1)
-    # R/R x0^4: t0 = 15 > 0 and no dead end, so no letter matrix and no rank
+    # R/R x0^4: t0 = 15 > 0 and no dead end, so no step
     M = FpModule.cyclic(A2, [x0 * x0 * x0 * x0])
     profile = M.stable_profile()
-    before, ranks = list(M._letter_cache), calls["rank"]
     assert profile.t0 > 0 and M._dead_ends(profile.i0) == set()
-    assert M.torsion().dimension == 0
-    assert calls["rank"] == ranks and sides == [] and list(M._letter_cache) == before
+    assert M.torsion().dimension == 0 and steps == []
     # R/(x1 x1, x0 x1 + x0 x0): both products of x1 are leading words, one
-    # dead end at degree 1 < i0 = 2, so one rank there
+    # dead end at degree 1 < i0 = 2, so one step there
     N = FpModule.cyclic(A2, [x1 * x1, x0 * x1 + x0 * x0])
     assert N.stable_profile().i0 == 2 and N._dead_ends(2) == {1}
-    ranks = calls["rank"]
-    assert N.torsion().dimension == 0
-    assert calls["rank"] == ranks + 1 and sides == [1]
+    assert N.torsion().dimension == 0 and steps == [1]
     # R + R(-1) + R(-1) by x0 e0 = e1 and x1 e0 = e2 is R, i0 = 0: its dead
-    # end () at degree 0 is not below i0 and takes no rank
+    # end () at degree 0 is not below i0 and takes no step
     F = A2.free_module([0, 1, 1])
     one, zero = A2.one(), A2.zero()
     P = FpModule(F, [F.from_polys([x0, -one, zero]), F.from_polys([x1, zero, -one])])
     assert P.stable_profile().i0 == 0 and P._dead_ends(1) == {0} and P._dead_ends(0) == set()
-    ranks = calls["rank"]
-    assert P.torsion().dimension == 0
-    assert calls["rank"] == ranks and sides == [1]
+    assert P.torsion().dimension == 0 and steps == [1]
+    # k(-1) + k(-3) + R(-1) + R/R x0^4: dead ends at 3 and 1, and the point
+    # at 3 held at 2 is one vector beside no basis element, fewer than d
+    Q = FpModule.residue(A2).shift(-1).direct_sum(FpModule.residue(A2).shift(-3)).direct_sum(M)
+    steps.clear()
+    assert Q.torsion().by_degree == {0: 0, 1: 1, 2: 0, 3: 1} and steps == [3, 1]
 
 
 def test_morphism_matrix_cache_matches_fresh_morphism():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from freeproj import FpModule
 from freeproj.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,8 +73,8 @@ for _suite in ("hilbert", "truncation", "profiles", "splitting", "decomposition"
 CASES["verify-12"] = ["verify", "--suite", "12"]
 # R/R_{>=6} at d = 2: 64 monomial relations through the weak algorithm
 CASES["torsion-ge6"] = ["torsion", "ge6.pres"]
-# R/R x0^4 at d = 2: no torsion, i0 = 4 and t0 = 15, so the zero-torsion
-# rank check runs over degrees 3, 2, 1 and 0
+# R/R x0^4 at d = 2: no torsion, i0 = 4 and t0 = 15, and no dead end, so
+# the torsion walk has nowhere to start
 for _command in ("torsion", "profile"):
     CASES[f"{_command}-x04"] = [_command, "x04.pres"]
 
@@ -94,3 +95,25 @@ def test_golden_report(case, expected, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == expected[case]
+
+
+@pytest.mark.parametrize("pres", sorted(p.name for p in GOLDEN.glob("*.pres")))
+def test_no_report_command_builds_a_word(pres, capsys, monkeypatch):
+    # every report command answers off the relation basis and the Hilbert
+    # values: none builds a standard word or a letter matrix
+    built = []
+
+    def refuse(name):
+        def refused(self, *args):
+            built.append((name, args))
+            raise AssertionError(f"{name}{args} was built")
+        return refused
+
+    for name in ("std_basis", "letter_matrix"):
+        monkeypatch.setattr(FpModule, name, refuse(name))
+    monkeypatch.chdir(GOLDEN)
+    for argv in (["hilbert", pres, "4"], ["profile", pres], ["k0", pres], ["torsion", pres], ["qgr-class", pres],
+                 ["iso", pres, pres], ["decompose", pres, "-5"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []

@@ -323,14 +323,14 @@ def test_term_reader_matches_token_loop_on_examples(A2, text, starred):
 ])
 def test_term_reader_reads_pinned_texts_as_the_token_loop(d, text, starred, want):
     # spellings the letter table misses are read in place, and each error
-    # is the one the token loop raises first
+    # is the one the token loop raises first, with its line
     algebra = FreeAlgebra(d)
     got = _read(parsing._terms, algebra, text, 3, starred)
     assert got == _read(text_oracle._token_terms, algebra, text, 3, starred)
     if isinstance(want, list):
         assert got == [(letters, int, c) for letters, c in want]
     else:
-        assert got[0] is ParseError and want in got[1]
+        assert got[0] is ParseError and want in got[1] and got[2] == 3
 
 
 @pytest.mark.parametrize("mistake", POLY_MISTAKES)
@@ -456,6 +456,13 @@ def test_presentation_errors_carry_line_numbers():
 
     with pytest.raises(ParseError):
         parse_presentation("d: 2\ngens: [0]\nrels:\n")  # missing field
+
+    # a coefficient's error names its line too
+    for field, cell, error in (("QQ", "2/0 x1", "bad rational '2/0'"),
+                               ("GF:5", "1/5 x1", "'1/5' has no value in GF(5): its denominator is divisible by 5")):
+        with pytest.raises(ParseError) as info:
+            parse_presentation(f"field: {field}\nd: 2\ngens: [0]\n# note\nrels:\n{cell}\n")
+        assert str(info.value) == f"line 6: {error}" and info.value.line == 6
 
     # a repeated header is refused at its second line, naming the first
     for first, (key, again) in enumerate((("name", "b"), ("field", "GF(5)"), ("d", "3"), ("gens", "[1]")), 1):

@@ -53,7 +53,7 @@ def _token_terms(field, d, text: str, line=None, starred=False):
         elif number != "1":  # "1" is the empty word
             if k:
                 raise ParseError(f"unexpected coefficient {number!r} inside a term", line)
-            coeff = field.from_str(number)
+            coeff = field.from_str(number, line)
         k += 1
         seen = True
     if not k:

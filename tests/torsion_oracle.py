@@ -7,7 +7,9 @@ torsion spaces `FpModule.torsion` must match: the generators may form
 another basis, but of the same space in each degree.  It also keeps the
 route by which the torsion's dimension in each degree was read: the
 Hilbert function of `submodule_presentation` of the generators, returned
-as `OracleTorsion.module`.
+as `OracleTorsion.module`.  A kernel row becomes an element of F0 by
+`element_from_coords`, the reading `FpModule` had before its torsion held
+normal forms.
 """
 
 import itertools
@@ -24,6 +26,12 @@ def left_kernel(mat: SparseMatrix) -> SparseMatrix:
     pivots, reduced, trans = row_reduce(mat, want_transform=True)
     null_rows = [trans[i] for i in range(mat.nrows) if not reduced[i]]
     return SparseMatrix(mat.field, len(null_rows), mat.nrows, null_rows)
+
+
+def element_from_coords(self, row: dict, j: int):
+    """The element of F0 with the coordinates row in `std_basis(j)`."""
+    std = self.std_basis(j)
+    return self.F0.element({std[k]: c for k, c in row.items()})
 
 
 def word_levels(self, j: int):
@@ -69,7 +77,7 @@ def torsion(self) -> OracleTorsion:
         ker = left_kernel(stacked)
         total += ker.nrows
         for row in ker.rows:
-            gens.append(self.element_from_coords(row, j))
+            gens.append(element_from_coords(self, row, j))
     if not gens:
         zero_mod = FpModule(self.algebra.free_module([]), [])
         return OracleTorsion(zero_mod, 0, [])

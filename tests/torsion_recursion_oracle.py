@@ -1,17 +1,17 @@
-"""The one-letter torsion recursion that the zero-torsion rank check now
-skips when it can.
+"""The one-letter torsion recursion on letter matrices, which the walk on
+the relation basis replaced.
 
 `FpModule.torsion` walked every degree below i0 downward from the identity
 on M_{i0}, row-reduced the side-by-side blocks letter_matrix(a, j) * Q_{j+1}
-and read the torsion of M_j off the transforms of its zero rows, also when
-there was none.  Kept verbatim, as a function of the module, as the oracle
-`FpModule.torsion` must match exactly: same by_degree dict in the same key
-order, and the same generators, term by term, with the same value types
-and key order.
+and read the torsion of M_j off the transforms of its zero rows.  Kept, as
+a function of the module, as a second oracle for the torsion: the walk must
+give the same by_degree and, in each degree, the same space, in another
+basis.
 """
 
 from freeproj.fpmod import Torsion
 from freeproj.linalg import SparseMatrix, row_reduce
+from torsion_oracle import element_from_coords
 
 
 def torsion(self) -> Torsion:
@@ -37,5 +37,5 @@ def torsion(self) -> Torsion:
             cols = {c: k for k, (_, c) in enumerate(pivots)}
             Q = SparseMatrix(F, len(rows), len(cols), [{cols[c]: v for c, v in r.items() if c in cols} for r in rows])
         kernels.reverse()
-    gens = [self.element_from_coords(t, j) for j, ker in kernels for t in ker]
+    gens = [element_from_coords(self, t, j) for j, ker in kernels for t in ker]
     return Torsion({j: len(ker) for j, ker in kernels} if gens else {}, gens)
